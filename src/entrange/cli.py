@@ -1,4 +1,4 @@
-"""Command-line interface: ingest, build/save/load, query, partition, bench.
+"""Command-line interface: ingest, build/save/load, query, partition.
 
 Exit codes: 0 ok, 2 usage (argparse), 3 data error, 4 index error.
 """
@@ -15,9 +15,8 @@ import numpy as np
 from . import exact1d, exactnd, partition, storage, sweep1d
 from .approx_renyi import estimate_additive_renyi, estimate_multiplicative_renyi
 from .approx_shannon import EstimatorConfig, EstimatorIndex, estimate_additive, estimate_multiplicative
-from .core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
+from .core import QueryRect, SHANNON, renyi_kind
 from .errors import DataFormatError, EntrangeError, IndexFileError, IndexKindMismatch
-from .oracle import brute_entropy
 
 
 def parse_rect(text: str, dim: int | None = None) -> QueryRect:
@@ -146,6 +145,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     elif args.backend == "exact":
         if pts.dim == 1:
             index = exact1d.Exact1DIndex(pts, args.t, () if kind.is_shannon else (kind.alpha,))
+        elif args.algorithm != "greedy-tree":
+            raise DataFormatError(f"--algorithm {args.algorithm} with --backend exact needs 1-D points")
         else:
             index = exactnd.ExactNDIndex(pts, args.t, () if kind.is_shannon else (kind.alpha,))
         backend = partition.ExactIndexBackend(index, kind)
@@ -203,63 +204,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def _synthetic(rng: np.random.Generator, n: int, colors: int) -> ColoredPointSet:
-    coords = rng.uniform(0.0, 1000.0, size=n)
-    cols = rng.integers(0, colors, size=n)
-    return ColoredPointSet(coords, cols, num_colors=colors)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    ts = [float(t) for t in args.t_values.split(",")]
-    writer = open(args.out, "w") if args.out else sys.stdout
-    print("kind,n,t,build_s,space_entries,q50_us,q95_us,oracle_q50_us", file=writer)
-    for n in sizes:
-        pts = _synthetic(rng, n, args.colors)
-        rects = [None] * args.queries
-        for i in range(args.queries):
-            a, b = sorted(rng.uniform(0.0, 1000.0, size=2))
-            rects[i] = QueryRect.interval(a, b)
-        oracle_times = []
-        for rect in rects:
-            t0 = time.perf_counter()
-            brute_entropy(pts, rect, SHANNON)
-            oracle_times.append(time.perf_counter() - t0)
-        oracle_q50 = np.percentile(oracle_times, 50) * 1e6
-        for t in ts:
-            for kind in args.kinds.split(","):
-                t0 = time.perf_counter()
-                if kind == "exact1d":
-                    index = exact1d.Exact1DIndex(pts, t)
-                    space = index.space_stats()["table_entries"]
-                elif kind == "exactnd":
-                    index = exactnd.ExactNDIndex(pts, t)
-                    space = index.space_stats()["table_entries"]
-                elif kind == "sweep-shannon":
-                    index = sweep1d.build_shannon(pts, args.epsilon, keep_debug=False)
-                    space = index.space_stats()["ladder_entries"]
-                else:
-                    raise DataFormatError(f"bench does not know kind {kind!r}")
-                build_s = time.perf_counter() - t0
-                times = []
-                for rect in rects:
-                    t0 = time.perf_counter()
-                    index.query(rect)
-                    times.append(time.perf_counter() - t0)
-                q50 = np.percentile(times, 50) * 1e6
-                q95 = np.percentile(times, 95) * 1e6
-                print(f"{kind},{n},{t:g},{build_s:.3f},{space},{q50:.1f},{q95:.1f},{oracle_q50:.1f}",
-                      file=writer)
-    if args.out:
-        writer.close()
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -305,17 +249,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_partition)
-
-    be = sub.add_parser("bench", help="build/query timing sweep, CSV output")
-    be.add_argument("--sizes", default="1000,10000")
-    be.add_argument("--t-values", dest="t_values", default="0.5")
-    be.add_argument("--kinds", default="exact1d")
-    be.add_argument("--queries", type=int, default=100)
-    be.add_argument("--colors", type=int, default=32)
-    be.add_argument("--epsilon", type=float, default=0.5)
-    be.add_argument("--seed", type=int, default=20240801)
-    be.add_argument("--out", default=None)
-    be.set_defaults(func=cmd_bench)
 
     return parser
 

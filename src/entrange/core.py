@@ -8,7 +8,10 @@ Besides direct evaluation, this module provides the constant-time update
 rules for color-disjoint unions, single-color insertions and single-color
 deletions, for both entropy families. Every update recomputes from the
 stored (count, value) pair of its inputs, so chains of updates do not
-accumulate incremental-log drift beyond ordinary float rounding.
+accumulate incremental-log drift beyond ordinary float rounding. Delete
+rules subtract a color's share from a total and cancel at extreme mass
+ratios; the power-sum helpers and ``ColorPrefix`` below fold sets by
+adding terms only.
 
 All values are weighted: "count" always means total weight. Unweighted
 data is the weight-1 special case.
@@ -327,13 +330,8 @@ def delete_color_shannon(h: EntropySummary, removed_weight: float) -> EntropySum
 # ---------------------------------------------------------------------------
 # Renyi updates
 #
-# The raw power sum of a set with total mass N and Renyi entropy H is
-# N**alpha * 2**((1-alpha)*H); the three updates below are that identity
-# applied to union / single-color insert / single-color delete.
-
-
-def _power_sum(count: float, value: float, alpha: float) -> float:
-    return count**alpha * 2.0 ** ((1.0 - alpha) * value)
+# The three updates below are the power-sum identity (see power_sum) applied
+# to union / single-color insert / single-color delete.
 
 
 def merge_renyi(h1: EntropySummary, h2: EntropySummary, alpha: float) -> EntropySummary:
@@ -346,7 +344,7 @@ def merge_renyi(h1: EntropySummary, h2: EntropySummary, alpha: float) -> Entropy
     if h2.count == 0.0:
         return h1
     n = h1.count + h2.count
-    denom = _power_sum(h1.count, h1.value, alpha) + _power_sum(h2.count, h2.value, alpha)
+    denom = power_sum(h1) + power_sum(h2)
     value = math.log2(n**alpha / denom) / (alpha - 1.0)
     return EntropySummary(kind, n, value)
 
@@ -360,7 +358,7 @@ def insert_color_renyi(h: EntropySummary, added_weight: float, alpha: float) -> 
     if h.count == 0.0:
         return EntropySummary(kind, added_weight, 0.0)
     n = h.count + added_weight
-    denom = _power_sum(h.count, h.value, alpha) + added_weight**alpha
+    denom = power_sum(h) + added_weight**alpha
     value = math.log2(n**alpha / denom) / (alpha - 1.0)
     return EntropySummary(kind, n, value)
 
@@ -375,12 +373,84 @@ def delete_color_renyi(h: EntropySummary, removed_weight: float, alpha: float) -
     if removed_weight >= n1:
         raise Underflow(f"cannot remove {removed_weight} from total {n1}")
     rest = n1 - removed_weight
-    denom = _power_sum(n1, h.value, alpha) - removed_weight**alpha
+    denom = power_sum(h) - removed_weight**alpha
     if denom <= 0.0:
         # mathematically impossible under the precondition; float cancellation
         raise Underflow("remaining power sum vanished (extreme mass ratio)")
     value = math.log2(rest**alpha / denom) / (alpha - 1.0)
     return EntropySummary(kind, rest, value)
+
+
+# ---------------------------------------------------------------------------
+# power sums
+#
+# A set with per-color masses w_c and total W is described by the pair
+# (W, S) with S = sum_c f(w_c), where f(w) = w*log2(w) for Shannon and
+# f(w) = w**alpha for Renyi:  H = log2(W) - S/W  and
+# H_alpha = (alpha*log2(W) - log2(S)) / (alpha - 1).  S is additive over
+# colors, so growing color c from mass a to b adds f(b) - f(a): no update
+# ever subtracts one color's term from a total.
+
+
+def power_term(w, kind: EntropyKind) -> np.ndarray:
+    """f(w) elementwise, with f(0) = 0."""
+    w = np.asarray(w, dtype=np.float64)
+    if kind.is_shannon:
+        return w * np.log2(np.where(w > 0.0, w, 1.0))
+    return w**kind.alpha
+
+
+def entropy_from_power_sum(W, S, kind: EntropyKind) -> np.ndarray:
+    """Entropy (bits) of the sets described by (W, S), elementwise.
+
+    An empty set has W = S = 0; reading its W and S as 1 gives it entropy 0.
+    """
+    W = np.where(W > 0.0, W, 1.0)
+    if kind.is_shannon:
+        return np.log2(W) - S / W
+    S = np.where(S > 0.0, S, 1.0)
+    return (kind.alpha * np.log2(W) - np.log2(S)) / (kind.alpha - 1.0)
+
+
+def power_sum(s: EntropySummary) -> float:
+    """S recovered from a summary's (W, H): W*(log2 W - H), or W**alpha * 2**((1-alpha)*H)."""
+    count, alpha = s.count, s.kind.alpha
+    if alpha is None:
+        return count * (math.log2(count) - s.value) if count else 0.0
+    return count**alpha * 2.0 ** ((1.0 - alpha) * s.value)
+
+
+class ColorPrefix:
+    """Per-color weight prefixes of a sequence, held as one sorted key array.
+
+    Position p of color c gets the key ``c*n + p``. Sorted, the keys list
+    each color's positions as one ascending run, and ``wpre`` is the running
+    weight along that order, so the mass of color c over positions [lo, hi)
+    is ``wpre`` at key ``c*n + hi`` minus ``wpre`` at key ``c*n + lo``: two
+    ``searchsorted`` calls for any batch of colors.
+    """
+
+    __slots__ = ("n", "keys", "wpre")
+
+    def __init__(self, colors: np.ndarray, weights: np.ndarray):
+        self.n = len(colors)
+        order = np.argsort(colors, kind="stable")
+        self.keys = colors[order] * self.n + order
+        self.wpre = np.concatenate(([0.0], np.cumsum(weights[order])))
+
+    def _wpre_at(self, keys: np.ndarray) -> np.ndarray:
+        return self.wpre[np.searchsorted(self.keys, keys)]
+
+    def mass(self, colors: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Mass of each given color over positions [lo, hi)."""
+        base = colors * self.n
+        return self._wpre_at(base + hi) - self._wpre_at(base + lo)
+
+    def running(self, colors: np.ndarray) -> np.ndarray:
+        """For each position p (``colors`` is the whole sequence's), the mass
+        of p's own color over [0, p)."""
+        base = colors * self.n
+        return self._wpre_at(base + np.arange(self.n)) - self._wpre_at(base)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class NotAnIndex(IndexFileError):
 
 
 class UnsupportedVersion(IndexFileError):
-    """Index file written by a newer format version."""
+    """Index file written in a format version this build does not read."""
 
 
 class IndexKindMismatch(IndexFileError):

@@ -1,20 +1,33 @@
 """Exact 1-D range entropy index with an n^t / n^(1-t) tradeoff.
 
-The coordinate-sorted points are cut into buckets of at most ceil(n^t)
-points. For every pair of cut positions the entropy of the enclosed slice
-is precomputed (Shannon always, plus any requested Renyi orders), giving a
-table of O(n^(2-2t)) entries. A query locates the maximal fully-contained
-slice with two predecessor searches, then folds the at most 2*ceil(n^t)
-fringe points in color by color with the constant-time delete/insert
-updates, consulting per-color sorted arrays for each color's mass inside
-the slice.
+The points are sorted by (coordinate, input index) and cut into buckets of
+at most ceil(n^t) points. For every pair of cuts the entropy of the
+enclosed slice is precomputed (Shannon always, plus any requested Renyi
+orders), giving a table of O(n^(2-2t)) entries.
 
-Construction is incremental: the entry for (i, j) is derived from
-(i, j-1) by pushing the points of bucket j-1 through the same
-delete/insert updates, which costs O(n^t) per entry instead of a fresh
-scan. Duplicate coordinates are handled by working in index space after a
-stable (coordinate, input index) sort; predecessor queries resolve ties
-leftward automatically.
+Both build and query work on power sums: a slice is the pair (W, S) of its
+mass and S = sum_c f(w_c) over its color masses (``core.power_term``), and
+adding mass to color c moves S by f(after) - f(before). No color's term is
+ever subtracted from a total, so no update chain cancels.
+
+  * Build: row i of the table is one vectorized pass over the points from
+    cut i on. Each point's running color mass comes from a
+    ``core.ColorPrefix`` over the sorted colors, the cumulative sum of
+    f(after) - f(before) gives S at every later cut, and S turns into the
+    stored entropy. Temporaries are O(n) per row.
+  * Query: two ``searchsorted`` calls turn the interval into a span
+    [lo, hi) of sorted positions, and :meth:`Exact1DIndex.query_span`
+    answers the span. It takes the maximal precomputed slice inside it,
+    recovers that slice's S from its stored entropy, and folds the at most
+    2*ceil(n^t) fringe points in one batch: their distinct colors, a
+    ``bincount`` of their weights, and each color's mass inside the slice
+    from the color-prefix array.
+
+Duplicate coordinates need no care: queries resolve ties through the
+sorted order. Precision: masses inside a slice are prefix differences, so
+they carry an absolute error of about 1e-16 times the largest prefix. With
+weights up to 1e9 over light weights near 1 answers stay within 1e-6 of
+brute force; beyond about 1e9 the cancellation exceeds that.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ import numpy as np
 from . import core
 from .core import (
     ColorHistogram,
+    ColorPrefix,
     ColoredPointSet,
     EntropyKind,
     EntropySummary,
@@ -50,118 +64,40 @@ class Exact1DIndex:
 
         n = len(pts)
         order = np.lexsort((np.arange(n), pts.coords[:, 0]))
-        self.order = order
         self.coords_sorted = pts.coords[order, 0]
         self.colors_sorted = pts.colors[order]
         self.weights_sorted = pts.weights[order]
         self.weight_prefix = np.concatenate(([0.0], np.cumsum(self.weights_sorted)))
+        self.color_prefix = ColorPrefix(self.colors_sorted, self.weights_sorted)
 
         self.bucket_size = max(1, math.ceil(n**self.t)) if n else 1
         self.cuts = np.arange(0, n + 1, self.bucket_size, dtype=np.int64)
         if n and self.cuts[-1] != n:
             self.cuts = np.append(self.cuts, n)
 
-        # per-color sorted positions (in sorted order) and weight prefixes
-        self._color_pos: dict[int, np.ndarray] = {}
-        self._color_wpre: dict[int, np.ndarray] = {}
-        for color in np.unique(self.colors_sorted):
-            pos = np.nonzero(self.colors_sorted == color)[0]
-            self._color_pos[int(color)] = pos
-            self._color_wpre[int(color)] = np.concatenate(
-                ([0.0], np.cumsum(self.weights_sorted[pos]))
-            )
-
         self.tables = self._build_tables()
 
     # -- construction --------------------------------------------------------
 
-    def _bucket_slabs(self) -> list[list[tuple[int, float, int]]]:
-        slabs = []
-        for a, b in zip(self.cuts[:-1], self.cuts[1:]):
-            agg: dict[int, list] = {}
-            for c, w in zip(self.colors_sorted[a:b], self.weights_sorted[a:b]):
-                cell = agg.setdefault(int(c), [0.0, 0])
-                cell[0] += float(w)
-                cell[1] += 1
-            slabs.append(sorted((c, w, m) for c, (w, m) in agg.items()))
-        return slabs
-
-    def _color_weight_between(self, color: int, lo: int, hi: int) -> float:
-        pos = self._color_pos.get(color)
-        if pos is None:
-            return 0.0
-        wpre = self._color_wpre[color]
-        a = int(np.searchsorted(pos, lo, side="left"))
-        b = int(np.searchsorted(pos, hi, side="left"))
-        return float(wpre[b] - wpre[a])
-
-    def _color_count_between(self, color: int, lo: int, hi: int) -> int:
-        pos = self._color_pos.get(color)
-        if pos is None:
-            return 0
-        a = int(np.searchsorted(pos, lo, side="left"))
-        b = int(np.searchsorted(pos, hi, side="left"))
-        return b - a
-
     def _build_tables(self) -> dict[EntropyKind, np.ndarray]:
-        # Incremental extension via the single-color delete/insert rules,
-        # carried as raw (count, value) float pairs: the dataclass round
-        # trip would dominate the O(n^(2-t)) inner loop.
         k = len(self.cuts) - 1
         tables = {kind: np.zeros((k + 1, k + 1)) for kind in self.kinds}
-        if k <= 0:
-            return tables
-        slabs = self._bucket_slabs()
-        log2 = math.log2
-        alphas = [kind.alpha for kind in self.kinds]
+        running = self.color_prefix.running(self.colors_sorted)
+        palette = np.arange(self.pts.num_colors)
         for i in range(k):
-            states = [(0.0, 0.0)] * len(self.kinds)  # (count, value) per kind
-            cur_pts = 0  # exact point count behind the states, drives the all-one-color branch
-            acc: dict[int, tuple[float, int]] = {}  # color -> (weight, points) in the slice so far
-            for j in range(i + 1, k + 1):
-                for color, w_new, n_new in slabs[j - 1]:
-                    w_old, n_old = acc.get(color, (0.0, 0))
-                    erase = n_old == cur_pts  # slice was entirely this color
-                    w_color = w_old + w_new
-                    for ki, alpha in enumerate(alphas):
-                        n1, h = states[ki]
-                        if n_old:
-                            if erase:
-                                n1, h = 0.0, 0.0
-                            elif alpha is None:
-                                rest = n1 - w_old
-                                h = (n1 / rest) * (
-                                    h - (w_old / n1) * log2(n1 / w_old)
-                                    - (rest / n1) * log2(n1 / rest)
-                                )
-                                n1 = rest
-                            else:
-                                rest = n1 - w_old
-                                denom = n1**alpha * 2.0 ** ((1.0 - alpha) * h) - w_old**alpha
-                                h = log2(rest**alpha / denom) / (alpha - 1.0)
-                                n1 = rest
-                        if n1 == 0.0:
-                            states[ki] = (w_color, 0.0)
-                        elif alpha is None:
-                            n = n1 + w_color
-                            states[ki] = (n, (n1 * h) / n
-                                          + (n1 / n) * log2(n / n1)
-                                          + (w_color / n) * log2(n / w_color))
-                        else:
-                            n = n1 + w_color
-                            denom = n1**alpha * 2.0 ** ((1.0 - alpha) * h) + w_color**alpha
-                            states[ki] = (n, log2(n**alpha / denom) / (alpha - 1.0))
-                    acc[color] = (w_color, n_old + n_new)
-                    cur_pts += n_new
-                for ki, kind in enumerate(self.kinds):
-                    tables[kind][i, j] = states[ki][1]
+            start = int(self.cuts[i])
+            weights = self.weights_sorted[start:]
+            # each point's color mass over [start, its position)
+            skipped = self.color_prefix.mass(palette, 0, start)
+            before = running[start:] - skipped[self.colors_sorted[start:]]
+            after = before + weights
+            ends = self.cuts[i + 1:] - start - 1  # last point of each slice, row-relative
+            W = np.cumsum(weights)[ends]
+            for kind in self.kinds:
+                steps = core.power_term(after, kind) - core.power_term(before, kind)
+                S = np.cumsum(steps)[ends]
+                tables[kind][i, i + 1:] = core.entropy_from_power_sum(W, S, kind)
         return tables
-
-    def _table_summary(self, i: int, j: int, kind: EntropyKind) -> EntropySummary:
-        if i >= j:
-            return EntropySummary.empty(kind)
-        w = float(self.weight_prefix[self.cuts[j]] - self.weight_prefix[self.cuts[i]])
-        return EntropySummary(kind, w, float(self.tables[kind][i, j]))
 
     def _table_value_naive(self, i: int, j: int, kind: EntropyKind) -> float:
         """Direct recomputation of one table entry; build-correctness oracle."""
@@ -179,55 +115,45 @@ class Exact1DIndex:
 
     def query(self, rect: QueryRect, kind: EntropyKind = SHANNON,
               stats: Optional[dict] = None) -> EntropySummary:
-        self._check_kind(kind)
         if rect.dim != 1:
             raise ValueError("query rect must be 1-D")
-        lo_idx = int(np.searchsorted(self.coords_sorted, rect.lo[0], side="left"))
-        hi_idx = int(np.searchsorted(self.coords_sorted, rect.hi[0], side="right"))
-        if stats is not None:
-            stats["points_in_range"] = hi_idx - lo_idx
-        if lo_idx >= hi_idx:
-            if stats is not None:
-                stats["fringe_points"] = 0
-            return EntropySummary.empty(kind)
+        lo = int(np.searchsorted(self.coords_sorted, rect.lo[0], side="left"))
+        hi = int(np.searchsorted(self.coords_sorted, rect.hi[0], side="right"))
+        return self.query_span(lo, hi, kind, stats)
 
-        # maximal precomputed slice inside [lo_idx, hi_idx)
-        i = int(np.searchsorted(self.cuts, lo_idx, side="left"))
-        j = int(np.searchsorted(self.cuts, hi_idx, side="right")) - 1
-        if i >= j:
-            core_lo = core_hi = lo_idx
-            cur = EntropySummary.empty(kind)
+    def query_span(self, i: int, j: int, kind: EntropyKind = SHANNON,
+                   stats: Optional[dict] = None) -> EntropySummary:
+        """Entropy of the points at sorted positions [i, j).
+
+        Positions index the points sorted by (coordinate, input index), the
+        order the 1-D partitioners use, so a partition backend calls this
+        directly. ``stats`` receives ``points_in_range``, ``fringe_points``
+        and ``core_cuts`` (the precomputed slice's cut pair, or None).
+        """
+        self._check_kind(kind)
+        W = S = 0.0
+        a = int(np.searchsorted(self.cuts, i, side="left"))
+        b = int(np.searchsorted(self.cuts, j, side="right")) - 1
+        if a < b:
+            core_lo, core_hi = int(self.cuts[a]), int(self.cuts[b])
+            W = float(self.weight_prefix[core_hi] - self.weight_prefix[core_lo])
+            S = core.power_sum(EntropySummary(kind, W, float(self.tables[kind][a, b])))
         else:
-            core_lo, core_hi = int(self.cuts[i]), int(self.cuts[j])
-            cur = self._table_summary(i, j, kind)
-
-        fringe: dict[int, list] = {}
-        fringe_n = 0
-        for a, b in ((lo_idx, core_lo), (core_hi, hi_idx)):
-            for c, w in zip(self.colors_sorted[a:b], self.weights_sorted[a:b]):
-                cell = fringe.setdefault(int(c), [0.0, 0])
-                cell[0] += float(w)
-                cell[1] += 1
-                fringe_n += 1
+            core_lo = core_hi = i
+        colors = np.concatenate((self.colors_sorted[i:core_lo], self.colors_sorted[core_hi:j]))
+        weights = np.concatenate((self.weights_sorted[i:core_lo], self.weights_sorted[core_hi:j]))
         if stats is not None:
-            stats["fringe_points"] = fringe_n
-            stats["core_cuts"] = (i, j) if i < j else None
-
-        cur_pts = core_hi - core_lo
-        for color in sorted(fringe):
-            w_f, n_f = fringe[color]
-            n_in = self._color_count_between(color, core_lo, core_hi)
-            if n_in:
-                w_in = self._color_weight_between(color, core_lo, core_hi)
-                if n_in == cur_pts:
-                    cur = EntropySummary.empty(kind)  # slice was single-colored
-                else:
-                    cur = core.delete_color(cur, w_in)
-            else:
-                w_in = 0.0
-            cur = core.insert_color(cur, w_in + w_f)
-            cur_pts += n_f
-        return cur
+            stats["points_in_range"] = max(0, j - i)
+            stats["fringe_points"] = len(colors)
+            stats["core_cuts"] = (a, b) if a < b else None
+        if len(colors):
+            fringe, slot = np.unique(colors, return_inverse=True)
+            added = np.bincount(slot, weights=weights)
+            inside = self.color_prefix.mass(fringe, core_lo, core_hi)
+            W += float(weights.sum())
+            S += float(np.sum(core.power_term(inside + added, kind)
+                              - core.power_term(inside, kind)))
+        return EntropySummary(kind, W, float(core.entropy_from_power_sum(W, S, kind)))
 
     # -- reporting -------------------------------------------------------------
 

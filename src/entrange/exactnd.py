@@ -218,10 +218,12 @@ class ExactNDIndex:
         self.kinds = (SHANNON,) + tuple(renyi_kind(a) for a in self.orders)
         self._kind_index = {kind: i for i, kind in enumerate(self.kinds)}
 
-        n = len(pts)
+        # zero-weight points carry no mass, and the insert rule refuses them
+        ids = np.flatnonzero(pts.weights > 0.0)
+        n = len(ids)
         d = pts.dim
-        keys = [np.arange(n)] + [pts.coords[:, k] for k in reversed(range(d))] + [pts.colors]
-        order = np.lexsort(tuple(keys))
+        keys = [ids] + [pts.coords[ids, k] for k in reversed(range(d))] + [pts.colors[ids]]
+        order = ids[np.lexsort(tuple(keys))]
         self.bucket_size = max(1, math.ceil(n**self.t)) if n else 1
         self.buckets: list[_Bucket] = []
         for a in range(0, n, self.bucket_size):

@@ -25,6 +25,7 @@ inherit as well.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -41,6 +42,7 @@ from .core import (
     SHANNON,
 )
 from .errors import TooManyBuckets
+from .oracle import brute_entropy, expected_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -67,67 +69,45 @@ class OracleBackend:
         return core.entropy_of(ColorHistogram(entries), self.kind)
 
     def expected_range(self, i: int, j: int) -> float:
-        s = self.summary_range(i, j)
-        return (s.count / self.total_weight) * s.value if self.total_weight else 0.0
+        return expected_entropy(self.summary_range(i, j), self.total_weight)
 
     def summary_rect(self, rect: QueryRect) -> EntropySummary:
-        from .oracle import brute_entropy
-
         return brute_entropy(self.pts, rect, self.kind)
 
     def expected_rect(self, rect: QueryRect) -> float:
-        s = self.summary_rect(rect)
-        return (s.count / self.total_weight) * s.value if self.total_weight else 0.0
+        return expected_entropy(self.summary_rect(rect), self.total_weight)
 
 
-class _CoordRangeMixin:
-    """Index ranges -> coordinate rectangles; requires distinct coordinates."""
+class ExactIndexBackend:
+    """Backed by an exact structure built over the same points.
 
-    pts: ColoredPointSet
-    total_weight: float
-
-    def _init_order(self, pts: ColoredPointSet) -> None:
-        self.pts = pts
-        self.order = np.lexsort((np.arange(len(pts)), pts.coords[:, 0]))
-        self.sorted_coords = pts.coords[self.order, 0]
-        if len(pts) > 1 and np.any(np.diff(self.sorted_coords) == 0.0):
-            raise ValueError(
-                "index-range partitioning over this backend requires distinct coordinates"
-            )
-        self.total_weight = float(pts.weights.sum())
-
-    def _range_rect(self, i: int, j: int) -> QueryRect:
-        return QueryRect.interval(self.sorted_coords[i], self.sorted_coords[j - 1])
-
-    def expected_range(self, i: int, j: int) -> float:
-        if i >= j:
-            return 0.0
-        s = self.summary_rect(self._range_rect(i, j))
-        return (s.count / self.total_weight) * s.value if self.total_weight else 0.0
-
-
-class ExactIndexBackend(_CoordRangeMixin):
-    """Backed by an exact structure (1-D or d-D) built over the same points."""
+    Index ranges go to the index's ``query_span`` (``Exact1DIndex``), which
+    works in the same (coordinate, input index) order as the partitioners;
+    rectangles go to ``query`` (1-D or d-D).
+    """
 
     def __init__(self, index, kind: EntropyKind = SHANNON):
         self.index = index
         self.kind = kind
-        self._init_order(index.pts)
+        self.total_weight = float(index.pts.weights.sum())
 
     def describe(self) -> dict:
         return {"backend": "exact", "kind": self.kind.label(),
                 "index": type(self.index).__name__}
 
-    def summary_rect(self, rect: QueryRect) -> EntropySummary:
-        return self.index.query(rect, self.kind)
+    def expected_range(self, i: int, j: int) -> float:
+        return expected_entropy(self.index.query_span(i, j, self.kind), self.total_weight)
 
     def expected_rect(self, rect: QueryRect) -> float:
-        s = self.summary_rect(rect)
-        return (s.count / self.total_weight) * s.value if self.total_weight else 0.0
+        return expected_entropy(self.index.query(rect, self.kind), self.total_weight)
 
 
-class EstimateBackend(_CoordRangeMixin):
-    """Backed by the sampling estimators; scores carry sampling error."""
+class EstimateBackend:
+    """Backed by the sampling estimators; scores carry sampling error.
+
+    An index range becomes the coordinate interval from its first to its
+    last point, so 1-D ranges require distinct coordinates.
+    """
 
     def __init__(self, index: approx_shannon.EstimatorIndex, mode: str = "additive",
                  delta: float = 0.1, eps: float = 0.2, alpha: Optional[float] = None,
@@ -143,7 +123,15 @@ class EstimateBackend(_CoordRangeMixin):
         self.cfg = cfg if cfg is not None else approx_shannon.DEFAULT_CONFIG
         self.rng = rng if rng is not None else np.random.default_rng(self.cfg.seed)
         self.kind = SHANNON if alpha is None else core.renyi_kind(alpha)
-        self._init_order(index.pts)
+        pts = index.pts
+        self.pts = pts
+        order = np.lexsort((np.arange(len(pts)), pts.coords[:, 0]))
+        self.sorted_coords = pts.coords[order, 0]
+        if len(pts) > 1 and np.any(np.diff(self.sorted_coords) == 0.0):
+            raise ValueError(
+                "index-range partitioning over this backend requires distinct coordinates"
+            )
+        self.total_weight = float(pts.weights.sum())
 
     def describe(self) -> dict:
         out = {"backend": "estimate", "mode": self.mode, "kind": self.kind.label()}
@@ -164,9 +152,14 @@ class EstimateBackend(_CoordRangeMixin):
         return approx_renyi.estimate_multiplicative_renyi(
             self.index, rect, self.alpha, self.eps, self.cfg, self.rng)
 
+    def expected_range(self, i: int, j: int) -> float:
+        if i >= j:
+            return 0.0
+        rect = QueryRect.interval(self.sorted_coords[i], self.sorted_coords[j - 1])
+        return self.expected_rect(rect)
+
     def expected_rect(self, rect: QueryRect) -> float:
-        s = self.summary_rect(rect)
-        return (s.count / self.total_weight) * s.value if self.total_weight else 0.0
+        return expected_entropy(self.summary_rect(rect), self.total_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +227,7 @@ def maxpart_dp(pts: ColoredPointSet, k: int, backend, objective: str = "min",
         raise ValueError(f"unknown objective {objective!r}")
     minimize = objective == "min"
 
-    err_cache: dict[tuple[int, int], float] = {}
-
-    def err(i: int, j: int) -> float:
-        key = (i, j)
-        if key not in err_cache:
-            err_cache[key] = backend.expected_range(i, j)
-        return err_cache[key]
+    err = functools.cache(backend.expected_range)  # one backend call per (i, j)
 
     # dp[j][i]: best objective for the first i items in j buckets
     dp = [[math.inf if minimize else -math.inf] * (n + 1) for _ in range(k + 1)]
@@ -338,13 +325,7 @@ def maxpart_approx(pts: ColoredPointSet, k: int, eps: float, backend) -> Bucketi
     if eps <= 0:
         raise ValueError("eps must be positive")
 
-    err_cache: dict[tuple[int, int], float] = {}
-
-    def err(i: int, j: int) -> float:
-        key = (i, j)
-        if key not in err_cache:
-            err_cache[key] = backend.expected_range(i, j)
-        return err_cache[key]
+    err = functools.cache(backend.expected_range)  # one backend call per (i, j)
 
     def finish(cuts: list[int]) -> Bucketing1D:
         while len(cuts) - 1 < k:  # pad with singleton splits of the last bucket
@@ -393,13 +374,7 @@ def sumpart_approx(pts: ColoredPointSet, k: int, eps: float, backend) -> Bucketi
         raise ValueError("eps must be positive")
     delta = eps / (2.0 * k)
 
-    err_cache: dict[tuple[int, int], float] = {}
-
-    def err(i: int, j: int) -> float:
-        key = (i, j)
-        if key not in err_cache:
-            err_cache[key] = backend.expected_range(i, j)
-        return err_cache[key]
+    err = functools.cache(backend.expected_range)  # one backend call per (i, j)
 
     prev = [err(0, i) for i in range(n + 1)]
     prev[0] = 0.0

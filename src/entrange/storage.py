@@ -2,8 +2,9 @@
 
 File layout: 7 magic bytes ``RQEIDX1``, one version byte, a 4-byte
 big-endian header length, a JSON header (at least ``{"kind": ...}``), then
-a pickle of the index object. Loading verifies the magic, refuses files
-written by a newer version, and can enforce an expected kind.
+a pickle of the index object. Loading verifies the magic, refuses files of
+any other format version (a payload pickles the index's internal layout,
+which changes between versions), and can enforce an expected kind.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
 )
 
 MAGIC = b"RQEIDX1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 INDEX_KINDS = ("exact1d", "exactnd", "sweep-shannon", "sweep-renyi", "estimator")
 
@@ -58,8 +59,9 @@ def load_index(path: Union[str, Path], expect_kind: Optional[str] = None):
         if len(version_byte) != 1:
             raise NotAnIndex(f"{path}: truncated before version byte")
         version = version_byte[0]
-        if version > FORMAT_VERSION:
-            raise UnsupportedVersion(f"{path}: format version {version} is newer than {FORMAT_VERSION}")
+        if version != FORMAT_VERSION:
+            raise UnsupportedVersion(
+                f"{path}: format version {version}, this build reads only {FORMAT_VERSION}")
         raw_len = fh.read(4)
         if len(raw_len) != 4:
             raise NotAnIndex(f"{path}: truncated header length")

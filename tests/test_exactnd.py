@@ -61,6 +61,21 @@ def test_query_matches_oracle(rng, d):
             assert abs(got.count - want.count) < 1e-6
 
 
+def test_zero_weight_points(rng):
+    base = random_pointset(rng, 50, d=2, m=6, weighted=True, duplicate_frac=0.1)
+    weights = base.weights.copy()
+    weights[rng.choice(50, size=8, replace=False)] = 0.0
+    pts = ColoredPointSet(base.coords, base.colors, weights, num_colors=6)
+    idx = ExactNDIndex(pts, t=0.5, orders=(2.0, 3.0))
+    for _ in range(80):
+        rect = random_rect(rng, d=2)
+        for kind in (SHANNON, renyi_kind(2.0), renyi_kind(3.0)):
+            want = brute_entropy(pts, rect, kind)
+            got = idx.query(rect, kind)
+            assert abs(got.value - want.value) < 1e-6, kind
+            assert abs(got.count - want.count) < 1e-6
+
+
 def test_query_matches_oracle_lazy_path(rng):
     pts = random_pointset(rng, 400, d=2, m=10, weighted=True)
     idx = ExactNDIndex(pts, t=0.8, orders=(2.0,), table_cap=10)  # force lazy

@@ -151,18 +151,18 @@ def test_sumpart_within_factor_of_exhaustive(rng):
 
 
 def test_exact_backend_matches_oracle(rng):
-    coords = rng.permutation(np.arange(80, dtype=float))
-    pts = ColoredPointSet(coords, rng.integers(0, 6, size=80))
-    oracle_b = OracleBackend(pts)
-    exact_b = ExactIndexBackend(Exact1DIndex(pts, t=0.5))
-    for _ in range(40):
-        i, j = sorted(rng.integers(0, 81, size=2))
-        if i == j:
-            continue
-        assert abs(oracle_b.expected_range(i, j) - exact_b.expected_range(i, j)) < 1e-6
-    got = maxpart_dp(pts, 3, exact_b)
-    want = maxpart_dp(pts, 3, oracle_b)
-    assert abs(got.value - want.value) < 1e-6
+    distinct = rng.permutation(np.arange(80, dtype=float))
+    duplicated = rng.integers(0, 20, size=80).astype(float)
+    for coords in (distinct, duplicated):
+        pts = ColoredPointSet(coords, rng.integers(0, 6, size=80))
+        oracle_b = OracleBackend(pts)
+        exact_b = ExactIndexBackend(Exact1DIndex(pts, t=0.5))
+        for i in range(81):
+            for j in range(i, 81):
+                assert abs(oracle_b.expected_range(i, j) - exact_b.expected_range(i, j)) < 1e-6
+        got = maxpart_dp(pts, 3, exact_b)
+        want = maxpart_dp(pts, 3, oracle_b)
+        assert abs(got.value - want.value) < 1e-6
 
 
 # ---------------------------------------------------------------------------

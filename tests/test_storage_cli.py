@@ -172,6 +172,20 @@ def test_load_rejects_newer_version(tmp_path, rng):
         storage.load_index(path)
 
 
+def test_load_rejects_older_version(tmp_path, rng, capsys):
+    # a version-1 payload pickles an index layout this build no longer has
+    pts = random_pointset(rng, 10, d=1)
+    path = tmp_path / "v1.rqe"
+    storage.save_index(path, "exact1d", exact1d.Exact1DIndex(pts, 0.5))
+    data = bytearray(path.read_bytes())
+    data[len(storage.MAGIC)] = 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(UnsupportedVersion):
+        storage.load_index(path)
+    assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4
+    assert "version 1" in capsys.readouterr().err
+
+
 def test_load_rejects_cross_kind(tmp_path, rng):
     pts = random_pointset(rng, 20, d=1)
     path = tmp_path / "k.rqe"
@@ -271,12 +285,11 @@ def test_cli_partition_greedy_tree(tmp_path, capsys):
     assert len(out["leaves"]) == 3
 
 
-def test_cli_bench_smoke(tmp_path, capsys):
-    assert run_cli("bench", "--sizes", "200", "--t-values", "0.5",
-                   "--queries", "20", "--colors", "8") == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("kind,n,t,")
-    assert lines[1].startswith("exact1d,200,")
+def test_cli_partition_exact_backend_needs_1d_for_index_ranges(tmp_path, capsys):
+    csv_path = write_csv(tmp_path / "p.csv", ["0,0,a", "1,1,b", "2,0,a"], header="x1,x2,color")
+    assert run_cli("partition", "--input", str(csv_path), "--k", "2",
+                   "--algorithm", "dp", "--backend", "exact") == 3
+    assert "needs 1-D points" in capsys.readouterr().err
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
