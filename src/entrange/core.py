@@ -10,8 +10,9 @@ deletions, for both entropy families. Every update recomputes from the
 stored (count, value) pair of its inputs, so chains of updates do not
 accumulate incremental-log drift beyond ordinary float rounding. Delete
 rules subtract a color's share from a total and cancel at extreme mass
-ratios; the power-sum helpers and ``ColorPrefix`` below fold sets by
-adding terms only.
+ratios. These named rules are public reference API; no index uses them.
+The indexes fold sets with the power-sum helpers and ``ColorPrefix`` below,
+which only ever add terms.
 
 All values are weighted: "count" always means total weight. Unweighted
 data is the weight-1 special case.
@@ -451,29 +452,6 @@ class ColorPrefix:
         of p's own color over [0, p)."""
         base = colors * self.n
         return self._wpre_at(base + np.arange(self.n)) - self._wpre_at(base)
-
-
-# ---------------------------------------------------------------------------
-# kind-dispatched forms, used by the index structures
-
-
-def merge(h1: EntropySummary, h2: EntropySummary) -> EntropySummary:
-    kind = h1.kind if not h1.is_empty or h2.is_empty else h2.kind
-    if kind.is_shannon:
-        return merge_shannon(h1, h2)
-    return merge_renyi(h1, h2, kind.alpha)
-
-
-def insert_color(h: EntropySummary, added_weight: float) -> EntropySummary:
-    if h.kind.is_shannon:
-        return insert_color_shannon(h, added_weight)
-    return insert_color_renyi(h, added_weight, h.kind.alpha)
-
-
-def delete_color(h: EntropySummary, removed_weight: float) -> EntropySummary:
-    if h.kind.is_shannon:
-        return delete_color_shannon(h, removed_weight)
-    return delete_color_renyi(h, removed_weight, h.kind.alpha)
 
 
 # ---------------------------------------------------------------------------

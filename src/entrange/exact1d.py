@@ -165,7 +165,3 @@ class Exact1DIndex:
             "table_entries": (k + 1) * k // 2 * len(self.kinds),
             "orders": self.orders,
         }
-
-
-def build(pts: ColoredPointSet, t: float, orders: Sequence[float] = ()) -> Exact1DIndex:
-    return Exact1DIndex(pts, t, orders)

@@ -173,17 +173,18 @@ def test_load_rejects_newer_version(tmp_path, rng):
 
 
 def test_load_rejects_older_version(tmp_path, rng, capsys):
-    # a version-1 payload pickles an index layout this build no longer has
+    # older payloads pickle index layouts this build no longer has
     pts = random_pointset(rng, 10, d=1)
-    path = tmp_path / "v1.rqe"
-    storage.save_index(path, "exact1d", exact1d.Exact1DIndex(pts, 0.5))
-    data = bytearray(path.read_bytes())
-    data[len(storage.MAGIC)] = 1
-    path.write_bytes(bytes(data))
-    with pytest.raises(UnsupportedVersion):
-        storage.load_index(path)
-    assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4
-    assert "version 1" in capsys.readouterr().err
+    for version in (1, 2):
+        path = tmp_path / f"v{version}.rqe"
+        storage.save_index(path, "exact1d", exact1d.Exact1DIndex(pts, 0.5))
+        data = bytearray(path.read_bytes())
+        data[len(storage.MAGIC)] = version
+        path.write_bytes(bytes(data))
+        with pytest.raises(UnsupportedVersion):
+            storage.load_index(path)
+        assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4
+        assert f"version {version}" in capsys.readouterr().err
 
 
 def test_load_rejects_cross_kind(tmp_path, rng):
