@@ -28,10 +28,11 @@ from .approx_shannon import (
     DualAccessOracle,
     EstimatorConfig,
     EstimatorIndex,
-    detect_heavy_color,
+    prepare_query,
+    use_sampling,
 )
-from .core import ColorHistogram, EntropySummary, QueryRect, renyi_kind
-from .errors import EmptyRange, InvalidOrder
+from .core import EntropySummary, QueryRect, power_term, renyi_kind
+from .errors import EmptyRange
 
 
 @dataclass(frozen=True)
@@ -44,28 +45,15 @@ class MomentEstimate:
     samples: int              # 0 means the exact fallback was taken
 
 
-def _check_alpha(alpha: float) -> None:
-    if not alpha > 1.0:
-        raise InvalidOrder(f"Renyi order must be > 1, got {alpha}")
-
-
 def _moment_mean(oracle: DualAccessOracle, alpha: float, samples: int,
                  rng: np.random.Generator) -> float:
-    acc = 0.0
-    for _ in range(samples):
-        acc += oracle.eval_color(oracle.sample_color(rng)) ** (alpha - 1.0)
-    return acc / samples
+    p = oracle.eval_color(oracle.sample_color(rng, samples))
+    return float((p ** (alpha - 1.0)).mean())
 
 
 def _exact_moment_value(oracle: DualAccessOracle, alpha: float) -> float:
-    pts = oracle.index.pts
-    mask = oracle.rect.mask(pts)
-    if oracle.excluded is not None:
-        mask &= pts.colors != oracle.excluded
-    hist = ColorHistogram.from_points(pts, mask)
-    if hist.total == 0.0:
-        raise EmptyRange("no mass in (reduced) query range")
-    return sum((w / hist.total) ** alpha for w in hist.entries.values())
+    masses = oracle.color_masses()
+    return float(power_term(masses, renyi_kind(alpha)).sum() / masses.sum() ** alpha)
 
 
 def moment_sample_count(index: EstimatorIndex, alpha: float, eps: float,
@@ -81,21 +69,18 @@ def _estimate_moment_on(index: EstimatorIndex, oracle: DualAccessOracle, alpha: 
         raise EmptyRange("no mass in (reduced) query range")
     if samples is None:
         samples = moment_sample_count(index, alpha, eps, cfg)
-    n = max(2, len(index))
-    if cfg.exact_fallback and samples > n * math.log2(n):
-        return MomentEstimate(alpha, _exact_moment_value(oracle, alpha), eps, 0)
-    return MomentEstimate(alpha, _moment_mean(oracle, alpha, samples, rng), eps, samples)
+    if use_sampling(index, samples, cfg):
+        return MomentEstimate(alpha, _moment_mean(oracle, alpha, samples, rng), eps, samples)
+    return MomentEstimate(alpha, _exact_moment_value(oracle, alpha), eps, 0)
 
 
 def estimate_moment(index: EstimatorIndex, rect: QueryRect, alpha: float, eps: float,
                     cfg: EstimatorConfig = DEFAULT_CONFIG,
                     rng: Optional[np.random.Generator] = None) -> MomentEstimate:
     """Relative-error estimate of the alpha-th frequency moment in the range."""
-    _check_alpha(alpha)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    return _estimate_moment_on(index, index.oracle(rect), alpha, eps, cfg, rng)
+    renyi_kind(alpha)   # raises InvalidOrder unless alpha > 1
+    oracle, rng = prepare_query(index, rect, cfg, rng, eps=eps)
+    return _estimate_moment_on(index, oracle, alpha, eps, cfg, rng)
 
 
 def estimate_moment_excluding(index: EstimatorIndex, rect: QueryRect, alpha: float,
@@ -104,12 +89,9 @@ def estimate_moment_excluding(index: EstimatorIndex, rect: QueryRect, alpha: flo
                               rng: Optional[np.random.Generator] = None) -> MomentEstimate:
     """Moment of the range's distribution with one color removed, normalized
     by the reduced total mass."""
-    _check_alpha(alpha)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    return _estimate_moment_on(index, index.oracle(rect, excluded=excluded),
-                               alpha, eps, cfg, rng)
+    renyi_kind(alpha)   # raises InvalidOrder unless alpha > 1
+    oracle, rng = prepare_query(index, rect, cfg, rng, eps=eps)
+    return _estimate_moment_on(index, oracle.excluding(excluded), alpha, eps, cfg, rng)
 
 
 def additive_branch_sample_counts(alpha: float, delta: float, n: int,
@@ -134,17 +116,19 @@ def estimate_additive_renyi(index: EstimatorIndex, rect: QueryRect, alpha: float
                             rng: Optional[np.random.Generator] = None,
                             stats: Optional[dict] = None) -> EntropySummary:
     """Renyi entropy within +-delta, with high probability."""
-    _check_alpha(alpha)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    oracle = index.oracle(rect)
-    if oracle.is_empty:
-        raise EmptyRange("query range holds no mass")
+    renyi_kind(alpha)   # raises InvalidOrder unless alpha > 1
+    oracle, rng = prepare_query(index, rect, cfg, rng, delta=delta)
+    return _additive_renyi_on(index, oracle, alpha, delta, cfg, rng, stats)
+
+
+def _additive_renyi_on(index: EstimatorIndex, oracle: DualAccessOracle, alpha: float,
+                       delta: float, cfg: EstimatorConfig, rng: np.random.Generator,
+                       stats: Optional[dict]) -> EntropySummary:
     samples_only, dual, chosen = additive_branch_sample_counts(alpha, delta, len(index), cfg)
-    samples = min(samples_only, dual)
-    est = _estimate_moment_on(index, oracle, alpha, delta, cfg, rng, samples=samples)
+    est = _estimate_moment_on(index, oracle, alpha, delta, cfg, rng,
+                              samples=min(samples_only, dual))
     if stats is not None:
+        stats["mode"] = "sampled" if est.samples else "exact-fallback"
         stats["branch"] = chosen
         stats["samples"] = est.samples
     value = -math.log2(est.value) / (alpha - 1.0)
@@ -165,27 +149,24 @@ def estimate_multiplicative_renyi(index: EstimatorIndex, rect: QueryRect, alpha:
                                   rng: Optional[np.random.Generator] = None,
                                   stats: Optional[dict] = None) -> EntropySummary:
     """Renyi entropy within a (1+eps) factor, with high probability."""
-    _check_alpha(alpha)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    oracle = index.oracle(rect)
-    if oracle.is_empty:
-        raise EmptyRange("query range holds no mass")
-    heavy = detect_heavy_color(index, rect, rng, cfg)
-    kind = renyi_kind(alpha)
+    kind = renyi_kind(alpha)   # raises InvalidOrder unless alpha > 1
+    oracle, rng = prepare_query(index, rect, cfg, rng, eps=eps)
+    heavy = oracle.heavy_color(rng, cfg)
 
     if heavy is None:
         # entropy at least log2(3/2): an additive call gives the factor
         delta = min(0.999, math.log2(1.5) * eps)
-        out = estimate_additive_renyi(index, rect, alpha, delta, cfg, rng, stats)
+        out = _additive_renyi_on(index, oracle, alpha, delta, cfg, rng, stats)
         if stats is not None:
             stats["mode"] = "additive-light"
         return out
 
-    if heavy.count == heavy.total_count:
+    reduced = oracle.excluding(heavy.color)
+    if reduced.is_empty:
+        # the rest of the range has no mass: zero exactly
         if stats is not None:
             stats["mode"] = "single-color"
+            stats["samples"] = 0
         return EntropySummary(kind, oracle.total_weight, 0.0)
 
     rho = heavy.weight / heavy.total
@@ -194,12 +175,12 @@ def estimate_multiplicative_renyi(index: EstimatorIndex, rect: QueryRect, alpha:
     eps1 = eps0 / 3.0
     eps2 = (alpha - 1.0) * eps1 / cfg.moment_c2 if alpha <= 2.0 else eps1 / cfg.moment_c2
     eps2 = min(eps2, 0.999)
-    light = _estimate_moment_on(index, index.oracle(rect, excluded=heavy.color),
-                                alpha, eps2, cfg, rng)
+    light = _estimate_moment_on(index, reduced, alpha, eps2, cfg, rng)
     h2 = light.value * ((heavy.total - heavy.weight) / heavy.total) ** alpha
     full = _estimate_moment_on(index, oracle, alpha, min(eps1, 0.999), cfg, rng)
     value = heavy_combine_renyi(h1, h2, full.value, alpha)
     if stats is not None:
         stats["mode"] = "heavy"
         stats["heavy_color"] = heavy.color
+        stats["samples"] = light.samples + full.samples
     return EntropySummary(kind, oracle.total_weight, value)

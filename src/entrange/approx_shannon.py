@@ -1,8 +1,10 @@
 """Sampling-based Shannon entropy estimators over query rectangles.
 
 Estimation runs in the dual access model: SAMP draws a color with
-probability proportional to its mass inside the rectangle (range-sampling
-tree), EVAL returns that mass ratio exactly (per-color counting trees). The
+probability proportional to its mass inside the rectangle, EVAL returns
+that mass ratio exactly; both run on one pooled range tree
+(:mod:`.rangetree`), with the rectangle decomposed once per query and the
+samples drawn and evaluated as numpy batches. The
 additive estimator is the plug-in mean of log2(1/EVAL(SAMP())); the
 multiplicative estimator first decides whether some color holds more than
 2/3 of the range's mass. If none does the range entropy exceeds 0.9 bits
@@ -23,9 +25,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import ColorHistogram, ColoredPointSet, EntropySummary, QueryRect, SHANNON
+from .core import (SHANNON, ColoredPointSet, EntropySummary, QueryRect, entropy_from_power_sum,
+                   power_term)
 from .errors import EmptyRange
-from .rangetree import ColorAwareRangeTree, ColorTrees
+from .rangetree import ColorAwareRangeTree, ColorTrees, Pieces
 
 
 @dataclass(frozen=True)
@@ -55,86 +58,97 @@ class HeavyColor(NamedTuple):
     color: int
     weight: float        # mass of the color inside the range
     total: float         # mass of the whole range
-    count: int           # points of the color inside the range
-    total_count: int     # points inside the range
 
 
 class DualAccessOracle:
     """SAMP/EVAL oracle pair bound to one query rectangle.
 
-    EVAL is exact (tree counting); SAMP draws one canonical node by weight
-    and then walks root-to-leaf by child weights. With ``excluded`` set,
-    both operate on the sub-population without that color.
+    The rectangle is decomposed once into canonical pieces; SAMP draws
+    batches from them and EVAL is exact (color masses over the pieces).
+    With ``excluded`` set, both operate on the sub-population without that
+    color.
     """
 
     def __init__(self, index: "EstimatorIndex", rect: QueryRect,
-                 excluded: Optional[int] = None):
+                 excluded: Optional[int] = None, pieces: Optional[Pieces] = None):
         self.index = index
         self.rect = rect
         self.excluded = excluded
-        self._nodes = index.tree.canonical_nodes(rect)
-        weights = [index.tree._node_weight(c.node, excluded) for c in self._nodes]
-        self._cum = np.cumsum(weights)
-        self.total_weight = float(self._cum[-1]) if len(self._cum) else 0.0
-        self.total_count = sum(c.count for c in self._nodes)
+        self.pieces = index.tree.canonical_nodes(rect) if pieces is None else pieces
+        self.total_weight = float(index.tree.pieces_weight(self.pieces).sum())
+        self.total_count = int((self.pieces.stop - self.pieces.start).sum())
         if excluded is not None:
-            self.total_count -= index.color_trees.count(rect, excluded)
-        self._eval_cache: dict[int, float] = {}
+            trees = index.color_trees
+            self.total_weight -= trees.weight(rect, excluded, pieces=self.pieces)
+            self.total_count -= trees.count(rect, excluded, pieces=self.pieces)
+
+    def excluding(self, color: int) -> "DualAccessOracle":
+        """The same range without one color, on the same decomposition."""
+        return DualAccessOracle(self.index, self.rect, color, self.pieces)
 
     @property
     def is_empty(self) -> bool:
-        return self.total_weight <= 0.0
+        """True when no point of positive weight remains."""
+        return self.total_count == 0 or self.total_weight <= 0.0
 
-    def sample_point(self, rng: np.random.Generator) -> int:
+    def sample_point(self, rng: np.random.Generator, size: Optional[int] = None):
+        """Point index drawn by weight; an array of ``size`` draws if given."""
         if self.is_empty:
             raise EmptyRange("no mass to sample in query range")
-        r = rng.random() * self.total_weight
-        pick = int(np.searchsorted(self._cum, r, side="right"))
-        pick = min(pick, len(self._nodes) - 1)
-        node = self._nodes[pick].node
-        tree = self.index.tree
-        while not node.is_leaf:
-            wl = tree._node_weight(node.left, self.excluded)
-            wr = tree._node_weight(node.right, self.excluded)
-            node = node.left if rng.random() * (wl + wr) < wl else node.right
-        return node.point_id
+        out = self.index.tree.draw(self.pieces, rng, 1 if size is None else size, self.excluded)
+        return int(out[0]) if size is None else out
 
-    def sample_color(self, rng: np.random.Generator) -> int:
-        return int(self.index.pts.colors[self.sample_point(rng)])
+    def sample_color(self, rng: np.random.Generator, size: Optional[int] = None):
+        colors = self.index.pts.colors[self.sample_point(rng, size)]
+        return int(colors) if size is None else colors
 
-    def color_weight(self, color: int) -> float:
-        w = self._eval_cache.get(color)
-        if w is None:
-            w = self.index.color_trees.weight(self.rect, color)
-            self._eval_cache[color] = w
-        return w
+    def color_weight(self, color):
+        """Mass inside the range of one color, or of each color of an array."""
+        return self.index.color_trees.weight(self.rect, color, pieces=self.pieces)
 
-    def eval_color(self, color: int) -> float:
-        """Probability mass of a color under the (possibly reduced) range law."""
-        if color == self.excluded:
-            return 0.0
-        return self.color_weight(color) / self.total_weight
+    def eval_color(self, color):
+        """Probability mass of a color (or of each color of an array) under
+        the (possibly reduced) range law. Repeated colors are evaluated once."""
+        colors, inverse = np.unique(np.asarray(color), return_inverse=True)
+        p = np.where(colors == self.excluded, 0.0, self.color_weight(colors) / self.total_weight)
+        p = p[inverse.reshape(np.shape(color))]
+        return float(p) if p.ndim == 0 else p
 
-    def exact_entropy(self) -> float:
-        """Trivial linear-scan fallback; exact over the reduced population."""
+    def heavy_color(self, rng: np.random.Generator, cfg: "EstimatorConfig") -> Optional[HeavyColor]:
+        """See :func:`detect_heavy_color`."""
+        n = max(2, len(self.index))
+        draws = math.ceil(cfg.c_heavy * math.log(2 * n) / math.log(3))
+        seen = np.unique(self.sample_color(rng, draws))
+        weights = self.color_weight(seen)
+        top = int(np.argmax(weights))
+        if weights[top] > (2.0 / 3.0) * self.total_weight:
+            return HeavyColor(int(seen[top]), float(weights[top]), self.total_weight)
+        return None
+
+    def color_masses(self) -> np.ndarray:
+        """Positive color masses of the (reduced) range, by linear scan."""
         pts = self.index.pts
         mask = self.rect.mask(pts)
         if self.excluded is not None:
             mask &= pts.colors != self.excluded
-        hist = ColorHistogram.from_points(pts, mask)
-        total = hist.total
-        if total == 0.0:
-            return 0.0
-        return sum((w / total) * math.log2(total / w) for w in hist.entries.values())
+        masses = np.bincount(pts.colors[mask], pts.weights[mask], minlength=pts.num_colors)
+        return masses[masses > 0.0]
+
+    def exact_entropy(self) -> float:
+        """Exact entropy of the (reduced) range: the trivial-scan fallback."""
+        masses = self.color_masses()
+        return float(entropy_from_power_sum(masses.sum(), power_term(masses, SHANNON).sum(),
+                                            SHANNON))
 
 
 class EstimatorIndex:
-    """Trees shared by every estimator: sampler, per-color counters."""
+    """The pooled color-aware range tree shared by every estimator: SAMP,
+    and EVAL through ``color_trees`` (a view of the same pool)."""
 
     def __init__(self, pts: ColoredPointSet):
         self.pts = pts
         self.tree = ColorAwareRangeTree.build(pts)
-        self.color_trees = ColorTrees(pts)
+        self.color_trees = ColorTrees(pts, self.tree)
 
     def __len__(self) -> int:
         return len(self.pts)
@@ -143,19 +157,13 @@ class EstimatorIndex:
         return DualAccessOracle(self, rect, excluded)
 
     def space_stats(self) -> dict:
-        return {"points": len(self.pts), "colors": self.pts.num_colors}
-
-
-def _log2n(index: EstimatorIndex) -> float:
-    return math.log2(max(2, len(index)))
+        return {"points": len(self.pts), "colors": self.pts.num_colors,
+                "pool_entries": len(self.tree.pool_ids), "bytes": self.tree.nbytes()}
 
 
 def _plugin_mean(oracle: DualAccessOracle, samples: int, rng: np.random.Generator) -> float:
-    acc = 0.0
-    for _ in range(samples):
-        p = oracle.eval_color(oracle.sample_color(rng))
-        acc += math.log2(1.0 / p)
-    return acc / samples
+    p = oracle.eval_color(oracle.sample_color(rng, samples))
+    return float(-np.log2(p).mean())
 
 
 def additive_sample_count(index: EstimatorIndex, delta: float, cfg: EstimatorConfig) -> int:
@@ -163,17 +171,39 @@ def additive_sample_count(index: EstimatorIndex, delta: float, cfg: EstimatorCon
     return math.ceil(cfg.c_add * math.log2(n / delta) ** 2 * math.log2(n) / delta**2)
 
 
+def prepare_query(index: EstimatorIndex, rect: QueryRect, cfg: EstimatorConfig,
+                  rng: Optional[np.random.Generator], **accuracy: float):
+    """Checks each accuracy parameter lies in (0, 1), then returns the
+    rectangle's oracle, which must hold mass, and the generator to use."""
+    for name, value in accuracy.items():
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    oracle = index.oracle(rect)
+    if oracle.is_empty:
+        raise EmptyRange("query range holds no mass")
+    return oracle, rng if rng is not None else np.random.default_rng(cfg.seed)
+
+
+def use_sampling(index: EstimatorIndex, samples: int, cfg: EstimatorConfig,
+                 stats: Optional[dict] = None, mode: str = "sampled") -> bool:
+    """Whether to sample; records the mode and sample count in ``stats``.
+
+    Above n*log2(n) samples the exact scan is cheaper and is taken instead.
+    """
+    n = max(2, len(index))
+    sampled = not (cfg.exact_fallback and samples > n * math.log2(n))
+    if stats is not None:
+        stats["mode"] = mode if sampled else "exact-fallback"
+        stats["samples"] = samples if sampled else 0
+    return sampled
+
+
 def estimate_additive(index: EstimatorIndex, rect: QueryRect, delta: float,
                       cfg: EstimatorConfig = DEFAULT_CONFIG,
                       rng: Optional[np.random.Generator] = None,
                       stats: Optional[dict] = None) -> EntropySummary:
     """Entropy within +-delta of truth, with high probability."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    oracle = index.oracle(rect)
-    if oracle.is_empty:
-        raise EmptyRange("query range holds no mass")
+    oracle, rng = prepare_query(index, rect, cfg, rng, delta=delta)
     value = _estimate_additive_on(index, oracle, delta, cfg, rng, stats)
     return EntropySummary(SHANNON, oracle.total_weight, value)
 
@@ -182,16 +212,9 @@ def _estimate_additive_on(index: EstimatorIndex, oracle: DualAccessOracle, delta
                           cfg: EstimatorConfig, rng: np.random.Generator,
                           stats: Optional[dict] = None) -> float:
     samples = additive_sample_count(index, delta, cfg)
-    n = max(2, len(index))
-    if cfg.exact_fallback and samples > n * math.log2(n):
-        if stats is not None:
-            stats["mode"] = "exact-fallback"
-            stats["samples"] = 0
-        return oracle.exact_entropy()
-    if stats is not None:
-        stats["mode"] = "sampled"
-        stats["samples"] = samples
-    return _plugin_mean(oracle, samples, rng)
+    if use_sampling(index, samples, cfg, stats):
+        return _plugin_mean(oracle, samples, rng)
+    return oracle.exact_entropy()
 
 
 def detect_heavy_color(index: EstimatorIndex, rect: QueryRect,
@@ -203,23 +226,8 @@ def detect_heavy_color(index: EstimatorIndex, rect: QueryRect,
     probability at most 1/(2n). Any candidate is verified by exact
     counting, so a returned ratio is never a sampling artifact.
     """
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    oracle = index.oracle(rect)
-    if oracle.is_empty:
-        raise EmptyRange("query range holds no mass")
-    n = max(2, len(index))
-    draws = math.ceil(cfg.c_heavy * math.log(2 * n) / math.log(3))
-    seen: set[int] = set()
-    for _ in range(draws):
-        seen.add(oracle.sample_color(rng))
-    for color in seen:
-        w = oracle.color_weight(color)
-        if w > (2.0 / 3.0) * oracle.total_weight:
-            return HeavyColor(
-                color, w, oracle.total_weight,
-                index.color_trees.count(rect, color), oracle.total_count,
-            )
-    return None
+    oracle, rng = prepare_query(index, rect, cfg, rng)
+    return oracle.heavy_color(rng, cfg)
 
 
 def heavy_branch_combine(total: float, heavy: float, reduced_entropy: float) -> float:
@@ -238,38 +246,28 @@ def estimate_multiplicative(index: EstimatorIndex, rect: QueryRect, eps: float,
                             rng: Optional[np.random.Generator] = None,
                             stats: Optional[dict] = None) -> EntropySummary:
     """Entropy within a (1+eps) multiplicative factor, with high probability."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    oracle = index.oracle(rect)
-    if oracle.is_empty:
-        raise EmptyRange("query range holds no mass")
-    heavy = detect_heavy_color(index, rect, rng, cfg)
+    oracle, rng = prepare_query(index, rect, cfg, rng, eps=eps)
+    heavy = oracle.heavy_color(rng, cfg)
     if heavy is None:
         # no dominant color: entropy > 0.9 bits, plug-in mean concentrates
-        n = max(2, len(index))
-        samples = math.ceil(cfg.c_mult * math.log2(n) / (eps**2 * 0.9))
-        if cfg.exact_fallback and samples > n * math.log2(n):
-            value = oracle.exact_entropy()
-            if stats is not None:
-                stats["mode"] = "exact-fallback"
-        else:
+        samples = math.ceil(cfg.c_mult * math.log2(max(2, len(index))) / (eps**2 * 0.9))
+        if use_sampling(index, samples, cfg, stats, "sampled-light"):
             value = _plugin_mean(oracle, samples, rng)
-            if stats is not None:
-                stats["mode"] = "sampled-light"
-                stats["samples"] = samples
+        else:
+            value = oracle.exact_entropy()
         return EntropySummary(SHANNON, oracle.total_weight, value)
 
-    if heavy.count == heavy.total_count:
-        # single-color range: zero exactly
+    reduced = oracle.excluding(heavy.color)
+    if reduced.is_empty:
+        # the rest of the range has no mass: zero exactly
         if stats is not None:
             stats["mode"] = "single-color"
+            stats["samples"] = 0
         return EntropySummary(SHANNON, oracle.total_weight, 0.0)
 
-    reduced = index.oracle(rect, excluded=heavy.color)
     h_prime = _estimate_additive_on(index, reduced, eps, cfg, rng, stats)
     value = heavy_branch_combine(heavy.total, heavy.weight, h_prime)
     if stats is not None:
-        stats["mode"] = stats.get("mode", "sampled") + "+heavy"
+        stats["mode"] += "+heavy"
         stats["heavy_color"] = heavy.color
     return EntropySummary(SHANNON, oracle.total_weight, value)

@@ -421,37 +421,56 @@ def power_sum(s: EntropySummary) -> float:
     return count**alpha * 2.0 ** ((1.0 - alpha) * s.value)
 
 
+def running_sum(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of ``w`` (length n+1, from 0) as a pair (hi, lo): the plain
+    running sum and the running sum of each addition's rounding error (exact
+    by the two-sum identity). ``(hi[j] - hi[i]) + (lo[j] - lo[i])`` is then
+    accurate relative to the span's own mass, not to the whole prefix."""
+    hi = np.concatenate(([0.0], np.cumsum(w)))
+    added = hi[1:] - hi[:-1]
+    err = (hi[:-1] - (hi[1:] - added)) + (w - added)
+    return hi, np.concatenate(([0.0], np.cumsum(err)))
+
+
 class ColorPrefix:
     """Per-color weight prefixes of a sequence, held as one sorted key array.
 
     Position p of color c gets the key ``c*n + p``. Sorted, the keys list
-    each color's positions as one ascending run, and ``wpre`` is the running
-    weight along that order, so the mass of color c over positions [lo, hi)
-    is ``wpre`` at key ``c*n + hi`` minus ``wpre`` at key ``c*n + lo``: two
-    ``searchsorted`` calls for any batch of colors.
+    each color's positions as one ascending run, and ``wpre`` / ``wlo`` is
+    the running weight along that order (a :func:`running_sum` pair), so the
+    mass of color c over positions [lo, hi) is the prefix at key
+    ``c*n + hi`` minus the prefix at key ``c*n + lo``: two ``searchsorted``
+    calls for any batch of colors, accurate relative to that mass.
     """
 
-    __slots__ = ("n", "keys", "wpre")
+    __slots__ = ("n", "keys", "wpre", "wlo")
 
     def __init__(self, colors: np.ndarray, weights: np.ndarray):
         self.n = len(colors)
         order = np.argsort(colors, kind="stable")
         self.keys = colors[order] * self.n + order
-        self.wpre = np.concatenate(([0.0], np.cumsum(weights[order])))
+        self.wpre, self.wlo = running_sum(weights[order])
 
-    def _wpre_at(self, keys: np.ndarray) -> np.ndarray:
-        return self.wpre[np.searchsorted(self.keys, keys)]
+    def _diff(self, hi_keys, lo_keys) -> np.ndarray:
+        j = np.searchsorted(self.keys, hi_keys)
+        i = np.searchsorted(self.keys, lo_keys)
+        return (self.wpre[j] - self.wpre[i]) + (self.wlo[j] - self.wlo[i])
 
-    def mass(self, colors: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Mass of each given color over positions [lo, hi)."""
+    def mass(self, colors, lo, hi) -> np.ndarray:
+        """Mass of each given color over positions [lo, hi) (broadcast)."""
         base = colors * self.n
-        return self._wpre_at(base + hi) - self._wpre_at(base + lo)
+        return self._diff(base + hi, base + lo)
+
+    def count(self, colors, lo, hi) -> np.ndarray:
+        """Positions of each given color in [lo, hi) (broadcast)."""
+        base = colors * self.n
+        return np.searchsorted(self.keys, base + hi) - np.searchsorted(self.keys, base + lo)
 
     def running(self, colors: np.ndarray) -> np.ndarray:
         """For each position p (``colors`` is the whole sequence's), the mass
         of p's own color over [0, p)."""
         base = colors * self.n
-        return self._wpre_at(base + np.arange(self.n)) - self._wpre_at(base)
+        return self._diff(base + np.arange(self.n), base)
 
 
 # ---------------------------------------------------------------------------

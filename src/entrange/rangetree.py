@@ -1,254 +1,251 @@
-"""Multi-level range trees over colored point sets.
+"""Multi-level range trees over colored point sets, held in pooled arrays.
 
-A d-level range tree: level k is a balanced binary tree over the points
-sorted by coordinate k (ties broken by point input index, so builds are
-deterministic); every internal node of level k < d owns a (k+1)-level tree
-on its subtree's points. For a closed query rectangle the canonical nodes
-are the O(log^d n) level-d subtrees whose point sets partition the range
-exactly.
+Level k < d-1 is an implicit balanced binary tree over its points sorted by
+coordinate k (ties by point index), split at ``(lo + hi) // 2``; each node
+owns a level-(k+1) structure on its points. The last level is no tree: a
+node's points sorted by the last coordinate, cut by two ``searchsorted``
+calls into one contiguous slice.
 
-Each node carries its subtree weight and count, which supports counting,
-weight sums, and weighted range sampling: draw one canonical node by node
-weight, then walk root-to-leaf choosing children by weight. The color-aware
-variant additionally stores per-node color->weight maps so the same walk
-can exclude all points of one color.
+Level k stores, for every depth path of the trees above it, one length-n
+row in which each node's points fill its span in coordinate-k order, so
+no node objects exist. The last level's rows form the pool,
+n*(D+1)**(d-1) entries for D = ceil(log2 n), with the point ids, a weight
+prefix and one :class:`~.core.ColorPrefix`. A rectangle becomes
+O(log^(d-1) n) canonical pieces: disjoint pool slices whose points
+partition the range.
+
+Sampling is batched: one ``searchsorted`` over the pieces' weights picks a
+piece per draw, one over the pool's weight prefix picks the point. The
+color-excluding sampler bisects (weight prefix - excluded color's prefix)
+for all draws at once. Zero-weight points carry no mass and are left out,
+so counts are of positive-weight points.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
-from .core import ColoredPointSet, Point, QueryRect
+from .core import ColoredPointSet, ColorPrefix, Point, QueryRect, running_sum
 from .errors import EmptyRange
 
 
-class _Node:
-    __slots__ = (
-        "lo", "hi", "left", "right", "weight", "count", "minc", "maxc",
-        "sub", "color_weights", "point_id",
-    )
-
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo          # span [lo, hi) in the level's sorted order
-        self.hi = hi
-        self.left: Optional["_Node"] = None
-        self.right: Optional["_Node"] = None
-        self.weight = 0.0
-        self.count = 0
-        self.minc = 0.0       # coordinate interval of the subtree in this dim
-        self.maxc = 0.0
-        self.sub: Optional["_LevelTree"] = None
-        self.color_weights: Optional[dict] = None
-        self.point_id = -1    # leaf only
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None and self.right is None
+def _refine(starts: np.ndarray, n: int) -> np.ndarray:
+    """Span starts of the next tree depth: every span of two or more points
+    splits at its midpoint."""
+    ends = np.append(starts[1:], n)
+    mids = (starts + ends) // 2
+    return np.union1d(starts, mids[ends - starts >= 2])
 
 
-class _LevelTree:
-    __slots__ = ("level", "order", "sorted_coords", "root")
+class Pieces:
+    """Canonical pieces of one query: pool slices [start, stop)."""
 
-    def __init__(self, pts: ColoredPointSet, ids: np.ndarray, level: int, last: int, color_aware: bool):
-        self.level = level
-        coords = pts.coords[ids, level]
-        perm = np.lexsort((ids, coords))
-        self.order = ids[perm]
-        self.sorted_coords = coords[perm]
-        self.root = self._build(pts, 0, len(ids), last, color_aware) if len(ids) else None
+    __slots__ = ("start", "stop")
 
-    def _build(self, pts: ColoredPointSet, lo: int, hi: int, last: int, color_aware: bool) -> _Node:
-        node = _Node(lo, hi)
-        node.minc = float(self.sorted_coords[lo])
-        node.maxc = float(self.sorted_coords[hi - 1])
-        if hi - lo == 1:
-            pid = int(self.order[lo])
-            node.point_id = pid
-            node.weight = float(pts.weights[pid])
-            node.count = 1
-            if self.level == last and color_aware:
-                node.color_weights = {int(pts.colors[pid]): node.weight}
-        else:
-            mid = (lo + hi) // 2
-            node.left = self._build(pts, lo, mid, last, color_aware)
-            node.right = self._build(pts, mid, hi, last, color_aware)
-            node.weight = node.left.weight + node.right.weight
-            node.count = node.left.count + node.right.count
-            if self.level == last and color_aware:
-                cw = dict(node.left.color_weights)
-                for c, w in node.right.color_weights.items():
-                    cw[c] = cw.get(c, 0.0) + w
-                node.color_weights = cw
-        if self.level < last:
-            node.sub = _LevelTree(pts, self.order[lo:hi], self.level + 1, last, color_aware)
-        return node
+    def __init__(self, start: np.ndarray, stop: np.ndarray):
+        self.start = start
+        self.stop = stop
 
-    def index_range(self, lo: float, hi: float) -> tuple[int, int]:
-        """Closed coordinate interval -> half-open index span in sorted order."""
-        a = int(np.searchsorted(self.sorted_coords, lo, side="left"))
-        b = int(np.searchsorted(self.sorted_coords, hi, side="right"))
-        return a, b
-
-
-class CanonicalNode:
-    """A level-d canonical subtree plus the box of level intervals above it."""
-
-    __slots__ = ("node", "box", "tree")
-
-    def __init__(self, node: _Node, box: tuple, tree: "_LevelTree"):
-        self.node = node
-        self.box = box
-        self.tree = tree
-
-    @property
-    def weight(self) -> float:
-        return self.node.weight
-
-    @property
-    def count(self) -> int:
-        return self.node.count
-
-    def point_ids(self) -> np.ndarray:
-        return self.tree.order[self.node.lo: self.node.hi]
+    def __len__(self) -> int:
+        return len(self.start)
 
 
 class RangeTree:
     """Static d-level range tree; immutable after build, queries are pure."""
 
-    color_aware = False
-
     def __init__(self, pts: ColoredPointSet):
         self.pts = pts
         self.dim = pts.dim
-        ids = np.arange(len(pts), dtype=np.int64)
-        self.tree = _LevelTree(pts, ids, 0, self.dim - 1, self.color_aware) if len(pts) else None
+        ids = np.flatnonzero(pts.weights > 0.0)
+        self.n = n = len(ids)
+        self.rows = math.ceil(math.log2(n)) + 1 if n else 0   # depths per tree level
+        ids = ids[np.lexsort((ids, pts.coords[ids, 0]))]
+        rows, parts = [ids], [np.zeros(1, dtype=np.int64)]
+        self.keys = [pts.coords[ids, 0]]   # per level: coordinate k of every row
+        for k in range(1, self.dim if n else 1):
+            next_rows, next_parts = [], []
+            for row, starts in zip(rows, parts):
+                for _ in range(self.rows):
+                    span = np.searchsorted(starts, np.arange(n), side="right")
+                    next_rows.append(row[np.lexsort((row, pts.coords[row, k], span))])
+                    next_parts.append(starts)
+                    starts = _refine(starts, n)
+            rows, parts = next_rows, next_parts
+            self.keys.append(pts.coords[np.concatenate(rows), k])
+        self.pool_ids = np.concatenate(rows) if n else ids
+        self.wpre, self.wlo = running_sum(pts.weights[self.pool_ids])
 
     @classmethod
     def build(cls, pts: ColoredPointSet) -> "RangeTree":
         return cls(pts)
 
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (*self.keys, self.pool_ids, self.wpre, self.wlo))
+
     # -- canonical decomposition ------------------------------------------
 
-    def canonical_nodes(self, rect: QueryRect) -> list[CanonicalNode]:
+    def canonical_nodes(self, rect: QueryRect) -> Pieces:
         if rect.dim != self.dim:
             raise ValueError(f"rect dim {rect.dim} != tree dim {self.dim}")
-        out: list[CanonicalNode] = []
-        if self.tree is not None:
-            self._canon_level(self.tree, rect, (), out)
-        return out
+        start: list[int] = []
+        stop: list[int] = []
+        if self.n:
+            self._cut(0, 0, 0, self.n, rect, start, stop)
+        return Pieces(np.array(start, dtype=np.int64), np.array(stop, dtype=np.int64))
 
-    def _canon_level(self, tree: _LevelTree, rect: QueryRect, box: tuple, out: list) -> None:
-        k = tree.level
-        a, b = tree.index_range(rect.lo[k], rect.hi[k])
-        if a >= b or tree.root is None:
+    def _cut(self, k: int, row: int, lo: int, hi: int, rect: QueryRect,
+             start: list, stop: list) -> None:
+        """Pieces of the node spanning [lo, hi) of level k's given row."""
+        off = row * self.n
+        keys = self.keys[k][off + lo: off + hi]
+        a = lo + int(keys.searchsorted(rect.lo[k], "left"))
+        b = lo + int(keys.searchsorted(rect.hi[k], "right"))
+        if a >= b:
             return
-        self._canon_node(tree, tree.root, a, b, rect, box, out)
+        if k == self.dim - 1:
+            start.append(off + a)
+            stop.append(off + b)
+            return
+        stack = [(lo, hi, 0)]
+        while stack:
+            u, v, depth = stack.pop()
+            if v <= a or b <= u:
+                continue
+            if a <= u and v <= b:
+                self._cut(k + 1, row * self.rows + depth, u, v, rect, start, stop)
+                continue
+            mid = (u + v) // 2
+            stack.append((mid, v, depth + 1))
+            stack.append((u, mid, depth + 1))
 
-    def _canon_node(self, tree: _LevelTree, node: _Node, a: int, b: int,
-                    rect: QueryRect, box: tuple, out: list) -> None:
-        if node.hi <= a or node.lo >= b:
-            return
-        if a <= node.lo and node.hi <= b:
-            sub_box = box + ((node.minc, node.maxc),)
-            if tree.level == self.dim - 1:
-                out.append(CanonicalNode(node, sub_box, tree))
-            else:
-                self._canon_level(node.sub, rect, sub_box, out)
-            return
-        if not node.is_leaf:
-            self._canon_node(tree, node.left, a, b, rect, box, out)
-            self._canon_node(tree, node.right, a, b, rect, box, out)
+    def pieces_weight(self, pieces: Pieces) -> np.ndarray:
+        a, b = pieces.start, pieces.stop
+        return (self.wpre[b] - self.wpre[a]) + (self.wlo[b] - self.wlo[a])
 
     # -- counting -----------------------------------------------------------
 
     def range_weight(self, rect: QueryRect) -> float:
-        return sum(c.weight for c in self.canonical_nodes(rect))
+        return float(self.pieces_weight(self.canonical_nodes(rect)).sum())
 
     def range_count(self, rect: QueryRect) -> int:
-        return sum(c.count for c in self.canonical_nodes(rect))
+        pieces = self.canonical_nodes(rect)
+        return int((pieces.stop - pieces.start).sum())
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_index(self, rect: QueryRect, rng: np.random.Generator) -> int:
-        nodes = self.canonical_nodes(rect)
-        return self._draw(nodes, rng, excluded=None)
+    def sample_index(self, rect: QueryRect, rng: np.random.Generator,
+                     size: Optional[int] = None):
+        """Point index drawn by weight from the range; an array of ``size``
+        independent draws when ``size`` is given."""
+        out = self.draw(self.canonical_nodes(rect), rng, 1 if size is None else size)
+        return int(out[0]) if size is None else out
 
     def sample(self, rect: QueryRect, rng: np.random.Generator) -> Point:
         return self.pts.point(self.sample_index(rect, rng))
 
-    def _node_weight(self, node: _Node, excluded: Optional[int]) -> float:
-        if excluded is None:
-            return node.weight
-        return node.weight - node.color_weights.get(excluded, 0.0)
+    def draw(self, pieces: Pieces, rng: np.random.Generator, size: int,
+             excluded: Optional[int] = None) -> np.ndarray:
+        """``size`` point ids drawn by weight from the pieces' points, without
+        the points of color ``excluded`` when given (color-aware trees only)."""
+        a, b = pieces.start, pieces.stop
 
-    def _draw(self, nodes: list[CanonicalNode], rng: np.random.Generator,
-              excluded: Optional[int]) -> int:
-        weights = [self._node_weight(c.node, excluded) for c in nodes]
-        total = sum(weights)
-        if total <= 0.0:
+        def prefix(p):
+            if excluded is None:
+                return self.wpre[p]
+            return self.wpre[p] - self.color_prefix.mass(excluded, 0, p)
+
+        ga, gb = prefix(a), prefix(b)
+        keep = gb > ga
+        if not keep.any():
             raise EmptyRange("no sampleable mass in query range")
-        r = rng.random() * total
-        acc = 0.0
-        chosen = nodes[-1].node
-        for c, w in zip(nodes, weights):
-            acc += w
-            if r < acc:
-                chosen = c.node
-                break
-        node = chosen
-        while not node.is_leaf:
-            wl = self._node_weight(node.left, excluded)
-            wr = self._node_weight(node.right, excluded)
-            node = node.left if rng.random() * (wl + wr) < wl else node.right
-        return node.point_id
+        a, b, ga, gb = a[keep], b[keep], ga[keep], gb[keep]
+        cum = np.cumsum(gb - ga)
+        before = np.concatenate(([0.0], cum[:-1]))
+        out = np.empty(size, dtype=np.int64)
+        todo = np.arange(size)
+        for _ in range(64):
+            u = rng.random(len(todo)) * cum[-1]
+            k = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+            t = np.minimum(ga[k] + (u - before[k]).clip(0.0), np.nextafter(gb[k], -np.inf))
+            if excluded is None:
+                pos = np.searchsorted(self.wpre, t, side="right") - 1
+            else:
+                lo, hi = a[k], b[k]   # invariant: prefix(lo) <= t < prefix(hi)
+                while (hi - lo > 1).any():
+                    mid = (lo + hi) // 2
+                    right = prefix(mid) <= t
+                    lo = np.where(right, mid, lo)
+                    hi = np.where(right, hi, mid)
+                pos = lo
+            out[todo] = self.pool_ids[pos]
+            if excluded is None:
+                return out
+            # rounding in the differenced prefix can leave a sliver of mass
+            # on an excluded point; redraw those
+            bad = self.pts.colors[out[todo]] == excluded
+            if not bad.any():
+                return out
+            todo = todo[bad]
+        raise EmptyRange("remaining mass is below float resolution of the range")
 
 
 class ColorAwareRangeTree(RangeTree):
-    """Range tree whose level-d nodes carry color->weight maps.
+    """Range tree whose pool also carries a :class:`~.core.ColorPrefix`.
 
-    Invariant: at every node the map sums to the node weight. Enables
-    sampling that excludes one color in the same root-to-leaf walk.
+    Any color's mass or count over a piece is two ``searchsorted`` calls,
+    which gives EVAL and sampling that excludes one color.
     """
 
-    color_aware = True
+    def __init__(self, pts: ColoredPointSet):
+        super().__init__(pts)
+        self.color_prefix = ColorPrefix(pts.colors[self.pool_ids], pts.weights[self.pool_ids])
+
+    def nbytes(self) -> int:
+        cp = self.color_prefix
+        return super().nbytes() + cp.keys.nbytes + cp.wpre.nbytes + cp.wlo.nbytes
 
     def sample_excluding_index(self, rect: QueryRect, excluded: int,
-                               rng: np.random.Generator) -> int:
-        nodes = self.canonical_nodes(rect)
-        return self._draw(nodes, rng, excluded=excluded)
+                               rng: np.random.Generator, size: Optional[int] = None):
+        out = self.draw(self.canonical_nodes(rect), rng, 1 if size is None else size, excluded)
+        return int(out[0]) if size is None else out
 
     def sample_excluding(self, rect: QueryRect, excluded: int,
                          rng: np.random.Generator) -> Point:
         return self.pts.point(self.sample_excluding_index(rect, excluded, rng))
 
-    def color_weight_in(self, rect: QueryRect, color: int) -> float:
-        """Weight of one color inside the range, via the canonical maps."""
-        return sum(c.node.color_weights.get(color, 0.0) for c in self.canonical_nodes(rect))
+    def color_weight_in(self, rect: QueryRect, color, pieces: Optional[Pieces] = None):
+        """Mass inside the range of one color, or of each color of an array."""
+        return self._per_color(self.color_prefix.mass, rect, color, pieces)
+
+    def color_count_in(self, rect: QueryRect, color, pieces: Optional[Pieces] = None):
+        """Points inside the range of one color, or of each color of an array."""
+        return self._per_color(self.color_prefix.count, rect, color, pieces)
+
+    def _per_color(self, over_span, rect: QueryRect, color, pieces: Optional[Pieces]):
+        pieces = self.canonical_nodes(rect) if pieces is None else pieces
+        total = over_span(np.asarray(color)[..., None], pieces.start, pieces.stop).sum(axis=-1)
+        return total.item() if total.ndim == 0 else total
 
 
 class ColorTrees:
-    """One counting range tree per color: the O(m)-space exact baseline."""
+    """Per-color counting (EVAL) over the pool of a color-aware tree.
 
-    def __init__(self, pts: ColoredPointSet):
+    Shares the tree it is given (the estimators pass their own), so it adds
+    no storage.
+    """
+
+    def __init__(self, pts: ColoredPointSet, tree: Optional[ColorAwareRangeTree] = None):
         self.pts = pts
-        self.trees: dict[int, RangeTree] = {}
-        for color in range(pts.num_colors):
-            sel = pts.colors == color
-            if not sel.any():
-                continue
-            sub = ColoredPointSet(pts.coords[sel], np.zeros(int(sel.sum()), dtype=np.int64),
-                                  pts.weights[sel], num_colors=1)
-            self.trees[color] = RangeTree(sub)
+        self.tree = ColorAwareRangeTree(pts) if tree is None else tree
 
-    def weight(self, rect: QueryRect, color: int) -> float:
-        tree = self.trees.get(color)
-        return tree.range_weight(rect) if tree is not None else 0.0
+    def weight(self, rect: QueryRect, color, pieces: Optional[Pieces] = None):
+        return self.tree.color_weight_in(rect, color, pieces)
 
-    def count(self, rect: QueryRect, color: int) -> int:
-        tree = self.trees.get(color)
-        return tree.range_count(rect) if tree is not None else 0
+    def count(self, rect: QueryRect, color, pieces: Optional[Pieces] = None):
+        return self.tree.color_count_in(rect, color, pieces)
 
 
 def color_range_count(trees: ColorTrees, rect: QueryRect, color: int) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from entrange.approx_renyi import estimate_additive_renyi, estimate_multiplicative_renyi
 from entrange.approx_shannon import (
     EstimatorConfig,
     EstimatorIndex,
@@ -13,11 +14,11 @@ from entrange.approx_shannon import (
     estimate_multiplicative,
     heavy_branch_combine,
 )
-from entrange.core import ColoredPointSet, QueryRect, SHANNON
+from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import EmptyRange
 from entrange.oracle import brute_entropy
 
-from conftest import random_pointset
+from conftest import random_pointset, random_rect
 
 FAST = EstimatorConfig(c_add=0.05, c_mult=0.2)
 
@@ -197,3 +198,83 @@ def test_estimator_deterministic_given_seed(rng):
     a = estimate_additive(index, FULL, 0.2, FAST, np.random.default_rng(7)).value
     b = estimate_additive(index, FULL, 0.2, FAST, np.random.default_rng(7)).value
     assert a == b
+
+
+def test_zero_weight_rest_is_single_color():
+    # the only other color has zero weight: the entropy is 0, not a division by zero
+    pts = ColoredPointSet(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 0, 1]),
+                          np.array([1.0, 1.0, 1.0, 0.0]))
+    index = EstimatorIndex(pts)
+    rect = QueryRect.interval(0.0, 10.0)
+    for estimate in (
+        lambda r, st: estimate_multiplicative(index, rect, 0.3, FAST, r, st),
+        lambda r, st: estimate_multiplicative_renyi(index, rect, 2.0, 0.3, FAST, r, st),
+    ):
+        stats: dict = {}
+        s = estimate(np.random.default_rng(1), stats)
+        assert (s.value, s.count) == (0.0, 3.0)
+        assert stats["mode"] == "single-color" and stats["samples"] == 0
+
+
+ESTIMATORS = (
+    lambda ix, r, g, st: estimate_additive(ix, r, 0.25, EXTREME_CFG, g, st),
+    lambda ix, r, g, st: estimate_multiplicative(ix, r, 0.25, EXTREME_CFG, g, st),
+    lambda ix, r, g, st: estimate_additive_renyi(ix, r, 2.0, 0.25, EXTREME_CFG, g, st),
+    lambda ix, r, g, st: estimate_multiplicative_renyi(ix, r, 2.0, 0.3, EXTREME_CFG, g, st),
+)
+EXTREME_CFG = EstimatorConfig(c_add=0.2, c_mult=2.0, c_mom=0.05, moment_c1=1.0, moment_c2=1.0)
+
+
+def test_every_call_reports_mode_and_samples(rng):
+    pts = random_pointset(rng, 300, d=2, m=6, weighted=True)
+    index = EstimatorIndex(pts)
+    for rect in [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(20)]:
+        if index.oracle(rect).is_empty:
+            continue
+        for estimate in ESTIMATORS:
+            stats: dict = {}
+            estimate(index, rect, rng, stats)
+            assert isinstance(stats["mode"], str) and stats["samples"] >= 0
+
+
+def heavy_color_case(seed, heavy_lo, heavy_hi):
+    """150 2-D points, 6 colors; every point of color 0 (whose mass precedes
+    the others' in the color-sorted prefix) is heavy, log-uniform in
+    [heavy_lo, heavy_hi]; light weights in [0.5, 2]; three zero weights."""
+    rng = np.random.default_rng(seed)
+    n = 150
+    coords = rng.uniform(0, 100, size=(n, 2))
+    colors = rng.integers(0, 6, size=n)
+    weights = rng.uniform(0.5, 2.0, size=n)
+    heavy = colors == 0
+    weights[heavy] = np.exp(rng.uniform(np.log(heavy_lo), np.log(heavy_hi), size=heavy.sum()))
+    weights[rng.choice(n, size=3, replace=False)] = 0.0
+    pts = ColoredPointSet(coords, colors, weights, num_colors=6)
+    rects = [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(15)]
+    return pts, rects
+
+
+@pytest.mark.parametrize("heavy_lo, heavy_hi", [(1e2, 1e4), (1e4, 1e6), (1e6, 1e9)])
+def test_extreme_weight_ratios(heavy_lo, heavy_hi):
+    colors = np.arange(6)
+    for seed in range(4):
+        pts, rects = heavy_color_case(seed, heavy_lo, heavy_hi)
+        index = EstimatorIndex(pts)
+        rng = np.random.default_rng(seed)
+        for rect in rects:
+            mask = rect.mask(pts)
+            for excluded in (None, 0):
+                keep = mask if excluded is None else mask & (pts.colors != excluded)
+                masses = np.bincount(pts.colors[keep], pts.weights[keep], minlength=6)
+                oracle = index.oracle(rect, excluded)
+                assert oracle.is_empty == (masses.sum() == 0.0)
+                if oracle.is_empty:
+                    continue
+                want = masses / masses.sum()
+                got = oracle.eval_color(colors)
+                assert np.all(np.abs(got - want) <= 1e-6 * want), (seed, rect, excluded)
+                drawn = oracle.sample_color(rng, 2000)
+                assert np.all(want[drawn] > 0.0)
+            if mask.any() and pts.weights[mask].sum() > 0.0:
+                for estimate in ESTIMATORS:
+                    assert math.isfinite(estimate(index, rect, rng, None).value)

@@ -15,7 +15,7 @@ def test_empty_tree():
     pts = ColoredPointSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     tree = RangeTree.build(pts)
     rect = QueryRect((0.0, 0.0), (1.0, 1.0))
-    assert tree.canonical_nodes(rect) == []
+    assert len(tree.canonical_nodes(rect)) == 0
     assert tree.range_count(rect) == 0
     assert tree.range_weight(rect) == 0.0
 
@@ -26,10 +26,10 @@ def test_canonical_partition_property(rng, d):
     tree = RangeTree.build(pts)
     for _ in range(60):
         rect = random_rect(rng, d=d)
-        nodes = tree.canonical_nodes(rect)
+        pieces = tree.canonical_nodes(rect)
         ids: list[int] = []
-        for c in nodes:
-            ids.extend(c.point_ids().tolist())
+        for a, b in zip(pieces.start, pieces.stop):
+            ids.extend(tree.pool_ids[a:b].tolist())
         # disjoint and exactly covering the range
         assert len(ids) == len(set(ids))
         want = set(np.nonzero(rect.mask(pts))[0].tolist())
@@ -42,7 +42,7 @@ def test_full_space_and_empty_rect(rng):
     full = QueryRect.full(2)
     assert tree.range_count(full) == 128
     nowhere = QueryRect((200.0, 200.0), (300.0, 300.0))
-    assert tree.canonical_nodes(nowhere) == []
+    assert len(tree.canonical_nodes(nowhere)) == 0
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -148,31 +148,18 @@ def test_sample_law_matches_restriction(rng):
 # color-aware tree and exclusion sampling
 
 
-def test_color_map_invariant(rng):
-    pts = random_pointset(rng, 200, d=2, m=8, weighted=True)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_piece_color_masses_sum_to_weight(rng, d):
+    pts = random_pointset(rng, 200, d=d, m=8, weighted=True, duplicate_frac=0.1)
     tree = ColorAwareRangeTree.build(pts)
-
-    def walk(node):
-        if node is None:
-            return
-        assert abs(sum(node.color_weights.values()) - node.weight) < 1e-9
-        walk(node.left)
-        walk(node.right)
-
-    def walk_levels(lt):
-        if lt is None or lt.root is None:
-            return
-        if lt.level == tree.dim - 1:
-            walk(lt.root)
-        else:
-            stack = [lt.root]
-            while stack:
-                nd = stack.pop()
-                walk_levels(nd.sub)
-                if not nd.is_leaf:
-                    stack.extend([nd.left, nd.right])
-
-    walk_levels(tree.tree)
+    colors = np.arange(8)
+    for _ in range(40):
+        pieces = tree.canonical_nodes(random_rect(rng, d=d))
+        weights = tree.pieces_weight(pieces)
+        for a, b, w in zip(pieces.start, pieces.stop, weights):
+            masses = tree.color_prefix.mass(colors, a, b)
+            assert abs(masses.sum() - w) < 1e-9
+            assert w == pytest.approx(pts.weights[tree.pool_ids[a:b]].sum(), abs=1e-9)
 
 
 def test_sample_excluding_two_colors(rng):

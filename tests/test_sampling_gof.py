@@ -65,13 +65,11 @@ def test_sampling_law_chi_square(spec):
         pytest.skip("scenario degenerate for this seed")
     probs = probs / total
     rng = np.random.default_rng(900_000 + seed)
-    counts = np.zeros(len(pts))
     if excluded is None:
-        for _ in range(DRAWS):
-            counts[tree.sample_index(rect, rng)] += 1
+        draws = tree.sample_index(rect, rng, size=DRAWS)
     else:
-        for _ in range(DRAWS):
-            counts[tree.sample_excluding_index(rect, excluded, rng)] += 1
+        draws = tree.sample_excluding_index(rect, excluded, rng, size=DRAWS)
+    counts = np.bincount(draws, minlength=len(pts)).astype(float)
     assert counts[probs == 0].sum() == 0
     sel = probs > 0
     result = stats.chisquare(counts[sel], probs[sel] * DRAWS)
