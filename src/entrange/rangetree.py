@@ -32,12 +32,26 @@ from .core import ColoredPointSet, ColorPrefix, Point, QueryRect, running_sum
 from .errors import EmptyRange
 
 
-def _refine(starts: np.ndarray, n: int) -> np.ndarray:
+def refine_spans(starts: np.ndarray, n: int) -> np.ndarray:
     """Span starts of the next tree depth: every span of two or more points
     splits at its midpoint."""
     ends = np.append(starts[1:], n)
     mids = (starts + ends) // 2
     return np.union1d(starts, mids[ends - starts >= 2])
+
+
+def depth_rows(row: np.ndarray, key: np.ndarray, starts: np.ndarray, depths: int):
+    """Rows of an implicit mid-split tree whose top spans start at ``starts``.
+
+    Yields, for each of ``depths`` depths, ``row`` reordered so that every
+    span of that depth holds its entries sorted by ``key[entry]`` (ties by
+    entry), together with the depth's span starts.
+    """
+    n = len(row)
+    for _ in range(depths):
+        span = np.searchsorted(starts, np.arange(n), side="right")
+        yield row[np.lexsort((row, key[row], span))], starts
+        starts = refine_spans(starts, n)
 
 
 class Pieces:
@@ -68,11 +82,10 @@ class RangeTree:
         for k in range(1, self.dim if n else 1):
             next_rows, next_parts = [], []
             for row, starts in zip(rows, parts):
-                for _ in range(self.rows):
-                    span = np.searchsorted(starts, np.arange(n), side="right")
-                    next_rows.append(row[np.lexsort((row, pts.coords[row, k], span))])
-                    next_parts.append(starts)
-                    starts = _refine(starts, n)
+                for sorted_row, depth_starts in depth_rows(row, pts.coords[:, k], starts,
+                                                           self.rows):
+                    next_rows.append(sorted_row)
+                    next_parts.append(depth_starts)
             rows, parts = next_rows, next_parts
             self.keys.append(pts.coords[np.concatenate(rows), k])
         self.pool_ids = np.concatenate(rows) if n else ids

@@ -7,21 +7,38 @@ for the missing predecessor. A query interval [a, b] becomes the box
 exactly once, so the canonical nodes of a 2-level range tree over the
 mapped points slice the range's colors into disjoint groups.
 
-A canonical node v knows its color set U_v and the smallest mapped
-x-coordinate x_v. For the original points of those colors at coordinates
->= x_v, two monotone step functions of the right endpoint b are
-precomputed on a (1+e')-geometric ladder:
+The range tree is implicit, as in :mod:`~.rangetree`. The primary tree
+splits the mapped points, sorted by x, at ``(lo + hi) // 2``; for each of
+its depths one row holds every node's points sorted by y, and a node's
+secondary tree splits its span of that row the same way. A secondary node
+is thus a row slice [start, stop) at a primary depth. It qualifies when its
+colors are distinct, and the sorted array ``node_keys`` of the qualifying
+nodes' (depth, start, stop) keys numbers them: a node's gid is its
+position there. No node objects exist; the canonical walk is iterative.
+
+A qualifying node v knows its color set U_v (its slice's colors) and the
+smallest mapped x-coordinate x_v. For the original points of those colors
+at coordinates >= x_v, two monotone step functions of the right endpoint b
+are precomputed on a (1+e')-geometric ladder:
 
   * the running point count |P(U_v) cap [x_v, b]|, and
   * F = count * H (Shannon) or G = sum of per-color count^alpha (Renyi),
 
-stored as jump lists (x, exponent): the exponent is minimal with
-(1+e')^exponent >= value, and an entry appears only where it increases.
-A query binary-searches both ladders per node, yielding a count estimate
-within one (1+e') factor and a value estimate within another; Shannon
-results are folded pairwise with the disjoint-union rule (balanced, so
-the per-merge inflation stays within the shrunken e'), Renyi results
-close over the power-sum ratio directly.
+stored as jumps (x, exponent): the int32 exponent is minimal with
+(1+e')^exponent >= value, and a jump appears only where it increases. Tiny
+eps needs the width: n = 300 at eps = 0.002 reaches exponents above 10^5.
+Every jump sits on a point, so its x is stored as its rank, the number of
+distinct coordinates <= x. Each ladder pool is one sorted int64 key array
+``gid * (U + 1) + rank`` over the U distinct coordinates, beside its
+exponents, so the rightmost jump <= b of every canonical node is one
+``searchsorted`` call per pool.
+
+A query gets a count estimate within one (1+e') factor and a value
+estimate within another; Shannon results are folded pairwise with the
+disjoint-union rule (balanced, so the per-merge inflation stays within the
+shrunken e'), Renyi results close over the power-sum ratio directly.
+``canonical_debug`` reads each node's colors and x_v back from the rows,
+on any index.
 
 Guarantees are deterministic, not statistical: the Shannon answer h obeys
 H <= h <= (1+eps)H + eps and the Renyi answer H_a <= h <= H_a +
@@ -45,8 +62,10 @@ from .core import (
     renyi_kind,
 )
 from .errors import WeightsNotSupported
+from .rangetree import depth_rows, refine_spans
 
 MERGE_DEPTH_C = 4  # constant in the Shannon eps shrink: eps / (4*c*loglog n)
+_BATCH = 1 << 18  # walk points per ladder-building batch, to bound its memory
 
 
 def _shrink_eps_shannon(eps: float, n: int) -> float:
@@ -54,37 +73,40 @@ def _shrink_eps_shannon(eps: float, n: int) -> float:
     return eps / (4.0 * MERGE_DEPTH_C * max(1.0, loglog))
 
 
-def _ceil_exponent(value: float, base: float, log_base: float) -> int:
-    """Minimal integer e >= 0 with base**e >= value (exact under float pow)."""
-    if value <= 1.0:
-        return 0
-    e = max(0, math.ceil(math.log(value) / log_base - 1e-12))
-    while base**e < value:
-        e += 1
-    while e > 0 and base ** (e - 1) >= value:
-        e -= 1
-    return e
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated ranges [s, s + l) for each start s and length l."""
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
-class _PrimNode:
-    __slots__ = ("lo", "hi", "left", "right", "ys", "xs_y", "colors_y", "span_gid")
+def _batches(weights: np.ndarray):
+    """Consecutive [g0, g1) whose weights sum to at most _BATCH, or one item."""
+    cum = np.cumsum(weights)
+    g0 = 0
+    while g0 < len(weights):
+        g1 = max(g0 + 1, int(cum.searchsorted(cum[g0] - weights[g0] + _BATCH, "right")))
+        yield g0, g1
+        g0 = g1
 
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-        self.left = -1
-        self.right = -1
-        self.ys: np.ndarray
-        self.xs_y: np.ndarray
-        self.colors_y: np.ndarray
-        self.span_gid: dict[tuple[int, int], int] = {}
+
+def _segment_cumsum(values: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` of each segment values[f:f + l] on its own, bit for bit:
+    segments of similar length are padded into the rows of one block."""
+    out = np.empty_like(values)
+    width = 1 << np.ceil(np.log2(np.maximum(lens, 1))).astype(np.int64)
+    for w in np.unique(width[lens > 0]):
+        sel = (width == w) & (lens > 0)
+        valid = np.arange(w) < lens[sel, None]
+        idx = (first[sel, None] + np.arange(w))[valid]
+        block = np.zeros(valid.shape)
+        block[valid] = values[idx]
+        out[idx] = block.cumsum(axis=1)[valid]
+    return out
 
 
 class Sweep1DIndex:
     """Shared engine for the Shannon and Renyi variants (see build_*)."""
 
-    def __init__(self, pts: ColoredPointSet, eps: float, alpha: Optional[float] = None,
-                 keep_debug: Optional[bool] = None):
+    def __init__(self, pts: ColoredPointSet, eps: float, alpha: Optional[float] = None):
         if pts.dim != 1:
             raise ValueError("sweep index requires 1-D points")
         if not 0.0 < eps < 1.0:
@@ -103,185 +125,152 @@ class Sweep1DIndex:
             self.eps_prime = eps / 2.0
         self._base = 1.0 + self.eps_prime
         self._log_base = math.log(self._base)
-        self._keep_debug = keep_debug if keep_debug is not None else n <= 5000
-        self._debug: dict[int, dict] = {}
 
-        # per-color sorted original coordinates
-        self._color_coords: dict[int, np.ndarray] = {}
+        # each color's points in coordinate order, and the (p_j, p_{j-1}) mapping
         coords = pts.coords[:, 0]
-        order = np.lexsort((np.arange(n), coords))
-        for c in np.unique(pts.colors):
-            sel = order[pts.colors[order] == c]
-            self._color_coords[int(c)] = coords[sel]
-
-        # the (p_j, p_{j-1}) mapping
-        mx = np.empty(n)
+        order = np.lexsort((np.arange(n), coords, pts.colors))
+        cx, ccol = coords[order], pts.colors[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = ccol[1:] != ccol[:-1]
         my = np.empty(n)
-        mcolor = np.empty(n, dtype=np.int64)
-        pos = 0
-        for c, arr in self._color_coords.items():
-            k = len(arr)
-            mx[pos:pos + k] = arr
-            my[pos] = -np.inf
-            my[pos + 1:pos + k] = arr[:-1]
-            mcolor[pos:pos + k] = c
-            pos += k
-        m_order = np.lexsort((mcolor, my, mx))
-        self.mx = mx[m_order]
+        my[1:] = cx[:-1]
+        my[first] = -np.inf
+        m_order = np.lexsort((ccol, my, cx))
+        self.mx = cx[m_order]
         self.my = my[m_order]
-        self.mcolor = mcolor[m_order]
+        self.mcolor = ccol[m_order]
+        self.ucoords = np.unique(coords)
+        self._stride = len(self.ucoords) + 1
 
-        # pools for the jump ladders
-        self._sx: list[float] = []
-        self._se: list[int] = []
-        self._hx: list[float] = []
-        self._he: list[int] = []
-        self._offsets: list[tuple[int, int, int, int]] = []  # per gid
-
-        self.prim: list[_PrimNode] = []
-        self.root = self._build_primary(0, n) if n else -1
-
-        self.sx_pool = np.asarray(self._sx)
-        self.se_pool = np.asarray(self._se, dtype=np.int64)
-        self.hx_pool = np.asarray(self._hx)
-        self.he_pool = np.asarray(self._he, dtype=np.int64)
-        offs = np.asarray(self._offsets, dtype=np.int64).reshape(-1, 4)
-        self.s_off, self.s_len = offs[:, 0], offs[:, 1]
-        self.h_off, self.h_len = offs[:, 2], offs[:, 3]
-        del self._sx, self._se, self._hx, self._he, self._offsets
+        depths = math.ceil(math.log2(n)) + 1 if n else 0
+        rows, keys = [], [np.zeros(0, dtype=np.int64)]
+        stale = np.zeros(0, dtype=np.int64)
+        for depth, (row, starts) in enumerate(
+                depth_rows(np.arange(n), self.my, np.zeros(1, dtype=np.int64), depths)):
+            rows.append(row)
+            keys.append(self._qualifying_keys(depth, row, starts, stale))
+            stale = starts[np.diff(np.append(starts, n)) == 1]
+        self.rows = np.array(rows, dtype=np.int64).reshape(depths, n)
+        self.ys = self.my[self.rows]
+        self.node_keys = np.unique(np.concatenate(keys))
+        self._build_ladders(cx, ccol)
 
     # -- construction ---------------------------------------------------------
 
-    def _build_primary(self, lo: int, hi: int) -> int:
-        node = _PrimNode(lo, hi)
-        node_id = len(self.prim)
-        self.prim.append(node)
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            node.left = self._build_primary(lo, mid)
-            node.right = self._build_primary(mid, hi)
-        sl = slice(lo, hi)
-        perm = np.lexsort((self.mcolor[sl], self.mx[sl], self.my[sl]))
-        node.ys = self.my[sl][perm]
-        node.xs_y = self.mx[sl][perm]
-        node.colors_y = self.mcolor[sl][perm]
-        self._build_secondary(node, 0, hi - lo)
-        return node_id
+    def _node_key(self, depth, start, stop):
+        return (depth * (self.n + 1) + start) * (self.n + 1) + stop
 
-    def _build_secondary(self, node: _PrimNode, l: int, r: int) -> None:
-        colors = node.colors_y[l:r]
-        if len(set(colors.tolist())) == len(colors):
-            node.span_gid[(l, r)] = self._make_arrays(
-                colors, float(node.xs_y[l:r].min())
-            )
-        # descend regardless: a child of a duplicated-color node can qualify
-        if r - l > 1:
-            mid = (l + r) // 2
-            self._build_secondary(node, l, mid)
-            self._build_secondary(node, mid, r)
+    def _spans(self, gids):
+        """Primary depth and row slice [start, stop) of the given nodes."""
+        rest, stop = np.divmod(self.node_keys[gids], self.n + 1)
+        depth, start = np.divmod(rest, self.n + 1)
+        return depth, start, stop
 
-    def _make_arrays(self, colors: np.ndarray, x_v: float) -> int:
-        suffixes = []
-        suffix_colors = []
-        for c in colors.tolist():
-            arr = self._color_coords[int(c)]
-            start = int(np.searchsorted(arr, x_v, side="left"))
-            suffixes.append(arr[start:])
-            suffix_colors.append(np.full(len(arr) - start, int(c), dtype=np.int64))
-        walk_x = np.concatenate(suffixes)
-        walk_c = np.concatenate(suffix_colors)
-        order = np.argsort(walk_x, kind="stable")
-        walk_x = walk_x[order]
-        walk_c = walk_c[order]
-        single_color = len(colors) == 1
+    def _qualifying_keys(self, depth: int, row: np.ndarray, starts: np.ndarray,
+                         stale: np.ndarray) -> np.ndarray:
+        """Keys of the secondary nodes in one depth's row whose colors are
+        distinct, leaving out the one-point primary spans in ``stale``,
+        which are nodes of an earlier depth."""
+        n = self.n
+        colors = self.mcolor[row]
+        by_color = np.argsort(colors, kind="stable")
+        same = colors[by_color[1:]] == colors[by_color[:-1]]
+        nxt = np.full(n, n)  # next position of the same color in the row
+        nxt[by_color[:-1][same]] = by_color[1:][same]
+        lo, hi = [], []
+        while True:
+            ends = np.append(starts[1:], n)
+            ok = np.minimum.reduceat(nxt, starts) >= ends
+            lo.append(starts[ok])
+            hi.append(ends[ok])
+            if len(starts) == n:
+                break
+            starts = refine_spans(starts, n)
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        keep = (hi - lo > 1) | ~np.isin(lo, stale)
+        return self._node_key(depth, lo[keep], hi[keep])
+
+    def _node(self, gid: int) -> tuple[np.ndarray, float]:
+        """Colors (in row order) and x_v of qualifying node ``gid``."""
+        depth, start, stop = self._spans(gid)
+        ids = self.rows[depth, start:stop]
+        return self.mcolor[ids], float(self.mx[ids].min())
+
+    def _build_ladders(self, cx: np.ndarray, ccol: np.ndarray) -> None:
+        """Both ladders of every qualifying node, in gid order, built for
+        batches of nodes whose walks total at most ``_BATCH`` points."""
+        crank = self.ucoords.searchsorted(cx, side="right")
+        ckey = ccol * self._stride + crank  # sorted: colors, then coordinates
+        _, start, stop = self._spans(slice(None))
+        walk_len = [np.zeros(0, dtype=np.int64)]
+        for g0, g1 in _batches(stop - start):
+            seg, lo, hi, _ = self._walk_runs(g0, g1, ckey)
+            walk_len.append(np.bincount(seg, hi - lo, minlength=g1 - g0).astype(np.int64))
+        parts = [self._ladders(g0, g1, ckey, crank)
+                 for g0, g1 in _batches(np.concatenate(walk_len))]
+        if not parts:
+            parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)) * 2]
+        self.s_keys, self.s_exp, self.h_keys, self.h_exp = map(np.concatenate, zip(*parts))
+
+    def _walk_runs(self, g0: int, g1: int, ckey: np.ndarray):
+        """Walk runs of nodes g0..g1-1. For each (node, color), in gid and
+        then row order: the node's offset in the batch, and the run [lo, hi)
+        of that color's points at or after x_v in the color-sorted order.
+        Also each node's number of colors."""
+        stride = self._stride
+        depth, start, stop = self._spans(slice(g0, g1))
+        sizes = stop - start
+        seg = np.repeat(np.arange(g1 - g0), sizes)
+        ids = self.rows[depth[seg], _ranges(start, sizes)]
+        colors = self.mcolor[ids]
+        x_v = np.minimum.reduceat(self.mx[ids], np.cumsum(sizes) - sizes)
+        lo = ckey.searchsorted(colors * stride + self.ucoords.searchsorted(x_v, "right")[seg])
+        hi = ckey.searchsorted((colors + 1) * stride)
+        return seg, lo, hi, sizes
+
+    def _ladders(self, g0: int, g1: int, ckey: np.ndarray, crank: np.ndarray):
+        """Count and value ladders (keys, exponents) of nodes g0..g1-1.
+
+        A node's walk is its colors' points at or after x_v, in coordinate
+        order (ties in row order). Both ladders step at the last point of
+        each coordinate: the count ladder at every one, the value ladder
+        where the value is positive, for nodes of two or more colors under
+        Shannon."""
+        seg, lo, hi, sizes = self._walk_runs(g0, g1, ckey)
+        lens = hi - lo
+        idx = _ranges(lo, lens)
+        wseg = np.repeat(seg, lens)
+        order = np.lexsort((crank[idx], wseg))
+        # a point's occurrence rank within its color is its place in its run
+        nc = _ranges(np.ones_like(lens), lens)[order].astype(np.float64)
+        idx, wseg = idx[order], wseg[order]
+        walk_x = crank[idx]
+        m = len(idx)
+        walk_len = np.bincount(seg, lens, minlength=g1 - g0).astype(np.int64)
+        first = np.cumsum(walk_len) - walk_len
         shannon = self.alpha is None
-        if len(walk_x) >= 48:
-            sx, se, hx, he = self._walk_vector(walk_x, walk_c, shannon, single_color)
-        else:
-            sx, se, hx, he = self._walk_scalar(walk_x, walk_c, shannon, single_color)
-        # queries resolve against the first jump, which sits at the walk start
-        if len(sx) and sx[0] != walk_x[0]:
-            raise AssertionError("count ladder must start at the first point")
-
-        self._offsets.append((len(self._sx), len(sx), len(self._hx), len(hx)))
-        self._sx.extend(sx)
-        self._se.extend(se)
-        self._hx.extend(hx)
-        self._he.extend(he)
-        if self._keep_debug:
-            self._debug[len(self._offsets) - 1] = {
-                "colors": tuple(int(c) for c in colors.tolist()),
-                "x_v": x_v,
-            }
-        return len(self._offsets) - 1
-
-    def _walk_scalar(self, walk_x, walk_c, shannon: bool, single_color: bool):
-        sx: list[float] = []
-        se: list[int] = []
-        hx: list[float] = []
-        he: list[int] = []
-        counts: dict[int, int] = {}
-        total = 0
-        t_acc = 0.0  # sum n_c*log2(n_c) (Shannon) or sum n_c**alpha (Renyi)
-        base, log_base = self._base, self._log_base
-        m = len(walk_x)
-        i = 0
-        while i < m:
-            j = i
-            x = walk_x[i]
-            while j < m and walk_x[j] == x:
-                c = int(walk_c[j])
-                nc = counts.get(c, 0) + 1
-                counts[c] = nc
-                if shannon:
-                    if nc > 1:
-                        t_acc += nc * math.log2(nc) - (nc - 1) * math.log2(nc - 1)
-                else:
-                    t_acc += nc**self.alpha - (nc - 1) ** self.alpha
-                total += 1
-                j += 1
-            e_s = _ceil_exponent(float(total), base, log_base)
-            if not se or e_s > se[-1]:
-                sx.append(float(x))
-                se.append(e_s)
-            if shannon:
-                value = total * math.log2(total) - t_acc if total > 1 else 0.0
-            else:
-                value = t_acc
-            if not (shannon and single_color) and value > 0.0:
-                e_h = _ceil_exponent(value, base, log_base)
-                if not he or e_h > he[-1]:
-                    hx.append(float(x))
-                    he.append(e_h)
-            i = j
-        return sx, se, hx, he
-
-    def _walk_vector(self, walk_x, walk_c, shannon: bool, single_color: bool):
-        """Vectorized ladder construction; same outputs as the scalar walk."""
-        m = len(walk_x)
-        # per-point occurrence rank within its color, in walk order
-        stable = np.argsort(walk_c, kind="stable")
-        grouped = walk_c[stable]
-        starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
-        rank_sorted = np.arange(m) - np.repeat(starts, np.diff(np.append(starts, m)))
-        ranks = np.empty(m, dtype=np.int64)
-        ranks[stable] = rank_sorted
-        nc = ranks + 1.0
         if shannon:
             inc = nc * np.log2(nc)
-            repeat = ranks > 0
+            repeat = nc > 1.0
             prev = nc[repeat] - 1.0
             inc[repeat] -= prev * np.log2(prev)
         else:
             inc = nc**self.alpha - (nc - 1.0) ** self.alpha
-        t_pref = np.cumsum(inc)
-        totals = np.arange(1, m + 1, dtype=np.float64)
-        group_end = np.concatenate((walk_x[1:] != walk_x[:-1], [True]))
-        g_tot = totals[group_end]
-        g_x = walk_x[group_end]
-        base, log_base = self._base, self._log_base
+        t_pref = _segment_cumsum(inc, first, walk_len)
+        totals = np.arange(m) - np.repeat(first, walk_len) + 1.0
+        group_end = np.ones(m, dtype=bool)
+        group_end[:-1] = (walk_x[1:] != walk_x[:-1]) | (wseg[1:] != wseg[:-1])
+        g_seg, g_x, g_tot = wseg[group_end], walk_x[group_end], totals[group_end]
+        if shannon:
+            g_val = g_tot * np.log2(g_tot) - t_pref[group_end]
+            g_val[g_tot <= 1] = 0.0
+            positive = (g_val > 0.0) & (sizes[g_seg] > 1)
+        else:
+            g_val = t_pref[group_end]
+            positive = g_val > 0.0
+        base, log_base, stride = self._base, self._log_base, self._stride
 
-        def exponents(values: np.ndarray) -> np.ndarray:
+        def ladder(segs: np.ndarray, xs: np.ndarray, values: np.ndarray):
             e = np.ceil(np.log(values) / log_base - 1e-12).astype(np.int64)
             np.maximum(e, 0, out=e)
             for _ in range(4):
@@ -294,85 +283,58 @@ class Sweep1DIndex:
                 if not under.any():
                     break
                 e[under] -= 1
-            return e
+            keep = np.ones(len(e), dtype=bool)
+            keep[1:] = (e[1:] > e[:-1]) | (segs[1:] != segs[:-1])
+            return (g0 + segs[keep]) * stride + xs[keep], e[keep].astype(np.int32)
 
-        def thin(xs: np.ndarray, es: np.ndarray):
-            keep = np.concatenate(([True], es[1:] > es[:-1]))
-            return xs[keep].tolist(), es[keep].tolist()
-
-        sx, se = thin(g_x, exponents(g_tot))
-        if shannon:
-            if single_color:
-                return sx, se, [], []
-            g_val = g_tot * np.log2(g_tot) - t_pref[group_end]
-            g_val[g_tot <= 1] = 0.0
-        else:
-            g_val = t_pref[group_end]
-        positive = g_val > 0.0
-        if not positive.any():
-            return sx, se, [], []
-        hx, he = thin(g_x[positive], exponents(g_val[positive]))
-        return sx, se, hx, he
+        return (*ladder(g_seg, g_x, g_tot),
+                *ladder(g_seg[positive], g_x[positive], g_val[positive]))
 
     # -- canonical node collection ---------------------------------------------
 
     def _canonical_gids(self, a: float, b: float) -> np.ndarray:
-        if self.n == 0:
-            return np.empty(0, dtype=np.int64)
-        ilo = int(np.searchsorted(self.mx, a, side="left"))
-        ihi = int(np.searchsorted(self.mx, b, side="right"))
-        if ilo >= ihi:
-            return np.empty(0, dtype=np.int64)
-        out: list[int] = []
-        self._prim_canon(self.root, ilo, ihi, a, out)
-        return np.asarray(out, dtype=np.int64)
-
-    def _prim_canon(self, node_id: int, ilo: int, ihi: int, a: float, out: list) -> None:
-        node = self.prim[node_id]
-        if node.hi <= ilo or node.lo >= ihi:
-            return
-        if ilo <= node.lo and node.hi <= ihi:
-            c = int(np.searchsorted(node.ys, a, side="left"))  # y < a, strict
-            if c > 0:
-                self._sec_canon(node, 0, node.hi - node.lo, c, out)
-            return
-        if node.left >= 0:
-            self._prim_canon(node.left, ilo, ihi, a, out)
-            self._prim_canon(node.right, ilo, ihi, a, out)
-
-    def _sec_canon(self, node: _PrimNode, l: int, r: int, c: int, out: list) -> None:
-        if l >= c:
-            return
-        if r <= c:
-            gid = node.span_gid.get((l, r))
-            if gid is None:
-                raise AssertionError("canonical node with duplicated colors")
-            out.append(gid)
-            return
-        mid = (l + r) // 2
-        self._sec_canon(node, l, mid, c, out)
-        self._sec_canon(node, mid, r, c, out)
+        """Gids of the canonical nodes of [a, b], left to right."""
+        ilo = int(self.mx.searchsorted(a, side="left"))
+        ihi = int(self.mx.searchsorted(b, side="right"))
+        keys: list[int] = []
+        stack = [(0, self.n, 0)] if ilo < ihi else []
+        while stack:
+            lo, hi, depth = stack.pop()
+            if hi <= ilo or ihi <= lo:
+                continue
+            if ilo <= lo and hi <= ihi:
+                # the secondary nodes covering the node's points with y < a
+                c = lo + int(self.ys[depth, lo:hi].searchsorted(a, side="left"))
+                while lo < c:
+                    mid = (lo + hi) // 2
+                    if hi <= c:
+                        keys.append(self._node_key(depth, lo, hi))
+                        break
+                    if mid <= c:
+                        keys.append(self._node_key(depth, lo, mid))
+                        lo = mid
+                    else:
+                        hi = mid
+                continue
+            mid = (lo + hi) // 2
+            stack.append((mid, hi, depth + 1))
+            stack.append((lo, mid, depth + 1))
+        probe = np.array(keys, dtype=np.int64)
+        gids = self.node_keys.searchsorted(probe)
+        if (gids >= len(self.node_keys)).any() or (self.node_keys[gids] != probe).any():
+            raise AssertionError("canonical node with duplicated colors")
+        return gids
 
     # -- ladder lookups ----------------------------------------------------------
 
-    def _ragged_exponents(self, offs: np.ndarray, lens: np.ndarray,
-                          xs_pool: np.ndarray, es_pool: np.ndarray, b: float) -> np.ndarray:
-        """Per node, exponent of the rightmost jump with x <= b (vectorized)."""
-        lo = offs.copy()
-        hi = offs + lens
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo + hi) // 2
-            right = np.zeros(len(lo), dtype=bool)
-            right[active] = xs_pool[mid[active]] <= b
-            lo = np.where(active & right, mid + 1, lo)
-            hi = np.where(active & ~right, mid, hi)
-        idx = lo - 1
-        if np.any(idx < offs):
-            raise AssertionError("ladder probed before its first jump")
-        return es_pool[idx]
+    def _rightmost_jumps(self, keys: np.ndarray, exps: np.ndarray, probe: np.ndarray):
+        """Per probe ``gid * (U + 1) + rank``: whether node gid has a jump at
+        or below the rank, and the exponent of the rightmost one (0 if none)."""
+        if not len(keys):
+            return np.zeros(len(probe), dtype=bool), np.zeros(len(probe), dtype=np.int32)
+        i = keys.searchsorted(probe, side="right") - 1
+        hit = (i >= 0) & (keys[i] // self._stride == probe // self._stride)
+        return hit, np.where(hit, exps[i], 0)
 
     # -- queries -------------------------------------------------------------------
 
@@ -388,17 +350,13 @@ class Sweep1DIndex:
         return self._query_renyi(gids, b)
 
     def _node_estimates(self, gids: np.ndarray, b: float):
-        l_s = self._ragged_exponents(self.s_off[gids], self.s_len[gids],
-                                     self.sx_pool, self.se_pool, b)
+        probe = gids * self._stride + int(self.ucoords.searchsorted(b, side="right"))
+        has_s, l_s = self._rightmost_jumps(self.s_keys, self.s_exp, probe)
+        if not has_s.all():
+            raise AssertionError("ladder probed before its first jump")
+        has_h, l_h = self._rightmost_jumps(self.h_keys, self.h_exp, probe)
         hi_w = self._base**l_s
         lo_w = self._base ** (l_s - 1)
-        h_len = self.h_len[gids]
-        l_h = np.zeros(len(gids), dtype=np.int64)
-        has_h = h_len > 0
-        if has_h.any():
-            l_h[has_h] = self._ragged_exponents(
-                self.h_off[gids][has_h], h_len[has_h], self.hx_pool, self.he_pool, b
-            )
         return l_s, l_h, has_h, hi_w, lo_w
 
     def _query_shannon(self, gids: np.ndarray, b: float) -> EntropySummary:
@@ -438,8 +396,6 @@ class Sweep1DIndex:
 
     def canonical_debug(self, rect: QueryRect) -> list[dict]:
         """Per-canonical-node view of a query, for invariant checks."""
-        if not self._keep_debug:
-            raise RuntimeError("index built without debug retention")
         a, b = rect.lo[0], rect.hi[0]
         gids = self._canonical_gids(a, b)
         if len(gids) == 0:
@@ -447,37 +403,38 @@ class Sweep1DIndex:
         l_s, l_h, has_h, hi_w, lo_w = self._node_estimates(gids, b)
         out = []
         for i, gid in enumerate(gids.tolist()):
-            info = dict(self._debug[gid])
-            info.update(
+            colors, x_v = self._node(gid)
+            out.append(dict(
+                colors=tuple(colors.tolist()), x_v=x_v,
                 gid=gid, l_s=int(l_s[i]), l_h=int(l_h[i]) if has_h[i] else None,
                 count_hi=float(hi_w[i]), count_lo=float(lo_w[i]),
                 estimate=(self._base ** int(l_h[i]) / float(lo_w[i])) if has_h[i] else 0.0,
-            )
-            out.append(info)
+            ))
         return out
 
     def space_stats(self) -> dict:
+        arrays = (self.mx, self.my, self.mcolor, self.ucoords, self.rows, self.ys,
+                  self.node_keys, self.s_keys, self.s_exp, self.h_keys, self.h_exp)
         return {
             "points": self.n,
             "eps": self.eps,
             "eps_prime": self.eps_prime,
-            "ladder_entries": int(len(self.sx_pool) + len(self.hx_pool)),
-            "qualifying_nodes": len(self.s_off),
+            "ladder_entries": int(len(self.s_keys) + len(self.h_keys)),
+            "qualifying_nodes": len(self.node_keys),
+            "bytes": int(sum(a.nbytes for a in arrays)),
         }
 
 
-def build_shannon(pts: ColoredPointSet, eps: float,
-                  keep_debug: Optional[bool] = None) -> Sweep1DIndex:
+def build_shannon(pts: ColoredPointSet, eps: float) -> Sweep1DIndex:
     """Deterministic (1+eps)-multiplicative plus eps-additive Shannon index."""
-    return Sweep1DIndex(pts, eps, alpha=None, keep_debug=keep_debug)
+    return Sweep1DIndex(pts, eps, alpha=None)
 
 
-def build_renyi(pts: ColoredPointSet, eps: float, alpha: float,
-                keep_debug: Optional[bool] = None) -> Sweep1DIndex:
+def build_renyi(pts: ColoredPointSet, eps: float, alpha: float) -> Sweep1DIndex:
     """Deterministic eps*(alpha+1)/(alpha-1)-additive Renyi index."""
     kind = renyi_kind(alpha)  # validates alpha > 1
     assert kind.alpha is not None
-    return Sweep1DIndex(pts, eps, alpha=alpha, keep_debug=keep_debug)
+    return Sweep1DIndex(pts, eps, alpha=alpha)
 
 
 def shannon_bound_holds(truth: float, estimate: float, eps: float, slack: float = 1e-9) -> bool:

@@ -248,13 +248,13 @@ def test_criterion_04_deterministic_sweep_bounds():
 
         violations = 0
         for eps in (0.1, 0.3):
-            idx = sweep1d.build_shannon(pts, eps, keep_debug=False)
+            idx = sweep1d.build_shannon(pts, eps)
             for qi in range(queries):
                 got = idx.query(QueryRect.interval(*bounds[qi])).value
                 if not sweep1d.shannon_bound_holds(truths[SHANNON][qi], got, eps):
                     violations += 1
             for a_ in ALPHAS:
-                ridx = sweep1d.build_renyi(pts, eps, a_, keep_debug=False)
+                ridx = sweep1d.build_renyi(pts, eps, a_)
                 kind = renyi_kind(a_)
                 for qi in range(queries):
                     got = ridx.query(QueryRect.interval(*bounds[qi])).value
@@ -512,7 +512,7 @@ def test_criterion_09_scaling_trends():
         medians = []
         for n in sweep_sizes:
             pts = ColoredPointSet(rng.uniform(0, 1000, n), np.arange(n))
-            idx = sweep1d.build_shannon(pts, 0.5, keep_debug=False)
+            idx = sweep1d.build_shannon(pts, 0.5)
             rects = [QueryRect.interval(*sorted(rng.uniform(0, 1000, 2)))
                      for _ in range(300)]
             for rect in rects[:20]:

@@ -24,6 +24,17 @@ def rand_interval(rng, lo=0.0, hi=100.0):
     return QueryRect.interval(a, b)
 
 
+def ladder_lengths(idx, keys):
+    """Jumps per qualifying node in one ladder pool."""
+    return np.bincount(keys // idx._stride, minlength=len(idx.node_keys))
+
+
+def node_jumps(idx, keys, exps, gid):
+    """(x, exponent) of node gid's jumps in one ladder pool."""
+    sel = keys // idx._stride == gid
+    return zip(idx.ucoords[keys[sel] % idx._stride - 1], exps[sel])
+
+
 def test_weights_rejected(rng):
     pts = random_pointset(rng, 20, d=1, weighted=True)
     with pytest.raises(WeightsNotSupported):
@@ -115,7 +126,7 @@ def test_single_repeated_color(rng):
     pts = ColoredPointSet(coords, np.zeros(50, dtype=np.int64))
     idx = build_shannon(pts, 0.3)
     # only single-color nodes qualify; every ladder is count-only
-    assert np.all(idx.h_len == 0)
+    assert not ladder_lengths(idx, idx.h_keys).any()
     for _ in range(50):
         rect = rand_interval(rng)
         assert idx.query(rect).value == 0.0
@@ -128,11 +139,12 @@ def test_ladders_match_bruteforce_prefixes(rng):
                         (lambda: build_renyi(pts, 0.25, 2.0), 2.0)):
         idx = make()
         base = idx._base
+        # the lookups search each pool as one sorted array
+        assert (np.diff(idx.s_keys) > 0).all() and (np.diff(idx.h_keys) > 0).all()
         coords = pts.coords[:, 0]
-        for gid, info in idx._debug.items():
-            colors = set(info["colors"])
-            x_v = info["x_v"]
-            sel = np.isin(pts.colors, list(colors)) & (coords >= x_v)
+        for gid in range(len(idx.node_keys)):
+            colors, x_v = idx._node(gid)
+            sel = np.isin(pts.colors, colors) & (coords >= x_v)
             xs_all = np.sort(coords[sel])
 
             def value_at(x, kind_alpha=alpha):
@@ -146,14 +158,10 @@ def test_ladders_match_bruteforce_prefixes(rng):
                     return float(n * math.log2(n) - (counts * np.log2(counts)).sum())
                 return float((counts.astype(float) ** kind_alpha).sum())
 
-            s_off, s_len = idx.s_off[gid], idx.s_len[gid]
-            for k in range(s_len):
-                x, e = idx.sx_pool[s_off + k], idx.se_pool[s_off + k]
+            for x, e in node_jumps(idx, idx.s_keys, idx.s_exp, gid):
                 cnt = int((xs_all <= x).sum())
                 assert base**e >= cnt > (base ** (e - 1) if e > 0 else 0)
-            h_off, h_len = idx.h_off[gid], idx.h_len[gid]
-            for k in range(h_len):
-                x, e = idx.hx_pool[h_off + k], idx.he_pool[h_off + k]
+            for x, e in node_jumps(idx, idx.h_keys, idx.h_exp, gid):
                 val = value_at(x)
                 assert base**e >= val - 1e-9
                 if e > 0:
@@ -185,11 +193,11 @@ def test_ladder_length_caps(rng):
     n = len(pts)
     cap_s = math.ceil(math.log(n + 1) / math.log(idx._base)) + 2
     cap_h = math.ceil(math.log(n * math.log2(n) + 2) / math.log(idx._base)) + 2
-    assert int(idx.s_len.max()) <= cap_s
-    assert int(idx.h_len.max()) <= cap_h
+    assert int(ladder_lengths(idx, idx.s_keys).max()) <= cap_s
+    assert int(ladder_lengths(idx, idx.h_keys).max()) <= cap_h
     ridx = build_renyi(pts, 0.2, 3.0)
     cap_g = math.ceil(math.log(float(n) ** 4.0) / math.log(ridx._base)) + 2
-    assert int(ridx.h_len.max()) <= cap_g
+    assert int(ladder_lengths(ridx, ridx.h_keys).max()) <= cap_g
 
 
 def test_coarse_thresholds_dominate_fine(rng):
@@ -228,3 +236,64 @@ def test_query_deterministic(rng):
     idx = build_shannon(pts, 0.2)
     rect = QueryRect.interval(10.0, 90.0)
     assert idx.query(rect) == idx.query(rect)
+
+
+def test_tiny_eps_needs_wide_exponents():
+    # at eps = 0.002 the Shannon value ladders climb past the int16 range
+    rng = np.random.default_rng(2002)
+    pts = random_pointset(rng, 300, d=1, m=12, duplicate_frac=0.1)
+    eps = 0.002
+    sh = build_shannon(pts, eps)
+    re2 = build_renyi(pts, eps, 2.0)
+    assert int(sh.h_exp.max()) > 32767
+    for _ in range(100):
+        rect = rand_interval(rng)
+        truth = brute_entropy(pts, rect, SHANNON).value
+        assert shannon_bound_holds(truth, sh.query(rect).value, eps)
+        truth = brute_entropy(pts, rect, renyi_kind(2.0)).value
+        assert renyi_bound_holds(truth, re2.query(rect).value, eps, 2.0)
+
+
+DEGENERATE = {
+    "no points": ([], []),
+    "one point": ([5.0], [3]),
+    "all duplicates": ([5.0] * 12, [0, 1, 2, 0, 1, 0, 0, 2, 1, 1, 0, 3]),
+    "single color": ([1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0, 8.0], [4] * 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_inputs(name):
+    coords, colors = DEGENERATE[name]
+    pts = ColoredPointSet(np.array(coords, dtype=float), np.array(colors, dtype=np.int64))
+    rects = [QueryRect.interval(a, b) for a, b in
+             ((0.0, 10.0), (5.0, 5.0), (2.0, 2.0), (4.9, 5.1), (6.0, 7.0), (-1.0, 100.0))]
+    for alpha in (None, 2.0, 3.0):
+        idx = build_shannon(pts, 0.2) if alpha is None else build_renyi(pts, 0.2, alpha)
+        for rect in rects:
+            if alpha is None:
+                truth = brute_entropy(pts, rect, SHANNON).value
+                assert shannon_bound_holds(truth, idx.query(rect).value, 0.2)
+            else:
+                truth = brute_entropy(pts, rect, renyi_kind(alpha)).value
+                assert renyi_bound_holds(truth, idx.query(rect).value, 0.2, alpha)
+            nodes = idx.canonical_debug(rect)
+            present = np.unique(pts.colors[(pts.coords[:, 0] >= rect.lo[0])
+                                           & (pts.coords[:, 0] <= rect.hi[0])])
+            assert sorted(c for info in nodes for c in info["colors"]) == present.tolist()
+
+
+def test_canonical_debug_on_large_index():
+    # node colors and x_v come from the index's own tables at any size
+    rng = np.random.default_rng(6000)
+    pts = random_pointset(rng, 6000, d=1, m=40)
+    idx = build_shannon(pts, 0.5)
+    coords = pts.coords[:, 0]
+    for _ in range(5):
+        rect = rand_interval(rng)
+        nodes = idx.canonical_debug(rect)
+        inside = (coords >= rect.lo[0]) & (coords <= rect.hi[0])
+        got = sorted(c for info in nodes for c in info["colors"])
+        assert got == np.unique(pts.colors[inside]).tolist()
+        for info in nodes:
+            assert rect.lo[0] <= info["x_v"] <= rect.hi[0]
