@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -358,10 +359,13 @@ def insert_color_renyi(h: EntropySummary, added_weight: float, alpha: float) -> 
         raise InvalidWeight(f"added weight must be positive, got {added_weight}")
     if h.count == 0.0:
         return EntropySummary(kind, added_weight, 0.0)
-    n = h.count + added_weight
-    denom = power_sum(h) + added_weight**alpha
-    value = math.log2(n**alpha / denom) / (alpha - 1.0)
-    return EntropySummary(kind, n, value)
+    w, c = added_weight, _renyi_scale(alpha)
+    n = h.count + w
+    # y = ln(S / w**alpha); the new power sum is w**alpha * (1 + e**y)
+    y = alpha * math.log(h.count / w) - c * h.value
+    softplus = y + math.log1p(math.exp(-y)) if y > 0.0 else math.log1p(math.exp(y))
+    value = (Fraction(_log_ratio(n, w, alpha)) - Fraction(softplus)) / Fraction(c)
+    return EntropySummary(kind, n, float(value))
 
 
 def delete_color_renyi(h: EntropySummary, removed_weight: float, alpha: float) -> EntropySummary:
@@ -373,13 +377,33 @@ def delete_color_renyi(h: EntropySummary, removed_weight: float, alpha: float) -
     n1 = h.count
     if removed_weight >= n1:
         raise Underflow(f"cannot remove {removed_weight} from total {n1}")
-    rest = n1 - removed_weight
-    denom = power_sum(h) - removed_weight**alpha
-    if denom <= 0.0:
+    w, c = removed_weight, _renyi_scale(alpha)
+    rest = n1 - w
+    # x = ln(S / w**alpha); the remaining power sum is w**alpha * (e**x - 1)
+    x = float(Fraction(_log_ratio(n1, w, alpha)) - Fraction(h.value) * Fraction(c))
+    if x <= 0.0:
         # mathematically impossible under the precondition; float cancellation
         raise Underflow("remaining power sum vanished (extreme mass ratio)")
-    value = math.log2(rest**alpha / denom) / (alpha - 1.0)
+    log_expm1 = x + math.log1p(-math.exp(-x)) if x > 1.0 else math.log(math.expm1(x))
+    value = (alpha * math.log(rest / w) - log_expm1) / c
     return EntropySummary(kind, rest, value)
+
+
+def _renyi_scale(alpha: float) -> float:
+    """(alpha - 1) * ln 2: a Renyi value in bits times this is -ln(S / W**alpha)."""
+    return (alpha - 1.0) * math.log(2.0)
+
+
+def _log_ratio(n: float, w: float, alpha: float) -> float:
+    """alpha * ln(n / w) for a total n that holds one color of mass w.
+
+    Insert and delete evaluate this on the same stored total, so it cancels
+    bit for bit across a round trip. Together with the exact (Fraction)
+    subtraction around it, the single color's power sum is recovered to
+    about one rounding of the stored value instead of one rounding of
+    ``n**alpha``, which cancels badly when w dominates the total.
+    """
+    return alpha * math.log1p((n - w) / w)
 
 
 # ---------------------------------------------------------------------------
