@@ -47,7 +47,6 @@ class EstimatorConfig:
     c_mom: float = 1.0
     moment_c1: float = 8.0
     moment_c2: float = 8.0
-    exact_fallback: bool = True
     seed: Optional[int] = None
 
 
@@ -191,7 +190,7 @@ def use_sampling(index: EstimatorIndex, samples: int, cfg: EstimatorConfig,
     Above n*log2(n) samples the exact scan is cheaper and is taken instead.
     """
     n = max(2, len(index))
-    sampled = not (cfg.exact_fallback and samples > n * math.log2(n))
+    sampled = samples <= n * math.log2(n)
     if stats is not None:
         stats["mode"] = mode if sampled else "exact-fallback"
         stats["samples"] = samples if sampled else 0

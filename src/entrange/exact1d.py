@@ -159,9 +159,13 @@ class Exact1DIndex:
 
     def space_stats(self) -> dict:
         k = len(self.cuts) - 1
+        arrays = (self.coords_sorted, self.colors_sorted, self.weights_sorted, self.weight_prefix,
+                  self.color_prefix.keys, self.color_prefix.wpre, self.color_prefix.wlo,
+                  self.cuts, *self.tables.values())
         return {
             "buckets": k,
             "bucket_size": self.bucket_size,
             "table_entries": (k + 1) * k // 2 * len(self.kinds),
             "orders": self.orders,
+            "bytes": int(sum(a.nbytes for a in arrays)),
         }

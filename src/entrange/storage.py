@@ -29,7 +29,7 @@ from .errors import (
 )
 
 MAGIC = b"RQEIDX1"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 INDEX_KINDS = ("exact1d", "exactnd", "sweep-shannon", "sweep-renyi", "estimator")
 

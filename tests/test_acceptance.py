@@ -509,7 +509,7 @@ def test_criterion_09_scaling_trends():
 
         # sweep query latency grows polylogarithmically
         sweep_sizes = (2_500, 10_000, 40_000)
-        medians = []
+        sweeps = []
         for n in sweep_sizes:
             pts = ColoredPointSet(rng.uniform(0, 1000, n), np.arange(n))
             idx = sweep1d.build_shannon(pts, 0.5)
@@ -517,12 +517,16 @@ def test_criterion_09_scaling_trends():
                      for _ in range(300)]
             for rect in rects[:20]:
                 idx.query(rect)  # warm-up
-            times = []
-            for rect in rects:
+            sweeps.append((idx, rects))
+        # the sizes take turns query by query, so a change in host speed
+        # hits all three alike instead of one size's whole run
+        times: list = [[] for _ in sweeps]
+        for i in range(300):
+            for (idx, rects), spent in zip(sweeps, times):
                 t0 = time.perf_counter()
-                idx.query(rect)
-                times.append(time.perf_counter() - t0)
-            medians.append(float(np.median(times)))
+                idx.query(rects[i])
+                spent.append(time.perf_counter() - t0)
+        medians = [float(np.median(spent)) for spent in times]
         lat_slope = _fit_slope(sweep_sizes, medians)
         assert lat_slope < 0.2, (lat_slope, medians)
         print(f"  [fringe slope {slope:.3f} ~ t=0.5; sweep latency slope {lat_slope:.3f}]")

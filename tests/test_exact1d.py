@@ -96,6 +96,16 @@ def test_unknown_order_rejected(rng):
         idx.query(QueryRect.interval(0.0, 1.0), renyi_kind(2.5))
 
 
+def test_space_stats_bytes(rng):
+    pts = random_pointset(rng, 500, d=1, m=20, weighted=True)
+    idx = Exact1DIndex(pts, t=0.5, orders=(2.0,))
+    space = idx.space_stats()
+    tables = sum(table.nbytes for table in idx.tables.values())
+    # two (k+1)^2 tables plus seven arrays of about one float per point
+    assert tables == 2 * (space["buckets"] + 1) ** 2 * 8
+    assert tables + 7 * 8 * 500 <= space["bytes"] <= tables + 8 * 8 * 510
+
+
 def test_empty_pointset():
     pts = ColoredPointSet(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
     idx = Exact1DIndex(pts, t=0.5)

@@ -1,9 +1,12 @@
 """Color-bucketed exact d-D index: tables, stitching, oracle equality."""
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrange import core
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
@@ -16,44 +19,54 @@ from conftest import random_pointset, random_rect
 KINDS = (SHANNON, renyi_kind(1.5), renyi_kind(2.0), renyi_kind(3.0))
 
 
+def bucket_points(idx, pts, b):
+    """Input indices of bucket b's points, in the index's documented order:
+    positive weights only, by color, then coordinates, then input index."""
+    ids = np.flatnonzero(pts.weights > 0)
+    keys = (ids,) + tuple(pts.coords[ids, k] for k in reversed(range(pts.dim)))
+    order = ids[np.lexsort(keys + (pts.colors[ids],))]
+    return order[b * idx.bucket_size:(b + 1) * idx.bucket_size]
+
+
 def test_bucket_color_sharing_invariant(rng):
     for _ in range(5):
         pts = random_pointset(rng, 240, d=2, m=14, weighted=True)
         idx = ExactNDIndex(pts, t=0.5)
-        for a, b in zip(idx.buckets[:-1], idx.buckets[1:]):
-            shared = set(a.colors.tolist()) & set(b.colors.tolist())
-            assert len(shared) <= 1
+        colors = [set(pts.colors[bucket_points(idx, pts, b)].tolist())
+                  for b in range(idx.space_stats()["buckets"])]
+        assert len(colors) > 1
+        for a, b in zip(colors[:-1], colors[1:]):
+            assert len(a & b) <= 1
 
 
 def test_eager_table_matches_direct(rng):
-    """Every key of every eager grid, against direct evaluation of its cell."""
+    """Every cell of every eager grid, against the lazy evaluation of the
+    same cell in an index built with ``table_cap=0``."""
     for d, n, t in ((1, 100, 0.75), (2, 100, 0.5), (3, 30, 0.5)):
         pts = random_pointset(rng, n, d=d, m=8, weighted=True, duplicate_frac=0.1)
-        idx = ExactNDIndex(pts, t=t, orders=(1.5, 2.0, 3.0))
-        assert all(b.eager for b in idx.buckets)
-        for bucket in idx.buckets:
-            check_eager_grid(bucket, idx.kinds)
-
-
-def check_eager_grid(bucket, kinds):
-    pairs = [[(lo, hi) for lo in range(len(u)) for hi in range(lo, len(u))]
-             for u in bucket.distinct]
-    for key in itertools.product(*pairs):
-        st, direct = bucket.table.get(key), bucket.compute_stats(key, kinds)
-        if direct is None:
-            assert st is None
-            continue
-        assert st.count == direct.count
-        assert st.weight == pytest.approx(direct.weight, rel=1e-12)
-        assert st.sums == pytest.approx(direct.sums, rel=1e-12, abs=1e-12)
-        assert (st.color_lo, st.color_hi) == (direct.color_lo, direct.color_hi)
-        assert (st.w_lo, st.w_hi) == pytest.approx((direct.w_lo, direct.w_hi), rel=1e-12)
+        eager = ExactNDIndex(pts, t=t, orders=(1.5, 2.0, 3.0))
+        lazy = ExactNDIndex(pts, t=t, orders=(1.5, 2.0, 3.0), table_cap=0)
+        buckets = eager.space_stats()["buckets"]
+        assert eager.space_stats()["eager_buckets"] == buckets
+        assert lazy.space_stats()["eager_buckets"] == 0
+        for b in range(buckets):
+            distinct = eager.ranks[:, :, b].max(axis=1) + 1
+            pairs = [[(lo, hi) for lo in range(u) for hi in range(lo, u)] for u in distinct]
+            cells = np.array(list(itertools.product(*pairs)))    # [cell, dim, (lo, hi)]
+            assert len(cells) == np.prod([len(p) for p in pairs])
+            at = np.full(len(cells), b)
+            got = eager._rows(at, cells[:, :, 0], cells[:, :, 1])
+            want = lazy._rows(at, cells[:, :, 0], cells[:, :, 1])
+            assert np.array_equal(got[:, 0], want[:, 0])                 # counts
+            nonempty = want[:, 0] > 0
+            assert np.array_equal(got[nonempty][:, [-4, -2]], want[nonempty][:, [-4, -2]])
+            np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-12, atol=1e-12)
 
 
 def test_single_bucket_t_one(rng):
     pts = random_pointset(rng, 40, d=2, m=5)
     idx = ExactNDIndex(pts, t=1.0, orders=(2.0,))
-    assert len(idx.buckets) == 1
+    assert idx.space_stats()["buckets"] == 1
     rect = QueryRect.full(2)
     want = brute_entropy(pts, rect)
     assert abs(idx.query(rect).value - want.value) < 1e-6
@@ -90,7 +103,7 @@ def test_zero_weight_points(rng):
 def test_query_matches_oracle_lazy_path(rng):
     pts = random_pointset(rng, 400, d=2, m=10, weighted=True)
     idx = ExactNDIndex(pts, t=0.8, orders=(2.0,), table_cap=10)  # force lazy
-    assert not any(b.eager for b in idx.buckets)
+    assert idx.space_stats()["eager_buckets"] == 0
     for _ in range(80):
         rect = random_rect(rng, d=2)
         for kind in (SHANNON, renyi_kind(2.0)):
@@ -106,28 +119,34 @@ def test_query_empty_rect(rng):
 
 
 def test_bucket_visits_and_snapped_point_sets(rng):
-    pts = random_pointset(rng, 120, d=2, m=9, weighted=True)
-    idx = ExactNDIndex(pts, t=0.5)
+    pts = random_pointset(rng, 120, d=2, m=9, weighted=True, duplicate_frac=0.1)
+    for table_cap in (200_000, 0):
+        check_snapped_point_sets(rng, pts, ExactNDIndex(pts, t=0.5, table_cap=table_cap))
+
+
+def check_snapped_point_sets(rng, pts, idx):
+    buckets = idx.space_stats()["buckets"]
     for _ in range(40):
         rect = random_rect(rng, d=2)
         trace: list = []
         stats: dict = {}
         idx.query(rect, SHANNON, stats=stats, trace=trace)
-        assert stats["bucket_visits"] == len(idx.buckets)
-        assert len(trace) == len(idx.buckets)
+        assert stats["bucket_visits"] == buckets
+        assert [bi for bi, _, _ in trace] == list(range(buckets))
         # the snapped cell's point set equals the query's bucket intersection
-        for bi, key, st in trace:
-            bucket = idx.buckets[bi]
-            want = np.all(
-                (bucket.coords >= np.asarray(rect.lo)) & (bucket.coords <= np.asarray(rect.hi)),
-                axis=1,
-            )
-            if st is None:
-                assert not want.any()
-            else:
-                got = bucket._member_mask(key)
-                assert np.array_equal(got, want)  # exact set equality
-                assert st.count == int(want.sum())
+        for bi, key, row in trace:
+            coords = pts.coords[bucket_points(idx, pts, bi)]
+            want = np.all((coords >= rect.lo) & (coords <= rect.hi), axis=1)
+            if key is None:
+                assert row is None and not want.any()
+                continue
+            ranks = idx.ranks[:, :len(coords), bi].T
+            lo, hi = np.reshape(key, (2, -1))
+            got = np.all((ranks >= lo) & (ranks <= hi), axis=1)
+            assert np.array_equal(got, want)  # exact set equality
+            assert (row is None) == (not want.any())
+            if row is not None:
+                assert row[0] == int(want.sum())
 
 
 def test_unknown_order_rejected(rng):
@@ -169,7 +188,7 @@ def test_stitch_identity_two_buckets():
         pts = ColoredPointSet(np.repeat(np.arange(4.0)[:, None], 2, axis=1),
                               [0, 1, 1, 2], [a[0], a[1], b[1], b[2]])
         idx = ExactNDIndex(pts, t=0.5, orders=(2.0, 3.0))
-        assert len(idx.buckets) == 2
+        assert idx.space_stats()["buckets"] == 2
         for kind in kinds:
             got = idx.query(QueryRect.full(2), kind).value
             assert abs(got - core.entropy_of(union, kind).value) < 1e-9
@@ -182,7 +201,7 @@ def test_color_spanning_three_buckets(rng):
     coords = rng.uniform(0, 100, size=(n, 2))
     pts = ColoredPointSet(coords, colors)
     idx = ExactNDIndex(pts, t=0.4, orders=(2.0,))  # small buckets
-    assert len(idx.buckets) >= 5
+    assert idx.space_stats()["buckets"] >= 5
     for _ in range(80):
         rect = random_rect(rng, d=2)
         for kind in (SHANNON, renyi_kind(2.0)):
@@ -229,7 +248,8 @@ def weighted_case(seed, heavy_lo, heavy_hi):
 def check_weighted(seed, heavy_lo, heavy_hi, table_cap):
     pts, rects = weighted_case(seed, heavy_lo, heavy_hi)
     idx = ExactNDIndex(pts, t=0.5, orders=(2.0, 3.0), table_cap=table_cap)
-    assert all(b.eager == (table_cap > 0) for b in idx.buckets)
+    space = idx.space_stats()
+    assert space["eager_buckets"] == (space["buckets"] if table_cap else 0)
     for rect in rects:
         for kind in WEIGHTED_KINDS:
             want = brute_entropy(pts, rect, kind)
@@ -249,7 +269,7 @@ def test_weighted_heavy_points_match_oracle(heavy_lo, heavy_hi, table_cap):
 def test_memo_bounded_by_total_cap(rng):
     pts = random_pointset(rng, 400, d=2, m=10, weighted=True)
     idx = ExactNDIndex(pts, t=0.8, orders=(2.0,), total_cap=50)
-    assert not any(b.eager for b in idx.buckets)
+    assert idx.space_stats()["eager_buckets"] == 0
     for _ in range(300):
         rect = random_rect(rng, d=2)
         for kind in (SHANNON, renyi_kind(2.0)):
@@ -257,3 +277,91 @@ def test_memo_bounded_by_total_cap(rng):
             assert abs(idx.query(rect, kind).value - want.value) < 1e-6
         assert idx.space_stats()["table_entries"] <= 50
     assert idx.space_stats()["table_entries"] > 0
+
+
+def test_total_cap_bounds_eager_grids_and_memo(rng):
+    """Eager grids are charged what they store (one entry per grid cell), and
+    grid plus memo never hold more than total_cap entries."""
+    pts = random_pointset(rng, 100, d=2, m=8, weighted=True)
+    # ten buckets of ten distinct coordinates per axis: 55**2 cells each
+    idx = ExactNDIndex(pts, t=0.5, orders=(2.0,), total_cap=6600)
+    space = idx.space_stats()
+    assert (space["buckets"], space["eager_buckets"]) == (10, 2)
+    assert space["table_entries"] == len(idx.grid) == 2 * 55**2
+    bytes_before = space["bytes"]
+    for _ in range(400):
+        rect = random_rect(rng, d=2)
+        for kind in (SHANNON, renyi_kind(2.0)):
+            want = brute_entropy(pts, rect, kind)
+            assert abs(idx.query(rect, kind).value - want.value) < 1e-6
+        assert idx.space_stats()["table_entries"] <= 6600
+    space = idx.space_stats()
+    assert space["table_entries"] == 6600          # the memo filled what was left
+    assert space["bytes"] > bytes_before
+
+
+def test_concurrent_queries_match_serial(rng):
+    """Two threads share one lazy index whose memo fills up mid-run."""
+    pts = random_pointset(rng, 400, d=2, m=10, weighted=True)
+    rects = [random_rect(rng, d=2) for _ in range(150)]
+    kinds = (SHANNON, renyi_kind(2.0))
+    serial = ExactNDIndex(pts, t=0.8, orders=(2.0,), total_cap=60)
+    want = [serial.query(rect, kind).value for rect in rects for kind in kinds]
+    shared = ExactNDIndex(pts, t=0.8, orders=(2.0,), total_cap=60)
+    assert shared.space_stats()["eager_buckets"] == 0
+    start = threading.Barrier(2)
+    got: list = [None, None]
+
+    def run(i):
+        start.wait()
+        order = rects if i == 0 else rects[::-1]
+        answers = {(id(rect), kind): shared.query(rect, kind).value
+                   for rect in order for kind in kinds}
+        got[i] = [answers[id(rect), kind] for rect in rects for kind in kinds]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert got[0] == want and got[1] == want
+    # each thread may pass the cap by one entry in a race
+    assert shared.space_stats()["table_entries"] <= 60 + 2
+
+
+_exponent = st.floats(min_value=0.0, max_value=12.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matches_brute_force_property(data):
+    """Log-uniform weights in [1, 1e12] with zeros, integer coordinates (many
+    duplicates), a one-color block, and empty rectangles, eager and lazy."""
+    d = data.draw(st.integers(1, 3), "d")
+    n = data.draw(st.integers(0, 30), "n")
+    coords = np.array(data.draw(st.lists(st.lists(st.integers(0, 5), min_size=d, max_size=d),
+                                         min_size=n, max_size=n)), dtype=float).reshape(n, d)
+    colors = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    weights = data.draw(st.lists(st.one_of(st.just(0.0), _exponent.map(lambda e: 10.0**e)),
+                                 min_size=n, max_size=n))
+    block = data.draw(st.integers(1, 4), "block")    # one color at 20, 21, ...
+    coords = np.vstack((coords, 20.0 + np.repeat(np.arange(block, dtype=float)[:, None], d, 1)))
+    pts = ColoredPointSet(coords, np.array(colors + [5] * block, dtype=np.int64),
+                          np.array(weights + [10.0**data.draw(_exponent)] * block), num_colors=6)
+    t = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]), "t")
+    table_cap = data.draw(st.sampled_from([200_000, 0]), "table_cap")
+    idx = ExactNDIndex(pts, t=t, orders=(2.0, 3.0), table_cap=table_cap)
+    rects = [QueryRect((20.0,) * d, (20.0 + block,) * d),       # the one-color block
+             QueryRect((6.5,) * d, (19.5,) * d),                 # empty gap
+             QueryRect((-3.0,) * d, (-1.0,) * d)]                # empty, before the data
+    for _ in range(4):
+        a, b = np.array(data.draw(st.lists(st.lists(st.integers(-1, 6), min_size=d, max_size=d),
+                                           min_size=2, max_size=2)), dtype=float)
+        rects.append(QueryRect(tuple(np.minimum(a, b)), tuple(np.maximum(a, b))))
+    for rect in rects:
+        for kind in WEIGHTED_KINDS:
+            want = brute_entropy(pts, rect, kind)
+            got = idx.query(rect, kind)
+            assert abs(got.value - want.value) < 1e-6, (rect, kind)
+            assert got.count == pytest.approx(want.count, rel=1e-9, abs=1e-12)
