@@ -57,8 +57,7 @@ class ExactNDIndex:
         n, d = len(ids), pts.dim
         keys = [ids] + [pts.coords[ids, k] for k in reversed(range(d))] + [pts.colors[ids]]
         order = ids[np.lexsort(tuple(keys))]
-        self.colors = pts.colors[order]
-        self.weights = pts.weights[order]
+        self.colors, self.weights = pts.colors[order], pts.weights[order]
         size = self.bucket_size = max(1, math.ceil(n**self.t)) if n else 1
         nb = -(-n // size)
         bucket = np.arange(n) // size
@@ -146,15 +145,17 @@ class ExactNDIndex:
             hi = ((np.sqrt(8 * tri + 1) - 1) // 2).astype(np.int64)
             return b, tri - hi * (hi + 1) // 2, hi
 
-        tight = np.full(len(cells), -1, dtype=np.int64)
-        step = max(1, CHUNK // self.bucket_size)
-        for a in range(0, len(cells), step):
-            b, lo, hi = decode(cells[a:a + step])
-            ranks, inside = self._inside(b, lo, hi)
-            lo = np.where(inside, ranks, self.bucket_size).min(axis=1).T
-            hi = np.where(inside, ranks, -1).max(axis=1).T
-            full = np.flatnonzero(inside.any(axis=0))
-            tight[a + full] = self._number(b[full], lo[full], hi[full])
+        tight = cells      # a 1-D cell holds points at both end ranks: its own box
+        if len(self.ranks) > 1:
+            tight = np.full(len(cells), -1, dtype=np.int64)
+            step = max(1, CHUNK // self.bucket_size)
+            for a in range(0, len(cells), step):
+                b, lo, hi = decode(cells[a:a + step])
+                ranks, inside = self._inside(b, lo, hi)
+                lo = np.where(inside, ranks, self.bucket_size).min(axis=1).T
+                hi = np.where(inside, ranks, -1).max(axis=1).T
+                full = np.flatnonzero(inside.any(axis=0))
+                tight[a + full] = self._number(b[full], lo[full], hi[full])
         boxes, grid = np.unique(np.append(-1, tight), return_inverse=True)
         table = np.vstack((np.zeros(self.width), self._evaluate(*decode(boxes[1:]))))
         return grid[1:].astype(np.int32), table
