@@ -511,7 +511,9 @@ class QueryRect:
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi):
             raise ValueError("lo and hi must have the same dimension")
-        if any(l > h for l, h in zip(self.lo, self.hi)):
+        if not all(l <= h for l, h in zip(self.lo, self.hi)):
+            if any(math.isnan(x) for x in self.lo + self.hi):
+                raise ValueError(f"NaN bound in rectangle lo {self.lo}, hi {self.hi}")
             raise ValueError(f"empty rectangle: lo {self.lo} exceeds hi {self.hi}")
 
     @property

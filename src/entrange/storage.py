@@ -29,7 +29,7 @@ from .errors import (
 )
 
 MAGIC = b"RQEIDX1"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 INDEX_KINDS = ("exact1d", "exactnd", "sweep-shannon", "sweep-renyi", "estimator")
 

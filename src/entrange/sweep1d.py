@@ -14,7 +14,21 @@ secondary tree splits its span of that row the same way. A secondary node
 is thus a row slice [start, stop) at a primary depth. It qualifies when its
 colors are distinct, and the sorted array ``node_keys`` of the qualifying
 nodes' (depth, start, stop) keys numbers them: a node's gid is its
-position there. No node objects exist; the canonical walk is iterative.
+position there. No node objects exist. ``gid_slots`` maps a secondary node
+straight to its gid (-1 if it does not qualify): within the primary span
+[p, e) of a depth, a one-point node [lo, lo + 1) has slot p + lo and a
+larger node slot e + its split point, all in the 2(e - p) slots from 2p.
+
+A query walks the primary tree in integer arithmetic to the nodes that
+tile the mapped points with x in [a, b]: the path down to the first node
+the range splits, then that node's two boundary paths. In each of them the
+points with y < a are a prefix of its row slice, the node's cut. The walk
+cascades the cut, as in a layered range tree: one bisection of the root's
+y-ranks (``y_root``; rank 0 stands for -infinity and rank k for the k-th
+smallest distinct coordinate), then at each step ``left_counts`` tells how
+many of the first ``cut`` entries of the parent go to its left half. The
+secondary descent over each prefix is integer Python too, and reads each
+canonical node's gid from ``gid_slots``.
 
 A qualifying node v knows its color set U_v (its slice's colors) and the
 smallest mapped x-coordinate x_v. For the original points of those colors
@@ -30,15 +44,19 @@ eps needs the width: n = 300 at eps = 0.002 reaches exponents above 10^5.
 Every jump sits on a point, so its x is stored as its rank, the number of
 distinct coordinates <= x. Each ladder pool is one sorted int64 key array
 ``gid * (U + 1) + rank`` over the U distinct coordinates, beside its
-exponents, so the rightmost jump <= b of every canonical node is one
-``searchsorted`` call per pool.
+exponents. ``ladder_first`` (derived on build and on load, not stored)
+holds where each node's run of jumps starts in both pools, so the
+rightmost jump <= b of a canonical node is a bisection of its own run.
 
 A query gets a count estimate within one (1+e') factor and a value
-estimate within another; Shannon results are folded pairwise with the
-disjoint-union rule (balanced, so the per-merge inflation stays within the
-shrunken e'), Renyi results close over the power-sum ratio directly.
-``canonical_debug`` reads each node's colors and x_v back from the rows,
-on any index.
+estimate within another. Shannon results are folded pairwise on Python
+floats with the disjoint-union rule (balanced, so the per-merge inflation
+stays within the shrunken e'), Renyi results close over the power-sum ratio
+directly. A query makes no numpy call at all: it is integer and float
+arithmetic plus C bisections on the arrays' memoryviews, which cost no
+dispatch and, past the first bisections of [a, b] among the coordinates,
+touch only a few cache lines per node. ``canonical_debug`` shares the walk
+and reads each node's colors and x_v back from the rows, on any index.
 
 Guarantees are deterministic, not statistical: the Shannon answer h obeys
 H <= h <= (1+eps)H + eps and the Renyi answer H_a <= h <= H_a +
@@ -48,6 +66,7 @@ the count ladders are integer-based.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Optional
 
@@ -143,17 +162,44 @@ class Sweep1DIndex:
         self._stride = len(self.ucoords) + 1
 
         depths = math.ceil(math.log2(n)) + 1 if n else 0
-        rows, keys = [], [np.zeros(0, dtype=np.int64)]
+        rows, lefts = [], []
+        keys, slots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         stale = np.zeros(0, dtype=np.int64)
         for depth, (row, starts) in enumerate(
                 depth_rows(np.arange(n), self.my, np.zeros(1, dtype=np.int64), depths)):
             rows.append(row)
-            keys.append(self._qualifying_keys(depth, row, starts, stale))
-            stale = starts[np.diff(np.append(starts, n)) == 1]
-        self.rows = np.array(rows, dtype=np.int64).reshape(depths, n)
-        self.ys = self.my[self.rows]
-        self.node_keys = np.unique(np.concatenate(keys))
+            ends = np.append(starts[1:], n)
+            # per position: how many entries of its span up to it go to the
+            # left half (an entry is its point's position in x order)
+            span = starts.searchsorted(np.arange(n), side="right") - 1
+            left = row < (starts[span] + ends[span]) // 2
+            run = np.cumsum(left)
+            lefts.append(run - run[starts[span]] + left[starts[span]])
+            lo, hi = self._qualifying_spans(row, starts, stale)
+            keys.append(self._node_key(depth, lo, hi))
+            span = starts.searchsorted(lo, side="right") - 1  # each node's primary span [p, e)
+            p, e = starts[span], ends[span]
+            slots.append(2 * n * depth + np.where(hi - lo == 1, p + lo, e + (lo + hi) // 2))
+            stale = starts[ends - starts == 1]
+        self.rows = np.array(rows, dtype=np.int32).reshape(depths, n)
+        # the deepest depth holds single points only, so nothing splits there
+        self.left_counts = np.array(lefts[:-1], dtype=np.int32).ravel()
+        y_rank = np.where(np.isneginf(self.my), 0, self.ucoords.searchsorted(self.my) + 1)
+        self.y_root = y_rank[self.rows[0]].astype(np.int32) if n else np.zeros(0, np.int32)
+        self.node_keys, gids = np.unique(np.concatenate(keys), return_inverse=True)
+        self.gid_slots = np.full(2 * n * depths, -1, dtype=np.int32)
+        self.gid_slots[np.concatenate(slots)] = gids
         self._build_ladders(cx, ccol)
+        self._index_ladders()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["ladder_first"]  # derived; rebuilt on load
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._index_ladders()
 
     # -- construction ---------------------------------------------------------
 
@@ -166,11 +212,11 @@ class Sweep1DIndex:
         depth, start = np.divmod(rest, self.n + 1)
         return depth, start, stop
 
-    def _qualifying_keys(self, depth: int, row: np.ndarray, starts: np.ndarray,
-                         stale: np.ndarray) -> np.ndarray:
-        """Keys of the secondary nodes in one depth's row whose colors are
-        distinct, leaving out the one-point primary spans in ``stale``,
-        which are nodes of an earlier depth."""
+    def _qualifying_spans(self, row: np.ndarray, starts: np.ndarray,
+                          stale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row slices [lo, hi) of the secondary nodes in one depth's row
+        whose colors are distinct, leaving out the one-point primary spans
+        in ``stale``, which are nodes of an earlier depth."""
         n = self.n
         colors = self.mcolor[row]
         by_color = np.argsort(colors, kind="stable")
@@ -188,7 +234,7 @@ class Sweep1DIndex:
             starts = refine_spans(starts, n)
         lo, hi = np.concatenate(lo), np.concatenate(hi)
         keep = (hi - lo > 1) | ~np.isin(lo, stale)
-        return self._node_key(depth, lo[keep], hi[keep])
+        return lo[keep], hi[keep]
 
     def _node(self, gid: int) -> tuple[np.ndarray, float]:
         """Colors (in row order) and x_v of qualifying node ``gid``."""
@@ -211,6 +257,14 @@ class Sweep1DIndex:
         if not parts:
             parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)) * 2]
         self.s_keys, self.s_exp, self.h_keys, self.h_exp = map(np.concatenate, zip(*parts))
+
+    def _index_ladders(self) -> None:
+        """Where each node's run of jumps starts in the count pool (even
+        entries) and the value pool (odd entries), side by side so that one
+        cache line serves both lookups of a node."""
+        edges = np.arange(len(self.node_keys) + 1) * self._stride
+        self.ladder_first = np.stack(
+            [self.s_keys.searchsorted(edges), self.h_keys.searchsorted(edges)], axis=1).ravel()
 
     def _walk_runs(self, g0: int, g1: int, ckey: np.ndarray):
         """Walk runs of nodes g0..g1-1. For each (node, color), in gid and
@@ -292,105 +346,132 @@ class Sweep1DIndex:
 
     # -- canonical node collection ---------------------------------------------
 
-    def _canonical_gids(self, a: float, b: float) -> np.ndarray:
-        """Gids of the canonical nodes of [a, b], left to right."""
-        ilo = int(self.mx.searchsorted(a, side="left"))
-        ihi = int(self.mx.searchsorted(b, side="right"))
-        keys: list[int] = []
-        stack = [(0, self.n, 0)] if ilo < ihi else []
-        while stack:
-            lo, hi, depth = stack.pop()
-            if hi <= ilo or ihi <= lo:
-                continue
+    def _primary_nodes(self, ilo: int, ihi: int, r_a: int) -> list[tuple[int, int, int, int]]:
+        """(depth, start, stop, cut) of the primary nodes that tile the mapped
+        points [ilo, ihi), left to right, where cut counts the node's points
+        with y-rank below r_a: the path down to the first node that [ilo, ihi)
+        splits, then that node's two boundary paths. The root's cut is one
+        bisection; each step down takes its child's cut from ``left_counts``."""
+        if ilo >= ihi:
+            return []
+        n, lefts = self.n, self.left_counts.data
+        lo, hi, depth = 0, n, 0
+        cut = bisect.bisect_left(self.y_root.data, r_a)
+        while True:
             if ilo <= lo and hi <= ihi:
-                # the secondary nodes covering the node's points with y < a
-                c = lo + int(self.ys[depth, lo:hi].searchsorted(a, side="left"))
-                while lo < c:
-                    mid = (lo + hi) // 2
-                    if hi <= c:
-                        keys.append(self._node_key(depth, lo, hi))
-                        break
-                    if mid <= c:
-                        keys.append(self._node_key(depth, lo, mid))
-                        lo = mid
-                    else:
-                        hi = mid
-                continue
+                return [(depth, lo, hi, cut)]
             mid = (lo + hi) // 2
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
-        probe = np.array(keys, dtype=np.int64)
-        gids = self.node_keys.searchsorted(probe)
-        if (gids >= len(self.node_keys)).any() or (self.node_keys[gids] != probe).any():
+            left = lefts[depth * n + lo + cut - 1] if cut else 0
+            depth += 1
+            if ihi <= mid:
+                hi, cut = mid, left
+            elif mid <= ilo:
+                lo, cut = mid, cut - left
+            else:
+                break
+        # [ilo, mid) is a suffix of the left child, [mid, ihi) a prefix of the right
+        out = []
+        l, h, d, c = lo, mid, depth, left
+        while l < ilo:
+            m = (l + h) // 2
+            cl = lefts[d * n + l + c - 1] if c else 0
+            d += 1
+            if ilo < m:
+                out.append((d, m, h, c - cl))
+                h, c = m, cl
+            else:
+                l, c = m, c - cl
+        out.append((d, l, h, c))
+        out.reverse()
+        l, h, d, c = mid, hi, depth, cut - left
+        while ihi < h:
+            m = (l + h) // 2
+            cl = lefts[d * n + l + c - 1] if c else 0
+            d += 1
+            if m < ihi:
+                out.append((d, l, m, cl))
+                l, c = m, c - cl
+            else:
+                h, c = m, cl
+        out.append((d, l, h, c))
+        return out
+
+    def _canonical_gids(self, a: float, b: float, stats: Optional[dict] = None) -> list[int]:
+        """Gids of the canonical nodes of [a, b], left to right."""
+        n, mx = self.n, self.mx.data
+        ilo, ihi = bisect.bisect_left(mx, a), bisect.bisect_right(mx, b)
+        r_a = bisect.bisect_left(self.ucoords.data, a) + 1  # y < a iff y-rank < r_a
+        prim = self._primary_nodes(ilo, ihi, r_a)
+        slots = self.gid_slots.data
+        gids: list[int] = []
+        for depth, lo, hi, cut in prim:
+            # the secondary nodes covering the node's points with y < a
+            p, e, c = lo, hi, lo + cut
+            while lo < c:
+                mid = (lo + hi) // 2
+                if hi <= c:
+                    stop = hi
+                elif mid <= c:
+                    stop = mid
+                else:
+                    hi = mid
+                    continue
+                slot = p + lo if stop - lo == 1 else e + (lo + stop) // 2
+                gids.append(slots[2 * n * depth + slot])
+                lo = stop
+        if stats is not None:
+            stats["primary_nodes"] = len(prim)
+            stats["canonical_nodes"] = len(gids)
+        if -1 in gids:
             raise AssertionError("canonical node with duplicated colors")
         return gids
 
     # -- ladder lookups ----------------------------------------------------------
 
-    def _rightmost_jumps(self, keys: np.ndarray, exps: np.ndarray, probe: np.ndarray):
-        """Per probe ``gid * (U + 1) + rank``: whether node gid has a jump at
-        or below the rank, and the exponent of the rightmost one (0 if none)."""
-        if not len(keys):
-            return np.zeros(len(probe), dtype=bool), np.zeros(len(probe), dtype=np.int32)
-        i = keys.searchsorted(probe, side="right") - 1
-        hit = (i >= 0) & (keys[i] // self._stride == probe // self._stride)
-        return hit, np.where(hit, exps[i], 0)
+    def _node_exponents(self, gids: list[int], b: float):
+        """Per node: the exponents of the rightmost count and value jumps at
+        or below b (None for a value ladder without one), each bisected
+        within the node's own run of its pool."""
+        s_keys, s_exp, h_keys, h_exp = (a.data for a in (self.s_keys, self.s_exp,
+                                                          self.h_keys, self.h_exp))
+        first, stride = self.ladder_first.data, self._stride
+        rank = bisect.bisect_right(self.ucoords.data, b)
+        l_s, l_h = [], []
+        for gid in gids:
+            j, key = 2 * gid, gid * stride + rank
+            i = bisect.bisect_right(s_keys, key, first[j], first[j + 2])
+            if i == first[j]:
+                raise AssertionError("ladder probed before its first jump")
+            l_s.append(s_exp[i - 1])
+            i = bisect.bisect_right(h_keys, key, first[j + 1], first[j + 3])
+            l_h.append(h_exp[i - 1] if i > first[j + 1] else None)
+        return l_s, l_h
 
     # -- queries -------------------------------------------------------------------
 
-    def query(self, rect: QueryRect) -> EntropySummary:
+    def query(self, rect: QueryRect, stats: Optional[dict] = None) -> EntropySummary:
+        """Estimate of the entropy of the points in ``rect``. ``stats``
+        receives ``primary_nodes`` and ``canonical_nodes``."""
         if rect.dim != 1:
             raise ValueError("query rect must be 1-D")
         a, b = rect.lo[0], rect.hi[0]
-        gids = self._canonical_gids(a, b)
-        if len(gids) == 0:
+        gids = self._canonical_gids(a, b, stats)
+        if not gids:
             return EntropySummary.empty(self.kind)
+        l_s, l_h = self._node_exponents(gids, b)
+        base = self._base
+        hi_w = [base**l for l in l_s]
         if self.alpha is None:
-            return self._query_shannon(gids, b)
-        return self._query_renyi(gids, b)
-
-    def _node_estimates(self, gids: np.ndarray, b: float):
-        probe = gids * self._stride + int(self.ucoords.searchsorted(b, side="right"))
-        has_s, l_s = self._rightmost_jumps(self.s_keys, self.s_exp, probe)
-        if not has_s.all():
-            raise AssertionError("ladder probed before its first jump")
-        has_h, l_h = self._rightmost_jumps(self.h_keys, self.h_exp, probe)
-        hi_w = self._base**l_s
-        lo_w = self._base ** (l_s - 1)
-        return l_s, l_h, has_h, hi_w, lo_w
-
-    def _query_shannon(self, gids: np.ndarray, b: float) -> EntropySummary:
-        l_s, l_h, has_h, hi_w, lo_w = self._node_estimates(gids, b)
-        h_v = np.where(has_h, self._base**l_h / lo_w, 0.0)
-        # balanced pairwise folds: depth log2 |V|, matching the eps budget
-        while len(h_v) > 1:
-            odd = len(h_v) % 2 == 1
-            if odd:
-                tail = (h_v[-1:], hi_w[-1:], lo_w[-1:])
-                h_v, hi_w, lo_w = h_v[:-1], hi_w[:-1], lo_w[:-1]
-            a_h, b_h = h_v[0::2], h_v[1::2]
-            a_hi, b_hi = hi_w[0::2], hi_w[1::2]
-            a_lo, b_lo = lo_w[0::2], lo_w[1::2]
-            s_hi = a_hi + b_hi
-            h_v = (
-                a_hi * a_h + b_hi * b_h
-                + a_hi * np.log2(s_hi / a_lo) + b_hi * np.log2(s_hi / b_lo)
-            ) / (a_lo + b_lo)
-            hi_w = s_hi
-            lo_w = a_lo + b_lo
-            if odd:
-                h_v = np.concatenate([h_v, tail[0]])
-                hi_w = np.concatenate([hi_w, tail[1]])
-                lo_w = np.concatenate([lo_w, tail[2]])
-        return EntropySummary(SHANNON, float(hi_w[0]), float(h_v[0]))
-
-    def _query_renyi(self, gids: np.ndarray, b: float) -> EntropySummary:
-        assert self.alpha is not None
-        l_s, l_h, has_h, hi_w, _ = self._node_estimates(gids, b)
-        num = float(hi_w.sum()) ** self.alpha
-        den = float((self._base ** (l_h - 1)).sum())
-        value = math.log2(num / den) / (self.alpha - 1.0)
-        return EntropySummary(self.kind, float(hi_w.sum()), value)
+            lo_w = [base ** (l - 1) for l in l_s]
+            h_v = [0.0 if l is None else base**l / lo for l, lo in zip(l_h, lo_w)]
+            count, value = fold_shannon(h_v, hi_w, lo_w)
+            return EntropySummary(SHANNON, count, value)
+        if None in l_h:
+            raise AssertionError("value ladder probed before its first jump")
+        count = sum(hi_w)
+        den = sum(base ** (l - 1) for l in l_h)
+        value = math.log2(count**self.alpha / den) / (self.alpha - 1.0)
+        return EntropySummary(self.kind, count, value)
 
     # -- introspection ----------------------------------------------------------
 
@@ -398,23 +479,25 @@ class Sweep1DIndex:
         """Per-canonical-node view of a query, for invariant checks."""
         a, b = rect.lo[0], rect.hi[0]
         gids = self._canonical_gids(a, b)
-        if len(gids) == 0:
+        if not gids:
             return []
-        l_s, l_h, has_h, hi_w, lo_w = self._node_estimates(gids, b)
+        l_s, l_h = self._node_exponents(gids, b)
+        base = self._base
         out = []
-        for i, gid in enumerate(gids.tolist()):
+        for gid, ls, lh in zip(gids, l_s, l_h):
             colors, x_v = self._node(gid)
+            lo_w = base ** (ls - 1)
             out.append(dict(
-                colors=tuple(colors.tolist()), x_v=x_v,
-                gid=gid, l_s=int(l_s[i]), l_h=int(l_h[i]) if has_h[i] else None,
-                count_hi=float(hi_w[i]), count_lo=float(lo_w[i]),
-                estimate=(self._base ** int(l_h[i]) / float(lo_w[i])) if has_h[i] else 0.0,
+                colors=tuple(colors.tolist()), x_v=x_v, gid=gid, l_s=ls, l_h=lh,
+                count_hi=base**ls, count_lo=lo_w,
+                estimate=0.0 if lh is None else base**lh / lo_w,
             ))
         return out
 
     def space_stats(self) -> dict:
-        arrays = (self.mx, self.my, self.mcolor, self.ucoords, self.rows, self.ys,
-                  self.node_keys, self.s_keys, self.s_exp, self.h_keys, self.h_exp)
+        arrays = (self.mx, self.my, self.mcolor, self.ucoords, self.rows, self.left_counts,
+                  self.y_root, self.gid_slots, self.node_keys, self.s_keys, self.s_exp,
+                  self.h_keys, self.h_exp, self.ladder_first)
         return {
             "points": self.n,
             "eps": self.eps,
@@ -423,6 +506,29 @@ class Sweep1DIndex:
             "qualifying_nodes": len(self.node_keys),
             "bytes": int(sum(a.nbytes for a in arrays)),
         }
+
+
+def fold_shannon(h: list[float], hi: list[float], lo: list[float]) -> tuple[float, float]:
+    """(count, entropy) of disjoint parts with count estimates in [lo, hi]
+    and entropy estimates h, merged pairwise with the disjoint-union rule.
+    Each round pairs neighbours left to right and carries an odd last part
+    over, so the merge depth is ceil(log2 |V|), as the eps budget assumes."""
+    log2 = math.log2
+    while len(h) > 1:
+        nh, nhi, nlo = [], [], []
+        for i in range(1, len(h), 2):
+            a_h, b_h, a_hi, b_hi, a_lo, b_lo = h[i - 1], h[i], hi[i - 1], hi[i], lo[i - 1], lo[i]
+            s_hi = a_hi + b_hi
+            nh.append((a_hi * a_h + b_hi * b_h
+                       + a_hi * log2(s_hi / a_lo) + b_hi * log2(s_hi / b_lo)) / (a_lo + b_lo))
+            nhi.append(s_hi)
+            nlo.append(a_lo + b_lo)
+        if len(h) % 2:
+            nh.append(h[-1])
+            nhi.append(hi[-1])
+            nlo.append(lo[-1])
+        h, hi, lo = nh, nhi, nlo
+    return hi[0], h[0]
 
 
 def build_shannon(pts: ColoredPointSet, eps: float) -> Sweep1DIndex:

@@ -12,9 +12,22 @@ from entrange.core import (
     SHANNON,
     ColorHistogram,
     EntropySummary,
+    QueryRect,
     renyi_kind,
 )
 from entrange.errors import InvalidOrder, InvalidWeight, Underflow
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ((math.nan,), (1.0,)),
+    ((0.0,), (math.nan,)),
+    ((math.nan,), (math.nan,)),
+    ((0.0, math.nan), (1.0, 2.0)),
+    ((0.0, 0.0), (1.0, math.nan)),
+])
+def test_query_rect_refuses_nan_bounds(lo, hi):
+    with pytest.raises(ValueError, match="NaN"):
+        QueryRect(lo, hi)
 
 
 def direct_shannon(masses):

@@ -16,6 +16,7 @@ from entrange.errors import (
     NotAnIndex,
     UnsupportedVersion,
 )
+from entrange.oracle import brute_entropy
 
 from conftest import random_pointset
 
@@ -240,6 +241,34 @@ def test_cli_mode_kind_mismatch_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("query", "--index", str(idx_path), "--rect", "0:1",
                    "--mode", "additive") == 4
+
+
+def test_nan_bound_refused_by_every_index_kind(rng):
+    # a NaN bound used to answer "empty range" everywhere; now no rect carries one
+    pts1 = random_pointset(rng, 40, d=1, m=5)
+    pts2 = random_pointset(rng, 40, d=2, m=5)
+    cfg = EstimatorConfig(seed=1)
+    queries = {
+        "exact1d": lambda r: exact1d.Exact1DIndex(pts1, 0.5).query(r, SHANNON),
+        "exactnd": lambda r: exactnd.ExactNDIndex(pts2, 0.5).query(r, SHANNON),
+        "sweep": lambda r: sweep1d.build_shannon(pts1, 0.3).query(r),
+        "estimator": lambda r: estimate_additive(EstimatorIndex(pts2), r, 0.2, cfg, rng),
+        "brute": lambda r: brute_entropy(pts1, r, SHANNON),
+    }
+    for name, query in queries.items():
+        dim = 2 if name in ("exactnd", "estimator") else 1
+        with pytest.raises(ValueError, match="NaN"):
+            query(QueryRect((float("nan"),) * dim, (50.0,) * dim))
+
+
+def test_cli_nan_bound_exit_code(tmp_path, capsys):
+    csv_path = write_csv(tmp_path / "d.csv", ["0,a", "1,b"], header="x1,color")
+    idx_path = tmp_path / "d.rqe"
+    run_cli("build", "--input", str(csv_path), "--kind", "sweep-shannon", "--out", str(idx_path))
+    capsys.readouterr()
+    assert run_cli("query", "--index", str(idx_path), "--rect", "nan:1",
+                   "--mode", "deterministic") == 3
+    assert "NaN" in capsys.readouterr().err
 
 
 def test_cli_missing_input_exit_code(tmp_path, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import WeightsNotSupported
@@ -12,6 +14,7 @@ from entrange.sweep1d import (
     Sweep1DIndex,
     build_renyi,
     build_shannon,
+    fold_shannon,
     renyi_bound_holds,
     shannon_bound_holds,
 )
@@ -297,3 +300,151 @@ def test_canonical_debug_on_large_index():
         assert got == np.unique(pts.colors[inside]).tolist()
         for info in nodes:
             assert rect.lo[0] <= info["x_v"] <= rect.hi[0]
+
+
+def stack_walk(ilo, ihi, n):
+    """Reference primary walk: a depth-first stack over the whole tree."""
+    out, stack = [], [(0, n, 0)] if ilo < ihi else []
+    while stack:
+        lo, hi, depth = stack.pop()
+        if hi <= ilo or ihi <= lo:
+            continue
+        if ilo <= lo and hi <= ihi:
+            out.append((depth, lo, hi))
+            continue
+        mid = (lo + hi) // 2
+        stack += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 32, 37])
+def test_primary_walk_matches_stack_walk(n):
+    # same nodes, depths and left-to-right order as a full tree search, and
+    # each node's cascaded cut equals a count over its row slice
+    rng = np.random.default_rng(n)
+    pts = random_pointset(rng, n, d=1, m=4, duplicate_frac=0.3)
+    idx = build_shannon(pts, 0.3)
+    y_rank = np.where(np.isneginf(idx.my), 0, idx.ucoords.searchsorted(idx.my) + 1)
+    for r_a in range(len(idx.ucoords) + 2):
+        for ilo in range(n + 1):
+            for ihi in range(n + 1):
+                got = idx._primary_nodes(ilo, ihi, r_a)
+                assert [node[:3] for node in got] == stack_walk(ilo, ihi, n)
+                for depth, lo, hi, cut in got:
+                    assert cut == int((y_rank[idx.rows[depth, lo:hi]] < r_a).sum())
+
+
+def test_gid_slots_hold_every_node_once(rng):
+    # distinct slots: no node's gid overwrote another's
+    for n in (1, 2, 7, 64, 300):
+        pts = random_pointset(rng, n, d=1, m=6, duplicate_frac=0.2)
+        idx = build_shannon(pts, 0.3)
+        held = np.sort(idx.gid_slots[idx.gid_slots >= 0])
+        assert np.array_equal(held, np.arange(len(idx.node_keys)))
+
+
+def test_query_stats_count_nodes(rng):
+    pts = random_pointset(rng, 300, d=1, m=20, duplicate_frac=0.1)
+    for idx in (build_shannon(pts, 0.3), build_renyi(pts, 0.3, 2.0)):
+        seen = 0
+        for _ in range(100):
+            rect = rand_interval(rng, -10.0, 110.0)
+            stats = {}
+            assert idx.query(rect, stats) == idx.query(rect)
+            assert stats["canonical_nodes"] == len(idx.canonical_debug(rect))
+            assert stats["primary_nodes"] <= 2 * math.ceil(math.log2(len(pts)))
+            assert stats["primary_nodes"] > 0 or stats["canonical_nodes"] == 0
+            seen += stats["canonical_nodes"]
+        assert seen > 0
+
+
+def numpy_fold(h_v, hi_w, lo_w):
+    """Reference copy of the vectorised balanced pairwise Shannon fold."""
+    while len(h_v) > 1:
+        odd = len(h_v) % 2 == 1
+        if odd:
+            tail = (h_v[-1:], hi_w[-1:], lo_w[-1:])
+            h_v, hi_w, lo_w = h_v[:-1], hi_w[:-1], lo_w[:-1]
+        a_h, b_h = h_v[0::2], h_v[1::2]
+        a_hi, b_hi = hi_w[0::2], hi_w[1::2]
+        a_lo, b_lo = lo_w[0::2], lo_w[1::2]
+        s_hi = a_hi + b_hi
+        h_v = (
+            a_hi * a_h + b_hi * b_h
+            + a_hi * np.log2(s_hi / a_lo) + b_hi * np.log2(s_hi / b_lo)
+        ) / (a_lo + b_lo)
+        hi_w = s_hi
+        lo_w = a_lo + b_lo
+        if odd:
+            h_v = np.concatenate([h_v, tail[0]])
+            hi_w = np.concatenate([hi_w, tail[1]])
+            lo_w = np.concatenate([lo_w, tail[2]])
+    return float(hi_w[0]), float(h_v[0])
+
+
+def test_fold_shape_matches_numpy_reference(rng):
+    # same pairing order, hence the same ceil(log2 |V|) merge depth
+    base = 1.0 + 0.05
+    for size in range(1, 41):
+        for _ in range(5):
+            l_s = rng.integers(0, 60, size=size)
+            hi = base ** l_s.astype(float)
+            lo = base ** (l_s - 1.0)
+            h = np.where(rng.random(size) < 0.3, 0.0, rng.uniform(0.0, 5.0, size=size))
+            want = numpy_fold(h, hi, lo)
+            got = fold_shannon(h.tolist(), hi.tolist(), lo.tolist())
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# adversarial inputs against brute force
+
+_grid = st.integers(0, 12).map(float)
+_endpoint = st.one_of(
+    _grid,                                              # on a coordinate or not
+    st.integers(-2, 13).map(lambda v: v + 0.5),         # between coordinates
+    st.sampled_from([-1e9, 1e9, -math.inf, math.inf]),  # outside the data
+)
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 40)))
+    m = draw(st.sampled_from([1, 2, 6]))
+    coords = draw(st.lists(_grid, min_size=n, max_size=n))  # dense duplicates
+    colors = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    rects = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = sorted((draw(_endpoint), draw(_endpoint)))
+        if draw(st.booleans()):
+            b = a
+        rects.append(QueryRect.interval(a, b))
+    pts = ColoredPointSet(np.array(coords, dtype=float), np.array(colors, dtype=np.int64),
+                          num_colors=m)
+    return pts, rects
+
+
+@pytest.mark.parametrize("alpha", [None, 2.0])
+@settings(max_examples=60, deadline=None)
+@given(case=sweep_cases())
+def test_adversarial_sweep_against_brute(alpha, case):
+    pts, rects = case
+    eps = 0.3
+    idx = build_shannon(pts, eps) if alpha is None else build_renyi(pts, eps, alpha)
+    coords = pts.coords[:, 0]
+    for rect in rects:
+        got = idx.query(rect)
+        if alpha is None:
+            truth = brute_entropy(pts, rect, SHANNON)
+            assert shannon_bound_holds(truth.value, got.value, eps), (rect, truth, got)
+        else:
+            truth = brute_entropy(pts, rect, renyi_kind(alpha))
+            assert renyi_bound_holds(truth.value, got.value, eps, alpha), (rect, truth, got)
+        assert truth.count <= got.count <= (1 + idx.eps_prime) * truth.count + 1e-9
+        nodes = idx.canonical_debug(rect)
+        assert got.count == pytest.approx(sum(info["count_hi"] for info in nodes), rel=1e-12)
+        color_sets = [set(info["colors"]) for info in nodes]
+        union = set().union(*color_sets)
+        assert len(union) == sum(len(cs) for cs in color_sets)  # pairwise disjoint
+        inside = (coords >= rect.lo[0]) & (coords <= rect.hi[0])
+        assert union == set(pts.colors[inside].tolist())
