@@ -46,9 +46,10 @@ class MomentEstimate:
 
 
 def _moment_mean(oracle: DualAccessOracle, alpha: float, samples: int,
-                 rng: np.random.Generator) -> float:
-    p = oracle.eval_color(oracle.sample_color(rng, samples))
-    return float((p ** (alpha - 1.0)).mean())
+                 rng: np.random.Generator, stats: Optional[dict] = None) -> float:
+    """Mean of EVAL(SAMP())^(alpha-1) over ``samples`` draws, from their tally."""
+    _, counts, weights = oracle.tally(rng, samples, stats)
+    return float((counts * (weights / oracle.total_weight) ** (alpha - 1.0)).sum() / samples)
 
 
 def _exact_moment_value(oracle: DualAccessOracle, alpha: float) -> float:
@@ -64,13 +65,15 @@ def moment_sample_count(index: EstimatorIndex, alpha: float, eps: float,
 
 def _estimate_moment_on(index: EstimatorIndex, oracle: DualAccessOracle, alpha: float,
                         eps: float, cfg: EstimatorConfig, rng: np.random.Generator,
-                        samples: Optional[int] = None) -> MomentEstimate:
+                        samples: Optional[int] = None,
+                        stats: Optional[dict] = None) -> MomentEstimate:
     if oracle.is_empty:
         raise EmptyRange("no mass in (reduced) query range")
     if samples is None:
         samples = moment_sample_count(index, alpha, eps, cfg)
     if use_sampling(index, samples, cfg):
-        return MomentEstimate(alpha, _moment_mean(oracle, alpha, samples, rng), eps, samples)
+        return MomentEstimate(alpha, _moment_mean(oracle, alpha, samples, rng, stats), eps,
+                              samples)
     return MomentEstimate(alpha, _exact_moment_value(oracle, alpha), eps, 0)
 
 
@@ -117,7 +120,7 @@ def estimate_additive_renyi(index: EstimatorIndex, rect: QueryRect, alpha: float
                             stats: Optional[dict] = None) -> EntropySummary:
     """Renyi entropy within +-delta, with high probability."""
     renyi_kind(alpha)   # raises InvalidOrder unless alpha > 1
-    oracle, rng = prepare_query(index, rect, cfg, rng, delta=delta)
+    oracle, rng = prepare_query(index, rect, cfg, rng, stats, delta=delta)
     return _additive_renyi_on(index, oracle, alpha, delta, cfg, rng, stats)
 
 
@@ -126,7 +129,7 @@ def _additive_renyi_on(index: EstimatorIndex, oracle: DualAccessOracle, alpha: f
                        stats: Optional[dict]) -> EntropySummary:
     samples_only, dual, chosen = additive_branch_sample_counts(alpha, delta, len(index), cfg)
     est = _estimate_moment_on(index, oracle, alpha, delta, cfg, rng,
-                              samples=min(samples_only, dual))
+                              samples=min(samples_only, dual), stats=stats)
     if stats is not None:
         stats["mode"] = "sampled" if est.samples else "exact-fallback"
         stats["branch"] = chosen
@@ -150,8 +153,8 @@ def estimate_multiplicative_renyi(index: EstimatorIndex, rect: QueryRect, alpha:
                                   stats: Optional[dict] = None) -> EntropySummary:
     """Renyi entropy within a (1+eps) factor, with high probability."""
     kind = renyi_kind(alpha)   # raises InvalidOrder unless alpha > 1
-    oracle, rng = prepare_query(index, rect, cfg, rng, eps=eps)
-    heavy = oracle.heavy_color(rng, cfg)
+    oracle, rng = prepare_query(index, rect, cfg, rng, stats, eps=eps)
+    heavy = oracle.heavy_color(rng, cfg, stats)
 
     if heavy is None:
         # entropy at least log2(3/2): an additive call gives the factor
@@ -175,9 +178,9 @@ def estimate_multiplicative_renyi(index: EstimatorIndex, rect: QueryRect, alpha:
     eps1 = eps0 / 3.0
     eps2 = (alpha - 1.0) * eps1 / cfg.moment_c2 if alpha <= 2.0 else eps1 / cfg.moment_c2
     eps2 = min(eps2, 0.999)
-    light = _estimate_moment_on(index, reduced, alpha, eps2, cfg, rng)
+    light = _estimate_moment_on(index, reduced, alpha, eps2, cfg, rng, stats=stats)
     h2 = light.value * ((heavy.total - heavy.weight) / heavy.total) ** alpha
-    full = _estimate_moment_on(index, oracle, alpha, min(eps1, 0.999), cfg, rng)
+    full = _estimate_moment_on(index, oracle, alpha, min(eps1, 0.999), cfg, rng, stats=stats)
     value = heavy_combine_renyi(h1, h2, full.value, alpha)
     if stats is not None:
         stats["mode"] = "heavy"

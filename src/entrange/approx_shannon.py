@@ -3,8 +3,10 @@
 Estimation runs in the dual access model: SAMP draws a color with
 probability proportional to its mass inside the rectangle, EVAL returns
 that mass ratio exactly; both run on one pooled range tree
-(:mod:`.rangetree`), with the rectangle decomposed once per query and the
-samples drawn and evaluated as numpy batches. The
+(:mod:`.rangetree`), with the rectangle decomposed once per query. An
+estimate is one tally: its samples are drawn as one batch, counted by
+color, and EVAL runs once per distinct color drawn, so a query costs a
+fixed number of numpy calls plus its draws. The
 additive estimator is the plug-in mean of log2(1/EVAL(SAMP())); the
 multiplicative estimator first decides whether some color holds more than
 2/3 of the range's mass. If none does the range entropy exceeds 0.9 bits
@@ -76,10 +78,11 @@ class DualAccessOracle:
         self.pieces = index.tree.canonical_nodes(rect) if pieces is None else pieces
         self.total_weight = float(index.tree.pieces_weight(self.pieces).sum())
         self.total_count = int((self.pieces.stop - self.pieces.start).sum())
+        self.exclusion = None
         if excluded is not None:
-            trees = index.color_trees
-            self.total_weight -= trees.weight(rect, excluded, pieces=self.pieces)
-            self.total_count -= trees.count(rect, excluded, pieces=self.pieces)
+            self.exclusion = index.tree.exclude(self.pieces, excluded)
+            self.total_weight -= float(self.exclusion.mass.sum())
+            self.total_count -= int(self.exclusion.count.sum())
 
     def excluding(self, color: int) -> "DualAccessOracle":
         """The same range without one color, on the same decomposition."""
@@ -91,37 +94,51 @@ class DualAccessOracle:
         return self.total_count == 0 or self.total_weight <= 0.0
 
     def sample_point(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Point index drawn by weight; an array of ``size`` draws if given."""
+        """Point index drawn by weight; an array of ``size`` independent
+        draws, in draw order, if given."""
         if self.is_empty:
             raise EmptyRange("no mass to sample in query range")
-        out = self.index.tree.draw(self.pieces, rng, 1 if size is None else size, self.excluded)
-        return int(out[0]) if size is None else out
+        return self.index.tree.sample_from(self.pieces, rng, size, self.exclusion)
 
     def sample_color(self, rng: np.random.Generator, size: Optional[int] = None):
         colors = self.index.pts.colors[self.sample_point(rng, size)]
         return int(colors) if size is None else colors
 
     def color_weight(self, color):
-        """Mass inside the range of one color, or of each color of an array."""
+        """Mass inside the range of one color, or of each color of an array:
+        EVAL, through the index's ``color_trees``."""
         return self.index.color_trees.weight(self.rect, color, pieces=self.pieces)
 
     def eval_color(self, color):
         """Probability mass of a color (or of each color of an array) under
-        the (possibly reduced) range law. Repeated colors are evaluated once."""
-        colors, inverse = np.unique(np.asarray(color), return_inverse=True)
-        p = np.where(colors == self.excluded, 0.0, self.color_weight(colors) / self.total_weight)
-        p = p[inverse.reshape(np.shape(color))]
+        the (possibly reduced) range law."""
+        p = np.where(np.asarray(color) == self.excluded, 0.0,
+                     self.color_weight(color) / self.total_weight)
         return float(p) if p.ndim == 0 else p
 
-    def heavy_color(self, rng: np.random.Generator, cfg: "EstimatorConfig") -> Optional[HeavyColor]:
+    def tally(self, rng: np.random.Generator, size: int, stats: Optional[dict] = None):
+        """Draws ``size`` samples and counts them by color: returns the colors
+        drawn (ascending), how often each was drawn and each one's mass in
+        the range, EVAL'd once per color. Adds the number of colors to
+        ``stats["distinct_colors"]``. Costs O(size + largest color drawn)."""
+        if self.is_empty:
+            raise EmptyRange("no mass to sample in query range")
+        tree = self.index.tree
+        counts = np.bincount(tree.pool_colors[tree.draw(self.pieces, rng, size, self.exclusion)])
+        colors = np.flatnonzero(counts)
+        if stats is not None:
+            stats["distinct_colors"] += len(colors)
+        return colors, counts[colors], self.color_weight(colors)
+
+    def heavy_color(self, rng: np.random.Generator, cfg: "EstimatorConfig",
+                    stats: Optional[dict] = None) -> Optional[HeavyColor]:
         """See :func:`detect_heavy_color`."""
         n = max(2, len(self.index))
         draws = math.ceil(cfg.c_heavy * math.log(2 * n) / math.log(3))
-        seen = np.unique(self.sample_color(rng, draws))
-        weights = self.color_weight(seen)
+        colors, _, weights = self.tally(rng, draws, stats)
         top = int(np.argmax(weights))
         if weights[top] > (2.0 / 3.0) * self.total_weight:
-            return HeavyColor(int(seen[top]), float(weights[top]), self.total_weight)
+            return HeavyColor(int(colors[top]), float(weights[top]), self.total_weight)
         return None
 
     def color_masses(self) -> np.ndarray:
@@ -160,9 +177,11 @@ class EstimatorIndex:
                 "pool_entries": len(self.tree.pool_ids), "bytes": self.tree.nbytes()}
 
 
-def _plugin_mean(oracle: DualAccessOracle, samples: int, rng: np.random.Generator) -> float:
-    p = oracle.eval_color(oracle.sample_color(rng, samples))
-    return float(-np.log2(p).mean())
+def _plugin_mean(oracle: DualAccessOracle, samples: int, rng: np.random.Generator,
+                 stats: Optional[dict] = None) -> float:
+    """Mean of -log2 EVAL(SAMP()) over ``samples`` draws, from their tally."""
+    _, counts, weights = oracle.tally(rng, samples, stats)
+    return float(-(counts * np.log2(weights / oracle.total_weight)).sum() / samples)
 
 
 def additive_sample_count(index: EstimatorIndex, delta: float, cfg: EstimatorConfig) -> int:
@@ -171,13 +190,19 @@ def additive_sample_count(index: EstimatorIndex, delta: float, cfg: EstimatorCon
 
 
 def prepare_query(index: EstimatorIndex, rect: QueryRect, cfg: EstimatorConfig,
-                  rng: Optional[np.random.Generator], **accuracy: float):
+                  rng: Optional[np.random.Generator], stats: Optional[dict] = None,
+                  **accuracy: float):
     """Checks each accuracy parameter lies in (0, 1), then returns the
-    rectangle's oracle, which must hold mass, and the generator to use."""
+    rectangle's oracle, which must hold mass, and the generator to use.
+    Starts ``stats`` with the query's canonical ``pieces`` and a zero
+    ``distinct_colors`` (colors EVAL'd over the call's tallies)."""
     for name, value in accuracy.items():
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {value}")
     oracle = index.oracle(rect)
+    if stats is not None:
+        stats["pieces"] = len(oracle.pieces)
+        stats["distinct_colors"] = 0
     if oracle.is_empty:
         raise EmptyRange("query range holds no mass")
     return oracle, rng if rng is not None else np.random.default_rng(cfg.seed)
@@ -202,7 +227,7 @@ def estimate_additive(index: EstimatorIndex, rect: QueryRect, delta: float,
                       rng: Optional[np.random.Generator] = None,
                       stats: Optional[dict] = None) -> EntropySummary:
     """Entropy within +-delta of truth, with high probability."""
-    oracle, rng = prepare_query(index, rect, cfg, rng, delta=delta)
+    oracle, rng = prepare_query(index, rect, cfg, rng, stats, delta=delta)
     value = _estimate_additive_on(index, oracle, delta, cfg, rng, stats)
     return EntropySummary(SHANNON, oracle.total_weight, value)
 
@@ -212,7 +237,7 @@ def _estimate_additive_on(index: EstimatorIndex, oracle: DualAccessOracle, delta
                           stats: Optional[dict] = None) -> float:
     samples = additive_sample_count(index, delta, cfg)
     if use_sampling(index, samples, cfg, stats):
-        return _plugin_mean(oracle, samples, rng)
+        return _plugin_mean(oracle, samples, rng, stats)
     return oracle.exact_entropy()
 
 
@@ -245,13 +270,13 @@ def estimate_multiplicative(index: EstimatorIndex, rect: QueryRect, eps: float,
                             rng: Optional[np.random.Generator] = None,
                             stats: Optional[dict] = None) -> EntropySummary:
     """Entropy within a (1+eps) multiplicative factor, with high probability."""
-    oracle, rng = prepare_query(index, rect, cfg, rng, eps=eps)
-    heavy = oracle.heavy_color(rng, cfg)
+    oracle, rng = prepare_query(index, rect, cfg, rng, stats, eps=eps)
+    heavy = oracle.heavy_color(rng, cfg, stats)
     if heavy is None:
         # no dominant color: entropy > 0.9 bits, plug-in mean concentrates
         samples = math.ceil(cfg.c_mult * math.log2(max(2, len(index))) / (eps**2 * 0.9))
         if use_sampling(index, samples, cfg, stats, "sampled-light"):
-            value = _plugin_mean(oracle, samples, rng)
+            value = _plugin_mean(oracle, samples, rng, stats)
         else:
             value = oracle.exact_entropy()
         return EntropySummary(SHANNON, oracle.total_weight, value)

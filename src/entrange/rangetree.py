@@ -3,8 +3,7 @@
 Level k < d-1 is an implicit balanced binary tree over its points sorted by
 coordinate k (ties by point index), split at ``(lo + hi) // 2``; each node
 owns a level-(k+1) structure on its points. The last level is no tree: a
-node's points sorted by the last coordinate, cut by two ``searchsorted``
-calls into one contiguous slice.
+node's points sorted by the last coordinate, cut into one contiguous slice.
 
 Level k stores, for every depth path of the trees above it, one length-n
 row in which each node's points fill its span in coordinate-k order, so
@@ -12,17 +11,29 @@ no node objects exist. The last level's rows form the pool,
 n*(D+1)**(d-1) entries for D = ceil(log2 n), with the point ids, a weight
 prefix and one :class:`~.core.ColorPrefix`. A rectangle becomes
 O(log^(d-1) n) canonical pieces: disjoint pool slices whose points
-partition the range.
+partition the range. The upper trees are walked in Python; the last
+level's nodes are cut by one ``searchsorted`` call together, over the
+pool's cut keys: each entry's slice start times (n + 1) plus the rank of
+its last coordinate, which sort the whole pool as one array (they are
+stored as the last level's keys, in place of its coordinates).
 
-Sampling is batched: one ``searchsorted`` over the pieces' weights picks a
-piece per draw, one over the pool's weight prefix picks the point. The
-color-excluding sampler bisects (weight prefix - excluded color's prefix)
-for all draws at once. Zero-weight points carry no mass and are left out,
-so counts are of positive-weight points.
+Sampling is batched and costs a fixed number of numpy calls plus the
+draws: one ``searchsorted`` over the pieces' masses picks a piece per draw
+(none for a single piece), and uniforms generated in sorted order walk the
+pool's weight prefix forward. The color-excluding sampler inverts the
+prefix of everything but one color c without bisection: each pool entry of
+c knows the mass of the other colors before it (``others_before``,
+nondecreasing along c's run), so one ``searchsorted`` in c's run counts the
+c points before a draw, and one in the pool prefix finds it. Zero-weight
+points carry no mass and are left out, so counts are of positive-weight
+points. The sorted last coordinates, the pool's colors and
+``others_before`` are derived from the stored arrays on build and on
+load, and are not saved.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Optional
 
@@ -37,7 +48,7 @@ def refine_spans(starts: np.ndarray, n: int) -> np.ndarray:
     splits at its midpoint."""
     ends = np.append(starts[1:], n)
     mids = (starts + ends) // 2
-    return np.union1d(starts, mids[ends - starts >= 2])
+    return np.sort(np.concatenate((starts, mids[ends - starts >= 2])))   # disjoint
 
 
 def depth_rows(row: np.ndarray, key: np.ndarray, starts: np.ndarray, depths: int):
@@ -54,6 +65,46 @@ def depth_rows(row: np.ndarray, key: np.ndarray, starts: np.ndarray, depths: int
         starts = refine_spans(starts, n)
 
 
+def tile(lo: int, hi: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    """(start, stop, depth) of the nodes of the mid-split tree over [lo, hi)
+    that tile [a, b), for lo <= a < b <= hi: the path down to the first node
+    that [a, b) splits, then that node's two boundary paths."""
+    depth = 0
+    while not (a <= lo and hi <= b):
+        mid = (lo + hi) // 2
+        depth += 1
+        if b <= mid:
+            hi = mid
+        elif mid <= a:
+            lo = mid
+        else:
+            break
+    else:
+        return [(lo, hi, depth)]
+    out = []
+    l, h, d = lo, mid, depth   # [a, mid) is a suffix of [lo, mid)
+    while l < a:
+        m = (l + h) // 2
+        d += 1
+        if a < m:
+            out.append((m, h, d))
+            h = m
+        else:
+            l = m
+    out.append((l, h, d))
+    l, h, d = mid, hi, depth   # [mid, b) is a prefix of [mid, hi)
+    while b < h:
+        m = (l + h) // 2
+        d += 1
+        if m < b:
+            out.append((l, m, d))
+            l = m
+        else:
+            h = m
+    out.append((l, h, d))
+    return out
+
+
 class Pieces:
     """Canonical pieces of one query: pool slices [start, stop)."""
 
@@ -67,10 +118,33 @@ class Pieces:
         return len(self.start)
 
 
+class Exclusion:
+    """One color taken out of a query's pieces: per piece, the color's point
+    count, its mass, and its mass in the pool before the piece's start; plus
+    the color's run [first, stop) in the tree's ``ColorPrefix`` keys."""
+
+    __slots__ = ("color", "first", "stop", "count", "mass", "before")
+
+    def __init__(self, color: int, first: int, stop: int, count: np.ndarray,
+                 mass: np.ndarray, before: np.ndarray):
+        self.color = color
+        self.first = first
+        self.stop = stop
+        self.count = count
+        self.mass = mass
+        self.before = before
+
+
 class RangeTree:
     """Static d-level range tree; immutable after build, queries are pure."""
 
+    DERIVED = ("last_sorted",)   # rebuilt by _derive on build and on load, never saved
+
     def __init__(self, pts: ColoredPointSet):
+        self._build(pts)
+        self._derive()
+
+    def _build(self, pts: ColoredPointSet) -> None:
         self.pts = pts
         self.dim = pts.dim
         ids = np.flatnonzero(pts.weights > 0.0)
@@ -78,8 +152,11 @@ class RangeTree:
         self.rows = math.ceil(math.log2(n)) + 1 if n else 0   # depths per tree level
         ids = ids[np.lexsort((ids, pts.coords[ids, 0]))]
         rows, parts = [ids], [np.zeros(1, dtype=np.int64)]
-        self.keys = [pts.coords[ids, 0]]   # per level: coordinate k of every row
+        # per level, what it is searched by: coordinate k of every row for the
+        # tree levels k < d-1, the cut keys for the last level (below)
+        self.keys = []
         for k in range(1, self.dim if n else 1):
+            self.keys.append(pts.coords[np.concatenate(rows), k - 1])
             next_rows, next_parts = [], []
             for row, starts in zip(rows, parts):
                 for sorted_row, depth_starts in depth_rows(row, pts.coords[:, k], starts,
@@ -87,52 +164,80 @@ class RangeTree:
                     next_rows.append(sorted_row)
                     next_parts.append(depth_starts)
             rows, parts = next_rows, next_parts
-            self.keys.append(pts.coords[np.concatenate(rows), k])
         self.pool_ids = np.concatenate(rows) if n else ids
         self.wpre, self.wlo = running_sum(pts.weights[self.pool_ids])
+        # cut keys: the pool position where each entry's slice starts, times
+        # (n + 1), plus the rank of its last coordinate (how many points have a
+        # smaller one); pool row 0 holds every point by last coordinate
+        first = self.pool_ids[:n]
+        last = pts.coords[first, -1]
+        rank = np.zeros(len(pts), dtype=np.int64)
+        rank[first] = last.searchsorted(last)
+        span = np.concatenate([r * n + np.repeat(starts, np.diff(starts, append=n))
+                               for r, starts in enumerate(parts)])
+        self.keys.append(span * (n + 1) + rank[self.pool_ids])
+
+    def _derive(self) -> None:
+        """The last coordinate of every point, sorted (ranks a query's bounds)."""
+        self.last_sorted = self.pts.coords[self.pool_ids[:self.n], -1]
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in self.DERIVED}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive()
 
     @classmethod
     def build(cls, pts: ColoredPointSet) -> "RangeTree":
         return cls(pts)
 
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (*self.keys, self.pool_ids, self.wpre, self.wlo))
+        """Bytes of the tree's arrays, the derived ones included."""
+        arrays = (*self.keys, self.pool_ids, self.wpre, self.wlo, self.last_sorted)
+        return sum(a.nbytes for a in arrays)
 
     # -- canonical decomposition ------------------------------------------
 
     def canonical_nodes(self, rect: QueryRect) -> Pieces:
         if rect.dim != self.dim:
             raise ValueError(f"rect dim {rect.dim} != tree dim {self.dim}")
-        start: list[int] = []
-        stop: list[int] = []
-        if self.n:
-            self._cut(0, 0, 0, self.n, rect, start, stop)
-        return Pieces(np.array(start, dtype=np.int64), np.array(stop, dtype=np.int64))
+        n = self.n
+        nodes: list[int] = []
+        if n:
+            if self.dim == 1:
+                nodes.append(0)
+            else:
+                self._nodes(0, 0, 0, n, rect, nodes)
+        if not nodes:
+            return Pieces(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        # one search of the cut keys slices every node by the last coordinate
+        r_lo = bisect.bisect_left(self.last_sorted.data, rect.lo[-1])
+        r_hi = bisect.bisect_right(self.last_sorted.data, rect.hi[-1])
+        base = [s * (n + 1) for s in nodes]
+        cut = self.keys[-1].searchsorted([x + r_lo for x in base] + [x + r_hi for x in base])
+        a, b = cut[:len(base)], cut[len(base):]
+        keep = a < b
+        return Pieces(a[keep], b[keep])
 
-    def _cut(self, k: int, row: int, lo: int, hi: int, rect: QueryRect,
-             start: list, stop: list) -> None:
-        """Pieces of the node spanning [lo, hi) of level k's given row."""
-        off = row * self.n
-        keys = self.keys[k][off + lo: off + hi]
-        a = lo + int(keys.searchsorted(rect.lo[k], "left"))
-        b = lo + int(keys.searchsorted(rect.hi[k], "right"))
+    def _nodes(self, k: int, row: int, lo: int, hi: int, rect: QueryRect,
+               out: list) -> None:
+        """Appends to ``out`` the pool starts of the last-level nodes, below
+        the level-k node spanning [lo, hi) of the given row, whose points
+        meet the range in coordinates k..d-2."""
+        n = self.n
+        off = row * n
+        keys = self.keys[k].data
+        a = bisect.bisect_left(keys, rect.lo[k], off + lo, off + hi) - off
+        b = bisect.bisect_right(keys, rect.hi[k], off + lo, off + hi) - off
         if a >= b:
             return
-        if k == self.dim - 1:
-            start.append(off + a)
-            stop.append(off + b)
-            return
-        stack = [(lo, hi, 0)]
-        while stack:
-            u, v, depth = stack.pop()
-            if v <= a or b <= u:
-                continue
-            if a <= u and v <= b:
-                self._cut(k + 1, row * self.rows + depth, u, v, rect, start, stop)
-                continue
-            mid = (u + v) // 2
-            stack.append((mid, v, depth + 1))
-            stack.append((u, mid, depth + 1))
+        row *= self.rows   # child rows are row * rows + depth
+        for u, v, depth in tile(lo, hi, a, b):
+            if k + 2 < self.dim:
+                self._nodes(k + 1, row + depth, u, v, rect, out)
+            else:
+                out.append((row + depth) * n + u)
 
     def pieces_weight(self, pieces: Pieces) -> np.ndarray:
         a, b = pieces.start, pieces.stop
@@ -153,55 +258,67 @@ class RangeTree:
                      size: Optional[int] = None):
         """Point index drawn by weight from the range; an array of ``size``
         independent draws when ``size`` is given."""
-        out = self.draw(self.canonical_nodes(rect), rng, 1 if size is None else size)
-        return int(out[0]) if size is None else out
+        return self.sample_from(self.canonical_nodes(rect), rng, size)
 
     def sample(self, rect: QueryRect, rng: np.random.Generator) -> Point:
         return self.pts.point(self.sample_index(rect, rng))
 
+    def sample_from(self, pieces: Pieces, rng: np.random.Generator, size: Optional[int] = None,
+                    excluded: Optional[Exclusion] = None):
+        """Point id drawn by weight from the pieces' points (without the
+        excluded color's); an array of ``size`` independent draws, in draw
+        order, when ``size`` is given."""
+        pos = self.draw(pieces, rng, 1 if size is None else size, excluded)
+        if size is None:
+            return int(self.pool_ids[pos[0]])
+        rng.shuffle(pos)   # draw() leaves them grouped by piece and ascending
+        return self.pool_ids[pos]
+
     def draw(self, pieces: Pieces, rng: np.random.Generator, size: int,
-             excluded: Optional[int] = None) -> np.ndarray:
-        """``size`` point ids drawn by weight from the pieces' points, without
-        the points of color ``excluded`` when given (color-aware trees only)."""
+             excluded: Optional[Exclusion] = None) -> np.ndarray:
+        """Pool positions of ``size`` draws by weight from the pieces' points,
+        without the points of the excluded color when given (color-aware
+        trees only). The draws come grouped by piece, each group ascending:
+        a multiset, not a sequence (see :meth:`sample_from`)."""
         a, b = pieces.start, pieces.stop
-
-        def prefix(p):
-            if excluded is None:
-                return self.wpre[p]
-            return self.wpre[p] - self.color_prefix.mass(excluded, 0, p)
-
-        ga, gb = prefix(a), prefix(b)
-        keep = gb > ga
-        if not keep.any():
+        lo = self.wpre[a]
+        mass = self.wpre[b] - lo
+        if excluded is not None:
+            lo = lo - excluded.before
+            mass = np.maximum(mass - excluded.mass, 0.0)
+        cum = np.cumsum(mass)
+        if not len(cum) or not cum[-1] > 0.0:
             raise EmptyRange("no sampleable mass in query range")
-        a, b, ga, gb = a[keep], b[keep], ga[keep], gb[keep]
-        cum = np.cumsum(gb - ga)
-        before = np.concatenate(([0.0], cum[:-1]))
-        out = np.empty(size, dtype=np.int64)
-        todo = np.arange(size)
-        for _ in range(64):
-            u = rng.random(len(todo)) * cum[-1]
-            k = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-            t = np.minimum(ga[k] + (u - before[k]).clip(0.0), np.nextafter(gb[k], -np.inf))
-            if excluded is None:
-                pos = np.searchsorted(self.wpre, t, side="right") - 1
+        total = cum[-1]
+        shift = lo - (cum - mass)   # range coordinate -> the prefix sampled
+
+        def positions(m: int) -> np.ndarray:
+            u = rng.random(m)
+            u.sort()   # sorted targets make the prefix searches walk forward
+            u *= total
+            if len(cum) > 1:
+                k = cum[:-1].searchsorted(u, "right")
+                u += shift[k]
+                first, last = a[k], b[k] - 1
             else:
-                lo, hi = a[k], b[k]   # invariant: prefix(lo) <= t < prefix(hi)
-                while (hi - lo > 1).any():
-                    mid = (lo + hi) // 2
-                    right = prefix(mid) <= t
-                    lo = np.where(right, mid, lo)
-                    hi = np.where(right, hi, mid)
-                pos = lo
-            out[todo] = self.pool_ids[pos]
-            if excluded is None:
-                return out
+                u += shift[0]
+                first, last = a[0], b[0] - 1
+            if excluded is not None:
+                u = self._unexclude(u, excluded)
+            pos = self.wpre.searchsorted(u, "right") - 1
+            # rounding can put a target just outside its piece
+            return np.minimum(np.maximum(pos, first, out=pos), last, out=pos)
+
+        pos = positions(size)
+        if excluded is None:
+            return pos
+        for _ in range(64):
             # rounding in the differenced prefix can leave a sliver of mass
             # on an excluded point; redraw those
-            bad = self.pts.colors[out[todo]] == excluded
-            if not bad.any():
-                return out
-            todo = todo[bad]
+            bad = np.flatnonzero(self.pool_colors[pos] == excluded.color)
+            if not len(bad):
+                return pos
+            pos[bad] = positions(len(bad))
         raise EmptyRange("remaining mass is below float resolution of the range")
 
 
@@ -212,18 +329,57 @@ class ColorAwareRangeTree(RangeTree):
     which gives EVAL and sampling that excludes one color.
     """
 
-    def __init__(self, pts: ColoredPointSet):
-        super().__init__(pts)
+    DERIVED = RangeTree.DERIVED + ("pool_colors", "others_before")
+
+    def _build(self, pts: ColoredPointSet) -> None:
+        super()._build(pts)
         self.color_prefix = ColorPrefix(pts.colors[self.pool_ids], pts.weights[self.pool_ids])
+
+    def _derive(self) -> None:
+        """Also the color of every pool entry, and for every key of the
+        ``ColorPrefix``, the pool's mass before the key's position less its
+        own color's (the prefix the excluding sampler inverts)."""
+        super()._derive()
+        self.pool_colors = self.pts.colors[self.pool_ids]
+        cp = self.color_prefix
+        colors = int(cp.keys[-1]) // cp.n + 1 if cp.n else 0
+        firsts = cp.keys.searchsorted(np.arange(colors + 1) * cp.n)   # each color's run
+        runs = np.diff(firsts)
+        first = np.repeat(firsts[:-1], runs)
+        own = (cp.wpre[:-1] - cp.wpre[first]) + (cp.wlo[:-1] - cp.wlo[first])
+        pos = cp.keys - np.repeat(np.arange(colors) * cp.n, runs)
+        self.others_before = self.wpre[pos] - own
 
     def nbytes(self) -> int:
         cp = self.color_prefix
-        return super().nbytes() + cp.keys.nbytes + cp.wpre.nbytes + cp.wlo.nbytes
+        arrays = (cp.keys, cp.wpre, cp.wlo, self.pool_colors, self.others_before)
+        return super().nbytes() + sum(a.nbytes for a in arrays)
+
+    def exclude(self, pieces: Pieces, color: int) -> Exclusion:
+        """The pieces' points of one color, as the excluding sampler and the
+        reduced totals need them: one ``searchsorted`` call."""
+        cp = self.color_prefix
+        k = len(pieces)
+        at = cp.keys.searchsorted(color * cp.n + np.concatenate((pieces.start, pieces.stop,
+                                                                 (0, cp.n))))
+        i, j = at[:k], at[k:2 * k]
+        first, stop = int(at[2 * k]), int(at[2 * k + 1])
+        hi, lo = cp.wpre, cp.wlo
+        return Exclusion(color, first, stop, j - i, (hi[j] - hi[i]) + (lo[j] - lo[i]),
+                         (hi[i] - hi[first]) + (lo[i] - lo[first]))
+
+    def _unexclude(self, t: np.ndarray, ex: Exclusion) -> np.ndarray:
+        """Targets in the prefix without color ``ex.color`` mapped to the
+        pool's weight prefix: adds the mass of the color's points before
+        each target, found by one search in the color's run."""
+        j = ex.first + self.others_before[ex.first:ex.stop].searchsorted(t, "right")
+        hi, lo = self.color_prefix.wpre, self.color_prefix.wlo
+        return t + ((hi[j] - hi[ex.first]) + (lo[j] - lo[ex.first]))
 
     def sample_excluding_index(self, rect: QueryRect, excluded: int,
                                rng: np.random.Generator, size: Optional[int] = None):
-        out = self.draw(self.canonical_nodes(rect), rng, 1 if size is None else size, excluded)
-        return int(out[0]) if size is None else out
+        pieces = self.canonical_nodes(rect)
+        return self.sample_from(pieces, rng, size, self.exclude(pieces, excluded))
 
     def sample_excluding(self, rect: QueryRect, excluded: int,
                          rng: np.random.Generator) -> Point:

@@ -5,10 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from entrange.approx_renyi import estimate_additive_renyi, estimate_multiplicative_renyi
+from entrange.approx_renyi import (
+    _moment_mean,
+    estimate_additive_renyi,
+    estimate_multiplicative_renyi,
+)
 from entrange.approx_shannon import (
+    DEFAULT_CONFIG,
     EstimatorConfig,
     EstimatorIndex,
+    _plugin_mean,
     detect_heavy_color,
     estimate_additive,
     estimate_multiplicative,
@@ -235,6 +241,71 @@ def test_every_call_reports_mode_and_samples(rng):
             stats: dict = {}
             estimate(index, rect, rng, stats)
             assert isinstance(stats["mode"], str) and stats["samples"] >= 0
+
+
+def test_every_call_reports_pieces_and_distinct_colors(rng):
+    # pieces: the query's canonical pieces; distinct_colors: the colors EVAL'd
+    # over the call's tallies (heavy detection included; at most three)
+    pts = random_pointset(rng, 300, d=2, m=6, weighted=True)
+    index = EstimatorIndex(pts)
+    for rect in [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(20)]:
+        if index.oracle(rect).is_empty:
+            continue
+        pieces = len(index.tree.canonical_nodes(rect))
+        for i, estimate in enumerate(ESTIMATORS):
+            stats: dict = {}
+            estimate(index, rect, rng, stats)
+            assert stats["pieces"] == pieces
+            assert 0 <= stats["distinct_colors"] <= 6 * 3
+            if stats["samples"] or i % 2:   # multiplicative calls always tally
+                assert stats["distinct_colors"] >= 1
+
+
+def per_sample_reference(oracle, samples, seed):
+    """EVAL of every draw on its own, over the draws a tally with the same
+    seed makes (the public sampler shuffles only after drawing)."""
+    return oracle.eval_color(oracle.sample_color(np.random.default_rng(seed), samples))
+
+
+def heavy_reference(oracle, cfg, seed):
+    """heavy_color as an np.unique over the drawn colors."""
+    n = max(2, len(oracle.index))
+    draws = math.ceil(cfg.c_heavy * math.log(2 * n) / math.log(3))
+    seen = np.unique(oracle.sample_color(np.random.default_rng(seed), draws))
+    weights = oracle.color_weight(seen)
+    top = int(np.argmax(weights))
+    if weights[top] > (2.0 / 3.0) * oracle.total_weight:
+        return int(seen[top]), float(weights[top])
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tally_estimates_match_per_sample_eval(seed):
+    rng = np.random.default_rng(seed)
+    pts = random_pointset(rng, 400, d=2, m=9, weighted=True)
+    index = EstimatorIndex(pts)
+    checked = 0
+    for rect in [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(8)]:
+        plain = index.oracle(rect)
+        if plain.is_empty:
+            continue
+        for oracle in (plain, plain.excluding(int(pts.colors[0])), plain.excluding(99)):
+            if oracle.is_empty:
+                continue
+            for samples in (1, 7, 500):
+                p = per_sample_reference(oracle, samples, seed)
+                want = float(-np.log2(p).mean())
+                got = _plugin_mean(oracle, samples, np.random.default_rng(seed))
+                assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300), (got, want)
+                for alpha in (1.5, 2.0, 3.0):
+                    want = float((p ** (alpha - 1.0)).mean())
+                    got = _moment_mean(oracle, alpha, samples, np.random.default_rng(seed))
+                    assert abs(got - want) <= 1e-12 * want
+                checked += 1
+            heavy = oracle.heavy_color(np.random.default_rng(seed), DEFAULT_CONFIG)
+            want = heavy_reference(oracle, DEFAULT_CONFIG, seed)
+            assert (None if heavy is None else (heavy.color, heavy.weight)) == want
+    assert checked
 
 
 def heavy_color_case(seed, heavy_lo, heavy_hi):

@@ -1,12 +1,23 @@
 """Range tree: canonical decomposition, counting, weighted sampling."""
 
+import pickle
+
 import numpy as np
 import pytest
+from scipy import stats
 
+from entrange.approx_shannon import EstimatorIndex
 from entrange.core import ColoredPointSet, QueryRect
 from entrange.errors import EmptyRange
 from entrange.oracle import brute_histogram
-from entrange.rangetree import ColorAwareRangeTree, ColorTrees, RangeTree, color_range_count
+from entrange.rangetree import (
+    ColorAwareRangeTree,
+    ColorTrees,
+    Pieces,
+    RangeTree,
+    color_range_count,
+    tile,
+)
 
 from conftest import random_pointset, random_rect
 
@@ -34,6 +45,52 @@ def test_canonical_partition_property(rng, d):
         assert len(ids) == len(set(ids))
         want = set(np.nonzero(rect.mask(pts))[0].tolist())
         assert set(ids) == want
+
+
+def stack_tile(lo, hi, a, b):
+    """Reference for ``tile``: every node of the mid-split tree meeting
+    [a, b), split until covered."""
+    out, stack = [], [(lo, hi, 0)]
+    while stack:
+        u, v, depth = stack.pop()
+        if v <= a or b <= u:
+            continue
+        if a <= u and v <= b:
+            out.append((u, v, depth))
+            continue
+        mid = (u + v) // 2
+        stack += [(mid, v, depth + 1), (u, mid, depth + 1)]
+    return sorted(out)
+
+
+def test_tile_matches_stack_walk():
+    for n in range(1, 40):
+        for a in range(n):
+            for b in range(a + 1, n + 1):
+                assert sorted(tile(0, n, a, b)) == stack_tile(0, n, a, b), (n, a, b)
+    assert sorted(tile(100, 1100, 137, 901)) == stack_tile(100, 1100, 137, 901)
+
+
+def test_derived_arrays_are_counted_and_rebuilt_on_load(rng):
+    # the sorted last coordinates, pool colors and others_before are derived
+    # on build and on load: left out of the pickle, but counted by nbytes and
+    # space_stats
+    pts = random_pointset(rng, 300, d=2, m=7, weighted=True)
+    index = EstimatorIndex(pts)
+    tree = index.tree
+    derived = ("last_sorted", "pool_colors", "others_before")
+    assert tree.DERIVED == derived
+    cp = tree.color_prefix
+    stored = (*tree.keys, tree.pool_ids, tree.wpre, tree.wlo, cp.keys, cp.wpre, cp.wlo)
+    extra = sum(getattr(tree, name).nbytes for name in derived)
+    assert extra > 0
+    assert tree.nbytes() == sum(a.nbytes for a in stored) + extra
+    assert index.space_stats()["bytes"] == tree.nbytes()
+    assert not set(derived) & set(tree.__getstate__())
+    loaded = pickle.loads(pickle.dumps(tree))
+    for name in derived:
+        assert np.array_equal(getattr(loaded, name), getattr(tree, name))
+    assert loaded.nbytes() == tree.nbytes()
 
 
 def test_full_space_and_empty_rect(rng):
@@ -98,6 +155,56 @@ def test_sample_empty_raises(rng):
     tree = RangeTree.build(pts)
     with pytest.raises(EmptyRange):
         tree.sample_index(QueryRect.interval(200.0, 300.0), rng)
+
+
+def test_samplers_raise_empty_range_on_empty_pieces(rng):
+    pts = random_pointset(rng, 50, d=2, m=4)
+    tree = ColorAwareRangeTree.build(pts)
+    nowhere = QueryRect((200.0, 200.0), (300.0, 300.0))
+    none = Pieces(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    with pytest.raises(EmptyRange):
+        tree.draw(none, rng, 5)
+    with pytest.raises(EmptyRange):
+        tree.draw(none, rng, 5, tree.exclude(none, 0))
+    for size in (None, 1, 50):
+        with pytest.raises(EmptyRange):
+            tree.sample_index(nowhere, rng, size)
+        with pytest.raises(EmptyRange):
+            tree.sample_excluding_index(nowhere, 0, rng, size)
+        with pytest.raises(EmptyRange):
+            EstimatorIndex(pts).oracle(nowhere).sample_point(rng, size)
+
+
+def first_draw_pvalue(sampler, probs, calls=3000):
+    """Chi-square p-value of element 0 of ``calls`` size-50 draws against the
+    law ``probs``: a sampler whose draws come out sorted fails it."""
+    counts = np.zeros(len(probs))
+    for _ in range(calls):
+        counts[sampler(50)[0]] += 1
+    sel = probs > 0
+    assert counts[~sel].sum() == 0
+    return stats.chisquare(counts[sel], probs[sel] * calls).pvalue
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_public_samplers_return_draws_in_draw_order(d):
+    rng = np.random.default_rng(5 + d)
+    pts = random_pointset(rng, 24, d=d, m=3, weighted=True)
+    tree = ColorAwareRangeTree.build(pts)
+    oracle = EstimatorIndex(pts).oracle(QueryRect.full(d))
+    excluded = 1
+    probs = pts.weights / pts.weights.sum()
+    reduced = np.where(pts.colors == excluded, 0.0, pts.weights)
+    reduced /= reduced.sum()
+    full = QueryRect.full(d)
+    cases = (
+        (lambda k: tree.sample_index(full, rng, k), probs),
+        (lambda k: tree.sample_excluding_index(full, excluded, rng, k), reduced),
+        (lambda k: oracle.sample_point(rng, k), probs),
+        (lambda k: oracle.excluding(excluded).sample_point(rng, k), reduced),
+    )
+    for sampler, law in cases:
+        assert first_draw_pvalue(sampler, law) >= 1e-3
 
 
 def test_sample_uniform_frequencies(rng):
