@@ -15,9 +15,13 @@ distinct coordinates, so a query snaps in all buckets with one
 with the bucket. One routine sums batches of cells from their member
 points. A bucket whose grid fits ``table_cap`` and what ``total_cap``
 leaves is eager: each grid cell holds an int32 number of a table row, one
-row per distinct point set (tightened box). Lazy buckets' cells are summed
-on first touch and memoized in one dict keyed by the packed (bucket, lo,
-hi) until grid and memo together hold ``total_cap`` entries.
+row per distinct point set (tightened box). In d >= 2 the boxes come from
+one walk per fixed (lo, hi) of every dimension but the last and the last
+one's lo: the bucket's points in last-rank order, whose running rank
+minima and maxima give the box of every last-dimension hi at once; only
+the distinct boxes are summed. Lazy buckets' cells are summed on first
+touch and memoized in one dict keyed by the packed (bucket, lo, hi) until
+grid and memo together hold ``total_cap`` entries.
 
 A query adds the rows' W and S. A color whose run crosses cuts shows up as
 edge pieces of consecutive cells; each run of equal edge colors adds
@@ -90,20 +94,19 @@ class ExactNDIndex:
         self.strides = np.zeros_like(radix)
         self.strides[eager] = np.cumprod(np.column_stack(
             (np.ones(self.eager_buckets, dtype=np.int64), radix[eager, :-1])), axis=1)
-        self.grid, self.table = self._fill(np.arange(cells), radix)
+        self.grid, self.table = self._fill(cells, u)
         self.memo: dict[bytes, bytes] = {}
         self.memo_cap = total_cap - cells
 
     # -- cells -----------------------------------------------------------------
 
-    def _inside(self, b, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """The ranks of the points of each cell's bucket, [dim, point, cell],
-        and whether each point lies in its cell, [point, cell]."""
+    def _inside(self, b, lo, hi) -> np.ndarray:
+        """Whether each point of each cell's bucket lies in the cell, [point, cell]."""
         ranks = self.ranks[:, :, b]
         inside = np.ones(ranks.shape[1:], dtype=bool)
         for r, low, high in zip(ranks, lo.T, hi.T):
             inside &= (r >= low) & (r <= high)
-        return ranks, inside
+        return inside
 
     def _evaluate(self, b, lo, hi) -> np.ndarray:
         """Rows of the cells (b, lo, hi), summed over their member points."""
@@ -111,7 +114,7 @@ class ExactNDIndex:
         step = max(1, CHUNK // self.bucket_size)
         for a in range(0, len(b), step):
             part = rows[a:a + step]
-            cell, j = np.nonzero(self._inside(b[a:a + step], lo[a:a + step], hi[a:a + step])[1].T)
+            cell, j = np.nonzero(self._inside(b[a:a + step], lo[a:a + step], hi[a:a + step]).T)
             if not len(cell):
                 continue
             point = b[a + cell] * self.bucket_size + j
@@ -134,10 +137,12 @@ class ExactNDIndex:
         """Grid positions of the cells (b, lo, hi) of eager buckets."""
         return ((hi * (hi + 1) // 2 + lo) * self.strides[b]).sum(axis=1) + self.offsets[b]
 
-    def _fill(self, cells: np.ndarray, radix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The eager grid over grid positions ``cells`` and its table of
-        distinct rows: each cell holds the row of its tightened box."""
+    def _fill(self, cells: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The eager grid of ``cells`` positions and its table of distinct
+        rows: each cell holds the row of its tightened box. ``u`` counts each
+        bucket's distinct ranks per dimension, [bucket, dim]."""
         eager = np.flatnonzero(self.offsets >= 0)
+        radix = u * (u + 1) // 2
 
         def decode(g):
             b = eager[np.searchsorted(self.offsets[eager], g, side="right") - 1]
@@ -145,20 +150,62 @@ class ExactNDIndex:
             hi = ((np.sqrt(8 * tri + 1) - 1) // 2).astype(np.int64)
             return b, tri - hi * (hi + 1) // 2, hi
 
-        tight = cells      # a 1-D cell holds points at both end ranks: its own box
-        if len(self.ranks) > 1:
-            tight = np.full(len(cells), -1, dtype=np.int64)
-            step = max(1, CHUNK // self.bucket_size)
-            for a in range(0, len(cells), step):
-                b, lo, hi = decode(cells[a:a + step])
-                ranks, inside = self._inside(b, lo, hi)
-                lo = np.where(inside, ranks, self.bucket_size).min(axis=1).T
-                hi = np.where(inside, ranks, -1).max(axis=1).T
-                full = np.flatnonzero(inside.any(axis=0))
-                tight[a + full] = self._number(b[full], lo[full], hi[full])
+        if len(self.ranks) > 1 and cells:
+            tight = self._tighten(eager, u[eager, -1], decode, cells)
+        else:
+            tight = np.arange(cells)   # a 1-D cell holds points at both end ranks: its own box
         boxes, grid = np.unique(np.append(-1, tight), return_inverse=True)
         table = np.vstack((np.zeros(self.width), self._evaluate(*decode(boxes[1:]))))
         return grid[1:].astype(np.int32), table
+
+    def _tighten(self, eager, last_u, decode, cells: int) -> np.ndarray:
+        """Grid position of each eager cell's tightened box, -1 if it is empty.
+
+        A walk row fixes an eager bucket, every dimension's (lo, hi) but the
+        last, and the last one's lo. Its members are the bucket's points in
+        that slab, taken in last-rank order; running minima and maxima of
+        each dimension's ranks over them give, at the last point of last
+        rank <= hi, the tight box of the row's cell hi = lo..u-1. Rows are
+        taken ``CHUNK // bucket_size`` at a time."""
+        d, size, nbe = len(self.ranks), self.bucket_size, len(eager)
+        ranks = self.ranks[:, :, eager].transpose(0, 2, 1)      # [dim, bucket, point]
+        ranks = np.take_along_axis(ranks, np.argsort(ranks[-1], axis=1)[None], axis=2)
+        # the padding (rank -1) sorts first; walks skip what all buckets have
+        ranks = ranks[:, :, (ranks[-1] < 0).sum(axis=1).min():]
+        width = ranks.shape[2]
+        # upto[j, h]: how many walk points of eager bucket j have last rank <= h
+        j = np.arange(nbe)[:, None]
+        upto = (j * (width + 1) + ranks[-1] + 1).ravel().searchsorted(
+            j * (width + 1) + np.arange(last_u.max()) + 1, side="right") - j * width
+        slab = self.strides[eager, -1]                 # cells per last-dimension pair
+        first = np.cumsum(slab * last_u) - slab * last_u
+        rows = int((slab * last_u).sum())
+        tight = np.full(cells, -1, dtype=np.int64)
+        step = max(1, CHUNK // width)
+        for a in range(0, rows, step):
+            row = np.arange(a, min(a + step, rows))
+            j = np.searchsorted(first, row, side="right") - 1
+            low, rest = np.divmod(row - first[j], slab[j])
+            b, lo, hi = decode(self.offsets[eager[j]] + rest)
+            member = ranks[-1, j] >= low[:, None]
+            for k in range(d - 1):
+                member &= (ranks[k, j] >= lo[:, k, None]) & (ranks[k, j] <= hi[:, k, None])
+            # the row's cells: last-dimension hi from the row's lo up to u - 1;
+            # each reads the walk at its last point of last rank <= hi
+            count = last_u[j] - low
+            cell = np.repeat(np.arange(len(row)), count)
+            top = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count) + low[cell]
+            at = cell * width + upto[j[cell], top] - 1
+            box = np.empty((2, len(cell), d), dtype=np.int64)
+            for k in range(d):
+                walk = ranks[k, j]
+                box[0, :, k] = np.minimum.accumulate(np.where(member, walk, size), axis=1).take(at)
+                box[1, :, k] = np.maximum.accumulate(np.where(member, walk, -1), axis=1).take(at)
+            full = box[1, :, -1] >= 0
+            cell, tri = cell[full], top[full] * (top[full] + 1) // 2 + low[cell[full]]
+            tight[self.offsets[b[cell]] + rest[cell] + tri * slab[j[cell]]] = \
+                self._number(b[cell], *box[:, full])
+        return tight
 
     # -- queries ---------------------------------------------------------------
 

@@ -56,12 +56,15 @@ def depth_rows(row: np.ndarray, key: np.ndarray, starts: np.ndarray, depths: int
 
     Yields, for each of ``depths`` depths, ``row`` reordered so that every
     span of that depth holds its entries sorted by ``key[entry]`` (ties by
-    entry), together with the depth's span starts.
+    entry), together with the depth's span starts. The row is sorted by
+    (key, entry) once; each depth then sorts that order stably by span, on
+    the narrowest unsigned type that holds the span numbers.
     """
     n = len(row)
+    by_key = np.lexsort((row, key[row]))
     for _ in range(depths):
-        span = np.searchsorted(starts, np.arange(n), side="right")
-        yield row[np.lexsort((row, key[row], span))], starts
+        span = np.searchsorted(starts, np.arange(n), side="right").astype(np.min_scalar_type(n))
+        yield row[by_key[np.argsort(span[by_key], kind="stable")]], starts
         starts = refine_spans(starts, n)
 
 

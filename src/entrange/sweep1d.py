@@ -48,6 +48,15 @@ exponents. ``ladder_first`` (derived on build and on load, not stored)
 holds where each node's run of jumps starts in both pools, so the
 rightmost jump <= b of a canonical node is a bisection of its own run.
 
+Ladders are built for batches of nodes at once. A batch's walks are put in
+order by one stable sort of the int64 keys ``node * (U + 1) + rank``. The
+counts along a walk are integers in 1..n, so the count exponents, the
+Shannon terms k log2 k or Renyi terms k^alpha, and their steps f(k) -
+f(k-1) are gathers from tables over 0..n built once per index; a walk's
+value is the running sum of its steps. Value exponents take the log guess
+and its pow fix-ups, since a table of powers would grow with the largest
+exponent.
+
 A query gets a count estimate within one (1+e') factor and a value
 estimate within another. Shannon results are folded pairwise on Python
 floats with the disjoint-union rule (balanced, so the per-merge inflation
@@ -120,6 +129,29 @@ def _segment_cumsum(values: np.ndarray, first: np.ndarray, lens: np.ndarray) -> 
         block[valid] = values[idx]
         out[idx] = block.cumsum(axis=1)[valid]
     return out
+
+
+def _exponents(values: np.ndarray, base: float, log_base: float) -> np.ndarray:
+    """The least e >= 0 with base**e >= v for each value v > 0 (int64): a
+    log guess, fixed up by at most four pow steps either way."""
+    e = np.ceil(np.log(values) / log_base - 1e-12).astype(np.int64)
+    np.maximum(e, 0, out=e)
+    for _ in range(4):
+        over = base ** e.astype(np.float64) < values
+        if not over.any():
+            break
+        e[over] += 1
+    for _ in range(4):
+        under = (e > 0) & (base ** (e - 1.0) >= values)
+        if not under.any():
+            break
+        e[under] -= 1
+    return e
+
+
+def _count_exponents(n: int, base: float, log_base: float) -> np.ndarray:
+    """``_exponents`` of the counts 0..n as a table (entry 0 unused)."""
+    return np.concatenate(([0], _exponents(np.arange(1.0, n + 1), base, log_base)))
 
 
 class Sweep1DIndex:
@@ -252,7 +284,18 @@ class Sweep1DIndex:
         for g0, g1 in _batches(stop - start):
             seg, lo, hi, _ = self._walk_runs(g0, g1, ckey)
             walk_len.append(np.bincount(seg, hi - lo, minlength=g1 - g0).astype(np.int64))
-        parts = [self._ladders(g0, g1, ckey, crank)
+        # tables over the integer counts 0..n that walks look up: count
+        # exponents, k log2 k (Shannon) or k^alpha (Renyi), and the latter's
+        # steps f(k) - f(k-1)
+        k = np.arange(self.n + 1, dtype=np.float64)
+        if self.alpha is None:
+            f = np.zeros(self.n + 1)
+            f[1:] = k[1:] * np.log2(k[1:])
+        else:
+            f = k**self.alpha
+        tables = (_count_exponents(self.n, self._base, self._log_base), f,
+                  np.diff(f, prepend=0.0))
+        parts = [self._ladders(g0, g1, ckey, crank, tables)
                  for g0, g1 in _batches(np.concatenate(walk_len))]
         if not parts:
             parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)) * 2]
@@ -282,67 +325,49 @@ class Sweep1DIndex:
         hi = ckey.searchsorted((colors + 1) * stride)
         return seg, lo, hi, sizes
 
-    def _ladders(self, g0: int, g1: int, ckey: np.ndarray, crank: np.ndarray):
+    def _ladders(self, g0: int, g1: int, ckey: np.ndarray, crank: np.ndarray, tables):
         """Count and value ladders (keys, exponents) of nodes g0..g1-1.
 
         A node's walk is its colors' points at or after x_v, in coordinate
         order (ties in row order). Both ladders step at the last point of
         each coordinate: the count ladder at every one, the value ladder
         where the value is positive, for nodes of two or more colors under
-        Shannon."""
+        Shannon. ``tables`` holds the count exponents, f (k log2 k or
+        k^alpha) and f's steps f(k) - f(k-1), each over the counts 0..n."""
+        count_exp, f, f_step = tables
         seg, lo, hi, sizes = self._walk_runs(g0, g1, ckey)
         lens = hi - lo
         idx = _ranges(lo, lens)
         wseg = np.repeat(seg, lens)
-        order = np.lexsort((crank[idx], wseg))
+        stride = self._stride
+        order = np.argsort(wseg * stride + crank[idx], kind="stable")
         # a point's occurrence rank within its color is its place in its run
-        nc = _ranges(np.ones_like(lens), lens)[order].astype(np.float64)
+        nc = _ranges(np.ones_like(lens), lens)[order]
         idx, wseg = idx[order], wseg[order]
         walk_x = crank[idx]
         m = len(idx)
         walk_len = np.bincount(seg, lens, minlength=g1 - g0).astype(np.int64)
         first = np.cumsum(walk_len) - walk_len
-        shannon = self.alpha is None
-        if shannon:
-            inc = nc * np.log2(nc)
-            repeat = nc > 1.0
-            prev = nc[repeat] - 1.0
-            inc[repeat] -= prev * np.log2(prev)
-        else:
-            inc = nc**self.alpha - (nc - 1.0) ** self.alpha
-        t_pref = _segment_cumsum(inc, first, walk_len)
-        totals = np.arange(m) - np.repeat(first, walk_len) + 1.0
+        t_pref = _segment_cumsum(f_step[nc], first, walk_len)
+        totals = np.arange(m) - np.repeat(first, walk_len) + 1
         group_end = np.ones(m, dtype=bool)
         group_end[:-1] = (walk_x[1:] != walk_x[:-1]) | (wseg[1:] != wseg[:-1])
         g_seg, g_x, g_tot = wseg[group_end], walk_x[group_end], totals[group_end]
-        if shannon:
-            g_val = g_tot * np.log2(g_tot) - t_pref[group_end]
-            g_val[g_tot <= 1] = 0.0
+        if self.alpha is None:
+            g_val = f[g_tot] - t_pref[group_end]
             positive = (g_val > 0.0) & (sizes[g_seg] > 1)
         else:
             g_val = t_pref[group_end]
             positive = g_val > 0.0
-        base, log_base, stride = self._base, self._log_base, self._stride
 
-        def ladder(segs: np.ndarray, xs: np.ndarray, values: np.ndarray):
-            e = np.ceil(np.log(values) / log_base - 1e-12).astype(np.int64)
-            np.maximum(e, 0, out=e)
-            for _ in range(4):
-                over = base ** e.astype(np.float64) < values
-                if not over.any():
-                    break
-                e[over] += 1
-            for _ in range(4):
-                under = (e > 0) & (base ** (e - 1.0) >= values)
-                if not under.any():
-                    break
-                e[under] -= 1
+        def ladder(segs: np.ndarray, xs: np.ndarray, e: np.ndarray):
             keep = np.ones(len(e), dtype=bool)
             keep[1:] = (e[1:] > e[:-1]) | (segs[1:] != segs[:-1])
             return (g0 + segs[keep]) * stride + xs[keep], e[keep].astype(np.int32)
 
-        return (*ladder(g_seg, g_x, g_tot),
-                *ladder(g_seg[positive], g_x[positive], g_val[positive]))
+        return (*ladder(g_seg, g_x, count_exp[g_tot]),
+                *ladder(g_seg[positive], g_x[positive],
+                        _exponents(g_val[positive], self._base, self._log_base)))
 
     # -- canonical node collection ---------------------------------------------
 

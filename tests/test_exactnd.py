@@ -63,6 +63,60 @@ def test_eager_table_matches_direct(rng):
             np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-12, atol=1e-12)
 
 
+def mask_tightened_grid(idx):
+    """Reference eager fill: every grid cell masks every slot of its bucket,
+    takes the min and max rank per dimension of the points inside as its
+    tight box, and the distinct boxes are summed into the table."""
+    eager = np.flatnonzero(idx.offsets >= 0)
+    u = idx.ranks.max(axis=1).T + 1                       # [bucket, dim]
+    radix = u * (u + 1) // 2
+    cells = len(idx.grid)
+
+    def decode(g):
+        b = eager[np.searchsorted(idx.offsets[eager], g, side="right") - 1]
+        tri = (g - idx.offsets[b])[:, None] // idx.strides[b] % radix[b]
+        hi = ((np.sqrt(8 * tri + 1) - 1) // 2).astype(np.int64)
+        return b, tri - hi * (hi + 1) // 2, hi
+
+    b, lo, hi = decode(np.arange(cells))
+    ranks = idx.ranks[:, :, b]                            # [dim, point, cell]
+    inside = np.ones(ranks.shape[1:], dtype=bool)
+    for r, low, high in zip(ranks, lo.T, hi.T):
+        inside &= (r >= low) & (r <= high)
+    tight = np.full(cells, -1, dtype=np.int64)
+    full = np.flatnonzero(inside.any(axis=0))
+    box_lo = np.where(inside, ranks, idx.bucket_size).min(axis=1).T
+    box_hi = np.where(inside, ranks, -1).max(axis=1).T
+    tight[full] = idx._number(b[full], box_lo[full], box_hi[full])
+    boxes, grid = np.unique(np.append(-1, tight), return_inverse=True)
+    table = np.vstack((np.zeros(idx.width), idx._evaluate(*decode(boxes[1:]))))
+    return grid[1:].astype(np.int32), table
+
+
+@pytest.mark.parametrize("d, n, t, eager_buckets, grid_coords", [
+    (2, 120, 0.5, "all", False),
+    (2, 150, 0.75, "all", True),     # ties within a dimension, not only whole points
+    (3, 90, 0.5, "all", False),
+    (3, 100, 0.25, "all", True),
+    (2, 2048, 0.5, "tail", False),   # only the short last bucket fits table_cap
+])
+def test_eager_grid_matches_mask_tightening(rng, d, n, t, eager_buckets, grid_coords):
+    pts = random_pointset(rng, n, d=d, m=9, weighted=True, duplicate_frac=0.2)
+    if grid_coords:
+        pts = ColoredPointSet(np.round(pts.coords / 8.0), pts.colors, pts.weights,
+                              num_colors=pts.num_colors)
+    idx = ExactNDIndex(pts, t=t, orders=(2.0, 3.0))
+    eager = np.flatnonzero(idx.offsets >= 0)
+    buckets = len(idx.offsets)
+    if eager_buckets == "all":
+        assert len(eager) == buckets > 1
+    else:
+        assert eager.tolist() == [buckets - 1] and n % idx.bucket_size
+    grid, table = mask_tightened_grid(idx)
+    assert idx.grid.dtype == grid.dtype and np.array_equal(idx.grid, grid)
+    assert np.array_equal(idx.table, table)
+
+
 def test_single_bucket_t_one(rng):
     pts = random_pointset(rng, 40, d=2, m=5)
     idx = ExactNDIndex(pts, t=1.0, orders=(2.0,))

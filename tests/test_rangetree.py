@@ -1,5 +1,6 @@
 """Range tree: canonical decomposition, counting, weighted sampling."""
 
+import math
 import pickle
 
 import numpy as np
@@ -16,6 +17,8 @@ from entrange.rangetree import (
     Pieces,
     RangeTree,
     color_range_count,
+    depth_rows,
+    refine_spans,
     tile,
 )
 
@@ -69,6 +72,31 @@ def test_tile_matches_stack_walk():
             for b in range(a + 1, n + 1):
                 assert sorted(tile(0, n, a, b)) == stack_tile(0, n, a, b), (n, a, b)
     assert sorted(tile(100, 1100, 137, 901)) == stack_tile(100, 1100, 137, 901)
+
+
+def lexsort_depth_rows(row, key, starts, depths):
+    """Reference for ``depth_rows``: one (span, key, entry) lexsort per depth."""
+    n = len(row)
+    for _ in range(depths):
+        span = np.searchsorted(starts, np.arange(n), side="right")
+        yield row[np.lexsort((row, key[row], span))], starts
+        starts = refine_spans(starts, n)
+
+
+@pytest.mark.parametrize("n, top", [(1, 1), (7, 1), (300, 1), (300, 4), (1000, 12)])
+def test_depth_rows_match_lexsort_reference(rng, n, top):
+    # few distinct keys, so most ties fall to the entry; rows are permuted
+    # ids drawn from a larger range, under several top spans of unequal size
+    key = rng.integers(0, 5, size=3 * n).astype(float)
+    row = rng.choice(3 * n, size=n, replace=False)
+    starts = np.unique(np.append(0, rng.integers(0, n, size=top - 1)))
+    depths = math.ceil(math.log2(n)) + 2
+    got = list(depth_rows(row, key, starts, depths))
+    want = list(lexsort_depth_rows(row, key, starts, depths))
+    assert len(got) == len(want) == depths
+    for (g_row, g_starts), (w_row, w_starts) in zip(got, want):
+        assert g_row.dtype == w_row.dtype and np.array_equal(g_row, w_row)
+        assert np.array_equal(g_starts, w_starts)
 
 
 def test_derived_arrays_are_counted_and_rebuilt_on_load(rng):

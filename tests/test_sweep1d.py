@@ -12,6 +12,9 @@ from entrange.errors import WeightsNotSupported
 from entrange.oracle import brute_entropy
 from entrange.sweep1d import (
     Sweep1DIndex,
+    _count_exponents,
+    _exponents,
+    _shrink_eps_shannon,
     build_renyi,
     build_shannon,
     fold_shannon,
@@ -255,6 +258,51 @@ def test_tiny_eps_needs_wide_exponents():
         assert shannon_bound_holds(truth, sh.query(rect).value, eps)
         truth = brute_entropy(pts, rect, renyi_kind(2.0)).value
         assert renyi_bound_holds(truth, re2.query(rect).value, eps, 2.0)
+
+
+def log_fixup_exponents(values, base):
+    """Reference ladder exponents: the vectorized log-and-fixup rule the
+    value ladders use, applied to ``values`` in reverse order (numpy's pow,
+    not Python's, decides at exact powers)."""
+    values = values[::-1]
+    e = np.ceil(np.log(values) / math.log(base) - 1e-12).astype(np.int64)
+    np.maximum(e, 0, out=e)
+    for _ in range(4):
+        over = base ** e.astype(np.float64) < values
+        if not over.any():
+            break
+        e[over] += 1
+    for _ in range(4):
+        under = (e > 0) & (base ** (e - 1.0) >= values)
+        if not under.any():
+            break
+        e[under] -= 1
+    return e[::-1]
+
+
+@pytest.mark.parametrize("base", [
+    2.0,                                  # powers of two are exact counts
+    1.25,                                 # Renyi at eps = 0.5
+    1.0 + _shrink_eps_shannon(0.002, 512),   # Shannon at eps = 0.002
+    1.001,                                # Renyi at eps = 0.002
+])
+def test_exponent_lookup_matches_log_fixup_rule(base):
+    log_base = math.log(base)
+    n = 3000
+    table = _count_exponents(n, base, log_base)
+    counts = np.arange(1, n + 1)
+    assert table.dtype == np.int64 and len(table) == n + 1
+    assert np.array_equal(table[counts], log_fixup_exponents(counts.astype(float), base))
+    assert table[1] == 0
+    # values exactly at base**k and one ulp either side, and 1.0
+    powers = base ** np.arange(0.0, math.log(1e7) / log_base)
+    values = np.concatenate(([1.0], powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf)))
+    values = values[values > 0.0]
+    want = log_fixup_exponents(values, base)
+    assert np.array_equal(_exponents(values, base, log_base), want)
+    assert (base ** want.astype(float) >= values).all()
+    assert (base ** (want[want > 0] - 1.0) < values[want > 0]).all()
 
 
 DEGENERATE = {
