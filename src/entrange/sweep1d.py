@@ -38,15 +38,26 @@ are precomputed on a (1+e')-geometric ladder:
   * the running point count |P(U_v) cap [x_v, b]|, and
   * F = count * H (Shannon) or G = sum of per-color count^alpha (Renyi),
 
-stored as jumps (x, exponent): the int32 exponent is minimal with
-(1+e')^exponent >= value, and a jump appears only where it increases. Tiny
-eps needs the width: n = 300 at eps = 0.002 reaches exponents above 10^5.
-Every jump sits on a point, so its x is stored as its rank, the number of
-distinct coordinates <= x. Each ladder pool is one sorted int64 key array
-``gid * (U + 1) + rank`` over the U distinct coordinates, beside its
-exponents. ``ladder_first`` (derived on build and on load, not stored)
-holds where each node's run of jumps starts in both pools, so the
-rightmost jump <= b of a canonical node is a bisection of its own run.
+stored as jumps where the exponent, the least e with (1+e')^e >= value,
+increases. Every jump sits on a point, so it is stored as its rank alone,
+the number of distinct coordinates <= its x, on the narrowest unsigned
+type that holds the U distinct coordinates (uint16 below 65,536). The two
+pools ``s_rank`` (counts) and ``h_rank`` (values) hold every node's run of
+jumps in gid order, and ``ladder_first`` where each node's runs start, so
+the rightmost jump <= b of a canonical node is a bisection of its own run.
+
+Value jumps keep their exponents in ``h_exp``, again on the narrowest type
+that holds the largest. Count jumps need none: with unit weights a walk's
+count rises one point at a time, so the exponents it takes on are a prefix
+of ``count_exps``, the distinct exponents of the counts 1..n, and a node's
+i-th count jump carries ``count_exps[i]``. Where a group of points on one
+coordinate makes the count skip exponents, the group's rank is repeated
+once per exponent reached, so that a bisection lands past all of them.
+
+``_powers`` holds (1+e')^e for e in -1 up to the largest stored exponent,
+at index e + 1. The build chooses exponents against this table and the
+queries read bounds from it, so both see the same powers; it is derived on
+build and on load, and not stored.
 
 Ladders are built for batches of nodes at once. A batch's walks are put in
 order by one stable sort of the int64 keys ``node * (U + 1) + rank``. The
@@ -54,8 +65,7 @@ counts along a walk are integers in 1..n, so the count exponents, the
 Shannon terms k log2 k or Renyi terms k^alpha, and their steps f(k) -
 f(k-1) are gathers from tables over 0..n built once per index; a walk's
 value is the running sum of its steps. Value exponents take the log guess
-and its pow fix-ups, since a table of powers would grow with the largest
-exponent.
+and its fix-ups against the powers table.
 
 A query gets a count estimate within one (1+e') factor and a value
 estimate within another. Shannon results are folded pairwise on Python
@@ -131,27 +141,38 @@ def _segment_cumsum(values: np.ndarray, first: np.ndarray, lens: np.ndarray) -> 
     return out
 
 
-def _exponents(values: np.ndarray, base: float, log_base: float) -> np.ndarray:
-    """The least e >= 0 with base**e >= v for each value v > 0 (int64): a
-    log guess, fixed up by at most four pow steps either way."""
+def _power_table(base: float, top: int) -> np.ndarray:
+    """base**e for e in -1..top, at index e + 1."""
+    return base ** np.arange(-1.0, top + 1)
+
+
+def _exponents(values: np.ndarray, powers: np.ndarray, log_base: float) -> np.ndarray:
+    """The least e >= 0 with powers[e + 1] >= v for each value v > 0 (int64):
+    a log guess, fixed up by at most four steps either way against the
+    table, which must reach past the largest guess by five steps."""
     e = np.ceil(np.log(values) / log_base - 1e-12).astype(np.int64)
     np.maximum(e, 0, out=e)
     for _ in range(4):
-        over = base ** e.astype(np.float64) < values
+        over = powers[e + 1] < values
         if not over.any():
             break
         e[over] += 1
     for _ in range(4):
-        under = (e > 0) & (base ** (e - 1.0) >= values)
+        under = (e > 0) & (powers[e] >= values)
         if not under.any():
             break
         e[under] -= 1
     return e
 
 
-def _count_exponents(n: int, base: float, log_base: float) -> np.ndarray:
+def _count_exponents(n: int, powers: np.ndarray, log_base: float) -> np.ndarray:
     """``_exponents`` of the counts 0..n as a table (entry 0 unused)."""
-    return np.concatenate(([0], _exponents(np.arange(1.0, n + 1), base, log_base)))
+    return np.concatenate(([0], _exponents(np.arange(1.0, n + 1), powers, log_base)))
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """``a`` (nonnegative integers) on the narrowest unsigned type that holds its largest."""
+    return a.astype(np.min_scalar_type(int(a.max()) if len(a) else 0))
 
 
 class Sweep1DIndex:
@@ -222,16 +243,21 @@ class Sweep1DIndex:
         self.gid_slots = np.full(2 * n * depths, -1, dtype=np.int32)
         self.gid_slots[np.concatenate(slots)] = gids
         self._build_ladders(cx, ccol)
-        self._index_ladders()
+        self._derive_powers()
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["ladder_first"]  # derived; rebuilt on load
+        del state["_powers"]  # derived; rebuilt on load
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._index_ladders()
+        self._derive_powers()
+
+    def _derive_powers(self) -> None:
+        """The powers table, up to the largest stored exponent."""
+        top = max((int(a.max()) for a in (self.count_exps, self.h_exp) if len(a)), default=0)
+        self._powers = _power_table(self._base, top)
 
     # -- construction ---------------------------------------------------------
 
@@ -284,30 +310,37 @@ class Sweep1DIndex:
         for g0, g1 in _batches(stop - start):
             seg, lo, hi, _ = self._walk_runs(g0, g1, ckey)
             walk_len.append(np.bincount(seg, hi - lo, minlength=g1 - g0).astype(np.int64))
-        # tables over the integer counts 0..n that walks look up: count
-        # exponents, k log2 k (Shannon) or k^alpha (Renyi), and the latter's
-        # steps f(k) - f(k-1)
-        k = np.arange(self.n + 1, dtype=np.float64)
+        # tables over the integer counts 0..n that walks look up: each
+        # count's place in count_exps, k log2 k (Shannon) or k^alpha (Renyi),
+        # and the latter's steps f(k) - f(k-1)
+        n = self.n
+        k = np.arange(n + 1, dtype=np.float64)
         if self.alpha is None:
-            f = np.zeros(self.n + 1)
+            f = np.zeros(n + 1)
             f[1:] = k[1:] * np.log2(k[1:])
         else:
             f = k**self.alpha
-        tables = (_count_exponents(self.n, self._base, self._log_base), f,
-                  np.diff(f, prepend=0.0))
+        # no count or value exceeds max(n, f(n)), so neither does a log guess
+        top = math.ceil(math.log(max(n, f[-1], 1.0)) / self._log_base) + 6
+        powers = _power_table(self._base, top)
+        # count 0's entry is unused, and equal to count 1's
+        count_exps, count_place = np.unique(_count_exponents(n, powers, self._log_base),
+                                            return_inverse=True)
+        tables = (count_place, f, np.diff(f, prepend=0.0), powers)
         parts = [self._ladders(g0, g1, ckey, crank, tables)
                  for g0, g1 in _batches(np.concatenate(walk_len))]
-        if not parts:
-            parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)) * 2]
-        self.s_keys, self.s_exp, self.h_keys, self.h_exp = map(np.concatenate, zip(*parts))
-
-    def _index_ladders(self) -> None:
-        """Where each node's run of jumps starts in the count pool (even
-        entries) and the value pool (odd entries), side by side so that one
-        cache line serves both lookups of a node."""
-        edges = np.arange(len(self.node_keys) + 1) * self._stride
-        self.ladder_first = np.stack(
-            [self.s_keys.searchsorted(edges), self.h_keys.searchsorted(edges)], axis=1).ravel()
+        empty = np.zeros(0, dtype=np.int64)
+        s_rank, s_len, h_rank, h_len, h_exp = map(np.concatenate, zip(*parts or [(empty,) * 5]))
+        self.count_exps = _narrow(count_exps)
+        rank_type = np.min_scalar_type(len(self.ucoords))
+        self.s_rank, self.h_rank = s_rank.astype(rank_type), h_rank.astype(rank_type)
+        self.h_exp = _narrow(h_exp)
+        # where each node's run starts in the count pool (even entries) and
+        # the value pool (odd entries), side by side so that one cache line
+        # serves both lookups of a node
+        first = np.zeros((len(s_len) + 1, 2), dtype=np.int64)
+        np.cumsum(np.stack([s_len, h_len], axis=1), axis=0, out=first[1:])
+        self.ladder_first = _narrow(first.ravel())
 
     def _walk_runs(self, g0: int, g1: int, ckey: np.ndarray):
         """Walk runs of nodes g0..g1-1. For each (node, color), in gid and
@@ -326,15 +359,17 @@ class Sweep1DIndex:
         return seg, lo, hi, sizes
 
     def _ladders(self, g0: int, g1: int, ckey: np.ndarray, crank: np.ndarray, tables):
-        """Count and value ladders (keys, exponents) of nodes g0..g1-1.
+        """Ladders of nodes g0..g1-1: the count pool's ranks and per-node run
+        lengths, then the value pool's ranks, run lengths and exponents.
 
         A node's walk is its colors' points at or after x_v, in coordinate
         order (ties in row order). Both ladders step at the last point of
         each coordinate: the count ladder at every one, the value ladder
         where the value is positive, for nodes of two or more colors under
-        Shannon. ``tables`` holds the count exponents, f (k log2 k or
-        k^alpha) and f's steps f(k) - f(k-1), each over the counts 0..n."""
-        count_exp, f, f_step = tables
+        Shannon. ``tables`` holds each count's place in ``count_exps``, f
+        (k log2 k or k^alpha) and f's steps f(k) - f(k-1), each over the
+        counts 0..n, and the powers table."""
+        count_place, f, f_step, powers = tables
         seg, lo, hi, sizes = self._walk_runs(g0, g1, ckey)
         lens = hi - lo
         idx = _ranges(lo, lens)
@@ -359,15 +394,18 @@ class Sweep1DIndex:
         else:
             g_val = t_pref[group_end]
             positive = g_val > 0.0
-
-        def ladder(segs: np.ndarray, xs: np.ndarray, e: np.ndarray):
-            keep = np.ones(len(e), dtype=bool)
-            keep[1:] = (e[1:] > e[:-1]) | (segs[1:] != segs[:-1])
-            return (g0 + segs[keep]) * stride + xs[keep], e[keep].astype(np.int32)
-
-        return (*ladder(g_seg, g_x, count_exp[g_tot]),
-                *ladder(g_seg[positive], g_x[positive],
-                        _exponents(g_val[positive], self._base, self._log_base)))
+        # a group's rank, once per count exponent it reaches first
+        place = count_place[g_tot]
+        before = np.roll(place, 1)
+        before[np.diff(g_seg, prepend=-1) != 0] = -1
+        s_rank = np.repeat(g_x, place - before)
+        # a value jump where the exponent rises within the node
+        segs, xs = g_seg[positive], g_x[positive]
+        e = _exponents(g_val[positive], powers, self._log_base)
+        keep = np.ones(len(e), dtype=bool)
+        keep[1:] = (e[1:] > e[:-1]) | (segs[1:] != segs[:-1])
+        return (s_rank, count_place[walk_len] + 1, xs[keep],
+                np.bincount(segs[keep], minlength=g1 - g0), e[keep])
 
     # -- canonical node collection ---------------------------------------------
 
@@ -457,19 +495,20 @@ class Sweep1DIndex:
         """Per node: the exponents of the rightmost count and value jumps at
         or below b (None for a value ladder without one), each bisected
         within the node's own run of its pool."""
-        s_keys, s_exp, h_keys, h_exp = (a.data for a in (self.s_keys, self.s_exp,
-                                                          self.h_keys, self.h_exp))
-        first, stride = self.ladder_first.data, self._stride
+        s_rank, h_rank, h_exp, count_exps, first = (a.data for a in (
+            self.s_rank, self.h_rank, self.h_exp, self.count_exps, self.ladder_first))
         rank = bisect.bisect_right(self.ucoords.data, b)
         l_s, l_h = [], []
         for gid in gids:
-            j, key = 2 * gid, gid * stride + rank
-            i = bisect.bisect_right(s_keys, key, first[j], first[j + 2])
-            if i == first[j]:
+            j = 2 * gid
+            lo = first[j]
+            i = bisect.bisect_right(s_rank, rank, lo, first[j + 2])
+            if i == lo:
                 raise AssertionError("ladder probed before its first jump")
-            l_s.append(s_exp[i - 1])
-            i = bisect.bisect_right(h_keys, key, first[j + 1], first[j + 3])
-            l_h.append(h_exp[i - 1] if i > first[j + 1] else None)
+            l_s.append(count_exps[i - lo - 1])
+            lo = first[j + 1]
+            i = bisect.bisect_right(h_rank, rank, lo, first[j + 3])
+            l_h.append(h_exp[i - 1] if i > lo else None)
         return l_s, l_h
 
     # -- queries -------------------------------------------------------------------
@@ -484,17 +523,17 @@ class Sweep1DIndex:
         if not gids:
             return EntropySummary.empty(self.kind)
         l_s, l_h = self._node_exponents(gids, b)
-        base = self._base
-        hi_w = [base**l for l in l_s]
+        pw = self._powers.data  # pw[e + 1] = base**e
+        hi_w = [pw[l + 1] for l in l_s]
         if self.alpha is None:
-            lo_w = [base ** (l - 1) for l in l_s]
-            h_v = [0.0 if l is None else base**l / lo for l, lo in zip(l_h, lo_w)]
+            lo_w = [pw[l] for l in l_s]
+            h_v = [0.0 if l is None else pw[l + 1] / lo for l, lo in zip(l_h, lo_w)]
             count, value = fold_shannon(h_v, hi_w, lo_w)
             return EntropySummary(SHANNON, count, value)
         if None in l_h:
             raise AssertionError("value ladder probed before its first jump")
         count = sum(hi_w)
-        den = sum(base ** (l - 1) for l in l_h)
+        den = sum(pw[l] for l in l_h)
         value = math.log2(count**self.alpha / den) / (self.alpha - 1.0)
         return EntropySummary(self.kind, count, value)
 
@@ -507,27 +546,26 @@ class Sweep1DIndex:
         if not gids:
             return []
         l_s, l_h = self._node_exponents(gids, b)
-        base = self._base
+        pw = self._powers.data
         out = []
         for gid, ls, lh in zip(gids, l_s, l_h):
             colors, x_v = self._node(gid)
-            lo_w = base ** (ls - 1)
             out.append(dict(
                 colors=tuple(colors.tolist()), x_v=x_v, gid=gid, l_s=ls, l_h=lh,
-                count_hi=base**ls, count_lo=lo_w,
-                estimate=0.0 if lh is None else base**lh / lo_w,
+                count_hi=pw[ls + 1], count_lo=pw[ls],
+                estimate=0.0 if lh is None else pw[lh + 1] / pw[ls],
             ))
         return out
 
     def space_stats(self) -> dict:
         arrays = (self.mx, self.my, self.mcolor, self.ucoords, self.rows, self.left_counts,
-                  self.y_root, self.gid_slots, self.node_keys, self.s_keys, self.s_exp,
-                  self.h_keys, self.h_exp, self.ladder_first)
+                  self.y_root, self.gid_slots, self.node_keys, self.s_rank, self.h_rank,
+                  self.h_exp, self.count_exps, self.ladder_first, self._powers)
         return {
             "points": self.n,
             "eps": self.eps,
             "eps_prime": self.eps_prime,
-            "ladder_entries": int(len(self.s_keys) + len(self.h_keys)),
+            "ladder_entries": int(len(self.s_rank) + len(self.h_rank)),
             "qualifying_nodes": len(self.node_keys),
             "bytes": int(sum(a.nbytes for a in arrays)),
         }

@@ -1,5 +1,6 @@
 """Deterministic sweep structures: mapping, ladders, and hard bounds."""
 
+import bisect
 import math
 
 import numpy as np
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import WeightsNotSupported
 from entrange.oracle import brute_entropy
+from entrange.storage import load_index, save_index
 from entrange.sweep1d import (
     Sweep1DIndex,
     _count_exponents,
     _exponents,
+    _power_table,
     _shrink_eps_shannon,
     build_renyi,
     build_shannon,
@@ -30,15 +33,18 @@ def rand_interval(rng, lo=0.0, hi=100.0):
     return QueryRect.interval(a, b)
 
 
-def ladder_lengths(idx, keys):
+COUNT, VALUE = 0, 1  # the ladder pools, in the order of ``ladder_first``'s pairs
+
+
+def ladder_lengths(idx, pool):
     """Jumps per qualifying node in one ladder pool."""
-    return np.bincount(keys // idx._stride, minlength=len(idx.node_keys))
+    return np.diff(idx.ladder_first[pool::2].astype(np.int64))
 
 
-def node_jumps(idx, keys, exps, gid):
-    """(x, exponent) of node gid's jumps in one ladder pool."""
-    sel = keys // idx._stride == gid
-    return zip(idx.ucoords[keys[sel] % idx._stride - 1], exps[sel])
+def node_ranks(idx, pool, gid):
+    """Ranks of node gid's run of jumps in one ladder pool."""
+    first = idx.ladder_first
+    return (idx.s_rank, idx.h_rank)[pool][first[2 * gid + pool]:first[2 * gid + 2 + pool]]
 
 
 def test_weights_rejected(rng):
@@ -132,46 +138,201 @@ def test_single_repeated_color(rng):
     pts = ColoredPointSet(coords, np.zeros(50, dtype=np.int64))
     idx = build_shannon(pts, 0.3)
     # only single-color nodes qualify; every ladder is count-only
-    assert not ladder_lengths(idx, idx.h_keys).any()
+    assert not ladder_lengths(idx, VALUE).any()
     for _ in range(50):
         rect = rand_interval(rng)
         assert idx.query(rect).value == 0.0
 
 
+def walk_values(pts, colors, x_v, alpha):
+    """Per distinct coordinate x >= x_v, in order, of the points of
+    ``colors``: x's rank, the count at or below x, and the ladder value
+    (count * H under Shannon, the sum of count^alpha under Renyi)."""
+    coords = pts.coords[:, 0]
+    sel = np.isin(pts.colors, colors) & (coords >= x_v)
+    order = np.argsort(coords[sel], kind="stable")
+    xs, cs = coords[sel][order], pts.colors[sel][order]
+    onehot = cs[:, None] == np.asarray(colors)[None, :]
+    per_color = np.cumsum(onehot, axis=0)
+    ends = np.append(xs[1:] != xs[:-1], True)
+    counts = per_color[ends].astype(float)
+    tot = counts.sum(axis=1)
+    if alpha is None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            clog = np.where(counts > 0, counts * np.log2(counts), 0.0)
+        values = tot * np.log2(tot) - clog.sum(axis=1)
+    else:
+        values = (counts**alpha).sum(axis=1)
+    ranks = np.unique(coords).searchsorted(xs[ends], side="right")
+    return ranks, tot, values
+
+
+def reference_ladders(idx, pts, gid, alpha):
+    """Node gid's count and value ladders as a brute-force walk of its
+    colors finds them: each (ranks, exponents) where its exponent rises."""
+    colors, x_v = idx._node(gid)
+    ranks, counts, values = walk_values(pts, colors, x_v, alpha)
+    keep = values > 1e-9
+    if alpha is None and len(colors) < 2:
+        keep[:] = False
+    out = []
+    for r, v in ((ranks, counts), (ranks[keep], values[keep])):
+        e = log_fixup_exponents(v, idx._base)
+        rise = np.append(True, e[1:] > e[:-1])[:len(e)]
+        out.append((r[rise], e[rise]))
+    return out
+
+
+LADDER_CASES = {
+    "random": dict(n=120, dup=0.0, eps=0.25),
+    "duplicates": dict(n=120, dup=0.3, eps=0.25),
+    "tiny eps": dict(n=90, dup=0.1, eps=0.002),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_CASES))
+def test_stored_jumps_meet_query_powers_exactly(case):
+    # no slack: at every stored jump, the power the query reads is at least
+    # the jump's count or value, and the power one step lower is below it
+    spec = LADDER_CASES[case]
+    rng = np.random.default_rng(len(case))
+    pts = random_pointset(rng, spec["n"], d=1, m=8, duplicate_frac=spec["dup"])
+    for alpha in (None, 2.5):
+        idx = (build_shannon(pts, spec["eps"]) if alpha is None
+               else build_renyi(pts, spec["eps"], alpha))
+        pw = idx._powers  # pw[e + 1] = base**e
+        checked = 0
+        for gid in range(len(idx.node_keys)):
+            colors, x_v = idx._node(gid)
+            ranks, counts, values = walk_values(pts, colors, x_v, alpha)
+            for pool in (COUNT, VALUE):
+                run = node_ranks(idx, pool, gid).astype(np.int64)
+                # a rank repeats only in a count run, where one coordinate's
+                # points make the count skip exponents
+                strict = pool == VALUE or spec["dup"] == 0.0
+                assert (np.diff(run) > 0).all() if strict else (np.diff(run) >= 0).all()
+                for r in np.unique(run):
+                    at = ranks.searchsorted(r)
+                    assert ranks[at] == r  # every jump sits on a walk coordinate
+                    l_s, l_h = idx._node_exponents([gid], float(idx.ucoords[r - 1]))
+                    e, v = (l_s[0], counts[at]) if pool == COUNT else (l_h[0], values[at])
+                    assert pw[e + 1] >= v, (gid, r, e, v)
+                    assert e == 0 or pw[e] < v, (gid, r, e, v)
+                    checked += 1
+        assert checked > 0
+
+
 def test_ladders_match_bruteforce_prefixes(rng):
-    # every stored jump satisfies its defining inequality pair
+    # runs of both pools hold every node's jumps in rank order, each count
+    # jump and value jump where its exponent rises, as a brute-force walk
+    # of the node's colors finds them
     pts = random_pointset(rng, 120, d=1, m=10, duplicate_frac=0.15)
     for make, alpha in ((lambda: build_shannon(pts, 0.25), None),
                         (lambda: build_renyi(pts, 0.25, 2.0), 2.0)):
         idx = make()
-        base = idx._base
-        # the lookups search each pool as one sorted array
-        assert (np.diff(idx.s_keys) > 0).all() and (np.diff(idx.h_keys) > 0).all()
-        coords = pts.coords[:, 0]
+        assert len(idx.ladder_first) == 2 * len(idx.node_keys) + 2
+        assert idx.ladder_first[-2] == len(idx.s_rank)
+        assert idx.ladder_first[-1] == len(idx.h_rank)
+        want_d = np.unique(log_fixup_exponents(np.arange(1.0, len(pts) + 1), idx._base))
+        assert np.array_equal(idx.count_exps, want_d)
         for gid in range(len(idx.node_keys)):
-            colors, x_v = idx._node(gid)
-            sel = np.isin(pts.colors, colors) & (coords >= x_v)
-            xs_all = np.sort(coords[sel])
+            (s_ranks, s_exps), (h_ranks, h_exps) = reference_ladders(idx, pts, gid, alpha)
+            # a count jump's rank, once per exponent its count reaches first
+            place = want_d.searchsorted(s_exps)
+            got = node_ranks(idx, COUNT, gid)
+            assert np.array_equal(got, np.repeat(s_ranks, np.diff(place, prepend=-1)))
+            assert (np.diff(got.astype(np.int64)) >= 0).all()
+            got = node_ranks(idx, VALUE, gid)
+            assert np.array_equal(got, h_ranks)
+            assert (np.diff(got.astype(np.int64)) > 0).all()
+            first = idx.ladder_first[2 * gid + 1]
+            assert np.array_equal(idx.h_exp[first:first + len(got)], h_exps)
 
-            def value_at(x, kind_alpha=alpha):
-                sub = sel & (coords <= x)
-                counts = np.bincount(pts.colors[sub])
-                counts = counts[counts > 0]
-                n = counts.sum()
-                if kind_alpha is None:
-                    if n <= 1 or len(counts) <= 1:
-                        return float(n > 1) * 0.0
-                    return float(n * math.log2(n) - (counts * np.log2(counts)).sum())
-                return float((counts.astype(float) ** kind_alpha).sum())
 
-            for x, e in node_jumps(idx, idx.s_keys, idx.s_exp, gid):
-                cnt = int((xs_all <= x).sum())
-                assert base**e >= cnt > (base ** (e - 1) if e > 0 else 0)
-            for x, e in node_jumps(idx, idx.h_keys, idx.h_exp, gid):
-                val = value_at(x)
-                assert base**e >= val - 1e-9
-                if e > 0:
-                    assert base ** (e - 1) < val + 1e-9
+def key_pool_reference(idx, pts, alpha):
+    """The former ladder layout, rebuilt by brute force: per pool, sorted
+    int64 keys ``gid * (U + 1) + rank`` beside the jumps' exponents."""
+    stride = len(idx.ucoords) + 1
+    pools = [([], []), ([], [])]
+    for gid in range(len(idx.node_keys)):
+        for (keys, exps), (ranks, e) in zip(pools, reference_ladders(idx, pts, gid, alpha)):
+            keys.append(gid * stride + ranks)
+            exps.append(e)
+    return stride, [tuple(np.concatenate(a).tolist() for a in pool) for pool in pools]
+
+
+def key_pool_exponents(stride, pools, gids, rank):
+    """The former lookup: a bisection of each pool's int64 keys, with
+    ``key // stride == gid`` telling a node's jump from the next node's."""
+    (s_keys, s_exp), (h_keys, h_exp) = pools
+    l_s, l_h = [], []
+    for gid in gids:
+        key = gid * stride + rank
+        i = bisect.bisect_right(s_keys, key)
+        assert i > 0 and s_keys[i - 1] // stride == gid
+        l_s.append(s_exp[i - 1])
+        i = bisect.bisect_right(h_keys, key)
+        l_h.append(h_exp[i - 1] if i > 0 and h_keys[i - 1] // stride == gid else None)
+    return l_s, l_h
+
+
+ORACLE_CASES = {
+    "series-1d-like": dict(n=512, m=32, dup=0.0, eps=0.5),
+    "15% duplicates": dict(n=400, m=20, dup=0.15, eps=0.3),
+    "eps 0.002": dict(n=200, m=12, dup=0.1, eps=0.002),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_lookup_matches_key_pool_oracle(case):
+    # rank runs, count_exps and h_exp give every canonical node the same
+    # (count, value) exponents as the former int64 key pools
+    spec = ORACLE_CASES[case]
+    rng = np.random.default_rng(spec["n"])
+    pts = random_pointset(rng, spec["n"], d=1, m=spec["m"], duplicate_frac=spec["dup"])
+    for alpha in (None, 2.0):
+        idx = (build_shannon(pts, spec["eps"]) if alpha is None
+               else build_renyi(pts, spec["eps"], alpha))
+        stride, pools = key_pool_reference(idx, pts, alpha)
+        nodes = 0
+        for _ in range(1500):
+            a, b = sorted(rng.uniform(-5.0, 105.0, size=2))
+            gids = idx._canonical_gids(a, b)
+            rank = int(idx.ucoords.searchsorted(b, side="right"))
+            assert idx._node_exponents(gids, b) == key_pool_exponents(stride, pools, gids, rank)
+            nodes += len(gids)
+        assert nodes > 1500
+
+
+def test_layout_and_round_trip(tmp_path):
+    # below 65,536 distinct coordinates a count jump is one 2-byte rank with
+    # no exponent; bytes count every held array, the derived powers included
+    rng = np.random.default_rng(512)
+    pts = random_pointset(rng, 512, d=1, m=32)
+    for kind, idx in (("sweep-shannon", build_shannon(pts, 0.5)),
+                      ("sweep-renyi", build_renyi(pts, 0.5, 2.0))):
+        assert 256 <= len(idx.ucoords) < 65536
+        assert idx.s_rank.dtype == idx.h_rank.dtype == np.uint16
+        assert not any(hasattr(idx, name) for name in ("s_keys", "s_exp", "h_keys"))
+        assert idx.h_exp.dtype == np.min_scalar_type(int(idx.h_exp.max()))
+        held = [v for v in vars(idx).values() if isinstance(v, np.ndarray)]
+        assert idx.space_stats()["bytes"] == sum(a.nbytes for a in held)
+        assert "_powers" not in idx.__getstate__()
+        path = tmp_path / f"{kind}.rqe"
+        save_index(path, kind, idx)
+        loaded = load_index(path, expect_kind=kind)[2]
+        assert np.array_equal(loaded._powers, idx._powers)
+        # the build chose exponents against a longer table with this prefix
+        longer = _power_table(idx._base, len(idx._powers) + 100)
+        assert np.array_equal(longer[:len(idx._powers)], idx._powers)
+        assert loaded.space_stats() == idx.space_stats()
+        for _ in range(200):
+            rect = rand_interval(rng, -5.0, 105.0)
+            got = idx.query(rect)
+            assert loaded.query(rect) == got
+            if kind == "sweep-renyi":  # the count is a plain sum of table reads
+                nodes = idx.canonical_debug(rect)
+                assert got.count == sum(idx._powers[info["l_s"] + 1] for info in nodes)
 
 
 def test_per_node_sandwich(rng):
@@ -199,11 +360,11 @@ def test_ladder_length_caps(rng):
     n = len(pts)
     cap_s = math.ceil(math.log(n + 1) / math.log(idx._base)) + 2
     cap_h = math.ceil(math.log(n * math.log2(n) + 2) / math.log(idx._base)) + 2
-    assert int(ladder_lengths(idx, idx.s_keys).max()) <= cap_s
-    assert int(ladder_lengths(idx, idx.h_keys).max()) <= cap_h
+    assert int(ladder_lengths(idx, COUNT).max()) <= cap_s
+    assert int(ladder_lengths(idx, VALUE).max()) <= cap_h
     ridx = build_renyi(pts, 0.2, 3.0)
     cap_g = math.ceil(math.log(float(n) ** 4.0) / math.log(ridx._base)) + 2
-    assert int(ladder_lengths(ridx, ridx.h_keys).max()) <= cap_g
+    assert int(ladder_lengths(ridx, VALUE).max()) <= cap_g
 
 
 def test_coarse_thresholds_dominate_fine(rng):
@@ -251,7 +412,7 @@ def test_tiny_eps_needs_wide_exponents():
     eps = 0.002
     sh = build_shannon(pts, eps)
     re2 = build_renyi(pts, eps, 2.0)
-    assert int(sh.h_exp.max()) > 32767
+    assert int(sh.h_exp.max()) > 32767 and sh.h_exp.itemsize == 4
     for _ in range(100):
         rect = rand_interval(rng)
         truth = brute_entropy(pts, rect, SHANNON).value
@@ -289,7 +450,8 @@ def log_fixup_exponents(values, base):
 def test_exponent_lookup_matches_log_fixup_rule(base):
     log_base = math.log(base)
     n = 3000
-    table = _count_exponents(n, base, log_base)
+    pw = _power_table(base, math.ceil(math.log(1e7) / log_base) + 6)
+    table = _count_exponents(n, pw, log_base)
     counts = np.arange(1, n + 1)
     assert table.dtype == np.int64 and len(table) == n + 1
     assert np.array_equal(table[counts], log_fixup_exponents(counts.astype(float), base))
@@ -300,7 +462,7 @@ def test_exponent_lookup_matches_log_fixup_rule(base):
                              np.nextafter(powers, np.inf)))
     values = values[values > 0.0]
     want = log_fixup_exponents(values, base)
-    assert np.array_equal(_exponents(values, base, log_base), want)
+    assert np.array_equal(_exponents(values, pw, log_base), want)
     assert (base ** want.astype(float) >= values).all()
     assert (base ** (want[want > 0] - 1.0) < values[want > 0]).all()
 
