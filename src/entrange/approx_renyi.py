@@ -13,6 +13,18 @@ is at least log2(3/2) and an additive call suffices; with one it rewrites
 t - 1 = (1 - sum p^alpha)/sum p^alpha, computes 1 - rho^alpha of the heavy
 color exactly, and estimates only the light remainder's moment through the
 color-excluding sampler.
+
+As in :mod:`.approx_shannon`, a moment is sampled only when its sample
+count is below the range's point count; otherwise it is computed exactly
+from the range's canonical pieces. The multiplicative estimator answers
+exactly before heavy detection when the range holds no more points than
+the fewest draws any of its sampling branches would make.
+
+``stats["mode"]`` names the path that answered: ``"sampled"`` or
+``"exact-fallback"`` for the additive estimator; ``"exact-fallback"``,
+``"additive-light"``, ``"heavy"``, ``"exact-fallback+heavy"`` or
+``"single-color"`` for the multiplicative one. ``stats["samples"]`` is 0
+on every exact answer.
 """
 
 from __future__ import annotations
@@ -28,8 +40,8 @@ from .approx_shannon import (
     DualAccessOracle,
     EstimatorConfig,
     EstimatorIndex,
+    heavy_draws,
     prepare_query,
-    use_sampling,
 )
 from .core import EntropySummary, QueryRect, power_term, renyi_kind
 from .errors import EmptyRange
@@ -42,7 +54,7 @@ class MomentEstimate:
     alpha: float
     value: float
     rel_error: float          # requested relative error target
-    samples: int              # 0 means the exact fallback was taken
+    samples: int              # 0 means the moment was computed exactly
 
 
 def _moment_mean(oracle: DualAccessOracle, alpha: float, samples: int,
@@ -71,7 +83,7 @@ def _estimate_moment_on(index: EstimatorIndex, oracle: DualAccessOracle, alpha: 
         raise EmptyRange("no mass in (reduced) query range")
     if samples is None:
         samples = moment_sample_count(index, alpha, eps, cfg)
-    if use_sampling(index, samples, cfg):
+    if oracle.use_sampling(samples):
         return MomentEstimate(alpha, _moment_mean(oracle, alpha, samples, rng, stats), eps,
                               samples)
     return MomentEstimate(alpha, _exact_moment_value(oracle, alpha), eps, 0)
@@ -154,13 +166,23 @@ def estimate_multiplicative_renyi(index: EstimatorIndex, rect: QueryRect, alpha:
     """Renyi entropy within a (1+eps) factor, with high probability."""
     kind = renyi_kind(alpha)   # raises InvalidOrder unless alpha > 1
     oracle, rng = prepare_query(index, rect, cfg, rng, stats, eps=eps)
+    delta = min(0.999, math.log2(1.5) * eps)
+    eps0 = eps / cfg.moment_c1
+    eps1 = eps0 / 3.0
+    eps2 = (alpha - 1.0) * eps1 / cfg.moment_c2 if alpha <= 2.0 else eps1 / cfg.moment_c2
+    eps1, eps2 = min(eps1, 0.999), min(eps2, 0.999)
+    light = min(additive_branch_sample_counts(alpha, delta, len(index), cfg)[:2])
+    split = (moment_sample_count(index, alpha, eps2, cfg)
+             + moment_sample_count(index, alpha, eps1, cfg))
+    if not oracle.use_sampling(heavy_draws(index, cfg) + min(light, split), stats):
+        value = oracle.exact_entropy(kind)   # first: it sets total_weight from the masses
+        return EntropySummary(kind, oracle.total_weight, value)
     heavy = oracle.heavy_color(rng, cfg, stats)
 
     if heavy is None:
         # entropy at least log2(3/2): an additive call gives the factor
-        delta = min(0.999, math.log2(1.5) * eps)
         out = _additive_renyi_on(index, oracle, alpha, delta, cfg, rng, stats)
-        if stats is not None:
+        if stats is not None and stats["samples"]:
             stats["mode"] = "additive-light"
         return out
 
@@ -174,16 +196,12 @@ def estimate_multiplicative_renyi(index: EstimatorIndex, rect: QueryRect, alpha:
 
     rho = heavy.weight / heavy.total
     h1 = 1.0 - rho**alpha
-    eps0 = eps / cfg.moment_c1
-    eps1 = eps0 / 3.0
-    eps2 = (alpha - 1.0) * eps1 / cfg.moment_c2 if alpha <= 2.0 else eps1 / cfg.moment_c2
-    eps2 = min(eps2, 0.999)
-    light = _estimate_moment_on(index, reduced, alpha, eps2, cfg, rng, stats=stats)
-    h2 = light.value * ((heavy.total - heavy.weight) / heavy.total) ** alpha
-    full = _estimate_moment_on(index, oracle, alpha, min(eps1, 0.999), cfg, rng, stats=stats)
+    rest = _estimate_moment_on(index, reduced, alpha, eps2, cfg, rng, stats=stats)
+    h2 = rest.value * ((heavy.total - heavy.weight) / heavy.total) ** alpha
+    full = _estimate_moment_on(index, oracle, alpha, eps1, cfg, rng, stats=stats)
     value = heavy_combine_renyi(h1, h2, full.value, alpha)
     if stats is not None:
-        stats["mode"] = "heavy"
+        stats["samples"] = rest.samples + full.samples
+        stats["mode"] = "heavy" if stats["samples"] else "exact-fallback+heavy"
         stats["heavy_color"] = heavy.color
-        stats["samples"] = light.samples + full.samples
     return EntropySummary(kind, oracle.total_weight, value)

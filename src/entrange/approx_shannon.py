@@ -14,6 +14,21 @@ and the plain plug-in mean concentrates multiplicatively; otherwise the
 heavy color is peeled off exactly and only the light remainder is
 estimated, through the color-excluding sampler.
 
+An estimate samples only when that is cheaper than the exact answer. The
+canonical pieces list the range's m points, and the exact answer sums
+their weights by color in one gather (:meth:`DualAccessOracle.color_masses`),
+so any estimate that would draw at least m samples answers exactly
+instead, which meets every additive and multiplicative bound. The
+multiplicative estimator makes that test before heavy detection, against
+the fewest draws any of its sampling branches would make (detection
+included), and again on the reduced range inside the heavy branch.
+
+``stats["mode"]`` names the path that answered: ``"sampled"`` or
+``"exact-fallback"`` for the additive estimator; ``"exact-fallback"``,
+``"sampled-light"``, ``"sampled+heavy"``, ``"exact-fallback+heavy"`` or
+``"single-color"`` for the multiplicative one. ``stats["samples"]`` is 0
+on every exact answer.
+
 Sample counts follow the published complexities with configurable leading
 constants; the asymptotic constants themselves are not reproducible, so
 acceptance is statistical (bounds hold for >= 95% of seeds).
@@ -21,14 +36,15 @@ acceptance is statistical (bounds hold for >= 95% of seeds).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (SHANNON, ColoredPointSet, EntropySummary, QueryRect, entropy_from_power_sum,
-                   power_term)
+from .core import (SHANNON, ColoredPointSet, EntropyKind, EntropySummary, QueryRect,
+                   entropy_from_power_sum, power_term)
 from .errors import EmptyRange
 from .rangetree import ColorAwareRangeTree, ColorTrees, Pieces
 
@@ -39,8 +55,9 @@ class EstimatorConfig:
 
     The defaults are deliberately conservative; tests and callers may lower
     them, the statistical acceptance criteria are the contract. When a
-    requested sample count exceeds n*log2(n) the estimator falls back to
-    the trivial exact scan (cheaper than sampling at that point).
+    requested sample count is at least the range's point count the
+    estimator answers exactly from the range's canonical pieces instead
+    (cheaper than sampling at that point).
     """
 
     c_add: float = 1.0
@@ -76,13 +93,18 @@ class DualAccessOracle:
         self.rect = rect
         self.excluded = excluded
         self.pieces = index.tree.canonical_nodes(rect) if pieces is None else pieces
-        self.total_weight = float(index.tree.pieces_weight(self.pieces).sum())
         self.total_count = int((self.pieces.stop - self.pieces.start).sum())
         self.exclusion = None
         if excluded is not None:
             self.exclusion = index.tree.exclude(self.pieces, excluded)
-            self.total_weight -= float(self.exclusion.mass.sum())
             self.total_count -= int(self.exclusion.count.sum())
+
+    @functools.cached_property
+    def total_weight(self) -> float:
+        """Mass of the (reduced) range, from the pieces' weight prefixes
+        unless :meth:`color_masses` has set it first."""
+        weight = float(self.index.tree.pieces_weight(self.pieces).sum())
+        return weight if self.exclusion is None else weight - float(self.exclusion.mass.sum())
 
     def excluding(self, color: int) -> "DualAccessOracle":
         """The same range without one color, on the same decomposition."""
@@ -90,8 +112,9 @@ class DualAccessOracle:
 
     @property
     def is_empty(self) -> bool:
-        """True when no point of positive weight remains."""
-        return self.total_count == 0 or self.total_weight <= 0.0
+        """True when no point of positive weight remains (the pool holds only
+        positive weights, so only a reduced range needs its mass checked)."""
+        return self.total_count == 0 or (self.exclusion is not None and self.total_weight <= 0.0)
 
     def sample_point(self, rng: np.random.Generator, size: Optional[int] = None):
         """Point index drawn by weight; an array of ``size`` independent
@@ -133,28 +156,45 @@ class DualAccessOracle:
     def heavy_color(self, rng: np.random.Generator, cfg: "EstimatorConfig",
                     stats: Optional[dict] = None) -> Optional[HeavyColor]:
         """See :func:`detect_heavy_color`."""
-        n = max(2, len(self.index))
-        draws = math.ceil(cfg.c_heavy * math.log(2 * n) / math.log(3))
-        colors, _, weights = self.tally(rng, draws, stats)
+        colors, _, weights = self.tally(rng, heavy_draws(self.index, cfg), stats)
         top = int(np.argmax(weights))
         if weights[top] > (2.0 / 3.0) * self.total_weight:
             return HeavyColor(int(colors[top]), float(weights[top]), self.total_weight)
         return None
 
-    def color_masses(self) -> np.ndarray:
-        """Positive color masses of the (reduced) range, by linear scan."""
-        pts = self.index.pts
-        mask = self.rect.mask(pts)
-        if self.excluded is not None:
-            mask &= pts.colors != self.excluded
-        masses = np.bincount(pts.colors[mask], pts.weights[mask], minlength=pts.num_colors)
-        return masses[masses > 0.0]
+    def use_sampling(self, samples: int, stats: Optional[dict] = None,
+                     mode: str = "sampled") -> bool:
+        """Whether ``samples`` draws cost less than the exact answer, which
+        reads each of the (reduced) range's points once: true when the range
+        holds more points than that. Records the mode and the sample count
+        (0 for an exact answer) in ``stats``."""
+        sampled = samples < self.total_count
+        if stats is not None:
+            stats["mode"] = mode if sampled else "exact-fallback"
+            stats["samples"] = samples if sampled else 0
+        return sampled
 
-    def exact_entropy(self) -> float:
-        """Exact entropy of the (reduced) range: the trivial-scan fallback."""
+    def color_masses(self) -> np.ndarray:
+        """Positive color masses of the (reduced) range: the pieces' pool
+        slices gathered as one array of positions and summed by color. Sets
+        ``total_weight`` to their sum, so an exact answer reads no weight
+        prefix. Costs O(m + largest color in the range) for the pieces' m
+        points."""
+        tree = self.index.tree
+        start, lens = self.pieces.start, self.pieces.stop - self.pieces.start
+        pos = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
+        masses = np.bincount(tree.pool_colors[pos], self.index.pts.weights[tree.pool_ids[pos]])
+        if self.excluded is not None and self.excluded < len(masses):
+            masses[self.excluded] = 0.0
+        masses = masses[masses > 0.0]
+        self.total_weight = float(masses.sum())
+        return masses
+
+    def exact_entropy(self, kind: EntropyKind = SHANNON) -> float:
+        """Exact entropy of the (reduced) range, from its color masses."""
         masses = self.color_masses()
-        return float(entropy_from_power_sum(masses.sum(), power_term(masses, SHANNON).sum(),
-                                            SHANNON))
+        return float(entropy_from_power_sum(self.total_weight, power_term(masses, kind).sum(),
+                                            kind))
 
 
 class EstimatorIndex:
@@ -189,6 +229,11 @@ def additive_sample_count(index: EstimatorIndex, delta: float, cfg: EstimatorCon
     return math.ceil(cfg.c_add * math.log2(n / delta) ** 2 * math.log2(n) / delta**2)
 
 
+def heavy_draws(index: EstimatorIndex, cfg: EstimatorConfig) -> int:
+    """Draws of heavy-color detection: ~log_3(2n)."""
+    return math.ceil(cfg.c_heavy * math.log(2 * max(2, len(index))) / math.log(3))
+
+
 def prepare_query(index: EstimatorIndex, rect: QueryRect, cfg: EstimatorConfig,
                   rng: Optional[np.random.Generator], stats: Optional[dict] = None,
                   **accuracy: float):
@@ -208,20 +253,6 @@ def prepare_query(index: EstimatorIndex, rect: QueryRect, cfg: EstimatorConfig,
     return oracle, rng if rng is not None else np.random.default_rng(cfg.seed)
 
 
-def use_sampling(index: EstimatorIndex, samples: int, cfg: EstimatorConfig,
-                 stats: Optional[dict] = None, mode: str = "sampled") -> bool:
-    """Whether to sample; records the mode and sample count in ``stats``.
-
-    Above n*log2(n) samples the exact scan is cheaper and is taken instead.
-    """
-    n = max(2, len(index))
-    sampled = samples <= n * math.log2(n)
-    if stats is not None:
-        stats["mode"] = mode if sampled else "exact-fallback"
-        stats["samples"] = samples if sampled else 0
-    return sampled
-
-
 def estimate_additive(index: EstimatorIndex, rect: QueryRect, delta: float,
                       cfg: EstimatorConfig = DEFAULT_CONFIG,
                       rng: Optional[np.random.Generator] = None,
@@ -236,7 +267,7 @@ def _estimate_additive_on(index: EstimatorIndex, oracle: DualAccessOracle, delta
                           cfg: EstimatorConfig, rng: np.random.Generator,
                           stats: Optional[dict] = None) -> float:
     samples = additive_sample_count(index, delta, cfg)
-    if use_sampling(index, samples, cfg, stats):
+    if oracle.use_sampling(samples, stats):
         return _plugin_mean(oracle, samples, rng, stats)
     return oracle.exact_entropy()
 
@@ -271,12 +302,16 @@ def estimate_multiplicative(index: EstimatorIndex, rect: QueryRect, eps: float,
                             stats: Optional[dict] = None) -> EntropySummary:
     """Entropy within a (1+eps) multiplicative factor, with high probability."""
     oracle, rng = prepare_query(index, rect, cfg, rng, stats, eps=eps)
+    light = math.ceil(cfg.c_mult * math.log2(max(2, len(index))) / (eps**2 * 0.9))
+    fewest = heavy_draws(index, cfg) + min(light, additive_sample_count(index, eps, cfg))
+    if not oracle.use_sampling(fewest, stats):
+        value = oracle.exact_entropy()   # first: it sets total_weight from the masses
+        return EntropySummary(SHANNON, oracle.total_weight, value)
     heavy = oracle.heavy_color(rng, cfg, stats)
     if heavy is None:
         # no dominant color: entropy > 0.9 bits, plug-in mean concentrates
-        samples = math.ceil(cfg.c_mult * math.log2(max(2, len(index))) / (eps**2 * 0.9))
-        if use_sampling(index, samples, cfg, stats, "sampled-light"):
-            value = _plugin_mean(oracle, samples, rng, stats)
+        if oracle.use_sampling(light, stats, "sampled-light"):
+            value = _plugin_mean(oracle, light, rng, stats)
         else:
             value = oracle.exact_entropy()
         return EntropySummary(SHANNON, oracle.total_weight, value)

@@ -35,3 +35,17 @@ def random_rect(rng, d=1, coord_range=(0.0, 100.0)):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def always_sample(monkeypatch):
+    """Routes every estimate to its sampled half, however few points its range
+    holds, so that small test ranges still run the samplers' branches."""
+    from entrange.approx_shannon import DualAccessOracle
+
+    def use_sampling(self, samples, stats=None, mode="sampled"):
+        if stats is not None:
+            stats["mode"], stats["samples"] = mode, samples
+        return True
+
+    monkeypatch.setattr(DualAccessOracle, "use_sampling", use_sampling)

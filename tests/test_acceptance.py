@@ -293,7 +293,10 @@ def _scenarios(rng):
     return out
 
 
-def test_criterion_05_statistical_estimators():
+def _statistical_estimators(expected_modes):
+    """Criterion 5's 200 seeds per scenario and estimator; ``expected_modes``
+    maps (scenario name, estimator) to the mode that must answer >= 95% of
+    them."""
     rng = np.random.default_rng(202405)
     cfg = EstimatorConfig(c_add=0.2, c_mult=2.0, c_mom=0.05, moment_c1=1.0, moment_c2=1.0)
     seeds = 200
@@ -309,18 +312,55 @@ def test_criterion_05_statistical_estimators():
             truth_s = want[SHANNON]
             truth_r = want[renyi_kind(alpha)]
             hits = {"add-s": 0, "mult-s": 0, "add-r": 0, "mult-r": 0}
+            modes = {key: [] for key in hits}
+
+            def run(key, estimate):
+                stats: dict = {}
+                h = estimate(stats).value
+                modes[key].append(stats["mode"])
+                return h
+
             for seed in range(seeds):
                 r = np.random.default_rng(hash((name, seed)) % 2**63)
-                h = estimate_additive(index, rect, delta, cfg, r).value
+                h = run("add-s", lambda st: estimate_additive(index, rect, delta, cfg, r, st))
                 hits["add-s"] += abs(h - truth_s) <= delta
-                h = estimate_multiplicative(index, rect, eps, cfg, r).value
+                h = run("mult-s", lambda st: estimate_multiplicative(index, rect, eps, cfg, r, st))
                 hits["mult-s"] += truth_s / (1 + eps) - 1e-9 <= h <= (1 + eps) * truth_s + 1e-9
-                h = estimate_additive_renyi(index, rect, alpha, delta, cfg, r).value
+                h = run("add-r", lambda st: estimate_additive_renyi(index, rect, alpha, delta,
+                                                                    cfg, r, st))
                 hits["add-r"] += abs(h - truth_r) <= delta
-                h = estimate_multiplicative_renyi(index, rect, alpha, reps, cfg, r).value
+                h = run("mult-r", lambda st: estimate_multiplicative_renyi(index, rect, alpha,
+                                                                           reps, cfg, r, st))
                 hits["mult-r"] += truth_r / (1 + reps) - 1e-9 <= h <= (1 + reps) * truth_r + 1e-9
             for key, got in hits.items():
                 assert got >= 0.95 * seeds, (name, key, got, seeds)
+                mode = expected_modes(name, key)
+                assert modes[key].count(mode) >= 0.95 * seeds, (name, key, mode, modes[key][:5])
+
+
+HEAVY_SCENARIOS = ("heavy90", "heavy75")   # one color above 2/3 of the mass
+
+
+def test_criterion_05_statistical_estimators():
+    # every scenario holds 300-640 points: the additive Shannon and the
+    # multiplicative Renyi estimators would draw more, and read the pieces
+    def expected(name, key):
+        heavy = name in HEAVY_SCENARIOS
+        return {"add-s": "exact-fallback", "add-r": "sampled", "mult-r": "exact-fallback",
+                "mult-s": "exact-fallback+heavy" if heavy else "sampled-light"}[key]
+
+    _statistical_estimators(expected)
+
+
+def test_criterion_05_statistical_estimators_sampled(always_sample):
+    # the same scenarios and seeds with every estimate sampled
+    def expected(name, key):
+        heavy = name in HEAVY_SCENARIOS
+        return {"add-s": "sampled", "add-r": "sampled",
+                "mult-s": "sampled+heavy" if heavy else "sampled-light",
+                "mult-r": "heavy" if heavy else "additive-light"}[key]
+
+    _statistical_estimators(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +576,7 @@ def test_criterion_09_scaling_trends():
 # 10. persistence round-trips
 
 
-def test_criterion_10_persistence(tmp_path):
+def test_criterion_10_persistence(tmp_path, always_sample):
     rng = np.random.default_rng(202410)
     with Budget("10 persistence", 30.0):
         pts1 = ColoredPointSet(rng.uniform(0, 100, 150), rng.integers(0, 9, 150))

@@ -29,7 +29,7 @@ def test_moment_single_color_is_one(rng):
     assert est.value == 1.0
 
 
-def test_moment_unbiased_uniform(rng):
+def test_moment_unbiased_uniform(rng, always_sample):
     # uniform m colors: truth m^(1-alpha); mean of many draws within 3 sigma
     index = EstimatorIndex(make_mix(rng, [8] * 16))
     truth = 16.0 ** (1 - 2.0)
@@ -65,7 +65,7 @@ def test_moment_mean_of_1e5_draws_within_3_sigma(rng):
     assert abs(got - truth) <= 3 * math.sqrt(var / draws)
 
 
-def test_moment_excluding_matches_reduced_truth(rng):
+def test_moment_excluding_matches_reduced_truth(rng, always_sample):
     # exclude the heavy color: remaining 2 uniform -> truth 2^(1-alpha)
     index = EstimatorIndex(make_mix(rng, [60, 10, 10]))
     for alpha in (1.5, 2.0, 3.0):
@@ -73,11 +73,22 @@ def test_moment_excluding_matches_reduced_truth(rng):
         assert abs(est.value - 2.0 ** (1 - alpha)) < 1e-12
 
 
-def test_moment_excluding_absent_color(rng):
+def test_moment_excluding_absent_color(rng, always_sample):
     index = EstimatorIndex(make_mix(rng, [6, 6, 6]))
     a = estimate_moment(index, FULL, 2.0, 0.3, FAST, np.random.default_rng(5))
     b = estimate_moment_excluding(index, FULL, 2.0, 0.3, 99, FAST, np.random.default_rng(5))
+    assert a.samples == b.samples > 0
     assert a.value == b.value
+
+
+def test_moment_exact_from_pieces(rng):
+    # 18 points, 20 draws: both moments are read off the range's pieces
+    index = EstimatorIndex(make_mix(rng, [6, 6, 12]))
+    a = estimate_moment(index, FULL, 2.0, 0.3, FAST, rng)
+    b = estimate_moment_excluding(index, FULL, 2.0, 0.3, 2, FAST, rng)
+    c = estimate_moment_excluding(index, FULL, 2.0, 0.3, 99, FAST, rng)
+    assert a.samples == b.samples == c.samples == 0
+    assert abs(a.value - 0.375) < 1e-12 and abs(b.value - 0.5) < 1e-12 and c.value == a.value
 
 
 def test_branch_comparator_arithmetic():
@@ -108,16 +119,19 @@ def test_additive_renyi_rejects_bad_order(rng):
         estimate_additive_renyi(index, QueryRect.interval(500.0, 501.0), 2.0, 0.2, FAST, rng)
 
 
-def test_additive_renyi_nine_point_mix(rng):
-    # 2:3:4 mix scaled 20x, alpha=2, delta=0.15 around log2(81/29)
+def test_additive_renyi_nine_point_mix(rng, always_sample):
+    # 2:3:4 mix scaled 20x, alpha=2, delta=0.15 around log2(81/29), sampled
+    # although the 180 points are fewer than the 447 draws
     pts = make_mix(rng, [40, 60, 80])
     index = EstimatorIndex(pts)
     truth = 1.4818690077570527
     hits = 0
     for seed in range(200):
+        stats: dict = {}
         h = estimate_additive_renyi(index, FULL, 2.0, 0.15,
                                     EstimatorConfig(c_mom=0.05),
-                                    np.random.default_rng(seed)).value
+                                    np.random.default_rng(seed), stats).value
+        assert stats["mode"] == "sampled"
         hits += abs(h - truth) <= 0.15
     assert hits >= 190
 
@@ -130,7 +144,9 @@ def test_additive_renyi_statistical_bound(rng):
         runs = 50
         for seed in range(runs):
             r = np.random.default_rng(4000 + seed)
-            h = estimate_additive_renyi(index, FULL, alpha, delta, FAST, r).value
+            stats: dict = {}
+            h = estimate_additive_renyi(index, FULL, alpha, delta, FAST, r, stats).value
+            assert stats["mode"] == "sampled"   # 384 points, 300 or 265 draws
             ok += abs(h - 5.0) <= delta
         assert ok >= 0.9 * runs
 
@@ -172,12 +188,14 @@ def test_multiplicative_renyi_heavy_bound(rng):
     runs = 50
     for seed in range(runs):
         r = np.random.default_rng(5000 + seed)
-        h = estimate_multiplicative_renyi(index, FULL, 2.0, eps, FAST, r).value
+        stats: dict = {}
+        h = estimate_multiplicative_renyi(index, FULL, 2.0, eps, FAST, r, stats).value
+        assert (stats["mode"], stats["samples"]) == ("exact-fallback", 0)   # 128 points
         ok += truth / (1 + eps) - 1e-9 <= h <= (1 + eps) * truth + 1e-9
     assert ok >= 0.9 * runs
 
 
-def test_multiplicative_renyi_light_bound(rng):
+def test_multiplicative_renyi_light_bound(rng, always_sample):
     pts = make_mix(rng, [10] * 16)
     index = EstimatorIndex(pts)
     eps = 0.25
@@ -185,6 +203,8 @@ def test_multiplicative_renyi_light_bound(rng):
     runs = 50
     for seed in range(runs):
         r = np.random.default_rng(6000 + seed)
-        h = estimate_multiplicative_renyi(index, FULL, 2.0, eps, FAST, r).value
+        stats: dict = {}
+        h = estimate_multiplicative_renyi(index, FULL, 2.0, eps, FAST, r, stats).value
+        assert stats["mode"] == "additive-light"
         ok += 4.0 / (1 + eps) <= h <= (1 + eps) * 4.0
     assert ok >= 0.9 * runs

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entrange.approx_renyi import (
+    _exact_moment_value,
     _moment_mean,
     estimate_additive_renyi,
     estimate_multiplicative_renyi,
@@ -22,7 +23,7 @@ from entrange.approx_shannon import (
 )
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import EmptyRange
-from entrange.oracle import brute_entropy
+from entrange.oracle import brute_entropy, brute_histogram
 
 from conftest import random_pointset, random_rect
 
@@ -76,7 +77,7 @@ def test_additive_single_color_is_zero(rng):
     assert s.value == 0.0
 
 
-def test_additive_statistical_bound(rng):
+def test_additive_statistical_bound(rng, always_sample):
     pts = make_mix(rng, [16] * 8)  # uniform over 8 colors: truth 3 bits
     index = EstimatorIndex(pts)
     delta = 0.3
@@ -84,14 +85,17 @@ def test_additive_statistical_bound(rng):
     runs = 60
     for seed in range(runs):
         r = np.random.default_rng(1000 + seed)
-        h = estimate_additive(index, FULL, delta, FAST, r).value
+        stats: dict = {}
+        h = estimate_additive(index, FULL, delta, FAST, r, stats).value
+        assert stats["mode"] == "sampled"
         hits += abs(h - 3.0) <= delta
     assert hits >= 0.9 * runs
 
 
-def test_additive_nine_point_mix_tight_delta(rng):
-    # the 2:3:4 three-color mix (scaled 20x so sampling actually runs),
-    # delta=0.1: >= 95% of 200 seeds inside the band around 1.530493
+def test_additive_nine_point_mix_tight_delta(rng, always_sample):
+    # the 2:3:4 three-color mix (scaled 20x), sampled although its 180 points
+    # are fewer than the 875 draws, delta=0.1: >= 95% of 200 seeds inside the
+    # band around 1.530493
     pts = make_mix(rng, [40, 60, 80])
     index = EstimatorIndex(pts)
     truth = 1.5304930567574824
@@ -103,6 +107,15 @@ def test_additive_nine_point_mix_tight_delta(rng):
         assert stats["mode"] == "sampled"
         hits += abs(h - truth) <= 0.1
     assert hits >= 190
+
+
+def test_additive_nine_point_mix_answers_exactly(rng):
+    # the same mix and accuracy: 875 draws cost more than reading 180 points
+    index = EstimatorIndex(make_mix(rng, [40, 60, 80]))
+    stats: dict = {}
+    s = estimate_additive(index, FULL, 0.1, EstimatorConfig(c_add=0.01), rng, stats)
+    assert (stats["mode"], stats["samples"]) == ("exact-fallback", 0)
+    assert abs(s.value - 1.5304930567574824) < 1e-12 and s.count == 180.0
 
 
 def test_additive_exact_fallback(rng):
@@ -163,7 +176,7 @@ def test_multiplicative_single_color(rng):
     assert estimate_multiplicative(index, FULL, 0.4, FAST, rng).value == 0.0
 
 
-def test_multiplicative_heavy_branch_bound(rng):
+def test_multiplicative_heavy_branch_bound(rng, always_sample):
     pts = make_mix(rng, [160, 8, 8, 8, 8, 8])  # heavy 0.8 + 5 light
     index = EstimatorIndex(pts)
     truth = brute_entropy(pts, FULL, SHANNON).value
@@ -172,9 +185,22 @@ def test_multiplicative_heavy_branch_bound(rng):
     runs = 60
     for seed in range(runs):
         r = np.random.default_rng(2000 + seed)
-        h = estimate_multiplicative(index, FULL, eps, FAST, r).value
+        stats: dict = {}
+        h = estimate_multiplicative(index, FULL, eps, FAST, r, stats).value
+        assert stats["mode"] == "sampled+heavy"
         ok += truth / (1 + eps) - 1e-12 <= h <= (1 + eps) * truth + 1e-12
     assert ok >= 0.9 * runs
+
+
+def test_multiplicative_heavy_branch_reduced_range_exact(rng):
+    # the 40 light points are fewer than the reduced range's 570 draws
+    pts = make_mix(rng, [160, 8, 8, 8, 8, 8])
+    index = EstimatorIndex(pts)
+    truth = brute_entropy(pts, FULL, SHANNON).value
+    stats: dict = {}
+    h = estimate_multiplicative(index, FULL, 0.25, FAST, rng, stats).value
+    assert (stats["mode"], stats["samples"]) == ("exact-fallback+heavy", 0)
+    assert abs(h - truth) < 1e-9
 
 
 def test_multiplicative_light_branch_bound(rng):
@@ -185,7 +211,9 @@ def test_multiplicative_light_branch_bound(rng):
     runs = 60
     for seed in range(runs):
         r = np.random.default_rng(3000 + seed)
-        h = estimate_multiplicative(index, FULL, eps, FAST, r).value
+        stats: dict = {}
+        h = estimate_multiplicative(index, FULL, eps, FAST, r, stats).value
+        assert stats["mode"] == "sampled-light"   # 256 points, 6 + 45 draws
         ok += 5.0 / (1 + eps) <= h <= (1 + eps) * 5.0
     assert ok >= 0.9 * runs
 
@@ -198,7 +226,7 @@ def test_lemma_heavy_ratio_inequality():
     assert np.all(lhs <= rhs + 1e-12)
 
 
-def test_estimator_deterministic_given_seed(rng):
+def test_estimator_deterministic_given_seed(rng, always_sample):
     pts = make_mix(rng, [30, 20, 10])
     index = EstimatorIndex(pts)
     a = estimate_additive(index, FULL, 0.2, FAST, np.random.default_rng(7)).value
@@ -206,8 +234,9 @@ def test_estimator_deterministic_given_seed(rng):
     assert a == b
 
 
-def test_zero_weight_rest_is_single_color():
-    # the only other color has zero weight: the entropy is 0, not a division by zero
+def zero_weight_rest_modes():
+    """(value, count, mode, samples) of both multiplicative estimators on three
+    points of color 0 and one of color 1 with zero weight."""
     pts = ColoredPointSet(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 0, 1]),
                           np.array([1.0, 1.0, 1.0, 0.0]))
     index = EstimatorIndex(pts)
@@ -218,8 +247,19 @@ def test_zero_weight_rest_is_single_color():
     ):
         stats: dict = {}
         s = estimate(np.random.default_rng(1), stats)
-        assert (s.value, s.count) == (0.0, 3.0)
-        assert stats["mode"] == "single-color" and stats["samples"] == 0
+        yield s.value, s.count, stats["mode"], stats["samples"]
+
+
+def test_zero_weight_rest_is_single_color(always_sample):
+    # the only other color has zero weight: the entropy is 0, not a division by zero
+    for got in zero_weight_rest_modes():
+        assert got == (0.0, 3.0, "single-color", 0)
+
+
+def test_zero_weight_rest_answers_exactly():
+    # three points: fewer than any branch's draws, so the pieces answer
+    for got in zero_weight_rest_modes():
+        assert got == (0.0, 3.0, "exact-fallback", 0)
 
 
 ESTIMATORS = (
@@ -231,21 +271,17 @@ ESTIMATORS = (
 EXTREME_CFG = EstimatorConfig(c_add=0.2, c_mult=2.0, c_mom=0.05, moment_c1=1.0, moment_c2=1.0)
 
 
-def test_every_call_reports_mode_and_samples(rng):
-    pts = random_pointset(rng, 300, d=2, m=6, weighted=True)
-    index = EstimatorIndex(pts)
-    for rect in [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(20)]:
-        if index.oracle(rect).is_empty:
-            continue
-        for estimate in ESTIMATORS:
-            stats: dict = {}
-            estimate(index, rect, rng, stats)
-            assert isinstance(stats["mode"], str) and stats["samples"] >= 0
+MODES = (
+    {"sampled", "exact-fallback"},
+    {"exact-fallback", "sampled-light", "sampled+heavy", "exact-fallback+heavy", "single-color"},
+    {"sampled", "exact-fallback"},
+    {"exact-fallback", "additive-light", "heavy", "exact-fallback+heavy", "single-color"},
+)
 
 
-def test_every_call_reports_pieces_and_distinct_colors(rng):
-    # pieces: the query's canonical pieces; distinct_colors: the colors EVAL'd
-    # over the call's tallies (heavy detection included; at most three)
+def every_call_stats(rng):
+    """(estimator number, stats, canonical pieces) of each of ESTIMATORS on
+    the full range and 20 random rectangles over 300 weighted 2-D points."""
     pts = random_pointset(rng, 300, d=2, m=6, weighted=True)
     index = EstimatorIndex(pts)
     for rect in [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(20)]:
@@ -255,10 +291,38 @@ def test_every_call_reports_pieces_and_distinct_colors(rng):
         for i, estimate in enumerate(ESTIMATORS):
             stats: dict = {}
             estimate(index, rect, rng, stats)
-            assert stats["pieces"] == pieces
-            assert 0 <= stats["distinct_colors"] <= 6 * 3
-            if stats["samples"] or i % 2:   # multiplicative calls always tally
-                assert stats["distinct_colors"] >= 1
+            yield i, stats, pieces
+
+
+def test_every_call_reports_mode_and_samples(rng):
+    for i, stats, _ in every_call_stats(rng):
+        assert stats["mode"] in MODES[i] and stats["samples"] >= 0
+        assert (stats["samples"] == 0) == stats["mode"].startswith(("exact", "single"))
+
+
+def test_every_call_reports_pieces_and_distinct_colors(rng):
+    # pieces: the query's canonical pieces; distinct_colors: the colors EVAL'd
+    # over the call's tallies (heavy detection included; at most three)
+    for i, stats, pieces in every_call_stats(rng):
+        assert stats["pieces"] == pieces
+        assert 0 <= stats["distinct_colors"] <= 6 * 3
+        # multiplicative calls tally unless the pieces answered before heavy detection
+        if stats["samples"] or (i % 2 and stats["mode"] != "exact-fallback"):
+            assert stats["distinct_colors"] >= 1
+        if stats["mode"] == "exact-fallback" and i % 2 == 0:
+            assert stats["distinct_colors"] == 0
+
+
+def test_every_sampled_call_reports_pieces_and_distinct_colors(rng, always_sample):
+    modes = set()
+    for i, stats, pieces in every_call_stats(rng):
+        assert stats["pieces"] == pieces
+        assert 0 <= stats["distinct_colors"] <= 6 * 3
+        if stats["samples"] or i % 2:   # multiplicative calls always tally
+            assert stats["distinct_colors"] >= 1
+        assert stats["mode"] in MODES[i] and not stats["mode"].startswith("exact")
+        modes.add(stats["mode"])
+    assert {"sampled", "sampled-light", "sampled+heavy", "additive-light", "heavy"} <= modes
 
 
 def per_sample_reference(oracle, samples, seed):
@@ -326,7 +390,7 @@ def heavy_color_case(seed, heavy_lo, heavy_hi):
 
 
 @pytest.mark.parametrize("heavy_lo, heavy_hi", [(1e2, 1e4), (1e4, 1e6), (1e6, 1e9)])
-def test_extreme_weight_ratios(heavy_lo, heavy_hi):
+def test_extreme_weight_ratios(heavy_lo, heavy_hi, always_sample):
     colors = np.arange(6)
     for seed in range(4):
         pts, rects = heavy_color_case(seed, heavy_lo, heavy_hi)
@@ -349,3 +413,85 @@ def test_extreme_weight_ratios(heavy_lo, heavy_hi):
             if mask.any() and pts.weights[mask].sum() > 0.0:
                 for estimate in ESTIMATORS:
                     assert math.isfinite(estimate(index, rect, rng, None).value)
+
+
+# ---------------------------------------------------------------------------
+# exact answers from the canonical pieces
+
+
+EXACT_KINDS = (SHANNON,) + tuple(renyi_kind(a) for a in (1.5, 2.0, 3.0))
+
+
+def exact_case(seed, d):
+    """Weighted d-D points, 7 colors, snapped to a grid so that many share a
+    coordinate (on single axes and on all of them), a tenth of zero weight,
+    color 6 never used, and three points of color 2 at one spot off the
+    grid; the full range, 12 random rectangles, the degenerate boxes of
+    three grid points and the single-color box of the off-grid spot."""
+    rng = np.random.default_rng(seed)
+    n = 160
+    coords = np.round(rng.uniform(0, 100, size=(n, d)) / 5.0) * 5.0
+    coords[:3] = 200.0
+    colors = (rng.zipf(1.6, size=n) % 6).astype(np.int64)
+    colors[:3] = 2
+    weights = rng.uniform(0.5, 3.0, size=n)
+    weights[rng.choice(np.arange(3, n), size=n // 10, replace=False)] = 0.0
+    pts = ColoredPointSet(coords, colors, weights, num_colors=7)
+    rects = [QueryRect.full(d)] + [random_rect(rng, d=d) for _ in range(12)]
+    rects += [QueryRect(tuple(coords[i]), tuple(coords[i])) for i in rng.choice(n, 3)]
+    rects.append(QueryRect((200.0,) * d, (200.0,) * d))
+    return pts, rects
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_from_pieces_matches_brute_force(seed, d):
+    pts, rects = exact_case(seed, d)
+    index = EstimatorIndex(pts)
+    single = 0
+    for rect in rects:
+        hist = brute_histogram(pts, rect).entries
+        present = sorted(hist)
+        absent = next(c for c in range(8) if c not in hist)
+        # none, each present color, a color absent from the range, the id one
+        # past the range's largest color (the bincount's length) and far past it
+        for excluded in [None, *present, absent, (present[-1] + 1 if present else 0), 99]:
+            keep = pts.colors != (-1 if excluded is None else excluded)
+            sub = ColoredPointSet(pts.coords[keep], pts.colors[keep], pts.weights[keep],
+                                  num_colors=100)
+            want = {c: w for c, w in hist.items() if c != excluded}
+            oracle = index.oracle(rect, excluded)
+            assert oracle.is_empty == (not want)
+            if oracle.is_empty:
+                continue
+            masses = oracle.color_masses()
+            assert len(masses) == len(want)
+            assert np.allclose(masses, [want[c] for c in sorted(want)], rtol=1e-12, atol=0.0)
+            single += len(want) == 1
+            for kind in EXACT_KINDS:
+                truth = brute_entropy(sub, rect, kind).value
+                assert abs(oracle.exact_entropy(kind) - truth) <= 1e-9, (rect, excluded, kind)
+                if kind.alpha is not None:
+                    moment = _exact_moment_value(oracle, kind.alpha)
+                    got = -math.log2(moment) / (kind.alpha - 1.0)
+                    assert abs(got - truth) <= 1e-9, (rect, excluded, kind)
+    assert single
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_no_estimator_path_scans_every_point(monkeypatch, request, sampled):
+    # every estimator, heavy detection included, answers from the pieces
+    if sampled:
+        request.getfixturevalue("always_sample")
+
+    def refuse(rect, pts):
+        raise AssertionError("an estimator scanned every point")
+
+    monkeypatch.setattr(QueryRect, "mask", refuse)
+    rng = np.random.default_rng(4)
+    modes = set()
+    for i, stats, _ in every_call_stats(rng):
+        modes.add(stats["mode"])
+    index = EstimatorIndex(make_mix(rng, [90, 4, 3, 3]))
+    assert detect_heavy_color(index, FULL, rng).color == 0
+    assert ("exact-fallback" in modes) != sampled

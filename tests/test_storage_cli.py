@@ -110,7 +110,7 @@ def _indexes_for_roundtrip(pts1, pts2):
     ]
 
 
-def test_save_load_roundtrip_identical_answers(tmp_path, rng):
+def test_save_load_roundtrip_identical_answers(tmp_path, rng, always_sample):
     pts1 = random_pointset(rng, 150, d=1, m=9)
     pts2 = random_pointset(rng, 150, d=2, m=9)
     rects1 = [QueryRect.interval(*sorted(rng.uniform(0, 100, 2))) for _ in range(40)]
