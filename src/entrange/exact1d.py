@@ -16,12 +16,12 @@ ever subtracted from a total, so no update chain cancels.
     f(after) - f(before) gives S at every later cut, and S turns into the
     stored entropy. Temporaries are O(n) per row.
   * Query: two ``searchsorted`` calls turn the interval into a span
-    [lo, hi) of sorted positions, and :meth:`Exact1DIndex.query_span`
-    answers the span. It takes the maximal precomputed slice inside it,
-    recovers that slice's S from its stored entropy, and folds the at most
-    2*ceil(n^t) fringe points in one batch: their distinct colors, a
-    ``bincount`` of their weights, and each color's mass inside the slice
-    from the color-prefix array.
+    [lo, hi) of sorted positions for :meth:`Exact1DIndex.query_span`.
+    Cuts are multiples of the bucket size, so integer division finds the
+    maximal precomputed slice inside the span, whose S comes back from its
+    stored entropy. The at most 2*ceil(n^t) fringe points fold in one batch:
+    one sort of their colors, a ``reduceat`` of their weights per color,
+    and each color's mass inside the slice from the color-prefix array.
 
 Duplicate coordinates need no care: queries resolve ties through the
 sorted order. Precision: masses inside a slice are prefix differences, so
@@ -109,50 +109,49 @@ class Exact1DIndex:
 
     # -- queries --------------------------------------------------------------
 
-    def _check_kind(self, kind: EntropyKind) -> None:
-        if not kind.is_shannon and kind.alpha not in self.orders:
-            raise OrderNotIndexed(f"alpha={kind.alpha} not precomputed (have {self.orders})")
-
     def query(self, rect: QueryRect, kind: EntropyKind = SHANNON,
               stats: Optional[dict] = None) -> EntropySummary:
         if rect.dim != 1:
             raise ValueError("query rect must be 1-D")
-        lo = int(np.searchsorted(self.coords_sorted, rect.lo[0], side="left"))
-        hi = int(np.searchsorted(self.coords_sorted, rect.hi[0], side="right"))
+        lo = int(self.coords_sorted.searchsorted(rect.lo[0], side="left"))
+        hi = int(self.coords_sorted.searchsorted(rect.hi[0], side="right"))
         return self.query_span(lo, hi, kind, stats)
 
     def query_span(self, i: int, j: int, kind: EntropyKind = SHANNON,
                    stats: Optional[dict] = None) -> EntropySummary:
-        """Entropy of the points at sorted positions [i, j).
-
-        Positions index the points sorted by (coordinate, input index), the
-        order the 1-D partitioners use, so a partition backend calls this
-        directly. ``stats`` receives ``points_in_range``, ``fringe_points``
-        and ``core_cuts`` (the precomputed slice's cut pair, or None).
-        """
-        self._check_kind(kind)
-        W = S = 0.0
-        a = int(np.searchsorted(self.cuts, i, side="left"))
-        b = int(np.searchsorted(self.cuts, j, side="right")) - 1
+        """Entropy of the points at sorted positions [i, j) (0 <= i, j <= n):
+        the (coordinate, input index) order the 1-D partitioners use, so a
+        partition backend calls this directly. ``stats`` receives
+        ``points_in_range``, ``fringe_points`` and ``core_cuts`` (the
+        precomputed slice's cut pair, or None)."""
+        if not kind.is_shannon and kind.alpha not in self.orders:
+            raise OrderNotIndexed(f"alpha={kind.alpha} not precomputed (have {self.orders})")
+        n, size, last = len(self.colors_sorted), self.bucket_size, len(self.cuts) - 1
+        a, b = min(-(-i // size), last), (last if j >= n else j // size)
+        W, value, core_lo, core_hi = 0.0, 0.0, i, i
         if a < b:
-            core_lo, core_hi = int(self.cuts[a]), int(self.cuts[b])
+            core_lo, core_hi = a * size, (n if b == last else b * size)
             W = float(self.weight_prefix[core_hi] - self.weight_prefix[core_lo])
-            S = core.power_sum(EntropySummary(kind, W, float(self.tables[kind][a, b])))
-        else:
-            core_lo = core_hi = i
+            value = float(self.tables[kind][a, b])
+        fringe_points = max(0, j - i) - (core_hi - core_lo)
+        if stats is not None:
+            stats.update(points_in_range=max(0, j - i), fringe_points=fringe_points,
+                         core_cuts=(a, b) if a < b else None)
+        if not fringe_points:
+            return EntropySummary(kind, W, value)
         colors = np.concatenate((self.colors_sorted[i:core_lo], self.colors_sorted[core_hi:j]))
         weights = np.concatenate((self.weights_sorted[i:core_lo], self.weights_sorted[core_hi:j]))
-        if stats is not None:
-            stats["points_in_range"] = max(0, j - i)
-            stats["fringe_points"] = len(colors)
-            stats["core_cuts"] = (a, b) if a < b else None
-        if len(colors):
-            fringe, slot = np.unique(colors, return_inverse=True)
-            added = np.bincount(slot, weights=weights)
-            inside = self.color_prefix.mass(fringe, core_lo, core_hi)
-            W += float(weights.sum())
-            S += float(np.sum(core.power_term(inside + added, kind)
-                              - core.power_term(inside, kind)))
+        order = colors.argsort()
+        colors = colors[order]
+        starts = np.concatenate(([True], colors[1:] != colors[:-1])).nonzero()[0]
+        added = np.add.reduceat(weights[order], starts)
+        S = core.power_sum(EntropySummary(kind, W, value))
+        W += float(weights.sum())
+        if a < b:
+            inside = self.color_prefix.mass(colors[starts], core_lo, core_hi)
+            S += float((core.power_term(inside + added, kind) - core.power_term(inside, kind)).sum())
+        else:
+            S += float(core.power_term(added, kind).sum())
         return EntropySummary(kind, W, float(core.entropy_from_power_sum(W, S, kind)))
 
     # -- reporting -------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact 1-D index: table correctness, query equality with brute force."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import OrderNotIndexed
 from entrange.exact1d import Exact1DIndex
 from entrange.oracle import brute_entropy
+from entrange.partition import OracleBackend
 
 from conftest import random_pointset
 
@@ -179,3 +182,81 @@ def test_weighted_heavy_points_match_oracle(heavy_lo, heavy_hi):
 def test_weighted_extreme_heavy_points_match_oracle():
     for seed in range(30):
         check_weighted(seed, 1e9, 1e15)
+
+
+# ---------------------------------------------------------------------------
+# query_span over every span: the cut pair, the fold and the early return
+
+
+def span_case(seed, n):
+    """n points, 5 colors: integer coordinates (so many duplicates), weights
+    in [0.5, 2] with every seventh zero, and a one-color block of 6 points
+    at the end of the sorted order, so some spans hold a single color."""
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, n // 2 + 1, size=n).astype(float)
+    colors = rng.integers(0, 5, size=n)
+    weights = rng.uniform(0.5, 2.0, size=n)
+    weights[::7] = 0.0
+    coords[:6], colors[:6] = 1000.0 + np.arange(6), 3
+    return ColoredPointSet(coords, colors, weights, num_colors=5)
+
+
+def check_every_span(pts, t):
+    idx = Exact1DIndex(pts, t=t, orders=(2.0, 3.0))
+    n, cuts = len(pts), idx.cuts
+    for kind in WEIGHTED_KINDS:
+        oracle = OracleBackend(pts, kind)
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                stats = {}
+                got = idx.query_span(i, j, kind, stats=stats)
+                want = oracle.summary_range(i, j)
+                assert abs(got.value - want.value) < 1e-9, (t, kind, i, j)
+                assert abs(got.count - want.count) < 1e-9, (t, kind, i, j)
+                # the arithmetic cut pair against a search of the cut array
+                a = int(np.searchsorted(cuts, i, side="left"))
+                b = int(np.searchsorted(cuts, j, side="right")) - 1
+                core = cuts[b] - cuts[a] if a < b else 0
+                assert stats == {"points_in_range": j - i, "fringe_points": j - i - core,
+                                 "core_cuts": (a, b) if a < b else None}, (t, i, j)
+                if a < b and core == j - i:
+                    assert got.value == idx.tables[kind][a, b]
+    return idx
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n", [37, 50])
+def test_every_span_matches_oracle(t, n):
+    idx = check_every_span(span_case(n, n), t)
+    if 0.0 < t < 1.0:
+        assert n % idx.bucket_size  # the last bucket is short
+
+
+def test_every_span_of_empty_pointset():
+    pts = ColoredPointSet(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
+    for t in (0.0, 0.5, 1.0):
+        check_every_span(pts, t)
+
+
+def test_fold_memory_independent_of_declared_colors():
+    """2**18 declared colors over 300 points: the fold stays O(fringe), so
+    100 spans allocate far less than one dense per-color array (2 MB)."""
+    rng = np.random.default_rng(7)
+    n = 300
+    colors = rng.choice(2**18, size=40, replace=False)[rng.integers(0, 40, size=n)]
+    pts = ColoredPointSet(rng.uniform(0, 100, size=n), colors, rng.uniform(0.5, 2.0, size=n),
+                          num_colors=2**18)
+    idx = Exact1DIndex(pts, t=0.5, orders=(2.0,))
+    spans = [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(100)]
+    for kind in (SHANNON, renyi_kind(2.0)):
+        oracle = OracleBackend(pts, kind)
+        for i, j in spans:
+            assert abs(idx.query_span(i, j, kind).value - oracle.summary_range(i, j).value) < 1e-9
+    tracemalloc.start()
+    try:
+        for i, j in spans:
+            idx.query_span(i, j, renyi_kind(2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
