@@ -43,7 +43,7 @@ from .approx_shannon import (
     heavy_draws,
     prepare_query,
 )
-from .core import EntropySummary, QueryRect, power_term, renyi_kind
+from .core import EntropySummary, QueryRect, renyi_kind
 from .errors import EmptyRange
 
 
@@ -65,8 +65,8 @@ def _moment_mean(oracle: DualAccessOracle, alpha: float, samples: int,
 
 
 def _exact_moment_value(oracle: DualAccessOracle, alpha: float) -> float:
-    masses = oracle.color_masses()
-    return float(power_term(masses, renyi_kind(alpha)).sum() / masses.sum() ** alpha)
+    S = oracle.exact_power_sum(renyi_kind(alpha))
+    return S / oracle.total_weight ** alpha
 
 
 def moment_sample_count(index: EstimatorIndex, alpha: float, eps: float,

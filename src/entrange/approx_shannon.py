@@ -15,13 +15,14 @@ heavy color is peeled off exactly and only the light remainder is
 estimated, through the color-excluding sampler.
 
 An estimate samples only when that is cheaper than the exact answer. The
-canonical pieces list the range's m points, and the exact answer sums
-their weights by color in one gather (:meth:`DualAccessOracle.color_masses`),
-so any estimate that would draw at least m samples answers exactly
-instead, which meets every additive and multiplicative bound. The
-multiplicative estimator makes that test before heavy detection, against
-the fewest draws any of its sampling branches would make (detection
-included), and again on the reduced range inside the heavy branch.
+canonical pieces list the range's m points, and the exact answer is a
+handful of numpy calls: one gather of their ids, one ``bincount`` by color
+(:meth:`DualAccessOracle.color_masses`), one power-term pass. So any
+estimate that would draw at least m samples answers exactly instead, which
+meets every additive and multiplicative bound. The multiplicative
+estimator makes that test before heavy detection, against the fewest draws
+any of its sampling branches would make (detection included), and again
+on the reduced range inside the heavy branch.
 
 ``stats["mode"]`` names the path that answered: ``"sampled"`` or
 ``"exact-fallback"`` for the additive estimator; ``"exact-fallback"``,
@@ -44,7 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (SHANNON, ColoredPointSet, EntropyKind, EntropySummary, QueryRect,
-                   entropy_from_power_sum, power_term)
+                   entropy_from_sums, power_term)
 from .errors import EmptyRange
 from .rangetree import ColorAwareRangeTree, ColorTrees, Pieces
 
@@ -93,7 +94,7 @@ class DualAccessOracle:
         self.rect = rect
         self.excluded = excluded
         self.pieces = index.tree.canonical_nodes(rect) if pieces is None else pieces
-        self.total_count = int((self.pieces.stop - self.pieces.start).sum())
+        self.total_count = sum(self.pieces.stop) - sum(self.pieces.start)
         self.exclusion = None
         if excluded is not None:
             self.exclusion = index.tree.exclude(self.pieces, excluded)
@@ -175,26 +176,28 @@ class DualAccessOracle:
         return sampled
 
     def color_masses(self) -> np.ndarray:
-        """Positive color masses of the (reduced) range: the pieces' pool
-        slices gathered as one array of positions and summed by color. Sets
-        ``total_weight`` to their sum, so an exact answer reads no weight
-        prefix. Costs O(m + largest color in the range) for the pieces' m
-        points."""
-        tree = self.index.tree
-        start, lens = self.pieces.start, self.pieces.stop - self.pieces.start
-        pos = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
-        masses = np.bincount(tree.pool_colors[pos], self.index.pts.weights[tree.pool_ids[pos]])
+        """Positive color masses of the (reduced) range: the pieces' point
+        ids gathered and their weights summed by color. Sets ``total_weight``
+        to their sum, so an exact answer reads no weight prefix. Costs
+        O(m + largest color in the range) for the pieces' m points."""
+        pool_ids, pts = self.index.tree.pool_ids, self.index.pts
+        slices = [pool_ids[a:b] for a, b in zip(self.pieces.start, self.pieces.stop)]
+        ids = slices[0] if len(slices) == 1 else np.concatenate(slices or [pool_ids[:0]])
+        masses = np.bincount(pts.colors[ids], pts.weights[ids])
         if self.excluded is not None and self.excluded < len(masses):
             masses[self.excluded] = 0.0
         masses = masses[masses > 0.0]
         self.total_weight = float(masses.sum())
         return masses
 
+    def exact_power_sum(self, kind: EntropyKind) -> float:
+        """S = sum_c f(w_c) over :meth:`color_masses` (which sets ``total_weight``)."""
+        return float(power_term(self.color_masses(), kind).sum())
+
     def exact_entropy(self, kind: EntropyKind = SHANNON) -> float:
         """Exact entropy of the (reduced) range, from its color masses."""
-        masses = self.color_masses()
-        return float(entropy_from_power_sum(self.total_weight, power_term(masses, kind).sum(),
-                                            kind))
+        S = self.exact_power_sum(kind)
+        return entropy_from_sums(self.total_weight, S, kind)
 
 
 class EstimatorIndex:

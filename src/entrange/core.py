@@ -437,6 +437,14 @@ def entropy_from_power_sum(W, S, kind: EntropyKind) -> np.ndarray:
     return (kind.alpha * np.log2(W) - np.log2(S)) / (kind.alpha - 1.0)
 
 
+def entropy_from_sums(W: float, S: float, kind: EntropyKind) -> float:
+    """:func:`entropy_from_power_sum` of one set, on Python floats."""
+    W = W if W > 0.0 else 1.0
+    if kind.is_shannon:
+        return math.log2(W) - S / W
+    return (kind.alpha * math.log2(W) - math.log2(S if S > 0.0 else 1.0)) / (kind.alpha - 1.0)
+
+
 def power_sum(s: EntropySummary) -> float:
     """S recovered from a summary's (W, H): W*(log2 W - H), or W**alpha * 2**((1-alpha)*H)."""
     count, alpha = s.count, s.kind.alpha

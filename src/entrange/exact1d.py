@@ -82,14 +82,21 @@ class Exact1DIndex:
     def _build_tables(self) -> dict[EntropyKind, np.ndarray]:
         k = len(self.cuts) - 1
         tables = {kind: np.zeros((k + 1, k + 1)) for kind in self.kinds}
-        running = self.color_prefix.running(self.colors_sorted)
-        palette = np.arange(self.pts.num_colors)
+        cp = self.color_prefix
+        running = cp.running(self.colors_sorted)
+        # the colors that occur and each position's number among them, read
+        # off the color-sorted keys: a row costs O(n) however many are declared
+        color = cp.keys // max(cp.n, 1)
+        first = np.concatenate(([True], color[1:] != color[:-1]))[:cp.n]
+        present = color[first]
+        dense = np.empty(cp.n, dtype=np.int64)
+        dense[cp.keys - color * cp.n] = np.cumsum(first) - 1
         for i in range(k):
             start = int(self.cuts[i])
             weights = self.weights_sorted[start:]
             # each point's color mass over [start, its position)
-            skipped = self.color_prefix.mass(palette, 0, start)
-            before = running[start:] - skipped[self.colors_sorted[start:]]
+            skipped = cp.mass(present, 0, start)
+            before = running[start:] - skipped[dense[start:]]
             after = before + weights
             ends = self.cuts[i + 1:] - start - 1  # last point of each slice, row-relative
             W = np.cumsum(weights)[ends]
@@ -152,7 +159,7 @@ class Exact1DIndex:
             S += float((core.power_term(inside + added, kind) - core.power_term(inside, kind)).sum())
         else:
             S += float(core.power_term(added, kind).sum())
-        return EntropySummary(kind, W, float(core.entropy_from_power_sum(W, S, kind)))
+        return EntropySummary(kind, W, core.entropy_from_sums(W, S, kind))
 
     # -- reporting -------------------------------------------------------------
 

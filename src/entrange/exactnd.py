@@ -276,7 +276,7 @@ class ExactNDIndex:
         if stats is not None:
             stats["bucket_visits"] = len(lo)
             stats["points_in_range"] = int(total[0])
-        return EntropySummary(kind, float(W), float(core.entropy_from_power_sum(W, S, kind)))
+        return EntropySummary(kind, float(W), core.entropy_from_sums(float(W), float(S), kind))
 
     # -- reporting ---------------------------------------------------------------
 

@@ -11,11 +11,10 @@ no node objects exist. The last level's rows form the pool,
 n*(D+1)**(d-1) entries for D = ceil(log2 n), with the point ids, a weight
 prefix and one :class:`~.core.ColorPrefix`. A rectangle becomes
 O(log^(d-1) n) canonical pieces: disjoint pool slices whose points
-partition the range. The upper trees are walked in Python; the last
-level's nodes are cut by one ``searchsorted`` call together, over the
-pool's cut keys: each entry's slice start times (n + 1) plus the rank of
-its last coordinate, which sort the whole pool as one array (they are
-stored as the last level's keys, in place of its coordinates).
+partition the range. The walk makes no numpy call: C ``bisect`` calls on
+the upper trees' coordinate rows, then two per last-level node on
+``last_rank``, each pool entry's last-coordinate rank (on the narrowest
+unsigned type that holds n), against the query's bounds ranked once.
 
 Sampling is batched and costs a fixed number of numpy calls plus the
 draws: one ``searchsorted`` over the pieces' masses picks a piece per draw
@@ -35,11 +34,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import ColoredPointSet, ColorPrefix, Point, QueryRect, running_sum
+from .core import ColoredPointSet, ColorPrefix, QueryRect, running_sum
 from .errors import EmptyRange
 
 
@@ -109,33 +108,33 @@ def tile(lo: int, hi: int, a: int, b: int) -> list[tuple[int, int, int]]:
 
 
 class Pieces:
-    """Canonical pieces of one query: pool slices [start, stop)."""
+    """Canonical pieces of one query: pool slices [start, stop), as Python lists."""
 
     __slots__ = ("start", "stop")
 
-    def __init__(self, start: np.ndarray, stop: np.ndarray):
+    def __init__(self, start: list, stop: list):
         self.start = start
         self.stop = stop
 
     def __len__(self) -> int:
         return len(self.start)
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bounds as two int64 arrays."""
+        return np.array(self.start, dtype=np.int64), np.array(self.stop, dtype=np.int64)
 
-class Exclusion:
+
+class Exclusion(NamedTuple):
     """One color taken out of a query's pieces: per piece, the color's point
     count, its mass, and its mass in the pool before the piece's start; plus
     the color's run [first, stop) in the tree's ``ColorPrefix`` keys."""
 
-    __slots__ = ("color", "first", "stop", "count", "mass", "before")
-
-    def __init__(self, color: int, first: int, stop: int, count: np.ndarray,
-                 mass: np.ndarray, before: np.ndarray):
-        self.color = color
-        self.first = first
-        self.stop = stop
-        self.count = count
-        self.mass = mass
-        self.before = before
+    color: int
+    first: int
+    stop: int
+    count: np.ndarray
+    mass: np.ndarray
+    before: np.ndarray
 
 
 class RangeTree:
@@ -155,8 +154,7 @@ class RangeTree:
         self.rows = math.ceil(math.log2(n)) + 1 if n else 0   # depths per tree level
         ids = ids[np.lexsort((ids, pts.coords[ids, 0]))]
         rows, parts = [ids], [np.zeros(1, dtype=np.int64)]
-        # per level, what it is searched by: coordinate k of every row for the
-        # tree levels k < d-1, the cut keys for the last level (below)
+        # coordinate k of every row of the tree levels k < d-1
         self.keys = []
         for k in range(1, self.dim if n else 1):
             self.keys.append(pts.coords[np.concatenate(rows), k - 1])
@@ -169,16 +167,13 @@ class RangeTree:
             rows, parts = next_rows, next_parts
         self.pool_ids = np.concatenate(rows) if n else ids
         self.wpre, self.wlo = running_sum(pts.weights[self.pool_ids])
-        # cut keys: the pool position where each entry's slice starts, times
-        # (n + 1), plus the rank of its last coordinate (how many points have a
-        # smaller one); pool row 0 holds every point by last coordinate
+        # each entry's last-coordinate rank (how many points have a smaller
+        # one); pool row 0 holds every point by last coordinate
         first = self.pool_ids[:n]
         last = pts.coords[first, -1]
-        rank = np.zeros(len(pts), dtype=np.int64)
+        rank = np.zeros(len(pts), dtype=np.min_scalar_type(n))
         rank[first] = last.searchsorted(last)
-        span = np.concatenate([r * n + np.repeat(starts, np.diff(starts, append=n))
-                               for r, starts in enumerate(parts)])
-        self.keys.append(span * (n + 1) + rank[self.pool_ids])
+        self.last_rank = rank[self.pool_ids]
 
     def _derive(self) -> None:
         """The last coordinate of every point, sorted (ranks a query's bounds)."""
@@ -197,39 +192,43 @@ class RangeTree:
 
     def nbytes(self) -> int:
         """Bytes of the tree's arrays, the derived ones included."""
-        arrays = (*self.keys, self.pool_ids, self.wpre, self.wlo, self.last_sorted)
+        arrays = (*self.keys, self.last_rank, self.pool_ids, self.wpre, self.wlo,
+                  self.last_sorted)
         return sum(a.nbytes for a in arrays)
 
     # -- canonical decomposition ------------------------------------------
 
     def canonical_nodes(self, rect: QueryRect) -> Pieces:
+        """The range's pieces, found by C ``bisect`` calls on memoryviews."""
         if rect.dim != self.dim:
             raise ValueError(f"rect dim {rect.dim} != tree dim {self.dim}")
-        n = self.n
-        nodes: list[int] = []
-        if n:
-            if self.dim == 1:
-                nodes.append(0)
-            else:
-                self._nodes(0, 0, 0, n, rect, nodes)
-        if not nodes:
-            return Pieces(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        # one search of the cut keys slices every node by the last coordinate
+        pieces = Pieces([], [])
+        # the range's points have last-coordinate ranks in [r_lo, r_hi)
         r_lo = bisect.bisect_left(self.last_sorted.data, rect.lo[-1])
         r_hi = bisect.bisect_right(self.last_sorted.data, rect.hi[-1])
-        base = [s * (n + 1) for s in nodes]
-        cut = self.keys[-1].searchsorted([x + r_lo for x in base] + [x + r_hi for x in base])
-        a, b = cut[:len(base)], cut[len(base):]
-        keep = a < b
-        return Pieces(a[keep], b[keep])
+        if r_lo >= r_hi:
+            return pieces
+        nodes: list[tuple[int, int]] = []
+        self._nodes(0, 0, 0, self.n, rect, nodes)
+        ranks = self.last_rank.data
+        for s, e in nodes:
+            a = bisect.bisect_left(ranks, r_lo, s, e)
+            b = bisect.bisect_left(ranks, r_hi, a, e)
+            if a < b:
+                pieces.start.append(a)
+                pieces.stop.append(b)
+        return pieces
 
     def _nodes(self, k: int, row: int, lo: int, hi: int, rect: QueryRect,
                out: list) -> None:
-        """Appends to ``out`` the pool starts of the last-level nodes, below
-        the level-k node spanning [lo, hi) of the given row, whose points
-        meet the range in coordinates k..d-2."""
+        """Appends to ``out`` the pool slices (start, stop) of the last-level
+        nodes, below the level-k node spanning [lo, hi) of the given row,
+        whose points meet the range in coordinates k..d-2."""
         n = self.n
         off = row * n
+        if k == self.dim - 1:
+            out.append((off + lo, off + hi))
+            return
         keys = self.keys[k].data
         a = bisect.bisect_left(keys, rect.lo[k], off + lo, off + hi) - off
         b = bisect.bisect_right(keys, rect.hi[k], off + lo, off + hi) - off
@@ -237,13 +236,10 @@ class RangeTree:
             return
         row *= self.rows   # child rows are row * rows + depth
         for u, v, depth in tile(lo, hi, a, b):
-            if k + 2 < self.dim:
-                self._nodes(k + 1, row + depth, u, v, rect, out)
-            else:
-                out.append((row + depth) * n + u)
+            self._nodes(k + 1, row + depth, u, v, rect, out)
 
     def pieces_weight(self, pieces: Pieces) -> np.ndarray:
-        a, b = pieces.start, pieces.stop
+        a, b = pieces.arrays()
         return (self.wpre[b] - self.wpre[a]) + (self.wlo[b] - self.wlo[a])
 
     # -- counting -----------------------------------------------------------
@@ -253,7 +249,7 @@ class RangeTree:
 
     def range_count(self, rect: QueryRect) -> int:
         pieces = self.canonical_nodes(rect)
-        return int((pieces.stop - pieces.start).sum())
+        return sum(pieces.stop) - sum(pieces.start)
 
     # -- sampling -----------------------------------------------------------
 
@@ -262,9 +258,6 @@ class RangeTree:
         """Point index drawn by weight from the range; an array of ``size``
         independent draws when ``size`` is given."""
         return self.sample_from(self.canonical_nodes(rect), rng, size)
-
-    def sample(self, rect: QueryRect, rng: np.random.Generator) -> Point:
-        return self.pts.point(self.sample_index(rect, rng))
 
     def sample_from(self, pieces: Pieces, rng: np.random.Generator, size: Optional[int] = None,
                     excluded: Optional[Exclusion] = None):
@@ -283,7 +276,7 @@ class RangeTree:
         without the points of the excluded color when given (color-aware
         trees only). The draws come grouped by piece, each group ascending:
         a multiset, not a sequence (see :meth:`sample_from`)."""
-        a, b = pieces.start, pieces.stop
+        a, b = pieces.arrays()
         lo = self.wpre[a]
         mass = self.wpre[b] - lo
         if excluded is not None:
@@ -363,8 +356,8 @@ class ColorAwareRangeTree(RangeTree):
         reduced totals need them: one ``searchsorted`` call."""
         cp = self.color_prefix
         k = len(pieces)
-        at = cp.keys.searchsorted(color * cp.n + np.concatenate((pieces.start, pieces.stop,
-                                                                 (0, cp.n))))
+        bounds = np.array(pieces.start + pieces.stop + [0, cp.n], dtype=np.int64)
+        at = cp.keys.searchsorted(color * cp.n + bounds)
         i, j = at[:k], at[k:2 * k]
         first, stop = int(at[2 * k]), int(at[2 * k + 1])
         hi, lo = cp.wpre, cp.wlo
@@ -384,22 +377,6 @@ class ColorAwareRangeTree(RangeTree):
         pieces = self.canonical_nodes(rect)
         return self.sample_from(pieces, rng, size, self.exclude(pieces, excluded))
 
-    def sample_excluding(self, rect: QueryRect, excluded: int,
-                         rng: np.random.Generator) -> Point:
-        return self.pts.point(self.sample_excluding_index(rect, excluded, rng))
-
-    def color_weight_in(self, rect: QueryRect, color, pieces: Optional[Pieces] = None):
-        """Mass inside the range of one color, or of each color of an array."""
-        return self._per_color(self.color_prefix.mass, rect, color, pieces)
-
-    def color_count_in(self, rect: QueryRect, color, pieces: Optional[Pieces] = None):
-        """Points inside the range of one color, or of each color of an array."""
-        return self._per_color(self.color_prefix.count, rect, color, pieces)
-
-    def _per_color(self, over_span, rect: QueryRect, color, pieces: Optional[Pieces]):
-        pieces = self.canonical_nodes(rect) if pieces is None else pieces
-        total = over_span(np.asarray(color)[..., None], pieces.start, pieces.stop).sum(axis=-1)
-        return total.item() if total.ndim == 0 else total
 
 
 class ColorTrees:
@@ -414,11 +391,14 @@ class ColorTrees:
         self.tree = ColorAwareRangeTree(pts) if tree is None else tree
 
     def weight(self, rect: QueryRect, color, pieces: Optional[Pieces] = None):
-        return self.tree.color_weight_in(rect, color, pieces)
+        """Mass inside the range of one color, or of each color of an array."""
+        return self._per_color(self.tree.color_prefix.mass, rect, color, pieces)
 
     def count(self, rect: QueryRect, color, pieces: Optional[Pieces] = None):
-        return self.tree.color_count_in(rect, color, pieces)
+        """Points inside the range of one color, or of each color of an array."""
+        return self._per_color(self.tree.color_prefix.count, rect, color, pieces)
 
-
-def color_range_count(trees: ColorTrees, rect: QueryRect, color: int) -> float:
-    return trees.weight(rect, color)
+    def _per_color(self, over_span, rect: QueryRect, color, pieces: Optional[Pieces]):
+        pieces = self.tree.canonical_nodes(rect) if pieces is None else pieces
+        total = over_span(np.asarray(color)[..., None], *pieces.arrays()).sum(axis=-1)
+        return total.item() if total.ndim == 0 else total

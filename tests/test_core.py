@@ -314,6 +314,22 @@ def test_power_sum_monotone_under_insertion(rng):
             assert g1 >= g0 + min(1.0, alpha - 1)  # strictly increasing
 
 
+@pytest.mark.parametrize("kind", [SHANNON, renyi_kind(1.5), renyi_kind(2.0), renyi_kind(3.0)])
+def test_entropy_from_sums_matches_array_form(rng, kind):
+    # random histograms (one color included), plus the empty set (W = S = 0)
+    pairs = [(0.0, 0.0)]
+    for m in rng.integers(1, 12, size=200):
+        masses = rng.uniform(0.01, 50.0, size=m) * 10.0 ** rng.integers(-3, 4, size=m)
+        pairs.append((float(masses.sum()), float(core.power_term(masses, kind).sum())))
+    W, S = np.array(pairs).T
+    want = core.entropy_from_power_sum(W, S, kind)
+    for (w, s), value in zip(pairs, want):
+        got = core.entropy_from_sums(w, s, kind)
+        assert type(got) is float
+        assert got == pytest.approx(float(value), rel=1e-12, abs=1e-12)
+    assert core.entropy_from_sums(0.0, 0.0, kind) == 0.0
+
+
 def test_kind_mismatch_rejected():
     a = EntropySummary(SHANNON, 2.0, 1.0)
     b = EntropySummary(renyi_kind(2.0), 2.0, 1.0)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from entrange import core
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import OrderNotIndexed
 from entrange.exact1d import Exact1DIndex
@@ -31,6 +32,60 @@ def test_table_matches_naive_recomputation(rng):
             for j in range(i + 1, k + 1):
                 want = idx._table_value_naive(i, j, kind)
                 assert abs(idx.tables[kind][i, j] - want) < 1e-6, (kind, i, j)
+
+
+def palette_tables(idx):
+    """The tables as built before the build read the occurring colors: every
+    row looks up the skipped mass of every declared color."""
+    k = len(idx.cuts) - 1
+    tables = {kind: np.zeros((k + 1, k + 1)) for kind in idx.kinds}
+    running = idx.color_prefix.running(idx.colors_sorted)
+    palette = np.arange(idx.pts.num_colors)
+    for i in range(k):
+        start = int(idx.cuts[i])
+        weights = idx.weights_sorted[start:]
+        skipped = idx.color_prefix.mass(palette, 0, start)
+        before = running[start:] - skipped[idx.colors_sorted[start:]]
+        after = before + weights
+        ends = idx.cuts[i + 1:] - start - 1
+        W = np.cumsum(weights)[ends]
+        for kind in idx.kinds:
+            steps = core.power_term(after, kind) - core.power_term(before, kind)
+            tables[kind][i, i + 1:] = core.entropy_from_power_sum(W, np.cumsum(steps)[ends], kind)
+    return tables
+
+
+def sparse_colors_case(seed, n, declared):
+    """n weighted points over 40 colors spread across ``declared`` ids."""
+    rng = np.random.default_rng(seed)
+    colors = rng.choice(declared, size=40, replace=False)[rng.integers(0, 40, size=n)]
+    return ColoredPointSet(rng.uniform(0, 100, size=n), colors, rng.uniform(0.5, 2.0, size=n),
+                           num_colors=declared)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_tables_match_palette_build(rng, t):
+    cases = [random_pointset(rng, 200, d=1, m=11, weighted=True, duplicate_frac=0.15),
+             span_case(3, 50), sparse_colors_case(7, 300, 2**12),
+             ColoredPointSet(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))]
+    for pts in cases:
+        idx = Exact1DIndex(pts, t=t, orders=(1.5, 2.0, 3.0))
+        want = palette_tables(idx)
+        for kind in idx.kinds:
+            assert np.array_equal(idx.tables[kind], want[kind]), (t, kind)
+
+
+def test_build_memory_independent_of_declared_colors():
+    """2**18 declared colors over 300 points: a build allocates far less than
+    one dense per-color array (2 MB)."""
+    pts = sparse_colors_case(7, 300, 2**18)
+    tracemalloc.start()
+    try:
+        Exact1DIndex(pts, t=0.5, orders=(2.0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_t_one_single_bucket(rng):

@@ -1,7 +1,9 @@
 """Range tree: canonical decomposition, counting, weighted sampling."""
 
 import math
+import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from entrange.rangetree import (
     ColorTrees,
     Pieces,
     RangeTree,
-    color_range_count,
     depth_rows,
     refine_spans,
     tile,
@@ -99,6 +100,132 @@ def test_depth_rows_match_lexsort_reference(rng, n, top):
         assert np.array_equal(g_starts, w_starts)
 
 
+def cut_keys(tree):
+    """The last level's cut keys of the former layout, rebuilt from the
+    points: each pool entry's slice start times (n + 1) plus its last
+    coordinate's rank, which sort the whole pool as one array."""
+    pts, n = tree.pts, tree.n
+    ids = np.flatnonzero(pts.weights > 0.0)
+    ids = ids[np.lexsort((ids, pts.coords[ids, 0]))]
+    rows, parts = [ids], [np.zeros(1, dtype=np.int64)]
+    for k in range(1, tree.dim if n else 1):
+        next_rows, next_parts = [], []
+        for row, starts in zip(rows, parts):
+            for sorted_row, depth_starts in depth_rows(row, pts.coords[:, k], starts, tree.rows):
+                next_rows.append(sorted_row)
+                next_parts.append(depth_starts)
+        rows, parts = next_rows, next_parts
+    assert np.array_equal(np.concatenate(rows), tree.pool_ids)
+    first = tree.pool_ids[:n]
+    rank = np.zeros(len(pts), dtype=np.int64)
+    rank[first] = pts.coords[first, -1].searchsorted(pts.coords[first, -1])
+    span = np.concatenate([r * n + np.repeat(starts, np.diff(starts, append=n))
+                           for r, starts in enumerate(parts)])
+    return span * (n + 1) + rank[tree.pool_ids]
+
+
+def cut_key_pieces(tree, keys, rect):
+    """Reference for ``canonical_nodes``: the upper trees walked with
+    ``searchsorted`` on their coordinate rows, then every last-level node
+    cut by one search of the cut keys."""
+    n, nodes = tree.n, []
+
+    def walk(k, row, lo, hi):
+        coords = tree.keys[k][row * n + lo:row * n + hi]
+        a = lo + int(coords.searchsorted(rect.lo[k], "left"))
+        b = lo + int(coords.searchsorted(rect.hi[k], "right"))
+        if a < b:
+            for u, v, depth in tile(lo, hi, a, b):
+                child = row * tree.rows + depth
+                if k + 2 < tree.dim:
+                    walk(k + 1, child, u, v)
+                else:
+                    nodes.append(child * n + u)
+
+    if n:
+        walk(0, 0, 0, n) if tree.dim > 1 else nodes.append(0)
+    if not nodes:
+        return [], []
+    last = tree.pts.coords[tree.pool_ids[:n], -1]
+    base = np.array(nodes, dtype=np.int64) * (n + 1)
+    a = keys.searchsorted(base + last.searchsorted(rect.lo[-1], "left"))
+    b = keys.searchsorted(base + last.searchsorted(rect.hi[-1], "right"))
+    keep = a < b
+    return a[keep].tolist(), b[keep].tolist()
+
+
+def grid_case(rng, n, d):
+    """n points on an 8-wide integer grid (ties on every axis, the last
+    included), every fifth weight zero, and rectangles on the grid, with
+    bounds off the grid, at +-inf and at +-float max, empty and full ones."""
+    coords = rng.integers(0, 8, size=(n, d)).astype(float)
+    weights = rng.uniform(0.5, 2.0, size=n)
+    weights[::5] = 0.0
+    pts = ColoredPointSet(coords, rng.integers(0, 6, size=n), weights)
+    big, inf = sys.float_info.max, math.inf
+    rects = [QueryRect.full(d), QueryRect((-inf,) * d, (inf,) * d),
+             QueryRect((-big,) * d, (-big,) * d), QueryRect((big,) * d, (inf,) * d),
+             QueryRect((-inf,) * d, (-0.5,) * d), QueryRect((7.5,) * d, (big,) * d),
+             QueryRect((2.5,) * d, (2.75,) * d), QueryRect((3.0,) * d, (3.0,) * d)]
+    ends = [-inf, -big, -1.0, 0.0, 2.0, 3.5, 7.0, 8.0, big, inf]
+    for _ in range(150):
+        lo = rng.integers(-1, 9, size=d).astype(float)
+        hi = lo + rng.integers(0, 6, size=d)
+        lo[rng.random(d) < 0.15] = -inf
+        hi[rng.random(d) < 0.15] = inf
+        rects.append(QueryRect(tuple(lo.tolist()), tuple(hi.tolist())))
+        pair = sorted(rng.choice(ends, size=2))
+        rects.append(QueryRect((pair[0],) * d, (pair[1],) * d))
+    return pts, rects
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [150, 400])
+def test_walk_matches_cut_key_search(d, n):
+    # 120 and 320 positive-weight points: ranks on uint8 and on uint16
+    pts, rects = grid_case(np.random.default_rng(10 * n + d), n, d)
+    for tree in (RangeTree.build(pts), ColorAwareRangeTree.build(pts)):
+        assert tree.last_rank.dtype == np.min_scalar_type(n - n // 5)
+        keys = cut_keys(tree)
+        empty = 0
+        for rect in rects:
+            got = tree.canonical_nodes(rect)
+            assert (got.start, got.stop) == cut_key_pieces(tree, keys, rect), rect
+            assert all(type(x) is int for x in got.start + got.stop)
+            assert tree.range_count(rect) == int((rect.mask(pts) & (pts.weights > 0)).sum())
+            empty += not len(got)
+        assert 0 < empty < len(rects)
+    zero = ColoredPointSet(pts.coords, pts.colors, np.zeros(n))
+    assert len(RangeTree.build(zero).canonical_nodes(QueryRect.full(d))) == 0
+
+
+def test_canonical_nodes_makes_no_numpy_call(rng):
+    pts = random_pointset(rng, 300, d=3, m=9, weighted=True, duplicate_frac=0.1)
+    tree = ColorAwareRangeTree.build(pts)
+    rects = [random_rect(rng, d=3) for _ in range(40)] + [QueryRect.full(3)]
+    numpy_dir = os.path.dirname(np.__file__)
+    calls, numpy_calls = [], []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            # a numpy function, or a method of an array or numpy scalar
+            calls.append(arg)
+            owner = type(getattr(arg, "__self__", None))
+            if (getattr(arg, "__module__", None) or owner.__module__).startswith("numpy"):
+                numpy_calls.append(arg)
+        elif event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            numpy_calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        pieces = [tree.canonical_nodes(rect) for rect in rects]
+    finally:
+        sys.setprofile(None)
+    assert sum(map(len, pieces)) > len(rects)
+    assert any(getattr(c, "__name__", "") == "bisect_left" for c in calls)
+    assert not numpy_calls
+
+
 def test_derived_arrays_are_counted_and_rebuilt_on_load(rng):
     # the sorted last coordinates, pool colors and others_before are derived
     # on build and on load: left out of the pickle, but counted by nbytes and
@@ -109,7 +236,9 @@ def test_derived_arrays_are_counted_and_rebuilt_on_load(rng):
     derived = ("last_sorted", "pool_colors", "others_before")
     assert tree.DERIVED == derived
     cp = tree.color_prefix
-    stored = (*tree.keys, tree.pool_ids, tree.wpre, tree.wlo, cp.keys, cp.wpre, cp.wlo)
+    assert tree.last_rank.dtype == np.min_scalar_type(tree.n)
+    stored = (*tree.keys, tree.last_rank, tree.pool_ids, tree.wpre, tree.wlo, cp.keys, cp.wpre,
+              cp.wlo)
     extra = sum(getattr(tree, name).nbytes for name in derived)
     assert extra > 0
     assert tree.nbytes() == sum(a.nbytes for a in stored) + extra
@@ -162,8 +291,8 @@ def test_color_range_count(rng):
         hist = brute_histogram(pts, rect)
         for color in range(10):
             want = hist.entries.get(color, 0.0)
-            assert abs(color_range_count(trees, rect, color) - want) < 1e-9
-    assert color_range_count(trees, QueryRect.full(2), 99) == 0.0
+            assert abs(trees.weight(rect, color) - want) < 1e-9
+    assert trees.weight(QueryRect.full(2), 99) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +318,7 @@ def test_samplers_raise_empty_range_on_empty_pieces(rng):
     pts = random_pointset(rng, 50, d=2, m=4)
     tree = ColorAwareRangeTree.build(pts)
     nowhere = QueryRect((200.0, 200.0), (300.0, 300.0))
-    none = Pieces(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    none = Pieces([], [])
     with pytest.raises(EmptyRange):
         tree.draw(none, rng, 5)
     with pytest.raises(EmptyRange):
