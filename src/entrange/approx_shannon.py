@@ -17,7 +17,7 @@ estimated, through the color-excluding sampler.
 An estimate samples only when that is cheaper than the exact answer. The
 canonical pieces list the range's m points, and the exact answer is a
 handful of numpy calls: one gather of their ids, one ``bincount`` by color
-(:meth:`DualAccessOracle.color_masses`), one power-term pass. So any
+(:meth:`.RangeTree.color_masses`), one power-term pass. So any
 estimate that would draw at least m samples answers exactly instead, which
 meets every additive and multiplicative bound. The multiplicative
 estimator makes that test before heavy detection, against the fewest draws
@@ -176,17 +176,10 @@ class DualAccessOracle:
         return sampled
 
     def color_masses(self) -> np.ndarray:
-        """Positive color masses of the (reduced) range: the pieces' point
-        ids gathered and their weights summed by color. Sets ``total_weight``
-        to their sum, so an exact answer reads no weight prefix. Costs
-        O(m + largest color in the range) for the pieces' m points."""
-        pool_ids, pts = self.index.tree.pool_ids, self.index.pts
-        slices = [pool_ids[a:b] for a, b in zip(self.pieces.start, self.pieces.stop)]
-        ids = slices[0] if len(slices) == 1 else np.concatenate(slices or [pool_ids[:0]])
-        masses = np.bincount(pts.colors[ids], pts.weights[ids])
-        if self.excluded is not None and self.excluded < len(masses):
-            masses[self.excluded] = 0.0
-        masses = masses[masses > 0.0]
+        """Positive color masses of the (reduced) range, from
+        :meth:`.RangeTree.color_masses`. Sets ``total_weight`` to their sum,
+        so an exact answer reads no weight prefix."""
+        masses = self.index.tree.color_masses(self.pieces, self.excluded)
         self.total_weight = float(masses.sum())
         return masses
 

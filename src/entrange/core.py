@@ -517,6 +517,10 @@ class QueryRect:
     hi: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # Python floats: the range tree's bisections then compare them
+        # without going through numpy scalars
+        object.__setattr__(self, "lo", tuple(map(float, self.lo)))
+        object.__setattr__(self, "hi", tuple(map(float, self.hi)))
         if len(self.lo) != len(self.hi):
             raise ValueError("lo and hi must have the same dimension")
         if not all(l <= h for l, h in zip(self.lo, self.hi)):

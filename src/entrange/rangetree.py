@@ -7,27 +7,30 @@ node's points sorted by the last coordinate, cut into one contiguous slice.
 
 Level k stores, for every depth path of the trees above it, one length-n
 row in which each node's points fill its span in coordinate-k order, so
-no node objects exist. The last level's rows form the pool,
-n*(D+1)**(d-1) entries for D = ceil(log2 n), with the point ids, a weight
-prefix and one :class:`~.core.ColorPrefix`. A rectangle becomes
-O(log^(d-1) n) canonical pieces: disjoint pool slices whose points
-partition the range. The walk makes no numpy call: C ``bisect`` calls on
-the upper trees' coordinate rows, then two per last-level node on
-``last_rank``, each pool entry's last-coordinate rank (on the narrowest
-unsigned type that holds n), against the query's bounds ranked once.
+no node objects exist. The last level's rows form the pool of point ids,
+n*(D+1)**(d-1) entries for D = ceil(log2 n), on the narrowest unsigned
+type that holds a point id. A rectangle becomes O(log^(d-1) n) canonical
+pieces: disjoint pool slices whose points partition the range. The walk
+makes no numpy call: C ``bisect`` calls on the upper trees' coordinate
+rows, then two per last-level node on ``last_rank``, each pool entry's
+last-coordinate rank (on the narrowest unsigned type that holds n),
+against the query's bounds ranked once. The pieces' color masses are one
+gather of their ids and one ``bincount`` (:meth:`RangeTree.color_masses`),
+which answers a range exactly.
 
-Sampling is batched and costs a fixed number of numpy calls plus the
-draws: one ``searchsorted`` over the pieces' masses picks a piece per draw
-(none for a single piece), and uniforms generated in sorted order walk the
-pool's weight prefix forward. The color-excluding sampler inverts the
-prefix of everything but one color c without bisection: each pool entry of
-c knows the mass of the other colors before it (``others_before``,
-nondecreasing along c's run), so one ``searchsorted`` in c's run counts the
-c points before a draw, and one in the pool prefix finds it. Zero-weight
-points carry no mass and are left out, so counts are of positive-weight
-points. The sorted last coordinates, the pool's colors and
-``others_before`` are derived from the stored arrays on build and on
-load, and are not saved.
+:class:`ColorAwareRangeTree` adds what sampling and EVAL need: the pool's
+weight prefix and one :class:`~.core.ColorPrefix`. Sampling is batched and
+costs a fixed number of numpy calls plus the draws: one ``searchsorted``
+over the pieces' masses picks a piece per draw (none for a single piece),
+and uniforms generated in sorted order walk the pool's weight prefix
+forward. The color-excluding sampler inverts the prefix of everything but
+one color c without bisection: each pool entry of c knows the mass of the
+other colors before it (``others_before``, nondecreasing along c's run),
+so one ``searchsorted`` in c's run counts the c points before a draw, and
+one in the pool prefix finds it. Zero-weight points carry no mass and are
+left out, so counts are of positive-weight points. The sorted last
+coordinates, ``last_rank``, the pool's colors and ``others_before`` are
+derived from the stored arrays on build and on load, and are not saved.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ class Exclusion(NamedTuple):
 class RangeTree:
     """Static d-level range tree; immutable after build, queries are pure."""
 
-    DERIVED = ("last_sorted",)   # rebuilt by _derive on build and on load, never saved
+    DERIVED = ("last_sorted", "last_rank")   # rebuilt by _derive on build and on load, never saved
 
     def __init__(self, pts: ColoredPointSet):
         self._build(pts)
@@ -165,19 +168,18 @@ class RangeTree:
                     next_rows.append(sorted_row)
                     next_parts.append(depth_starts)
             rows, parts = next_rows, next_parts
-        self.pool_ids = np.concatenate(rows) if n else ids
-        self.wpre, self.wlo = running_sum(pts.weights[self.pool_ids])
-        # each entry's last-coordinate rank (how many points have a smaller
-        # one); pool row 0 holds every point by last coordinate
-        first = self.pool_ids[:n]
-        last = pts.coords[first, -1]
-        rank = np.zeros(len(pts), dtype=np.min_scalar_type(n))
-        rank[first] = last.searchsorted(last)
-        self.last_rank = rank[self.pool_ids]
+        pool = np.concatenate(rows) if n else ids
+        self.pool_ids = pool.astype(np.min_scalar_type(len(pts) - 1))
 
     def _derive(self) -> None:
-        """The last coordinate of every point, sorted (ranks a query's bounds)."""
-        self.last_sorted = self.pts.coords[self.pool_ids[:self.n], -1]
+        """The last coordinate of every point, sorted (ranks a query's
+        bounds; pool row 0 holds every point by last coordinate), and each
+        pool entry's rank in it: how many points have a smaller one."""
+        first = self.pool_ids[:self.n]
+        self.last_sorted = self.pts.coords[first, -1]
+        rank = np.zeros(len(self.pts), dtype=np.min_scalar_type(self.n))
+        rank[first] = self.last_sorted.searchsorted(self.last_sorted)
+        self.last_rank = rank[self.pool_ids]
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k not in self.DERIVED}
@@ -192,9 +194,7 @@ class RangeTree:
 
     def nbytes(self) -> int:
         """Bytes of the tree's arrays, the derived ones included."""
-        arrays = (*self.keys, self.last_rank, self.pool_ids, self.wpre, self.wlo,
-                  self.last_sorted)
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in (*self.keys, self.pool_ids, self.last_sorted, self.last_rank))
 
     # -- canonical decomposition ------------------------------------------
 
@@ -238,18 +238,68 @@ class RangeTree:
         for u, v, depth in tile(lo, hi, a, b):
             self._nodes(k + 1, row + depth, u, v, rect, out)
 
-    def pieces_weight(self, pieces: Pieces) -> np.ndarray:
-        a, b = pieces.arrays()
-        return (self.wpre[b] - self.wpre[a]) + (self.wlo[b] - self.wlo[a])
-
-    # -- counting -----------------------------------------------------------
-
-    def range_weight(self, rect: QueryRect) -> float:
-        return float(self.pieces_weight(self.canonical_nodes(rect)).sum())
+    def color_masses(self, pieces: Pieces, excluded: Optional[int] = None) -> np.ndarray:
+        """Positive color masses of the pieces' points, less the excluded
+        color's when given: their ids gathered and their weights summed by
+        color with one ``bincount``. Costs O(m + largest color in the range)
+        for the pieces' m points."""
+        slices = [self.pool_ids[a:b] for a, b in zip(pieces.start, pieces.stop)]
+        ids = slices[0] if len(slices) == 1 else np.concatenate(slices or [self.pool_ids[:0]])
+        ids = ids.astype(np.intp)   # once, not inside each of the two gathers
+        masses = np.bincount(self.pts.colors[ids], self.pts.weights[ids])
+        if excluded is not None and excluded < len(masses):
+            masses[excluded] = 0.0
+        return masses[masses > 0.0]
 
     def range_count(self, rect: QueryRect) -> int:
         pieces = self.canonical_nodes(rect)
         return sum(pieces.stop) - sum(pieces.start)
+
+
+class ColorAwareRangeTree(RangeTree):
+    """Range tree whose pool also carries a weight prefix and a
+    :class:`~.core.ColorPrefix`.
+
+    A piece's mass is two reads of the prefix, which gives weighted
+    sampling; any color's mass or count over a piece is two ``searchsorted``
+    calls, which gives EVAL and sampling that excludes one color.
+    """
+
+    DERIVED = RangeTree.DERIVED + ("pool_colors", "others_before")
+
+    def _build(self, pts: ColoredPointSet) -> None:
+        super()._build(pts)
+        weights = pts.weights[self.pool_ids]
+        self.wpre, self.wlo = running_sum(weights)
+        self.color_prefix = ColorPrefix(pts.colors[self.pool_ids], weights)
+
+    def _derive(self) -> None:
+        """Also the color of every pool entry, and for every key of the
+        ``ColorPrefix``, the pool's mass before the key's position less its
+        own color's (the prefix the excluding sampler inverts)."""
+        super()._derive()
+        self.pool_colors = self.pts.colors[self.pool_ids]
+        cp = self.color_prefix
+        colors = int(cp.keys[-1]) // cp.n + 1 if cp.n else 0
+        firsts = cp.keys.searchsorted(np.arange(colors + 1) * cp.n)   # each color's run
+        runs = np.diff(firsts)
+        first = np.repeat(firsts[:-1], runs)
+        own = (cp.wpre[:-1] - cp.wpre[first]) + (cp.wlo[:-1] - cp.wlo[first])
+        pos = cp.keys - np.repeat(np.arange(colors) * cp.n, runs)
+        self.others_before = self.wpre[pos] - own
+
+    def nbytes(self) -> int:
+        cp = self.color_prefix
+        arrays = (self.wpre, self.wlo, cp.keys, cp.wpre, cp.wlo, self.pool_colors,
+                  self.others_before)
+        return super().nbytes() + sum(a.nbytes for a in arrays)
+
+    def pieces_weight(self, pieces: Pieces) -> np.ndarray:
+        a, b = pieces.arrays()
+        return (self.wpre[b] - self.wpre[a]) + (self.wlo[b] - self.wlo[a])
+
+    def range_weight(self, rect: QueryRect) -> float:
+        return float(self.pieces_weight(self.canonical_nodes(rect)).sum())
 
     # -- sampling -----------------------------------------------------------
 
@@ -273,9 +323,9 @@ class RangeTree:
     def draw(self, pieces: Pieces, rng: np.random.Generator, size: int,
              excluded: Optional[Exclusion] = None) -> np.ndarray:
         """Pool positions of ``size`` draws by weight from the pieces' points,
-        without the points of the excluded color when given (color-aware
-        trees only). The draws come grouped by piece, each group ascending:
-        a multiset, not a sequence (see :meth:`sample_from`)."""
+        without the points of the excluded color when given. The draws come
+        grouped by piece, each group ascending: a multiset, not a sequence
+        (see :meth:`sample_from`)."""
         a, b = pieces.arrays()
         lo = self.wpre[a]
         mass = self.wpre[b] - lo
@@ -316,40 +366,6 @@ class RangeTree:
                 return pos
             pos[bad] = positions(len(bad))
         raise EmptyRange("remaining mass is below float resolution of the range")
-
-
-class ColorAwareRangeTree(RangeTree):
-    """Range tree whose pool also carries a :class:`~.core.ColorPrefix`.
-
-    Any color's mass or count over a piece is two ``searchsorted`` calls,
-    which gives EVAL and sampling that excludes one color.
-    """
-
-    DERIVED = RangeTree.DERIVED + ("pool_colors", "others_before")
-
-    def _build(self, pts: ColoredPointSet) -> None:
-        super()._build(pts)
-        self.color_prefix = ColorPrefix(pts.colors[self.pool_ids], pts.weights[self.pool_ids])
-
-    def _derive(self) -> None:
-        """Also the color of every pool entry, and for every key of the
-        ``ColorPrefix``, the pool's mass before the key's position less its
-        own color's (the prefix the excluding sampler inverts)."""
-        super()._derive()
-        self.pool_colors = self.pts.colors[self.pool_ids]
-        cp = self.color_prefix
-        colors = int(cp.keys[-1]) // cp.n + 1 if cp.n else 0
-        firsts = cp.keys.searchsorted(np.arange(colors + 1) * cp.n)   # each color's run
-        runs = np.diff(firsts)
-        first = np.repeat(firsts[:-1], runs)
-        own = (cp.wpre[:-1] - cp.wpre[first]) + (cp.wlo[:-1] - cp.wlo[first])
-        pos = cp.keys - np.repeat(np.arange(colors) * cp.n, runs)
-        self.others_before = self.wpre[pos] - own
-
-    def nbytes(self) -> int:
-        cp = self.color_prefix
-        arrays = (cp.keys, cp.wpre, cp.wlo, self.pool_colors, self.others_before)
-        return super().nbytes() + sum(a.nbytes for a in arrays)
 
     def exclude(self, pieces: Pieces, color: int) -> Exclusion:
         """The pieces' points of one color, as the excluding sampler and the

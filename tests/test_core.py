@@ -30,6 +30,12 @@ def test_query_rect_refuses_nan_bounds(lo, hi):
         QueryRect(lo, hi)
 
 
+def test_query_rect_stores_python_floats():
+    rect = QueryRect(tuple(np.array([1.0, 2.0])), [np.float32(3.0), np.int64(4)])
+    assert rect.lo == (1.0, 2.0) and rect.hi == (3.0, 4.0)
+    assert all(type(x) is float for x in rect.lo + rect.hi)
+
+
 def direct_shannon(masses):
     """Independent reference: plain evaluation of the defining sum."""
     masses = [m for m in masses if m > 0]

@@ -28,7 +28,7 @@ from conftest import random_pointset, random_rect
 
 def test_empty_tree():
     pts = ColoredPointSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
-    tree = RangeTree.build(pts)
+    tree = ColorAwareRangeTree.build(pts)
     rect = QueryRect((0.0, 0.0), (1.0, 1.0))
     assert len(tree.canonical_nodes(rect)) == 0
     assert tree.range_count(rect) == 0
@@ -49,6 +49,9 @@ def test_canonical_partition_property(rng, d):
         assert len(ids) == len(set(ids))
         want = set(np.nonzero(rect.mask(pts))[0].tolist())
         assert set(ids) == want
+        hist = brute_histogram(pts, rect).entries
+        masses = [hist[c] for c in sorted(hist) if hist[c] > 0.0]
+        np.testing.assert_allclose(tree.color_masses(pieces), masses, rtol=1e-12)
 
 
 def stack_tile(lo, hi, a, b):
@@ -227,18 +230,18 @@ def test_canonical_nodes_makes_no_numpy_call(rng):
 
 
 def test_derived_arrays_are_counted_and_rebuilt_on_load(rng):
-    # the sorted last coordinates, pool colors and others_before are derived
-    # on build and on load: left out of the pickle, but counted by nbytes and
-    # space_stats
+    # the sorted last coordinates, last-coordinate ranks, pool colors and
+    # others_before are derived on build and on load: left out of the
+    # pickle, but counted by nbytes and space_stats
     pts = random_pointset(rng, 300, d=2, m=7, weighted=True)
     index = EstimatorIndex(pts)
     tree = index.tree
-    derived = ("last_sorted", "pool_colors", "others_before")
+    derived = ("last_sorted", "last_rank", "pool_colors", "others_before")
     assert tree.DERIVED == derived
     cp = tree.color_prefix
     assert tree.last_rank.dtype == np.min_scalar_type(tree.n)
-    stored = (*tree.keys, tree.last_rank, tree.pool_ids, tree.wpre, tree.wlo, cp.keys, cp.wpre,
-              cp.wlo)
+    assert tree.pool_ids.dtype == np.min_scalar_type(len(pts) - 1) == np.uint16
+    stored = (*tree.keys, tree.pool_ids, tree.wpre, tree.wlo, cp.keys, cp.wpre, cp.wlo)
     extra = sum(getattr(tree, name).nbytes for name in derived)
     assert extra > 0
     assert tree.nbytes() == sum(a.nbytes for a in stored) + extra
@@ -246,8 +249,17 @@ def test_derived_arrays_are_counted_and_rebuilt_on_load(rng):
     assert not set(derived) & set(tree.__getstate__())
     loaded = pickle.loads(pickle.dumps(tree))
     for name in derived:
-        assert np.array_equal(getattr(loaded, name), getattr(tree, name))
+        got, want = getattr(loaded, name), getattr(tree, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert loaded.nbytes() == tree.nbytes()
+    # a plain tree stores only what the exact path reads: no weight prefix
+    plain = RangeTree.build(pts)
+    assert plain.DERIVED == derived[:2]
+    assert set(plain.__getstate__()) == {"pts", "dim", "n", "rows", "keys", "pool_ids"}
+    assert plain.nbytes() == sum(a.nbytes for a in (*tree.keys, tree.pool_ids)) + sum(
+        getattr(tree, name).nbytes for name in derived[:2])
+    loaded = pickle.loads(pickle.dumps(plain))
+    assert np.array_equal(loaded.last_rank, tree.last_rank)
 
 
 def test_full_space_and_empty_rect(rng):
@@ -262,7 +274,7 @@ def test_full_space_and_empty_rect(rng):
 @pytest.mark.parametrize("d", [1, 2])
 def test_counts_match_brute_force(rng, d):
     pts = random_pointset(rng, 500, d=d, m=20, weighted=True)
-    tree = RangeTree.build(pts)
+    tree = ColorAwareRangeTree.build(pts)
     for _ in range(200):
         rect = random_rect(rng, d=d)
         mask = rect.mask(pts)
@@ -301,7 +313,7 @@ def test_color_range_count(rng):
 
 def test_sample_single_point(rng):
     pts = ColoredPointSet(np.array([[5.0, 5.0]]), np.array([3]), num_colors=4)
-    tree = RangeTree.build(pts)
+    tree = ColorAwareRangeTree.build(pts)
     rect = QueryRect((0.0, 0.0), (10.0, 10.0))
     for _ in range(20):
         assert tree.sample_index(rect, rng) == 0
@@ -309,7 +321,7 @@ def test_sample_single_point(rng):
 
 def test_sample_empty_raises(rng):
     pts = random_pointset(rng, 50, d=1)
-    tree = RangeTree.build(pts)
+    tree = ColorAwareRangeTree.build(pts)
     with pytest.raises(EmptyRange):
         tree.sample_index(QueryRect.interval(200.0, 300.0), rng)
 
@@ -366,7 +378,7 @@ def test_public_samplers_return_draws_in_draw_order(d):
 
 def test_sample_uniform_frequencies(rng):
     pts = ColoredPointSet(np.array([[1.0], [2.0], [3.0], [4.0]]), np.arange(4))
-    tree = RangeTree.build(pts)
+    tree = ColorAwareRangeTree.build(pts)
     rect = QueryRect.interval(0.0, 10.0)
     draws = 40_000
     counts = np.zeros(4)
@@ -380,7 +392,7 @@ def test_sample_uniform_frequencies(rng):
 def test_sample_weighted_ratio(rng):
     pts = ColoredPointSet(np.array([[1.0], [2.0]]), np.array([0, 1]),
                           np.array([1.0, 3.0]))
-    tree = RangeTree.build(pts)
+    tree = ColorAwareRangeTree.build(pts)
     rect = QueryRect.interval(0.0, 10.0)
     draws = 40_000
     hits = sum(tree.sample_index(rect, rng) == 1 for _ in range(draws))
@@ -391,7 +403,7 @@ def test_sample_weighted_ratio(rng):
 def test_sample_law_matches_restriction(rng):
     # restricted to a strict sub-rectangle, empirical law ~ weights in range
     pts = random_pointset(rng, 60, d=2, m=5, weighted=True)
-    tree = RangeTree.build(pts)
+    tree = ColorAwareRangeTree.build(pts)
     rect = QueryRect((20.0, 10.0), (80.0, 90.0))
     mask = rect.mask(pts)
     if not mask.any():
