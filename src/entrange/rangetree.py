@@ -72,8 +72,8 @@ def depth_rows(row: np.ndarray, key: np.ndarray, starts: np.ndarray, depths: int
 
 def tile(lo: int, hi: int, a: int, b: int) -> list[tuple[int, int, int]]:
     """(start, stop, depth) of the nodes of the mid-split tree over [lo, hi)
-    that tile [a, b), for lo <= a < b <= hi: the path down to the first node
-    that [a, b) splits, then that node's two boundary paths."""
+    that tile [a, b), left to right, for lo <= a < b <= hi: the path down to
+    the first node that [a, b) splits, then that node's two boundary paths."""
     depth = 0
     while not (a <= lo and hi <= b):
         mid = (lo + hi) // 2
@@ -97,6 +97,7 @@ def tile(lo: int, hi: int, a: int, b: int) -> list[tuple[int, int, int]]:
         else:
             l = m
     out.append((l, h, d))
+    out.reverse()
     l, h, d = mid, hi, depth   # [mid, b) is a prefix of [mid, hi)
     while b < h:
         m = (l + h) // 2

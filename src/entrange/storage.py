@@ -29,7 +29,7 @@ from .errors import (
 )
 
 MAGIC = b"RQEIDX1"
-FORMAT_VERSION = 11
+FORMAT_VERSION = 12
 
 INDEX_KINDS = ("exact1d", "exactnd", "sweep-shannon", "sweep-renyi", "estimator")
 

@@ -19,16 +19,15 @@ straight to its gid (-1 if it does not qualify): within the primary span
 [p, e) of a depth, a one-point node [lo, lo + 1) has slot p + lo and a
 larger node slot e + its split point, all in the 2(e - p) slots from 2p.
 
-A query walks the primary tree in integer arithmetic to the nodes that
-tile the mapped points with x in [a, b]: the path down to the first node
-the range splits, then that node's two boundary paths. In each of them the
-points with y < a are a prefix of its row slice, the node's cut. The walk
-cascades the cut, as in a layered range tree: one bisection of the root's
-y-ranks (``y_root``; rank 0 stands for -infinity and rank k for the k-th
-smallest distinct coordinate), then at each step ``left_counts`` tells how
-many of the first ``cut`` entries of the parent go to its left half. The
-secondary descent over each prefix is integer Python too, and reads each
-canonical node's gid from ``gid_slots``.
+A query tiles the mapped points with x in [a, b] by the primary nodes
+:func:`~.rangetree.tile` yields, left to right, in integer arithmetic. In
+each of them the points with y < a are a prefix of its row slice, the
+node's cut, found by one bisection of that slice of ``y_rank``: each row
+entry's y-rank (0 for -infinity, k for the k-th smallest distinct
+coordinate), laid out depth after depth as in ``rows`` and derived from
+them on build and on load. The secondary descent over each prefix is
+integer Python too, and reads each canonical node's gid from
+``gid_slots``.
 
 A qualifying node v knows its color set U_v (its slice's colors) and the
 smallest mapped x-coordinate x_v. For the original points of those colors
@@ -100,7 +99,7 @@ from .core import (
     renyi_kind,
 )
 from .errors import WeightsNotSupported
-from .rangetree import depth_rows, refine_spans
+from .rangetree import depth_rows, refine_spans, tile
 
 MERGE_DEPTH_C = 4  # constant in the Shannon eps shrink: eps / (4*c*loglog n)
 _BATCH = 1 << 18  # walk points per ladder-building batch, to bound its memory
@@ -178,6 +177,8 @@ def _narrow(a: np.ndarray) -> np.ndarray:
 class Sweep1DIndex:
     """Shared engine for the Shannon and Renyi variants (see build_*)."""
 
+    DERIVED = ("_powers", "y_rank")   # rebuilt by _derive on build and on load, never saved
+
     def __init__(self, pts: ColoredPointSet, eps: float, alpha: Optional[float] = None):
         if pts.dim != 1:
             raise ValueError("sweep index requires 1-D points")
@@ -215,49 +216,40 @@ class Sweep1DIndex:
         self._stride = len(self.ucoords) + 1
 
         depths = math.ceil(math.log2(n)) + 1 if n else 0
-        rows, lefts = [], []
+        rows = []
         keys, slots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         stale = np.zeros(0, dtype=np.int64)
         for depth, (row, starts) in enumerate(
                 depth_rows(np.arange(n), self.my, np.zeros(1, dtype=np.int64), depths)):
             rows.append(row)
             ends = np.append(starts[1:], n)
-            # per position: how many entries of its span up to it go to the
-            # left half (an entry is its point's position in x order)
-            span = starts.searchsorted(np.arange(n), side="right") - 1
-            left = row < (starts[span] + ends[span]) // 2
-            run = np.cumsum(left)
-            lefts.append(run - run[starts[span]] + left[starts[span]])
             lo, hi = self._qualifying_spans(row, starts, stale)
             keys.append(self._node_key(depth, lo, hi))
             span = starts.searchsorted(lo, side="right") - 1  # each node's primary span [p, e)
             p, e = starts[span], ends[span]
             slots.append(2 * n * depth + np.where(hi - lo == 1, p + lo, e + (lo + hi) // 2))
             stale = starts[ends - starts == 1]
-        self.rows = np.array(rows, dtype=np.int32).reshape(depths, n)
-        # the deepest depth holds single points only, so nothing splits there
-        self.left_counts = np.array(lefts[:-1], dtype=np.int32).ravel()
-        y_rank = np.where(np.isneginf(self.my), 0, self.ucoords.searchsorted(self.my) + 1)
-        self.y_root = y_rank[self.rows[0]].astype(np.int32) if n else np.zeros(0, np.int32)
+        self.rows = np.array(rows, dtype=np.min_scalar_type(max(n - 1, 0))).reshape(depths, n)
         self.node_keys, gids = np.unique(np.concatenate(keys), return_inverse=True)
         self.gid_slots = np.full(2 * n * depths, -1, dtype=np.int32)
         self.gid_slots[np.concatenate(slots)] = gids
         self._build_ladders(cx, ccol)
-        self._derive_powers()
+        self._derive()
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_powers"]  # derived; rebuilt on load
-        return state
+        return {k: v for k, v in self.__dict__.items() if k not in self.DERIVED}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._derive_powers()
+        self._derive()
 
-    def _derive_powers(self) -> None:
-        """The powers table, up to the largest stored exponent."""
+    def _derive(self) -> None:
+        """The powers table, up to the largest stored exponent, and the
+        y-rank of every row entry, on the narrowest type that holds U."""
         top = max((int(a.max()) for a in (self.count_exps, self.h_exp) if len(a)), default=0)
         self._powers = _power_table(self._base, top)
+        y_rank = np.where(np.isneginf(self.my), 0, self.ucoords.searchsorted(self.my) + 1)
+        self.y_rank = y_rank.astype(np.min_scalar_type(len(self.ucoords)))[self.rows.ravel()]
 
     # -- construction ---------------------------------------------------------
 
@@ -409,67 +401,19 @@ class Sweep1DIndex:
 
     # -- canonical node collection ---------------------------------------------
 
-    def _primary_nodes(self, ilo: int, ihi: int, r_a: int) -> list[tuple[int, int, int, int]]:
-        """(depth, start, stop, cut) of the primary nodes that tile the mapped
-        points [ilo, ihi), left to right, where cut counts the node's points
-        with y-rank below r_a: the path down to the first node that [ilo, ihi)
-        splits, then that node's two boundary paths. The root's cut is one
-        bisection; each step down takes its child's cut from ``left_counts``."""
-        if ilo >= ihi:
-            return []
-        n, lefts = self.n, self.left_counts.data
-        lo, hi, depth = 0, n, 0
-        cut = bisect.bisect_left(self.y_root.data, r_a)
-        while True:
-            if ilo <= lo and hi <= ihi:
-                return [(depth, lo, hi, cut)]
-            mid = (lo + hi) // 2
-            left = lefts[depth * n + lo + cut - 1] if cut else 0
-            depth += 1
-            if ihi <= mid:
-                hi, cut = mid, left
-            elif mid <= ilo:
-                lo, cut = mid, cut - left
-            else:
-                break
-        # [ilo, mid) is a suffix of the left child, [mid, ihi) a prefix of the right
-        out = []
-        l, h, d, c = lo, mid, depth, left
-        while l < ilo:
-            m = (l + h) // 2
-            cl = lefts[d * n + l + c - 1] if c else 0
-            d += 1
-            if ilo < m:
-                out.append((d, m, h, c - cl))
-                h, c = m, cl
-            else:
-                l, c = m, c - cl
-        out.append((d, l, h, c))
-        out.reverse()
-        l, h, d, c = mid, hi, depth, cut - left
-        while ihi < h:
-            m = (l + h) // 2
-            cl = lefts[d * n + l + c - 1] if c else 0
-            d += 1
-            if m < ihi:
-                out.append((d, l, m, cl))
-                l, c = m, c - cl
-            else:
-                h, c = m, cl
-        out.append((d, l, h, c))
-        return out
-
     def _canonical_gids(self, a: float, b: float, stats: Optional[dict] = None) -> list[int]:
         """Gids of the canonical nodes of [a, b], left to right."""
         n, mx = self.n, self.mx.data
         ilo, ihi = bisect.bisect_left(mx, a), bisect.bisect_right(mx, b)
         r_a = bisect.bisect_left(self.ucoords.data, a) + 1  # y < a iff y-rank < r_a
-        prim = self._primary_nodes(ilo, ihi, r_a)
-        slots = self.gid_slots.data
+        prim = tile(0, n, ilo, ihi) if ilo < ihi else []
+        y_rank, slots = self.y_rank.data, self.gid_slots.data
         gids: list[int] = []
-        for depth, lo, hi, cut in prim:
+        for p, e, depth in prim:
             # the secondary nodes covering the node's points with y < a
-            p, e, c = lo, hi, lo + cut
+            off = depth * n
+            c = bisect.bisect_left(y_rank, r_a, off + p, off + e) - off
+            lo, hi = p, e
             while lo < c:
                 mid = (lo + hi) // 2
                 if hi <= c:
@@ -480,7 +424,7 @@ class Sweep1DIndex:
                     hi = mid
                     continue
                 slot = p + lo if stop - lo == 1 else e + (lo + stop) // 2
-                gids.append(slots[2 * n * depth + slot])
+                gids.append(slots[2 * off + slot])
                 lo = stop
         if stats is not None:
             stats["primary_nodes"] = len(prim)
@@ -558,9 +502,9 @@ class Sweep1DIndex:
         return out
 
     def space_stats(self) -> dict:
-        arrays = (self.mx, self.my, self.mcolor, self.ucoords, self.rows, self.left_counts,
-                  self.y_root, self.gid_slots, self.node_keys, self.s_rank, self.h_rank,
-                  self.h_exp, self.count_exps, self.ladder_first, self._powers)
+        arrays = (self.mx, self.my, self.mcolor, self.ucoords, self.rows, self.y_rank,
+                  self.gid_slots, self.node_keys, self.s_rank, self.h_rank, self.h_exp,
+                  self.count_exps, self.ladder_first, self._powers)
         return {
             "points": self.n,
             "eps": self.eps,

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,30 @@ def random_rect(rng, d=1, coord_range=(0.0, 100.0)):
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     return QueryRect(tuple(lo), tuple(hi))
+
+
+def profiled_calls(fn):
+    """``fn()``'s result, every C function it called, and its numpy calls:
+    numpy functions, methods of arrays or numpy scalars, and Python frames
+    of numpy's own modules."""
+    numpy_dir = os.path.dirname(np.__file__)
+    calls, numpy_calls = [], []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls.append(arg)
+            owner = type(getattr(arg, "__self__", None))
+            if (getattr(arg, "__module__", None) or owner.__module__).startswith("numpy"):
+                numpy_calls.append(arg)
+        elif event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            numpy_calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls, numpy_calls
 
 
 @pytest.fixture

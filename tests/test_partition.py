@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from entrange.core import ColoredPointSet, QueryRect, SHANNON
+from entrange.approx_shannon import EstimatorIndex
+from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import TooManyBuckets
 from entrange.exact1d import Exact1DIndex
 from entrange.oracle import exhaustive_partition
 from entrange.partition import (
     Bucketing1D,
+    EstimateBackend,
     ExactIndexBackend,
     OracleBackend,
     greedy_tree_split,
@@ -163,6 +165,33 @@ def test_exact_backend_matches_oracle(rng):
         got = maxpart_dp(pts, 3, exact_b)
         want = maxpart_dp(pts, 3, oracle_b)
         assert abs(got.value - want.value) < 1e-6
+
+
+@pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+@pytest.mark.parametrize("alpha", [None, 2.0])
+def test_estimate_backend_matches_oracle(mode, alpha):
+    # 40 points: every range holds fewer points than an estimate would draw,
+    # so each estimate answers exactly and the jobs agree with the oracle
+    rng = np.random.default_rng(40)
+    pts = ColoredPointSet(rng.permutation(np.arange(40, dtype=float)),
+                          rng.integers(0, 5, size=40), rng.uniform(0.5, 2.0, size=40))
+    est = EstimateBackend(EstimatorIndex(pts), mode=mode, alpha=alpha)
+    oracle = OracleBackend(pts, SHANNON if alpha is None else renyi_kind(alpha))
+    for job in (lambda b: maxpart_dp(pts, 3, b), lambda b: sumpart_approx(pts, 3, 0.2, b),
+                lambda b: maxpart_approx(pts, 3, 0.2, b)):
+        got, want = job(est), job(oracle)
+        assert got.cuts == want.cuts
+        np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-12)
+        assert abs(got.value - want.value) <= 1e-12
+    got = greedy_tree_split(pts, 4, est).scores
+    np.testing.assert_allclose(got, greedy_tree_split(pts, 4, oracle).scores, rtol=0, atol=1e-12)
+    assert est.describe()["mode"] == mode
+
+
+def test_estimate_backend_rejects_duplicate_coordinates():
+    pts = ColoredPointSet(np.array([0.0, 1.0, 1.0, 2.0]), np.array([0, 1, 0, 1]))
+    with pytest.raises(ValueError, match="distinct coordinates"):
+        EstimateBackend(EstimatorIndex(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Range tree: canonical decomposition, counting, weighted sampling."""
 
 import math
-import os
 import pickle
 import sys
 
@@ -23,7 +22,7 @@ from entrange.rangetree import (
     tile,
 )
 
-from conftest import random_pointset, random_rect
+from conftest import profiled_calls, random_pointset, random_rect
 
 
 def test_empty_tree():
@@ -56,7 +55,7 @@ def test_canonical_partition_property(rng, d):
 
 def stack_tile(lo, hi, a, b):
     """Reference for ``tile``: every node of the mid-split tree meeting
-    [a, b), split until covered."""
+    [a, b), split until covered, found depth first and so left to right."""
     out, stack = [], [(lo, hi, 0)]
     while stack:
         u, v, depth = stack.pop()
@@ -67,15 +66,16 @@ def stack_tile(lo, hi, a, b):
             continue
         mid = (u + v) // 2
         stack += [(mid, v, depth + 1), (u, mid, depth + 1)]
-    return sorted(out)
+    return out
 
 
 def test_tile_matches_stack_walk():
+    # the same nodes in the same left-to-right order
     for n in range(1, 40):
         for a in range(n):
             for b in range(a + 1, n + 1):
-                assert sorted(tile(0, n, a, b)) == stack_tile(0, n, a, b), (n, a, b)
-    assert sorted(tile(100, 1100, 137, 901)) == stack_tile(100, 1100, 137, 901)
+                assert tile(0, n, a, b) == stack_tile(0, n, a, b), (n, a, b)
+    assert tile(100, 1100, 137, 901) == stack_tile(100, 1100, 137, 901)
 
 
 def lexsort_depth_rows(row, key, starts, depths):
@@ -206,24 +206,8 @@ def test_canonical_nodes_makes_no_numpy_call(rng):
     pts = random_pointset(rng, 300, d=3, m=9, weighted=True, duplicate_frac=0.1)
     tree = ColorAwareRangeTree.build(pts)
     rects = [random_rect(rng, d=3) for _ in range(40)] + [QueryRect.full(3)]
-    numpy_dir = os.path.dirname(np.__file__)
-    calls, numpy_calls = [], []
-
-    def profile(frame, event, arg):
-        if event == "c_call":
-            # a numpy function, or a method of an array or numpy scalar
-            calls.append(arg)
-            owner = type(getattr(arg, "__self__", None))
-            if (getattr(arg, "__module__", None) or owner.__module__).startswith("numpy"):
-                numpy_calls.append(arg)
-        elif event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
-            numpy_calls.append(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        pieces = [tree.canonical_nodes(rect) for rect in rects]
-    finally:
-        sys.setprofile(None)
+    pieces, calls, numpy_calls = profiled_calls(
+        lambda: [tree.canonical_nodes(rect) for rect in rects])
     assert sum(map(len, pieces)) > len(rects)
     assert any(getattr(c, "__name__", "") == "bisect_left" for c in calls)
     assert not numpy_calls

@@ -25,7 +25,7 @@ from entrange.sweep1d import (
     shannon_bound_holds,
 )
 
-from conftest import random_pointset
+from conftest import profiled_calls, random_pointset
 
 
 def rand_interval(rng, lo=0.0, hi=100.0):
@@ -306,7 +306,8 @@ def test_lookup_matches_key_pool_oracle(case):
 
 def test_layout_and_round_trip(tmp_path):
     # below 65,536 distinct coordinates a count jump is one 2-byte rank with
-    # no exponent; bytes count every held array, the derived powers included
+    # no exponent; bytes count every held array, the derived powers and
+    # y-ranks included
     rng = np.random.default_rng(512)
     pts = random_pointset(rng, 512, d=1, m=32)
     for kind, idx in (("sweep-shannon", build_shannon(pts, 0.5)),
@@ -317,11 +318,15 @@ def test_layout_and_round_trip(tmp_path):
         assert idx.h_exp.dtype == np.min_scalar_type(int(idx.h_exp.max()))
         held = [v for v in vars(idx).values() if isinstance(v, np.ndarray)]
         assert idx.space_stats()["bytes"] == sum(a.nbytes for a in held)
-        assert "_powers" not in idx.__getstate__()
+        assert idx.rows.dtype == np.uint16
+        assert not any(hasattr(idx, name) for name in ("left_counts", "y_root"))
+        assert not {"_powers", "y_rank"} & set(idx.__getstate__())
         path = tmp_path / f"{kind}.rqe"
         save_index(path, kind, idx)
         loaded = load_index(path, expect_kind=kind)[2]
         assert np.array_equal(loaded._powers, idx._powers)
+        assert loaded.y_rank.dtype == idx.y_rank.dtype == np.uint16
+        assert np.array_equal(loaded.y_rank, idx.y_rank)
         # the build chose exponents against a longer table with this prefix
         longer = _power_table(idx._base, len(idx._powers) + 100)
         assert np.array_equal(longer[:len(idx._powers)], idx._powers)
@@ -512,9 +517,11 @@ def test_canonical_debug_on_large_index():
             assert rect.lo[0] <= info["x_v"] <= rect.hi[0]
 
 
-def stack_walk(ilo, ihi, n):
-    """Reference primary walk: a depth-first stack over the whole tree."""
-    out, stack = [], [(0, n, 0)] if ilo < ihi else []
+def stack_walk(ilo, ihi, lo, hi):
+    """Reference tiling of [ilo, ihi) by the mid-split tree over [lo, hi):
+    (depth, start, stop) of its nodes, found by a depth-first stack search
+    of the whole tree, left to right."""
+    out, stack = [], [(lo, hi, 0)] if ilo < ihi else []
     while stack:
         lo, hi, depth = stack.pop()
         if hi <= ilo or ihi <= lo:
@@ -528,20 +535,44 @@ def stack_walk(ilo, ihi, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 32, 37])
-def test_primary_walk_matches_stack_walk(n):
-    # same nodes, depths and left-to-right order as a full tree search, and
-    # each node's cascaded cut equals a count over its row slice
+def test_canonical_gids_match_stack_walk(n):
+    # every interval with ends on the distinct coordinates or in the gaps
+    # between and around them: the primary nodes of a full tree search, in
+    # each the secondary nodes tiling the prefix of row entries with
+    # y-rank below r_a (a brute count), each mapped through gid_slots, in
+    # the same left-to-right order
     rng = np.random.default_rng(n)
     pts = random_pointset(rng, n, d=1, m=4, duplicate_frac=0.3)
     idx = build_shannon(pts, 0.3)
-    y_rank = np.where(np.isneginf(idx.my), 0, idx.ucoords.searchsorted(idx.my) + 1)
-    for r_a in range(len(idx.ucoords) + 2):
-        for ilo in range(n + 1):
-            for ihi in range(n + 1):
-                got = idx._primary_nodes(ilo, ihi, r_a)
-                assert [node[:3] for node in got] == stack_walk(ilo, ihi, n)
-                for depth, lo, hi, cut in got:
-                    assert cut == int((y_rank[idx.rows[depth, lo:hi]] < r_a).sum())
+    u = idx.ucoords
+    y_rank = np.where(np.isneginf(idx.my), 0, u.searchsorted(idx.my) + 1)
+    ends = np.concatenate(([u[0] - 1.0], u, (u[:-1] + u[1:]) / 2, [u[-1] + 1.0]))
+    for a in ends.tolist():
+        ilo, r_a = int(idx.mx.searchsorted(a)), int(u.searchsorted(a)) + 1
+        for b in ends.tolist():
+            prim = stack_walk(ilo, int(idx.mx.searchsorted(b, "right")), 0, n)
+            want = []
+            for depth, lo, hi in prim:
+                cut = int((y_rank[idx.rows[depth, lo:hi]] < r_a).sum())
+                for _, s, e in stack_walk(lo, lo + cut, lo, hi):
+                    slot = lo + s if e - s == 1 else hi + (s + e) // 2
+                    want.append(int(idx.gid_slots[2 * n * depth + slot]))
+            stats = {}
+            assert idx._canonical_gids(a, b, stats) == want, (a, b)
+            assert stats["primary_nodes"] == len(prim)
+
+
+def test_query_makes_no_numpy_call(rng):
+    pts = random_pointset(rng, 300, d=1, m=20, duplicate_frac=0.1)
+    rects = [rand_interval(rng, -10.0, 110.0) for _ in range(40)] + [QueryRect.full(1)]
+    for idx in (build_shannon(pts, 0.3), build_renyi(pts, 0.3, 2.0)):
+        stats = {}
+        got, calls, numpy_calls = profiled_calls(
+            lambda: [idx.query(rect, stats) for rect in rects])
+        assert stats["canonical_nodes"] > 1
+        assert any(getattr(c, "__name__", "") == "bisect_left" for c in calls)
+        assert not numpy_calls
+        assert got == [idx.query(rect) for rect in rects]
 
 
 def test_gid_slots_hold_every_node_once(rng):
