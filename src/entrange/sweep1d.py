@@ -58,13 +58,19 @@ at index e + 1. The build chooses exponents against this table and the
 queries read bounds from it, so both see the same powers; it is derived on
 build and on load, and not stored.
 
-Ladders are built for batches of nodes at once. A batch's walks are put in
-order by one stable sort of the int64 keys ``node * (U + 1) + rank``. The
-counts along a walk are integers in 1..n, so the count exponents, the
-Shannon terms k log2 k or Renyi terms k^alpha, and their steps f(k) -
-f(k-1) are gathers from tables over 0..n built once per index; a walk's
-value is the running sum of its steps. Value exponents take the log guess
-and its fix-ups against the powers table.
+Ladders are built for batches of nodes whose walks total at most 2^15
+points, so a build holds about 4 MB of temporaries besides the index it
+writes. A batch's walks are put in order by one stable sort of the int64
+keys ``node * (U + 1) + rank``. The counts along a walk are integers in
+1..n, so the count exponents, the Shannon terms k log2 k or Renyi terms
+k^alpha, and their steps f(k) - f(k-1) are gathers from tables over 0..n
+built once per index; a walk's value is the running sum of its steps.
+Value exponents take the log guess and its fix-ups against the powers
+table. A node's count run length follows from its walk length alone, so
+``s_rank`` is allocated once on the rank type and each batch fills its
+own slice in place; a batch's value ranks and exponents are narrowed
+before they are kept (exponents to a type that holds the table's top),
+and joined once at the end.
 
 A query gets a count estimate within one (1+e') factor and a value
 estimate within another. Shannon results are folded pairwise on Python
@@ -102,7 +108,7 @@ from .errors import WeightsNotSupported
 from .rangetree import depth_rows, refine_spans, tile
 
 MERGE_DEPTH_C = 4  # constant in the Shannon eps shrink: eps / (4*c*loglog n)
-_BATCH = 1 << 18  # walk points per ladder-building batch, to bound its memory
+_BATCH = 1 << 15  # walk points per ladder-building batch: about 4 MB of temporaries
 
 
 def _shrink_eps_shannon(eps: float, n: int) -> float:
@@ -302,6 +308,7 @@ class Sweep1DIndex:
         for g0, g1 in _batches(stop - start):
             seg, lo, hi, _ = self._walk_runs(g0, g1, ckey)
             walk_len.append(np.bincount(seg, hi - lo, minlength=g1 - g0).astype(np.int64))
+        walk_len = np.concatenate(walk_len)
         # tables over the integer counts 0..n that walks look up: each
         # count's place in count_exps, k log2 k (Shannon) or k^alpha (Renyi),
         # and the latter's steps f(k) - f(k-1)
@@ -318,15 +325,21 @@ class Sweep1DIndex:
         # count 0's entry is unused, and equal to count 1's
         count_exps, count_place = np.unique(_count_exponents(n, powers, self._log_base),
                                             return_inverse=True)
-        tables = (count_place, f, np.diff(f, prepend=0.0), powers)
-        parts = [self._ladders(g0, g1, ckey, crank, tables)
-                 for g0, g1 in _batches(np.concatenate(walk_len))]
-        empty = np.zeros(0, dtype=np.int64)
-        s_rank, s_len, h_rank, h_len, h_exp = map(np.concatenate, zip(*parts or [(empty,) * 5]))
-        self.count_exps = _narrow(count_exps)
+        exp_type = np.min_scalar_type(top)
+        tables = (count_place, f, np.diff(f, prepend=0.0), powers, exp_type)
+        # the count pool is allocated once, and each batch fills its slice
+        s_len = count_place[walk_len] + 1
+        s_first = np.concatenate(([0], np.cumsum(s_len)))
         rank_type = np.min_scalar_type(len(self.ucoords))
-        self.s_rank, self.h_rank = s_rank.astype(rank_type), h_rank.astype(rank_type)
-        self.h_exp = _narrow(h_exp)
+        self.s_rank = np.empty(s_first[-1], dtype=rank_type)
+        parts = [(np.zeros(0, dtype=rank_type), np.zeros(0, dtype=np.int64),
+                  np.zeros(0, dtype=exp_type))]
+        parts += [self._ladders(g0, g1, ckey, crank, tables,
+                                self.s_rank[s_first[g0]:s_first[g1]])
+                  for g0, g1 in _batches(walk_len)]
+        h_rank, h_len, h_exp = map(np.concatenate, zip(*parts))
+        self.count_exps = _narrow(count_exps)
+        self.h_rank, self.h_exp = h_rank, _narrow(h_exp)
         # where each node's run starts in the count pool (even entries) and
         # the value pool (odd entries), side by side so that one cache line
         # serves both lookups of a node
@@ -350,9 +363,11 @@ class Sweep1DIndex:
         hi = ckey.searchsorted((colors + 1) * stride)
         return seg, lo, hi, sizes
 
-    def _ladders(self, g0: int, g1: int, ckey: np.ndarray, crank: np.ndarray, tables):
-        """Ladders of nodes g0..g1-1: the count pool's ranks and per-node run
-        lengths, then the value pool's ranks, run lengths and exponents.
+    def _ladders(self, g0: int, g1: int, ckey: np.ndarray, crank: np.ndarray, tables,
+                 s_rank: np.ndarray):
+        """Ladders of nodes g0..g1-1: writes their count jumps' ranks into
+        ``s_rank``, their slice of the count pool, and returns the value
+        pool's ranks (on the pool's type), run lengths and exponents.
 
         A node's walk is its colors' points at or after x_v, in coordinate
         order (ties in row order). Both ladders step at the last point of
@@ -360,8 +375,8 @@ class Sweep1DIndex:
         where the value is positive, for nodes of two or more colors under
         Shannon. ``tables`` holds each count's place in ``count_exps``, f
         (k log2 k or k^alpha) and f's steps f(k) - f(k-1), each over the
-        counts 0..n, and the powers table."""
-        count_place, f, f_step, powers = tables
+        counts 0..n, the powers table and a type that holds every exponent."""
+        count_place, f, f_step, powers, exp_type = tables
         seg, lo, hi, sizes = self._walk_runs(g0, g1, ckey)
         lens = hi - lo
         idx = _ranges(lo, lens)
@@ -390,14 +405,14 @@ class Sweep1DIndex:
         place = count_place[g_tot]
         before = np.roll(place, 1)
         before[np.diff(g_seg, prepend=-1) != 0] = -1
-        s_rank = np.repeat(g_x, place - before)
+        s_rank[:] = np.repeat(g_x, place - before)
         # a value jump where the exponent rises within the node
         segs, xs = g_seg[positive], g_x[positive]
         e = _exponents(g_val[positive], powers, self._log_base)
         keep = np.ones(len(e), dtype=bool)
         keep[1:] = (e[1:] > e[:-1]) | (segs[1:] != segs[:-1])
-        return (s_rank, count_place[walk_len] + 1, xs[keep],
-                np.bincount(segs[keep], minlength=g1 - g0), e[keep])
+        return (xs[keep].astype(s_rank.dtype), np.bincount(segs[keep], minlength=g1 - g0),
+                e[keep].astype(exp_type))
 
     # -- canonical node collection ---------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import WeightsNotSupported
 from entrange.oracle import brute_entropy
+from entrange import sweep1d
 from entrange.storage import load_index, save_index
 from entrange.sweep1d import (
     Sweep1DIndex,
@@ -338,6 +340,43 @@ def test_layout_and_round_trip(tmp_path):
             if kind == "sweep-renyi":  # the count is a plain sum of table reads
                 nodes = idx.canonical_debug(rect)
                 assert got.count == sum(idx._powers[info["l_s"] + 1] for info in nodes)
+
+
+def stored_arrays(idx):
+    return {k: v for k, v in idx.__getstate__().items() if isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("batch", [1, 61])
+def test_ladders_independent_of_batch_size(monkeypatch, batch):
+    # a batch of one walk point puts every node in a batch of its own, each
+    # larger than the bound; 61 cuts batches at odd places: either way every
+    # stored array is the default build's, dtype included
+    rng = np.random.default_rng(61)
+    pts = random_pointset(rng, 200, d=1, m=12, duplicate_frac=0.3)
+    builds = (lambda: build_shannon(pts, 0.4), lambda: build_renyi(pts, 0.4, 2.0))
+    want = [stored_arrays(build()) for build in builds]
+    monkeypatch.setattr(sweep1d, "_BATCH", batch)
+    for build, ref in zip(builds, want):
+        got = stored_arrays(build())
+        assert got.keys() == ref.keys()
+        for name, a in got.items():
+            assert a.dtype == ref[name].dtype and np.array_equal(a, ref[name]), name
+
+
+def test_build_memory_bounded():
+    """512 points, 32 colors at eps = 0.5: each build's traced peak is one
+    batch of temporaries plus the index, far below the 37-41 MB the build
+    took while it kept every batch's ladders on int64."""
+    rng = np.random.default_rng(512)
+    pts = random_pointset(rng, 512, d=1, m=32)
+    for build in (lambda: build_shannon(pts, 0.5), lambda: build_renyi(pts, 0.5, 2.0)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * 1024
 
 
 def test_per_node_sandwich(rng):
