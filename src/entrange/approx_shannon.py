@@ -197,10 +197,24 @@ class EstimatorIndex:
     """The pooled color-aware range tree shared by every estimator: SAMP,
     and EVAL through ``color_trees`` (a view of the same pool)."""
 
+    STORED = ColorAwareRangeTree.STORED
+
     def __init__(self, pts: ColoredPointSet):
         self.pts = pts
         self.tree = ColorAwareRangeTree.build(pts)
         self.color_trees = ColorTrees(pts, self.tree)
+
+    def to_arrays(self) -> tuple[dict, dict]:
+        """The tree's arrays and scalars: the points and the pool."""
+        return self.tree.to_arrays()
+
+    @classmethod
+    def from_arrays(cls, arrays: dict, scalars: dict) -> "EstimatorIndex":
+        index = cls.__new__(cls)
+        index.tree = ColorAwareRangeTree.from_arrays(arrays, scalars)
+        index.pts = index.tree.pts
+        index.color_trees = ColorTrees(index.pts, index.tree)
+        return index
 
     def __len__(self) -> int:
         return len(self.pts)

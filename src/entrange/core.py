@@ -162,6 +162,19 @@ class ColoredPointSet:
     def __iter__(self) -> Iterator[Point]:
         return (self.point(i) for i in range(len(self)))
 
+    def to_arrays(self) -> tuple[dict, dict]:
+        """The arrays and the scalars (color count, labels) that
+        :meth:`from_arrays` rebuilds the set from."""
+        arrays = {"coords": self.coords, "colors": self.colors, "weights": self.weights}
+        labels = None if self.labels is None else list(self.labels)
+        return arrays, {"num_colors": self._num_colors, "labels": labels}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray], scalars: Mapping) -> "ColoredPointSet":
+        labels = scalars["labels"]
+        return cls(arrays["coords"], arrays["colors"], arrays["weights"],
+                   None if labels is None else tuple(labels), scalars["num_colors"])
+
     @classmethod
     def from_points(cls, points: Sequence[Point], num_colors: Optional[int] = None) -> "ColoredPointSet":
         if not points:
@@ -479,30 +492,23 @@ class ColorPrefix:
 
     def __init__(self, colors: np.ndarray, weights: np.ndarray):
         self.n = len(colors)
-        order = np.argsort(colors, kind="stable")
+        # a stable sort gives one order at any width, and radix-sorts uint8/uint16
+        narrow = colors.astype(np.min_scalar_type(int(colors.max(initial=0))))
+        order = np.argsort(narrow, kind="stable")
         self.keys = colors[order] * self.n + order
         self.wpre, self.wlo = running_sum(weights[order])
-
-    def _diff(self, hi_keys, lo_keys) -> np.ndarray:
-        j = np.searchsorted(self.keys, hi_keys)
-        i = np.searchsorted(self.keys, lo_keys)
-        return (self.wpre[j] - self.wpre[i]) + (self.wlo[j] - self.wlo[i])
 
     def mass(self, colors, lo, hi) -> np.ndarray:
         """Mass of each given color over positions [lo, hi) (broadcast)."""
         base = colors * self.n
-        return self._diff(base + hi, base + lo)
+        j = np.searchsorted(self.keys, base + hi)
+        i = np.searchsorted(self.keys, base + lo)
+        return (self.wpre[j] - self.wpre[i]) + (self.wlo[j] - self.wlo[i])
 
     def count(self, colors, lo, hi) -> np.ndarray:
         """Positions of each given color in [lo, hi) (broadcast)."""
         base = colors * self.n
         return np.searchsorted(self.keys, base + hi) - np.searchsorted(self.keys, base + lo)
-
-    def running(self, colors: np.ndarray) -> np.ndarray:
-        """For each position p (``colors`` is the whole sequence's), the mass
-        of p's own color over [0, p)."""
-        base = colors * self.n
-        return self._diff(base + np.arange(self.n), base)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ adding mass to color c moves S by f(after) - f(before). No color's term is
 ever subtracted from a total, so no update chain cancels.
 
   * Build: row i of the table is one vectorized pass over the points from
-    cut i on. Each point's running color mass comes from a
+    cut i on. Each point's running color mass since cut i comes from a
     ``core.ColorPrefix`` over the sorted colors, the cumulative sum of
     f(after) - f(before) gives S at every later cut, and S turns into the
     stored entropy. Temporaries are O(n) per row.
@@ -24,10 +24,20 @@ ever subtracted from a total, so no update chain cancels.
     and each color's mass inside the slice from the color-prefix array.
 
 Duplicate coordinates need no care: queries resolve ties through the
-sorted order. Precision: masses inside a slice are prefix differences, so
-they carry an absolute error of about 1e-16 times the largest prefix. With
-weights up to 1e9 over light weights near 1 answers stay within 1e-6 of
-brute force; beyond about 1e9 the cancellation exceeds that.
+sorted order. Precision: every mass is a difference of two compensated
+prefixes (a ``core.running_sum`` pair, for the sorted weights and inside
+the ``ColorPrefix``): a slice's W, each point's color mass since a row's
+cut, and each fringe color's mass inside the slice. Such a difference is
+accurate relative to the span's own mass, so heavy points outside a range
+do not swamp the light ones in it: with 1-5 heavy points up to 1e15 over
+light weights near 1, and with weights log-uniform in [1, 1e12], answers
+stay within 1e-6 of brute force.
+
+An index file holds the points and each table's entries above the
+diagonal (:meth:`Exact1DIndex.to_arrays`). One ``_derive``, run on build
+and on load, rebuilds the sorted coordinates, colors and weights, their
+prefix pair, the ``ColorPrefix`` and the cuts; the load scatters the
+stored entries back into full tables.
 """
 
 from __future__ import annotations
@@ -52,30 +62,58 @@ from .errors import OrderNotIndexed
 
 
 class Exact1DIndex:
+    STORED = ("coords", "colors", "weights", "tables")   # what a file holds; see to_arrays
+
     def __init__(self, pts: ColoredPointSet, t: float, orders: Sequence[float] = ()):
-        if pts.dim != 1:
-            raise ValueError("Exact1DIndex requires 1-D points")
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {t}")
         self.pts = pts
         self.t = float(t)
         self.orders = tuple(sorted(set(float(a) for a in orders)))
-        self.kinds = (SHANNON,) + tuple(renyi_kind(a) for a in self.orders)
+        self._derive()
+        self.tables = self._build_tables()
 
+    def _derive(self) -> None:
+        """Everything but the points and the tables, on build and on load:
+        the points sorted by (coordinate, input index), their weight prefix
+        pair and ``ColorPrefix``, and the cuts."""
+        pts = self.pts
+        if pts.dim != 1:
+            raise ValueError("Exact1DIndex requires 1-D points")
+        if not 0.0 <= self.t <= 1.0:
+            raise ValueError(f"t must lie in [0, 1], got {self.t}")
+        self.kinds = (SHANNON,) + tuple(renyi_kind(a) for a in self.orders)
         n = len(pts)
-        order = np.lexsort((np.arange(n), pts.coords[:, 0]))
+        order = np.argsort(pts.coords[:, 0], kind="stable")
         self.coords_sorted = pts.coords[order, 0]
         self.colors_sorted = pts.colors[order]
         self.weights_sorted = pts.weights[order]
-        self.weight_prefix = np.concatenate(([0.0], np.cumsum(self.weights_sorted)))
+        self.wpre, self.wlo = core.running_sum(self.weights_sorted)
         self.color_prefix = ColorPrefix(self.colors_sorted, self.weights_sorted)
-
         self.bucket_size = max(1, math.ceil(n**self.t)) if n else 1
         self.cuts = np.arange(0, n + 1, self.bucket_size, dtype=np.int64)
         if n and self.cuts[-1] != n:
             self.cuts = np.append(self.cuts, n)
 
-        self.tables = self._build_tables()
+    def to_arrays(self) -> tuple[dict, dict]:
+        """The arrays and scalars an index file holds (``STORED``): the
+        points, and the tables' entries above the diagonal, one row per
+        kind; :meth:`from_arrays` derives the rest."""
+        arrays, scalars = self.pts.to_arrays()
+        upper = np.triu_indices(len(self.cuts), 1)
+        arrays["tables"] = np.stack([self.tables[kind][upper] for kind in self.kinds])
+        return arrays, {**scalars, "t": self.t, "orders": list(self.orders)}
+
+    @classmethod
+    def from_arrays(cls, arrays: dict, scalars: dict) -> "Exact1DIndex":
+        index = cls.__new__(cls)
+        index.pts = ColoredPointSet.from_arrays(arrays, scalars)
+        index.t = float(scalars["t"])
+        index.orders = tuple(map(float, scalars["orders"]))
+        index._derive()
+        k = len(index.cuts)
+        tables = np.zeros((len(index.kinds), k, k))
+        tables[(slice(None), *np.triu_indices(k, 1))] = arrays["tables"]
+        index.tables = dict(zip(index.kinds, tables))
+        return index
 
     # -- construction --------------------------------------------------------
 
@@ -83,20 +121,30 @@ class Exact1DIndex:
         k = len(self.cuts) - 1
         tables = {kind: np.zeros((k + 1, k + 1)) for kind in self.kinds}
         cp = self.color_prefix
-        running = cp.running(self.colors_sorted)
         # the colors that occur and each position's number among them, read
         # off the color-sorted keys: a row costs O(n) however many are declared
         color = cp.keys // max(cp.n, 1)
         first = np.concatenate(([True], color[1:] != color[:-1]))[:cp.n]
         present = color[first]
+        pos = cp.keys - color * cp.n
         dense = np.empty(cp.n, dtype=np.int64)
-        dense[cp.keys - color * cp.n] = np.cumsum(first) - 1
+        dense[pos] = np.cumsum(first) - 1
+        # each position's prefix pair in the color-sorted order, at its own
+        # key; rows take their differences in two reused buffers
+        key_hi, key_lo = np.empty(cp.n), np.empty(cp.n)
+        key_hi[pos], key_lo[pos] = cp.wpre[:-1], cp.wlo[:-1]
+        hi, lo = np.empty(cp.n), np.empty(cp.n)
         for i in range(k):
             start = int(self.cuts[i])
             weights = self.weights_sorted[start:]
-            # each point's color mass over [start, its position)
-            skipped = cp.mass(present, 0, start)
-            before = running[start:] - skipped[dense[start:]]
+            # each point's color mass over [start, its position): a pair
+            # difference from its color's first key at or after start
+            at = cp.keys.searchsorted(present * cp.n + start)
+            own = dense[start:]
+            before = np.take(cp.wpre[at], own, out=hi[start:])
+            np.subtract(key_hi[start:], before, out=before)
+            low = np.take(cp.wlo[at], own, out=lo[start:])
+            before += np.subtract(key_lo[start:], low, out=low)
             after = before + weights
             ends = self.cuts[i + 1:] - start - 1  # last point of each slice, row-relative
             W = np.cumsum(weights)[ends]
@@ -138,7 +186,8 @@ class Exact1DIndex:
         W, value, core_lo, core_hi = 0.0, 0.0, i, i
         if a < b:
             core_lo, core_hi = a * size, (n if b == last else b * size)
-            W = float(self.weight_prefix[core_hi] - self.weight_prefix[core_lo])
+            W = float((self.wpre[core_hi] - self.wpre[core_lo])
+                      + (self.wlo[core_hi] - self.wlo[core_lo]))
             value = float(self.tables[kind][a, b])
         fringe_points = max(0, j - i) - (core_hi - core_lo)
         if stats is not None:
@@ -165,7 +214,7 @@ class Exact1DIndex:
 
     def space_stats(self) -> dict:
         k = len(self.cuts) - 1
-        arrays = (self.coords_sorted, self.colors_sorted, self.weights_sorted, self.weight_prefix,
+        arrays = (self.coords_sorted, self.colors_sorted, self.weights_sorted, self.wpre, self.wlo,
                   self.color_prefix.keys, self.color_prefix.wpre, self.color_prefix.wlo,
                   self.cuts, *self.tables.values())
         return {

@@ -33,12 +33,27 @@ class ExactNDIndex:
     :class:`~.errors.OrderNotIndexed`.
     """
 
+    STORED = RangeTree.STORED
+
     def __init__(self, pts: ColoredPointSet, t: float, orders: Sequence[float] = ()):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t must lie in [0, 1], got {t}")
         self.pts = pts
         self.orders = tuple(sorted(set(float(a) for a in orders)))
         self.tree = RangeTree(pts)
+
+    def to_arrays(self) -> tuple[dict, dict]:
+        """The tree's arrays (the points and the pool) and scalars, and the orders."""
+        arrays, scalars = self.tree.to_arrays()
+        return arrays, {**scalars, "orders": list(self.orders)}
+
+    @classmethod
+    def from_arrays(cls, arrays: dict, scalars: dict) -> "ExactNDIndex":
+        index = cls.__new__(cls)
+        index.tree = RangeTree.from_arrays(arrays, scalars)
+        index.pts = index.tree.pts
+        index.orders = tuple(map(float, scalars["orders"]))
+        return index
 
     def query(self, rect: QueryRect, kind: EntropyKind = SHANNON,
               stats: Optional[dict] = None, trace: Optional[list] = None) -> EntropySummary:

@@ -28,9 +28,13 @@ one color c without bisection: each pool entry of c knows the mass of the
 other colors before it (``others_before``, nondecreasing along c's run),
 so one ``searchsorted`` in c's run counts the c points before a draw, and
 one in the pool prefix finds it. Zero-weight points carry no mass and are
-left out, so counts are of positive-weight points. The sorted last
-coordinates, ``last_rank``, the pool's colors and ``others_before`` are
-derived from the stored arrays on build and on load, and are not saved.
+left out, so counts are of positive-weight points.
+
+An index file holds the points and the pool ids alone
+(:meth:`RangeTree.to_arrays`). One ``_derive``, run on build and on load,
+rebuilds the rest: the upper levels' coordinate keys, the sorted last
+coordinates and ``last_rank``, and for the color-aware tree the pool's
+weight prefix pair, its colors, its ``ColorPrefix`` and ``others_before``.
 """
 
 from __future__ import annotations
@@ -144,50 +148,70 @@ class Exclusion(NamedTuple):
 class RangeTree:
     """Static d-level range tree; immutable after build, queries are pure."""
 
-    DERIVED = ("last_sorted", "last_rank")   # rebuilt by _derive on build and on load, never saved
+    STORED = ("coords", "colors", "weights", "pool_ids")   # what a file holds; see to_arrays
 
     def __init__(self, pts: ColoredPointSet):
-        self._build(pts)
+        self.pts = pts
+        self.pool_ids = self._pool(pts)
         self._derive()
 
-    def _build(self, pts: ColoredPointSet) -> None:
-        self.pts = pts
-        self.dim = pts.dim
+    @staticmethod
+    def _pool(pts: ColoredPointSet) -> np.ndarray:
+        """The last level's rows of point ids, one after another."""
         ids = np.flatnonzero(pts.weights > 0.0)
-        self.n = n = len(ids)
-        self.rows = math.ceil(math.log2(n)) + 1 if n else 0   # depths per tree level
+        n = len(ids)
+        depths = math.ceil(math.log2(n)) + 1 if n else 0
         ids = ids[np.lexsort((ids, pts.coords[ids, 0]))]
         rows, parts = [ids], [np.zeros(1, dtype=np.int64)]
-        # coordinate k of every row of the tree levels k < d-1
-        self.keys = []
-        for k in range(1, self.dim if n else 1):
-            self.keys.append(pts.coords[np.concatenate(rows), k - 1])
+        for k in range(1, pts.dim if n else 1):
             next_rows, next_parts = [], []
             for row, starts in zip(rows, parts):
-                for sorted_row, depth_starts in depth_rows(row, pts.coords[:, k], starts,
-                                                           self.rows):
+                for sorted_row, depth_starts in depth_rows(row, pts.coords[:, k], starts, depths):
                     next_rows.append(sorted_row)
                     next_parts.append(depth_starts)
             rows, parts = next_rows, next_parts
         pool = np.concatenate(rows) if n else ids
-        self.pool_ids = pool.astype(np.min_scalar_type(len(pts) - 1))
+        return pool.astype(np.min_scalar_type(len(pts) - 1))
 
     def _derive(self) -> None:
-        """The last coordinate of every point, sorted (ranks a query's
-        bounds; pool row 0 holds every point by last coordinate), and each
-        pool entry's rank in it: how many points have a smaller one."""
-        first = self.pool_ids[:self.n]
-        self.last_sorted = self.pts.coords[first, -1]
-        rank = np.zeros(len(self.pts), dtype=np.min_scalar_type(self.n))
+        """Everything but the points and the pool, on build and on load.
+
+        The coordinate-k keys of every level-k row (k < d-1) are read off
+        the pool: each row's deepest child row is the row itself in its own
+        order, since every deepest span holds one point. The last coordinate
+        of every point, sorted, ranks a query's bounds (pool row 0 holds
+        every point by last coordinate), and ``last_rank`` holds each pool
+        entry's rank in it: how many points have a smaller one."""
+        pts = self.pts
+        self.dim = pts.dim
+        self.n = n = int(np.count_nonzero(pts.weights > 0.0))
+        self.rows = math.ceil(math.log2(n)) + 1 if n else 0   # depths per tree level
+        if len(self.pool_ids) != n * self.rows ** (self.dim - 1):
+            raise ValueError(f"a pool of {len(self.pool_ids)} ids does not fit {n} points")
+        self.keys = []
+        rows = self.pool_ids.reshape(-1, n) if n else self.pool_ids
+        for k in reversed(range(self.dim - 1 if n else 0)):
+            rows = rows.reshape(-1, self.rows, n)[:, -1]
+            self.keys.insert(0, pts.coords[rows.ravel(), k])
+        first = self.pool_ids[:n]
+        self.last_sorted = pts.coords[first, -1]
+        rank = np.zeros(len(pts), dtype=np.min_scalar_type(n))
         rank[first] = self.last_sorted.searchsorted(self.last_sorted)
         self.last_rank = rank[self.pool_ids]
 
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in self.DERIVED}
+    def to_arrays(self) -> tuple[dict, dict]:
+        """The arrays and scalars an index file holds: the points and the
+        pool (``STORED``); :meth:`from_arrays` derives the rest."""
+        arrays, scalars = self.pts.to_arrays()
+        return {**arrays, "pool_ids": self.pool_ids}, scalars
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._derive()
+    @classmethod
+    def from_arrays(cls, arrays: dict, scalars: dict) -> "RangeTree":
+        tree = cls.__new__(cls)
+        tree.pts = ColoredPointSet.from_arrays(arrays, scalars)
+        tree.pool_ids = arrays["pool_ids"]
+        tree._derive()
+        return tree
 
     @classmethod
     def build(cls, pts: ColoredPointSet) -> "RangeTree":
@@ -266,21 +290,16 @@ class ColorAwareRangeTree(RangeTree):
     calls, which gives EVAL and sampling that excludes one color.
     """
 
-    DERIVED = RangeTree.DERIVED + ("pool_colors", "others_before")
-
-    def _build(self, pts: ColoredPointSet) -> None:
-        super()._build(pts)
-        weights = pts.weights[self.pool_ids]
-        self.wpre, self.wlo = running_sum(weights)
-        self.color_prefix = ColorPrefix(pts.colors[self.pool_ids], weights)
-
     def _derive(self) -> None:
-        """Also the color of every pool entry, and for every key of the
-        ``ColorPrefix``, the pool's mass before the key's position less its
-        own color's (the prefix the excluding sampler inverts)."""
+        """Also the pool's weight prefix, the color of every pool entry, the
+        pool's ``ColorPrefix``, and for every key of it, the pool's mass
+        before the key's position less its own color's (the prefix the
+        excluding sampler inverts)."""
         super()._derive()
+        weights = self.pts.weights[self.pool_ids]
+        self.wpre, self.wlo = running_sum(weights)
         self.pool_colors = self.pts.colors[self.pool_ids]
-        cp = self.color_prefix
+        self.color_prefix = cp = ColorPrefix(self.pool_colors, weights)
         colors = int(cp.keys[-1]) // cp.n + 1 if cp.n else 0
         firsts = cp.keys.searchsorted(np.arange(colors + 1) * cp.n)   # each color's run
         runs = np.diff(firsts)

@@ -1,25 +1,52 @@
-"""Index persistence: magic-tagged, versioned files, plus CSV ingestion.
+"""Index persistence: magic-tagged, versioned, checked files, plus CSV ingestion.
 
-File layout: 7 magic bytes ``RQEIDX1``, one version byte, a 4-byte
-big-endian header length, a JSON header (at least ``{"kind": ...}``), then
-a pickle of the index object. Loading verifies the magic, refuses files of
-any other format version (a payload pickles the index's internal layout,
-which changes between versions), and can enforce an expected kind.
+File layout (format 13): 7 magic bytes ``RQEIDX1``, one version byte, a
+4-byte big-endian header length, a JSON header, then the payload of raw
+array buffers. Besides ``save_index``'s ``extra`` keys, the header holds:
+
+  * ``kind``, the index kind;
+  * ``scalars``, the index's scalars (t, orders, eps, alpha, the color
+    count and labels, as each kind needs);
+  * ``arrays``, the manifest: per array its name, little-endian dtype
+    string, shape, byte offset into the payload (a multiple of 64) and
+    byte length;
+  * ``sha256``, the hex digest of the payload.
+
+An index stores only the arrays it cannot derive from others (each class's
+``STORED``, written by its ``to_arrays`` and read by its ``from_arrays``,
+which derives the rest with the same code its build runs):
+
+  * exact1d: the points, and each table's entries above the diagonal;
+  * exactnd and estimator: the points and the range tree's pool of ids;
+  * sweep-shannon and sweep-renyi: the points, the mapped points, the
+    tree's rows, the qualifying nodes' keys and slots, and the ladders.
+
+Loading never runs code: no pickle is involved. It checks the magic, then
+the version (a file of any other format version is refused), then the
+kind (against an expected kind too, when given). It checks the payload's
+digest before it builds any array, and then that the manifest names
+exactly the kind's arrays, each of a fixed-width numeric dtype and with a
+shape, offset and length that fit the payload. The arrays come back as
+read-only views of the payload, with no copy. Every refusal raises an
+:class:`~.errors.IndexFileError` (CLI exit code 4): ``UnsupportedVersion``
+for another format version, ``IndexKindMismatch`` for an unexpected kind,
+and ``NotAnIndex`` for anything else.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
-import pickle
 import struct
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
+from .approx_shannon import EstimatorIndex
 from .core import ColoredPointSet
 from .errors import (
     DataFormatError,
@@ -27,26 +54,59 @@ from .errors import (
     NotAnIndex,
     UnsupportedVersion,
 )
+from .exact1d import Exact1DIndex
+from .exactnd import ExactNDIndex
+from .sweep1d import Sweep1DIndex
 
 MAGIC = b"RQEIDX1"
-FORMAT_VERSION = 12
+FORMAT_VERSION = 13
+ALIGN = 64   # every array's offset into the payload is a multiple of this
 
-INDEX_KINDS = ("exact1d", "exactnd", "sweep-shannon", "sweep-renyi", "estimator")
+INDEX_CLASSES = {
+    "exact1d": Exact1DIndex,
+    "exactnd": ExactNDIndex,
+    "sweep-shannon": Sweep1DIndex,
+    "sweep-renyi": Sweep1DIndex,
+    "estimator": EstimatorIndex,
+}
+INDEX_KINDS = tuple(INDEX_CLASSES)
+
+# the dtypes a stored array may have: fixed-width numbers, little-endian
+DTYPES = frozenset(("|b1", "|i1", "|u1", "<i2", "<u2", "<i4", "<u4", "<i8", "<u8", "<f4", "<f8"))
 
 
 def save_index(path: Union[str, Path], kind: str, index, extra: Optional[dict] = None) -> None:
-    if kind not in INDEX_KINDS:
+    cls = INDEX_CLASSES.get(kind)
+    if cls is None:
         raise ValueError(f"unknown index kind {kind!r}")
-    header = {"kind": kind}
-    if extra:
-        header.update(extra)
+    if not isinstance(index, cls):
+        raise ValueError(f"a {type(index).__name__} is not a {kind!r} index")
+    arrays, scalars = index.to_arrays()
+    manifest, chunks, offset = [], [], 0
+    for name, array in arrays.items():
+        array = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
+        if array.dtype.str not in DTYPES:
+            raise ValueError(f"array {name!r} has dtype {array.dtype}, which a file cannot hold")
+        pad = -offset % ALIGN
+        chunks.append(bytes(pad))
+        offset += pad
+        manifest.append({"name": name, "dtype": array.dtype.str, "shape": list(array.shape),
+                         "offset": offset, "nbytes": array.nbytes})
+        chunks.append(array.reshape(-1).view(np.uint8))
+        offset += array.nbytes
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    header = dict(extra or {})
+    header.update(kind=kind, scalars=scalars, arrays=manifest, sha256=digest.hexdigest())
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(bytes([FORMAT_VERSION]))
         fh.write(struct.pack(">I", len(header_bytes)))
         fh.write(header_bytes)
-        pickle.dump(index, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def load_index(path: Union[str, Path], expect_kind: Optional[str] = None):
@@ -69,20 +129,61 @@ def load_index(path: Union[str, Path], expect_kind: Optional[str] = None):
         header_bytes = fh.read(header_len)
         if len(header_bytes) != header_len:
             raise NotAnIndex(f"{path}: truncated header")
-        try:
-            header = json.loads(header_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise NotAnIndex(f"{path}: unreadable header: {exc}") from None
-        kind = header.get("kind")
-        if kind not in INDEX_KINDS:
-            raise NotAnIndex(f"{path}: unknown kind {kind!r}")
-        if expect_kind is not None and kind != expect_kind:
-            raise IndexKindMismatch(f"{path}: holds {kind!r}, expected {expect_kind!r}")
-        try:
-            index = pickle.load(fh)
-        except Exception as exc:
-            raise NotAnIndex(f"{path}: unreadable payload: {exc}") from None
+        payload = fh.read()
+    try:
+        header = json.loads(header_bytes.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON, or nested too deep
+        raise NotAnIndex(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise NotAnIndex(f"{path}: header is not a JSON object")
+    kind = header.get("kind")
+    if kind not in INDEX_KINDS:
+        raise NotAnIndex(f"{path}: unknown kind {kind!r}")
+    if expect_kind is not None and kind != expect_kind:
+        raise IndexKindMismatch(f"{path}: holds {kind!r}, expected {expect_kind!r}")
+    if header.get("sha256") != hashlib.sha256(payload).hexdigest():
+        raise NotAnIndex(f"{path}: payload does not match its digest")
+    cls = INDEX_CLASSES[kind]
+    arrays = _views(path, header.get("arrays"), payload, cls.STORED)
+    scalars = header.get("scalars")
+    if not isinstance(scalars, dict):
+        raise NotAnIndex(f"{path}: header holds no scalars")
+    try:
+        index = cls.from_arrays(arrays, scalars)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise NotAnIndex(f"{path}: arrays do not form a {kind!r} index: {exc!r}") from None
     return kind, header, index
+
+
+def _views(path, manifest, payload: bytes, names: tuple) -> dict:
+    """The manifest's arrays as read-only views of the payload, after
+    checking that it lists exactly ``names``, each of a dtype in DTYPES and
+    with a shape, offset and length that fit the payload."""
+    if not isinstance(manifest, list):
+        raise NotAnIndex(f"{path}: header holds no array manifest")
+    arrays = {}
+    for entry in manifest:
+        try:
+            name, dtype, shape, offset, nbytes = (
+                entry[key] for key in ("name", "dtype", "shape", "offset", "nbytes"))
+        except (TypeError, KeyError):
+            raise NotAnIndex(f"{path}: malformed manifest entry {entry!r}") from None
+        if not isinstance(name, str) or name in arrays:
+            raise NotAnIndex(f"{path}: bad or repeated array name {name!r}")
+        if dtype not in DTYPES:
+            raise NotAnIndex(f"{path}: array {name!r} has unsupported dtype {dtype!r}")
+        dims = (*shape, offset, nbytes) if isinstance(shape, list) else (None,)
+        if not all(type(v) is int and v >= 0 for v in dims):
+            raise NotAnIndex(f"{path}: array {name!r} has a malformed shape, offset or length")
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        if (offset % ALIGN or nbytes != count * dtype.itemsize
+                or offset + nbytes > len(payload)):
+            raise NotAnIndex(f"{path}: array {name!r} does not fit the payload")
+        arrays[name] = np.frombuffer(payload, dtype, count, offset).reshape(shape)
+    if set(arrays) != set(names):
+        raise NotAnIndex(f"{path}: manifest names {sorted(arrays)}, expected {sorted(names)}")
+    return arrays
 
 
 # ---------------------------------------------------------------------------

@@ -183,27 +183,18 @@ def _narrow(a: np.ndarray) -> np.ndarray:
 class Sweep1DIndex:
     """Shared engine for the Shannon and Renyi variants (see build_*)."""
 
-    DERIVED = ("_powers", "y_rank")   # rebuilt by _derive on build and on load, never saved
+    STORED = ("coords", "colors", "weights", "mx", "my", "mcolor", "ucoords", "rows",
+              "node_keys", "gid_slots", "s_rank", "count_exps", "h_rank", "h_exp",
+              "ladder_first")   # a file holds the points' arrays, then these; see to_arrays
 
     def __init__(self, pts: ColoredPointSet, eps: float, alpha: Optional[float] = None):
         if pts.dim != 1:
             raise ValueError("sweep index requires 1-D points")
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {eps}")
         if len(pts) and not np.all(pts.weights == 1.0):
             raise WeightsNotSupported("sweep structures are count-based; weights must be 1")
         self.pts = pts
-        self.eps = float(eps)
-        self.alpha = None if alpha is None else float(alpha)
-        self.kind: EntropyKind = SHANNON if alpha is None else renyi_kind(alpha)
-        n = len(pts)
-        self.n = n
-        if alpha is None:
-            self.eps_prime = _shrink_eps_shannon(eps, n)
-        else:
-            self.eps_prime = eps / 2.0
-        self._base = 1.0 + self.eps_prime
-        self._log_base = math.log(self._base)
+        self._set_params(eps, alpha)
+        n = self.n
 
         # each color's points in coordinate order, and the (p_j, p_{j-1}) mapping
         coords = pts.coords[:, 0]
@@ -219,7 +210,6 @@ class Sweep1DIndex:
         self.my = my[m_order]
         self.mcolor = ccol[m_order]
         self.ucoords = np.unique(coords)
-        self._stride = len(self.ucoords) + 1
 
         depths = math.ceil(math.log2(n)) + 1 if n else 0
         rows = []
@@ -242,22 +232,54 @@ class Sweep1DIndex:
         self._build_ladders(cx, ccol)
         self._derive()
 
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in self.DERIVED}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._derive()
+    def _set_params(self, eps: float, alpha: Optional[float]) -> None:
+        """eps and alpha, and the scalars that follow from them and n."""
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        self.eps = float(eps)
+        self.alpha = None if alpha is None else float(alpha)
+        self.kind: EntropyKind = SHANNON if alpha is None else renyi_kind(alpha)
+        self.n = len(self.pts)
+        if alpha is None:
+            self.eps_prime = _shrink_eps_shannon(eps, self.n)
+        else:
+            self.eps_prime = eps / 2.0
+        self._base = 1.0 + self.eps_prime
+        self._log_base = math.log(self._base)
 
     def _derive(self) -> None:
         """The powers table, up to the largest stored exponent, and the
-        y-rank of every row entry, on the narrowest type that holds U."""
+        y-rank of every row entry, on the narrowest type that holds U: on
+        build and on load."""
         top = max((int(a.max()) for a in (self.count_exps, self.h_exp) if len(a)), default=0)
         self._powers = _power_table(self._base, top)
         y_rank = np.where(np.isneginf(self.my), 0, self.ucoords.searchsorted(self.my) + 1)
         self.y_rank = y_rank.astype(np.min_scalar_type(len(self.ucoords)))[self.rows.ravel()]
 
+    def to_arrays(self) -> tuple[dict, dict]:
+        """The arrays and scalars an index file holds: the points, the
+        mapped points, the tree and the ladders (``STORED``), eps and
+        alpha; :meth:`from_arrays` derives the rest."""
+        arrays, scalars = self.pts.to_arrays()
+        arrays.update((name, getattr(self, name)) for name in self.STORED[3:])
+        return arrays, {**scalars, "eps": self.eps, "alpha": self.alpha}
+
+    @classmethod
+    def from_arrays(cls, arrays: dict, scalars: dict) -> "Sweep1DIndex":
+        index = cls.__new__(cls)
+        index.pts = ColoredPointSet.from_arrays(arrays, scalars)
+        index._set_params(scalars["eps"], scalars["alpha"])
+        for name in cls.STORED[3:]:
+            setattr(index, name, arrays[name])
+        index._derive()
+        return index
+
     # -- construction ---------------------------------------------------------
+
+    @property
+    def _stride(self) -> int:
+        """Stride of the build's (color, coordinate rank) keys."""
+        return len(self.ucoords) + 1
 
     def _node_key(self, depth, start, stop):
         return (depth * (self.n + 1) + start) * (self.n + 1) + stop

@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrange import core
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import OrderNotIndexed
 from entrange.exact1d import Exact1DIndex
+from entrange.exactnd import ExactNDIndex
 from entrange.oracle import brute_entropy
 from entrange.partition import OracleBackend
 
@@ -36,16 +39,20 @@ def test_table_matches_naive_recomputation(rng):
 
 def palette_tables(idx):
     """The tables as built before the build read the occurring colors: every
-    row looks up the skipped mass of every declared color."""
+    row looks up the first key at or after the row's start of every
+    declared color."""
     k = len(idx.cuts) - 1
     tables = {kind: np.zeros((k + 1, k + 1)) for kind in idx.kinds}
-    running = idx.color_prefix.running(idx.colors_sorted)
+    cp, n = idx.color_prefix, len(idx.pts)
+    # each position's own key
+    key = cp.keys.searchsorted(idx.colors_sorted * n + np.arange(n))
     palette = np.arange(idx.pts.num_colors)
     for i in range(k):
         start = int(idx.cuts[i])
         weights = idx.weights_sorted[start:]
-        skipped = idx.color_prefix.mass(palette, 0, start)
-        before = running[start:] - skipped[idx.colors_sorted[start:]]
+        at = cp.keys.searchsorted(palette * n + start)[idx.colors_sorted[start:]]
+        before = ((cp.wpre[key[start:]] - cp.wpre[at])
+                  + (cp.wlo[key[start:]] - cp.wlo[at]))
         after = before + weights
         ends = idx.cuts[i + 1:] - start - 1
         W = np.cumsum(weights)[ends]
@@ -231,12 +238,33 @@ def test_weighted_heavy_points_match_oracle(heavy_lo, heavy_hi):
         check_weighted(seed, heavy_lo, heavy_hi)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "prefix-difference cancellation: a color's mass inside a slice is a difference "
-    "of running prefixes, whose absolute error near 1e-16 * 1e15 swamps unit weights"))
 def test_weighted_extreme_heavy_points_match_oracle():
     for seed in range(30):
         check_weighted(seed, 1e9, 1e15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_log_uniform_weights_match_oracle(data):
+    """Weights log-uniform in [1, 1e12] on integer coordinates (so many
+    duplicates), then a one-color block at 20..22: both exact structures
+    answer Shannon and Renyi-2 within 1e-6 of brute force on every interval
+    with integer ends, which include single-color and empty ones."""
+    n = data.draw(st.integers(1, 40))
+    coords = data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)) + [20, 21, 22]
+    colors = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) + [1, 1, 1]
+    powers = data.draw(st.lists(st.floats(0.0, 12.0), min_size=n + 3, max_size=n + 3))
+    pts = ColoredPointSet(np.array(coords, dtype=float), colors, 10.0 ** np.array(powers),
+                          num_colors=4)
+    t = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    rects = [QueryRect.interval(a, b) for a in range(-1, 24) for b in range(a, 24)]
+    for index in (Exact1DIndex(pts, t, orders=(2.0,)), ExactNDIndex(pts, t, orders=(2.0,))):
+        for rect in rects:
+            for kind in (SHANNON, renyi_kind(2.0)):
+                want = brute_entropy(pts, rect, kind)
+                got = index.query(rect, kind)
+                assert abs(got.value - want.value) < 1e-6, (type(index).__name__, rect, kind)
+                assert got.count == pytest.approx(want.count, rel=1e-6), (rect, kind)
 
 
 # ---------------------------------------------------------------------------

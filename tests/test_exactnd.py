@@ -1,7 +1,6 @@
 """Exact d-D index on a range tree's canonical pieces: oracle equality,
 heavy weights, the stats and trace contract."""
 
-import pickle
 import threading
 
 import numpy as np
@@ -14,6 +13,7 @@ from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import OrderNotIndexed
 from entrange.exactnd import ExactNDIndex
 from entrange.oracle import brute_entropy
+from entrange.storage import load_index, save_index
 
 from conftest import random_pointset, random_rect
 
@@ -188,10 +188,13 @@ def weighted_case(seed, heavy_lo, heavy_hi):
 
 
 def check_weighted(seed, heavy_lo, heavy_hi, reload):
+    """``reload`` is None for the index as built, or a path to save it to and
+    load it back from."""
     pts, rects = weighted_case(seed, heavy_lo, heavy_hi)
     idx = ExactNDIndex(pts, t=0.5, orders=(2.0, 3.0))
-    if reload:
-        idx = pickle.loads(pickle.dumps(idx))
+    if reload is not None:
+        save_index(reload, "exactnd", idx)
+        idx = load_index(reload, expect_kind="exactnd")[2]
     for rect in rects:
         for kind in WEIGHTED_KINDS:
             want = brute_entropy(pts, rect, kind)
@@ -200,14 +203,15 @@ def check_weighted(seed, heavy_lo, heavy_hi, reload):
             assert got.count == pytest.approx(want.count, rel=1e-6), (seed, rect, kind)
 
 
-# "eager": the index as built; "lazy": a pickled copy, whose derived tree
-# arrays are left out of the payload and rebuilt when it is loaded.
+# "eager": the index as built; "lazy": the index saved and loaded back,
+# whose file holds the points and the pool, and whose derived tree arrays
+# are rebuilt when it is loaded.
 @pytest.mark.parametrize("reload", [False, True], ids=["eager", "lazy"])
 @pytest.mark.parametrize("heavy_lo, heavy_hi",
                          [(1e2, 1e4), (1e4, 1e6), (1e6, 1e9), (1e9, 1e15)])
-def test_weighted_heavy_points_match_oracle(heavy_lo, heavy_hi, reload):
+def test_weighted_heavy_points_match_oracle(heavy_lo, heavy_hi, reload, tmp_path):
     for seed in range(30):
-        check_weighted(seed, heavy_lo, heavy_hi, reload)
+        check_weighted(seed, heavy_lo, heavy_hi, tmp_path / "nd.rqe" if reload else None)
 
 
 def test_concurrent_queries_match_serial(rng):

@@ -1,7 +1,6 @@
 """Range tree: canonical decomposition, counting, weighted sampling."""
 
 import math
-import pickle
 import sys
 
 import numpy as np
@@ -21,6 +20,7 @@ from entrange.rangetree import (
     refine_spans,
     tile,
 )
+from entrange.storage import load_index, save_index
 
 from conftest import profiled_calls, random_pointset, random_rect
 
@@ -103,21 +103,47 @@ def test_depth_rows_match_lexsort_reference(rng, n, top):
         assert np.array_equal(g_starts, w_starts)
 
 
+def reference_levels(pts, depths):
+    """Each tree level's rows and their top span starts, laid out level by
+    level from the points: level 0 is the positive-weight ids by first
+    coordinate, and the last level's rows make the pool."""
+    ids = np.flatnonzero(pts.weights > 0.0)
+    ids = ids[np.lexsort((ids, pts.coords[ids, 0]))]
+    levels = [([ids], [np.zeros(1, dtype=np.int64)])]
+    for k in range(1, pts.dim if len(ids) else 1):
+        next_rows, next_parts = [], []
+        for row, starts in zip(*levels[-1]):
+            for sorted_row, depth_starts in depth_rows(row, pts.coords[:, k], starts, depths):
+                next_rows.append(sorted_row)
+                next_parts.append(depth_starts)
+        levels.append((next_rows, next_parts))
+    return levels
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 100, 257, 1000])
+def test_keys_derived_from_the_pool(rng, d, n):
+    # each upper level's keys are read off the pool; they must equal the
+    # coordinates of that level's rows, with duplicate coordinates and about
+    # a fifth of the weights zero
+    pts = random_pointset(rng, n, d=d, m=5, weighted=True, duplicate_frac=0.3)
+    weights = np.where(rng.random(n) < 0.2, 0.0, pts.weights)
+    pts = ColoredPointSet(pts.coords, pts.colors, weights, num_colors=5)
+    tree = RangeTree.build(pts)
+    levels = reference_levels(pts, tree.rows)
+    assert np.array_equal(np.concatenate(levels[-1][0]), tree.pool_ids)
+    assert len(tree.keys) == (d - 1 if tree.n else 0)
+    for k, key in enumerate(tree.keys):
+        want = pts.coords[np.concatenate(levels[k][0]), k]
+        assert key.dtype == want.dtype and np.array_equal(key, want), k
+
+
 def cut_keys(tree):
     """The last level's cut keys of the former layout, rebuilt from the
     points: each pool entry's slice start times (n + 1) plus its last
     coordinate's rank, which sort the whole pool as one array."""
     pts, n = tree.pts, tree.n
-    ids = np.flatnonzero(pts.weights > 0.0)
-    ids = ids[np.lexsort((ids, pts.coords[ids, 0]))]
-    rows, parts = [ids], [np.zeros(1, dtype=np.int64)]
-    for k in range(1, tree.dim if n else 1):
-        next_rows, next_parts = [], []
-        for row, starts in zip(rows, parts):
-            for sorted_row, depth_starts in depth_rows(row, pts.coords[:, k], starts, tree.rows):
-                next_rows.append(sorted_row)
-                next_parts.append(depth_starts)
-        rows, parts = next_rows, next_parts
+    rows, parts = reference_levels(pts, tree.rows)[-1]
     assert np.array_equal(np.concatenate(rows), tree.pool_ids)
     first = tree.pool_ids[:n]
     rank = np.zeros(len(pts), dtype=np.int64)
@@ -213,36 +239,43 @@ def test_canonical_nodes_makes_no_numpy_call(rng):
     assert not numpy_calls
 
 
-def test_derived_arrays_are_counted_and_rebuilt_on_load(rng):
-    # the sorted last coordinates, last-coordinate ranks, pool colors and
-    # others_before are derived on build and on load: left out of the
-    # pickle, but counted by nbytes and space_stats
+def test_derived_arrays_are_counted_and_rebuilt_on_load(rng, tmp_path):
+    # an estimator file holds the points and the pool alone; every other
+    # tree array is derived on build and on load, and counted by nbytes and
+    # space_stats
     pts = random_pointset(rng, 300, d=2, m=7, weighted=True)
     index = EstimatorIndex(pts)
     tree = index.tree
-    derived = ("last_sorted", "last_rank", "pool_colors", "others_before")
-    assert tree.DERIVED == derived
+    assert tuple(index.to_arrays()[0]) == tree.STORED == ("coords", "colors", "weights",
+                                                         "pool_ids")
     cp = tree.color_prefix
     assert tree.last_rank.dtype == np.min_scalar_type(tree.n)
     assert tree.pool_ids.dtype == np.min_scalar_type(len(pts) - 1) == np.uint16
-    stored = (*tree.keys, tree.pool_ids, tree.wpre, tree.wlo, cp.keys, cp.wpre, cp.wlo)
-    extra = sum(getattr(tree, name).nbytes for name in derived)
-    assert extra > 0
-    assert tree.nbytes() == sum(a.nbytes for a in stored) + extra
+    derived = {"keys": tree.keys[0], "last_sorted": tree.last_sorted,
+               "last_rank": tree.last_rank, "wpre": tree.wpre, "wlo": tree.wlo,
+               "cp.keys": cp.keys, "cp.wpre": cp.wpre, "cp.wlo": cp.wlo,
+               "pool_colors": tree.pool_colors, "others_before": tree.others_before}
+    assert len(tree.keys) == 1
+    assert tree.nbytes() == tree.pool_ids.nbytes + sum(a.nbytes for a in derived.values())
     assert index.space_stats()["bytes"] == tree.nbytes()
-    assert not set(derived) & set(tree.__getstate__())
-    loaded = pickle.loads(pickle.dumps(tree))
-    for name in derived:
-        got, want = getattr(loaded, name), getattr(tree, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    save_index(tmp_path / "e.rqe", "estimator", index)
+    loaded = load_index(tmp_path / "e.rqe")[2].tree
+    lcp = loaded.color_prefix
+    got = {"keys": loaded.keys[0], "last_sorted": loaded.last_sorted,
+           "last_rank": loaded.last_rank, "wpre": loaded.wpre, "wlo": loaded.wlo,
+           "cp.keys": lcp.keys, "cp.wpre": lcp.wpre, "cp.wlo": lcp.wlo,
+           "pool_colors": loaded.pool_colors, "others_before": loaded.others_before}
+    for name, want in derived.items():
+        assert got[name].dtype == want.dtype and np.array_equal(got[name], want), name
     assert loaded.nbytes() == tree.nbytes()
-    # a plain tree stores only what the exact path reads: no weight prefix
+    # a plain tree derives only what the exact path reads: no weight prefix
     plain = RangeTree.build(pts)
-    assert plain.DERIVED == derived[:2]
-    assert set(plain.__getstate__()) == {"pts", "dim", "n", "rows", "keys", "pool_ids"}
-    assert plain.nbytes() == sum(a.nbytes for a in (*tree.keys, tree.pool_ids)) + sum(
-        getattr(tree, name).nbytes for name in derived[:2])
-    loaded = pickle.loads(pickle.dumps(plain))
+    arrays, scalars = plain.to_arrays()
+    assert tuple(arrays) == plain.STORED
+    assert plain.nbytes() == sum(a.nbytes for a in (tree.keys[0], tree.pool_ids,
+                                                    tree.last_sorted, tree.last_rank))
+    loaded = RangeTree.from_arrays(arrays, scalars)
+    assert not hasattr(loaded, "wpre")
     assert np.array_equal(loaded.last_rank, tree.last_rank)
 
 

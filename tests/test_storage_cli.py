@@ -1,6 +1,9 @@
 """Persistence round-trips, ingestion, and the CLI surface."""
 
+import hashlib
 import json
+import pickle
+import struct
 import subprocess
 import sys
 
@@ -194,6 +197,153 @@ def test_load_rejects_cross_kind(tmp_path, rng):
     storage.save_index(path, "exact1d", exact1d.Exact1DIndex(pts, 0.5))
     with pytest.raises(IndexKindMismatch):
         storage.load_index(path, expect_kind="exactnd")
+
+
+def held_arrays(obj, prefix=""):
+    """Every numpy array an index holds, by attribute path: its own, and
+    those of the library objects it holds (tree, color prefix, points),
+    its lists (keys) and its dicts (tables)."""
+    out = {}
+    for name in getattr(type(obj), "__slots__", None) or vars(obj):
+        value, path = getattr(obj, name), prefix + name
+        if isinstance(value, np.ndarray):
+            out[path] = value
+        elif isinstance(value, (list, dict)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            out.update((f"{path}[{key}]", a) for key, a in items)
+        elif type(value).__module__.startswith("entrange."):
+            out.update(held_arrays(value, path + "."))
+    return out
+
+
+def test_round_trip_stores_bit_equal_arrays_and_derives_the_rest(tmp_path, rng):
+    # a file holds the STORED arrays bit for bit; every other array the
+    # loaded index holds is derived again and equals the built one, dtype
+    # included; the stored ones come back read-only
+    cases = [(random_pointset(rng, 150, d=1, m=9, duplicate_frac=0.2),
+              random_pointset(rng, 150, d=2, m=9, weighted=True, duplicate_frac=0.2)),
+             (ColoredPointSet(np.zeros((0, 1)), np.zeros(0, dtype=np.int64)),
+              ColoredPointSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)))]
+    for kind, index in (pair for pts in cases for pair in _indexes_for_roundtrip(*pts)):
+        path = tmp_path / f"{kind}.rqe"
+        storage.save_index(path, kind, index)
+        loaded = storage.load_index(path, expect_kind=kind)[2]
+        stored, scalars = index.to_arrays()
+        got, got_scalars = loaded.to_arrays()
+        assert tuple(stored) == tuple(got) == type(index).STORED
+        assert got_scalars == scalars
+        for name, a in stored.items():
+            assert got[name].dtype == a.dtype and got[name].shape == a.shape, (kind, name)
+            assert got[name].tobytes() == a.tobytes(), (kind, name)
+        want, held = held_arrays(index), held_arrays(loaded)
+        assert held.keys() == want.keys()
+        for name, a in want.items():
+            assert held[name].dtype == a.dtype and np.array_equal(held[name], a), (kind, name)
+            if name.rsplit(".", 1)[-1] in type(index).STORED:
+                assert not held[name].flags.writeable, (kind, name)
+
+
+class _Touch:
+    """Pickles as a call that creates the file at ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (str(self.path), "w"))
+
+
+def test_load_never_unpickles(tmp_path):
+    payload = pickle.dumps(_Touch(tmp_path / "proof"))
+    pickle.loads(payload).close()   # the payload does run code when unpickled
+    assert (tmp_path / "proof").exists()
+    payload = pickle.dumps(_Touch(tmp_path / "sentinel"))
+    digest = hashlib.sha256(payload).hexdigest()
+    path = tmp_path / "pickled.rqe"
+    for header in ({"kind": "exact1d"},
+                   {"kind": "exact1d", "sha256": digest},
+                   {"kind": "exact1d", "sha256": digest, "arrays": [], "scalars": {}}):
+        raw = json.dumps(header).encode()
+        path.write_bytes(storage.MAGIC + bytes([storage.FORMAT_VERSION])
+                         + struct.pack(">I", len(raw)) + raw + payload)
+        with pytest.raises(NotAnIndex):
+            storage.load_index(path)
+        assert not (tmp_path / "sentinel").exists()
+
+
+def edit_header(data: bytes, edit) -> bytes:
+    """``data``, an index file, with ``edit`` applied to its parsed header."""
+    at = len(storage.MAGIC) + 1
+    (size,) = struct.unpack(">I", data[at:at + 4])
+    header = json.loads(data[at + 4:at + 4 + size])
+    edit(header)
+    raw = json.dumps(header).encode()
+    return data[:at] + struct.pack(">I", len(raw)) + raw + data[at + 4 + size:]
+
+
+def entry(name, **change):
+    """A header edit that changes the manifest entry of array ``name``;
+    a callable value maps the entry's old value to the new one."""
+    def edit(header):
+        found = next(e for e in header["arrays"] if e["name"] == name)
+        found.update((k, v(found[k]) if callable(v) else v) for k, v in change.items())
+    return edit
+
+
+def test_load_rejects_tampered_files(tmp_path, rng, capsys):
+    pts = random_pointset(rng, 40, d=1, m=5)
+    good = tmp_path / "good.rqe"
+    storage.save_index(good, "exact1d", exact1d.Exact1DIndex(pts, 0.5, (2.0,)))
+    data = good.read_bytes()
+    flipped = bytearray(data)
+    flipped[-1] ^= 0x01   # last byte of the payload
+    tampered = [
+        bytes(flipped),
+        data[:-1],
+        edit_header(data, lambda h: h.update(kind="exactnd")),
+        edit_header(data, lambda h: h.update(kind="estimator")),
+        edit_header(data, lambda h: h.pop("sha256")),
+        edit_header(data, lambda h: h.update(sha256="0" * 64)),
+        edit_header(data, lambda h: h.pop("scalars")),
+        edit_header(data, lambda h: h["scalars"].pop("t")),
+        edit_header(data, lambda h: h.update(arrays=h["arrays"][:-1])),
+        edit_header(data, lambda h: h["arrays"].append(dict(h["arrays"][0]))),
+        edit_header(data, lambda h: h["arrays"].append(dict(h["arrays"][0], name="extra"))),
+        edit_header(data, lambda h: h.update(arrays={})),
+        edit_header(data, entry("colors", dtype="|O")),
+        edit_header(data, entry("colors", dtype=">i8")),
+        edit_header(data, entry("colors", dtype="<c16")),
+        edit_header(data, entry("colors", dtype="junk")),
+        edit_header(data, entry("colors", offset=(len(data) // 64 + 1) * 64)),
+        edit_header(data, entry("weights", offset=lambda offset: offset + 8)),
+        edit_header(data, entry("colors", offset=-64)),
+        edit_header(data, entry("colors", nbytes=8)),
+        edit_header(data, entry("colors", shape=[1 << 40])),
+        edit_header(data, entry("colors", shape=[-40])),
+        edit_header(data, entry("colors", shape=[True])),
+        edit_header(data, entry("colors", shape=40)),
+        edit_header(data, entry("weights", shape=[20, 2])),
+        edit_header(data, entry("tables", shape=[3, 1], nbytes=24)),
+    ]
+    path = tmp_path / "bad.rqe"
+    for i, raw in enumerate(tampered):
+        path.write_bytes(raw)
+        with pytest.raises(NotAnIndex):
+            storage.load_index(path)
+        assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4, i
+    capsys.readouterr()
+
+
+def test_digest_is_checked_before_any_array_is_built(tmp_path, rng, monkeypatch):
+    pts = random_pointset(rng, 40, d=1, m=5)
+    path = tmp_path / "x.rqe"
+    storage.save_index(path, "exact1d", exact1d.Exact1DIndex(pts, 0.5))
+    data = bytearray(path.read_bytes())
+    data[-8] ^= 0x80
+    path.write_bytes(bytes(data))
+    monkeypatch.setattr(np, "frombuffer", lambda *a, **k: pytest.fail("array built"))
+    with pytest.raises(NotAnIndex, match="digest"):
+        storage.load_index(path)
 
 
 # ---------------------------------------------------------------------------

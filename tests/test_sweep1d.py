@@ -322,7 +322,8 @@ def test_layout_and_round_trip(tmp_path):
         assert idx.space_stats()["bytes"] == sum(a.nbytes for a in held)
         assert idx.rows.dtype == np.uint16
         assert not any(hasattr(idx, name) for name in ("left_counts", "y_root"))
-        assert not {"_powers", "y_rank"} & set(idx.__getstate__())
+        assert tuple(idx.to_arrays()[0]) == idx.STORED
+        assert not {"_powers", "y_rank"} & set(idx.STORED)
         path = tmp_path / f"{kind}.rqe"
         save_index(path, kind, idx)
         loaded = load_index(path, expect_kind=kind)[2]
@@ -342,10 +343,6 @@ def test_layout_and_round_trip(tmp_path):
                 assert got.count == sum(idx._powers[info["l_s"] + 1] for info in nodes)
 
 
-def stored_arrays(idx):
-    return {k: v for k, v in idx.__getstate__().items() if isinstance(v, np.ndarray)}
-
-
 @pytest.mark.parametrize("batch", [1, 61])
 def test_ladders_independent_of_batch_size(monkeypatch, batch):
     # a batch of one walk point puts every node in a batch of its own, each
@@ -354,10 +351,10 @@ def test_ladders_independent_of_batch_size(monkeypatch, batch):
     rng = np.random.default_rng(61)
     pts = random_pointset(rng, 200, d=1, m=12, duplicate_frac=0.3)
     builds = (lambda: build_shannon(pts, 0.4), lambda: build_renyi(pts, 0.4, 2.0))
-    want = [stored_arrays(build()) for build in builds]
+    want = [build().to_arrays()[0] for build in builds]
     monkeypatch.setattr(sweep1d, "_BATCH", batch)
     for build, ref in zip(builds, want):
-        got = stored_arrays(build())
+        got = build().to_arrays()[0]
         assert got.keys() == ref.keys()
         for name, a in got.items():
             assert a.dtype == ref[name].dtype and np.array_equal(a, ref[name]), name
