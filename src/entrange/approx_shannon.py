@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (SHANNON, ColoredPointSet, EntropyKind, EntropySummary, QueryRect,
-                   entropy_from_sums, power_term)
+                   entropy_from_sums, insert_color_shannon, power_term)
 from .errors import EmptyRange
 from .rangetree import ColorAwareRangeTree, ColorTrees, Pieces
 
@@ -295,17 +295,6 @@ def detect_heavy_color(index: EstimatorIndex, rect: QueryRect,
     return oracle.heavy_color(rng, cfg)
 
 
-def heavy_branch_combine(total: float, heavy: float, reduced_entropy: float) -> float:
-    """Entropy of the whole range from the heavy color's exact mass and the
-    entropy of everything else (the single-color delete rule, inverted)."""
-    rest = total - heavy
-    return (
-        (rest / total) * reduced_entropy
-        + (heavy / total) * math.log2(total / heavy)
-        + (rest / total) * math.log2(total / rest)
-    )
-
-
 def estimate_multiplicative(index: EstimatorIndex, rect: QueryRect, eps: float,
                             cfg: EstimatorConfig = DEFAULT_CONFIG,
                             rng: Optional[np.random.Generator] = None,
@@ -335,7 +324,9 @@ def estimate_multiplicative(index: EstimatorIndex, rect: QueryRect, eps: float,
         return EntropySummary(SHANNON, oracle.total_weight, 0.0)
 
     h_prime = _estimate_additive_on(index, reduced, eps, cfg, rng, stats)
-    value = heavy_branch_combine(heavy.total, heavy.weight, h_prime)
+    # the heavy color's exact mass inserted into the rest's summary
+    rest = EntropySummary(SHANNON, heavy.total - heavy.weight, h_prime)
+    value = insert_color_shannon(rest, heavy.weight).value
     if stats is not None:
         stats["mode"] += "+heavy"
         stats["heavy_color"] = heavy.color

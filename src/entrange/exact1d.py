@@ -49,7 +49,6 @@ import numpy as np
 
 from . import core
 from .core import (
-    ColorHistogram,
     ColorPrefix,
     ColoredPointSet,
     EntropyKind,
@@ -153,14 +152,6 @@ class Exact1DIndex:
                 S = np.cumsum(steps)[ends]
                 tables[kind][i, i + 1:] = core.entropy_from_power_sum(W, S, kind)
         return tables
-
-    def _table_value_naive(self, i: int, j: int, kind: EntropyKind) -> float:
-        """Direct recomputation of one table entry; build-correctness oracle."""
-        a, b = int(self.cuts[i]), int(self.cuts[j])
-        entries: dict[int, float] = {}
-        for c, w in zip(self.colors_sorted[a:b], self.weights_sorted[a:b]):
-            entries[int(c)] = entries.get(int(c), 0.0) + float(w)
-        return core.entropy_of(ColorHistogram(entries), kind).value
 
     # -- queries --------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Index persistence: magic-tagged, versioned, checked files, plus CSV ingestion.
 
-File layout (format 13): 7 magic bytes ``RQEIDX1``, one version byte, a
+File layout (format 14): 7 magic bytes ``RQEIDX1``, one version byte, a
 4-byte big-endian header length, a JSON header, then the payload of raw
 array buffers. Besides ``save_index``'s ``extra`` keys, the header holds:
 
@@ -18,8 +18,8 @@ which derives the rest with the same code its build runs):
 
   * exact1d: the points, and each table's entries above the diagonal;
   * exactnd and estimator: the points and the range tree's pool of ids;
-  * sweep-shannon and sweep-renyi: the points, the mapped points, the
-    tree's rows, the qualifying nodes' keys and slots, and the ladders.
+  * sweep-shannon and sweep-renyi: the points and the ladders (jump ranks,
+    their exponents and each node's run start).
 
 Loading never runs code: no pickle is involved. It checks the magic, then
 the version (a file of any other format version is refused), then the
@@ -27,10 +27,12 @@ kind (against an expected kind too, when given). It checks the payload's
 digest before it builds any array, and then that the manifest names
 exactly the kind's arrays, each of a fixed-width numeric dtype and with a
 shape, offset and length that fit the payload. The arrays come back as
-read-only views of the payload, with no copy. Every refusal raises an
-:class:`~.errors.IndexFileError` (CLI exit code 4): ``UnsupportedVersion``
-for another format version, ``IndexKindMismatch`` for an unexpected kind,
-and ``NotAnIndex`` for anything else.
+read-only views of the payload, with no copy. A sweep file's ladders are
+checked against the layout derived from its points before the index is
+used. Every refusal raises an :class:`~.errors.IndexFileError` (CLI exit
+code 4): ``UnsupportedVersion`` for another format version,
+``IndexKindMismatch`` for an unexpected kind, and ``NotAnIndex`` for
+anything else.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .exactnd import ExactNDIndex
 from .sweep1d import Sweep1DIndex
 
 MAGIC = b"RQEIDX1"
-FORMAT_VERSION = 13
+FORMAT_VERSION = 14
 ALIGN = 64   # every array's offset into the payload is a multiple of this
 
 INDEX_CLASSES = {

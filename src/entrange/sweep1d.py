@@ -24,68 +24,71 @@ A query tiles the mapped points with x in [a, b] by the primary nodes
 each of them the points with y < a are a prefix of its row slice, the
 node's cut, found by one bisection of that slice of ``y_rank``: each row
 entry's y-rank (0 for -infinity, k for the k-th smallest distinct
-coordinate), laid out depth after depth as in ``rows`` and derived from
-them on build and on load. The secondary descent over each prefix is
-integer Python too, and reads each canonical node's gid from
-``gid_slots``.
+coordinate), laid out depth after depth as in ``rows``. The secondary
+descent over each prefix is integer Python too, and reads each canonical
+node's gid from ``gid_slots``.
 
 A qualifying node v knows its color set U_v (its slice's colors) and the
 smallest mapped x-coordinate x_v. For the original points of those colors
-at coordinates >= x_v, two monotone step functions of the right endpoint b
-are precomputed on a (1+e')-geometric ladder:
+at coordinates in [x_v, b], with k_c points of color c, its power sum is
+S_v = sum over c of f(k_c), where f(k) = k log2 k (Shannon) or k^alpha
+(Renyi). S_v is a monotone step function of b, precomputed on a
+(1+e')-geometric ladder: it is stored as jumps where the exponent, the
+least e with (1+e')^e >= S_v, increases. Every jump sits on a point, so
+its position is its rank alone, the number of distinct coordinates <= its
+x, on the narrowest unsigned type that holds the U distinct coordinates
+(uint16 below 65,536). ``h_rank`` holds every node's run of jump ranks in
+gid order, ``h_exp`` their exponents on the narrowest type that holds the
+largest, and ``ladder_first`` each node's run start (one per node, and
+the pool's length last), so the rightmost jump <= b of a canonical node is
+a bisection of its own run.
 
-  * the running point count |P(U_v) cap [x_v, b]|, and
-  * F = count * H (Shannon) or G = sum of per-color count^alpha (Renyi),
+The points have unit weights, so the count W of [a, b] is exact: the
+difference of the two bisections of the sorted coordinates the walk makes
+anyway. A node whose rightmost jump <= b has exponent e holds S_v in
+((1+e')^(e-1), (1+e')^e], and the query adds the lower power; a node with
+no jump at or below b (under Shannon, one whose colors each have one point
+there) adds 0. The sum S_lo over the canonical nodes thus has
+S_lo <= S <= (1+e') S_lo, and the answer is
+:func:`~.core.entropy_from_sums` of (W, S_lo):
 
-stored as jumps where the exponent, the least e with (1+e')^e >= value,
-increases. Every jump sits on a point, so it is stored as its rank alone,
-the number of distinct coordinates <= its x, on the narrowest unsigned
-type that holds the U distinct coordinates (uint16 below 65,536). The two
-pools ``s_rank`` (counts) and ``h_rank`` (values) hold every node's run of
-jumps in gid order, and ``ladder_first`` where each node's runs start, so
-the rightmost jump <= b of a canonical node is a bisection of its own run.
-
-Value jumps keep their exponents in ``h_exp``, again on the narrowest type
-that holds the largest. Count jumps need none: with unit weights a walk's
-count rises one point at a time, so the exponents it takes on are a prefix
-of ``count_exps``, the distinct exponents of the counts 1..n, and a node's
-i-th count jump carries ``count_exps[i]``. Where a group of points on one
-coordinate makes the count skip exponents, the group's rank is repeated
-once per exponent reached, so that a bisection lands past all of them.
+  * Shannon: h = log2 W - S_lo/W, so H <= h <= H + e' S/W <= H + e' log2 W,
+    since S/W = log2 W - H. With e' = eps / max(1, log2 n) the excess is at
+    most eps. A range of one color (H = 0) answers in [0, e' log2 W], not
+    exactly 0.
+  * Renyi: h - H_a lies in [0, log2(1+e')/(alpha-1)] with e' = eps/2.
 
 ``_powers`` holds (1+e')^e for e in -1 up to the largest stored exponent,
 at index e + 1. The build chooses exponents against this table and the
-queries read bounds from it, so both see the same powers; it is derived on
-build and on load, and not stored.
+queries read bounds from it, so both see the same powers.
+
+An index file holds the points and the three ladder arrays. The mapped
+points, the sorted distinct coordinates, the rows, ``node_keys``,
+``gid_slots``, ``y_rank`` and the powers table are derived from the points
+by the same code on build and on load, and a loaded ladder is checked
+before any query reads it: one run per node, ranks in 1..U, ranks and
+exponents strictly rising within a run, and no exponent above what a build
+of the same n and eps can reach.
 
 Ladders are built for batches of nodes whose walks total at most 2^15
 points, so a build holds about 4 MB of temporaries besides the index it
 writes. A batch's walks are put in order by one stable sort of the int64
 keys ``node * (U + 1) + rank``. The counts along a walk are integers in
-1..n, so the count exponents, the Shannon terms k log2 k or Renyi terms
-k^alpha, and their steps f(k) - f(k-1) are gathers from tables over 0..n
-built once per index; a walk's value is the running sum of its steps.
-Value exponents take the log guess and its fix-ups against the powers
-table. A node's count run length follows from its walk length alone, so
-``s_rank`` is allocated once on the rank type and each batch fills its
-own slice in place; a batch's value ranks and exponents are narrowed
-before they are kept (exponents to a type that holds the table's top),
-and joined once at the end.
+1..n, so the steps f(k) - f(k-1) are gathers from a table over 0..n built
+once per index; a walk's value is the running sum of its steps. Exponents
+take the log guess and its fix-ups against the powers table. A batch's
+ranks and exponents are narrowed before they are kept (exponents to a type
+that holds the table's top), and joined once at the end.
 
-A query gets a count estimate within one (1+e') factor and a value
-estimate within another. Shannon results are folded pairwise on Python
-floats with the disjoint-union rule (balanced, so the per-merge inflation
-stays within the shrunken e'), Renyi results close over the power-sum ratio
-directly. A query makes no numpy call at all: it is integer and float
-arithmetic plus C bisections on the arrays' memoryviews, which cost no
-dispatch and, past the first bisections of [a, b] among the coordinates,
-touch only a few cache lines per node. ``canonical_debug`` shares the walk
-and reads each node's colors and x_v back from the rows, on any index.
+A query makes no numpy call at all: it is integer and float arithmetic
+plus C bisections on the arrays' memoryviews, which cost no dispatch and,
+past the first bisections of [a, b] among the coordinates, touch only a
+few cache lines per node.
 
 Guarantees are deterministic, not statistical: the Shannon answer h obeys
 H <= h <= (1+eps)H + eps and the Renyi answer H_a <= h <= H_a +
-eps*(alpha+1)/(alpha-1) for every query. Only unit weights are supported;
-the count ladders are integer-based.
+eps*(alpha+1)/(alpha-1) for every query, and the count is exact. Only unit
+weights are supported: W is a count of points.
 """
 
 from __future__ import annotations
@@ -102,18 +105,13 @@ from .core import (
     EntropySummary,
     QueryRect,
     SHANNON,
+    entropy_from_sums,
     renyi_kind,
 )
 from .errors import WeightsNotSupported
 from .rangetree import depth_rows, refine_spans, tile
 
-MERGE_DEPTH_C = 4  # constant in the Shannon eps shrink: eps / (4*c*loglog n)
 _BATCH = 1 << 15  # walk points per ladder-building batch: about 4 MB of temporaries
-
-
-def _shrink_eps_shannon(eps: float, n: int) -> float:
-    loglog = math.log2(max(2.0, math.log2(max(4, n))))
-    return eps / (4.0 * MERGE_DEPTH_C * max(1.0, loglog))
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -170,11 +168,6 @@ def _exponents(values: np.ndarray, powers: np.ndarray, log_base: float) -> np.nd
     return e
 
 
-def _count_exponents(n: int, powers: np.ndarray, log_base: float) -> np.ndarray:
-    """``_exponents`` of the counts 0..n as a table (entry 0 unused)."""
-    return np.concatenate(([0], _exponents(np.arange(1.0, n + 1), powers, log_base)))
-
-
 def _narrow(a: np.ndarray) -> np.ndarray:
     """``a`` (nonnegative integers) on the narrowest unsigned type that holds its largest."""
     return a.astype(np.min_scalar_type(int(a.max()) if len(a) else 0))
@@ -183,18 +176,39 @@ def _narrow(a: np.ndarray) -> np.ndarray:
 class Sweep1DIndex:
     """Shared engine for the Shannon and Renyi variants (see build_*)."""
 
-    STORED = ("coords", "colors", "weights", "mx", "my", "mcolor", "ucoords", "rows",
-              "node_keys", "gid_slots", "s_rank", "count_exps", "h_rank", "h_exp",
+    STORED = ("coords", "colors", "weights", "h_rank", "h_exp",
               "ladder_first")   # a file holds the points' arrays, then these; see to_arrays
 
     def __init__(self, pts: ColoredPointSet, eps: float, alpha: Optional[float] = None):
+        cx, ccol = self._derive(pts, eps, alpha)
+        self._build_ladders(cx, ccol)
+        self._powers = _power_table(self._base, int(self.h_exp.max()) if len(self.h_exp) else 0)
+
+    def _derive(self, pts: ColoredPointSet, eps: float,
+                alpha: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Everything but the ladders, from the points, eps and alpha, on
+        build and on load: the mapped points, the tree's rows, the
+        qualifying nodes and their slots, and each row entry's y-rank.
+        Returns the coordinates and colors in (color, coordinate) order."""
         if pts.dim != 1:
             raise ValueError("sweep index requires 1-D points")
         if len(pts) and not np.all(pts.weights == 1.0):
             raise WeightsNotSupported("sweep structures are count-based; weights must be 1")
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {eps}")
         self.pts = pts
-        self._set_params(eps, alpha)
-        n = self.n
+        self.n = n = len(pts)
+        self.eps = float(eps)
+        self.alpha = None if alpha is None else float(alpha)
+        self.kind: EntropyKind = SHANNON if alpha is None else renyi_kind(alpha)
+        if alpha is None:
+            self.eps_prime = self.eps / max(1.0, math.log2(max(n, 1)))
+        else:
+            self.eps_prime = self.eps / 2.0
+        self._base = 1.0 + self.eps_prime
+        if self._base == 1.0:
+            raise ValueError(f"eps {eps} is too small for a ladder step above 1.0")
+        self._log_base = math.log(self._base)
 
         # each color's points in coordinate order, and the (p_j, p_{j-1}) mapping
         coords = pts.coords[:, 0]
@@ -229,37 +243,46 @@ class Sweep1DIndex:
         self.node_keys, gids = np.unique(np.concatenate(keys), return_inverse=True)
         self.gid_slots = np.full(2 * n * depths, -1, dtype=np.int32)
         self.gid_slots[np.concatenate(slots)] = gids
-        self._build_ladders(cx, ccol)
-        self._derive()
-
-    def _set_params(self, eps: float, alpha: Optional[float]) -> None:
-        """eps and alpha, and the scalars that follow from them and n."""
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {eps}")
-        self.eps = float(eps)
-        self.alpha = None if alpha is None else float(alpha)
-        self.kind: EntropyKind = SHANNON if alpha is None else renyi_kind(alpha)
-        self.n = len(self.pts)
-        if alpha is None:
-            self.eps_prime = _shrink_eps_shannon(eps, self.n)
-        else:
-            self.eps_prime = eps / 2.0
-        self._base = 1.0 + self.eps_prime
-        self._log_base = math.log(self._base)
-
-    def _derive(self) -> None:
-        """The powers table, up to the largest stored exponent, and the
-        y-rank of every row entry, on the narrowest type that holds U: on
-        build and on load."""
-        top = max((int(a.max()) for a in (self.count_exps, self.h_exp) if len(a)), default=0)
-        self._powers = _power_table(self._base, top)
         y_rank = np.where(np.isneginf(self.my), 0, self.ucoords.searchsorted(self.my) + 1)
         self.y_rank = y_rank.astype(np.min_scalar_type(len(self.ucoords)))[self.rows.ravel()]
+        return cx, ccol
+
+    def _terms(self) -> tuple[np.ndarray, int]:
+        """f over the counts 0..n, k log2 k (Shannon) or k^alpha (Renyi), and
+        the top exponent of the build's powers table: no S_v exceeds f(n),
+        so no log guess exceeds top - 6."""
+        n = self.n
+        k = np.arange(n + 1, dtype=np.float64)
+        if self.alpha is None:
+            f = np.zeros(n + 1)
+            f[1:] = k[1:] * np.log2(k[1:])
+        else:
+            f = k**self.alpha
+        return f, math.ceil(math.log(max(n, f[-1], 1.0)) / self._log_base) + 6
+
+    def _check_ladders(self) -> None:
+        """Refuses (ValueError) stored ladders that no build of these points,
+        eps and alpha writes, before a query or the powers table reads them."""
+        first, rank, exp = self.ladder_first, self.h_rank, self.h_exp
+        if any(a.ndim != 1 or a.dtype.kind not in "ui" for a in (first, rank, exp)):
+            raise ValueError("ladder arrays must be 1-D integer arrays")
+        first = first.astype(np.int64)
+        if (len(first) != len(self.node_keys) + 1 or first[0] != 0
+                or first[-1] != len(rank) or len(exp) != len(rank) or (np.diff(first) < 0).any()):
+            raise ValueError("ladder_first does not delimit one run per qualifying node")
+        if len(rank) and not (1 <= rank.min() and rank.max() <= len(self.ucoords)
+                              and 0 <= exp.min() and exp.max() <= self._terms()[1]):
+            raise ValueError("ladder rank or exponent out of range")
+        rises = (rank[1:] > rank[:-1]) & (exp[1:] > exp[:-1])   # jump i + 1 over jump i
+        starts = first[1:-1]
+        rises[starts[(starts > 0) & (starts < len(rank))] - 1] = True   # i + 1 starts a run
+        if not rises.all():
+            raise ValueError("ladder ranks and exponents must rise within each run")
 
     def to_arrays(self) -> tuple[dict, dict]:
-        """The arrays and scalars an index file holds: the points, the
-        mapped points, the tree and the ladders (``STORED``), eps and
-        alpha; :meth:`from_arrays` derives the rest."""
+        """The arrays and scalars an index file holds: the points and the
+        ladders (``STORED``), eps and alpha; :meth:`from_arrays` derives the
+        rest."""
         arrays, scalars = self.pts.to_arrays()
         arrays.update((name, getattr(self, name)) for name in self.STORED[3:])
         return arrays, {**scalars, "eps": self.eps, "alpha": self.alpha}
@@ -267,11 +290,12 @@ class Sweep1DIndex:
     @classmethod
     def from_arrays(cls, arrays: dict, scalars: dict) -> "Sweep1DIndex":
         index = cls.__new__(cls)
-        index.pts = ColoredPointSet.from_arrays(arrays, scalars)
-        index._set_params(scalars["eps"], scalars["alpha"])
+        index._derive(ColoredPointSet.from_arrays(arrays, scalars),
+                      scalars["eps"], scalars["alpha"])
         for name in cls.STORED[3:]:
             setattr(index, name, arrays[name])
-        index._derive()
+        index._check_ladders()
+        index._powers = _power_table(index._base, int(index.h_exp.max()) if len(index.h_exp) else 0)
         return index
 
     # -- construction ---------------------------------------------------------
@@ -314,66 +338,32 @@ class Sweep1DIndex:
         keep = (hi - lo > 1) | ~np.isin(lo, stale)
         return lo[keep], hi[keep]
 
-    def _node(self, gid: int) -> tuple[np.ndarray, float]:
-        """Colors (in row order) and x_v of qualifying node ``gid``."""
-        depth, start, stop = self._spans(gid)
-        ids = self.rows[depth, start:stop]
-        return self.mcolor[ids], float(self.mx[ids].min())
-
     def _build_ladders(self, cx: np.ndarray, ccol: np.ndarray) -> None:
-        """Both ladders of every qualifying node, in gid order, built for
+        """The ladder of every qualifying node, in gid order, built for
         batches of nodes whose walks total at most ``_BATCH`` points."""
         crank = self.ucoords.searchsorted(cx, side="right")
         ckey = ccol * self._stride + crank  # sorted: colors, then coordinates
         _, start, stop = self._spans(slice(None))
         walk_len = [np.zeros(0, dtype=np.int64)]
         for g0, g1 in _batches(stop - start):
-            seg, lo, hi, _ = self._walk_runs(g0, g1, ckey)
+            seg, lo, hi = self._walk_runs(g0, g1, ckey)
             walk_len.append(np.bincount(seg, hi - lo, minlength=g1 - g0).astype(np.int64))
         walk_len = np.concatenate(walk_len)
-        # tables over the integer counts 0..n that walks look up: each
-        # count's place in count_exps, k log2 k (Shannon) or k^alpha (Renyi),
-        # and the latter's steps f(k) - f(k-1)
-        n = self.n
-        k = np.arange(n + 1, dtype=np.float64)
-        if self.alpha is None:
-            f = np.zeros(n + 1)
-            f[1:] = k[1:] * np.log2(k[1:])
-        else:
-            f = k**self.alpha
-        # no count or value exceeds max(n, f(n)), so neither does a log guess
-        top = math.ceil(math.log(max(n, f[-1], 1.0)) / self._log_base) + 6
-        powers = _power_table(self._base, top)
-        # count 0's entry is unused, and equal to count 1's
-        count_exps, count_place = np.unique(_count_exponents(n, powers, self._log_base),
-                                            return_inverse=True)
-        exp_type = np.min_scalar_type(top)
-        tables = (count_place, f, np.diff(f, prepend=0.0), powers, exp_type)
-        # the count pool is allocated once, and each batch fills its slice
-        s_len = count_place[walk_len] + 1
-        s_first = np.concatenate(([0], np.cumsum(s_len)))
-        rank_type = np.min_scalar_type(len(self.ucoords))
-        self.s_rank = np.empty(s_first[-1], dtype=rank_type)
-        parts = [(np.zeros(0, dtype=rank_type), np.zeros(0, dtype=np.int64),
-                  np.zeros(0, dtype=exp_type))]
-        parts += [self._ladders(g0, g1, ckey, crank, tables,
-                                self.s_rank[s_first[g0]:s_first[g1]])
+        f, top = self._terms()
+        tables = (np.diff(f, prepend=0.0), _power_table(self._base, top),
+                  np.min_scalar_type(len(self.ucoords)), np.min_scalar_type(top))
+        parts = [(np.zeros(0, dtype=tables[2]), np.zeros(0, dtype=np.int64),
+                  np.zeros(0, dtype=tables[3]))]
+        parts += [self._ladders(g0, g1, ckey, crank, tables, walk_len[g0:g1])
                   for g0, g1 in _batches(walk_len)]
-        h_rank, h_len, h_exp = map(np.concatenate, zip(*parts))
-        self.count_exps = _narrow(count_exps)
-        self.h_rank, self.h_exp = h_rank, _narrow(h_exp)
-        # where each node's run starts in the count pool (even entries) and
-        # the value pool (odd entries), side by side so that one cache line
-        # serves both lookups of a node
-        first = np.zeros((len(s_len) + 1, 2), dtype=np.int64)
-        np.cumsum(np.stack([s_len, h_len], axis=1), axis=0, out=first[1:])
-        self.ladder_first = _narrow(first.ravel())
+        self.h_rank, h_len, h_exp = map(np.concatenate, zip(*parts))
+        self.h_exp = _narrow(h_exp)
+        self.ladder_first = _narrow(np.concatenate(([0], np.cumsum(h_len))))
 
     def _walk_runs(self, g0: int, g1: int, ckey: np.ndarray):
         """Walk runs of nodes g0..g1-1. For each (node, color), in gid and
         then row order: the node's offset in the batch, and the run [lo, hi)
-        of that color's points at or after x_v in the color-sorted order.
-        Also each node's number of colors."""
+        of that color's points at or after x_v in the color-sorted order."""
         stride = self._stride
         depth, start, stop = self._spans(slice(g0, g1))
         sizes = stop - start
@@ -383,63 +373,46 @@ class Sweep1DIndex:
         x_v = np.minimum.reduceat(self.mx[ids], np.cumsum(sizes) - sizes)
         lo = ckey.searchsorted(colors * stride + self.ucoords.searchsorted(x_v, "right")[seg])
         hi = ckey.searchsorted((colors + 1) * stride)
-        return seg, lo, hi, sizes
+        return seg, lo, hi
 
     def _ladders(self, g0: int, g1: int, ckey: np.ndarray, crank: np.ndarray, tables,
-                 s_rank: np.ndarray):
-        """Ladders of nodes g0..g1-1: writes their count jumps' ranks into
-        ``s_rank``, their slice of the count pool, and returns the value
-        pool's ranks (on the pool's type), run lengths and exponents.
+                 walk_len: np.ndarray):
+        """Ladders of nodes g0..g1-1, whose walks have ``walk_len`` points:
+        their jumps' ranks, run lengths and exponents.
 
         A node's walk is its colors' points at or after x_v, in coordinate
-        order (ties in row order). Both ladders step at the last point of
-        each coordinate: the count ladder at every one, the value ladder
-        where the value is positive, for nodes of two or more colors under
-        Shannon. ``tables`` holds each count's place in ``count_exps``, f
-        (k log2 k or k^alpha) and f's steps f(k) - f(k-1), each over the
-        counts 0..n, the powers table and a type that holds every exponent."""
-        count_place, f, f_step, powers, exp_type = tables
-        seg, lo, hi, sizes = self._walk_runs(g0, g1, ckey)
+        order (ties in row order). The ladder steps at the last point of
+        each coordinate where S_v is positive and its exponent rises.
+        ``tables`` holds f's steps f(k) - f(k-1) over the counts 0..n, the
+        powers table, and the types that hold every rank and exponent."""
+        f_step, powers, rank_type, exp_type = tables
+        seg, lo, hi = self._walk_runs(g0, g1, ckey)
         lens = hi - lo
         idx = _ranges(lo, lens)
         wseg = np.repeat(seg, lens)
-        stride = self._stride
-        order = np.argsort(wseg * stride + crank[idx], kind="stable")
+        order = np.argsort(wseg * self._stride + crank[idx], kind="stable")
         # a point's occurrence rank within its color is its place in its run
         nc = _ranges(np.ones_like(lens), lens)[order]
         idx, wseg = idx[order], wseg[order]
         walk_x = crank[idx]
-        m = len(idx)
-        walk_len = np.bincount(seg, lens, minlength=g1 - g0).astype(np.int64)
-        first = np.cumsum(walk_len) - walk_len
-        t_pref = _segment_cumsum(f_step[nc], first, walk_len)
-        totals = np.arange(m) - np.repeat(first, walk_len) + 1
-        group_end = np.ones(m, dtype=bool)
+        t_pref = _segment_cumsum(f_step[nc], np.cumsum(walk_len) - walk_len, walk_len)
+        group_end = np.ones(len(idx), dtype=bool)
         group_end[:-1] = (walk_x[1:] != walk_x[:-1]) | (wseg[1:] != wseg[:-1])
-        g_seg, g_x, g_tot = wseg[group_end], walk_x[group_end], totals[group_end]
-        if self.alpha is None:
-            g_val = f[g_tot] - t_pref[group_end]
-            positive = (g_val > 0.0) & (sizes[g_seg] > 1)
-        else:
-            g_val = t_pref[group_end]
-            positive = g_val > 0.0
-        # a group's rank, once per count exponent it reaches first
-        place = count_place[g_tot]
-        before = np.roll(place, 1)
-        before[np.diff(g_seg, prepend=-1) != 0] = -1
-        s_rank[:] = np.repeat(g_x, place - before)
-        # a value jump where the exponent rises within the node
-        segs, xs = g_seg[positive], g_x[positive]
+        g_val = t_pref[group_end]
+        positive = g_val > 0.0
+        segs, xs = wseg[group_end][positive], walk_x[group_end][positive]
         e = _exponents(g_val[positive], powers, self._log_base)
         keep = np.ones(len(e), dtype=bool)
         keep[1:] = (e[1:] > e[:-1]) | (segs[1:] != segs[:-1])
-        return (xs[keep].astype(s_rank.dtype), np.bincount(segs[keep], minlength=g1 - g0),
+        return (xs[keep].astype(rank_type), np.bincount(segs[keep], minlength=g1 - g0),
                 e[keep].astype(exp_type))
 
-    # -- canonical node collection ---------------------------------------------
+    # -- queries -------------------------------------------------------------------
 
-    def _canonical_gids(self, a: float, b: float, stats: Optional[dict] = None) -> list[int]:
-        """Gids of the canonical nodes of [a, b], left to right."""
+    def _canonical(self, a: float, b: float,
+                   stats: Optional[dict] = None) -> tuple[int, list[int]]:
+        """The number of points in [a, b], and the gids of its canonical
+        nodes, left to right."""
         n, mx = self.n, self.mx.data
         ilo, ihi = bisect.bisect_left(mx, a), bisect.bisect_right(mx, b)
         r_a = bisect.bisect_left(self.ucoords.data, a) + 1  # y < a iff y-rank < r_a
@@ -468,111 +441,40 @@ class Sweep1DIndex:
             stats["canonical_nodes"] = len(gids)
         if -1 in gids:
             raise AssertionError("canonical node with duplicated colors")
-        return gids
-
-    # -- ladder lookups ----------------------------------------------------------
-
-    def _node_exponents(self, gids: list[int], b: float):
-        """Per node: the exponents of the rightmost count and value jumps at
-        or below b (None for a value ladder without one), each bisected
-        within the node's own run of its pool."""
-        s_rank, h_rank, h_exp, count_exps, first = (a.data for a in (
-            self.s_rank, self.h_rank, self.h_exp, self.count_exps, self.ladder_first))
-        rank = bisect.bisect_right(self.ucoords.data, b)
-        l_s, l_h = [], []
-        for gid in gids:
-            j = 2 * gid
-            lo = first[j]
-            i = bisect.bisect_right(s_rank, rank, lo, first[j + 2])
-            if i == lo:
-                raise AssertionError("ladder probed before its first jump")
-            l_s.append(count_exps[i - lo - 1])
-            lo = first[j + 1]
-            i = bisect.bisect_right(h_rank, rank, lo, first[j + 3])
-            l_h.append(h_exp[i - 1] if i > lo else None)
-        return l_s, l_h
-
-    # -- queries -------------------------------------------------------------------
+        return max(ihi - ilo, 0), gids
 
     def query(self, rect: QueryRect, stats: Optional[dict] = None) -> EntropySummary:
-        """Estimate of the entropy of the points in ``rect``. ``stats``
-        receives ``primary_nodes`` and ``canonical_nodes``."""
+        """Estimate of the entropy of the points in ``rect``, with their
+        exact count. ``stats`` receives ``primary_nodes`` and
+        ``canonical_nodes``."""
         if rect.dim != 1:
             raise ValueError("query rect must be 1-D")
         a, b = rect.lo[0], rect.hi[0]
-        gids = self._canonical_gids(a, b, stats)
-        if not gids:
-            return EntropySummary.empty(self.kind)
-        l_s, l_h = self._node_exponents(gids, b)
-        pw = self._powers.data  # pw[e + 1] = base**e
-        hi_w = [pw[l + 1] for l in l_s]
-        if self.alpha is None:
-            lo_w = [pw[l] for l in l_s]
-            h_v = [0.0 if l is None else pw[l + 1] / lo for l, lo in zip(l_h, lo_w)]
-            count, value = fold_shannon(h_v, hi_w, lo_w)
-            return EntropySummary(SHANNON, count, value)
-        if None in l_h:
-            raise AssertionError("value ladder probed before its first jump")
-        count = sum(hi_w)
-        den = sum(pw[l] for l in l_h)
-        value = math.log2(count**self.alpha / den) / (self.alpha - 1.0)
-        return EntropySummary(self.kind, count, value)
-
-    # -- introspection ----------------------------------------------------------
-
-    def canonical_debug(self, rect: QueryRect) -> list[dict]:
-        """Per-canonical-node view of a query, for invariant checks."""
-        a, b = rect.lo[0], rect.hi[0]
-        gids = self._canonical_gids(a, b)
-        if not gids:
-            return []
-        l_s, l_h = self._node_exponents(gids, b)
-        pw = self._powers.data
-        out = []
-        for gid, ls, lh in zip(gids, l_s, l_h):
-            colors, x_v = self._node(gid)
-            out.append(dict(
-                colors=tuple(colors.tolist()), x_v=x_v, gid=gid, l_s=ls, l_h=lh,
-                count_hi=pw[ls + 1], count_lo=pw[ls],
-                estimate=0.0 if lh is None else pw[lh + 1] / pw[ls],
-            ))
-        return out
+        count, gids = self._canonical(a, b, stats)
+        h_rank, h_exp, first, pw = (arr.data for arr in (
+            self.h_rank, self.h_exp, self.ladder_first, self._powers))
+        rank = bisect.bisect_right(self.ucoords.data, b)
+        s_lo = 0.0
+        for gid in gids:
+            # the lower power of the node's rightmost jump at or below b
+            lo = first[gid]
+            i = bisect.bisect_right(h_rank, rank, lo, first[gid + 1])
+            if i > lo:
+                s_lo += pw[h_exp[i - 1]]   # pw[e] = base**(e - 1)
+        return EntropySummary(self.kind, float(count), entropy_from_sums(count, s_lo, self.kind))
 
     def space_stats(self) -> dict:
         arrays = (self.mx, self.my, self.mcolor, self.ucoords, self.rows, self.y_rank,
-                  self.gid_slots, self.node_keys, self.s_rank, self.h_rank, self.h_exp,
-                  self.count_exps, self.ladder_first, self._powers)
+                  self.gid_slots, self.node_keys, self.h_rank, self.h_exp,
+                  self.ladder_first, self._powers)
         return {
             "points": self.n,
             "eps": self.eps,
             "eps_prime": self.eps_prime,
-            "ladder_entries": int(len(self.s_rank) + len(self.h_rank)),
+            "ladder_entries": len(self.h_rank),
             "qualifying_nodes": len(self.node_keys),
             "bytes": int(sum(a.nbytes for a in arrays)),
         }
-
-
-def fold_shannon(h: list[float], hi: list[float], lo: list[float]) -> tuple[float, float]:
-    """(count, entropy) of disjoint parts with count estimates in [lo, hi]
-    and entropy estimates h, merged pairwise with the disjoint-union rule.
-    Each round pairs neighbours left to right and carries an odd last part
-    over, so the merge depth is ceil(log2 |V|), as the eps budget assumes."""
-    log2 = math.log2
-    while len(h) > 1:
-        nh, nhi, nlo = [], [], []
-        for i in range(1, len(h), 2):
-            a_h, b_h, a_hi, b_hi, a_lo, b_lo = h[i - 1], h[i], hi[i - 1], hi[i], lo[i - 1], lo[i]
-            s_hi = a_hi + b_hi
-            nh.append((a_hi * a_h + b_hi * b_h
-                       + a_hi * log2(s_hi / a_lo) + b_hi * log2(s_hi / b_lo)) / (a_lo + b_lo))
-            nhi.append(s_hi)
-            nlo.append(a_lo + b_lo)
-        if len(h) % 2:
-            nh.append(h[-1])
-            nhi.append(hi[-1])
-            nlo.append(lo[-1])
-        h, hi, lo = nh, nhi, nlo
-    return hi[0], h[0]
 
 
 def build_shannon(pts: ColoredPointSet, eps: float) -> Sweep1DIndex:

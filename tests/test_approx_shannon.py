@@ -19,9 +19,15 @@ from entrange.approx_shannon import (
     detect_heavy_color,
     estimate_additive,
     estimate_multiplicative,
-    heavy_branch_combine,
 )
-from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
+from entrange.core import (
+    ColoredPointSet,
+    EntropySummary,
+    QueryRect,
+    SHANNON,
+    insert_color_shannon,
+    renyi_kind,
+)
 from entrange.errors import EmptyRange
 from entrange.oracle import brute_entropy, brute_histogram
 
@@ -166,7 +172,7 @@ def test_heavy_branch_exact_identity(rng):
     index = EstimatorIndex(pts)
     truth = brute_entropy(pts, FULL, SHANNON).value
     reduced = index.oracle(FULL, excluded=0)
-    h = heavy_branch_combine(100.0, 80.0, reduced.exact_entropy())
+    h = insert_color_shannon(EntropySummary(SHANNON, 20.0, reduced.exact_entropy()), 80.0).value
     assert abs(h - truth) < 1e-9
 
 

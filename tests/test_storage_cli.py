@@ -1,5 +1,6 @@
 """Persistence round-trips, ingestion, and the CLI surface."""
 
+import copy
 import hashlib
 import json
 import pickle
@@ -344,6 +345,81 @@ def test_digest_is_checked_before_any_array_is_built(tmp_path, rng, monkeypatch)
     monkeypatch.setattr(np, "frombuffer", lambda *a, **k: pytest.fail("array built"))
     with pytest.raises(NotAnIndex, match="digest"):
         storage.load_index(path)
+
+
+def changed(a, at, value):
+    """A copy of ``a`` with ``a[at] = value``."""
+    a = a.copy()
+    a[at] = value
+    return a
+
+
+def test_load_refuses_sweep_ladders_no_build_writes(tmp_path, rng, capsys):
+    # every file is written by save_index, so its digest and manifest are
+    # right: only the ladders (or the points) are not what a build of its
+    # points, eps and alpha writes
+    pts = random_pointset(rng, 60, d=1, m=6)
+    path = tmp_path / "bad.rqe"
+    for kind, idx in (("sweep-shannon", sweep1d.build_shannon(pts, 0.3)),
+                      ("sweep-renyi", sweep1d.build_renyi(pts, 0.3, 2.0))):
+        first, rank, exp = (a.astype(np.int64)
+                            for a in (idx.ladder_first, idx.h_rank, idx.h_exp))
+        g = int(np.argmax(np.diff(first) >= 2))   # a node with two jumps or more
+        j, top = first[g], idx._terms()[1]
+        delimit, bounds, rise = "one run per", "out of range", "rise within"
+        cases = {   # name: (what the refusal names, the arrays that differ)
+            "one run start short": (delimit, dict(ladder_first=first[:-1])),
+            "runs start past 0": (delimit, dict(ladder_first=changed(first, 0, 1))),
+            "run starts fall": (delimit, dict(ladder_first=changed(first, g + 1, first[g] - 1))),
+            "runs end short of the pool": (delimit, dict(h_rank=rank[:-1], h_exp=exp[:-1])),
+            "fewer exponents than ranks": (delimit, dict(h_exp=exp[:-1])),
+            "rank 0": (bounds, dict(h_rank=changed(rank, j, 0))),
+            "rank above U": (bounds, dict(h_rank=changed(rank, -1, len(idx.ucoords) + 1))),
+            "negative exponent": (bounds, dict(h_exp=changed(exp, j, -1))),
+            "exponent above the build's top": (bounds, dict(h_exp=changed(exp, -1, top + 1))),
+            # would size the powers table at 8 TB
+            "huge exponent": (bounds, dict(h_exp=changed(exp, -1, 10**12))),
+            "ranks flat in a run": (rise, dict(h_rank=changed(rank, j + 1, rank[j]))),
+            "exponents flat in a run": (rise, dict(h_exp=changed(exp, j + 1, exp[j]))),
+            "float ranks": ("integer arrays", dict(h_rank=rank.astype(np.float64))),
+            "2-D run starts": ("integer arrays", dict(ladder_first=first[:, None])),
+            "non-unit weights": ("weights must be 1", dict(
+                pts=ColoredPointSet(pts.coords, pts.colors, np.full(len(pts), 2.0)))),
+            "2-D points": ("1-D points", dict(
+                pts=ColoredPointSet(np.repeat(pts.coords, 2, axis=1), pts.colors))),
+            "eps below a float step": ("too small", dict(eps=1e-300)),
+        }
+        storage.save_index(path, kind, copy.copy(idx))
+        storage.load_index(path, expect_kind=kind)   # an unchanged copy loads
+        for name, (reason, arrays) in cases.items():
+            tampered = copy.copy(idx)
+            for attr, value in arrays.items():
+                setattr(tampered, attr, value)
+            storage.save_index(path, kind, tampered)
+            with pytest.raises(NotAnIndex, match=reason):
+                storage.load_index(path)
+            assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4, (kind, name)
+    capsys.readouterr()
+
+
+def test_format_13_sweep_files_are_refused(tmp_path, rng):
+    # format 13 stored the sweep's mapped points, rows, node keys, slots and
+    # count ladder: its version byte is refused, and so is its layout
+    # behind a format-14 byte
+    pts = random_pointset(rng, 40, d=1, m=5)
+    path = tmp_path / "s.rqe"
+    storage.save_index(path, "sweep-renyi", sweep1d.build_renyi(pts, 0.3, 2.0))
+    data = bytearray(path.read_bytes())
+    data[len(storage.MAGIC)] = 13
+    path.write_bytes(bytes(data))
+    with pytest.raises(UnsupportedVersion, match="version 13"):
+        storage.load_index(path)
+    data[len(storage.MAGIC)] = storage.FORMAT_VERSION
+    for name in ("gid_slots", "s_rank", "count_exps"):
+        path.write_bytes(edit_header(bytes(data), lambda h: h["arrays"].append(
+            dict(h["arrays"][-1], name=name))))
+        with pytest.raises(NotAnIndex, match="manifest names"):
+            storage.load_index(path)
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
+from entrange.core import (
+    ColoredPointSet,
+    EntropySummary,
+    QueryRect,
+    SHANNON,
+    entropy_from_sums,
+    renyi_kind,
+)
 from entrange.errors import WeightsNotSupported
 from entrange.oracle import brute_entropy
 from entrange import sweep1d
 from entrange.storage import load_index, save_index
 from entrange.sweep1d import (
-    Sweep1DIndex,
-    _count_exponents,
     _exponents,
     _power_table,
-    _shrink_eps_shannon,
     build_renyi,
     build_shannon,
-    fold_shannon,
     renyi_bound_holds,
     shannon_bound_holds,
 )
@@ -35,18 +38,41 @@ def rand_interval(rng, lo=0.0, hi=100.0):
     return QueryRect.interval(a, b)
 
 
-COUNT, VALUE = 0, 1  # the ladder pools, in the order of ``ladder_first``'s pairs
+def ladder_lengths(idx):
+    """Jumps per qualifying node."""
+    return np.diff(idx.ladder_first.astype(np.int64))
 
 
-def ladder_lengths(idx, pool):
-    """Jumps per qualifying node in one ladder pool."""
-    return np.diff(idx.ladder_first[pool::2].astype(np.int64))
+def node_run(idx, gid):
+    """Ranks and exponents of node gid's run of jumps."""
+    lo, hi = idx.ladder_first[gid], idx.ladder_first[gid + 1]
+    return idx.h_rank[lo:hi], idx.h_exp[lo:hi]
 
 
-def node_ranks(idx, pool, gid):
-    """Ranks of node gid's run of jumps in one ladder pool."""
-    first = idx.ladder_first
-    return (idx.s_rank, idx.h_rank)[pool][first[2 * gid + pool]:first[2 * gid + 2 + pool]]
+def node_exponent(idx, gid, b):
+    """Exponent of node gid's rightmost jump at or below b, or None."""
+    ranks, exps = node_run(idx, gid)
+    i = int(ranks.searchsorted(idx.ucoords.searchsorted(b, side="right"), side="right"))
+    return int(exps[i - 1]) if i else None
+
+
+def node_colors(idx, gid):
+    """Colors (in row order) and x_v of qualifying node gid."""
+    depth, start, stop = idx._spans(gid)
+    ids = idx.rows[depth, start:stop]
+    return idx.mcolor[ids], float(idx.mx[ids].min())
+
+
+def canonical_debug(idx, rect):
+    """Per canonical node of a query, left to right: its colors, x_v, gid
+    and the exponent of its rightmost jump at or below b (None if none)."""
+    a, b = rect.lo[0], rect.hi[0]
+    out = []
+    for gid in idx._canonical(a, b)[1]:
+        colors, x_v = node_colors(idx, gid)
+        out.append(dict(colors=tuple(colors.tolist()), x_v=x_v, gid=gid,
+                        exp=node_exponent(idx, gid, b)))
+    return out
 
 
 def test_weights_rejected(rng):
@@ -136,20 +162,23 @@ def test_nine_point_projection_bounds():
 
 
 def test_single_repeated_color(rng):
+    # only single-color nodes qualify, and each carries S = k log2 k: the
+    # answer is not exactly 0, but within the design excess e' log2 W
     coords = rng.uniform(0, 100, size=50)
     pts = ColoredPointSet(coords, np.zeros(50, dtype=np.int64))
     idx = build_shannon(pts, 0.3)
-    # only single-color nodes qualify; every ladder is count-only
-    assert not ladder_lengths(idx, VALUE).any()
+    assert ladder_lengths(idx).any()
     for _ in range(50):
         rect = rand_interval(rng)
-        assert idx.query(rect).value == 0.0
+        got = idx.query(rect)
+        assert got.count == ((coords >= rect.lo[0]) & (coords <= rect.hi[0])).sum()
+        assert 0.0 <= got.value <= idx.eps_prime * math.log2(max(got.count, 1.0)) + 1e-9
 
 
 def walk_values(pts, colors, x_v, alpha):
     """Per distinct coordinate x >= x_v, in order, of the points of
-    ``colors``: x's rank, the count at or below x, and the ladder value
-    (count * H under Shannon, the sum of count^alpha under Renyi)."""
+    ``colors``: x's rank and the ladder value S_v at x, the sum over
+    colors of count log2 count (Shannon) or count^alpha (Renyi)."""
     coords = pts.coords[:, 0]
     sel = np.isin(pts.colors, colors) & (coords >= x_v)
     order = np.argsort(coords[sel], kind="stable")
@@ -158,31 +187,24 @@ def walk_values(pts, colors, x_v, alpha):
     per_color = np.cumsum(onehot, axis=0)
     ends = np.append(xs[1:] != xs[:-1], True)
     counts = per_color[ends].astype(float)
-    tot = counts.sum(axis=1)
     if alpha is None:
         with np.errstate(divide="ignore", invalid="ignore"):
-            clog = np.where(counts > 0, counts * np.log2(counts), 0.0)
-        values = tot * np.log2(tot) - clog.sum(axis=1)
+            values = np.where(counts > 0, counts * np.log2(counts), 0.0).sum(axis=1)
     else:
         values = (counts**alpha).sum(axis=1)
     ranks = np.unique(coords).searchsorted(xs[ends], side="right")
-    return ranks, tot, values
+    return ranks, values
 
 
-def reference_ladders(idx, pts, gid, alpha):
-    """Node gid's count and value ladders as a brute-force walk of its
-    colors finds them: each (ranks, exponents) where its exponent rises."""
-    colors, x_v = idx._node(gid)
-    ranks, counts, values = walk_values(pts, colors, x_v, alpha)
+def reference_ladder(idx, pts, gid, alpha):
+    """Node gid's ladder as a brute-force walk of its colors finds it: the
+    (ranks, exponents) where the exponent of a positive S_v rises."""
+    colors, x_v = node_colors(idx, gid)
+    ranks, values = walk_values(pts, colors, x_v, alpha)
     keep = values > 1e-9
-    if alpha is None and len(colors) < 2:
-        keep[:] = False
-    out = []
-    for r, v in ((ranks, counts), (ranks[keep], values[keep])):
-        e = log_fixup_exponents(v, idx._base)
-        rise = np.append(True, e[1:] > e[:-1])[:len(e)]
-        out.append((r[rise], e[rise]))
-    return out
+    r, e = ranks[keep], log_fixup_exponents(values[keep], idx._base)
+    rise = np.append(True, e[1:] > e[:-1])[:len(e)]
+    return r[rise], e[rise]
 
 
 LADDER_CASES = {
@@ -194,8 +216,9 @@ LADDER_CASES = {
 
 @pytest.mark.parametrize("case", sorted(LADDER_CASES))
 def test_stored_jumps_meet_query_powers_exactly(case):
-    # no slack: at every stored jump, the power the query reads is at least
-    # the jump's count or value, and the power one step lower is below it
+    # no slack: at every stored jump, the power one step above the lower
+    # power the query reads is at least the jump's S_v, and the lower power
+    # is below it
     spec = LADDER_CASES[case]
     rng = np.random.default_rng(len(case))
     pts = random_pointset(rng, spec["n"], d=1, m=8, duplicate_frac=spec["dup"])
@@ -205,77 +228,60 @@ def test_stored_jumps_meet_query_powers_exactly(case):
         pw = idx._powers  # pw[e + 1] = base**e
         checked = 0
         for gid in range(len(idx.node_keys)):
-            colors, x_v = idx._node(gid)
-            ranks, counts, values = walk_values(pts, colors, x_v, alpha)
-            for pool in (COUNT, VALUE):
-                run = node_ranks(idx, pool, gid).astype(np.int64)
-                # a rank repeats only in a count run, where one coordinate's
-                # points make the count skip exponents
-                strict = pool == VALUE or spec["dup"] == 0.0
-                assert (np.diff(run) > 0).all() if strict else (np.diff(run) >= 0).all()
-                for r in np.unique(run):
-                    at = ranks.searchsorted(r)
-                    assert ranks[at] == r  # every jump sits on a walk coordinate
-                    l_s, l_h = idx._node_exponents([gid], float(idx.ucoords[r - 1]))
-                    e, v = (l_s[0], counts[at]) if pool == COUNT else (l_h[0], values[at])
-                    assert pw[e + 1] >= v, (gid, r, e, v)
-                    assert e == 0 or pw[e] < v, (gid, r, e, v)
-                    checked += 1
+            colors, x_v = node_colors(idx, gid)
+            ranks, values = walk_values(pts, colors, x_v, alpha)
+            run, exps = (a.astype(np.int64) for a in node_run(idx, gid))
+            assert (np.diff(run) > 0).all() and (np.diff(exps) > 0).all()
+            for r in run:
+                at = ranks.searchsorted(r)
+                assert ranks[at] == r  # every jump sits on a walk coordinate
+                e, v = node_exponent(idx, gid, float(idx.ucoords[r - 1])), values[at]
+                assert pw[e + 1] >= v, (gid, r, e, v)
+                assert pw[e] < v, (gid, r, e, v)
+                checked += 1
         assert checked > 0
 
 
 def test_ladders_match_bruteforce_prefixes(rng):
-    # runs of both pools hold every node's jumps in rank order, each count
-    # jump and value jump where its exponent rises, as a brute-force walk
-    # of the node's colors finds them
+    # one run per node, in gid order, holds the node's jumps in rank order
+    # where the exponent of S_v rises, as a brute-force walk of the node's
+    # colors finds them; single-color nodes carry S = k log2 k too
     pts = random_pointset(rng, 120, d=1, m=10, duplicate_frac=0.15)
     for make, alpha in ((lambda: build_shannon(pts, 0.25), None),
                         (lambda: build_renyi(pts, 0.25, 2.0), 2.0)):
         idx = make()
-        assert len(idx.ladder_first) == 2 * len(idx.node_keys) + 2
-        assert idx.ladder_first[-2] == len(idx.s_rank)
-        assert idx.ladder_first[-1] == len(idx.h_rank)
-        want_d = np.unique(log_fixup_exponents(np.arange(1.0, len(pts) + 1), idx._base))
-        assert np.array_equal(idx.count_exps, want_d)
+        assert len(idx.ladder_first) == len(idx.node_keys) + 1
+        assert idx.ladder_first[0] == 0 and idx.ladder_first[-1] == len(idx.h_rank)
+        single = 0
         for gid in range(len(idx.node_keys)):
-            (s_ranks, s_exps), (h_ranks, h_exps) = reference_ladders(idx, pts, gid, alpha)
-            # a count jump's rank, once per exponent its count reaches first
-            place = want_d.searchsorted(s_exps)
-            got = node_ranks(idx, COUNT, gid)
-            assert np.array_equal(got, np.repeat(s_ranks, np.diff(place, prepend=-1)))
-            assert (np.diff(got.astype(np.int64)) >= 0).all()
-            got = node_ranks(idx, VALUE, gid)
-            assert np.array_equal(got, h_ranks)
-            assert (np.diff(got.astype(np.int64)) > 0).all()
-            first = idx.ladder_first[2 * gid + 1]
-            assert np.array_equal(idx.h_exp[first:first + len(got)], h_exps)
+            ranks, exps = reference_ladder(idx, pts, gid, alpha)
+            got_ranks, got_exps = node_run(idx, gid)
+            assert np.array_equal(got_ranks, ranks) and np.array_equal(got_exps, exps)
+            single += len(node_colors(idx, gid)[0]) == 1 and len(ranks) > 0
+        assert single > 0
 
 
 def key_pool_reference(idx, pts, alpha):
-    """The former ladder layout, rebuilt by brute force: per pool, sorted
-    int64 keys ``gid * (U + 1) + rank`` beside the jumps' exponents."""
+    """A former ladder layout, rebuilt by brute force: sorted int64 keys
+    ``gid * (U + 1) + rank`` beside the jumps' exponents."""
     stride = len(idx.ucoords) + 1
-    pools = [([], []), ([], [])]
+    keys, exps = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for gid in range(len(idx.node_keys)):
-        for (keys, exps), (ranks, e) in zip(pools, reference_ladders(idx, pts, gid, alpha)):
-            keys.append(gid * stride + ranks)
-            exps.append(e)
-    return stride, [tuple(np.concatenate(a).tolist() for a in pool) for pool in pools]
+        ranks, e = reference_ladder(idx, pts, gid, alpha)
+        keys.append(gid * stride + ranks)
+        exps.append(e)
+    return stride, tuple(np.concatenate(a).tolist() for a in (keys, exps))
 
 
-def key_pool_exponents(stride, pools, gids, rank):
-    """The former lookup: a bisection of each pool's int64 keys, with
+def key_pool_exponents(stride, pool, gids, rank):
+    """The former lookup: a bisection of the int64 keys, with
     ``key // stride == gid`` telling a node's jump from the next node's."""
-    (s_keys, s_exp), (h_keys, h_exp) = pools
-    l_s, l_h = [], []
+    keys, exps = pool
+    out = []
     for gid in gids:
-        key = gid * stride + rank
-        i = bisect.bisect_right(s_keys, key)
-        assert i > 0 and s_keys[i - 1] // stride == gid
-        l_s.append(s_exp[i - 1])
-        i = bisect.bisect_right(h_keys, key)
-        l_h.append(h_exp[i - 1] if i > 0 and h_keys[i - 1] // stride == gid else None)
-    return l_s, l_h
+        i = bisect.bisect_right(keys, gid * stride + rank)
+        out.append(exps[i - 1] if i > 0 and keys[i - 1] // stride == gid else None)
+    return out
 
 
 ORACLE_CASES = {
@@ -287,43 +293,56 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_lookup_matches_key_pool_oracle(case):
-    # rank runs, count_exps and h_exp give every canonical node the same
-    # (count, value) exponents as the former int64 key pools
+    # the query's bisection of each canonical node's run reads the same
+    # exponents as the former int64 key pool: its answer is the one built
+    # from those exponents' lower powers and the exact count, bit for bit
     spec = ORACLE_CASES[case]
     rng = np.random.default_rng(spec["n"])
     pts = random_pointset(rng, spec["n"], d=1, m=spec["m"], duplicate_frac=spec["dup"])
+    coords = pts.coords[:, 0]
     for alpha in (None, 2.0):
         idx = (build_shannon(pts, spec["eps"]) if alpha is None
                else build_renyi(pts, spec["eps"], alpha))
-        stride, pools = key_pool_reference(idx, pts, alpha)
+        stride, pool = key_pool_reference(idx, pts, alpha)
+        pw = idx._powers.tolist()
         nodes = 0
         for _ in range(1500):
             a, b = sorted(rng.uniform(-5.0, 105.0, size=2))
-            gids = idx._canonical_gids(a, b)
+            count, gids = idx._canonical(a, b)
+            assert count == ((coords >= a) & (coords <= b)).sum()
             rank = int(idx.ucoords.searchsorted(b, side="right"))
-            assert idx._node_exponents(gids, b) == key_pool_exponents(stride, pools, gids, rank)
+            exps = key_pool_exponents(stride, pool, gids, rank)
+            assert exps == [node_exponent(idx, gid, b) for gid in gids]
+            s_lo = 0.0
+            for e in exps:
+                s_lo += 0.0 if e is None else pw[e]
+            want = EntropySummary(idx.kind, float(count), entropy_from_sums(count, s_lo, idx.kind))
+            assert idx.query(QueryRect.interval(a, b)) == want
             nodes += len(gids)
         assert nodes > 1500
 
 
 def test_layout_and_round_trip(tmp_path):
-    # below 65,536 distinct coordinates a count jump is one 2-byte rank with
-    # no exponent; bytes count every held array, the derived powers and
-    # y-ranks included
+    # below 65,536 distinct coordinates a jump is one 2-byte rank beside
+    # its exponent, with one run start per node; a file holds the points
+    # and those three arrays; bytes count every held array, the derived
+    # layout, powers and y-ranks included
     rng = np.random.default_rng(512)
     pts = random_pointset(rng, 512, d=1, m=32)
+    coords = pts.coords[:, 0]
     for kind, idx in (("sweep-shannon", build_shannon(pts, 0.5)),
                       ("sweep-renyi", build_renyi(pts, 0.5, 2.0))):
         assert 256 <= len(idx.ucoords) < 65536
-        assert idx.s_rank.dtype == idx.h_rank.dtype == np.uint16
-        assert not any(hasattr(idx, name) for name in ("s_keys", "s_exp", "h_keys"))
+        assert idx.h_rank.dtype == np.uint16
+        assert not any(hasattr(idx, name) for name in ("s_rank", "count_exps", "h_keys"))
         assert idx.h_exp.dtype == np.min_scalar_type(int(idx.h_exp.max()))
+        assert len(idx.ladder_first) == len(idx.node_keys) + 1
         held = [v for v in vars(idx).values() if isinstance(v, np.ndarray)]
         assert idx.space_stats()["bytes"] == sum(a.nbytes for a in held)
         assert idx.rows.dtype == np.uint16
         assert not any(hasattr(idx, name) for name in ("left_counts", "y_root"))
         assert tuple(idx.to_arrays()[0]) == idx.STORED
-        assert not {"_powers", "y_rank"} & set(idx.STORED)
+        assert idx.STORED == ("coords", "colors", "weights", "h_rank", "h_exp", "ladder_first")
         path = tmp_path / f"{kind}.rqe"
         save_index(path, kind, idx)
         loaded = load_index(path, expect_kind=kind)[2]
@@ -338,9 +357,7 @@ def test_layout_and_round_trip(tmp_path):
             rect = rand_interval(rng, -5.0, 105.0)
             got = idx.query(rect)
             assert loaded.query(rect) == got
-            if kind == "sweep-renyi":  # the count is a plain sum of table reads
-                nodes = idx.canonical_debug(rect)
-                assert got.count == sum(idx._powers[info["l_s"] + 1] for info in nodes)
+            assert got.count == ((coords >= rect.lo[0]) & (coords <= rect.hi[0])).sum()
 
 
 @pytest.mark.parametrize("batch", [1, 61])
@@ -377,66 +394,53 @@ def test_build_memory_bounded():
 
 
 def test_per_node_sandwich(rng):
-    # each node's estimate lies in [H_v, (1+eps')^2 H_v]
+    # each canonical node's lower power lies in [S_v / (1+eps'), S_v), and
+    # a node without a jump at or below b has S_v = 0
     pts = random_pointset(rng, 150, d=1, m=12, duplicate_frac=0.1)
-    idx = build_shannon(pts, 0.3)
     coords = pts.coords[:, 0]
-    for _ in range(60):
-        rect = rand_interval(rng)
-        for info in idx.canonical_debug(rect):
-            colors = list(info["colors"])
-            sel = np.isin(pts.colors, colors) & (coords >= info["x_v"]) & (coords <= rect.hi[0])
-            counts = np.bincount(pts.colors[sel])
-            counts = counts[counts > 0]
-            n = counts.sum()
-            h_true = float((counts / n * np.log2(n / counts)).sum()) if n else 0.0
-            est = info["estimate"]
-            assert est >= h_true - 1e-9
-            assert est <= (1 + idx.eps_prime) ** 2 * h_true + 1e-9
+    for alpha in (None, 2.0):
+        idx = build_shannon(pts, 0.3) if alpha is None else build_renyi(pts, 0.3, alpha)
+        for _ in range(60):
+            rect = rand_interval(rng)
+            for info in canonical_debug(idx, rect):
+                sel = (np.isin(pts.colors, info["colors"]) & (coords >= info["x_v"])
+                       & (coords <= rect.hi[0]))
+                counts = np.bincount(pts.colors[sel]).astype(float)
+                counts = counts[counts > 0]
+                s_v = (counts * np.log2(counts) if alpha is None else counts**alpha).sum()
+                if info["exp"] is None:
+                    assert alpha is None and s_v == 0.0
+                    continue
+                lower = idx._powers[info["exp"]]
+                assert lower < s_v <= idx._base * lower * (1 + 1e-12)
 
 
 def test_ladder_length_caps(rng):
     pts = random_pointset(rng, 300, d=1, m=25)
     idx = build_shannon(pts, 0.2)
     n = len(pts)
-    cap_s = math.ceil(math.log(n + 1) / math.log(idx._base)) + 2
     cap_h = math.ceil(math.log(n * math.log2(n) + 2) / math.log(idx._base)) + 2
-    assert int(ladder_lengths(idx, COUNT).max()) <= cap_s
-    assert int(ladder_lengths(idx, VALUE).max()) <= cap_h
+    assert int(ladder_lengths(idx).max()) <= cap_h
     ridx = build_renyi(pts, 0.2, 3.0)
     cap_g = math.ceil(math.log(float(n) ** 4.0) / math.log(ridx._base)) + 2
-    assert int(ladder_lengths(ridx, VALUE).max()) <= cap_g
+    assert int(ladder_lengths(ridx).max()) <= cap_g
 
 
 def test_coarse_thresholds_dominate_fine(rng):
-    # both ladders sandwich the true count; the coarse one within its own factor
+    # the count is exact at any eps; both answers lie above the truth by at
+    # most their own e' log2 W, so each lies within the other's excess
     pts = random_pointset(rng, 200, d=1, m=15)
     coarse = build_shannon(pts, 0.5)
     fine = build_shannon(pts, 0.05)
+    assert fine.eps_prime < coarse.eps_prime
     for _ in range(100):
         rect = rand_interval(rng)
         c = coarse.query(rect)
         f = fine.query(rect)
-        if f.count == 0:
-            assert c.count == 0
-            continue
-        # coarse upper estimates exceed finer ones by at most their factor gap
-        assert c.count >= f.count / (1 + fine.eps_prime) - 1e-9
-        assert f.count >= c.count / (1 + coarse.eps_prime) ** 2 - 1e-9
-
-
-def test_merge_depth_budget(rng):
-    # balanced folding keeps depth within the 2*loglog(n)+O(1) allowance
-    # that the eps shrink was sized for
-    pts = random_pointset(rng, 500, d=1, m=40)
-    idx = build_shannon(pts, 0.2)
-    worst = 0
-    for _ in range(200):
-        rect = rand_interval(rng)
-        worst = max(worst, len(idx._canonical_gids(rect.lo[0], rect.hi[0])))
-    depth = math.ceil(math.log2(max(2, worst)))
-    budget = 2 * math.log2(math.log2(len(pts))) + 4
-    assert depth <= budget
+        assert c.count == f.count
+        log_w = math.log2(max(c.count, 1.0))
+        assert f.value <= c.value + fine.eps_prime * log_w + 1e-9
+        assert c.value <= f.value + coarse.eps_prime * log_w + 1e-9
 
 
 def test_query_deterministic(rng):
@@ -447,19 +451,20 @@ def test_query_deterministic(rng):
 
 
 def test_tiny_eps_needs_wide_exponents():
-    # at eps = 0.002 the Shannon value ladders climb past the int16 range
+    # at eps = 0.0005 the Shannon ladders climb past the uint16 range, at
+    # eps = 0.002 both kinds past the uint8 range
     rng = np.random.default_rng(2002)
     pts = random_pointset(rng, 300, d=1, m=12, duplicate_frac=0.1)
-    eps = 0.002
-    sh = build_shannon(pts, eps)
-    re2 = build_renyi(pts, eps, 2.0)
-    assert int(sh.h_exp.max()) > 32767 and sh.h_exp.itemsize == 4
+    sh = build_shannon(pts, 0.0005)
+    re2 = build_renyi(pts, 0.002, 2.0)
+    assert int(sh.h_exp.max()) > 65535 and sh.h_exp.itemsize == 4
+    assert int(re2.h_exp.max()) > 255 and re2.h_exp.itemsize == 2
     for _ in range(100):
         rect = rand_interval(rng)
         truth = brute_entropy(pts, rect, SHANNON).value
-        assert shannon_bound_holds(truth, sh.query(rect).value, eps)
+        assert shannon_bound_holds(truth, sh.query(rect).value, 0.0005)
         truth = brute_entropy(pts, rect, renyi_kind(2.0)).value
-        assert renyi_bound_holds(truth, re2.query(rect).value, eps, 2.0)
+        assert renyi_bound_holds(truth, re2.query(rect).value, 0.002, 2.0)
 
 
 def log_fixup_exponents(values, base):
@@ -483,20 +488,21 @@ def log_fixup_exponents(values, base):
 
 
 @pytest.mark.parametrize("base", [
-    2.0,                                  # powers of two are exact counts
+    2.0,                                  # powers of two are exact S values
     1.25,                                 # Renyi at eps = 0.5
-    1.0 + _shrink_eps_shannon(0.002, 512),   # Shannon at eps = 0.002
+    1.0 + 0.002 / math.log2(512),         # Shannon at eps = 0.002, n = 512
     1.001,                                # Renyi at eps = 0.002
 ])
 def test_exponent_lookup_matches_log_fixup_rule(base):
     log_base = math.log(base)
-    n = 3000
+    k = np.arange(1.0, 3001.0)
     pw = _power_table(base, math.ceil(math.log(1e7) / log_base) + 6)
-    table = _count_exponents(n, pw, log_base)
-    counts = np.arange(1, n + 1)
-    assert table.dtype == np.int64 and len(table) == n + 1
-    assert np.array_equal(table[counts], log_fixup_exponents(counts.astype(float), base))
-    assert table[1] == 0
+    # the S values of single colors, k log2 k (Shannon) and k^2 (Renyi-2)
+    for values in ((k * np.log2(k))[1:], k**2):
+        got = _exponents(values, pw, log_base)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, log_fixup_exponents(values, base))
+    assert _exponents(np.ones(1), pw, log_base)[0] == 0
     # values exactly at base**k and one ulp either side, and 1.0
     powers = base ** np.arange(0.0, math.log(1e7) / log_base)
     values = np.concatenate(([1.0], powers, np.nextafter(powers, 0.0),
@@ -531,7 +537,7 @@ def test_degenerate_inputs(name):
             else:
                 truth = brute_entropy(pts, rect, renyi_kind(alpha)).value
                 assert renyi_bound_holds(truth, idx.query(rect).value, 0.2, alpha)
-            nodes = idx.canonical_debug(rect)
+            nodes = canonical_debug(idx, rect)
             present = np.unique(pts.colors[(pts.coords[:, 0] >= rect.lo[0])
                                            & (pts.coords[:, 0] <= rect.hi[0])])
             assert sorted(c for info in nodes for c in info["colors"]) == present.tolist()
@@ -545,7 +551,7 @@ def test_canonical_debug_on_large_index():
     coords = pts.coords[:, 0]
     for _ in range(5):
         rect = rand_interval(rng)
-        nodes = idx.canonical_debug(rect)
+        nodes = canonical_debug(idx, rect)
         inside = (coords >= rect.lo[0]) & (coords <= rect.hi[0])
         got = sorted(c for info in nodes for c in info["colors"])
         assert got == np.unique(pts.colors[inside]).tolist()
@@ -594,7 +600,9 @@ def test_canonical_gids_match_stack_walk(n):
                     slot = lo + s if e - s == 1 else hi + (s + e) // 2
                     want.append(int(idx.gid_slots[2 * n * depth + slot]))
             stats = {}
-            assert idx._canonical_gids(a, b, stats) == want, (a, b)
+            count, gids = idx._canonical(a, b, stats)
+            assert gids == want, (a, b)
+            assert count == ((pts.coords[:, 0] >= a) & (pts.coords[:, 0] <= b)).sum()
             assert stats["primary_nodes"] == len(prim)
 
 
@@ -628,49 +636,11 @@ def test_query_stats_count_nodes(rng):
             rect = rand_interval(rng, -10.0, 110.0)
             stats = {}
             assert idx.query(rect, stats) == idx.query(rect)
-            assert stats["canonical_nodes"] == len(idx.canonical_debug(rect))
+            assert stats["canonical_nodes"] == len(canonical_debug(idx, rect))
             assert stats["primary_nodes"] <= 2 * math.ceil(math.log2(len(pts)))
             assert stats["primary_nodes"] > 0 or stats["canonical_nodes"] == 0
             seen += stats["canonical_nodes"]
         assert seen > 0
-
-
-def numpy_fold(h_v, hi_w, lo_w):
-    """Reference copy of the vectorised balanced pairwise Shannon fold."""
-    while len(h_v) > 1:
-        odd = len(h_v) % 2 == 1
-        if odd:
-            tail = (h_v[-1:], hi_w[-1:], lo_w[-1:])
-            h_v, hi_w, lo_w = h_v[:-1], hi_w[:-1], lo_w[:-1]
-        a_h, b_h = h_v[0::2], h_v[1::2]
-        a_hi, b_hi = hi_w[0::2], hi_w[1::2]
-        a_lo, b_lo = lo_w[0::2], lo_w[1::2]
-        s_hi = a_hi + b_hi
-        h_v = (
-            a_hi * a_h + b_hi * b_h
-            + a_hi * np.log2(s_hi / a_lo) + b_hi * np.log2(s_hi / b_lo)
-        ) / (a_lo + b_lo)
-        hi_w = s_hi
-        lo_w = a_lo + b_lo
-        if odd:
-            h_v = np.concatenate([h_v, tail[0]])
-            hi_w = np.concatenate([hi_w, tail[1]])
-            lo_w = np.concatenate([lo_w, tail[2]])
-    return float(hi_w[0]), float(h_v[0])
-
-
-def test_fold_shape_matches_numpy_reference(rng):
-    # same pairing order, hence the same ceil(log2 |V|) merge depth
-    base = 1.0 + 0.05
-    for size in range(1, 41):
-        for _ in range(5):
-            l_s = rng.integers(0, 60, size=size)
-            hi = base ** l_s.astype(float)
-            lo = base ** (l_s - 1.0)
-            h = np.where(rng.random(size) < 0.3, 0.0, rng.uniform(0.0, 5.0, size=size))
-            want = numpy_fold(h, hi, lo)
-            got = fold_shannon(h.tolist(), hi.tolist(), lo.tolist())
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -714,12 +684,14 @@ def test_adversarial_sweep_against_brute(alpha, case):
         if alpha is None:
             truth = brute_entropy(pts, rect, SHANNON)
             assert shannon_bound_holds(truth.value, got.value, eps), (rect, truth, got)
+            excess = idx.eps_prime * math.log2(max(truth.count, 1.0))
         else:
             truth = brute_entropy(pts, rect, renyi_kind(alpha))
             assert renyi_bound_holds(truth.value, got.value, eps, alpha), (rect, truth, got)
-        assert truth.count <= got.count <= (1 + idx.eps_prime) * truth.count + 1e-9
-        nodes = idx.canonical_debug(rect)
-        assert got.count == pytest.approx(sum(info["count_hi"] for info in nodes), rel=1e-12)
+            excess = math.log2(1.0 + idx.eps_prime) / (alpha - 1.0)
+        assert got.value - truth.value <= excess + 1e-9, (rect, truth, got)
+        assert got.count == truth.count
+        nodes = canonical_debug(idx, rect)
         color_sets = [set(info["colors"]) for info in nodes]
         union = set().union(*color_sets)
         assert len(union) == sum(len(cs) for cs in color_sets)  # pairwise disjoint
