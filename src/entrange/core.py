@@ -470,11 +470,17 @@ def running_sum(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix sums of ``w`` (length n+1, from 0) as a pair (hi, lo): the plain
     running sum and the running sum of each addition's rounding error (exact
     by the two-sum identity). ``(hi[j] - hi[i]) + (lo[j] - lo[i])`` is then
-    accurate relative to the span's own mass, not to the whole prefix."""
-    hi = np.concatenate(([0.0], np.cumsum(w)))
-    added = hi[1:] - hi[:-1]
-    err = (hi[:-1] - (hi[1:] - added)) + (w - added)
-    return hi, np.concatenate(([0.0], np.cumsum(err)))
+    accurate relative to the span's own mass, not to the whole prefix.
+    Written into the two outputs and one scratch array."""
+    hi, lo = np.zeros(len(w) + 1), np.zeros(len(w) + 1)
+    np.cumsum(w, out=hi[1:])
+    added = np.subtract(hi[1:], hi[:-1], out=lo[1:])
+    lost = np.subtract(hi[1:], added)
+    np.subtract(hi[:-1], lost, out=lost)     # what the running sum dropped
+    np.subtract(w, added, out=added)         # what the addend lost
+    np.add(lost, added, out=added)
+    np.cumsum(added, out=added)
+    return hi, lo
 
 
 class ColorPrefix:

@@ -10,11 +10,15 @@ mass and S = sum_c f(w_c) over its color masses (``core.power_term``), and
 adding mass to color c moves S by f(after) - f(before). No color's term is
 ever subtracted from a total, so no update chain cancels.
 
-  * Build: row i of the table is one vectorized pass over the points from
-    cut i on. Each point's running color mass since cut i comes from a
-    ``core.ColorPrefix`` over the sorted colors, the cumulative sum of
-    f(after) - f(before) gives S at every later cut, and S turns into the
-    stored entropy. Temporaries are O(n) per row.
+  * Build: an entry depends on the points only through each bucket's
+    color masses, so row i of the table is one vectorized pass over the
+    (bucket, color) groups from bucket i on: the runs of equal color and
+    bucket in the ``core.ColorPrefix`` keys. A group's color mass since
+    cut i before and after it are two differences of the same compensated
+    prefix pairs, the cumulative sum of f(after) - f(before) read at each
+    bucket's last group gives S at every later cut, and S with W from the
+    weight prefix pair turns into the stored entropy. Temporaries are
+    O(groups) per row; with buckets of one point every group is a point.
   * Query: two ``searchsorted`` calls turn the interval into a span
     [lo, hi) of sorted positions for :meth:`Exact1DIndex.query_span`.
     Cuts are multiples of the bucket size, so integer division finds the
@@ -26,7 +30,7 @@ ever subtracted from a total, so no update chain cancels.
 Duplicate coordinates need no care: queries resolve ties through the
 sorted order. Precision: every mass is a difference of two compensated
 prefixes (a ``core.running_sum`` pair, for the sorted weights and inside
-the ``ColorPrefix``): a slice's W, each point's color mass since a row's
+the ``ColorPrefix``): a slice's W, each group's color mass since a row's
 cut, and each fringe color's mass inside the slice. Such a difference is
 accurate relative to the span's own mass, so heavy points outside a range
 do not swamp the light ones in it: with 1-5 heavy points up to 1e15 over
@@ -119,38 +123,20 @@ class Exact1DIndex:
     def _build_tables(self) -> dict[EntropyKind, np.ndarray]:
         k = len(self.cuts) - 1
         tables = {kind: np.zeros((k + 1, k + 1)) for kind in self.kinds}
-        cp = self.color_prefix
-        # the colors that occur and each position's number among them, read
-        # off the color-sorted keys: a row costs O(n) however many are declared
-        color = cp.keys // max(cp.n, 1)
-        first = np.concatenate(([True], color[1:] != color[:-1]))[:cp.n]
-        present = color[first]
-        pos = cp.keys - color * cp.n
-        dense = np.empty(cp.n, dtype=np.int64)
-        dense[pos] = np.cumsum(first) - 1
-        # each position's prefix pair in the color-sorted order, at its own
-        # key; rows take their differences in two reused buffers
-        key_hi, key_lo = np.empty(cp.n), np.empty(cp.n)
-        key_hi[pos], key_lo[pos] = cp.wpre[:-1], cp.wlo[:-1]
-        hi, lo = np.empty(cp.n), np.empty(cp.n)
+        groups = _ColorGroups(self.color_prefix, self.bucket_size)
+        bucket_first = groups.bucket.searchsorted(np.arange(k + 1))  # each bucket's first group
         for i in range(k):
-            start = int(self.cuts[i])
-            weights = self.weights_sorted[start:]
-            # each point's color mass over [start, its position): a pair
-            # difference from its color's first key at or after start
-            at = cp.keys.searchsorted(present * cp.n + start)
-            own = dense[start:]
-            before = np.take(cp.wpre[at], own, out=hi[start:])
-            np.subtract(key_hi[start:], before, out=before)
-            low = np.take(cp.wlo[at], own, out=lo[start:])
-            before += np.subtract(key_lo[start:], low, out=low)
-            after = before + weights
-            ends = self.cuts[i + 1:] - start - 1  # last point of each slice, row-relative
-            W = np.cumsum(weights)[ends]
-            for kind in self.kinds:
-                steps = core.power_term(after, kind) - core.power_term(before, kind)
-                S = np.cumsum(steps)[ends]
-                tables[kind][i, i + 1:] = core.entropy_from_power_sum(W, S, kind)
+            first = int(bucket_first[i])
+            masses = groups.masses(first, int(self.cuts[i]))
+            ends = bucket_first[i + 1:] - first - 1  # each later cut's last group, row-relative
+            for kind, table in tables.items():
+                f = core.power_term(masses, kind)
+                table[i, i + 1:] = np.cumsum(f[:, 1] - f[:, 0])[ends]  # S, turned into entropy below
+        upper = np.triu_indices(k + 1, 1)
+        lo, hi = self.cuts[upper[0]], self.cuts[upper[1]]
+        W = (self.wpre[hi] - self.wpre[lo]) + (self.wlo[hi] - self.wlo[lo])
+        for kind, table in tables.items():
+            table[upper] = core.entropy_from_power_sum(W, table[upper], kind)
         return tables
 
     # -- queries --------------------------------------------------------------
@@ -215,3 +201,40 @@ class Exact1DIndex:
             "orders": self.orders,
             "bytes": int(sum(a.nbytes for a in arrays)),
         }
+
+
+class _ColorGroups:
+    """The (bucket, color) groups of a ``ColorPrefix``: the runs of its keys
+    with equal (color, position // size), in bucket-major order and by color
+    within a bucket. A group keeps its bucket, its color's place among the
+    colors that occur (so memory is independent of the declared colors) and
+    the prefix pair at its first key and past its last one. With size 1
+    every group is one point."""
+
+    __slots__ = ("cp", "present", "bucket", "dense", "bounds_hi", "bounds_lo")
+
+    def __init__(self, cp: ColorPrefix, size: int):
+        self.cp = cp
+        color = cp.keys // max(cp.n, 1)
+        bucket = (cp.keys - color * cp.n) // size
+        change = (color[1:] != color[:-1]) | (bucket[1:] != bucket[:-1])
+        starts = np.concatenate(([True], change))[:cp.n].nonzero()[0]
+        color, bucket = color[starts], bucket[starts]
+        new_color = np.concatenate(([True], color[1:] != color[:-1]))[:len(starts)]
+        self.present = color[new_color]
+        order = np.argsort(bucket, kind="stable")
+        self.bucket = bucket[order]
+        self.dense = (np.cumsum(new_color) - 1)[order]
+        bounds = np.stack((starts, np.append(starts, cp.n)[1:]), axis=1)[order]
+        self.bounds_hi, self.bounds_lo = cp.wpre[bounds], cp.wlo[bounds]
+
+    def masses(self, first: int, start: int) -> np.ndarray:
+        """Each group's color mass over [start, the group) and over [start,
+        the group's end), as two columns, for the groups from ``first`` on,
+        which must lie at or after ``start``: pair differences from the
+        prefix pair at the color's first key at or after start."""
+        cp = self.cp
+        at = cp.keys.searchsorted(self.present * cp.n + start)
+        dense = self.dense[first:, None]
+        return ((self.bounds_hi[first:] - cp.wpre[at][dense])
+                + (self.bounds_lo[first:] - cp.wlo[at][dense]))

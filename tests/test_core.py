@@ -343,3 +343,20 @@ def test_kind_mismatch_rejected():
         core.merge_shannon(a, b)
     with pytest.raises(ValueError):
         core.merge_renyi(a, b, 2.0)
+
+
+def test_running_sum_matches_formula(rng):
+    """Bit for bit the pair from fresh arrays: the plain running sum and the
+    running sum of each addition's two-sum error, both from 0."""
+    cases = [np.zeros(0), np.array([3.5]), rng.uniform(0.5, 2.0, 1000),
+             10.0 ** rng.uniform(0.0, 15.0, 1000),
+             np.where(rng.random(1000) < 0.3, 0.0, rng.uniform(0.0, 1e12, 1000)),
+             rng.uniform(0.0, 1.0, 2000)[::2]]
+    for w in cases:
+        hi = np.concatenate(([0.0], np.cumsum(w)))
+        added = hi[1:] - hi[:-1]
+        err = (hi[:-1] - (hi[1:] - added)) + (w - added)
+        lo = np.concatenate(([0.0], np.cumsum(err)))
+        got_hi, got_lo = core.running_sum(w)
+        assert got_hi.dtype == got_lo.dtype == np.float64
+        assert np.array_equal(got_hi, hi) and np.array_equal(got_lo, lo)
