@@ -126,6 +126,8 @@ class ColoredPointSet:
                 raise ValueError("weights must be one value per point")
         if n and not np.all(np.isfinite(coords)):
             raise InvalidWeight("coordinates must be finite")
+        if n and not np.all(np.isfinite(weights)):
+            raise InvalidWeight("weights must be finite")
         if n and (weights < 0).any():
             raise InvalidWeight("weights must be nonnegative")
         if n and (colors < 0).any():

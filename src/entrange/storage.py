@@ -1,6 +1,6 @@
 """Index persistence: magic-tagged, versioned, checked files, plus CSV ingestion.
 
-File layout (format 14): 7 magic bytes ``RQEIDX1``, one version byte, a
+File layout (format 15): 7 magic bytes ``RQEIDX1``, one version byte, a
 4-byte big-endian header length, a JSON header, then the payload of raw
 array buffers. Besides ``save_index``'s ``extra`` keys, the header holds:
 
@@ -61,7 +61,7 @@ from .exactnd import ExactNDIndex
 from .sweep1d import Sweep1DIndex
 
 MAGIC = b"RQEIDX1"
-FORMAT_VERSION = 14
+FORMAT_VERSION = 15
 ALIGN = 64   # every array's offset into the payload is a multiple of this
 
 INDEX_CLASSES = {

@@ -11,13 +11,18 @@ The range tree is implicit, as in :mod:`~.rangetree`. The primary tree
 splits the mapped points, sorted by x, at ``(lo + hi) // 2``; for each of
 its depths one row holds every node's points sorted by y, and a node's
 secondary tree splits its span of that row the same way. A secondary node
-is thus a row slice [start, stop) at a primary depth. It qualifies when its
-colors are distinct, and the sorted array ``node_keys`` of the qualifying
-nodes' (depth, start, stop) keys numbers them: a node's gid is its
-position there. No node objects exist. ``gid_slots`` maps a secondary node
-straight to its gid (-1 if it does not qualify): within the primary span
-[p, e) of a depth, a one-point node [lo, lo + 1) has slot p + lo and a
-larger node slot e + its split point, all in the 2(e - p) slots from 2p.
+is thus a row slice [start, stop) at a primary depth. It qualifies when a
+query can take it as a canonical node: it is the root of its primary span
+or a left child (a query's descent never takes a right child whole), its
+colors are distinct, and it ends within its span's reach, the span's start
+plus its row entries with y below the span's least x (a query's cut never
+passes it). The sorted array ``node_keys`` of the qualifying nodes'
+(depth, start, stop) keys numbers them: a node's gid is its position
+there. No node objects exist. ``gid_slots`` maps a secondary node straight
+to its gid (-1 if it does not qualify, so no query reaches it): within the
+primary span [p, e) of a depth, a one-point node [lo, lo + 1) has slot
+p + lo and a larger node slot e + its split point, all in the 2(e - p)
+slots from 2p.
 
 A query tiles the mapped points with x in [a, b] by the primary nodes
 :func:`~.rangetree.tile` yields, left to right, in integer arithmetic. In
@@ -233,10 +238,11 @@ class Sweep1DIndex:
                 depth_rows(np.arange(n), self.my, np.zeros(1, dtype=np.int64), depths)):
             rows.append(row)
             ends = np.append(starts[1:], n)
-            lo, hi = self._qualifying_spans(row, starts, stale)
+            roots = np.ones(len(starts), dtype=bool)
+            roots[starts.searchsorted(stale)] = False   # one-point spans of an earlier depth
+            lo, hi, span = self._qualifying_spans(row, starts, roots)
             keys.append(self._node_key(depth, lo, hi))
-            span = starts.searchsorted(lo, side="right") - 1  # each node's primary span [p, e)
-            p, e = starts[span], ends[span]
+            p, e = starts[span], ends[span]   # each node's primary span [p, e)
             slots.append(2 * n * depth + np.where(hi - lo == 1, p + lo, e + (lo + hi) // 2))
             stale = starts[ends - starts == 1]
         self.rows = np.array(rows, dtype=np.min_scalar_type(max(n - 1, 0))).reshape(depths, n)
@@ -315,28 +321,45 @@ class Sweep1DIndex:
         return depth, start, stop
 
     def _qualifying_spans(self, row: np.ndarray, starts: np.ndarray,
-                          stale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row slices [lo, hi) of the secondary nodes in one depth's row
-        whose colors are distinct, leaving out the one-point primary spans
-        in ``stale``, which are nodes of an earlier depth."""
+                          roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row slices [lo, hi) of the secondary nodes in one depth's row that
+        a query can take as canonical nodes, and the primary span each lies
+        in: the roots of the spans flagged in ``roots`` and the left
+        children, of distinct colors and ending within their span's reach.
+
+        A prefix descent over [p, c) takes a root only when c is its end and
+        a left child [lo, mid) of [lo, hi) only when mid <= c < hi, never a
+        right child. The cut c counts the entries with y < a, and every x
+        of a tiled span is at least a, so c is at most the reach: p plus the
+        entries with y below the span's least x."""
         n = self.n
         colors = self.mcolor[row]
         by_color = np.argsort(colors, kind="stable")
         same = colors[by_color[1:]] == colors[by_color[:-1]]
         nxt = np.full(n, n)  # next position of the same color in the row
         nxt[by_color[:-1][same]] = by_color[1:][same]
+        prim_starts = starts
+        ends = np.append(starts[1:], n)
+        below = self.my[row] < np.repeat(self.mx[starts], ends - starts)   # x-sorted: mx[p] is least
+        reach = starts + np.add.reduceat(below, starts, dtype=np.int64)
+        take = roots
         lo, hi = [], []
         while True:
-            ends = np.append(starts[1:], n)
-            ok = np.minimum.reduceat(nxt, starts) >= ends
+            ok = take & (np.minimum.reduceat(nxt, starts) >= ends)
             lo.append(starts[ok])
             hi.append(ends[ok])
             if len(starts) == n:
                 break
+            split = ends - starts >= 2
             starts = refine_spans(starts, n)
+            ends = np.append(starts[1:], n)
+            # a left child keeps its parent's start, which the mids inserted before it shift
+            take = np.zeros(len(starts), dtype=bool)
+            take[(np.arange(len(split)) + np.cumsum(split) - split)[split]] = True
         lo, hi = np.concatenate(lo), np.concatenate(hi)
-        keep = (hi - lo > 1) | ~np.isin(lo, stale)
-        return lo[keep], hi[keep]
+        span = prim_starts.searchsorted(lo, side="right") - 1
+        keep = hi <= reach[span]
+        return lo[keep], hi[keep], span[keep]
 
     def _build_ladders(self, cx: np.ndarray, ccol: np.ndarray) -> None:
         """The ladder of every qualifying node, in gid order, built for
@@ -440,7 +463,7 @@ class Sweep1DIndex:
             stats["primary_nodes"] = len(prim)
             stats["canonical_nodes"] = len(gids)
         if -1 in gids:
-            raise AssertionError("canonical node with duplicated colors")
+            raise AssertionError("canonical node without a ladder")
         return max(ihi - ilo, 0), gids
 
     def query(self, rect: QueryRect, stats: Optional[dict] = None) -> EntropySummary:

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import pickle
 import struct
 import subprocess
@@ -17,6 +18,7 @@ from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import (
     DataFormatError,
     IndexKindMismatch,
+    InvalidWeight,
     NotAnIndex,
     UnsupportedVersion,
 )
@@ -73,6 +75,34 @@ def test_ingest_errors_carry_line_numbers(tmp_path):
     path = write_csv(tmp_path / "nohdr.csv", ["1,2"], header="a,b")
     with pytest.raises(DataFormatError, match="x1..xd"):
         storage.ingest(path)
+
+
+def test_non_finite_weights_refused(tmp_path, rng, capsys):
+    # built directly, read from a CSV, or found in an index file whose
+    # digest and manifest are right
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidWeight, match="finite"):
+            ColoredPointSet([[0.0], [1.0]], [0, 1], [1.0, bad])
+    csv_path = write_csv(tmp_path / "nan.csv", ["0,a,1", "1,b,nan"], header="x1,color,weight")
+    idx_path = tmp_path / "nan.rqe"
+    assert run_cli("build", "--input", str(csv_path), "--kind", "exact1d",
+                   "--out", str(idx_path)) == 3
+    assert not idx_path.exists()
+    pts = random_pointset(rng, 20, d=1, m=3, weighted=True)
+    storage.save_index(idx_path, "exact1d", exact1d.Exact1DIndex(pts, 0.5))
+    data = idx_path.read_bytes()
+    at = len(storage.MAGIC) + 1
+    (size,) = struct.unpack(">I", data[at:at + 4])
+    start = at + 4 + size
+    payload = bytearray(data[start:])
+    weights = next(e for e in json.loads(data[at + 4:start])["arrays"] if e["name"] == "weights")
+    payload[weights["offset"]:weights["offset"] + 8] = struct.pack("<d", math.nan)
+    idx_path.write_bytes(edit_header(data[:start], lambda h: h.update(
+        sha256=hashlib.sha256(payload).hexdigest())) + bytes(payload))
+    with pytest.raises(NotAnIndex, match="finite"):
+        storage.load_index(idx_path)
+    assert run_cli("query", "--index", str(idx_path), "--rect", "0:100") == 4
+    capsys.readouterr()
 
 
 def test_ingest_large_synthetic_roundtrip(tmp_path, rng):
@@ -369,6 +399,9 @@ def test_load_refuses_sweep_ladders_no_build_writes(tmp_path, rng, capsys):
         delimit, bounds, rise = "one run per", "out of range", "rise within"
         cases = {   # name: (what the refusal names, the arrays that differ)
             "one run start short": (delimit, dict(ladder_first=first[:-1])),
+            # format 14 kept a run for every node of distinct colors, reachable or not
+            "runs for unreachable nodes": (delimit, dict(
+                ladder_first=np.concatenate((first, np.full(5, first[-1]))))),
             "runs start past 0": (delimit, dict(ladder_first=changed(first, 0, 1))),
             "run starts fall": (delimit, dict(ladder_first=changed(first, g + 1, first[g] - 1))),
             "runs end short of the pool": (delimit, dict(h_rank=rank[:-1], h_exp=exp[:-1])),
@@ -405,7 +438,7 @@ def test_load_refuses_sweep_ladders_no_build_writes(tmp_path, rng, capsys):
 def test_format_13_sweep_files_are_refused(tmp_path, rng):
     # format 13 stored the sweep's mapped points, rows, node keys, slots and
     # count ladder: its version byte is refused, and so is its layout
-    # behind a format-14 byte
+    # behind the current version byte
     pts = random_pointset(rng, 40, d=1, m=5)
     path = tmp_path / "s.rqe"
     storage.save_index(path, "sweep-renyi", sweep1d.build_renyi(pts, 0.3, 2.0))

@@ -606,6 +606,61 @@ def test_canonical_gids_match_stack_walk(n):
             assert stats["primary_nodes"] == len(prim)
 
 
+def reachable_nodes(idx):
+    """(depth, start, stop) of every secondary node a query's descent can
+    take whole, by a brute walk of each primary span's secondary tree: the
+    roots and left children with distinct colors that end within the span's
+    reach, its start plus its row entries with y below its least x."""
+    n, out = idx.n, set()
+    prim = [(0, n, 0)] if n else []
+    while prim:
+        p, e, depth = prim.pop()
+        ids = idx.rows[depth, p:e]
+        reach = p + int((idx.my[ids] < idx.mx[p:e].min()).sum())
+        sec = [(p, e, True)]
+        while sec:
+            lo, hi, takeable = sec.pop()
+            colors = idx.mcolor[idx.rows[depth, lo:hi]]
+            if takeable and hi <= reach and len(set(colors.tolist())) == hi - lo:
+                out.add((depth, lo, hi))
+            if hi - lo >= 2:
+                mid = (lo + hi) // 2
+                sec += [(lo, mid, True), (mid, hi, False)]
+        if e - p >= 2:
+            mid = (p + e) // 2
+            prim += [(p, mid, depth + 1), (mid, e, depth + 1)]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 37, 120])
+def test_ladders_only_for_reachable_nodes(n):
+    # the stored nodes are exactly the brute walk's reachable ones, and
+    # every interval with ends on the distinct coordinates or in the gaps
+    # between and around them takes only stored nodes as canonical, under
+    # either kind
+    rng = np.random.default_rng(1000 + n)
+    pts = random_pointset(rng, n, d=1, m=8, duplicate_frac=0.3)
+    idx = build_shannon(pts, 0.3)
+    stored = set(zip(*(a.tolist() for a in idx._spans(slice(None)))))
+    assert stored == reachable_nodes(idx)
+    renyi = build_renyi(pts, 0.3, 2.0)
+    assert np.array_equal(renyi.node_keys, idx.node_keys)
+    u = idx.ucoords
+    y_rank = np.where(np.isneginf(idx.my), 0, u.searchsorted(idx.my) + 1)
+    ends = np.sort(np.concatenate(([u[0] - 1.0], u, (u[:-1] + u[1:]) / 2, [u[-1] + 1.0])))
+    for i, a in enumerate(ends.tolist()):
+        ilo, r_a = int(idx.mx.searchsorted(a)), int(u.searchsorted(a)) + 1
+        for b in ends[i:].tolist():
+            want = []
+            for depth, lo, hi in stack_walk(ilo, int(idx.mx.searchsorted(b, "right")), 0, n):
+                cut = int((y_rank[idx.rows[depth, lo:hi]] < r_a).sum())
+                want += [(depth, s, e) for _, s, e in stack_walk(lo, lo + cut, lo, hi)]
+            assert set(want) <= stored, (a, b)
+            for index in (idx, renyi):
+                gids = np.array(index._canonical(a, b)[1], dtype=np.int64)
+                assert list(zip(*(g.tolist() for g in index._spans(gids)))) == want, (a, b)
+
+
 def test_query_makes_no_numpy_call(rng):
     pts = random_pointset(rng, 300, d=1, m=20, duplicate_frac=0.1)
     rects = [rand_interval(rng, -10.0, 110.0) for _ in range(40)] + [QueryRect.full(1)]
