@@ -143,12 +143,14 @@ def cmd_partition(args: argparse.Namespace) -> int:
     if args.backend == "oracle":
         backend = partition.OracleBackend(pts, kind)
     elif args.backend == "exact":
+        # t = 1, one bucket: the 1-D jobs read rows, not the table, and exactnd ignores t
+        orders = () if kind.is_shannon else (kind.alpha,)
         if pts.dim == 1:
-            index = exact1d.Exact1DIndex(pts, args.t, () if kind.is_shannon else (kind.alpha,))
+            index = exact1d.Exact1DIndex(pts, 1.0, orders)
         elif args.algorithm != "greedy-tree":
             raise DataFormatError(f"--algorithm {args.algorithm} with --backend exact needs 1-D points")
         else:
-            index = exactnd.ExactNDIndex(pts, args.t, () if kind.is_shannon else (kind.alpha,))
+            index = exactnd.ExactNDIndex(pts, 1.0, orders)
         backend = partition.ExactIndexBackend(index, kind)
     else:
         backend = partition.EstimateBackend(
@@ -245,7 +247,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", default="min", choices=("min", "max"))
     p.add_argument("--kind", default="shannon", choices=("shannon", "renyi"))
     p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_partition)

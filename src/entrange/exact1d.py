@@ -18,7 +18,8 @@ ever subtracted from a total, so no update chain cancels.
     prefix pairs, the cumulative sum of f(after) - f(before) read at each
     bucket's last group gives S at every later cut, and S with W from the
     weight prefix pair turns into the stored entropy. Temporaries are
-    O(groups) per row; with buckets of one point every group is a point.
+    O(groups) per row. :meth:`Exact1DIndex.row`, the entropy of every span
+    from one start, runs the same pass over groups of one point.
   * Query: two ``searchsorted`` calls turn the interval into a span
     [lo, hi) of sorted positions for :meth:`Exact1DIndex.query_span`.
     Cuts are multiples of the bucket size, so integer division finds the
@@ -46,6 +47,7 @@ stored entries back into full tables.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -130,8 +132,7 @@ class Exact1DIndex:
             masses = groups.masses(first, int(self.cuts[i]))
             ends = bucket_first[i + 1:] - first - 1  # each later cut's last group, row-relative
             for kind, table in tables.items():
-                f = core.power_term(masses, kind)
-                table[i, i + 1:] = np.cumsum(f[:, 1] - f[:, 0])[ends]  # S, turned into entropy below
+                table[i, i + 1:] = _power_sums(masses, kind)[ends]  # S, turned into entropy below
         upper = np.triu_indices(k + 1, 1)
         lo, hi = self.cuts[upper[0]], self.cuts[upper[1]]
         W = (self.wpre[hi] - self.wpre[lo]) + (self.wlo[hi] - self.wlo[lo])
@@ -139,7 +140,21 @@ class Exact1DIndex:
             table[upper] = core.entropy_from_power_sum(W, table[upper], kind)
         return tables
 
+    @functools.cached_property
+    def _points(self) -> "_ColorGroups":
+        return _ColorGroups(self.color_prefix, 1)   # group p is sorted position p
+
     # -- queries --------------------------------------------------------------
+
+    def row(self, i: int, kind: EntropyKind = SHANNON) -> tuple[np.ndarray, np.ndarray]:
+        """Mass and entropy of the points at sorted positions [i, j) for
+        j = i..n, as two arrays indexed by j - i: the table build's pass from
+        position i, over groups of one point. The 1-D partitioners read span
+        scores this way."""
+        self._require(kind)
+        W = (self.wpre[i:] - self.wpre[i]) + (self.wlo[i:] - self.wlo[i])
+        S = np.concatenate(([0.0], _power_sums(self._points.masses(i, i), kind)))
+        return W, core.entropy_from_power_sum(W, S, kind)
 
     def query(self, rect: QueryRect, kind: EntropyKind = SHANNON,
               stats: Optional[dict] = None) -> EntropySummary:
@@ -151,13 +166,12 @@ class Exact1DIndex:
 
     def query_span(self, i: int, j: int, kind: EntropyKind = SHANNON,
                    stats: Optional[dict] = None) -> EntropySummary:
-        """Entropy of the points at sorted positions [i, j) (0 <= i, j <= n):
-        the (coordinate, input index) order the 1-D partitioners use, so a
-        partition backend calls this directly. ``stats`` receives
+        """Entropy of the points at sorted positions [i, j) (0 <= i, j <= n),
+        the order of :meth:`row`. A partition backend scores one span here
+        and every span from one start with :meth:`row`. ``stats`` receives
         ``points_in_range``, ``fringe_points`` and ``core_cuts`` (the
         precomputed slice's cut pair, or None)."""
-        if not kind.is_shannon and kind.alpha not in self.orders:
-            raise OrderNotIndexed(f"alpha={kind.alpha} not precomputed (have {self.orders})")
+        self._require(kind)
         n, size, last = len(self.colors_sorted), self.bucket_size, len(self.cuts) - 1
         a, b = min(-(-i // size), last), (last if j >= n else j // size)
         W, value, core_lo, core_hi = 0.0, 0.0, i, i
@@ -187,6 +201,10 @@ class Exact1DIndex:
             S += float(core.power_term(added, kind).sum())
         return EntropySummary(kind, W, core.entropy_from_sums(W, S, kind))
 
+    def _require(self, kind: EntropyKind) -> None:
+        if not kind.is_shannon and kind.alpha not in self.orders:
+            raise OrderNotIndexed(f"alpha={kind.alpha} not precomputed (have {self.orders})")
+
     # -- reporting -------------------------------------------------------------
 
     def space_stats(self) -> dict:
@@ -201,6 +219,13 @@ class Exact1DIndex:
             "orders": self.orders,
             "bytes": int(sum(a.nbytes for a in arrays)),
         }
+
+
+def _power_sums(masses: np.ndarray, kind: EntropyKind) -> np.ndarray:
+    """S over [a row's cut, the end of each group): the running sum of the
+    groups' f(after) - f(before), from :meth:`_ColorGroups.masses`."""
+    f = core.power_term(masses, kind)
+    return np.cumsum(f[:, 1] - f[:, 0])
 
 
 class _ColorGroups:

@@ -1,8 +1,9 @@
-"""Ground truth: brute-force range entropy, exhaustive partitioning, and
-the hardness-reduction point-set generators used as lemma-level tests.
+"""Ground truth: brute-force range entropy, the reference partition backend,
+exhaustive partitioning, and the hardness-reduction point-set generators
+used as lemma-level tests.
 
-Everything here is a pure function with no preprocessing; the rest of the
-package is tested against these.
+Everything here recomputes from the points with no preprocessing; the rest
+of the package is tested against these.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,28 +62,66 @@ def exhaustive_partition(
     """Enumerate every k-bucket cut of the coordinate-sorted sequence.
 
     objective "max" scores a partition by its largest per-bucket expected
-    entropy, "sum" by the total. Returns (best score, best cuts). Intended
-    for tiny n only.
+    entropy, "min" by its smallest, "sum" by the total; buckets are scored
+    by :meth:`OracleBackend.expected_range`. Returns (best score, best
+    cuts). Intended for tiny n only.
     """
-    order = np.lexsort((np.arange(len(pts)), pts.coords[:, 0]))
-    total = float(pts.weights.sum())
-    agg = max if objective == "max" else sum
+    backend = OracleBackend(pts, kind)
+    agg = {"max": max, "min": min, "sum": sum}[objective]
     best: Optional[tuple[float, tuple[int, ...]]] = None
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
     for cuts in iter_cut_sets(len(pts), k):
-        scores = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            entries: dict[int, float] = {}
-            for i in order[a:b]:
-                c = int(pts.colors[i])
-                entries[c] = entries.get(c, 0.0) + float(pts.weights[i])
-            hist = ColorHistogram(entries)
-            scores.append(expected_entropy(entropy_of(hist, kind), total))
-        value = agg(scores)
+        value = agg(backend.expected_range(a, b) for a, b in zip(cuts[:-1], cuts[1:]))
         if best is None or better(value, best[0]):
             best = (value, cuts)
     assert best is not None
     return best
+
+
+class OracleBackend:
+    """Partition backend by direct recomputation; the reference backend.
+
+    Index ranges are positions of the (coordinate, input index) order.
+    """
+
+    def __init__(self, pts: ColoredPointSet, kind: EntropyKind = SHANNON):
+        self.pts = pts
+        self.kind = kind
+        self.order = np.lexsort((np.arange(len(pts)), pts.coords[:, 0]))
+        self.total_weight = float(pts.weights.sum())
+
+    def describe(self) -> dict:
+        return {"backend": "oracle", "kind": self.kind.label()}
+
+    def _grow(self, i: int, j: int) -> Iterator[dict[int, float]]:
+        """The color masses of [i, i+1), ..., [i, j): one dict, grown by
+        adding the points in order."""
+        entries: dict[int, float] = {}
+        ids = self.order[i:j]
+        for c, w in zip(self.pts.colors[ids], self.pts.weights[ids]):
+            entries[int(c)] = entries.get(int(c), 0.0) + float(w)
+            yield entries
+
+    def summary_range(self, i: int, j: int) -> EntropySummary:
+        entries: dict[int, float] = {}
+        for entries in self._grow(i, j):
+            pass
+        return entropy_of(ColorHistogram(entries), self.kind)
+
+    def expected_range(self, i: int, j: int) -> float:
+        return expected_entropy(self.summary_range(i, j), self.total_weight)
+
+    def expected_row(self, i: int) -> np.ndarray:
+        """``expected_row(i)[j - i] == expected_range(i, j)`` for j = i..n, bit for bit."""
+        return np.array([0.0] + [
+            expected_entropy(entropy_of(ColorHistogram(entries), self.kind), self.total_weight)
+            for entries in self._grow(i, len(self.pts))])
+
+    def summary_rect(self, rect: QueryRect) -> EntropySummary:
+        return brute_entropy(self.pts, rect, self.kind)
+
+    def expected_rect(self, rect: QueryRect) -> float:
+        return expected_entropy(self.summary_rect(rect), self.total_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,34 @@
 """Entropy-driven partitioning over a pluggable range-entropy backend.
 
 Buckets are scored by expected entropy, (bucket mass / total mass) * H,
-which is monotone under extending a bucket; that monotonicity powers every
-algorithm here:
+which is monotone under extending a bucket and 0 for a bucket of one
+point. The 1-D jobs read scores a row at a time: ``rows(i)[j - i]`` is the
+score of [i, j) for j = i..n, from the backend's ``expected_row(i)`` or,
+for a backend without one, from n - i calls of its ``expected_range``:
 
-  * maxpart_dp       exact min-max (or max-min) DP over cut positions; the
-                     inner optimum is a binary search over the crossing of
-                     a nondecreasing and a nonincreasing sequence;
+  * maxpart_dp       exact min-max (or max-min) DP over cut positions, run
+                     as a push: once the best values over the first l items
+                     are final, one array update per bucket count applies
+                     row l to every later end. Rows stream; none is kept;
   * maxpart_approx   (1+eps) approximation: binary search over a geometric
-                     value ladder, testing feasibility with a greedy
-                     maximal-extension pass per value;
+                     value ladder, testing feasibility with a greedy pass
+                     that ends each bucket with one search of its start's
+                     row (monotonicity);
   * sumpart_approx   (1+eps) approximation of the minimum total score via a
-                     DP whose candidate cut positions are sparsified to one
+                     push DP whose cut positions are sparsified to one
                      representative per geometric value band;
   * greedy_tree_split d-D: repeatedly split the extreme-score leaf at the
                      median of the cycling coordinate.
 
-Backends score either a contiguous index range of the coordinate-sorted
-sequence (1-D algorithms) or a rectangle (the tree splitter). Estimator
-backends carry their accuracy parameters into the result metadata; their
-scores inherit the estimator's error, which the partition guarantees then
-inherit as well.
+Backends score contiguous index ranges of the coordinate-sorted sequence
+(1-D algorithms) or rectangles (the tree splitter). Estimator backends
+carry their accuracy parameters into the result metadata; their scores
+inherit the estimator's error, which the partition guarantees then inherit
+as well.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,57 +36,21 @@ from typing import Optional
 import numpy as np
 
 from . import approx_renyi, approx_shannon, core
-from .core import (
-    ColorHistogram,
-    ColoredPointSet,
-    EntropyKind,
-    EntropySummary,
-    QueryRect,
-    SHANNON,
-)
+from .core import ColoredPointSet, EntropyKind, EntropySummary, QueryRect, SHANNON
 from .errors import TooManyBuckets
-from .oracle import brute_entropy, expected_entropy
+from .oracle import OracleBackend, expected_entropy  # noqa: F401  (OracleBackend: re-exported)
 
 
 # ---------------------------------------------------------------------------
 # backends
 
 
-class OracleBackend:
-    """Direct recomputation; the reference backend."""
-
-    def __init__(self, pts: ColoredPointSet, kind: EntropyKind = SHANNON):
-        self.pts = pts
-        self.kind = kind
-        self.order = np.lexsort((np.arange(len(pts)), pts.coords[:, 0]))
-        self.total_weight = float(pts.weights.sum())
-
-    def describe(self) -> dict:
-        return {"backend": "oracle", "kind": self.kind.label()}
-
-    def summary_range(self, i: int, j: int) -> EntropySummary:
-        ids = self.order[i:j]
-        entries: dict[int, float] = {}
-        for c, w in zip(self.pts.colors[ids], self.pts.weights[ids]):
-            entries[int(c)] = entries.get(int(c), 0.0) + float(w)
-        return core.entropy_of(ColorHistogram(entries), self.kind)
-
-    def expected_range(self, i: int, j: int) -> float:
-        return expected_entropy(self.summary_range(i, j), self.total_weight)
-
-    def summary_rect(self, rect: QueryRect) -> EntropySummary:
-        return brute_entropy(self.pts, rect, self.kind)
-
-    def expected_rect(self, rect: QueryRect) -> float:
-        return expected_entropy(self.summary_rect(rect), self.total_weight)
-
-
 class ExactIndexBackend:
     """Backed by an exact structure built over the same points.
 
-    Index ranges go to the index's ``query_span`` (``Exact1DIndex``), which
-    works in the same (coordinate, input index) order as the partitioners;
-    rectangles go to ``query`` (1-D or d-D).
+    Index ranges go to an ``Exact1DIndex``, which works in the same
+    (coordinate, input index) order as the partitioners: one span to
+    ``query_span``, a row to ``row``. Rectangles go to ``query`` (1-D or d-D).
     """
 
     def __init__(self, index, kind: EntropyKind = SHANNON):
@@ -97,6 +64,10 @@ class ExactIndexBackend:
 
     def expected_range(self, i: int, j: int) -> float:
         return expected_entropy(self.index.query_span(i, j, self.kind), self.total_weight)
+
+    def expected_row(self, i: int) -> np.ndarray:
+        W, H = self.index.row(i, self.kind)
+        return (W / self.total_weight) * H if self.total_weight else np.zeros_like(H)
 
     def expected_rect(self, rect: QueryRect) -> float:
         return expected_entropy(self.index.query(rect, self.kind), self.total_weight)
@@ -209,92 +180,76 @@ def _check_k(k: int, n: int) -> None:
         raise TooManyBuckets(f"cannot split {n} items into {k} nonempty buckets")
 
 
+def _rows(backend, n: int):
+    """rows(i)[j - i]: the score of [i, j) for j = i..n."""
+    if hasattr(backend, "expected_row"):
+        return backend.expected_row
+    return lambda i: np.array([0.0] + [backend.expected_range(i, j) for j in range(i + 1, n + 1)])
+
+
+def _backtrack(arg: np.ndarray) -> list[int]:
+    """The cuts of the best split into len(arg) buckets, from arg[b, j]: the
+    start of the last of b + 1 buckets over the first j items."""
+    cuts = [arg.shape[1] - 1]
+    for b in range(len(arg) - 1, 0, -1):
+        cuts.append(int(arg[b, cuts[-1]]))
+    return [0] + cuts[::-1]
+
+
+def _bucketing(k: int, cuts: list[int], rows, agg, backend) -> Bucketing1D:
+    """The result for the given cuts, each bucket scored from its start's row."""
+    scores = tuple(float(rows(a)[b - a]) for a, b in zip(cuts[:-1], cuts[1:]))
+    return Bucketing1D(k, tuple(cuts), scores, agg(scores), backend.describe())
+
+
 # ---------------------------------------------------------------------------
 # exact min-max / max-min DP
 
 
-def maxpart_dp(pts: ColoredPointSet, k: int, backend, objective: str = "min",
-               inner: str = "binary") -> Bucketing1D:
+def maxpart_dp(pts: ColoredPointSet, k: int, backend, objective: str = "min") -> Bucketing1D:
     """Optimal k-bucket split of the coordinate-sorted sequence.
 
     objective "min" minimizes the maximum bucket score; "max" maximizes the
-    minimum. ``inner="linear"`` scans every split point instead of binary
-    searching the crossing (a correctness guard used by the tests).
+    minimum. Reads each row once, in the order of its start, and keeps none.
     """
     n = len(pts)
     _check_k(k, n)
     if objective not in ("min", "max"):
         raise ValueError(f"unknown objective {objective!r}")
-    minimize = objective == "min"
+    worst, combine, better = ((math.inf, np.maximum, np.less) if objective == "min"
+                              else (-math.inf, np.minimum, np.greater))
+    rows = _rows(backend, n)
 
-    err = functools.cache(backend.expected_range)  # one backend call per (i, j)
-
-    # dp[j][i]: best objective for the first i items in j buckets
-    dp = [[math.inf if minimize else -math.inf] * (n + 1) for _ in range(k + 1)]
-    arg = [[-1] * (n + 1) for _ in range(k + 1)]
-    for i in range(1, n + 1):
-        dp[1][i] = err(0, i)
-        arg[1][i] = 0
-    for j in range(2, k + 1):
-        for i in range(j, n + 1):
-            lo, hi = j - 1, i - 1
-            if inner == "linear":
-                candidates = range(lo, hi + 1)
-            else:
-                # dp[j-1][l] is monotone nondecreasing in l, err(l, i) is
-                # nonincreasing; probe the crossing and its neighbors
-                a, b = lo, hi
-                while a < b:
-                    mid = (a + b) // 2
-                    if dp[j - 1][mid] >= err(mid, i):
-                        b = mid
-                    else:
-                        a = mid + 1
-                candidates = {c for c in (a - 1, a, a + 1) if lo <= c <= hi}
-            best, best_l = (math.inf, -1) if minimize else (-math.inf, -1)
-            for cut in candidates:
-                cand = (max(dp[j - 1][cut], err(cut, i)) if minimize
-                        else min(dp[j - 1][cut], err(cut, i)))
-                if (cand < best) if minimize else (cand > best):
-                    best, best_l = cand, cut
-            dp[j][i] = best
-            arg[j][i] = best_l
-
-    cuts = [n]
-    j, i = k, n
-    while j > 1:
-        i = arg[j][i]
-        cuts.append(i)
-        j -= 1
-    cuts.append(0)
-    cuts = tuple(sorted(set(cuts)))
-    scores = tuple(err(a, b) for a, b in zip(cuts[:-1], cuts[1:]))
-    return Bucketing1D(k, cuts, scores, dp[k][n], backend.describe())
+    # dp[b, j]: the best value of b + 1 buckets over the first j items
+    dp = np.full((k, n + 1), worst)
+    arg = np.zeros((k, n + 1), dtype=np.int64)
+    dp[0, 1:] = rows(0)[1:]
+    for l in range(1, n if k > 1 else 1):
+        # dp[:, l] is final: only rows that start before l end there
+        cand = combine(dp[:-1, l, None], rows(l)[1:])
+        take = better(cand, dp[1:, l + 1:])
+        np.copyto(dp[1:, l + 1:], cand, where=take)
+        np.copyto(arg[1:, l + 1:], l, where=take)
+    return _bucketing(k, _backtrack(arg), rows, max if objective == "min" else min, backend)
 
 
 # ---------------------------------------------------------------------------
 # (1+eps) min-max via geometric value ladder
 
 
-def _greedy_cover(n: int, k: int, threshold: float, err) -> Optional[list[int]]:
+def _greedy_cover(n: int, k: int, threshold: float, rows) -> Optional[list[int]]:
     """Greedy maximal buckets of score <= threshold; None if > k needed."""
     cuts = [0]
     while cuts[-1] < n:
         if len(cuts) > k:
             return None
         start = cuts[-1]
-        # largest end with err(start, end) <= threshold; monotone in end
-        lo, hi = start + 1, n
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if err(start, mid) <= threshold:
-                lo = mid
-            else:
-                hi = mid - 1
-        if err(start, lo) > threshold:
+        # the largest end with score <= threshold: a row is monotone in the end
+        end = start + int(np.searchsorted(rows(start), threshold, side="right")) - 1
+        if end == start:
             return None  # single item exceeds the threshold
-        cuts.append(lo)
-    return cuts if len(cuts) <= k + 1 else None
+        cuts.append(end)
+    return cuts
 
 
 def smallest_nonzero_expected_entropy(pts: ColoredPointSet) -> float:
@@ -324,8 +279,7 @@ def maxpart_approx(pts: ColoredPointSet, k: int, eps: float, backend) -> Bucketi
     _check_k(k, n)
     if eps <= 0:
         raise ValueError("eps must be positive")
-
-    err = functools.cache(backend.expected_range)  # one backend call per (i, j)
+    rows = _rows(backend, n)
 
     def finish(cuts: list[int]) -> Bucketing1D:
         while len(cuts) - 1 < k:  # pad with singleton splits of the last bucket
@@ -333,10 +287,9 @@ def maxpart_approx(pts: ColoredPointSet, k: int, eps: float, backend) -> Bucketi
                 if cuts[pos + 1] - cuts[pos] > 1:
                     cuts.insert(pos + 1, cuts[pos] + 1)
                     break
-        scores = tuple(err(a, b) for a, b in zip(cuts[:-1], cuts[1:]))
-        return Bucketing1D(k, tuple(cuts), scores, max(scores), backend.describe())
+        return _bucketing(k, cuts, rows, max, backend)
 
-    zero = _greedy_cover(n, k, 0.0, err)
+    zero = _greedy_cover(n, k, 0.0, rows)
     if zero is not None:
         return finish(zero)
 
@@ -349,14 +302,14 @@ def maxpart_approx(pts: ColoredPointSet, k: int, eps: float, backend) -> Bucketi
     best: Optional[list[int]] = None
     while lo_r < hi_r:
         mid = (lo_r + hi_r) // 2
-        cuts = _greedy_cover(n, k, lo_val * (1 + eps) ** mid, err)
+        cuts = _greedy_cover(n, k, lo_val * (1 + eps) ** mid, rows)
         if cuts is not None:
             best = cuts
             hi_r = mid
         else:
             lo_r = mid + 1
     if best is None:
-        best = _greedy_cover(n, k, lo_val * (1 + eps) ** rungs, err)
+        best = _greedy_cover(n, k, lo_val * (1 + eps) ** rungs, rows)
     if best is None:  # the top rung always covers: value <= log2 n
         best = list(range(0, n + 1))  # pragma: no cover
     return finish(best)
@@ -372,53 +325,28 @@ def sumpart_approx(pts: ColoredPointSet, k: int, eps: float, backend) -> Bucketi
     _check_k(k, n)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    delta = eps / (2.0 * k)
+    log_band = math.log1p(eps / (2.0 * k))
+    rows = _rows(backend, n)
 
-    err = functools.cache(backend.expected_range)  # one backend call per (i, j)
-
-    prev = [err(0, i) for i in range(n + 1)]
-    prev[0] = 0.0
-    parents = [[-1] * (n + 1)]
-    for j in range(2, k + 1):
-        # one candidate cut per geometric value band of the previous row
-        candidates: list[int] = []
-        band = None
-        for i in range(j - 1, n):
-            v = prev[i]
-            b = -1 if v <= 0 else math.floor(math.log(v) / math.log1p(delta))
-            if band is None or b != band:
-                candidates.append(i)
-                band = b
-            else:
-                candidates[-1] = i  # keep the largest position in the band
-        cur = [math.inf] * (n + 1)
-        par = [-1] * (n + 1)
-        for i in range(j, n + 1):
-            best, best_l = math.inf, -1
-            for cut in candidates:
-                if cut >= i:
-                    break
-                cand = prev[cut] + err(cut, i)
-                if cand < best:
-                    best, best_l = cand, cut
-            # the immediate predecessor is always admissible
-            cand = prev[i - 1] + err(i - 1, i)
-            if cand < best:
-                best, best_l = cand, i - 1
-            cur[i] = best
-            par[i] = best_l
-        parents.append(par)
+    prev = rows(0)  # prev[j]: the least total of b buckets over the first j items
+    arg = np.zeros((k, n + 1), dtype=np.int64)
+    for b in range(1, k):
+        # one candidate cut per geometric value band of prev over b..n-1:
+        # the last position of each run of equal band
+        v = prev[b:n]
+        band = np.where(v > 0, np.floor(np.log(np.where(v > 0, v, 1.0)) / log_band), -1.0)
+        cur = np.full(n + 1, math.inf)
+        for c in b + np.flatnonzero(np.append(band[1:] != band[:-1], True)):
+            cand = prev[c] + rows(c)[1:]
+            take = cand < cur[c + 1:]
+            np.copyto(cur[c + 1:], cand, where=take)
+            np.copyto(arg[b, c + 1:], c, where=take)
+        # the immediate predecessor is always admissible: one point scores 0
+        take = v < cur[b + 1:]
+        np.copyto(cur[b + 1:], v, where=take)
+        np.copyto(arg[b, b + 1:], np.arange(b, n), where=take)
         prev = cur
-
-    cuts = [n]
-    j = k
-    while j > 1:
-        cuts.append(parents[j - 1][cuts[-1]])
-        j -= 1
-    cuts.append(0)
-    cuts = tuple(sorted(set(cuts)))
-    scores = tuple(err(a, b) for a, b in zip(cuts[:-1], cuts[1:]))
-    return Bucketing1D(k, cuts, scores, sum(scores), backend.describe())
+    return _bucketing(k, _backtrack(arg), rows, sum, backend)
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,36 @@ def test_maxpart_dp_equals_exhaustive(rng):
         assert max(got.scores) == pytest.approx(got.value, abs=1e-12)
 
 
-def test_maxpart_dp_binary_equals_linear(rng):
-    pts = random_pointset(rng, 120, d=1, m=6)
-    backend = OracleBackend(pts)
-    for k in (2, 3, 5):
-        fast = maxpart_dp(pts, k, backend, inner="binary")
-        slow = maxpart_dp(pts, k, backend, inner="linear")
-        assert abs(fast.value - slow.value) < 1e-9
+def test_maxpart_dp_on_exact_rows_equals_exhaustive(rng):
+    for trial in range(30):
+        n = int(rng.integers(4, 12))
+        k = int(rng.integers(1, min(4, n) + 1))
+        pts = ColoredPointSet(rng.integers(0, 6, size=n).astype(float),
+                              rng.integers(0, 4, size=n), rng.uniform(0.5, 2.0, size=n))
+        backend = ExactIndexBackend(Exact1DIndex(pts, t=0.5))
+        for objective, agg in (("min", "max"), ("max", "min")):
+            want, _ = exhaustive_partition(pts, k, SHANNON, objective=agg,
+                                           minimize=objective == "min")
+            got = maxpart_dp(pts, k, backend, objective=objective)
+            assert abs(got.value - want) < 1e-9
+            assert len(got.cuts) == k + 1 and all(a < b for a, b in zip(got.cuts, got.cuts[1:]))
+
+
+def test_maxpart_dp_streams_its_rows():
+    import tracemalloc
+
+    rng = np.random.default_rng(2000)
+    pts = ColoredPointSet(rng.uniform(0, 1e3, size=2000), rng.integers(0, 32, size=2000),
+                          rng.uniform(0.5, 2.0, size=2000))
+    backend = ExactIndexBackend(Exact1DIndex(pts, t=0.5))
+    tracemalloc.start()
+    try:
+        out = maxpart_dp(pts, 8, backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.cuts) == 9
+    assert peak < 4_000_000  # a row per start, kept, peaks at about 16 MB
 
 
 def test_maxpart_dp_monotone_in_k(rng):
@@ -165,6 +188,43 @@ def test_exact_backend_matches_oracle(rng):
         got = maxpart_dp(pts, 3, exact_b)
         want = maxpart_dp(pts, 3, oracle_b)
         assert abs(got.value - want.value) < 1e-6
+
+
+def row_inputs():
+    rng = np.random.default_rng(61)
+    n = 61
+    weights = rng.uniform(0.5, 2.0, size=n)
+    zero = weights.copy()
+    zero[rng.integers(0, n, size=20)] = 0.0
+    heavy = weights.copy()
+    heavy[rng.integers(0, n, size=4)] = 10.0 ** rng.uniform(12, 15, size=4)
+    distinct = rng.permutation(np.arange(n, dtype=float))
+    return {
+        "duplicates": (rng.integers(0, 12, size=n).astype(float), rng.integers(0, 5, size=n),
+                       weights),
+        "one-color": (distinct, np.zeros(n, dtype=np.int64), weights),
+        "zero-weights": (distinct, rng.integers(0, 5, size=n), zero),
+        "heavy-1e15": (distinct, rng.integers(0, 5, size=n), heavy),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(row_inputs()))
+@pytest.mark.parametrize("alpha", [None, 2.0])
+def test_exact_rows_match_spans(case, alpha):
+    coords, colors, weights = row_inputs()[case]
+    pts = ColoredPointSet(coords, colors, weights)
+    kind = SHANNON if alpha is None else renyi_kind(alpha)
+    exact = ExactIndexBackend(Exact1DIndex(pts, t=0.5, orders=(2.0,)), kind)
+    oracle = OracleBackend(pts, kind)
+    n = len(pts)
+    for i in range(n + 1):
+        row = exact.expected_row(i)
+        assert row.shape == (n - i + 1,)
+        want = [exact.expected_range(i, j) for j in range(i, n + 1)]
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-9)
+        # the oracle's row is its own spans, bit for bit
+        assert oracle.expected_row(i).tolist() == [oracle.expected_range(i, j)
+                                                  for j in range(i, n + 1)]
 
 
 @pytest.mark.parametrize("mode", ["additive", "multiplicative"])

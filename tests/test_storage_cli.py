@@ -555,12 +555,18 @@ def test_cli_seeded_queries_reproducible(tmp_path, capsys):
 def test_cli_partition_json(tmp_path, capsys):
     rows = [f"{i},{'aabb'[i % 4]}" for i in range(16)]
     csv_path = write_csv(tmp_path / "p.csv", rows, header="x1,color")
-    assert run_cli("partition", "--input", str(csv_path), "--k", "4",
-                   "--algorithm", "dp", "--backend", "oracle", "--json") == 0
-    out = json.loads(capsys.readouterr().out)
+    outs = []
+    for backend in ("oracle", "exact"):
+        assert run_cli("partition", "--input", str(csv_path), "--k", "4",
+                       "--algorithm", "dp", "--backend", backend, "--json") == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    out, exact = outs
     assert out["k"] == 4
     assert len(out["bucket_scores"]) == 4
     assert out["cuts"][0] == 0 and out["cuts"][-1] == 16
+    assert exact["value"] == pytest.approx(out["value"], abs=1e-9)
+    with pytest.raises(SystemExit):  # the exact backend builds its own one-bucket index
+        run_cli("partition", "--input", str(csv_path), "--k", "4", "--t", "0.5")
 
 
 def test_cli_partition_greedy_tree(tmp_path, capsys):
