@@ -1,38 +1,38 @@
-"""Sampling-based Shannon entropy estimators over query rectangles.
+"""Sampling-based entropy estimators over query rectangles, for both families.
 
-Estimation runs in the dual access model: SAMP draws a color with
-probability proportional to its mass inside the rectangle, EVAL returns
-that mass ratio exactly; both run on one pooled range tree
-(:mod:`.rangetree`), with the rectangle decomposed once per query. An
-estimate is one tally: its samples are drawn as one batch, counted by
-color, and EVAL runs once per distinct color drawn, so a query costs a
-fixed number of numpy calls plus its draws. The
-additive estimator is the plug-in mean of log2(1/EVAL(SAMP())); the
-multiplicative estimator first decides whether some color holds more than
-2/3 of the range's mass. If none does the range entropy exceeds 0.9 bits
-and the plain plug-in mean concentrates multiplicatively; otherwise the
-heavy color is peeled off exactly and only the light remainder is
-estimated, through the color-excluding sampler.
+Estimation runs in the dual access model: SAMP draws a color c with
+probability p_c, its share of the rectangle's mass, and EVAL returns p_c
+exactly; both run on one pooled range tree (:mod:`.rangetree`), with the
+rectangle decomposed once per query. Every estimator estimates one
+statistic E[g(p)] of the range's color law (:func:`g`): for g(p) = -log2 p
+it is the Shannon entropy, for g(p) = p^(alpha-1) the moment m = sum p^alpha,
+whose Renyi entropy is -log2(m)/(alpha-1). A statistic is a tally mean (the
+draws made as one batch, counted by color, each distinct color EVAL'd once)
+or exact: sum_c p_c g(p_c) over the range's color masses (one gather of the
+pieces' point ids, one ``bincount``) divided by their total. Both work on
+probabilities, so they hold at any weight scale. One function chooses
+between them (:meth:`DualAccessOracle.use_sampling`): a statistic samples
+only when its draws are fewer than the range's points, since the exact
+value reads each point once and meets every bound.
 
-An estimate samples only when that is cheaper than the exact answer. The
-canonical pieces list the range's m points, and the exact answer is a
-handful of numpy calls: one gather of their ids, one ``bincount`` by color
-(:meth:`.RangeTree.color_masses`), one power-term pass. So any
-estimate that would draw at least m samples answers exactly instead, which
-meets every additive and multiplicative bound. The multiplicative
-estimator makes that test before heavy detection, against the fewest draws
-any of its sampling branches would make (detection included), and again
-on the reduced range inside the heavy branch.
+An additive estimator takes one statistic. A multiplicative one answers
+exactly when the range holds no more points than the fewest draws any of
+its sampling branches would make; otherwise it checks for a color holding
+more than 2/3 of the mass. Without one the entropy is bounded below and one
+statistic over the range gives the factor; with one, that color's exact
+share is peeled off and the light remainder is estimated through the
+color-excluding sampler (Shannon: :func:`.core.insert_color_shannon`;
+Renyi: :func:`heavy_combine_renyi` with the full moment). The Renyi entry
+points are in :mod:`.approx_renyi`.
 
 ``stats["mode"]`` names the path that answered: ``"sampled"`` or
-``"exact-fallback"`` for the additive estimator; ``"exact-fallback"``,
+``"exact-fallback"`` for an additive estimator; ``"exact-fallback"``,
 ``"sampled-light"``, ``"sampled+heavy"``, ``"exact-fallback+heavy"`` or
-``"single-color"`` for the multiplicative one. ``stats["samples"]`` is 0
-on every exact answer.
-
-Sample counts follow the published complexities with configurable leading
-constants; the asymptotic constants themselves are not reproducible, so
-acceptance is statistical (bounds hold for >= 95% of seeds).
+``"single-color"`` for a multiplicative one. ``stats["samples"]`` counts
+the statistics' draws (not heavy detection's), 0 on every exact answer;
+additive Renyi also reports its ``branch``. Sample counts follow the
+published complexities with configurable leading constants, so acceptance
+is statistical (bounds hold for >= 95% of seeds).
 """
 
 from __future__ import annotations
@@ -45,9 +45,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (SHANNON, ColoredPointSet, EntropyKind, EntropySummary, QueryRect,
-                   entropy_from_sums, insert_color_shannon, power_term)
+                   insert_color_shannon)
 from .errors import EmptyRange
 from .rangetree import ColorAwareRangeTree, ColorTrees, Pieces
+
+# the smallest normal float: a p below it reads as this in -log2 p, where an
+# underflowed p of 0 would make 0 * inf
+TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,6 @@ class EstimatorConfig:
 
     c_add: float = 1.0
     c_mult: float = 1.0
-    c_heavy: float = 1.0
     c_mom: float = 1.0
     moment_c1: float = 8.0
     moment_c2: float = 8.0
@@ -117,28 +120,10 @@ class DualAccessOracle:
         positive weights, so only a reduced range needs its mass checked)."""
         return self.total_count == 0 or (self.exclusion is not None and self.total_weight <= 0.0)
 
-    def sample_point(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Point index drawn by weight; an array of ``size`` independent
-        draws, in draw order, if given."""
-        if self.is_empty:
-            raise EmptyRange("no mass to sample in query range")
-        return self.index.tree.sample_from(self.pieces, rng, size, self.exclusion)
-
-    def sample_color(self, rng: np.random.Generator, size: Optional[int] = None):
-        colors = self.index.pts.colors[self.sample_point(rng, size)]
-        return int(colors) if size is None else colors
-
     def color_weight(self, color):
         """Mass inside the range of one color, or of each color of an array:
         EVAL, through the index's ``color_trees``."""
         return self.index.color_trees.weight(self.rect, color, pieces=self.pieces)
-
-    def eval_color(self, color):
-        """Probability mass of a color (or of each color of an array) under
-        the (possibly reduced) range law."""
-        p = np.where(np.asarray(color) == self.excluded, 0.0,
-                     self.color_weight(color) / self.total_weight)
-        return float(p) if p.ndim == 0 else p
 
     def tally(self, rng: np.random.Generator, size: int, stats: Optional[dict] = None):
         """Draws ``size`` samples and counts them by color: returns the colors
@@ -154,26 +139,20 @@ class DualAccessOracle:
             stats["distinct_colors"] += len(colors)
         return colors, counts[colors], self.color_weight(colors)
 
-    def heavy_color(self, rng: np.random.Generator, cfg: "EstimatorConfig",
+    def heavy_color(self, rng: np.random.Generator,
                     stats: Optional[dict] = None) -> Optional[HeavyColor]:
         """See :func:`detect_heavy_color`."""
-        colors, _, weights = self.tally(rng, heavy_draws(self.index, cfg), stats)
+        colors, _, weights = self.tally(rng, heavy_draws(self.index), stats)
         top = int(np.argmax(weights))
         if weights[top] > (2.0 / 3.0) * self.total_weight:
             return HeavyColor(int(colors[top]), float(weights[top]), self.total_weight)
         return None
 
-    def use_sampling(self, samples: int, stats: Optional[dict] = None,
-                     mode: str = "sampled") -> bool:
-        """Whether ``samples`` draws cost less than the exact answer, which
-        reads each of the (reduced) range's points once: true when the range
-        holds more points than that. Records the mode and the sample count
-        (0 for an exact answer) in ``stats``."""
-        sampled = samples < self.total_count
-        if stats is not None:
-            stats["mode"] = mode if sampled else "exact-fallback"
-            stats["samples"] = samples if sampled else 0
-        return sampled
+    def use_sampling(self, samples: int) -> bool:
+        """The one choice between sampling and the exact answer: ``samples``
+        draws cost less than the exact answer, which reads each of the
+        (reduced) range's points once, when the range holds more points."""
+        return samples < self.total_count
 
     def color_masses(self) -> np.ndarray:
         """Positive color masses of the (reduced) range, from
@@ -182,15 +161,6 @@ class DualAccessOracle:
         masses = self.index.tree.color_masses(self.pieces, self.excluded)
         self.total_weight = float(masses.sum())
         return masses
-
-    def exact_power_sum(self, kind: EntropyKind) -> float:
-        """S = sum_c f(w_c) over :meth:`color_masses` (which sets ``total_weight``)."""
-        return float(power_term(self.color_masses(), kind).sum())
-
-    def exact_entropy(self, kind: EntropyKind = SHANNON) -> float:
-        """Exact entropy of the (reduced) range, from its color masses."""
-        S = self.exact_power_sum(kind)
-        return entropy_from_sums(self.total_weight, S, kind)
 
 
 class EstimatorIndex:
@@ -227,11 +197,42 @@ class EstimatorIndex:
                 "pool_entries": len(self.tree.pool_ids), "bytes": self.tree.nbytes()}
 
 
-def _plugin_mean(oracle: DualAccessOracle, samples: int, rng: np.random.Generator,
-                 stats: Optional[dict] = None) -> float:
-    """Mean of -log2 EVAL(SAMP()) over ``samples`` draws, from their tally."""
+def g(kind: EntropyKind, p: np.ndarray) -> np.ndarray:
+    """The per-draw value whose mean over the color law is the kind's
+    statistic: -log2 p for Shannon, p^(alpha-1) for Renyi."""
+    if kind.alpha is None:
+        return -np.log2(np.maximum(p, TINY))
+    return p ** (kind.alpha - 1.0)
+
+
+def entropy_of(kind: EntropyKind, value: float) -> float:
+    """Entropy (bits) from the statistic: itself for Shannon,
+    -log2(m)/(alpha-1) of the moment m for Renyi."""
+    return value if kind.alpha is None else -math.log2(value) / (kind.alpha - 1.0)
+
+
+def tally_mean(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
+               rng: np.random.Generator, stats: Optional[dict] = None) -> float:
+    """Mean of g(EVAL(SAMP())) over ``samples`` draws, from their tally."""
     _, counts, weights = oracle.tally(rng, samples, stats)
-    return float(-(counts * np.log2(weights / oracle.total_weight)).sum() / samples)
+    return float((counts * g(kind, weights / oracle.total_weight)).sum() / samples)
+
+
+def exact_statistic(kind: EntropyKind, oracle: DualAccessOracle) -> float:
+    """sum_c p_c g(p_c) over the (reduced) range's color probabilities."""
+    masses = oracle.color_masses()   # first: it sets total_weight
+    p = masses / oracle.total_weight
+    return float((p * g(kind, p)).sum())
+
+
+def statistic(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
+              rng: np.random.Generator, stats: Optional[dict] = None) -> tuple[float, int]:
+    """The kind's statistic over the oracle's law and the draws it took: a
+    tally mean of ``samples`` draws where :meth:`DualAccessOracle.use_sampling`
+    allows, otherwise exact, with 0 draws."""
+    if oracle.use_sampling(samples):
+        return tally_mean(kind, oracle, samples, rng, stats), samples
+    return exact_statistic(kind, oracle), 0
 
 
 def additive_sample_count(index: EstimatorIndex, delta: float, cfg: EstimatorConfig) -> int:
@@ -239,9 +240,54 @@ def additive_sample_count(index: EstimatorIndex, delta: float, cfg: EstimatorCon
     return math.ceil(cfg.c_add * math.log2(n / delta) ** 2 * math.log2(n) / delta**2)
 
 
-def heavy_draws(index: EstimatorIndex, cfg: EstimatorConfig) -> int:
+def moment_sample_count(index: EstimatorIndex, alpha: float, eps: float,
+                        cfg: EstimatorConfig) -> int:
+    n = max(2, len(index))
+    return math.ceil(cfg.c_mom * alpha * n ** (1.0 - 1.0 / alpha) * math.log2(n) / eps**2)
+
+
+def additive_branch_sample_counts(alpha: float, delta: float, n: int,
+                                  cfg: EstimatorConfig = DEFAULT_CONFIG) -> tuple[int, int, str]:
+    """Sample counts of the two additive Renyi strategies and which one wins.
+
+    The samples-only route needs ~ max(1, 1/(alpha-1)^2) * alpha / delta^2
+    draws per n^(1-1/alpha); the dual-access route ~ 1/(1-2^((1-alpha)delta))^2.
+    """
+    n = max(2, n)
+    base = n ** (1.0 - 1.0 / alpha) * math.log2(n)
+    so_factor = max(1.0, 1.0 / (alpha - 1.0) ** 2) * alpha / delta**2
+    dual_factor = 1.0 / (1.0 - 2.0 ** ((1.0 - alpha) * delta)) ** 2
+    samples_only = math.ceil(cfg.c_mom * so_factor * base)
+    dual = math.ceil(cfg.c_mom * dual_factor * base)
+    chosen = "samples-only" if dual_factor >= so_factor else "dual-access"
+    return samples_only, dual, chosen
+
+
+def heavy_draws(index: EstimatorIndex) -> int:
     """Draws of heavy-color detection: ~log_3(2n)."""
-    return math.ceil(cfg.c_heavy * math.log(2 * max(2, len(index))) / math.log(3))
+    return math.ceil(math.log(2 * max(2, len(index))) / math.log(3))
+
+
+def heavy_combine_renyi(h1: float, h2: float, h_hat: float, alpha: float) -> float:
+    """Entropy from the split t-1 = (1 - sum p^alpha)/sum p^alpha: h1 is the
+    exact 1 - rho^alpha of the heavy color, h2 the rescaled light moment,
+    h_hat the full-moment estimate. The log argument is clamped to the
+    feasible t >= 1 (power sums never exceed one)."""
+    arg = (h1 - h2) / h_hat + 1.0
+    return math.log2(max(arg, 1.0)) / (alpha - 1.0)
+
+
+def heavy_combine(kind: EntropyKind, heavy: HeavyColor, rest: float,
+                  full: Optional[float]) -> float:
+    """The range's entropy from the heavy color's exact mass and the rest's
+    statistic (and, for Renyi, the full moment)."""
+    if kind.alpha is None:
+        summary = EntropySummary(SHANNON, heavy.total - heavy.weight, rest)
+        return insert_color_shannon(summary, heavy.weight).value
+    alpha = kind.alpha
+    rho = heavy.weight / heavy.total
+    light = rest * ((heavy.total - heavy.weight) / heavy.total) ** alpha
+    return heavy_combine_renyi(1.0 - rho**alpha, light, full, alpha)
 
 
 def prepare_query(index: EstimatorIndex, rect: QueryRect, cfg: EstimatorConfig,
@@ -263,23 +309,88 @@ def prepare_query(index: EstimatorIndex, rect: QueryRect, cfg: EstimatorConfig,
     return oracle, rng if rng is not None else np.random.default_rng(cfg.seed)
 
 
+def additive(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, delta: float,
+             cfg: EstimatorConfig = DEFAULT_CONFIG, rng: Optional[np.random.Generator] = None,
+             stats: Optional[dict] = None) -> EntropySummary:
+    """Entropy of the kind within +-delta, with high probability: one
+    statistic, with the family's draw count."""
+    oracle, rng = prepare_query(index, rect, cfg, rng, stats, delta=delta)
+    if kind.alpha is None:
+        samples = additive_sample_count(index, delta, cfg)
+    else:   # both Renyi routes draw through the one dual oracle: take the cheaper
+        *counts, branch = additive_branch_sample_counts(kind.alpha, delta, len(index), cfg)
+        samples = min(counts)
+        if stats is not None:
+            stats["branch"] = branch
+    value, drawn = statistic(kind, oracle, samples, rng, stats)
+    if stats is not None:
+        stats["mode"], stats["samples"] = "sampled" if drawn else "exact-fallback", drawn
+    return EntropySummary(kind, oracle.total_weight, entropy_of(kind, value))
+
+
+def multiplicative(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, eps: float,
+                   cfg: EstimatorConfig = DEFAULT_CONFIG,
+                   rng: Optional[np.random.Generator] = None,
+                   stats: Optional[dict] = None) -> EntropySummary:
+    """Entropy of the kind within a (1+eps) factor, with high probability.
+
+    The family's draw counts: ``light_draws`` over the range when no color
+    is heavy; ``rest_draws`` over the range without the heavy color when
+    one is, and beside them ``full_draws`` over the whole range (Renyi's
+    full moment; 0, none, for Shannon)."""
+    oracle, rng = prepare_query(index, rect, cfg, rng, stats, eps=eps)
+    alpha = kind.alpha
+    if alpha is None:
+        light_draws = math.ceil(cfg.c_mult * math.log2(max(2, len(index))) / (eps**2 * 0.9))
+        rest_draws, full_draws = additive_sample_count(index, eps, cfg), 0
+    else:
+        # the additive route at delta gives the factor when the entropy is at least log2(3/2)
+        delta = min(0.999, math.log2(1.5) * eps)
+        eps1 = eps / cfg.moment_c1 / 3.0
+        eps2 = (alpha - 1.0) * eps1 / cfg.moment_c2 if alpha <= 2.0 else eps1 / cfg.moment_c2
+        light_draws = min(additive_branch_sample_counts(alpha, delta, len(index), cfg)[:2])
+        rest_draws = moment_sample_count(index, alpha, min(eps2, 0.999), cfg)
+        full_draws = moment_sample_count(index, alpha, min(eps1, 0.999), cfg)
+    mode, drawn = "exact-fallback", 0
+    if not oracle.use_sampling(heavy_draws(index) + min(light_draws, rest_draws + full_draws)):
+        value = entropy_of(kind, exact_statistic(kind, oracle))
+    elif (heavy := oracle.heavy_color(rng, stats)) is None:
+        # no dominant color: the entropy is bounded below, so one statistic
+        # over the range gives the factor
+        value, drawn = statistic(kind, oracle, light_draws, rng, stats)
+        mode, value = "sampled-light" if drawn else mode, entropy_of(kind, value)
+    elif (reduced := oracle.excluding(heavy.color)).is_empty:
+        # the rest of the range has no mass: zero exactly
+        mode, value = "single-color", 0.0
+    else:
+        rest, drawn = statistic(kind, reduced, rest_draws, rng, stats)
+        full = None
+        if full_draws:
+            full, more = statistic(kind, oracle, full_draws, rng, stats)
+            drawn += more
+        mode = ("sampled" if drawn else mode) + "+heavy"
+        value = heavy_combine(kind, heavy, rest, full)
+        if stats is not None:
+            stats["heavy_color"] = heavy.color
+    if stats is not None:
+        stats["mode"], stats["samples"] = mode, drawn
+    return EntropySummary(kind, oracle.total_weight, value)
+
+
 def estimate_additive(index: EstimatorIndex, rect: QueryRect, delta: float,
                       cfg: EstimatorConfig = DEFAULT_CONFIG,
                       rng: Optional[np.random.Generator] = None,
                       stats: Optional[dict] = None) -> EntropySummary:
     """Entropy within +-delta of truth, with high probability."""
-    oracle, rng = prepare_query(index, rect, cfg, rng, stats, delta=delta)
-    value = _estimate_additive_on(index, oracle, delta, cfg, rng, stats)
-    return EntropySummary(SHANNON, oracle.total_weight, value)
+    return additive(index, rect, SHANNON, delta, cfg, rng, stats)
 
 
-def _estimate_additive_on(index: EstimatorIndex, oracle: DualAccessOracle, delta: float,
-                          cfg: EstimatorConfig, rng: np.random.Generator,
-                          stats: Optional[dict] = None) -> float:
-    samples = additive_sample_count(index, delta, cfg)
-    if oracle.use_sampling(samples, stats):
-        return _plugin_mean(oracle, samples, rng, stats)
-    return oracle.exact_entropy()
+def estimate_multiplicative(index: EstimatorIndex, rect: QueryRect, eps: float,
+                            cfg: EstimatorConfig = DEFAULT_CONFIG,
+                            rng: Optional[np.random.Generator] = None,
+                            stats: Optional[dict] = None) -> EntropySummary:
+    """Entropy within a (1+eps) multiplicative factor, with high probability."""
+    return multiplicative(index, rect, SHANNON, eps, cfg, rng, stats)
 
 
 def detect_heavy_color(index: EstimatorIndex, rect: QueryRect,
@@ -292,42 +403,4 @@ def detect_heavy_color(index: EstimatorIndex, rect: QueryRect,
     counting, so a returned ratio is never a sampling artifact.
     """
     oracle, rng = prepare_query(index, rect, cfg, rng)
-    return oracle.heavy_color(rng, cfg)
-
-
-def estimate_multiplicative(index: EstimatorIndex, rect: QueryRect, eps: float,
-                            cfg: EstimatorConfig = DEFAULT_CONFIG,
-                            rng: Optional[np.random.Generator] = None,
-                            stats: Optional[dict] = None) -> EntropySummary:
-    """Entropy within a (1+eps) multiplicative factor, with high probability."""
-    oracle, rng = prepare_query(index, rect, cfg, rng, stats, eps=eps)
-    light = math.ceil(cfg.c_mult * math.log2(max(2, len(index))) / (eps**2 * 0.9))
-    fewest = heavy_draws(index, cfg) + min(light, additive_sample_count(index, eps, cfg))
-    if not oracle.use_sampling(fewest, stats):
-        value = oracle.exact_entropy()   # first: it sets total_weight from the masses
-        return EntropySummary(SHANNON, oracle.total_weight, value)
-    heavy = oracle.heavy_color(rng, cfg, stats)
-    if heavy is None:
-        # no dominant color: entropy > 0.9 bits, plug-in mean concentrates
-        if oracle.use_sampling(light, stats, "sampled-light"):
-            value = _plugin_mean(oracle, light, rng, stats)
-        else:
-            value = oracle.exact_entropy()
-        return EntropySummary(SHANNON, oracle.total_weight, value)
-
-    reduced = oracle.excluding(heavy.color)
-    if reduced.is_empty:
-        # the rest of the range has no mass: zero exactly
-        if stats is not None:
-            stats["mode"] = "single-color"
-            stats["samples"] = 0
-        return EntropySummary(SHANNON, oracle.total_weight, 0.0)
-
-    h_prime = _estimate_additive_on(index, reduced, eps, cfg, rng, stats)
-    # the heavy color's exact mass inserted into the rest's summary
-    rest = EntropySummary(SHANNON, heavy.total - heavy.weight, h_prime)
-    value = insert_color_shannon(rest, heavy.weight).value
-    if stats is not None:
-        stats["mode"] += "+heavy"
-        stats["heavy_color"] = heavy.color
-    return EntropySummary(SHANNON, oracle.total_weight, value)
+    return oracle.heavy_color(rng)

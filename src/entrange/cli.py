@@ -13,8 +13,7 @@ import time
 import numpy as np
 
 from . import exact1d, exactnd, partition, storage, sweep1d
-from .approx_renyi import estimate_additive_renyi, estimate_multiplicative_renyi
-from .approx_shannon import EstimatorConfig, EstimatorIndex, estimate_additive, estimate_multiplicative
+from .approx_shannon import EstimatorConfig, EstimatorIndex, additive, multiplicative
 from .core import QueryRect, SHANNON, renyi_kind
 from .errors import DataFormatError, EntrangeError, IndexFileError, IndexKindMismatch
 
@@ -97,19 +96,12 @@ def _query_once(kind_name: str, header: dict, index, args) -> dict:
     else:  # additive | multiplicative
         if kind_name != "estimator":
             raise IndexKindMismatch(f"mode={args.mode} needs an estimator index, file holds {kind_name}")
-        cfg = EstimatorConfig(seed=args.seed)
         if args.mode == "additive":
-            if args.kind == "shannon":
-                summary = estimate_additive(index, rect, args.delta, cfg, rng)
-            else:
-                summary = estimate_additive_renyi(index, rect, args.alpha, args.delta, cfg, rng)
-            bounds = {"additive": args.delta, "confidence": "whp"}
+            estimate, accuracy, bounds = additive, args.delta, {"additive": args.delta}
         else:
-            if args.kind == "shannon":
-                summary = estimate_multiplicative(index, rect, args.epsilon, cfg, rng)
-            else:
-                summary = estimate_multiplicative_renyi(index, rect, args.alpha, args.epsilon, cfg, rng)
-            bounds = {"factor": 1 + args.epsilon, "confidence": "whp"}
+            estimate, accuracy, bounds = multiplicative, args.epsilon, {"factor": 1 + args.epsilon}
+        summary = estimate(index, rect, want_kind, accuracy, EstimatorConfig(seed=args.seed), rng)
+        bounds["confidence"] = "whp"
     elapsed_us = (time.perf_counter() - t0) * 1e6
     return {
         "value": summary.value,

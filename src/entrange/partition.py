@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import approx_renyi, approx_shannon, core
+from . import approx_shannon, core
 from .core import ColoredPointSet, EntropyKind, EntropySummary, QueryRect, SHANNON
 from .errors import TooManyBuckets
 from .oracle import OracleBackend, expected_entropy  # noqa: F401  (OracleBackend: re-exported)
@@ -88,9 +88,9 @@ class EstimateBackend:
             raise ValueError(f"unknown estimator mode {mode!r}")
         self.index = index
         self.mode = mode
-        self.delta = delta
-        self.eps = eps
-        self.alpha = alpha
+        additive = mode == "additive"
+        self.estimate = approx_shannon.additive if additive else approx_shannon.multiplicative
+        self.accuracy = delta if additive else eps
         self.cfg = cfg if cfg is not None else approx_shannon.DEFAULT_CONFIG
         self.rng = rng if rng is not None else np.random.default_rng(self.cfg.seed)
         self.kind = SHANNON if alpha is None else core.renyi_kind(alpha)
@@ -106,22 +106,11 @@ class EstimateBackend:
 
     def describe(self) -> dict:
         out = {"backend": "estimate", "mode": self.mode, "kind": self.kind.label()}
-        out["delta" if self.mode == "additive" else "eps"] = (
-            self.delta if self.mode == "additive" else self.eps)
+        out["delta" if self.mode == "additive" else "eps"] = self.accuracy
         return out
 
     def summary_rect(self, rect: QueryRect) -> EntropySummary:
-        if self.alpha is None:
-            if self.mode == "additive":
-                return approx_shannon.estimate_additive(
-                    self.index, rect, self.delta, self.cfg, self.rng)
-            return approx_shannon.estimate_multiplicative(
-                self.index, rect, self.eps, self.cfg, self.rng)
-        if self.mode == "additive":
-            return approx_renyi.estimate_additive_renyi(
-                self.index, rect, self.alpha, self.delta, self.cfg, self.rng)
-        return approx_renyi.estimate_multiplicative_renyi(
-            self.index, rect, self.alpha, self.eps, self.cfg, self.rng)
+        return self.estimate(self.index, rect, self.kind, self.accuracy, self.cfg, self.rng)
 
     def expected_range(self, i: int, j: int) -> float:
         if i >= j:

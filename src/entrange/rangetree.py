@@ -276,10 +276,6 @@ class RangeTree:
             masses[excluded] = 0.0
         return masses[masses > 0.0]
 
-    def range_count(self, rect: QueryRect) -> int:
-        pieces = self.canonical_nodes(rect)
-        return sum(pieces.stop) - sum(pieces.start)
-
 
 class ColorAwareRangeTree(RangeTree):
     """Range tree whose pool also carries a weight prefix and a
@@ -318,34 +314,14 @@ class ColorAwareRangeTree(RangeTree):
         a, b = pieces.arrays()
         return (self.wpre[b] - self.wpre[a]) + (self.wlo[b] - self.wlo[a])
 
-    def range_weight(self, rect: QueryRect) -> float:
-        return float(self.pieces_weight(self.canonical_nodes(rect)).sum())
-
     # -- sampling -----------------------------------------------------------
-
-    def sample_index(self, rect: QueryRect, rng: np.random.Generator,
-                     size: Optional[int] = None):
-        """Point index drawn by weight from the range; an array of ``size``
-        independent draws when ``size`` is given."""
-        return self.sample_from(self.canonical_nodes(rect), rng, size)
-
-    def sample_from(self, pieces: Pieces, rng: np.random.Generator, size: Optional[int] = None,
-                    excluded: Optional[Exclusion] = None):
-        """Point id drawn by weight from the pieces' points (without the
-        excluded color's); an array of ``size`` independent draws, in draw
-        order, when ``size`` is given."""
-        pos = self.draw(pieces, rng, 1 if size is None else size, excluded)
-        if size is None:
-            return int(self.pool_ids[pos[0]])
-        rng.shuffle(pos)   # draw() leaves them grouped by piece and ascending
-        return self.pool_ids[pos]
 
     def draw(self, pieces: Pieces, rng: np.random.Generator, size: int,
              excluded: Optional[Exclusion] = None) -> np.ndarray:
         """Pool positions of ``size`` draws by weight from the pieces' points,
         without the points of the excluded color when given. The draws come
         grouped by piece, each group ascending: a multiset, not a sequence
-        (see :meth:`sample_from`)."""
+        (a tally counts them by color, so their order does not matter)."""
         a, b = pieces.arrays()
         lo = self.wpre[a]
         mass = self.wpre[b] - lo
@@ -407,12 +383,6 @@ class ColorAwareRangeTree(RangeTree):
         j = ex.first + self.others_before[ex.first:ex.stop].searchsorted(t, "right")
         hi, lo = self.color_prefix.wpre, self.color_prefix.wlo
         return t + ((hi[j] - hi[ex.first]) + (lo[j] - lo[ex.first]))
-
-    def sample_excluding_index(self, rect: QueryRect, excluded: int,
-                               rng: np.random.Generator, size: Optional[int] = None):
-        pieces = self.canonical_nodes(rect)
-        return self.sample_from(pieces, rng, size, self.exclude(pieces, excluded))
-
 
 
 class ColorTrees:

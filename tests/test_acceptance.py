@@ -358,7 +358,7 @@ def test_criterion_05_statistical_estimators_sampled(always_sample):
         heavy = name in HEAVY_SCENARIOS
         return {"add-s": "sampled", "add-r": "sampled",
                 "mult-s": "sampled+heavy" if heavy else "sampled-light",
-                "mult-r": "heavy" if heavy else "additive-light"}[key]
+                "mult-r": "sampled+heavy" if heavy else "sampled-light"}[key]
 
     _statistical_estimators(expected)
 

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from entrange.approx_renyi import (
-    additive_branch_sample_counts,
     estimate_additive_renyi,
     estimate_moment,
     estimate_moment_excluding,
     estimate_multiplicative_renyi,
-    heavy_combine_renyi,
 )
-from entrange.approx_shannon import EstimatorConfig, EstimatorIndex
+from entrange.approx_shannon import (
+    EstimatorConfig,
+    EstimatorIndex,
+    additive_branch_sample_counts,
+    heavy_combine_renyi,
+    moment_sample_count,
+    tally_mean,
+)
 from entrange.core import QueryRect, renyi_kind
 from entrange.errors import EmptyRange, InvalidOrder
 from entrange.oracle import brute_entropy
@@ -53,15 +58,13 @@ def test_moment_unbiased_skewed(rng):
 
 def test_moment_mean_of_1e5_draws_within_3_sigma(rng):
     # one estimate over 1e5 samples: the mean lands within 3 sigma of truth
-    from entrange.approx_renyi import _moment_mean
-
     index = EstimatorIndex(make_mix(rng, [32, 16, 8, 4, 2, 2]))
     alpha = 2.0
     p = np.array([32, 16, 8, 4, 2, 2]) / 64.0
     truth = float((p**alpha).sum())
     var = float((p * (p ** (alpha - 1)) ** 2).sum() - truth**2)
     draws = 100_000
-    got = _moment_mean(index.oracle(FULL), alpha, draws, np.random.default_rng(99))
+    got = tally_mean(renyi_kind(alpha), index.oracle(FULL), draws, np.random.default_rng(99))
     assert abs(got - truth) <= 3 * math.sqrt(var / draws)
 
 
@@ -195,6 +198,17 @@ def test_multiplicative_renyi_heavy_bound(rng):
     assert ok >= 0.9 * runs
 
 
+def test_multiplicative_renyi_heavy_branch_counts_both_moments(rng, always_sample):
+    # the sampled heavy branch draws the rest's moment and the full moment,
+    # both at eps / 3 here (alpha 2, moment_c1 = moment_c2 = 1); samples
+    # counts both, and not heavy detection's draws
+    index = EstimatorIndex(make_mix(rng, [96, 11, 11, 10]))
+    stats: dict = {}
+    estimate_multiplicative_renyi(index, FULL, 2.0, 0.25, FAST, rng, stats)
+    assert stats["mode"] == "sampled+heavy" and stats["heavy_color"] == 0
+    assert stats["samples"] == 2 * moment_sample_count(index, 2.0, 0.25 / 3.0, FAST)
+
+
 def test_multiplicative_renyi_light_bound(rng, always_sample):
     pts = make_mix(rng, [10] * 16)
     index = EstimatorIndex(pts)
@@ -205,6 +219,6 @@ def test_multiplicative_renyi_light_bound(rng, always_sample):
         r = np.random.default_rng(6000 + seed)
         stats: dict = {}
         h = estimate_multiplicative_renyi(index, FULL, 2.0, eps, FAST, r, stats).value
-        assert stats["mode"] == "additive-light"
+        assert stats["mode"] == "sampled-light"
         ok += 4.0 / (1 + eps) <= h <= (1 + eps) * 4.0
     assert ok >= 0.9 * runs

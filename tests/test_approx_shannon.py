@@ -5,20 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from entrange.approx_renyi import (
-    _exact_moment_value,
-    _moment_mean,
-    estimate_additive_renyi,
-    estimate_multiplicative_renyi,
-)
+from entrange.approx_renyi import estimate_additive_renyi, estimate_multiplicative_renyi
 from entrange.approx_shannon import (
-    DEFAULT_CONFIG,
     EstimatorConfig,
     EstimatorIndex,
-    _plugin_mean,
     detect_heavy_color,
+    entropy_of,
     estimate_additive,
     estimate_multiplicative,
+    exact_statistic,
+    tally_mean,
 )
 from entrange.core import (
     ColoredPointSet,
@@ -60,7 +56,7 @@ def test_eval_is_exact(rng):
     total = pts.weights[mask].sum()
     for color in range(9):
         want = pts.weights[mask & (pts.colors == color)].sum() / total
-        assert abs(oracle.eval_color(color) - want) < 1e-9
+        assert abs(oracle.color_weight(color) / oracle.total_weight - want) < 1e-9
 
 
 def test_sample_color_law(rng):
@@ -68,9 +64,9 @@ def test_sample_color_law(rng):
     index = EstimatorIndex(pts)
     oracle = index.oracle(FULL)
     draws = 30_000
-    counts = np.zeros(3)
-    for _ in range(draws):
-        counts[oracle.sample_color(rng)] += 1
+    colors, counts, weights = oracle.tally(rng, draws)
+    assert colors.tolist() == [0, 1, 2] and counts.sum() == draws
+    assert np.allclose(weights, [10.0, 30.0, 60.0], rtol=1e-12)
     for color, p in enumerate([0.1, 0.3, 0.6]):
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(counts[color] / draws - p) < 4 * sigma
@@ -172,7 +168,8 @@ def test_heavy_branch_exact_identity(rng):
     index = EstimatorIndex(pts)
     truth = brute_entropy(pts, FULL, SHANNON).value
     reduced = index.oracle(FULL, excluded=0)
-    h = insert_color_shannon(EntropySummary(SHANNON, 20.0, reduced.exact_entropy()), 80.0).value
+    h_rest = exact_statistic(SHANNON, reduced)
+    h = insert_color_shannon(EntropySummary(SHANNON, 20.0, h_rest), 80.0).value
     assert abs(h - truth) < 1e-9
 
 
@@ -277,12 +274,10 @@ ESTIMATORS = (
 EXTREME_CFG = EstimatorConfig(c_add=0.2, c_mult=2.0, c_mom=0.05, moment_c1=1.0, moment_c2=1.0)
 
 
-MODES = (
-    {"sampled", "exact-fallback"},
-    {"exact-fallback", "sampled-light", "sampled+heavy", "exact-fallback+heavy", "single-color"},
-    {"sampled", "exact-fallback"},
-    {"exact-fallback", "additive-light", "heavy", "exact-fallback+heavy", "single-color"},
-)
+ADDITIVE_MODES = {"sampled", "exact-fallback"}
+MULTIPLICATIVE_MODES = {"exact-fallback", "sampled-light", "sampled+heavy", "exact-fallback+heavy",
+                        "single-color"}
+MODES = (ADDITIVE_MODES, MULTIPLICATIVE_MODES) * 2
 
 
 def every_call_stats(rng):
@@ -327,21 +322,30 @@ def test_every_sampled_call_reports_pieces_and_distinct_colors(rng, always_sampl
         if stats["samples"] or i % 2:   # multiplicative calls always tally
             assert stats["distinct_colors"] >= 1
         assert stats["mode"] in MODES[i] and not stats["mode"].startswith("exact")
-        modes.add(stats["mode"])
-    assert {"sampled", "sampled-light", "sampled+heavy", "additive-light", "heavy"} <= modes
+        modes.add((i, stats["mode"]))
+    # both families take every sampled path
+    assert {(0, "sampled"), (1, "sampled-light"), (1, "sampled+heavy"),
+            (2, "sampled"), (3, "sampled-light"), (3, "sampled+heavy")} <= modes
+
+
+def drawn_colors(oracle, samples, seed):
+    """The color of each of the draws a tally with the same seed makes."""
+    tree = oracle.index.tree
+    pos = tree.draw(oracle.pieces, np.random.default_rng(seed), samples, oracle.exclusion)
+    return tree.pool_colors[pos]
 
 
 def per_sample_reference(oracle, samples, seed):
     """EVAL of every draw on its own, over the draws a tally with the same
-    seed makes (the public sampler shuffles only after drawing)."""
-    return oracle.eval_color(oracle.sample_color(np.random.default_rng(seed), samples))
+    seed makes."""
+    return oracle.color_weight(drawn_colors(oracle, samples, seed)) / oracle.total_weight
 
 
-def heavy_reference(oracle, cfg, seed):
-    """heavy_color as an np.unique over the drawn colors."""
+def heavy_reference(oracle, seed):
+    """heavy_color as an np.unique over the drawn colors of ~log_3(2n) draws."""
     n = max(2, len(oracle.index))
-    draws = math.ceil(cfg.c_heavy * math.log(2 * n) / math.log(3))
-    seen = np.unique(oracle.sample_color(np.random.default_rng(seed), draws))
+    draws = math.ceil(math.log(2 * n) / math.log(3))
+    seen = np.unique(drawn_colors(oracle, draws, seed))
     weights = oracle.color_weight(seen)
     top = int(np.argmax(weights))
     if weights[top] > (2.0 / 3.0) * oracle.total_weight:
@@ -365,15 +369,16 @@ def test_tally_estimates_match_per_sample_eval(seed):
             for samples in (1, 7, 500):
                 p = per_sample_reference(oracle, samples, seed)
                 want = float(-np.log2(p).mean())
-                got = _plugin_mean(oracle, samples, np.random.default_rng(seed))
+                got = tally_mean(SHANNON, oracle, samples, np.random.default_rng(seed))
                 assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300), (got, want)
                 for alpha in (1.5, 2.0, 3.0):
                     want = float((p ** (alpha - 1.0)).mean())
-                    got = _moment_mean(oracle, alpha, samples, np.random.default_rng(seed))
+                    got = tally_mean(renyi_kind(alpha), oracle, samples,
+                                     np.random.default_rng(seed))
                     assert abs(got - want) <= 1e-12 * want
                 checked += 1
-            heavy = oracle.heavy_color(np.random.default_rng(seed), DEFAULT_CONFIG)
-            want = heavy_reference(oracle, DEFAULT_CONFIG, seed)
+            heavy = oracle.heavy_color(np.random.default_rng(seed))
+            want = heavy_reference(oracle, seed)
             assert (None if heavy is None else (heavy.color, heavy.weight)) == want
     assert checked
 
@@ -412,10 +417,13 @@ def test_extreme_weight_ratios(heavy_lo, heavy_hi, always_sample):
                 if oracle.is_empty:
                     continue
                 want = masses / masses.sum()
-                got = oracle.eval_color(colors)
-                assert np.all(np.abs(got - want) <= 1e-6 * want), (seed, rect, excluded)
-                drawn = oracle.sample_color(rng, 2000)
+                got = oracle.color_weight(colors) / oracle.total_weight
+                keep = colors != excluded   # the reduced law gives it 0, color_weight its mass
+                assert np.all(np.abs(got - want)[keep] <= 1e-6 * want[keep]), (seed, rect, excluded)
+                drawn, _, weights = oracle.tally(rng, 2000)
                 assert np.all(want[drawn] > 0.0)
+                got = weights / oracle.total_weight
+                assert np.all(np.abs(got - want[drawn]) <= 1e-6 * want[drawn])
             if mask.any() and pts.weights[mask].sum() > 0.0:
                 for estimate in ESTIMATORS:
                     assert math.isfinite(estimate(index, rect, rng, None).value)
@@ -476,11 +484,8 @@ def test_exact_from_pieces_matches_brute_force(seed, d):
             single += len(want) == 1
             for kind in EXACT_KINDS:
                 truth = brute_entropy(sub, rect, kind).value
-                assert abs(oracle.exact_entropy(kind) - truth) <= 1e-9, (rect, excluded, kind)
-                if kind.alpha is not None:
-                    moment = _exact_moment_value(oracle, kind.alpha)
-                    got = -math.log2(moment) / (kind.alpha - 1.0)
-                    assert abs(got - truth) <= 1e-9, (rect, excluded, kind)
+                got = entropy_of(kind, exact_statistic(kind, oracle))
+                assert abs(got - truth) <= 1e-9, (rect, excluded, kind)
     assert single
 
 

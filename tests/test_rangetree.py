@@ -5,7 +5,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from entrange.approx_shannon import EstimatorIndex
 from entrange.core import ColoredPointSet, QueryRect
@@ -25,13 +24,28 @@ from entrange.storage import load_index, save_index
 from conftest import profiled_calls, random_pointset, random_rect
 
 
+def range_count(tree, rect):
+    """Points in the range: the sizes of its canonical pieces."""
+    pieces = tree.canonical_nodes(rect)
+    return sum(pieces.stop) - sum(pieces.start)
+
+
+def draw_ids(tree, rect, rng, size, excluded=None):
+    """Point ids of ``size`` draws by weight from the range, without the
+    points of the excluded color when given: ``draw`` on its pieces."""
+    pieces = tree.canonical_nodes(rect)
+    exclusion = None if excluded is None else tree.exclude(pieces, excluded)
+    return tree.pool_ids[tree.draw(pieces, rng, size, exclusion)]
+
+
 def test_empty_tree():
     pts = ColoredPointSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     tree = ColorAwareRangeTree.build(pts)
     rect = QueryRect((0.0, 0.0), (1.0, 1.0))
-    assert len(tree.canonical_nodes(rect)) == 0
-    assert tree.range_count(rect) == 0
-    assert tree.range_weight(rect) == 0.0
+    pieces = tree.canonical_nodes(rect)
+    assert len(pieces) == 0
+    assert range_count(tree, rect) == 0
+    assert tree.pieces_weight(pieces).sum() == 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -221,7 +235,7 @@ def test_walk_matches_cut_key_search(d, n):
             got = tree.canonical_nodes(rect)
             assert (got.start, got.stop) == cut_key_pieces(tree, keys, rect), rect
             assert all(type(x) is int for x in got.start + got.stop)
-            assert tree.range_count(rect) == int((rect.mask(pts) & (pts.weights > 0)).sum())
+            assert range_count(tree, rect) == int((rect.mask(pts) & (pts.weights > 0)).sum())
             empty += not len(got)
         assert 0 < empty < len(rects)
     zero = ColoredPointSet(pts.coords, pts.colors, np.zeros(n))
@@ -283,7 +297,7 @@ def test_full_space_and_empty_rect(rng):
     pts = random_pointset(rng, 128, d=2, m=6)
     tree = RangeTree.build(pts)
     full = QueryRect.full(2)
-    assert tree.range_count(full) == 128
+    assert range_count(tree, full) == 128
     nowhere = QueryRect((200.0, 200.0), (300.0, 300.0))
     assert len(tree.canonical_nodes(nowhere)) == 0
 
@@ -295,8 +309,9 @@ def test_counts_match_brute_force(rng, d):
     for _ in range(200):
         rect = random_rect(rng, d=d)
         mask = rect.mask(pts)
-        assert tree.range_count(rect) == int(mask.sum())
-        assert abs(tree.range_weight(rect) - float(pts.weights[mask].sum())) < 1e-9
+        assert range_count(tree, rect) == int(mask.sum())
+        weight = tree.pieces_weight(tree.canonical_nodes(rect)).sum()
+        assert abs(weight - float(pts.weights[mask].sum())) < 1e-9
 
 
 def test_canonical_node_count_polylog(rng):
@@ -332,15 +347,14 @@ def test_sample_single_point(rng):
     pts = ColoredPointSet(np.array([[5.0, 5.0]]), np.array([3]), num_colors=4)
     tree = ColorAwareRangeTree.build(pts)
     rect = QueryRect((0.0, 0.0), (10.0, 10.0))
-    for _ in range(20):
-        assert tree.sample_index(rect, rng) == 0
+    assert draw_ids(tree, rect, rng, 20).tolist() == [0] * 20
 
 
 def test_sample_empty_raises(rng):
     pts = random_pointset(rng, 50, d=1)
     tree = ColorAwareRangeTree.build(pts)
     with pytest.raises(EmptyRange):
-        tree.sample_index(QueryRect.interval(200.0, 300.0), rng)
+        draw_ids(tree, QueryRect.interval(200.0, 300.0), rng, 1)
 
 
 def test_samplers_raise_empty_range_on_empty_pieces(rng):
@@ -352,45 +366,13 @@ def test_samplers_raise_empty_range_on_empty_pieces(rng):
         tree.draw(none, rng, 5)
     with pytest.raises(EmptyRange):
         tree.draw(none, rng, 5, tree.exclude(none, 0))
-    for size in (None, 1, 50):
+    for size in (1, 50):
         with pytest.raises(EmptyRange):
-            tree.sample_index(nowhere, rng, size)
+            draw_ids(tree, nowhere, rng, size)
         with pytest.raises(EmptyRange):
-            tree.sample_excluding_index(nowhere, 0, rng, size)
+            draw_ids(tree, nowhere, rng, size, excluded=0)
         with pytest.raises(EmptyRange):
-            EstimatorIndex(pts).oracle(nowhere).sample_point(rng, size)
-
-
-def first_draw_pvalue(sampler, probs, calls=3000):
-    """Chi-square p-value of element 0 of ``calls`` size-50 draws against the
-    law ``probs``: a sampler whose draws come out sorted fails it."""
-    counts = np.zeros(len(probs))
-    for _ in range(calls):
-        counts[sampler(50)[0]] += 1
-    sel = probs > 0
-    assert counts[~sel].sum() == 0
-    return stats.chisquare(counts[sel], probs[sel] * calls).pvalue
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_public_samplers_return_draws_in_draw_order(d):
-    rng = np.random.default_rng(5 + d)
-    pts = random_pointset(rng, 24, d=d, m=3, weighted=True)
-    tree = ColorAwareRangeTree.build(pts)
-    oracle = EstimatorIndex(pts).oracle(QueryRect.full(d))
-    excluded = 1
-    probs = pts.weights / pts.weights.sum()
-    reduced = np.where(pts.colors == excluded, 0.0, pts.weights)
-    reduced /= reduced.sum()
-    full = QueryRect.full(d)
-    cases = (
-        (lambda k: tree.sample_index(full, rng, k), probs),
-        (lambda k: tree.sample_excluding_index(full, excluded, rng, k), reduced),
-        (lambda k: oracle.sample_point(rng, k), probs),
-        (lambda k: oracle.excluding(excluded).sample_point(rng, k), reduced),
-    )
-    for sampler, law in cases:
-        assert first_draw_pvalue(sampler, law) >= 1e-3
+            EstimatorIndex(pts).oracle(nowhere).tally(rng, size)
 
 
 def test_sample_uniform_frequencies(rng):
@@ -398,9 +380,7 @@ def test_sample_uniform_frequencies(rng):
     tree = ColorAwareRangeTree.build(pts)
     rect = QueryRect.interval(0.0, 10.0)
     draws = 40_000
-    counts = np.zeros(4)
-    for _ in range(draws):
-        counts[tree.sample_index(rect, rng)] += 1
+    counts = np.bincount(draw_ids(tree, rect, rng, draws), minlength=4)
     # each frequency within 3 sigma of 1/4
     sigma = np.sqrt(0.25 * 0.75 / draws)
     assert np.all(np.abs(counts / draws - 0.25) < 3 * sigma + 1e-12)
@@ -412,7 +392,7 @@ def test_sample_weighted_ratio(rng):
     tree = ColorAwareRangeTree.build(pts)
     rect = QueryRect.interval(0.0, 10.0)
     draws = 40_000
-    hits = sum(tree.sample_index(rect, rng) == 1 for _ in range(draws))
+    hits = int((draw_ids(tree, rect, rng, draws) == 1).sum())
     sigma = np.sqrt(0.75 * 0.25 / draws)
     assert abs(hits / draws - 0.75) < 3 * sigma
 
@@ -428,9 +408,7 @@ def test_sample_law_matches_restriction(rng):
     probs = np.where(mask, pts.weights, 0.0)
     probs = probs / probs.sum()
     draws = 30_000
-    counts = np.zeros(len(pts))
-    for _ in range(draws):
-        counts[tree.sample_index(rect, rng)] += 1
+    counts = np.bincount(draw_ids(tree, rect, rng, draws), minlength=len(pts))
     assert counts[~mask].sum() == 0
     sel = probs > 0
     sigma = np.sqrt(probs[sel] * (1 - probs[sel]) / draws)
@@ -459,9 +437,8 @@ def test_sample_excluding_two_colors(rng):
     pts = ColoredPointSet(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 1]))
     tree = ColorAwareRangeTree.build(pts)
     rect = QueryRect.interval(0.0, 10.0)
-    for _ in range(50):
-        assert tree.sample_excluding_index(rect, 1, rng) == 0
-        assert tree.sample_excluding_index(rect, 0, rng) in (1, 2)
+    assert set(draw_ids(tree, rect, rng, 50, excluded=1).tolist()) == {0}
+    assert set(draw_ids(tree, rect, rng, 50, excluded=0).tolist()) <= {1, 2}
 
 
 def test_sample_excluding_absent_color_matches_plain_law(rng):
@@ -474,9 +451,7 @@ def test_sample_excluding_absent_color_matches_plain_law(rng):
     probs = np.where(mask, pts.weights, 0.0)
     probs /= probs.sum()
     draws = 30_000
-    counts = np.zeros(len(pts))
-    for _ in range(draws):
-        counts[tree.sample_excluding_index(rect, 99, rng)] += 1
+    counts = np.bincount(draw_ids(tree, rect, rng, draws, excluded=99), minlength=len(pts))
     sel = probs > 0
     sigma = np.sqrt(probs[sel] * (1 - probs[sel]) / draws)
     assert np.all(np.abs(counts[sel] / draws - probs[sel]) < 4 * sigma + 2e-3)
@@ -493,9 +468,7 @@ def test_sample_excluding_law(rng):
     probs = np.where(mask, pts.weights, 0.0)
     probs /= probs.sum()
     draws = 30_000
-    counts = np.zeros(len(pts))
-    for _ in range(draws):
-        counts[tree.sample_excluding_index(rect, excluded, rng)] += 1
+    counts = np.bincount(draw_ids(tree, rect, rng, draws, excluded), minlength=len(pts))
     assert counts[~mask].sum() == 0
     sel = probs > 0
     sigma = np.sqrt(probs[sel] * (1 - probs[sel]) / draws)
@@ -506,4 +479,4 @@ def test_sample_excluding_everything_raises(rng):
     pts = ColoredPointSet(np.array([[1.0], [2.0]]), np.array([0, 0]))
     tree = ColorAwareRangeTree.build(pts)
     with pytest.raises(EmptyRange):
-        tree.sample_excluding_index(QueryRect.interval(0.0, 10.0), 0, rng)
+        draw_ids(tree, QueryRect.interval(0.0, 10.0), rng, 1, excluded=0)

@@ -65,10 +65,9 @@ def test_sampling_law_chi_square(spec):
         pytest.skip("scenario degenerate for this seed")
     probs = probs / total
     rng = np.random.default_rng(900_000 + seed)
-    if excluded is None:
-        draws = tree.sample_index(rect, rng, size=DRAWS)
-    else:
-        draws = tree.sample_excluding_index(rect, excluded, rng, size=DRAWS)
+    pieces = tree.canonical_nodes(rect)
+    exclusion = None if excluded is None else tree.exclude(pieces, excluded)
+    draws = tree.pool_ids[tree.draw(pieces, rng, DRAWS, exclusion)]
     counts = np.bincount(draws, minlength=len(pts)).astype(float)
     assert counts[probs == 0].sum() == 0
     sel = probs > 0
