@@ -45,13 +45,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (SHANNON, ColoredPointSet, EntropyKind, EntropySummary, QueryRect,
-                   insert_color_shannon)
+                   TINY, insert_color_shannon)
 from .errors import EmptyRange
 from .rangetree import ColorAwareRangeTree, ColorTrees, Pieces
-
-# the smallest normal float: a p below it reads as this in -log2 p, where an
-# underflowed p of 0 would make 0 * inf
-TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)

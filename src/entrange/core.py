@@ -249,14 +249,22 @@ class ColorHistogram:
 # direct evaluation
 
 
+# the smallest normal float: a p below it reads as this in -log2 p, where an
+# underflowed p of 0 would make 0 * inf
+TINY = float(np.finfo(np.float64).tiny)
+
+
 def shannon_entropy(h: ColorHistogram) -> EntropySummary:
-    """Shannon entropy of a histogram; empty and single-color are exactly 0."""
+    """Shannon entropy of a histogram, the sum of p * -log2 p over its color
+    probabilities p = w / total (clamped at ``TINY`` in the log, so a p that
+    underflows adds 0); empty and single-color are exactly 0."""
     if h.total == 0.0:
         return EntropySummary.empty(SHANNON)
     total = h.total
     value = 0.0
     for w in h.entries.values():
-        value += (w / total) * math.log2(total / w)
+        p = w / total
+        value -= p * math.log2(p if p > TINY else TINY)
     return EntropySummary(SHANNON, total, value)
 
 
@@ -483,6 +491,20 @@ def running_sum(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.add(lost, added, out=added)
     np.cumsum(added, out=added)
     return hi, lo
+
+
+def stable_order(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(x, kind="stable")``, element for element, from numpy's
+    default (unstable, faster) sort: only when equal values exist is the
+    order re-sorted by the integer key (rank of the value) * n + index."""
+    order = np.argsort(x)
+    tied = x[order[1:]] == x[order[:-1]]
+    if tied.any():
+        n = len(x)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.concatenate(([0], np.cumsum(~tied)))
+        order = np.argsort(rank * n + np.arange(n))
+    return order
 
 
 class ColorPrefix:

@@ -14,10 +14,13 @@ ever subtracted from a total, so no update chain cancels.
     color masses, so row i of the table is one vectorized pass over the
     (bucket, color) groups from bucket i on: the runs of equal color and
     bucket in the ``core.ColorPrefix`` keys. A group's color mass since
-    cut i before and after it are two differences of the same compensated
-    prefix pairs, the cumulative sum of f(after) - f(before) read at each
-    bucket's last group gives S at every later cut, and S with W from the
-    weight prefix pair turns into the stored entropy. Temporaries are
+    cut i after it is a difference of compensated prefix pairs, and each
+    row evaluates one power term f(after) per group and kind: f(before) is
+    the f(after) of the color's previous group in the row (the same float,
+    as that group ends where this one starts), or 0 for the color's first
+    group since cut i. The cumulative sum of f(after) - f(before) read at
+    each bucket's last group gives S at every later cut, and S with W from
+    the weight prefix pair turns into the stored entropy. Temporaries are
     O(groups) per row. :meth:`Exact1DIndex.row`, the entropy of every span
     from one start, runs the same pass over groups of one point.
   * Query: two ``searchsorted`` calls turn the interval into a span
@@ -42,7 +45,9 @@ An index file holds the points and each table's entries above the
 diagonal (:meth:`Exact1DIndex.to_arrays`). One ``_derive``, run on build
 and on load, rebuilds the sorted coordinates, colors and weights, their
 prefix pair, the ``ColorPrefix`` and the cuts; the load scatters the
-stored entries back into full tables.
+stored entries back into full tables. The coordinate order comes from an
+unstable sort with ties repaired (``core.stable_order``), which equals the
+stable (coordinate, input index) order.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ class Exact1DIndex:
             raise ValueError(f"t must lie in [0, 1], got {self.t}")
         self.kinds = (SHANNON,) + tuple(renyi_kind(a) for a in self.orders)
         n = len(pts)
-        order = np.argsort(pts.coords[:, 0], kind="stable")
+        order = core.stable_order(pts.coords[:, 0])
         self.coords_sorted = pts.coords[order, 0]
         self.colors_sorted = pts.colors[order]
         self.weights_sorted = pts.weights[order]
@@ -124,21 +129,20 @@ class Exact1DIndex:
 
     def _build_tables(self) -> dict[EntropyKind, np.ndarray]:
         k = len(self.cuts) - 1
-        tables = {kind: np.zeros((k + 1, k + 1)) for kind in self.kinds}
+        tables = np.zeros((len(self.kinds), k + 1, k + 1))
         groups = _ColorGroups(self.color_prefix, self.bucket_size)
         bucket_first = groups.bucket.searchsorted(np.arange(k + 1))  # each bucket's first group
         for i in range(k):
             first = int(bucket_first[i])
-            masses = groups.masses(first, int(self.cuts[i]))
+            S = groups.power_sums(first, int(self.cuts[i]), self.kinds)
             ends = bucket_first[i + 1:] - first - 1  # each later cut's last group, row-relative
-            for kind, table in tables.items():
-                table[i, i + 1:] = _power_sums(masses, kind)[ends]  # S, turned into entropy below
+            tables[:, i, i + 1:] = S[:, ends]   # S, turned into entropy below
         upper = np.triu_indices(k + 1, 1)
         lo, hi = self.cuts[upper[0]], self.cuts[upper[1]]
         W = (self.wpre[hi] - self.wpre[lo]) + (self.wlo[hi] - self.wlo[lo])
-        for kind, table in tables.items():
+        for kind, table in zip(self.kinds, tables):
             table[upper] = core.entropy_from_power_sum(W, table[upper], kind)
-        return tables
+        return dict(zip(self.kinds, tables))
 
     @functools.cached_property
     def _points(self) -> "_ColorGroups":
@@ -153,7 +157,7 @@ class Exact1DIndex:
         scores this way."""
         self._require(kind)
         W = (self.wpre[i:] - self.wpre[i]) + (self.wlo[i:] - self.wlo[i])
-        S = np.concatenate(([0.0], _power_sums(self._points.masses(i, i), kind)))
+        S = np.concatenate(([0.0], self._points.power_sums(i, i, (kind,))[0]))
         return W, core.entropy_from_power_sum(W, S, kind)
 
     def query(self, rect: QueryRect, kind: EntropyKind = SHANNON,
@@ -221,22 +225,15 @@ class Exact1DIndex:
         }
 
 
-def _power_sums(masses: np.ndarray, kind: EntropyKind) -> np.ndarray:
-    """S over [a row's cut, the end of each group): the running sum of the
-    groups' f(after) - f(before), from :meth:`_ColorGroups.masses`."""
-    f = core.power_term(masses, kind)
-    return np.cumsum(f[:, 1] - f[:, 0])
-
-
 class _ColorGroups:
     """The (bucket, color) groups of a ``ColorPrefix``: the runs of its keys
     with equal (color, position // size), in bucket-major order and by color
     within a bucket. A group keeps its bucket, its color's place among the
-    colors that occur (so memory is independent of the declared colors) and
-    the prefix pair at its first key and past its last one. With size 1
-    every group is one point."""
+    colors that occur (so memory is independent of the declared colors),
+    the prefix pair past its last key and the place of its color's previous
+    group (-1 for none). With size 1 every group is one point."""
 
-    __slots__ = ("cp", "present", "bucket", "dense", "bounds_hi", "bounds_lo")
+    __slots__ = ("cp", "present", "bucket", "dense", "end_hi", "end_lo", "prev")
 
     def __init__(self, cp: ColorPrefix, size: int):
         self.cp = cp
@@ -250,16 +247,32 @@ class _ColorGroups:
         order = np.argsort(bucket, kind="stable")
         self.bucket = bucket[order]
         self.dense = (np.cumsum(new_color) - 1)[order]
-        bounds = np.stack((starts, np.append(starts, cp.n)[1:]), axis=1)[order]
-        self.bounds_hi, self.bounds_lo = cp.wpre[bounds], cp.wlo[bounds]
+        ends = np.append(starts[1:], cp.n)[order]
+        self.end_hi, self.end_lo = cp.wpre[ends], cp.wlo[ends]
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        self.prev = np.where(new_color, -1, np.roll(place, 1))[order]
 
-    def masses(self, first: int, start: int) -> np.ndarray:
-        """Each group's color mass over [start, the group) and over [start,
-        the group's end), as two columns, for the groups from ``first`` on,
-        which must lie at or after ``start``: pair differences from the
-        prefix pair at the color's first key at or after start."""
+    def power_sums(self, first: int, start: int, kinds: Sequence[EntropyKind]) -> np.ndarray:
+        """S over [start, the end of each group), one row per kind, for the
+        groups from ``first`` on, which must lie at or after ``start``: the
+        running sum of the groups' f(after) - f(before).
+
+        A group's color mass since start after it is a pair difference from
+        the prefix pair at the color's first key at or after start. Its mass
+        before it is the mass after the color's previous group, bit for bit
+        (that group ends where it starts), or exactly 0 when there is no such
+        group since start; so f(before) is read from f(after), held over all
+        groups with zeros before ``first`` and in one last slot."""
         cp = self.cp
         at = cp.keys.searchsorted(self.present * cp.n + start)
-        dense = self.dense[first:, None]
-        return ((self.bounds_hi[first:] - cp.wpre[at][dense])
-                + (self.bounds_lo[first:] - cp.wlo[at][dense]))
+        dense = self.dense[first:]
+        after = ((self.end_hi[first:] - cp.wpre[at][dense])
+                 + (self.end_lo[first:] - cp.wlo[at][dense]))
+        prev = self.prev[first:]
+        f = np.zeros(len(self.prev) + 1)
+        steps = np.empty((len(kinds), len(after)))
+        for step, kind in zip(steps, kinds):
+            f[first:-1] = core.power_term(after, kind)
+            np.subtract(f[first:-1], f[prev], out=step)
+        return np.cumsum(steps, axis=1)

@@ -360,3 +360,22 @@ def test_running_sum_matches_formula(rng):
         got_hi, got_lo = core.running_sum(w)
         assert got_hi.dtype == got_lo.dtype == np.float64
         assert np.array_equal(got_hi, hi) and np.array_equal(got_lo, lo)
+
+
+@pytest.mark.parametrize("case", ["no ties", "many ties", "all equal", "signed zeros", "empty",
+                                  "one", "sorted", "reversed"])
+def test_stable_order_matches_stable_argsort(rng, case):
+    """The unstable sort with its tie repair gives numpy's stable order."""
+    x = {
+        "no ties": rng.uniform(-1e6, 1e6, 5000),
+        "many ties": rng.integers(0, 40, 5000).astype(float),
+        "all equal": np.full(3000, 2.5),
+        "signed zeros": rng.choice([-0.0, 0.0, -1.0, 1.0], 2000),
+        "empty": np.zeros(0),
+        "one": np.array([7.0]),
+        "sorted": np.sort(rng.integers(0, 300, 4000).astype(float)),
+        "reversed": np.sort(rng.integers(0, 300, 4000).astype(float))[::-1],
+    }[case]
+    got = core.stable_order(x)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(x, kind="stable"))
