@@ -16,13 +16,16 @@ query can take it as a canonical node: it is the root of its primary span
 or a left child (a query's descent never takes a right child whole), its
 colors are distinct, and it ends within its span's reach, the span's start
 plus its row entries with y below the span's least x (a query's cut never
-passes it). The sorted array ``node_keys`` of the qualifying nodes'
-(depth, start, stop) keys numbers them: a node's gid is its position
-there. No node objects exist. ``gid_slots`` maps a secondary node straight
-to its gid (-1 if it does not qualify, so no query reaches it): within the
-primary span [p, e) of a depth, a one-point node [lo, lo + 1) has slot
-p + lo and a larger node slot e + its split point, all in the 2(e - p)
-slots from 2p.
+passes it). One refinement finds every depth's qualifying nodes: the
+depth rows are laid end to end, at positions depth * n + j, and every
+depth's spans start at 0, so no span crosses a depth and about log2 n
+rounds serve all depths together. The sorted array ``node_keys`` of the
+qualifying nodes' (depth, start, stop) keys numbers them: a node's gid is
+its position there. No node objects exist. ``gid_slots`` maps a secondary
+node straight to its gid (-1 if it does not qualify, so no query reaches
+it): within the primary span [p, e) of a depth, a one-point node
+[lo, lo + 1) has slot p + lo and a larger node slot e + its split point,
+all in the 2(e - p) slots from 2p.
 
 A query tiles the mapped points with x in [a, b] by the primary nodes
 :func:`~.rangetree.tile` yields, left to right, in integer arithmetic. In
@@ -75,15 +78,23 @@ before any query reads it: one run per node, ranks in 1..U, ranks and
 exponents strictly rising within a run, and no exponent above what a build
 of the same n and eps can reach.
 
-Ladders are built for batches of nodes whose walks total at most 2^15
-points, so a build holds about 4 MB of temporaries besides the index it
-writes. A batch's walks are put in order by one stable sort of the int64
-keys ``node * (U + 1) + rank``. The counts along a walk are integers in
-1..n, so the steps f(k) - f(k-1) are gathers from a table over 0..n built
-once per index; a walk's value is the running sum of its steps. Exponents
-take the log guess and its fix-ups against the powers table. A batch's
-ranks and exponents are narrowed before they are kept (exponents to a type
-that holds the table's top), and joined once at the end.
+The counts along a walk are integers in 1..n, so the steps f(k) - f(k-1)
+are gathers from a table over 0..n built once per index; a walk's value is
+the running sum of its steps. A one-point node (most of the stored nodes)
+walks one color's run from its first point at or after x_v, whose counts
+are 1, 2, 3, ...: its values are a prefix of T = cumsum(f(1) - f(0),
+f(2) - f(1), ...), bit for bit, wherever it starts. T's exponents and
+their rises are found once per build over n values, and a one-point
+node's jumps are the last points of the tie groups in its run that hold a
+rise, read off the rises below its walk's length with no sort, running sum
+or per-point exponent. Ladders are built for batches of one-point nodes,
+and of larger ones, whose walks total at most 2^15 points, so a build
+holds about 4 MB of temporaries besides the index it writes. A batch of
+larger nodes puts its walks in order by one stable sort of the int64 keys
+``node * (U + 1) + rank``, and its exponents take the log guess and its
+fix-ups against the powers table. Every batch keeps ranks and exponents
+on their narrow types (exponents on one that holds the table's top), and
+they are scattered once into the gid-ordered runs.
 
 A query makes no numpy call at all: it is integer and float arithmetic
 plus C bisections on the arrays' memoryviews, which cost no dispatch and,
@@ -100,7 +111,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -178,6 +189,20 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return a.astype(np.min_scalar_type(int(a.max()) if len(a) else 0))
 
 
+class _Walk(NamedTuple):
+    """What every walk of one build reads."""
+
+    key: np.ndarray        # per point, in (color, coordinate) order: color * (U + 1) + rank
+    rank: np.ndarray       # its coordinate rank
+    group_end: np.ndarray  # the place of the last point with its key: its tie group's end
+    f_step: np.ndarray     # f(k) - f(k-1) for the counts k in 0..n
+    t_exp: np.ndarray      # the exponent of T[k], the running sum of f_step[1:k + 2]; -1 if 0
+    rises: np.ndarray      # the places k where t_exp rises
+    powers: np.ndarray     # the build's powers table, up to its top
+    rank_type: np.dtype    # holds every rank
+    exp_type: np.dtype     # holds every exponent up to the table's top
+
+
 class Sweep1DIndex:
     """Shared engine for the Shannon and Renyi variants (see build_*)."""
 
@@ -185,8 +210,7 @@ class Sweep1DIndex:
               "ladder_first")   # a file holds the points' arrays, then these; see to_arrays
 
     def __init__(self, pts: ColoredPointSet, eps: float, alpha: Optional[float] = None):
-        cx, ccol = self._derive(pts, eps, alpha)
-        self._build_ladders(cx, ccol)
+        self._build_ladders(self._walk_inputs(*self._derive(pts, eps, alpha)))
         self._powers = _power_table(self._base, int(self.h_exp.max()) if len(self.h_exp) else 0)
 
     def _derive(self, pts: ColoredPointSet, eps: float,
@@ -231,24 +255,23 @@ class Sweep1DIndex:
         self.ucoords = np.unique(coords)
 
         depths = math.ceil(math.log2(n)) + 1 if n else 0
-        rows = []
-        keys, slots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        rows, prim, roots = [], [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=bool)]
         stale = np.zeros(0, dtype=np.int64)
         for depth, (row, starts) in enumerate(
                 depth_rows(np.arange(n), self.my, np.zeros(1, dtype=np.int64), depths)):
             rows.append(row)
-            ends = np.append(starts[1:], n)
-            roots = np.ones(len(starts), dtype=bool)
-            roots[starts.searchsorted(stale)] = False   # one-point spans of an earlier depth
-            lo, hi, span = self._qualifying_spans(row, starts, roots)
-            keys.append(self._node_key(depth, lo, hi))
-            p, e = starts[span], ends[span]   # each node's primary span [p, e)
-            slots.append(2 * n * depth + np.where(hi - lo == 1, p + lo, e + (lo + hi) // 2))
-            stale = starts[ends - starts == 1]
+            prim.append(depth * n + starts)
+            root = np.ones(len(starts), dtype=bool)
+            root[starts.searchsorted(stale)] = False   # one-point spans of an earlier depth
+            roots.append(root)
+            stale = starts[np.diff(starts, append=n) == 1]
         self.rows = np.array(rows, dtype=np.min_scalar_type(max(n - 1, 0))).reshape(depths, n)
-        self.node_keys, gids = np.unique(np.concatenate(keys), return_inverse=True)
+        lo, hi, p, e = self._qualifying_nodes(np.concatenate(prim), np.concatenate(roots))
+        depth = lo // max(n, 1)
+        self.node_keys, gids = np.unique(self._node_key(depth, lo - depth * n, hi - depth * n),
+                                         return_inverse=True)
         self.gid_slots = np.full(2 * n * depths, -1, dtype=np.int32)
-        self.gid_slots[np.concatenate(slots)] = gids
+        self.gid_slots[np.where(hi - lo == 1, p + lo, e + (lo + hi) // 2)] = gids
         y_rank = np.where(np.isneginf(self.my), 0, self.ucoords.searchsorted(self.my) + 1)
         self.y_rank = y_rank.astype(np.min_scalar_type(len(self.ucoords)))[self.rows.ravel()]
         return cx, ccol
@@ -320,77 +343,104 @@ class Sweep1DIndex:
         depth, start = np.divmod(rest, self.n + 1)
         return depth, start, stop
 
-    def _qualifying_spans(self, row: np.ndarray, starts: np.ndarray,
-                          roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row slices [lo, hi) of the secondary nodes in one depth's row that
-        a query can take as canonical nodes, and the primary span each lies
-        in: the roots of the spans flagged in ``roots`` and the left
-        children, of distinct colors and ending within their span's reach.
+    def _qualifying_nodes(self, starts: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Row slices [lo, hi) of the secondary nodes a query can take as
+        canonical nodes, and the primary span [p, e) each lies in, all as
+        positions depth * n + j of the depth rows laid end to end:
+        ``starts`` holds every depth's primary span starts so placed, and
+        ``roots`` flags the spans whose root counts. The nodes are those
+        roots and the left children, of distinct colors and ending within
+        their span's reach. Every depth's starts include 0, so no span
+        crosses a depth, and one refinement serves all depths at once.
 
         A prefix descent over [p, c) takes a root only when c is its end and
         a left child [lo, mid) of [lo, hi) only when mid <= c < hi, never a
         right child. The cut c counts the entries with y < a, and every x
         of a tiled span is at least a, so c is at most the reach: p plus the
         entries with y below the span's least x."""
-        n = self.n
-        colors = self.mcolor[row]
+        n, size = self.n, self.rows.size
+        ids = self.rows.ravel()
+        colors = self.mcolor[ids]
         by_color = np.argsort(colors, kind="stable")
         same = colors[by_color[1:]] == colors[by_color[:-1]]
-        nxt = np.full(n, n)  # next position of the same color in the row
+        # next position of the same color; one at a later depth lies past every span of this one
+        nxt = np.full(size, size)
         nxt[by_color[:-1][same]] = by_color[1:][same]
-        prim_starts = starts
-        ends = np.append(starts[1:], n)
-        below = self.my[row] < np.repeat(self.mx[starts], ends - starts)   # x-sorted: mx[p] is least
+        prim, ends = starts, np.append(starts[1:], size)
+        least_x = self.mx[starts % max(n, 1)]   # x-sorted: a span's first x is its least
+        below = self.my[ids] < np.repeat(least_x, ends - starts)
         reach = starts + np.add.reduceat(below, starts, dtype=np.int64)
         take = roots
-        lo, hi = [], []
-        while True:
+        lo, hi = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        while len(starts):
             ok = take & (np.minimum.reduceat(nxt, starts) >= ends)
             lo.append(starts[ok])
             hi.append(ends[ok])
-            if len(starts) == n:
+            if len(starts) == size:
                 break
             split = ends - starts >= 2
-            starts = refine_spans(starts, n)
-            ends = np.append(starts[1:], n)
+            starts = refine_spans(starts, size)
+            ends = np.append(starts[1:], size)
             # a left child keeps its parent's start, which the mids inserted before it shift
             take = np.zeros(len(starts), dtype=bool)
             take[(np.arange(len(split)) + np.cumsum(split) - split)[split]] = True
         lo, hi = np.concatenate(lo), np.concatenate(hi)
-        span = prim_starts.searchsorted(lo, side="right") - 1
+        span = prim.searchsorted(lo, side="right") - 1
         keep = hi <= reach[span]
-        return lo[keep], hi[keep], span[keep]
+        span = span[keep]
+        return lo[keep], hi[keep], prim[span], np.append(prim[1:], size)[span]
 
-    def _build_ladders(self, cx: np.ndarray, ccol: np.ndarray) -> None:
+    def _walk_inputs(self, cx: np.ndarray, ccol: np.ndarray) -> _Walk:
+        """What every walk of this build reads, from the coordinates and
+        colors in (color, coordinate) order."""
+        rank = self.ucoords.searchsorted(cx, side="right")
+        key = ccol * self._stride + rank   # sorted: colors, then coordinates
+        last = np.flatnonzero(np.append(key[1:] != key[:-1], True))
+        f, top = self._terms()
+        f_step, powers = np.diff(f, prepend=0.0), _power_table(self._base, top)
+        t = np.cumsum(f_step[1:])
+        t_exp = np.full(len(t), -1, dtype=np.int64)
+        t_exp[t > 0.0] = _exponents(t[t > 0.0], powers, self._log_base)
+        return _Walk(key, rank, np.repeat(last, np.diff(last, prepend=-1)), f_step, t_exp,
+                     np.flatnonzero(np.diff(t_exp, prepend=-1) > 0), powers,
+                     np.min_scalar_type(len(self.ucoords)), np.min_scalar_type(top))
+
+    def _build_ladders(self, walk: _Walk) -> None:
         """The ladder of every qualifying node, in gid order, built for
-        batches of nodes whose walks total at most ``_BATCH`` points."""
-        crank = self.ucoords.searchsorted(cx, side="right")
-        ckey = ccol * self._stride + crank  # sorted: colors, then coordinates
+        batches of one-point nodes and of larger ones whose walks total at
+        most ``_BATCH`` points."""
         _, start, stop = self._spans(slice(None))
         walk_len = [np.zeros(0, dtype=np.int64)]
         for g0, g1 in _batches(stop - start):
-            seg, lo, hi = self._walk_runs(g0, g1, ckey)
+            seg, lo, hi = self._walk_runs(np.arange(g0, g1), walk.key)
             walk_len.append(np.bincount(seg, hi - lo, minlength=g1 - g0).astype(np.int64))
         walk_len = np.concatenate(walk_len)
-        f, top = self._terms()
-        tables = (np.diff(f, prepend=0.0), _power_table(self._base, top),
-                  np.min_scalar_type(len(self.ucoords)), np.min_scalar_type(top))
-        parts = [(np.zeros(0, dtype=tables[2]), np.zeros(0, dtype=np.int64),
-                  np.zeros(0, dtype=tables[3]))]
-        parts += [self._ladders(g0, g1, ckey, crank, tables, walk_len[g0:g1])
-                  for g0, g1 in _batches(walk_len)]
-        self.h_rank, h_len, h_exp = map(np.concatenate, zip(*parts))
+        one, parts = stop - start == 1, []
+        for gids, ladders in ((np.flatnonzero(one), self._one_point_ladders),
+                              (np.flatnonzero(~one), self._ladders)):
+            parts += [(gids[g0:g1], ladders(gids[g0:g1], walk, walk_len[gids[g0:g1]]))
+                      for g0, g1 in _batches(walk_len[gids])]
+        h_len = np.zeros(len(one), dtype=np.int64)
+        for gids, (_, lens, _) in parts:
+            h_len[gids] = lens
+        first = np.concatenate(([0], np.cumsum(h_len)))
+        self.h_rank = np.empty(first[-1], dtype=walk.rank_type)
+        h_exp = np.empty(first[-1], dtype=walk.exp_type)
+        for gids, (ranks, lens, exps) in parts:
+            at = _ranges(first[gids], lens)
+            self.h_rank[at], h_exp[at] = ranks, exps
         self.h_exp = _narrow(h_exp)
-        self.ladder_first = _narrow(np.concatenate(([0], np.cumsum(h_len))))
+        self.ladder_first = _narrow(first)
 
-    def _walk_runs(self, g0: int, g1: int, ckey: np.ndarray):
-        """Walk runs of nodes g0..g1-1. For each (node, color), in gid and
-        then row order: the node's offset in the batch, and the run [lo, hi)
-        of that color's points at or after x_v in the color-sorted order."""
+    def _walk_runs(self, gids: np.ndarray, ckey: np.ndarray):
+        """Walk runs of the nodes ``gids``. For each (node, color), in that
+        order and then row order: the node's place in ``gids``, and the run
+        [lo, hi) of that color's points at or after x_v in the color-sorted
+        order."""
         stride = self._stride
-        depth, start, stop = self._spans(slice(g0, g1))
+        depth, start, stop = self._spans(gids)
         sizes = stop - start
-        seg = np.repeat(np.arange(g1 - g0), sizes)
+        seg = np.repeat(np.arange(len(gids)), sizes)
         ids = self.rows[depth[seg], _ranges(start, sizes)]
         colors = self.mcolor[ids]
         x_v = np.minimum.reduceat(self.mx[ids], np.cumsum(sizes) - sizes)
@@ -398,37 +448,53 @@ class Sweep1DIndex:
         hi = ckey.searchsorted((colors + 1) * stride)
         return seg, lo, hi
 
-    def _ladders(self, g0: int, g1: int, ckey: np.ndarray, crank: np.ndarray, tables,
-                 walk_len: np.ndarray):
-        """Ladders of nodes g0..g1-1, whose walks have ``walk_len`` points:
-        their jumps' ranks, run lengths and exponents.
+    def _ladders(self, gids: np.ndarray, walk: _Walk, walk_len: np.ndarray):
+        """Ladders of the nodes ``gids``, whose walks have ``walk_len``
+        points: their jumps' ranks, run lengths and exponents.
 
         A node's walk is its colors' points at or after x_v, in coordinate
         order (ties in row order). The ladder steps at the last point of
-        each coordinate where S_v is positive and its exponent rises.
-        ``tables`` holds f's steps f(k) - f(k-1) over the counts 0..n, the
-        powers table, and the types that hold every rank and exponent."""
-        f_step, powers, rank_type, exp_type = tables
-        seg, lo, hi = self._walk_runs(g0, g1, ckey)
+        each coordinate where S_v is positive and its exponent rises."""
+        seg, lo, hi = self._walk_runs(gids, walk.key)
         lens = hi - lo
         idx = _ranges(lo, lens)
         wseg = np.repeat(seg, lens)
-        order = np.argsort(wseg * self._stride + crank[idx], kind="stable")
+        order = np.argsort(wseg * self._stride + walk.rank[idx], kind="stable")
         # a point's occurrence rank within its color is its place in its run
         nc = _ranges(np.ones_like(lens), lens)[order]
         idx, wseg = idx[order], wseg[order]
-        walk_x = crank[idx]
-        t_pref = _segment_cumsum(f_step[nc], np.cumsum(walk_len) - walk_len, walk_len)
+        walk_x = walk.rank[idx]
+        t_pref = _segment_cumsum(walk.f_step[nc], np.cumsum(walk_len) - walk_len, walk_len)
         group_end = np.ones(len(idx), dtype=bool)
         group_end[:-1] = (walk_x[1:] != walk_x[:-1]) | (wseg[1:] != wseg[:-1])
         g_val = t_pref[group_end]
         positive = g_val > 0.0
         segs, xs = wseg[group_end][positive], walk_x[group_end][positive]
-        e = _exponents(g_val[positive], powers, self._log_base)
+        e = _exponents(g_val[positive], walk.powers, self._log_base)
         keep = np.ones(len(e), dtype=bool)
         keep[1:] = (e[1:] > e[:-1]) | (segs[1:] != segs[:-1])
-        return (xs[keep].astype(rank_type), np.bincount(segs[keep], minlength=g1 - g0),
-                e[keep].astype(exp_type))
+        return (xs[keep].astype(walk.rank_type), np.bincount(segs[keep], minlength=len(gids)),
+                e[keep].astype(walk.exp_type))
+
+    def _one_point_ladders(self, gids: np.ndarray, walk: _Walk, walk_len: np.ndarray):
+        """Ladders of the one-point nodes ``gids``, whose walks have
+        ``walk_len`` points, as :meth:`_ladders` gives them.
+
+        A one-point node's walk is one color's run from its first point at
+        or after x_v. Its counts are 1, 2, 3, ..., so the walk's running sum
+        adds f's steps in the order of T = cumsum(f_step[1:]): the node's
+        values are a prefix of T, bit for bit, wherever it starts. Its jumps
+        are the last points of the tie groups in its run that hold a rise
+        of T's exponents, each with the exponent at that group's end."""
+        _, lo, _ = self._walk_runs(gids, walk.key)
+        count = walk.rises.searchsorted(walk_len)   # the rises within each walk
+        node, lo = np.repeat(np.arange(len(gids)), count), np.repeat(lo, count)
+        end = walk.group_end[lo + walk.rises[_ranges(np.zeros_like(count), count)]]
+        keep = np.ones(len(end), dtype=bool)
+        keep[1:] = (end[1:] != end[:-1]) | (node[1:] != node[:-1])   # one jump per group
+        return (walk.rank[end[keep]].astype(walk.rank_type),
+                np.bincount(node[keep], minlength=len(gids)),
+                walk.t_exp[(end - lo)[keep]].astype(walk.exp_type))
 
     # -- queries -------------------------------------------------------------------
 

@@ -20,10 +20,13 @@ from entrange.core import (
 from entrange.errors import WeightsNotSupported
 from entrange.oracle import brute_entropy
 from entrange import sweep1d
+from entrange.rangetree import depth_rows, refine_spans
 from entrange.storage import load_index, save_index
 from entrange.sweep1d import (
+    Sweep1DIndex,
     _exponents,
     _power_table,
+    _ranges,
     build_renyi,
     build_shannon,
     renyi_bound_holds,
@@ -659,6 +662,113 @@ def test_ladders_only_for_reachable_nodes(n):
             for index in (idx, renyi):
                 gids = np.array(index._canonical(a, b)[1], dtype=np.int64)
                 assert list(zip(*(g.tolist() for g in index._spans(gids)))) == want, (a, b)
+
+
+def ladderless(pts, eps, alpha):
+    """An index with everything but its ladders, and the inputs its walks read."""
+    idx = Sweep1DIndex.__new__(Sweep1DIndex)
+    return idx, idx._walk_inputs(*idx._derive(pts, eps, alpha))
+
+
+@pytest.mark.parametrize("dup", [0.3, 0.6])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 300])
+def test_one_point_ladders_match_walk(n, dup):
+    # a one-point node's ladder read off the shared prefix is the batched
+    # walk's for the same node, dtype included, and is the run the index
+    # stores; tie groups of one color hold several rises at eps 0.002
+    rng = np.random.default_rng(n + int(100 * dup))
+    pts = random_pointset(rng, n, d=1, m=6, duplicate_frac=dup)
+    jumps = 0
+    for eps in (0.002, 0.25, 0.9):
+        for alpha in (None, 1.5, 2.0, 3.0):
+            idx, walk = ladderless(pts, eps, alpha)
+            _, start, stop = idx._spans(slice(None))
+            one = np.flatnonzero(stop - start == 1)
+            assert len(one) > 0
+            _, lo, hi = idx._walk_runs(one, walk.key)
+            want = idx._ladders(one, walk, hi - lo)
+            got = idx._one_point_ladders(one, walk, hi - lo)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            built = build_shannon(pts, eps) if alpha is None else build_renyi(pts, eps, alpha)
+            at = _ranges(built.ladder_first[one].astype(np.int64), want[1])
+            assert np.array_equal(built.h_rank[at], want[0])
+            assert np.array_equal(built.h_exp[at], want[2])
+            jumps += len(at)
+    assert jumps > 0 or n == 1
+
+
+def per_depth_qualifying_spans(idx, row, starts, roots):
+    """Row slices [lo, hi) of one depth's qualifying secondary nodes and the
+    primary span each lies in, by a refinement of that depth's row alone."""
+    n = idx.n
+    colors = idx.mcolor[row]
+    by_color = np.argsort(colors, kind="stable")
+    same = colors[by_color[1:]] == colors[by_color[:-1]]
+    nxt = np.full(n, n)
+    nxt[by_color[:-1][same]] = by_color[1:][same]
+    prim_starts, ends = starts, np.append(starts[1:], n)
+    below = idx.my[row] < np.repeat(idx.mx[starts], ends - starts)
+    reach = starts + np.add.reduceat(below, starts, dtype=np.int64)
+    take, lo, hi = roots, [], []
+    while True:
+        ok = take & (np.minimum.reduceat(nxt, starts) >= ends)
+        lo.append(starts[ok])
+        hi.append(ends[ok])
+        if len(starts) == n:
+            break
+        split = ends - starts >= 2
+        starts = refine_spans(starts, n)
+        ends = np.append(starts[1:], n)
+        take = np.zeros(len(starts), dtype=bool)
+        take[(np.arange(len(split)) + np.cumsum(split) - split)[split]] = True
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    span = prim_starts.searchsorted(lo, side="right") - 1
+    keep = hi <= reach[span]
+    return lo[keep], hi[keep], span[keep]
+
+
+def per_depth_layout(idx):
+    """node_keys, gid_slots, rows and y_rank by the per-depth rule: each
+    depth's qualifying nodes from its own row, a one-point span of an
+    earlier depth not a root."""
+    n = idx.n
+    depths = math.ceil(math.log2(n)) + 1 if n else 0
+    rows, keys, slots = [], [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    stale = np.zeros(0, dtype=np.int64)
+    for depth, (row, starts) in enumerate(
+            depth_rows(np.arange(n), idx.my, np.zeros(1, dtype=np.int64), depths)):
+        rows.append(row)
+        ends = np.append(starts[1:], n)
+        roots = np.ones(len(starts), dtype=bool)
+        roots[starts.searchsorted(stale)] = False
+        lo, hi, span = per_depth_qualifying_spans(idx, row, starts, roots)
+        keys.append(idx._node_key(depth, lo, hi))
+        p, e = starts[span], ends[span]
+        slots.append(2 * n * depth + np.where(hi - lo == 1, p + lo, e + (lo + hi) // 2))
+        stale = starts[ends - starts == 1]
+    rows = np.array(rows, dtype=np.min_scalar_type(max(n - 1, 0))).reshape(depths, n)
+    node_keys, gids = np.unique(np.concatenate(keys), return_inverse=True)
+    gid_slots = np.full(2 * n * depths, -1, dtype=np.int32)
+    gid_slots[np.concatenate(slots)] = gids
+    y_rank = np.where(np.isneginf(idx.my), 0, idx.ucoords.searchsorted(idx.my) + 1)
+    y_rank = y_rank.astype(np.min_scalar_type(len(idx.ucoords)))[rows.ravel()]
+    return node_keys, gid_slots, rows, y_rank
+
+
+@pytest.mark.parametrize("dup", [0.0, 0.3])
+@pytest.mark.parametrize("n", list(range(1, 41)) + [255, 256, 257, 511, 512, 513])
+def test_stacked_derive_matches_per_depth_rule(n, dup):
+    # one refinement of every depth's row laid end to end finds each
+    # depth's nodes and slots as a refinement of that row alone does; the
+    # depth count changes at powers of two
+    rng = np.random.default_rng(7 * n + int(10 * dup))
+    pts = random_pointset(rng, n, d=1, m=max(2, n // 6), duplicate_frac=dup)
+    idx, _ = ladderless(pts, 0.3, None)
+    want = per_depth_layout(idx)
+    for name, w in zip(("node_keys", "gid_slots", "rows", "y_rank"), want):
+        got = getattr(idx, name)
+        assert got.dtype == w.dtype and np.array_equal(got, w), name
 
 
 def test_query_makes_no_numpy_call(rng):
