@@ -1,6 +1,6 @@
 """Index persistence: magic-tagged, versioned, checked files, plus CSV ingestion.
 
-File layout (format 15): 7 magic bytes ``RQEIDX1``, one version byte, a
+File layout (format 16): 7 magic bytes ``RQEIDX1``, one version byte, a
 4-byte big-endian header length, a JSON header, then the payload of raw
 array buffers. Besides ``save_index``'s ``extra`` keys, the header holds:
 
@@ -18,8 +18,9 @@ which derives the rest with the same code its build runs):
 
   * exact1d: the points, and each table's entries above the diagonal;
   * exactnd and estimator: the points and the range tree's pool of ids;
-  * sweep-shannon and sweep-renyi: the points and the ladders (jump ranks,
-    their exponents and each node's run start).
+  * sweep-shannon and sweep-renyi: the points and the ladders of the
+    nodes of two or more points (jump ranks, their exponents and each
+    node's run start).
 
 Loading never runs code: no pickle is involved. It checks the magic, then
 the version (a file of any other format version is refused), then the
@@ -61,7 +62,7 @@ from .exactnd import ExactNDIndex
 from .sweep1d import Sweep1DIndex
 
 MAGIC = b"RQEIDX1"
-FORMAT_VERSION = 15
+FORMAT_VERSION = 16
 ALIGN = 64   # every array's offset into the payload is a multiple of this
 
 INDEX_CLASSES = {

@@ -11,21 +11,21 @@ The range tree is implicit, as in :mod:`~.rangetree`. The primary tree
 splits the mapped points, sorted by x, at ``(lo + hi) // 2``; for each of
 its depths one row holds every node's points sorted by y, and a node's
 secondary tree splits its span of that row the same way. A secondary node
-is thus a row slice [start, stop) at a primary depth. It qualifies when a
-query can take it as a canonical node: it is the root of its primary span
-or a left child (a query's descent never takes a right child whole), its
-colors are distinct, and it ends within its span's reach, the span's start
-plus its row entries with y below the span's least x (a query's cut never
-passes it). One refinement finds every depth's qualifying nodes: the
-depth rows are laid end to end, at positions depth * n + j, and every
-depth's spans start at 0, so no span crosses a depth and about log2 n
-rounds serve all depths together. The sorted array ``node_keys`` of the
-qualifying nodes' (depth, start, stop) keys numbers them: a node's gid is
-its position there. No node objects exist. ``gid_slots`` maps a secondary
-node straight to its gid (-1 if it does not qualify, so no query reaches
-it): within the primary span [p, e) of a depth, a one-point node
-[lo, lo + 1) has slot p + lo and a larger node slot e + its split point,
-all in the 2(e - p) slots from 2p.
+is thus a row slice [start, stop) at a primary depth. A node of two or
+more points qualifies when a query can take it as a canonical node: it is
+the root of its primary span or a left child (a query's descent never
+takes a right child whole), its colors are distinct, and it ends within
+its span's reach, the span's start plus its row entries with y below the
+span's least x (a query's cut never passes it). One refinement finds every
+depth's qualifying nodes: the depth rows are laid end to end, at positions
+depth * n + j, and every depth's spans start at 0, so no span crosses a
+depth and about log2 n rounds serve all depths together. The sorted array
+``node_keys`` of the qualifying nodes' (depth, start, stop) keys numbers
+them: a node's gid is its position there. No node objects exist.
+``gid_slots`` maps a secondary node of two or more points straight to its
+gid (-1 if it does not qualify, so no query reaches it): a node [lo, hi)
+has slot depth * n + (lo + hi) // 2, its split point, which no other node
+of its depth shares.
 
 A query tiles the mapped points with x in [a, b] by the primary nodes
 :func:`~.rangetree.tile` yields, left to right, in integer arithmetic. In
@@ -33,8 +33,9 @@ each of them the points with y < a are a prefix of its row slice, the
 node's cut, found by one bisection of that slice of ``y_rank``: each row
 entry's y-rank (0 for -infinity, k for the k-th smallest distinct
 coordinate), laid out depth after depth as in ``rows``. The secondary
-descent over each prefix is integer Python too, and reads each canonical
-node's gid from ``gid_slots``.
+descent over each prefix is integer Python too. It reads each larger
+canonical node's gid from ``gid_slots``, and each one-point node's mapped
+point from ``rows``.
 
 A qualifying node v knows its color set U_v (its slice's colors) and the
 smallest mapped x-coordinate x_v. For the original points of those colors
@@ -51,19 +52,26 @@ largest, and ``ladder_first`` each node's run start (one per node, and
 the pool's length last), so the rightmost jump <= b of a canonical node is
 a bisection of its own run.
 
+A one-point node holds one mapped point i, of one color c, so its S_v is
+f(k) for the number k of color-c points in [x_v, b], and it stores no
+ladder. In (color, coordinate) order, ``c_rank`` holds each point's
+coordinate rank, and ``run_lo[i]`` and ``run_end[i]`` delimit the run of
+c's points from x_v on. k is one bisection of that run of ``c_rank`` by
+the rank of b, and ``_f`` holds f over the counts 0..n.
+
 The points have unit weights, so the count W of [a, b] is exact: the
 difference of the two bisections of the sorted coordinates the walk makes
-anyway. A node whose rightmost jump <= b has exponent e holds S_v in
-((1+e')^(e-1), (1+e')^e], and the query adds the lower power; a node with
+anyway. A larger node whose rightmost jump <= b has exponent e holds S_v
+in ((1+e')^(e-1), (1+e')^e], and the query adds the lower power; one with
 no jump at or below b (under Shannon, one whose colors each have one point
-there) adds 0. The sum S_lo over the canonical nodes thus has
-S_lo <= S <= (1+e') S_lo, and the answer is
+there) adds 0; a one-point node adds its exact f(k). The sum S_lo over the
+canonical nodes thus has S_lo <= S <= (1+e') S_lo, and the answer is
 :func:`~.core.entropy_from_sums` of (W, S_lo):
 
-  * Shannon: h = log2 W - S_lo/W, so H <= h <= H + e' S/W <= H + e' log2 W,
-    since S/W = log2 W - H. With e' = eps / max(1, log2 n) the excess is at
-    most eps. A range of one color (H = 0) answers in [0, e' log2 W], not
-    exactly 0.
+  * Shannon: h = log2 W - S_lo/W, so H <= h <= H + e' S/W <= H + e' log2 W
+    up to rounding, since S/W = log2 W - H. With e' = eps / max(1, log2 n)
+    the excess is at most eps. A range of one color has one canonical
+    node, a one-point one, and answers log2 W - f(W)/W: 0 up to rounding.
   * Renyi: h - H_a lies in [0, log2(1+e')/(alpha-1)] with e' = eps/2.
 
 ``_powers`` holds (1+e')^e for e in -1 up to the largest stored exponent,
@@ -72,29 +80,23 @@ queries read bounds from it, so both see the same powers.
 
 An index file holds the points and the three ladder arrays. The mapped
 points, the sorted distinct coordinates, the rows, ``node_keys``,
-``gid_slots``, ``y_rank`` and the powers table are derived from the points
-by the same code on build and on load, and a loaded ladder is checked
-before any query reads it: one run per node, ranks in 1..U, ranks and
-exponents strictly rising within a run, and no exponent above what a build
-of the same n and eps can reach.
+``gid_slots``, ``y_rank``, the one-point runs, f and the powers table are
+derived from the points by the same code on build and on load, and a
+loaded ladder is checked before any query reads it: one run per qualifying
+node, ranks in 1..U, ranks and exponents strictly rising within a run, and
+no exponent above what a build of the same n and eps can reach.
 
+A node's walk is its colors' points at or after x_v, in coordinate order.
 The counts along a walk are integers in 1..n, so the steps f(k) - f(k-1)
 are gathers from a table over 0..n built once per index; a walk's value is
-the running sum of its steps. A one-point node (most of the stored nodes)
-walks one color's run from its first point at or after x_v, whose counts
-are 1, 2, 3, ...: its values are a prefix of T = cumsum(f(1) - f(0),
-f(2) - f(1), ...), bit for bit, wherever it starts. T's exponents and
-their rises are found once per build over n values, and a one-point
-node's jumps are the last points of the tie groups in its run that hold a
-rise, read off the rises below its walk's length with no sort, running sum
-or per-point exponent. Ladders are built for batches of one-point nodes,
-and of larger ones, whose walks total at most 2^15 points, so a build
-holds about 4 MB of temporaries besides the index it writes. A batch of
-larger nodes puts its walks in order by one stable sort of the int64 keys
-``node * (U + 1) + rank``, and its exponents take the log guess and its
-fix-ups against the powers table. Every batch keeps ranks and exponents
-on their narrow types (exponents on one that holds the table's top), and
-they are scattered once into the gid-ordered runs.
+the running sum of its steps. Ladders are built for batches of nodes whose
+walks total at most 2^15 points, so a build holds about 4 MB of
+temporaries besides the index it writes. A batch puts its walks in order
+by one stable sort of the int64 keys ``node * (U + 1) + rank``, and its
+exponents take the log guess and its fix-ups against the powers table.
+Every batch keeps ranks and exponents on their narrow types (exponents on
+one that holds the table's top), and the batches' runs, in gid order, are
+laid end to end.
 
 A query makes no numpy call at all: it is integer and float arithmetic
 plus C bisections on the arrays' memoryviews, which cost no dispatch and,
@@ -103,8 +105,8 @@ few cache lines per node.
 
 Guarantees are deterministic, not statistical: the Shannon answer h obeys
 H <= h <= (1+eps)H + eps and the Renyi answer H_a <= h <= H_a +
-eps*(alpha+1)/(alpha-1) for every query, and the count is exact. Only unit
-weights are supported: W is a count of points.
+eps*(alpha+1)/(alpha-1) for every query, up to rounding, and the count is
+exact. Only unit weights are supported: W is a count of points.
 """
 
 from __future__ import annotations
@@ -193,13 +195,8 @@ class _Walk(NamedTuple):
     """What every walk of one build reads."""
 
     key: np.ndarray        # per point, in (color, coordinate) order: color * (U + 1) + rank
-    rank: np.ndarray       # its coordinate rank
-    group_end: np.ndarray  # the place of the last point with its key: its tie group's end
     f_step: np.ndarray     # f(k) - f(k-1) for the counts k in 0..n
-    t_exp: np.ndarray      # the exponent of T[k], the running sum of f_step[1:k + 2]; -1 if 0
-    rises: np.ndarray      # the places k where t_exp rises
     powers: np.ndarray     # the build's powers table, up to its top
-    rank_type: np.dtype    # holds every rank
     exp_type: np.dtype     # holds every exponent up to the table's top
 
 
@@ -210,15 +207,15 @@ class Sweep1DIndex:
               "ladder_first")   # a file holds the points' arrays, then these; see to_arrays
 
     def __init__(self, pts: ColoredPointSet, eps: float, alpha: Optional[float] = None):
-        self._build_ladders(self._walk_inputs(*self._derive(pts, eps, alpha)))
+        self._build_ladders(self._derive(pts, eps, alpha))
         self._powers = _power_table(self._base, int(self.h_exp.max()) if len(self.h_exp) else 0)
 
-    def _derive(self, pts: ColoredPointSet, eps: float,
-                alpha: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
+    def _derive(self, pts: ColoredPointSet, eps: float, alpha: Optional[float]) -> np.ndarray:
         """Everything but the ladders, from the points, eps and alpha, on
         build and on load: the mapped points, the tree's rows, the
-        qualifying nodes and their slots, and each row entry's y-rank.
-        Returns the coordinates and colors in (color, coordinate) order."""
+        qualifying nodes and their slots, each row entry's y-rank, the
+        one-point runs and f. Returns the (color, coordinate rank) keys of
+        the points in (color, coordinate) order."""
         if pts.dim != 1:
             raise ValueError("sweep index requires 1-D points")
         if len(pts) and not np.all(pts.weights == 1.0):
@@ -238,6 +235,7 @@ class Sweep1DIndex:
         if self._base == 1.0:
             raise ValueError(f"eps {eps} is too small for a ladder step above 1.0")
         self._log_base = math.log(self._base)
+        self._f, self._top = self._terms()
 
         # each color's points in coordinate order, and the (p_j, p_{j-1}) mapping
         coords = pts.coords[:, 0]
@@ -253,28 +251,31 @@ class Sweep1DIndex:
         self.my = my[m_order]
         self.mcolor = ccol[m_order]
         self.ucoords = np.unique(coords)
+        rank_type = np.min_scalar_type(len(self.ucoords))
+
+        # a one-point node's run: its color's points from its own coordinate on
+        rank = self.ucoords.searchsorted(cx, side="right")
+        key = ccol * self._stride + rank   # sorted: colors, then coordinates
+        self.c_rank = rank.astype(rank_type)
+        self.run_lo = key.searchsorted(key[m_order]).astype(np.min_scalar_type(n))
+        self.run_end = ccol.searchsorted(self.mcolor, "right").astype(np.min_scalar_type(n))
 
         depths = math.ceil(math.log2(n)) + 1 if n else 0
-        rows, prim, roots = [], [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=bool)]
-        stale = np.zeros(0, dtype=np.int64)
+        rows, prim = [], [np.zeros(0, dtype=np.int64)]
         for depth, (row, starts) in enumerate(
                 depth_rows(np.arange(n), self.my, np.zeros(1, dtype=np.int64), depths)):
             rows.append(row)
             prim.append(depth * n + starts)
-            root = np.ones(len(starts), dtype=bool)
-            root[starts.searchsorted(stale)] = False   # one-point spans of an earlier depth
-            roots.append(root)
-            stale = starts[np.diff(starts, append=n) == 1]
         self.rows = np.array(rows, dtype=np.min_scalar_type(max(n - 1, 0))).reshape(depths, n)
-        lo, hi, p, e = self._qualifying_nodes(np.concatenate(prim), np.concatenate(roots))
+        lo, hi = self._qualifying_nodes(np.concatenate(prim))
         depth = lo // max(n, 1)
         self.node_keys, gids = np.unique(self._node_key(depth, lo - depth * n, hi - depth * n),
                                          return_inverse=True)
-        self.gid_slots = np.full(2 * n * depths, -1, dtype=np.int32)
-        self.gid_slots[np.where(hi - lo == 1, p + lo, e + (lo + hi) // 2)] = gids
+        self.gid_slots = np.full(n * depths, -1, dtype=np.int32)
+        self.gid_slots[(lo + hi) // 2] = gids
         y_rank = np.where(np.isneginf(self.my), 0, self.ucoords.searchsorted(self.my) + 1)
-        self.y_rank = y_rank.astype(np.min_scalar_type(len(self.ucoords)))[self.rows.ravel()]
-        return cx, ccol
+        self.y_rank = y_rank.astype(rank_type)[self.rows.ravel()]
+        return key
 
     def _terms(self) -> tuple[np.ndarray, int]:
         """f over the counts 0..n, k log2 k (Shannon) or k^alpha (Renyi), and
@@ -300,7 +301,7 @@ class Sweep1DIndex:
                 or first[-1] != len(rank) or len(exp) != len(rank) or (np.diff(first) < 0).any()):
             raise ValueError("ladder_first does not delimit one run per qualifying node")
         if len(rank) and not (1 <= rank.min() and rank.max() <= len(self.ucoords)
-                              and 0 <= exp.min() and exp.max() <= self._terms()[1]):
+                              and 0 <= exp.min() and exp.max() <= self._top):
             raise ValueError("ladder rank or exponent out of range")
         rises = (rank[1:] > rank[:-1]) & (exp[1:] > exp[:-1])   # jump i + 1 over jump i
         starts = first[1:-1]
@@ -343,15 +344,14 @@ class Sweep1DIndex:
         depth, start = np.divmod(rest, self.n + 1)
         return depth, start, stop
 
-    def _qualifying_nodes(self, starts: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Row slices [lo, hi) of the secondary nodes a query can take as
-        canonical nodes, and the primary span [p, e) each lies in, all as
-        positions depth * n + j of the depth rows laid end to end:
-        ``starts`` holds every depth's primary span starts so placed, and
-        ``roots`` flags the spans whose root counts. The nodes are those
-        roots and the left children, of distinct colors and ending within
-        their span's reach. Every depth's starts include 0, so no span
-        crosses a depth, and one refinement serves all depths at once.
+    def _qualifying_nodes(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row slices [lo, hi) of the secondary nodes of two or more points a
+        query can take as canonical nodes, as positions depth * n + j of the
+        depth rows laid end to end: ``starts`` holds every depth's primary
+        span starts so placed. The nodes are the spans' roots and the left
+        children, of distinct colors and ending within their span's reach.
+        Every depth's starts include 0, so no span crosses a depth, and one
+        refinement serves all depths at once.
 
         A prefix descent over [p, c) takes a root only when c is its end and
         a left child [lo, mid) of [lo, hi) only when mid <= c < hi, never a
@@ -370,67 +370,42 @@ class Sweep1DIndex:
         least_x = self.mx[starts % max(n, 1)]   # x-sorted: a span's first x is its least
         below = self.my[ids] < np.repeat(least_x, ends - starts)
         reach = starts + np.add.reduceat(below, starts, dtype=np.int64)
-        take = roots
+        take = np.ones(len(starts), dtype=bool)
         lo, hi = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        while len(starts):
-            ok = take & (np.minimum.reduceat(nxt, starts) >= ends)
+        while len(starts) < size:
+            split = ends - starts >= 2
+            ok = take & split & (np.minimum.reduceat(nxt, starts) >= ends)
             lo.append(starts[ok])
             hi.append(ends[ok])
-            if len(starts) == size:
-                break
-            split = ends - starts >= 2
             starts = refine_spans(starts, size)
             ends = np.append(starts[1:], size)
             # a left child keeps its parent's start, which the mids inserted before it shift
             take = np.zeros(len(starts), dtype=bool)
             take[(np.arange(len(split)) + np.cumsum(split) - split)[split]] = True
         lo, hi = np.concatenate(lo), np.concatenate(hi)
-        span = prim.searchsorted(lo, side="right") - 1
-        keep = hi <= reach[span]
-        span = span[keep]
-        return lo[keep], hi[keep], prim[span], np.append(prim[1:], size)[span]
+        keep = hi <= reach[prim.searchsorted(lo, side="right") - 1]
+        return lo[keep], hi[keep]
 
-    def _walk_inputs(self, cx: np.ndarray, ccol: np.ndarray) -> _Walk:
-        """What every walk of this build reads, from the coordinates and
-        colors in (color, coordinate) order."""
-        rank = self.ucoords.searchsorted(cx, side="right")
-        key = ccol * self._stride + rank   # sorted: colors, then coordinates
-        last = np.flatnonzero(np.append(key[1:] != key[:-1], True))
-        f, top = self._terms()
-        f_step, powers = np.diff(f, prepend=0.0), _power_table(self._base, top)
-        t = np.cumsum(f_step[1:])
-        t_exp = np.full(len(t), -1, dtype=np.int64)
-        t_exp[t > 0.0] = _exponents(t[t > 0.0], powers, self._log_base)
-        return _Walk(key, rank, np.repeat(last, np.diff(last, prepend=-1)), f_step, t_exp,
-                     np.flatnonzero(np.diff(t_exp, prepend=-1) > 0), powers,
-                     np.min_scalar_type(len(self.ucoords)), np.min_scalar_type(top))
-
-    def _build_ladders(self, walk: _Walk) -> None:
+    def _build_ladders(self, key: np.ndarray) -> None:
         """The ladder of every qualifying node, in gid order, built for
-        batches of one-point nodes and of larger ones whose walks total at
-        most ``_BATCH`` points."""
+        batches of nodes whose walks total at most ``_BATCH`` points, from
+        the points' (color, coordinate rank) keys in (color, coordinate)
+        order."""
+        walk = _Walk(key, np.diff(self._f, prepend=0.0), _power_table(self._base, self._top),
+                     np.min_scalar_type(self._top))
         _, start, stop = self._spans(slice(None))
         walk_len = [np.zeros(0, dtype=np.int64)]
         for g0, g1 in _batches(stop - start):
             seg, lo, hi = self._walk_runs(np.arange(g0, g1), walk.key)
             walk_len.append(np.bincount(seg, hi - lo, minlength=g1 - g0).astype(np.int64))
         walk_len = np.concatenate(walk_len)
-        one, parts = stop - start == 1, []
-        for gids, ladders in ((np.flatnonzero(one), self._one_point_ladders),
-                              (np.flatnonzero(~one), self._ladders)):
-            parts += [(gids[g0:g1], ladders(gids[g0:g1], walk, walk_len[gids[g0:g1]]))
-                      for g0, g1 in _batches(walk_len[gids])]
-        h_len = np.zeros(len(one), dtype=np.int64)
-        for gids, (_, lens, _) in parts:
-            h_len[gids] = lens
-        first = np.concatenate(([0], np.cumsum(h_len)))
-        self.h_rank = np.empty(first[-1], dtype=walk.rank_type)
-        h_exp = np.empty(first[-1], dtype=walk.exp_type)
-        for gids, (ranks, lens, exps) in parts:
-            at = _ranges(first[gids], lens)
-            self.h_rank[at], h_exp[at] = ranks, exps
-        self.h_exp = _narrow(h_exp)
-        self.ladder_first = _narrow(first)
+        parts = [(np.zeros(0, dtype=self.c_rank.dtype), np.zeros(0, dtype=np.int64),
+                  np.zeros(0, dtype=walk.exp_type))]
+        parts += [self._ladders(np.arange(g0, g1), walk, walk_len[g0:g1])
+                  for g0, g1 in _batches(walk_len)]
+        ranks, lens, exps = (np.concatenate(part) for part in zip(*parts))
+        self.h_rank, self.h_exp = ranks, _narrow(exps)
+        self.ladder_first = _narrow(np.concatenate(([0], np.cumsum(lens))))
 
     def _walk_runs(self, gids: np.ndarray, ckey: np.ndarray):
         """Walk runs of the nodes ``gids``. For each (node, color), in that
@@ -459,11 +434,11 @@ class Sweep1DIndex:
         lens = hi - lo
         idx = _ranges(lo, lens)
         wseg = np.repeat(seg, lens)
-        order = np.argsort(wseg * self._stride + walk.rank[idx], kind="stable")
+        order = np.argsort(wseg * self._stride + self.c_rank[idx], kind="stable")
         # a point's occurrence rank within its color is its place in its run
         nc = _ranges(np.ones_like(lens), lens)[order]
         idx, wseg = idx[order], wseg[order]
-        walk_x = walk.rank[idx]
+        walk_x = self.c_rank[idx]
         t_pref = _segment_cumsum(walk.f_step[nc], np.cumsum(walk_len) - walk_len, walk_len)
         group_end = np.ones(len(idx), dtype=bool)
         group_end[:-1] = (walk_x[1:] != walk_x[:-1]) | (wseg[1:] != wseg[:-1])
@@ -473,41 +448,23 @@ class Sweep1DIndex:
         e = _exponents(g_val[positive], walk.powers, self._log_base)
         keep = np.ones(len(e), dtype=bool)
         keep[1:] = (e[1:] > e[:-1]) | (segs[1:] != segs[:-1])
-        return (xs[keep].astype(walk.rank_type), np.bincount(segs[keep], minlength=len(gids)),
+        return (xs[keep], np.bincount(segs[keep], minlength=len(gids)),
                 e[keep].astype(walk.exp_type))
-
-    def _one_point_ladders(self, gids: np.ndarray, walk: _Walk, walk_len: np.ndarray):
-        """Ladders of the one-point nodes ``gids``, whose walks have
-        ``walk_len`` points, as :meth:`_ladders` gives them.
-
-        A one-point node's walk is one color's run from its first point at
-        or after x_v. Its counts are 1, 2, 3, ..., so the walk's running sum
-        adds f's steps in the order of T = cumsum(f_step[1:]): the node's
-        values are a prefix of T, bit for bit, wherever it starts. Its jumps
-        are the last points of the tie groups in its run that hold a rise
-        of T's exponents, each with the exponent at that group's end."""
-        _, lo, _ = self._walk_runs(gids, walk.key)
-        count = walk.rises.searchsorted(walk_len)   # the rises within each walk
-        node, lo = np.repeat(np.arange(len(gids)), count), np.repeat(lo, count)
-        end = walk.group_end[lo + walk.rises[_ranges(np.zeros_like(count), count)]]
-        keep = np.ones(len(end), dtype=bool)
-        keep[1:] = (end[1:] != end[:-1]) | (node[1:] != node[:-1])   # one jump per group
-        return (walk.rank[end[keep]].astype(walk.rank_type),
-                np.bincount(node[keep], minlength=len(gids)),
-                walk.t_exp[(end - lo)[keep]].astype(walk.exp_type))
 
     # -- queries -------------------------------------------------------------------
 
     def _canonical(self, a: float, b: float,
-                   stats: Optional[dict] = None) -> tuple[int, list[int]]:
-        """The number of points in [a, b], and the gids of its canonical
-        nodes, left to right."""
+                   stats: Optional[dict] = None) -> tuple[int, list[int], list[int]]:
+        """The number of points in [a, b], the gids of its canonical nodes of
+        two or more points and the mapped points of its one-point ones, each
+        left to right."""
         n, mx = self.n, self.mx.data
         ilo, ihi = bisect.bisect_left(mx, a), bisect.bisect_right(mx, b)
         r_a = bisect.bisect_left(self.ucoords.data, a) + 1  # y < a iff y-rank < r_a
         prim = tile(0, n, ilo, ihi) if ilo < ihi else []
-        y_rank, slots = self.y_rank.data, self.gid_slots.data
+        y_rank, slots, rows = self.y_rank.data, self.gid_slots.data, self.rows.data
         gids: list[int] = []
+        points: list[int] = []
         for p, e, depth in prim:
             # the secondary nodes covering the node's points with y < a
             off = depth * n
@@ -522,15 +479,17 @@ class Sweep1DIndex:
                 else:
                     hi = mid
                     continue
-                slot = p + lo if stop - lo == 1 else e + (lo + stop) // 2
-                gids.append(slots[2 * off + slot])
+                if stop - lo == 1:
+                    points.append(rows[depth, lo])
+                else:
+                    gids.append(slots[off + (lo + stop) // 2])
                 lo = stop
         if stats is not None:
             stats["primary_nodes"] = len(prim)
-            stats["canonical_nodes"] = len(gids)
+            stats["canonical_nodes"] = len(gids) + len(points)
         if -1 in gids:
             raise AssertionError("canonical node without a ladder")
-        return max(ihi - ilo, 0), gids
+        return max(ihi - ilo, 0), gids, points
 
     def query(self, rect: QueryRect, stats: Optional[dict] = None) -> EntropySummary:
         """Estimate of the entropy of the points in ``rect``, with their
@@ -539,9 +498,9 @@ class Sweep1DIndex:
         if rect.dim != 1:
             raise ValueError("query rect must be 1-D")
         a, b = rect.lo[0], rect.hi[0]
-        count, gids = self._canonical(a, b, stats)
-        h_rank, h_exp, first, pw = (arr.data for arr in (
-            self.h_rank, self.h_exp, self.ladder_first, self._powers))
+        count, gids, points = self._canonical(a, b, stats)
+        h_rank, h_exp, first, pw = (
+            self.h_rank.data, self.h_exp.data, self.ladder_first.data, self._powers.data)
         rank = bisect.bisect_right(self.ucoords.data, b)
         s_lo = 0.0
         for gid in gids:
@@ -550,12 +509,19 @@ class Sweep1DIndex:
             i = bisect.bisect_right(h_rank, rank, lo, first[gid + 1])
             if i > lo:
                 s_lo += pw[h_exp[i - 1]]   # pw[e] = base**(e - 1)
+        c_rank, run_lo, run_end, f = (
+            self.c_rank.data, self.run_lo.data, self.run_end.data, self._f.data)
+        for i in points:
+            # f of the count of the point's color in [x_v, b]
+            lo = run_lo[i]
+            s_lo += f[bisect.bisect_right(c_rank, rank, lo, run_end[i]) - lo]
         return EntropySummary(self.kind, float(count), entropy_from_sums(count, s_lo, self.kind))
 
     def space_stats(self) -> dict:
         arrays = (self.mx, self.my, self.mcolor, self.ucoords, self.rows, self.y_rank,
                   self.gid_slots, self.node_keys, self.h_rank, self.h_exp,
-                  self.ladder_first, self._powers)
+                  self.ladder_first, self._powers, self.c_rank, self.run_lo,
+                  self.run_end, self._f)
         return {
             "points": self.n,
             "eps": self.eps,

@@ -455,6 +455,72 @@ def test_format_13_sweep_files_are_refused(tmp_path, rng):
             storage.load_index(path)
 
 
+def format_15_ladders(idx):
+    """The ladders a format-15 build of ``idx``'s points stored: a run for
+    every node of two or more points that ``idx`` holds, and one for every
+    one-point node a query can take (the root of a primary span where that
+    span first appears, or a left child, ending within its span's reach),
+    all in (depth, start, stop) order. A one-point node's run is the ladder
+    of f over its one color's counts from x_v on."""
+    stride = idx.n + 1
+    runs = {int(key): (idx.h_rank[lo:hi], idx.h_exp[lo:hi]) for key, lo, hi in zip(
+        idx.node_keys, idx.ladder_first[:-1], idx.ladder_first[1:])}
+    powers = sweep1d._power_table(idx._base, idx._top)
+    coords = idx.pts.coords[:, 0]
+    prim = [(0, idx.n, 0)]
+    while prim:
+        p, e, depth = prim.pop()
+        reach = p + int((idx.my[idx.rows[depth, p:e]] < idx.mx[p:e].min()).sum())
+        sec = [(p, e, True)]
+        while sec:
+            lo, hi, takeable = sec.pop()
+            if hi - lo >= 2:
+                sec += [(lo, (lo + hi) // 2, True), ((lo + hi) // 2, hi, False)]
+            elif takeable and hi <= reach:
+                i = idx.rows[depth, lo]
+                mine = np.sort(coords[(idx.pts.colors == idx.mcolor[i]) & (coords >= idx.mx[i])])
+                last = np.append(mine[1:] != mine[:-1], True)
+                values = idx._f[np.flatnonzero(last) + 1]   # f of the count at each coordinate
+                ranks = idx.ucoords.searchsorted(mine[last], side="right")[values > 0]
+                exps = sweep1d._exponents(values[values > 0], powers, idx._log_base)
+                rise = np.append(True, exps[1:] > exps[:-1])[:len(exps)]
+                runs[(depth * stride + lo) * stride + hi] = (ranks[rise], exps[rise])
+        if e - p >= 2:
+            prim += [(p, (p + e) // 2, depth + 1), ((p + e) // 2, e, depth + 1)]
+    ordered = [runs[key] for key in sorted(runs)]
+    first = np.cumsum([0] + [len(r) for r, _ in ordered])
+    return (sweep1d._narrow(first),
+            np.concatenate([r for r, _ in ordered]).astype(idx.h_rank.dtype),
+            np.concatenate([x for _, x in ordered]).astype(idx.h_exp.dtype))
+
+
+def test_format_15_sweep_files_are_refused(tmp_path, rng, capsys):
+    # format 15 stored a ladder for every one-point node a query can take:
+    # its version byte is refused, and so are its runs behind the current
+    # version byte, with a valid digest, through the API and the CLI
+    pts = random_pointset(rng, 60, d=1, m=6, duplicate_frac=0.2)
+    path = tmp_path / "s.rqe"
+    for kind, idx in (("sweep-shannon", sweep1d.build_shannon(pts, 0.3)),
+                      ("sweep-renyi", sweep1d.build_renyi(pts, 0.3, 2.0))):
+        storage.save_index(path, kind, idx)
+        data = bytearray(path.read_bytes())
+        data[len(storage.MAGIC)] = 15
+        path.write_bytes(bytes(data))
+        with pytest.raises(UnsupportedVersion, match="version 15"):
+            storage.load_index(path)
+        assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4
+        old = copy.copy(idx)
+        old.ladder_first, old.h_rank, old.h_exp = format_15_ladders(idx)
+        # most stored nodes were one-point nodes, and so were most jumps
+        assert len(old.ladder_first) > 2 * len(idx.ladder_first)
+        assert len(old.h_rank) > 2 * len(idx.h_rank)
+        storage.save_index(path, kind, old)
+        with pytest.raises(NotAnIndex, match="one run per"):
+            storage.load_index(path)
+        assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # CLI (in-process via main())
 

@@ -26,7 +26,6 @@ from entrange.sweep1d import (
     Sweep1DIndex,
     _exponents,
     _power_table,
-    _ranges,
     build_renyi,
     build_shannon,
     renyi_bound_holds,
@@ -67,14 +66,19 @@ def node_colors(idx, gid):
 
 
 def canonical_debug(idx, rect):
-    """Per canonical node of a query, left to right: its colors, x_v, gid
-    and the exponent of its rightmost jump at or below b (None if none)."""
+    """Per canonical node of a query, larger nodes left to right and then
+    one-point nodes left to right: its colors, x_v, gid (None for a
+    one-point node) and the exponent of its rightmost jump at or below b
+    (None if none, or for a one-point node)."""
     a, b = rect.lo[0], rect.hi[0]
     out = []
-    for gid in idx._canonical(a, b)[1]:
+    _, gids, points = idx._canonical(a, b)
+    for gid in gids:
         colors, x_v = node_colors(idx, gid)
         out.append(dict(colors=tuple(colors.tolist()), x_v=x_v, gid=gid,
                         exp=node_exponent(idx, gid, b)))
+    for i in points:
+        out.append(dict(colors=(int(idx.mcolor[i]),), x_v=float(idx.mx[i]), gid=None, exp=None))
     return out
 
 
@@ -165,17 +169,23 @@ def test_nine_point_projection_bounds():
 
 
 def test_single_repeated_color(rng):
-    # only single-color nodes qualify, and each carries S = k log2 k: the
-    # answer is not exactly 0, but within the design excess e' log2 W
+    # no node of two or more points has distinct colors, so nothing holds a
+    # ladder; a range's one canonical node is a one-point node, which adds
+    # the exact f(W): the answer log2 W - f(W)/W is 0 up to rounding
     coords = rng.uniform(0, 100, size=50)
     pts = ColoredPointSet(coords, np.zeros(50, dtype=np.int64))
     idx = build_shannon(pts, 0.3)
-    assert ladder_lengths(idx).any()
+    assert len(idx.node_keys) == 0 and len(idx.h_rank) == 0
+    seen = 0
     for _ in range(50):
         rect = rand_interval(rng)
-        got = idx.query(rect)
+        stats = {}
+        got = idx.query(rect, stats)
         assert got.count == ((coords >= rect.lo[0]) & (coords <= rect.hi[0])).sum()
-        assert 0.0 <= got.value <= idx.eps_prime * math.log2(max(got.count, 1.0)) + 1e-9
+        assert abs(got.value) <= 1e-12
+        assert stats["canonical_nodes"] == (got.count > 0)
+        seen += got.count > 1
+    assert seen > 0
 
 
 def walk_values(pts, colors, x_v, alpha):
@@ -248,20 +258,18 @@ def test_stored_jumps_meet_query_powers_exactly(case):
 def test_ladders_match_bruteforce_prefixes(rng):
     # one run per node, in gid order, holds the node's jumps in rank order
     # where the exponent of S_v rises, as a brute-force walk of the node's
-    # colors finds them; single-color nodes carry S = k log2 k too
+    # colors finds them; every node with a run holds two or more colors
     pts = random_pointset(rng, 120, d=1, m=10, duplicate_frac=0.15)
     for make, alpha in ((lambda: build_shannon(pts, 0.25), None),
                         (lambda: build_renyi(pts, 0.25, 2.0), 2.0)):
         idx = make()
         assert len(idx.ladder_first) == len(idx.node_keys) + 1
         assert idx.ladder_first[0] == 0 and idx.ladder_first[-1] == len(idx.h_rank)
-        single = 0
         for gid in range(len(idx.node_keys)):
             ranks, exps = reference_ladder(idx, pts, gid, alpha)
             got_ranks, got_exps = node_run(idx, gid)
             assert np.array_equal(got_ranks, ranks) and np.array_equal(got_exps, exps)
-            single += len(node_colors(idx, gid)[0]) == 1 and len(ranks) > 0
-        assert single > 0
+            assert len(node_colors(idx, gid)[0]) >= 2
 
 
 def key_pool_reference(idx, pts, alpha):
@@ -287,6 +295,18 @@ def key_pool_exponents(stride, pool, gids, rank):
     return out
 
 
+def one_point_terms(idx, pts, points, b):
+    """f(k) for each of the mapped points of one-point canonical nodes, with
+    k the brute count of its color's points in [x_v, b]: at least 1, its own."""
+    coords = pts.coords[:, 0]
+    out = []
+    for i in points:
+        k = int(((pts.colors == idx.mcolor[i]) & (coords >= idx.mx[i]) & (coords <= b)).sum())
+        assert k >= 1
+        out.append(float(idx._f[k]))
+    return out
+
+
 ORACLE_CASES = {
     "series-1d-like": dict(n=512, m=32, dup=0.0, eps=0.5),
     "15% duplicates": dict(n=400, m=20, dup=0.15, eps=0.3),
@@ -296,9 +316,10 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_lookup_matches_key_pool_oracle(case):
-    # the query's bisection of each canonical node's run reads the same
-    # exponents as the former int64 key pool: its answer is the one built
-    # from those exponents' lower powers and the exact count, bit for bit
+    # the query's bisection of each larger canonical node's run reads the
+    # same exponents as the former int64 key pool: its answer is the one
+    # built from those exponents' lower powers, each one-point node's f(k)
+    # at a brute count k, and the exact count, bit for bit
     spec = ORACLE_CASES[case]
     rng = np.random.default_rng(spec["n"])
     pts = random_pointset(rng, spec["n"], d=1, m=spec["m"], duplicate_frac=spec["dup"])
@@ -311,7 +332,7 @@ def test_lookup_matches_key_pool_oracle(case):
         nodes = 0
         for _ in range(1500):
             a, b = sorted(rng.uniform(-5.0, 105.0, size=2))
-            count, gids = idx._canonical(a, b)
+            count, gids, points = idx._canonical(a, b)
             assert count == ((coords >= a) & (coords <= b)).sum()
             rank = int(idx.ucoords.searchsorted(b, side="right"))
             exps = key_pool_exponents(stride, pool, gids, rank)
@@ -319,6 +340,8 @@ def test_lookup_matches_key_pool_oracle(case):
             s_lo = 0.0
             for e in exps:
                 s_lo += 0.0 if e is None else pw[e]
+            for term in one_point_terms(idx, pts, points, b):
+                s_lo += term
             want = EntropySummary(idx.kind, float(count), entropy_from_sums(count, s_lo, idx.kind))
             assert idx.query(QueryRect.interval(a, b)) == want
             nodes += len(gids)
@@ -397,8 +420,9 @@ def test_build_memory_bounded():
 
 
 def test_per_node_sandwich(rng):
-    # each canonical node's lower power lies in [S_v / (1+eps'), S_v), and
-    # a node without a jump at or below b has S_v = 0
+    # each larger canonical node's lower power lies in [S_v / (1+eps'), S_v),
+    # a node without a jump at or below b has S_v = 0, and a one-point
+    # node's S_v is f of its one color's count
     pts = random_pointset(rng, 150, d=1, m=12, duplicate_frac=0.1)
     coords = pts.coords[:, 0]
     for alpha in (None, 2.0):
@@ -411,6 +435,10 @@ def test_per_node_sandwich(rng):
                 counts = np.bincount(pts.colors[sel]).astype(float)
                 counts = counts[counts > 0]
                 s_v = (counts * np.log2(counts) if alpha is None else counts**alpha).sum()
+                if info["gid"] is None:
+                    assert len(counts) == 1
+                    assert idx._f[int(counts[0])] == pytest.approx(s_v, rel=1e-12, abs=0.0)
+                    continue
                 if info["exp"] is None:
                     assert alpha is None and s_v == 0.0
                     continue
@@ -579,41 +607,64 @@ def stack_walk(ilo, ihi, lo, hi):
     return out
 
 
+def descent(idx, a, b):
+    """(depth, start, stop) of the canonical secondary nodes of [a, b], left
+    to right, by brute force: the primary nodes of a full tree search, in
+    each the secondary nodes tiling the prefix of row entries with y-rank
+    below r_a (a brute count)."""
+    u, n = idx.ucoords, idx.n
+    y_rank = np.where(np.isneginf(idx.my), 0, u.searchsorted(idx.my) + 1)
+    ilo, r_a = int(idx.mx.searchsorted(a)), int(u.searchsorted(a)) + 1
+    out = []
+    for depth, lo, hi in stack_walk(ilo, int(idx.mx.searchsorted(b, "right")), 0, n):
+        cut = int((y_rank[idx.rows[depth, lo:hi]] < r_a).sum())
+        out += [(depth, s, e) for _, s, e in stack_walk(lo, lo + cut, lo, hi)]
+    return out
+
+
+def split_descent(idx, nodes):
+    """The gids of the nodes of two or more points, through ``gid_slots`` at
+    their split points, and the mapped points of the one-point nodes, each
+    in the given order."""
+    gids = [int(idx.gid_slots[idx.n * d + (s + e) // 2]) for d, s, e in nodes if e - s >= 2]
+    points = [int(idx.rows[d, s]) for d, s, e in nodes if e - s == 1]
+    return gids, points
+
+
+def interval_ends(idx):
+    """Interval ends on the distinct coordinates and in the gaps between and
+    around them, in order."""
+    u = idx.ucoords
+    return np.sort(np.concatenate(([u[0] - 1.0], u, (u[:-1] + u[1:]) / 2, [u[-1] + 1.0])))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 32, 37])
 def test_canonical_gids_match_stack_walk(n):
     # every interval with ends on the distinct coordinates or in the gaps
-    # between and around them: the primary nodes of a full tree search, in
-    # each the secondary nodes tiling the prefix of row entries with
-    # y-rank below r_a (a brute count), each mapped through gid_slots, in
-    # the same left-to-right order
+    # between and around them: the brute descent's nodes of two or more
+    # points, each mapped through gid_slots, and its one-point nodes' mapped
+    # points, in the same left-to-right order
     rng = np.random.default_rng(n)
     pts = random_pointset(rng, n, d=1, m=4, duplicate_frac=0.3)
     idx = build_shannon(pts, 0.3)
-    u = idx.ucoords
-    y_rank = np.where(np.isneginf(idx.my), 0, u.searchsorted(idx.my) + 1)
-    ends = np.concatenate(([u[0] - 1.0], u, (u[:-1] + u[1:]) / 2, [u[-1] + 1.0]))
-    for a in ends.tolist():
-        ilo, r_a = int(idx.mx.searchsorted(a)), int(u.searchsorted(a)) + 1
-        for b in ends.tolist():
-            prim = stack_walk(ilo, int(idx.mx.searchsorted(b, "right")), 0, n)
-            want = []
-            for depth, lo, hi in prim:
-                cut = int((y_rank[idx.rows[depth, lo:hi]] < r_a).sum())
-                for _, s, e in stack_walk(lo, lo + cut, lo, hi):
-                    slot = lo + s if e - s == 1 else hi + (s + e) // 2
-                    want.append(int(idx.gid_slots[2 * n * depth + slot]))
+    for a in interval_ends(idx).tolist():
+        for b in interval_ends(idx).tolist():
+            nodes = descent(idx, a, b)
             stats = {}
-            count, gids = idx._canonical(a, b, stats)
-            assert gids == want, (a, b)
+            count, gids, points = idx._canonical(a, b, stats)
+            assert (gids, points) == split_descent(idx, nodes), (a, b)
             assert count == ((pts.coords[:, 0] >= a) & (pts.coords[:, 0] <= b)).sum()
-            assert stats["primary_nodes"] == len(prim)
+            assert stats["canonical_nodes"] == len(nodes)
+            ilo, ihi = idx.mx.searchsorted(a), idx.mx.searchsorted(b, "right")
+            assert stats["primary_nodes"] == len(stack_walk(ilo, ihi, 0, n))
 
 
 def reachable_nodes(idx):
-    """(depth, start, stop) of every secondary node a query's descent can
-    take whole, by a brute walk of each primary span's secondary tree: the
-    roots and left children with distinct colors that end within the span's
-    reach, its start plus its row entries with y below its least x."""
+    """(depth, start, stop) of every secondary node of two or more points a
+    query's descent can take whole, by a brute walk of each primary span's
+    secondary tree: the roots and left children with distinct colors that
+    end within the span's reach, its start plus its row entries with y
+    below its least x."""
     n, out = idx.n, set()
     prim = [(0, n, 0)] if n else []
     while prim:
@@ -624,7 +675,8 @@ def reachable_nodes(idx):
         while sec:
             lo, hi, takeable = sec.pop()
             colors = idx.mcolor[idx.rows[depth, lo:hi]]
-            if takeable and hi <= reach and len(set(colors.tolist())) == hi - lo:
+            if (takeable and hi - lo >= 2 and hi <= reach
+                    and len(set(colors.tolist())) == hi - lo):
                 out.add((depth, lo, hi))
             if hi - lo >= 2:
                 mid = (lo + hi) // 2
@@ -637,10 +689,10 @@ def reachable_nodes(idx):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 37, 120])
 def test_ladders_only_for_reachable_nodes(n):
-    # the stored nodes are exactly the brute walk's reachable ones, and
-    # every interval with ends on the distinct coordinates or in the gaps
-    # between and around them takes only stored nodes as canonical, under
-    # either kind
+    # the stored nodes are exactly the brute walk's reachable ones of two or
+    # more points, and every interval with ends on the distinct coordinates
+    # or in the gaps between and around them takes only stored nodes as
+    # canonical nodes of two or more points, under either kind
     rng = np.random.default_rng(1000 + n)
     pts = random_pointset(rng, n, d=1, m=8, duplicate_frac=0.3)
     idx = build_shannon(pts, 0.3)
@@ -648,59 +700,79 @@ def test_ladders_only_for_reachable_nodes(n):
     assert stored == reachable_nodes(idx)
     renyi = build_renyi(pts, 0.3, 2.0)
     assert np.array_equal(renyi.node_keys, idx.node_keys)
-    u = idx.ucoords
-    y_rank = np.where(np.isneginf(idx.my), 0, u.searchsorted(idx.my) + 1)
-    ends = np.sort(np.concatenate(([u[0] - 1.0], u, (u[:-1] + u[1:]) / 2, [u[-1] + 1.0])))
+    ends = interval_ends(idx)
     for i, a in enumerate(ends.tolist()):
-        ilo, r_a = int(idx.mx.searchsorted(a)), int(u.searchsorted(a)) + 1
         for b in ends[i:].tolist():
-            want = []
-            for depth, lo, hi in stack_walk(ilo, int(idx.mx.searchsorted(b, "right")), 0, n):
-                cut = int((y_rank[idx.rows[depth, lo:hi]] < r_a).sum())
-                want += [(depth, s, e) for _, s, e in stack_walk(lo, lo + cut, lo, hi)]
-            assert set(want) <= stored, (a, b)
+            want = descent(idx, a, b)
+            larger = [node for node in want if node[2] - node[1] >= 2]
+            assert set(larger) <= stored, (a, b)
             for index in (idx, renyi):
-                gids = np.array(index._canonical(a, b)[1], dtype=np.int64)
-                assert list(zip(*(g.tolist() for g in index._spans(gids)))) == want, (a, b)
+                _, gids, points = index._canonical(a, b)
+                gids = np.array(gids, dtype=np.int64)
+                assert list(zip(*(g.tolist() for g in index._spans(gids)))) == larger, (a, b)
+                assert points == split_descent(index, want)[1], (a, b)
 
 
-def ladderless(pts, eps, alpha):
-    """An index with everything but its ladders, and the inputs its walks read."""
-    idx = Sweep1DIndex.__new__(Sweep1DIndex)
-    return idx, idx._walk_inputs(*idx._derive(pts, eps, alpha))
+def expected_terms(idx, pts, a, b):
+    """The S_lo a query of [a, b] adds up, from brute force in the query's
+    order: each larger canonical node's lower power at its rightmost jump
+    at or below b (its run read with numpy), then each one-point node's
+    f(k) at a brute count k; and the number of one-point nodes."""
+    count, gids, points = idx._canonical(a, b)
+    s_lo = 0.0
+    for gid in gids:
+        e = node_exponent(idx, gid, b)
+        s_lo += 0.0 if e is None else float(idx._powers[e])
+    for term in one_point_terms(idx, pts, points, b):
+        s_lo += term
+    return count, s_lo, len(points)
 
 
 @pytest.mark.parametrize("dup", [0.3, 0.6])
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 300])
-def test_one_point_ladders_match_walk(n, dup):
-    # a one-point node's ladder read off the shared prefix is the batched
-    # walk's for the same node, dtype included, and is the run the index
-    # stores; tie groups of one color hold several rises at eps 0.002
-    rng = np.random.default_rng(n + int(100 * dup))
-    pts = random_pointset(rng, n, d=1, m=6, duplicate_frac=dup)
-    jumps = 0
-    for eps in (0.002, 0.25, 0.9):
-        for alpha in (None, 1.5, 2.0, 3.0):
-            idx, walk = ladderless(pts, eps, alpha)
-            _, start, stop = idx._spans(slice(None))
-            one = np.flatnonzero(stop - start == 1)
-            assert len(one) > 0
-            _, lo, hi = idx._walk_runs(one, walk.key)
-            want = idx._ladders(one, walk, hi - lo)
-            got = idx._one_point_ladders(one, walk, hi - lo)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and np.array_equal(g, w)
-            built = build_shannon(pts, eps) if alpha is None else build_renyi(pts, eps, alpha)
-            at = _ranges(built.ladder_first[one].astype(np.int64), want[1])
-            assert np.array_equal(built.h_rank[at], want[0])
-            assert np.array_equal(built.h_exp[at], want[2])
-            jumps += len(at)
-    assert jumps > 0 or n == 1
+@pytest.mark.parametrize("n", list(range(1, 41)) + [64])
+def test_exhaustive_interval_sweep(n, dup):
+    # every interval with ends on or between the distinct coordinates,
+    # under Shannon and Renyi 1.5, 2 and 3: the bound holds against brute
+    # force, each one-point canonical node adds f(k) at a brute count k, and
+    # each stored node's run is the brute walk's ladder
+    rng = np.random.default_rng(3 * n + int(100 * dup))
+    pts = random_pointset(rng, n, d=1, m=max(2, n // 5), duplicate_frac=dup)
+    eps = 0.3
+    one_point = 0
+    for alpha in (None, 1.5, 2.0, 3.0):
+        idx = build_shannon(pts, eps) if alpha is None else build_renyi(pts, eps, alpha)
+        kind = SHANNON if alpha is None else renyi_kind(alpha)
+        for gid in range(len(idx.node_keys)):
+            ranks, exps = reference_ladder(idx, pts, gid, alpha)
+            got_ranks, got_exps = node_run(idx, gid)
+            assert np.array_equal(got_ranks, ranks) and np.array_equal(got_exps, exps)
+        ends = interval_ends(idx)
+        for i, a in enumerate(ends.tolist()):
+            for b in ends[i:].tolist():
+                rect = QueryRect.interval(a, b)
+                got = idx.query(rect)
+                truth = brute_entropy(pts, rect, kind)
+                if alpha is None:
+                    assert shannon_bound_holds(truth.value, got.value, eps), (a, b, truth, got)
+                else:
+                    assert renyi_bound_holds(truth.value, got.value, eps, alpha), (a, b, truth, got)
+                count, s_lo, points = expected_terms(idx, pts, a, b)
+                assert got.count == truth.count == count
+                assert got.value == entropy_from_sums(count, s_lo, kind), (a, b)
+                one_point += points
+    assert one_point > 0
 
 
-def per_depth_qualifying_spans(idx, row, starts, roots):
-    """Row slices [lo, hi) of one depth's qualifying secondary nodes and the
-    primary span each lies in, by a refinement of that depth's row alone."""
+def ladderless(pts, eps, alpha):
+    """An index with everything but its ladders."""
+    idx = Sweep1DIndex.__new__(Sweep1DIndex)
+    idx._derive(pts, eps, alpha)
+    return idx
+
+
+def per_depth_qualifying_spans(idx, row, starts):
+    """Row slices [lo, hi) of one depth's qualifying secondary nodes of two
+    or more points, by a refinement of that depth's row alone."""
     n = idx.n
     colors = idx.mcolor[row]
     by_color = np.argsort(colors, kind="stable")
@@ -710,46 +782,39 @@ def per_depth_qualifying_spans(idx, row, starts, roots):
     prim_starts, ends = starts, np.append(starts[1:], n)
     below = idx.my[row] < np.repeat(idx.mx[starts], ends - starts)
     reach = starts + np.add.reduceat(below, starts, dtype=np.int64)
-    take, lo, hi = roots, [], []
+    take, lo, hi = np.ones(len(starts), dtype=bool), [], []
     while True:
-        ok = take & (np.minimum.reduceat(nxt, starts) >= ends)
+        split = ends - starts >= 2
+        ok = take & split & (np.minimum.reduceat(nxt, starts) >= ends)
         lo.append(starts[ok])
         hi.append(ends[ok])
         if len(starts) == n:
             break
-        split = ends - starts >= 2
         starts = refine_spans(starts, n)
         ends = np.append(starts[1:], n)
         take = np.zeros(len(starts), dtype=bool)
         take[(np.arange(len(split)) + np.cumsum(split) - split)[split]] = True
     lo, hi = np.concatenate(lo), np.concatenate(hi)
-    span = prim_starts.searchsorted(lo, side="right") - 1
-    keep = hi <= reach[span]
-    return lo[keep], hi[keep], span[keep]
+    keep = hi <= reach[prim_starts.searchsorted(lo, side="right") - 1]
+    return lo[keep], hi[keep]
 
 
 def per_depth_layout(idx):
     """node_keys, gid_slots, rows and y_rank by the per-depth rule: each
-    depth's qualifying nodes from its own row, a one-point span of an
-    earlier depth not a root."""
+    depth's qualifying nodes from its own row, a node's slot at its split
+    point."""
     n = idx.n
     depths = math.ceil(math.log2(n)) + 1 if n else 0
     rows, keys, slots = [], [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    stale = np.zeros(0, dtype=np.int64)
     for depth, (row, starts) in enumerate(
             depth_rows(np.arange(n), idx.my, np.zeros(1, dtype=np.int64), depths)):
         rows.append(row)
-        ends = np.append(starts[1:], n)
-        roots = np.ones(len(starts), dtype=bool)
-        roots[starts.searchsorted(stale)] = False
-        lo, hi, span = per_depth_qualifying_spans(idx, row, starts, roots)
+        lo, hi = per_depth_qualifying_spans(idx, row, starts)
         keys.append(idx._node_key(depth, lo, hi))
-        p, e = starts[span], ends[span]
-        slots.append(2 * n * depth + np.where(hi - lo == 1, p + lo, e + (lo + hi) // 2))
-        stale = starts[ends - starts == 1]
+        slots.append(n * depth + (lo + hi) // 2)
     rows = np.array(rows, dtype=np.min_scalar_type(max(n - 1, 0))).reshape(depths, n)
     node_keys, gids = np.unique(np.concatenate(keys), return_inverse=True)
-    gid_slots = np.full(2 * n * depths, -1, dtype=np.int32)
+    gid_slots = np.full(n * depths, -1, dtype=np.int32)
     gid_slots[np.concatenate(slots)] = gids
     y_rank = np.where(np.isneginf(idx.my), 0, idx.ucoords.searchsorted(idx.my) + 1)
     y_rank = y_rank.astype(np.min_scalar_type(len(idx.ucoords)))[rows.ravel()]
@@ -764,7 +829,7 @@ def test_stacked_derive_matches_per_depth_rule(n, dup):
     # depth count changes at powers of two
     rng = np.random.default_rng(7 * n + int(10 * dup))
     pts = random_pointset(rng, n, d=1, m=max(2, n // 6), duplicate_frac=dup)
-    idx, _ = ladderless(pts, 0.3, None)
+    idx = ladderless(pts, 0.3, None)
     want = per_depth_layout(idx)
     for name, w in zip(("node_keys", "gid_slots", "rows", "y_rank"), want):
         got = getattr(idx, name)
