@@ -6,7 +6,6 @@ from .core import (
     ColoredPointSet,
     EntropyKind,
     EntropySummary,
-    Point,
     QueryRect,
     delete_color_renyi,
     delete_color_shannon,
@@ -54,7 +53,6 @@ __all__ = [
     "ColoredPointSet",
     "EntropyKind",
     "EntropySummary",
-    "Point",
     "QueryRect",
     "shannon_entropy",
     "renyi_entropy",

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import exact1d, exactnd, partition, storage, sweep1d
 from .approx_shannon import EstimatorConfig, EstimatorIndex, additive, multiplicative
-from .core import QueryRect, SHANNON, renyi_kind
+from .core import QueryRect, SHANNON, renyi_kind, stable_order
 from .errors import DataFormatError, EntrangeError, IndexFileError, IndexKindMismatch
 
 
@@ -46,22 +46,17 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
 def cmd_build(args: argparse.Namespace) -> int:
     pts = storage.ingest(args.input)
     alphas = _parse_alphas(args.alphas)
-    extra: dict = {"points": len(pts), "dim": pts.dim}
     if args.kind == "exact1d":
         index = exact1d.Exact1DIndex(pts, args.t, alphas)
-        extra.update(t=args.t, alphas=list(alphas))
     elif args.kind == "exactnd":
         index = exactnd.ExactNDIndex(pts, args.t, alphas)
-        extra.update(t=args.t, alphas=list(alphas))
     elif args.kind == "sweep-shannon":
         index = sweep1d.build_shannon(pts, args.epsilon)
-        extra.update(epsilon=args.epsilon)
     elif args.kind == "sweep-renyi":
         index = sweep1d.build_renyi(pts, args.epsilon, args.alpha)
-        extra.update(epsilon=args.epsilon, alpha=args.alpha)
     else:  # estimator
         index = EstimatorIndex(pts)
-    storage.save_index(args.out, args.kind, index, extra)
+    storage.save_index(args.out, args.kind, index)
     print(f"built {args.kind} over {len(pts)} points -> {args.out}")
     return 0
 
@@ -70,7 +65,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 # query
 
 
-def _query_once(kind_name: str, header: dict, index, args) -> dict:
+def _query_once(kind_name: str, index, args) -> dict:
     rect = parse_rect(args.rect)
     want_kind = SHANNON if args.kind == "shannon" else renyi_kind(args.alpha)
     rng = np.random.default_rng(args.seed)
@@ -115,8 +110,8 @@ def _query_once(kind_name: str, header: dict, index, args) -> dict:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    kind_name, header, index = storage.load_index(args.index)
-    out = _query_once(kind_name, header, index, args)
+    kind_name, _, index = storage.load_index(args.index)
+    out = _query_once(kind_name, index, args)
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
@@ -172,8 +167,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
             out = partition.maxpart_approx(pts, args.k, args.epsilon, backend)
         else:
             out = partition.sumpart_approx(pts, args.k, args.epsilon, backend)
-        order = np.lexsort((np.arange(len(pts)), pts.coords[:, 0]))
-        sorted_x = pts.coords[order, 0]
+        sorted_x = pts.coords[stable_order(pts.coords[:, 0]), 0]
         boundaries = [float(sorted_x[c - 1]) for c in out.cuts[1:-1]]
         payload = {
             "algorithm": args.algorithm,

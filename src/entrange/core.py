@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -84,13 +84,6 @@ class EntropySummary:
 
 # ---------------------------------------------------------------------------
 # points and histograms
-
-
-@dataclass(frozen=True)
-class Point:
-    coords: tuple[float, ...]
-    color: ColorId
-    weight: float = 1.0
 
 
 class ColoredPointSet:
@@ -158,12 +151,6 @@ class ColoredPointSet:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    def point(self, i: int) -> Point:
-        return Point(tuple(self.coords[i]), int(self.colors[i]), float(self.weights[i]))
-
-    def __iter__(self) -> Iterator[Point]:
-        return (self.point(i) for i in range(len(self)))
-
     def to_arrays(self) -> tuple[dict, dict]:
         """The arrays and the scalars (color count, labels) that
         :meth:`from_arrays` rebuilds the set from."""
@@ -176,15 +163,6 @@ class ColoredPointSet:
         labels = scalars["labels"]
         return cls(arrays["coords"], arrays["colors"], arrays["weights"],
                    None if labels is None else tuple(labels), scalars["num_colors"])
-
-    @classmethod
-    def from_points(cls, points: Sequence[Point], num_colors: Optional[int] = None) -> "ColoredPointSet":
-        if not points:
-            return cls(np.zeros((0, 1)), np.zeros(0, dtype=np.int64), num_colors=num_colors or 0)
-        coords = np.array([p.coords for p in points], dtype=np.float64)
-        colors = np.array([p.color for p in points], dtype=np.int64)
-        weights = np.array([p.weight for p in points], dtype=np.float64)
-        return cls(coords, colors, weights, num_colors=num_colors)
 
     @classmethod
     def from_labeled(
@@ -578,9 +556,6 @@ class QueryRect:
 
         big = sys.float_info.max
         return cls((-big,) * dim, (big,) * dim)
-
-    def contains(self, coords: Sequence[float]) -> bool:
-        return all(l <= x <= h for l, x, h in zip(self.lo, coords, self.hi))
 
     def mask(self, pts: ColoredPointSet) -> np.ndarray:
         """Boolean membership mask over a point set (vectorized)."""

@@ -41,13 +41,15 @@ do not swamp the light ones in it: with 1-5 heavy points up to 1e15 over
 light weights near 1, and with weights log-uniform in [1, 1e12], answers
 stay within 1e-6 of brute force.
 
-An index file holds the points and each table's entries above the
-diagonal (:meth:`Exact1DIndex.to_arrays`). One ``_derive``, run on build
+A table holds only its entries above the diagonal: the entry of cut pair
+(a, b), a < b, with k buckets, is at a*(2k - a - 1)//2 + b - 1 of its
+row-major upper triangle (``_slot``). An index file holds the points and
+the tables in that layout (:meth:`Exact1DIndex.to_arrays`), and a load
+keeps them as views of the file's payload. One ``_derive``, run on build
 and on load, rebuilds the sorted coordinates, colors and weights, their
-prefix pair, the ``ColorPrefix`` and the cuts; the load scatters the
-stored entries back into full tables. The coordinate order comes from an
-unstable sort with ties repaired (``core.stable_order``), which equals the
-stable (coordinate, input index) order.
+prefix pair, the ``ColorPrefix`` and the cuts. The coordinate order comes
+from an unstable sort with ties repaired (``core.stable_order``), which
+equals the stable (coordinate, input index) order.
 """
 
 from __future__ import annotations
@@ -105,11 +107,10 @@ class Exact1DIndex:
 
     def to_arrays(self) -> tuple[dict, dict]:
         """The arrays and scalars an index file holds (``STORED``): the
-        points, and the tables' entries above the diagonal, one row per
-        kind; :meth:`from_arrays` derives the rest."""
+        points, and the tables, one row per kind; :meth:`from_arrays`
+        derives the rest."""
         arrays, scalars = self.pts.to_arrays()
-        upper = np.triu_indices(len(self.cuts), 1)
-        arrays["tables"] = np.stack([self.tables[kind][upper] for kind in self.kinds])
+        arrays["tables"] = np.stack(list(self.tables.values()))
         return arrays, {**scalars, "t": self.t, "orders": list(self.orders)}
 
     @classmethod
@@ -119,29 +120,36 @@ class Exact1DIndex:
         index.t = float(scalars["t"])
         index.orders = tuple(map(float, scalars["orders"]))
         index._derive()
-        k = len(index.cuts)
-        tables = np.zeros((len(index.kinds), k, k))
-        tables[(slice(None), *np.triu_indices(k, 1))] = arrays["tables"]
+        k = len(index.cuts) - 1
+        tables = arrays["tables"]
+        if tables.dtype != np.float64 or tables.shape != (len(index.kinds), k * (k + 1) // 2):
+            raise ValueError(f"tables of {tables.dtype} {tables.shape} do not fit "
+                             f"{len(index.kinds)} kinds over {k} buckets")
         index.tables = dict(zip(index.kinds, tables))
         return index
 
     # -- construction --------------------------------------------------------
 
+    def _slot(self, a: int, b: int) -> int:
+        """The place of cut pair (a, b), a < b, in a table."""
+        k = len(self.cuts) - 1
+        return a * (2 * k - a - 1) // 2 + b - 1
+
     def _build_tables(self) -> dict[EntropyKind, np.ndarray]:
         k = len(self.cuts) - 1
-        tables = np.zeros((len(self.kinds), k + 1, k + 1))
+        tables = np.empty((len(self.kinds), k * (k + 1) // 2))
         groups = _ColorGroups(self.color_prefix, self.bucket_size)
         bucket_first = groups.bucket.searchsorted(np.arange(k + 1))  # each bucket's first group
         for i in range(k):
             first = int(bucket_first[i])
             S = groups.power_sums(first, int(self.cuts[i]), self.kinds)
             ends = bucket_first[i + 1:] - first - 1  # each later cut's last group, row-relative
-            tables[:, i, i + 1:] = S[:, ends]   # S, turned into entropy below
-        upper = np.triu_indices(k + 1, 1)
-        lo, hi = self.cuts[upper[0]], self.cuts[upper[1]]
+            at = self._slot(i, i + 1)
+            tables[:, at:at + k - i] = S[:, ends]   # S, turned into entropy below
+        lo, hi = self.cuts[np.array(np.triu_indices(k + 1, 1))]
         W = (self.wpre[hi] - self.wpre[lo]) + (self.wlo[hi] - self.wlo[lo])
         for kind, table in zip(self.kinds, tables):
-            table[upper] = core.entropy_from_power_sum(W, table[upper], kind)
+            table[:] = core.entropy_from_power_sum(W, table, kind)
         return dict(zip(self.kinds, tables))
 
     @functools.cached_property
@@ -183,7 +191,7 @@ class Exact1DIndex:
             core_lo, core_hi = a * size, (n if b == last else b * size)
             W = float((self.wpre[core_hi] - self.wpre[core_lo])
                       + (self.wlo[core_hi] - self.wlo[core_lo]))
-            value = float(self.tables[kind][a, b])
+            value = float(self.tables[kind][self._slot(a, b)])
         fringe_points = max(0, j - i) - (core_hi - core_lo)
         if stats is not None:
             stats.update(points_in_range=max(0, j - i), fringe_points=fringe_points,

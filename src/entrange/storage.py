@@ -2,7 +2,7 @@
 
 File layout (format 16): 7 magic bytes ``RQEIDX1``, one version byte, a
 4-byte big-endian header length, a JSON header, then the payload of raw
-array buffers. Besides ``save_index``'s ``extra`` keys, the header holds:
+array buffers. The header holds:
 
   * ``kind``, the index kind;
   * ``scalars``, the index's scalars (t, orders, eps, alpha, the color
@@ -16,7 +16,8 @@ An index stores only the arrays it cannot derive from others (each class's
 ``STORED``, written by its ``to_arrays`` and read by its ``from_arrays``,
 which derives the rest with the same code its build runs):
 
-  * exact1d: the points, and each table's entries above the diagonal;
+  * exact1d: the points, and each table's entries above the diagonal,
+    row-major;
   * exactnd and estimator: the points and the range tree's pool of ids;
   * sweep-shannon and sweep-renyi: the points and the ladders of the
     nodes of two or more points (jump ranks, their exponents and each
@@ -78,7 +79,7 @@ INDEX_KINDS = tuple(INDEX_CLASSES)
 DTYPES = frozenset(("|b1", "|i1", "|u1", "<i2", "<u2", "<i4", "<u4", "<i8", "<u8", "<f4", "<f8"))
 
 
-def save_index(path: Union[str, Path], kind: str, index, extra: Optional[dict] = None) -> None:
+def save_index(path: Union[str, Path], kind: str, index) -> None:
     cls = INDEX_CLASSES.get(kind)
     if cls is None:
         raise ValueError(f"unknown index kind {kind!r}")
@@ -100,8 +101,7 @@ def save_index(path: Union[str, Path], kind: str, index, extra: Optional[dict] =
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
-    header = dict(extra or {})
-    header.update(kind=kind, scalars=scalars, arrays=manifest, sha256=digest.hexdigest())
+    header = dict(kind=kind, scalars=scalars, arrays=manifest, sha256=digest.hexdigest())
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -193,17 +193,16 @@ def _views(path, manifest, payload: bytes, names: tuple) -> dict:
 # CSV / TSV ingestion
 
 
-def ingest(path: Union[str, Path], fmt: Optional[str] = None) -> ColoredPointSet:
+def ingest(path: Union[str, Path]) -> ColoredPointSet:
     """Read colored points from CSV/TSV: columns x1..xd, color, optional weight.
 
     The header row is required; colors are interned in first-appearance
-    order; omitted weights default to 1. Malformed rows raise
-    DataFormatError with their line number.
+    order; omitted weights default to 1. A ``.tsv`` or ``.tab`` suffix means
+    tab-separated. Malformed rows raise DataFormatError with their line
+    number.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "tsv" if path.suffix.lower() in (".tsv", ".tab") else "csv"
-    delim = "\t" if fmt == "tsv" else ","
+    delim = "\t" if path.suffix.lower() in (".tsv", ".tab") else ","
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return ingest_stream(fh, delim, str(path))
 

@@ -33,9 +33,9 @@ each of them the points with y < a are a prefix of its row slice, the
 node's cut, found by one bisection of that slice of ``y_rank``: each row
 entry's y-rank (0 for -infinity, k for the k-th smallest distinct
 coordinate), laid out depth after depth as in ``rows``. The secondary
-descent over each prefix is integer Python too. It reads each larger
-canonical node's gid from ``gid_slots``, and each one-point node's mapped
-point from ``rows``.
+descent over each prefix is integer Python too, and adds each canonical
+node's term as soon as it reaches the node: it reads a larger node's gid
+from ``gid_slots``, and a one-point node's mapped point from ``rows``.
 
 A qualifying node v knows its color set U_v (its slice's colors) and the
 smallest mapped x-coordinate x_v. For the original points of those colors
@@ -453,18 +453,24 @@ class Sweep1DIndex:
 
     # -- queries -------------------------------------------------------------------
 
-    def _canonical(self, a: float, b: float,
-                   stats: Optional[dict] = None) -> tuple[int, list[int], list[int]]:
-        """The number of points in [a, b], the gids of its canonical nodes of
-        two or more points and the mapped points of its one-point ones, each
-        left to right."""
-        n, mx = self.n, self.mx.data
+    def query(self, rect: QueryRect, stats: Optional[dict] = None) -> EntropySummary:
+        """Estimate of the entropy of the points in ``rect``, with their
+        exact count. ``stats`` receives ``primary_nodes`` and
+        ``canonical_nodes``."""
+        if rect.dim != 1:
+            raise ValueError("query rect must be 1-D")
+        a, b = rect.lo[0], rect.hi[0]
+        n, mx, ucoords = self.n, self.mx.data, self.ucoords.data
         ilo, ihi = bisect.bisect_left(mx, a), bisect.bisect_right(mx, b)
-        r_a = bisect.bisect_left(self.ucoords.data, a) + 1  # y < a iff y-rank < r_a
+        r_a = bisect.bisect_left(ucoords, a) + 1  # y < a iff y-rank < r_a
+        rank = bisect.bisect_right(ucoords, b)
         prim = tile(0, n, ilo, ihi) if ilo < ihi else []
         y_rank, slots, rows = self.y_rank.data, self.gid_slots.data, self.rows.data
-        gids: list[int] = []
-        points: list[int] = []
+        h_rank, h_exp, first, pw = (
+            self.h_rank.data, self.h_exp.data, self.ladder_first.data, self._powers.data)
+        c_rank, run_lo, run_end, f = (
+            self.c_rank.data, self.run_lo.data, self.run_end.data, self._f.data)
+        s_lo, nodes = 0.0, 0
         for p, e, depth in prim:
             # the secondary nodes covering the node's points with y < a
             off = depth * n
@@ -480,41 +486,25 @@ class Sweep1DIndex:
                     hi = mid
                     continue
                 if stop - lo == 1:
-                    points.append(rows[depth, lo])
+                    # f of the count of the point's color in [x_v, b]
+                    i = rows[depth, lo]
+                    j = run_lo[i]
+                    s_lo += f[bisect.bisect_right(c_rank, rank, j, run_end[i]) - j]
                 else:
-                    gids.append(slots[off + (lo + stop) // 2])
+                    # the lower power of the node's rightmost jump at or below b
+                    gid = slots[off + (lo + stop) // 2]
+                    if gid < 0:
+                        raise AssertionError("canonical node without a ladder")
+                    j = first[gid]
+                    i = bisect.bisect_right(h_rank, rank, j, first[gid + 1])
+                    if i > j:
+                        s_lo += pw[h_exp[i - 1]]   # pw[e] = base**(e - 1)
+                nodes += 1
                 lo = stop
         if stats is not None:
             stats["primary_nodes"] = len(prim)
-            stats["canonical_nodes"] = len(gids) + len(points)
-        if -1 in gids:
-            raise AssertionError("canonical node without a ladder")
-        return max(ihi - ilo, 0), gids, points
-
-    def query(self, rect: QueryRect, stats: Optional[dict] = None) -> EntropySummary:
-        """Estimate of the entropy of the points in ``rect``, with their
-        exact count. ``stats`` receives ``primary_nodes`` and
-        ``canonical_nodes``."""
-        if rect.dim != 1:
-            raise ValueError("query rect must be 1-D")
-        a, b = rect.lo[0], rect.hi[0]
-        count, gids, points = self._canonical(a, b, stats)
-        h_rank, h_exp, first, pw = (
-            self.h_rank.data, self.h_exp.data, self.ladder_first.data, self._powers.data)
-        rank = bisect.bisect_right(self.ucoords.data, b)
-        s_lo = 0.0
-        for gid in gids:
-            # the lower power of the node's rightmost jump at or below b
-            lo = first[gid]
-            i = bisect.bisect_right(h_rank, rank, lo, first[gid + 1])
-            if i > lo:
-                s_lo += pw[h_exp[i - 1]]   # pw[e] = base**(e - 1)
-        c_rank, run_lo, run_end, f = (
-            self.c_rank.data, self.run_lo.data, self.run_end.data, self._f.data)
-        for i in points:
-            # f of the count of the point's color in [x_v, b]
-            lo = run_lo[i]
-            s_lo += f[bisect.bisect_right(c_rank, rank, lo, run_end[i]) - lo]
+            stats["canonical_nodes"] = nodes
+        count = max(ihi - ilo, 0)
         return EntropySummary(self.kind, float(count), entropy_from_sums(count, s_lo, self.kind))
 
     def space_stats(self) -> dict:

@@ -27,6 +27,15 @@ def rand_interval(rng, lo=0.0, hi=100.0):
 KINDS = (SHANNON, renyi_kind(1.5), renyi_kind(2.0), renyi_kind(3.0))
 
 
+def full_table(idx, kind):
+    """The table of ``kind`` as a (k+1) x (k+1) array indexed by cut pair:
+    the stored upper triangle, row-major, above the diagonal, zeros below."""
+    k = len(idx.cuts)
+    table = np.zeros((k, k))
+    table[np.triu_indices(k, 1)] = idx.tables[kind]
+    return table
+
+
 def table_value_naive(idx, i, j, kind):
     """Direct recomputation of one table entry; build-correctness oracle."""
     a, b = int(idx.cuts[i]), int(idx.cuts[j])
@@ -41,10 +50,11 @@ def test_table_matches_naive_recomputation(rng):
     idx = Exact1DIndex(pts, t=0.5, orders=(1.5, 2.0, 3.0))
     k = len(idx.cuts) - 1
     for kind in KINDS:
+        table = full_table(idx, kind)
         for i in range(k):
             for j in range(i + 1, k + 1):
                 want = table_value_naive(idx, i, j, kind)
-                assert abs(idx.tables[kind][i, j] - want) < 1e-6, (kind, i, j)
+                assert abs(table[i, j] - want) < 1e-6, (kind, i, j)
 
 
 def palette_tables(idx):
@@ -131,8 +141,9 @@ def test_tables_match_palette_build(rng, t):
         idx = Exact1DIndex(pts, t=t, orders=(1.5, 2.0, 3.0))
         grouped, per_point = grouped_tables(idx), palette_tables(idx)
         for kind in idx.kinds:
-            assert np.array_equal(idx.tables[kind], grouped[kind]), (t, kind)
-            assert np.allclose(idx.tables[kind], per_point[kind], rtol=0.0, atol=1e-12), (t, kind)
+            table = full_table(idx, kind)
+            assert np.array_equal(table, grouped[kind]), (t, kind)
+            assert np.allclose(table, per_point[kind], rtol=0.0, atol=1e-12), (t, kind)
 
 
 def grouped_case(shape, seed, n):
@@ -234,11 +245,11 @@ def test_grouped_build_at_every_cut_pair(shape, t):
         assert idx.bucket_size in (8, 12)
     cuts = idx.cuts.tolist()
     for kind in KINDS:
-        oracle = OracleBackend(pts, kind)
+        oracle, tables = OracleBackend(pts, kind), full_table(idx, kind)
         for i, lo in enumerate(cuts[:-1]):
             _, row = idx.row(lo, kind)
             for j in range(i + 1, len(cuts)):
-                table = idx.tables[kind][i, j]
+                table = tables[i, j]
                 assert abs(table - oracle.summary_range(lo, cuts[j]).value) < 1e-9, (kind, i, j)
                 assert abs(row[cuts[j] - lo] - table) < 1e-9, (kind, i, j)
 
@@ -272,7 +283,8 @@ def test_t_one_single_bucket(rng):
     idx = Exact1DIndex(pts, t=1.0)
     assert len(idx.cuts) == 2  # one bucket, one trivial table row
     full = brute_entropy(pts, QueryRect.interval(-1e9, 1e9))
-    assert abs(idx.tables[SHANNON][0, 1] - full.value) < 1e-9
+    assert idx.tables[SHANNON].shape == (1,)
+    assert abs(full_table(idx, SHANNON)[0, 1] - full.value) < 1e-9
 
 
 def test_t_zero_unit_buckets(rng):
@@ -282,9 +294,10 @@ def test_t_zero_unit_buckets(rng):
     k = len(idx.cuts) - 1
     assert k == 60
     for kind in (SHANNON, renyi_kind(2.0)):
+        table = full_table(idx, kind)
         for i in range(0, k, 7):
             for j in range(i + 1, k + 1, 11):
-                assert abs(idx.tables[kind][i, j] - table_value_naive(idx, i, j, kind)) < 1e-6
+                assert abs(table[i, j] - table_value_naive(idx, i, j, kind)) < 1e-6
 
 
 def test_query_empty_range(rng):
@@ -338,8 +351,9 @@ def test_space_stats_bytes(rng):
     idx = Exact1DIndex(pts, t=0.5, orders=(2.0,))
     space = idx.space_stats()
     tables = sum(table.nbytes for table in idx.tables.values())
-    # two (k+1)^2 tables plus seven arrays of about one float per point
-    assert tables == 2 * (space["buckets"] + 1) ** 2 * 8
+    # two tables of k(k+1)/2 entries plus seven arrays of about one float per point
+    k = space["buckets"]
+    assert tables == 2 * k * (k + 1) // 2 * 8
     assert tables + 7 * 8 * 500 <= space["bytes"] <= tables + 8 * 8 * 510
 
 
@@ -460,7 +474,7 @@ def check_every_span(pts, t):
     idx = Exact1DIndex(pts, t=t, orders=(2.0, 3.0))
     n, cuts = len(pts), idx.cuts
     for kind in WEIGHTED_KINDS:
-        oracle = OracleBackend(pts, kind)
+        oracle, table = OracleBackend(pts, kind), full_table(idx, kind)
         for i in range(n + 1):
             for j in range(i, n + 1):
                 stats = {}
@@ -475,7 +489,7 @@ def check_every_span(pts, t):
                 assert stats == {"points_in_range": j - i, "fringe_points": j - i - core,
                                  "core_cuts": (a, b) if a < b else None}, (t, i, j)
                 if a < b and core == j - i:
-                    assert got.value == idx.tables[kind][a, b]
+                    assert got.value == table[a, b]
     return idx
 
 

@@ -324,8 +324,10 @@ def entry(name, **change):
 def test_load_rejects_tampered_files(tmp_path, rng, capsys):
     pts = random_pointset(rng, 40, d=1, m=5)
     good = tmp_path / "good.rqe"
-    storage.save_index(good, "exact1d", exact1d.Exact1DIndex(pts, 0.5, (2.0,)))
+    index = exact1d.Exact1DIndex(pts, 0.5, (2.0,))
+    storage.save_index(good, "exact1d", index)
     data = good.read_bytes()
+    kinds, entries = len(index.kinds), len(index.tables[SHANNON])
     flipped = bytearray(data)
     flipped[-1] ^= 0x01   # last byte of the payload
     tampered = [
@@ -355,6 +357,11 @@ def test_load_rejects_tampered_files(tmp_path, rng, capsys):
         edit_header(data, entry("colors", shape=40)),
         edit_header(data, entry("weights", shape=[20, 2])),
         edit_header(data, entry("tables", shape=[3, 1], nbytes=24)),
+        # tables of as many bytes as their shape, but not one upper triangle per kind
+        edit_header(data, entry("tables", shape=[kinds, entries - 1],
+                                nbytes=kinds * (entries - 1) * 8)),
+        edit_header(data, entry("tables", shape=[kinds * entries])),
+        edit_header(data, entry("tables", shape=[1, kinds, entries])),
     ]
     path = tmp_path / "bad.rqe"
     for i, raw in enumerate(tampered):
@@ -363,6 +370,20 @@ def test_load_rejects_tampered_files(tmp_path, rng, capsys):
             storage.load_index(path)
         assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4, i
     capsys.readouterr()
+
+
+def test_loaded_exact1d_tables_are_views_of_the_file(tmp_path, rng):
+    # a load keeps each kind's table as the file stores it: a view of the
+    # payload with the built table's entries, not a copy
+    pts = random_pointset(rng, 200, d=1, m=7, weighted=True)
+    index = exact1d.Exact1DIndex(pts, 0.5, (2.0, 3.0))
+    path = tmp_path / "x.rqe"
+    storage.save_index(path, "exact1d", index)
+    loaded = storage.load_index(path, expect_kind="exact1d")[2]
+    assert loaded.tables.keys() == index.tables.keys()
+    for kind, table in loaded.tables.items():
+        assert not table.flags.owndata and not table.flags.writeable, kind
+        assert table.tobytes() == index.tables[kind].tobytes(), kind
 
 
 def test_digest_is_checked_before_any_array_is_built(tmp_path, rng, monkeypatch):

@@ -65,21 +65,44 @@ def node_colors(idx, gid):
     return idx.mcolor[ids], float(idx.mx[ids].min())
 
 
-def canonical_debug(idx, rect):
-    """Per canonical node of a query, larger nodes left to right and then
-    one-point nodes left to right: its colors, x_v, gid (None for a
+def canonical_debug(idx, a, b):
+    """Per canonical node of [a, b], left to right, from the brute
+    ``descent``: its colors, x_v, gid through ``gid_slots`` (None for a
     one-point node) and the exponent of its rightmost jump at or below b
     (None if none, or for a one-point node)."""
-    a, b = rect.lo[0], rect.hi[0]
     out = []
-    _, gids, points = idx._canonical(a, b)
-    for gid in gids:
-        colors, x_v = node_colors(idx, gid)
-        out.append(dict(colors=tuple(colors.tolist()), x_v=x_v, gid=gid,
-                        exp=node_exponent(idx, gid, b)))
-    for i in points:
-        out.append(dict(colors=(int(idx.mcolor[i]),), x_v=float(idx.mx[i]), gid=None, exp=None))
+    for depth, start, stop in descent(idx, a, b):
+        ids = idx.rows[depth, start:stop]
+        gid = exp = None
+        if stop - start >= 2:
+            gid = int(idx.gid_slots[idx.n * depth + (start + stop) // 2])
+            assert gid >= 0, (depth, start, stop)   # a stored node
+            exp = node_exponent(idx, gid, b)
+        out.append(dict(colors=tuple(idx.mcolor[ids].tolist()), x_v=float(idx.mx[ids].min()),
+                        gid=gid, exp=exp))
     return out
+
+
+def reference_answer(idx, pts, a, b):
+    """The answer to [a, b] folded over the brute descent's nodes left to
+    right, as the query adds them: a larger node's lower power at its
+    rightmost jump at or below b (its run read with numpy), or nothing if
+    it has none; a one-point node's f(k) at a brute count k of its color's
+    points in [x_v, b]. Also returns the descent's nodes."""
+    coords = pts.coords[:, 0]
+    count = int(((coords >= a) & (coords <= b)).sum())
+    nodes = canonical_debug(idx, a, b)
+    s_lo = 0.0
+    for info in nodes:
+        if info["gid"] is None:
+            (color,) = info["colors"]
+            k = int(((pts.colors == color) & (coords >= info["x_v"]) & (coords <= b)).sum())
+            assert k >= 1
+            s_lo += float(idx._f[k])
+        elif info["exp"] is not None:
+            s_lo += float(idx._powers[info["exp"]])
+    want = EntropySummary(idx.kind, float(count), entropy_from_sums(count, s_lo, idx.kind))
+    return want, nodes
 
 
 def test_weights_rejected(rng):
@@ -318,8 +341,9 @@ ORACLE_CASES = {
 def test_lookup_matches_key_pool_oracle(case):
     # the query's bisection of each larger canonical node's run reads the
     # same exponents as the former int64 key pool: its answer is the one
-    # built from those exponents' lower powers, each one-point node's f(k)
-    # at a brute count k, and the exact count, bit for bit
+    # folded left to right over the brute descent's nodes from those
+    # exponents' lower powers and each one-point node's f(k) at a brute
+    # count k, with the exact count, bit for bit
     spec = ORACLE_CASES[case]
     rng = np.random.default_rng(spec["n"])
     pts = random_pointset(rng, spec["n"], d=1, m=spec["m"], duplicate_frac=spec["dup"])
@@ -332,16 +356,20 @@ def test_lookup_matches_key_pool_oracle(case):
         nodes = 0
         for _ in range(1500):
             a, b = sorted(rng.uniform(-5.0, 105.0, size=2))
-            count, gids, points = idx._canonical(a, b)
-            assert count == ((coords >= a) & (coords <= b)).sum()
+            count = int(((coords >= a) & (coords <= b)).sum())
+            canonical = descent(idx, a, b)
+            gids, points = split_descent(idx, canonical)
             rank = int(idx.ucoords.searchsorted(b, side="right"))
             exps = key_pool_exponents(stride, pool, gids, rank)
             assert exps == [node_exponent(idx, gid, b) for gid in gids]
+            larger, one_point = iter(exps), iter(one_point_terms(idx, pts, points, b))
             s_lo = 0.0
-            for e in exps:
-                s_lo += 0.0 if e is None else pw[e]
-            for term in one_point_terms(idx, pts, points, b):
-                s_lo += term
+            for _, start, stop in canonical:
+                if stop - start >= 2:
+                    e = next(larger)
+                    s_lo += 0.0 if e is None else pw[e]
+                else:
+                    s_lo += next(one_point)
             want = EntropySummary(idx.kind, float(count), entropy_from_sums(count, s_lo, idx.kind))
             assert idx.query(QueryRect.interval(a, b)) == want
             nodes += len(gids)
@@ -422,14 +450,16 @@ def test_build_memory_bounded():
 def test_per_node_sandwich(rng):
     # each larger canonical node's lower power lies in [S_v / (1+eps'), S_v),
     # a node without a jump at or below b has S_v = 0, and a one-point
-    # node's S_v is f of its one color's count
+    # node's S_v is f of its one color's count; the query adds these terms
     pts = random_pointset(rng, 150, d=1, m=12, duplicate_frac=0.1)
     coords = pts.coords[:, 0]
     for alpha in (None, 2.0):
         idx = build_shannon(pts, 0.3) if alpha is None else build_renyi(pts, 0.3, alpha)
         for _ in range(60):
             rect = rand_interval(rng)
-            for info in canonical_debug(idx, rect):
+            want, nodes = reference_answer(idx, pts, rect.lo[0], rect.hi[0])
+            assert idx.query(rect) == want
+            for info in nodes:
                 sel = (np.isin(pts.colors, info["colors"]) & (coords >= info["x_v"])
                        & (coords <= rect.hi[0]))
                 counts = np.bincount(pts.colors[sel]).astype(float)
@@ -568,21 +598,24 @@ def test_degenerate_inputs(name):
             else:
                 truth = brute_entropy(pts, rect, renyi_kind(alpha)).value
                 assert renyi_bound_holds(truth, idx.query(rect).value, 0.2, alpha)
-            nodes = canonical_debug(idx, rect)
+            want, nodes = reference_answer(idx, pts, rect.lo[0], rect.hi[0])
+            assert idx.query(rect) == want
             present = np.unique(pts.colors[(pts.coords[:, 0] >= rect.lo[0])
                                            & (pts.coords[:, 0] <= rect.hi[0])])
             assert sorted(c for info in nodes for c in info["colors"]) == present.tolist()
 
 
 def test_canonical_debug_on_large_index():
-    # node colors and x_v come from the index's own tables at any size
+    # node colors and x_v come from the index's own tables at any size, and
+    # the query's answer is their fold
     rng = np.random.default_rng(6000)
     pts = random_pointset(rng, 6000, d=1, m=40)
     idx = build_shannon(pts, 0.5)
     coords = pts.coords[:, 0]
     for _ in range(5):
         rect = rand_interval(rng)
-        nodes = canonical_debug(idx, rect)
+        want, nodes = reference_answer(idx, pts, rect.lo[0], rect.hi[0])
+        assert idx.query(rect) == want
         inside = (coords >= rect.lo[0]) & (coords <= rect.hi[0])
         got = sorted(c for info in nodes for c in info["colors"])
         assert got == np.unique(pts.colors[inside]).tolist()
@@ -641,22 +674,23 @@ def interval_ends(idx):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 32, 37])
 def test_canonical_gids_match_stack_walk(n):
     # every interval with ends on the distinct coordinates or in the gaps
-    # between and around them: the brute descent's nodes of two or more
-    # points, each mapped through gid_slots, and its one-point nodes' mapped
-    # points, in the same left-to-right order
+    # between and around them, under Shannon and Renyi-2 (where a one-point
+    # node's f(1) is not 0): the query's answer is bit for bit the fold, left
+    # to right, over the brute descent's nodes, the larger ones mapped
+    # through gid_slots; it counts those nodes and the tree search's
+    # primary nodes
     rng = np.random.default_rng(n)
     pts = random_pointset(rng, n, d=1, m=4, duplicate_frac=0.3)
-    idx = build_shannon(pts, 0.3)
-    for a in interval_ends(idx).tolist():
-        for b in interval_ends(idx).tolist():
-            nodes = descent(idx, a, b)
-            stats = {}
-            count, gids, points = idx._canonical(a, b, stats)
-            assert (gids, points) == split_descent(idx, nodes), (a, b)
-            assert count == ((pts.coords[:, 0] >= a) & (pts.coords[:, 0] <= b)).sum()
-            assert stats["canonical_nodes"] == len(nodes)
-            ilo, ihi = idx.mx.searchsorted(a), idx.mx.searchsorted(b, "right")
-            assert stats["primary_nodes"] == len(stack_walk(ilo, ihi, 0, n))
+    for idx in (build_shannon(pts, 0.3), build_renyi(pts, 0.3, 2.0)):
+        ends = interval_ends(idx)
+        for i, a in enumerate(ends.tolist()):
+            for b in ends[i:].tolist():
+                want, nodes = reference_answer(idx, pts, a, b)
+                stats = {}
+                assert idx.query(QueryRect.interval(a, b), stats) == want, (a, b)
+                assert stats["canonical_nodes"] == len(nodes)
+                ilo, ihi = idx.mx.searchsorted(a), idx.mx.searchsorted(b, "right")
+                assert stats["primary_nodes"] == len(stack_walk(ilo, ihi, 0, n))
 
 
 def reachable_nodes(idx):
@@ -692,7 +726,9 @@ def test_ladders_only_for_reachable_nodes(n):
     # the stored nodes are exactly the brute walk's reachable ones of two or
     # more points, and every interval with ends on the distinct coordinates
     # or in the gaps between and around them takes only stored nodes as
-    # canonical nodes of two or more points, under either kind
+    # canonical nodes of two or more points, under either kind: each maps
+    # through gid_slots to a gid of its own span, and the query's answer is
+    # the fold over them
     rng = np.random.default_rng(1000 + n)
     pts = random_pointset(rng, n, d=1, m=8, duplicate_frac=0.3)
     idx = build_shannon(pts, 0.3)
@@ -703,29 +739,14 @@ def test_ladders_only_for_reachable_nodes(n):
     ends = interval_ends(idx)
     for i, a in enumerate(ends.tolist()):
         for b in ends[i:].tolist():
-            want = descent(idx, a, b)
-            larger = [node for node in want if node[2] - node[1] >= 2]
+            canonical = descent(idx, a, b)
+            larger = [node for node in canonical if node[2] - node[1] >= 2]
             assert set(larger) <= stored, (a, b)
             for index in (idx, renyi):
-                _, gids, points = index._canonical(a, b)
-                gids = np.array(gids, dtype=np.int64)
+                gids = np.array(split_descent(index, canonical)[0], dtype=np.int64)
                 assert list(zip(*(g.tolist() for g in index._spans(gids)))) == larger, (a, b)
-                assert points == split_descent(index, want)[1], (a, b)
-
-
-def expected_terms(idx, pts, a, b):
-    """The S_lo a query of [a, b] adds up, from brute force in the query's
-    order: each larger canonical node's lower power at its rightmost jump
-    at or below b (its run read with numpy), then each one-point node's
-    f(k) at a brute count k; and the number of one-point nodes."""
-    count, gids, points = idx._canonical(a, b)
-    s_lo = 0.0
-    for gid in gids:
-        e = node_exponent(idx, gid, b)
-        s_lo += 0.0 if e is None else float(idx._powers[e])
-    for term in one_point_terms(idx, pts, points, b):
-        s_lo += term
-    return count, s_lo, len(points)
+                want, _ = reference_answer(index, pts, a, b)
+                assert index.query(QueryRect.interval(a, b)) == want, (a, b)
 
 
 @pytest.mark.parametrize("dup", [0.3, 0.6])
@@ -756,10 +777,10 @@ def test_exhaustive_interval_sweep(n, dup):
                     assert shannon_bound_holds(truth.value, got.value, eps), (a, b, truth, got)
                 else:
                     assert renyi_bound_holds(truth.value, got.value, eps, alpha), (a, b, truth, got)
-                count, s_lo, points = expected_terms(idx, pts, a, b)
-                assert got.count == truth.count == count
-                assert got.value == entropy_from_sums(count, s_lo, kind), (a, b)
-                one_point += points
+                want, nodes = reference_answer(idx, pts, a, b)
+                assert got.count == truth.count
+                assert got == want, (a, b)
+                one_point += sum(info["gid"] is None for info in nodes)
     assert one_point > 0
 
 
@@ -858,6 +879,21 @@ def test_gid_slots_hold_every_node_once(rng):
         assert np.array_equal(held, np.arange(len(idx.node_keys)))
 
 
+def test_query_refuses_a_slot_without_a_ladder(rng):
+    # a larger canonical node whose slot names no qualifying node raises,
+    # instead of reading another node's run
+    pts = random_pointset(rng, 100, d=1, m=9)
+    idx = build_shannon(pts, 0.3)
+    rect = QueryRect.full(1)
+    depth, start, stop = next(node for node in descent(idx, rect.lo[0], rect.hi[0])
+                              if node[2] - node[1] >= 2)
+    idx.query(rect)
+    idx.gid_slots = idx.gid_slots.copy()
+    idx.gid_slots[idx.n * depth + (start + stop) // 2] = -1
+    with pytest.raises(AssertionError, match="without a ladder"):
+        idx.query(rect)
+
+
 def test_query_stats_count_nodes(rng):
     pts = random_pointset(rng, 300, d=1, m=20, duplicate_frac=0.1)
     for idx in (build_shannon(pts, 0.3), build_renyi(pts, 0.3, 2.0)):
@@ -866,7 +902,7 @@ def test_query_stats_count_nodes(rng):
             rect = rand_interval(rng, -10.0, 110.0)
             stats = {}
             assert idx.query(rect, stats) == idx.query(rect)
-            assert stats["canonical_nodes"] == len(canonical_debug(idx, rect))
+            assert stats["canonical_nodes"] == len(canonical_debug(idx, rect.lo[0], rect.hi[0]))
             assert stats["primary_nodes"] <= 2 * math.ceil(math.log2(len(pts)))
             assert stats["primary_nodes"] > 0 or stats["canonical_nodes"] == 0
             seen += stats["canonical_nodes"]
@@ -921,7 +957,8 @@ def test_adversarial_sweep_against_brute(alpha, case):
             excess = math.log2(1.0 + idx.eps_prime) / (alpha - 1.0)
         assert got.value - truth.value <= excess + 1e-9, (rect, truth, got)
         assert got.count == truth.count
-        nodes = canonical_debug(idx, rect)
+        want, nodes = reference_answer(idx, pts, rect.lo[0], rect.hi[0])
+        assert got == want, rect
         color_sets = [set(info["colors"]) for info in nodes]
         union = set().union(*color_sets)
         assert len(union) == sum(len(cs) for cs in color_sets)  # pairwise disjoint
