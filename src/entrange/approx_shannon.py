@@ -4,12 +4,13 @@ Estimation runs in the dual access model: SAMP draws a color c with
 probability p_c, its share of the rectangle's mass, and EVAL returns p_c
 exactly; both run on one pooled range tree (:mod:`.rangetree`), with the
 rectangle decomposed once per query. Every estimator estimates one
-statistic E[g(p)] of the range's color law (:func:`g`): for g(p) = -log2 p
-it is the Shannon entropy, for g(p) = p^(alpha-1) the moment m = sum p^alpha,
-whose Renyi entropy is -log2(m)/(alpha-1). A statistic is a tally mean (the
-draws made as one batch, counted by color, each distinct color EVAL'd once)
-or exact: sum_c p_c g(p_c) over the range's color masses (one gather of the
-pieces' point ids, one ``bincount``) divided by their total. Both work on
+statistic E[g(p)] of the range's color law (:func:`~.core.g`): for
+g(p) = -log2 p it is the Shannon entropy, for g(p) = p^(alpha-1) the
+moment m = sum p^alpha, whose Renyi entropy is -log2(m)/(alpha-1). A
+statistic is a tally mean (the draws made as one batch, counted by color,
+each distinct color EVAL'd once) or exact: :func:`~.core.mass_statistic`,
+sum_c p_c g(p_c) over the range's color masses (one gather of the pieces'
+point ids, one ``bincount``) divided by their total. Both work on
 probabilities, so they hold at any weight scale. One function chooses
 between them (:meth:`DualAccessOracle.use_sampling`): a statistic samples
 only when its draws are fewer than the range's points, since the exact
@@ -45,7 +46,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (SHANNON, ColoredPointSet, EntropyKind, EntropySummary, QueryRect,
-                   TINY, insert_color_shannon)
+                   entropy_from_statistic, g, insert_color_shannon, mass_statistic)
 from .errors import EmptyRange
 from .rangetree import ColorAwareRangeTree, ColorTrees, Pieces
 
@@ -193,20 +194,6 @@ class EstimatorIndex:
                 "pool_entries": len(self.tree.pool_ids), "bytes": self.tree.nbytes()}
 
 
-def g(kind: EntropyKind, p: np.ndarray) -> np.ndarray:
-    """The per-draw value whose mean over the color law is the kind's
-    statistic: -log2 p for Shannon, p^(alpha-1) for Renyi."""
-    if kind.alpha is None:
-        return -np.log2(np.maximum(p, TINY))
-    return p ** (kind.alpha - 1.0)
-
-
-def entropy_of(kind: EntropyKind, value: float) -> float:
-    """Entropy (bits) from the statistic: itself for Shannon,
-    -log2(m)/(alpha-1) of the moment m for Renyi."""
-    return value if kind.alpha is None else -math.log2(value) / (kind.alpha - 1.0)
-
-
 def tally_mean(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
                rng: np.random.Generator, stats: Optional[dict] = None) -> float:
     """Mean of g(EVAL(SAMP())) over ``samples`` draws, from their tally."""
@@ -217,8 +204,7 @@ def tally_mean(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
 def exact_statistic(kind: EntropyKind, oracle: DualAccessOracle) -> float:
     """sum_c p_c g(p_c) over the (reduced) range's color probabilities."""
     masses = oracle.color_masses()   # first: it sets total_weight
-    p = masses / oracle.total_weight
-    return float((p * g(kind, p)).sum())
+    return mass_statistic(masses, oracle.total_weight, kind)
 
 
 def statistic(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
@@ -321,7 +307,7 @@ def additive(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, delta: f
     value, drawn = statistic(kind, oracle, samples, rng, stats)
     if stats is not None:
         stats["mode"], stats["samples"] = "sampled" if drawn else "exact-fallback", drawn
-    return EntropySummary(kind, oracle.total_weight, entropy_of(kind, value))
+    return EntropySummary(kind, oracle.total_weight, entropy_from_statistic(value, kind))
 
 
 def multiplicative(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, eps: float,
@@ -349,12 +335,12 @@ def multiplicative(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, ep
         full_draws = moment_sample_count(index, alpha, min(eps1, 0.999), cfg)
     mode, drawn = "exact-fallback", 0
     if not oracle.use_sampling(heavy_draws(index) + min(light_draws, rest_draws + full_draws)):
-        value = entropy_of(kind, exact_statistic(kind, oracle))
+        value = entropy_from_statistic(exact_statistic(kind, oracle), kind)
     elif (heavy := oracle.heavy_color(rng, stats)) is None:
         # no dominant color: the entropy is bounded below, so one statistic
         # over the range gives the factor
         value, drawn = statistic(kind, oracle, light_draws, rng, stats)
-        mode, value = "sampled-light" if drawn else mode, entropy_of(kind, value)
+        mode, value = "sampled-light" if drawn else mode, entropy_from_statistic(value, kind)
     elif (reduced := oracle.excluding(heavy.color)).is_empty:
         # the rest of the range has no mass: zero exactly
         mode, value = "single-color", 0.0

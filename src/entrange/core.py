@@ -446,6 +446,29 @@ def entropy_from_sums(W: float, S: float, kind: EntropyKind) -> float:
     return (kind.alpha * math.log2(W) - math.log2(S if S > 0.0 else 1.0)) / (kind.alpha - 1.0)
 
 
+def g(kind: EntropyKind, p: np.ndarray) -> np.ndarray:
+    """The per-draw value whose mean over the color law is the kind's
+    statistic: -log2 p for Shannon, p^(alpha-1) for Renyi."""
+    if kind.alpha is None:
+        return -np.log2(np.maximum(p, TINY))
+    return p ** (kind.alpha - 1.0)
+
+
+def mass_statistic(masses: np.ndarray, total: float, kind: EntropyKind) -> float:
+    """The kind's statistic sum_c p_c g(p_c) of a range's positive color
+    masses, with p_c = w_c / W for their ``total`` W: the Shannon entropy,
+    or the Renyi moment sum_c p_c^alpha. It works on probabilities, so it
+    holds at any weight scale whose total is finite."""
+    p = masses / total
+    return float((p * g(kind, p)).sum())
+
+
+def entropy_from_statistic(value: float, kind: EntropyKind) -> float:
+    """Entropy (bits) from the statistic: itself for Shannon,
+    -log2(m)/(alpha-1) of the moment m for Renyi."""
+    return value if kind.alpha is None else -math.log2(value) / (kind.alpha - 1.0)
+
+
 def power_sum(s: EntropySummary) -> float:
     """S recovered from a summary's (W, H): W*(log2 W - H), or W**alpha * 2**((1-alpha)*H)."""
     count, alpha = s.count, s.kind.alpha

@@ -4,13 +4,17 @@ A :class:`~.rangetree.RangeTree` over the points decomposes a rectangle
 into O(log^(d-1) n) canonical pieces: disjoint slices of the tree's pool
 whose points partition the range. The answer gathers the pieces' point
 ids and sums their weights by color with one ``bincount``
-(:meth:`~.rangetree.RangeTree.color_masses`, the same fold that answers
-the estimators exactly), then takes W = sum_c w_c and S = sum_c f(w_c)
-(``core.power_term``) and converts once with ``core.entropy_from_sums``.
-Every color's mass is summed from its own points, and no step subtracts
-one color's term from a total, so heavy weights cannot cancel. A query
-costs O(log^d n + m) for the m points in range; the index holds nothing
-beyond the tree and does not grow with queries.
+(:meth:`~.rangetree.RangeTree.color_masses`), then folds the statistic
+sum_c p_c g(p_c) over the color probabilities p_c = w_c / W
+(``core.mass_statistic``, the fold that answers the estimators exactly)
+and converts it with ``core.entropy_from_statistic``. Every color's mass
+is summed from its own points, and no step subtracts one color's term
+from a total, so heavy weights cannot cancel; the fold reads
+probabilities, not masses, so the answer holds at any weight scale whose
+total is finite (10^-300 to 10^300 per point), where a power sum of the
+masses under- or overflows. A query costs O(log^d n + m) for the m points
+in range; the index holds nothing beyond the tree and does not grow with
+queries.
 """
 
 from __future__ import annotations
@@ -66,14 +70,14 @@ class ExactNDIndex:
         pieces = self.tree.canonical_nodes(rect)
         masses = self.tree.color_masses(pieces)
         W = float(masses.sum())
-        S = float(core.power_term(masses, kind).sum())
+        value = core.entropy_from_statistic(core.mass_statistic(masses, W, kind), kind) if W else 0.0
         if stats is not None:
             stats["bucket_visits"] = len(pieces)
             stats["points_in_range"] = sum(pieces.stop) - sum(pieces.start)
         if trace is not None:
             trace.extend((i, [a, b], None)
                          for i, (a, b) in enumerate(zip(pieces.start, pieces.stop)))
-        return EntropySummary(kind, W, core.entropy_from_sums(W, S, kind))
+        return EntropySummary(kind, W, value)
 
     def space_stats(self) -> dict:
         """Sizes: ``bytes`` of the tree's arrays and its ``pool_entries``;

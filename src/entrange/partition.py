@@ -248,14 +248,13 @@ def smallest_nonzero_expected_entropy(pts: ColoredPointSet) -> float:
     minimum over two-point two-color mixtures, which is itself minimized at
     the per-color minimum weights (W*H of a pair grows in each weight).
     """
-    per_color_min: dict[int, float] = {}
-    for c, w in zip(pts.colors, pts.weights):
-        c = int(c)
-        if w > 0 and (c not in per_color_min or w < per_color_min[c]):
-            per_color_min[c] = float(w)
+    positive = pts.weights > 0
+    per_color_min = np.full(pts.num_colors, np.inf)
+    np.minimum.at(per_color_min, pts.colors[positive], pts.weights[positive])
+    per_color_min = np.sort(per_color_min[per_color_min < np.inf])
     if len(per_color_min) < 2:
         return 0.0
-    w1, w2 = sorted(per_color_min.values())[:2]
+    w1, w2 = float(per_color_min[0]), float(per_color_min[1])
     pair = w1 * math.log2((w1 + w2) / w1) + w2 * math.log2((w1 + w2) / w2)
     total = float(pts.weights.sum())
     return pair / total
@@ -341,14 +340,15 @@ def sumpart_approx(pts: ColoredPointSet, k: int, eps: float, backend) -> Bucketi
 # greedy median-split tree for d >= 1
 
 
-def greedy_tree_split(pts: ColoredPointSet, k: int, backend, objective: str = "min",
-                      margin: float = 1.0) -> TreePartition:
+def greedy_tree_split(pts: ColoredPointSet, k: int, backend,
+                      objective: str = "min") -> TreePartition:
     """Grow k leaves by repeatedly splitting the extreme-score leaf.
 
     objective "min" splits the current maximum-score leaf (driving all
     bucket entropies down); "max" splits the minimum-score leaf. Splits cut
     the cycling coordinate at the median point; ties in leaf choice go to
-    the oldest leaf.
+    the oldest leaf. The root's rectangle is the points' bounding box grown
+    by 1 on every side.
     """
     n = len(pts)
     _check_k(k, n)
@@ -358,7 +358,7 @@ def greedy_tree_split(pts: ColoredPointSet, k: int, backend, objective: str = "m
 
     mins = pts.coords.min(axis=0) if n else np.zeros(d)
     maxs = pts.coords.max(axis=0) if n else np.zeros(d)
-    root_rect = QueryRect(tuple(mins - margin), tuple(maxs + margin))
+    root_rect = QueryRect(tuple(mins - 1.0), tuple(maxs + 1.0))
     root = TreeNode(0, root_rect, np.arange(n), 0, backend.expected_rect(root_rect))
     leaves = [root]
     trace: list[dict] = []

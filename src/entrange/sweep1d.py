@@ -62,7 +62,8 @@ the rank of b, and ``_f`` holds f over the counts 0..n.
 The points have unit weights, so the count W of [a, b] is exact: the
 difference of the two bisections of the sorted coordinates the walk makes
 anyway. A larger node whose rightmost jump <= b has exponent e holds S_v
-in ((1+e')^(e-1), (1+e')^e], and the query adds the lower power; one with
+in ((1+e')^(e-1), (1+e')^e], and the query adds the lower power, which
+``_lower`` holds for every jump, in the order of ``h_exp``; one with
 no jump at or below b (under Shannon, one whose colors each have one point
 there) adds 0; a one-point node adds its exact f(k). The sum S_lo over the
 canonical nodes thus has S_lo <= S <= (1+e') S_lo, and the answer is
@@ -74,13 +75,14 @@ canonical nodes thus has S_lo <= S <= (1+e') S_lo, and the answer is
     node, a one-point one, and answers log2 W - f(W)/W: 0 up to rounding.
   * Renyi: h - H_a lies in [0, log2(1+e')/(alpha-1)] with e' = eps/2.
 
-``_powers`` holds (1+e')^e for e in -1 up to the largest stored exponent,
-at index e + 1. The build chooses exponents against this table and the
-queries read bounds from it, so both see the same powers.
+The build chooses each exponent against ``np.power(1+e', e)`` and
+``np.power(1+e', e - 1)``, and ``_lower`` is ``np.power(1+e', e - 1)``
+over the stored exponents, so the build and the queries see the same
+powers. Nothing an index holds has a length that depends on eps.
 
 An index file holds the points and the three ladder arrays. The mapped
 points, the sorted distinct coordinates, the rows, ``node_keys``,
-``gid_slots``, ``y_rank``, the one-point runs, f and the powers table are
+``gid_slots``, ``y_rank``, the one-point runs, f and ``_lower`` are
 derived from the points by the same code on build and on load, and a
 loaded ladder is checked before any query reads it: one run per qualifying
 node, ranks in 1..U, ranks and exponents strictly rising within a run, and
@@ -93,10 +95,10 @@ the running sum of its steps. Ladders are built for batches of nodes whose
 walks total at most 2^15 points, so a build holds about 4 MB of
 temporaries besides the index it writes. A batch puts its walks in order
 by one stable sort of the int64 keys ``node * (U + 1) + rank``, and its
-exponents take the log guess and its fix-ups against the powers table.
+exponents take the log guess and its fix-ups against ``np.power``.
 Every batch keeps ranks and exponents on their narrow types (exponents on
-one that holds the table's top), and the batches' runs, in gid order, are
-laid end to end.
+one that holds the top exponent a build can reach), and the batches' runs,
+in gid order, are laid end to end.
 
 A query makes no numpy call at all: it is integer and float arithmetic
 plus C bisections on the arrays' memoryviews, which cost no dispatch and,
@@ -162,24 +164,18 @@ def _segment_cumsum(values: np.ndarray, first: np.ndarray, lens: np.ndarray) -> 
     return out
 
 
-def _power_table(base: float, top: int) -> np.ndarray:
-    """base**e for e in -1..top, at index e + 1."""
-    return base ** np.arange(-1.0, top + 1)
-
-
-def _exponents(values: np.ndarray, powers: np.ndarray, log_base: float) -> np.ndarray:
-    """The least e >= 0 with powers[e + 1] >= v for each value v > 0 (int64):
-    a log guess, fixed up by at most four steps either way against the
-    table, which must reach past the largest guess by five steps."""
+def _exponents(values: np.ndarray, base: float, log_base: float) -> np.ndarray:
+    """The least e >= 0 with ``np.power(base, e) >= v`` for each value v > 0
+    (int64): a log guess, fixed up by at most four steps either way."""
     e = np.ceil(np.log(values) / log_base - 1e-12).astype(np.int64)
     np.maximum(e, 0, out=e)
     for _ in range(4):
-        over = powers[e + 1] < values
+        over = np.power(base, e.astype(np.float64)) < values
         if not over.any():
             break
         e[over] += 1
     for _ in range(4):
-        under = (e > 0) & (powers[e] >= values)
+        under = (e > 0) & (np.power(base, e - 1.0) >= values)
         if not under.any():
             break
         e[under] -= 1
@@ -196,8 +192,7 @@ class _Walk(NamedTuple):
 
     key: np.ndarray        # per point, in (color, coordinate) order: color * (U + 1) + rank
     f_step: np.ndarray     # f(k) - f(k-1) for the counts k in 0..n
-    powers: np.ndarray     # the build's powers table, up to its top
-    exp_type: np.dtype     # holds every exponent up to the table's top
+    exp_type: np.dtype     # holds every exponent up to the build's top
 
 
 class Sweep1DIndex:
@@ -208,7 +203,7 @@ class Sweep1DIndex:
 
     def __init__(self, pts: ColoredPointSet, eps: float, alpha: Optional[float] = None):
         self._build_ladders(self._derive(pts, eps, alpha))
-        self._powers = _power_table(self._base, int(self.h_exp.max()) if len(self.h_exp) else 0)
+        self._lower = np.power(self._base, self.h_exp - 1.0)
 
     def _derive(self, pts: ColoredPointSet, eps: float, alpha: Optional[float]) -> np.ndarray:
         """Everything but the ladders, from the points, eps and alpha, on
@@ -279,8 +274,8 @@ class Sweep1DIndex:
 
     def _terms(self) -> tuple[np.ndarray, int]:
         """f over the counts 0..n, k log2 k (Shannon) or k^alpha (Renyi), and
-        the top exponent of the build's powers table: no S_v exceeds f(n),
-        so no log guess exceeds top - 6."""
+        a bound on the exponents a build writes: no S_v exceeds f(n), so no
+        log guess exceeds top - 6."""
         n = self.n
         k = np.arange(n + 1, dtype=np.float64)
         if self.alpha is None:
@@ -292,7 +287,7 @@ class Sweep1DIndex:
 
     def _check_ladders(self) -> None:
         """Refuses (ValueError) stored ladders that no build of these points,
-        eps and alpha writes, before a query or the powers table reads them."""
+        eps and alpha writes, before a query reads them."""
         first, rank, exp = self.ladder_first, self.h_rank, self.h_exp
         if any(a.ndim != 1 or a.dtype.kind not in "ui" for a in (first, rank, exp)):
             raise ValueError("ladder arrays must be 1-D integer arrays")
@@ -325,7 +320,7 @@ class Sweep1DIndex:
         for name in cls.STORED[3:]:
             setattr(index, name, arrays[name])
         index._check_ladders()
-        index._powers = _power_table(index._base, int(index.h_exp.max()) if len(index.h_exp) else 0)
+        index._lower = np.power(index._base, index.h_exp - 1.0)
         return index
 
     # -- construction ---------------------------------------------------------
@@ -391,8 +386,7 @@ class Sweep1DIndex:
         batches of nodes whose walks total at most ``_BATCH`` points, from
         the points' (color, coordinate rank) keys in (color, coordinate)
         order."""
-        walk = _Walk(key, np.diff(self._f, prepend=0.0), _power_table(self._base, self._top),
-                     np.min_scalar_type(self._top))
+        walk = _Walk(key, np.diff(self._f, prepend=0.0), np.min_scalar_type(self._top))
         _, start, stop = self._spans(slice(None))
         walk_len = [np.zeros(0, dtype=np.int64)]
         for g0, g1 in _batches(stop - start):
@@ -445,7 +439,7 @@ class Sweep1DIndex:
         g_val = t_pref[group_end]
         positive = g_val > 0.0
         segs, xs = wseg[group_end][positive], walk_x[group_end][positive]
-        e = _exponents(g_val[positive], walk.powers, self._log_base)
+        e = _exponents(g_val[positive], self._base, self._log_base)
         keep = np.ones(len(e), dtype=bool)
         keep[1:] = (e[1:] > e[:-1]) | (segs[1:] != segs[:-1])
         return (xs[keep], np.bincount(segs[keep], minlength=len(gids)),
@@ -466,8 +460,7 @@ class Sweep1DIndex:
         rank = bisect.bisect_right(ucoords, b)
         prim = tile(0, n, ilo, ihi) if ilo < ihi else []
         y_rank, slots, rows = self.y_rank.data, self.gid_slots.data, self.rows.data
-        h_rank, h_exp, first, pw = (
-            self.h_rank.data, self.h_exp.data, self.ladder_first.data, self._powers.data)
+        h_rank, first, lower = self.h_rank.data, self.ladder_first.data, self._lower.data
         c_rank, run_lo, run_end, f = (
             self.c_rank.data, self.run_lo.data, self.run_end.data, self._f.data)
         s_lo, nodes = 0.0, 0
@@ -498,7 +491,7 @@ class Sweep1DIndex:
                     j = first[gid]
                     i = bisect.bisect_right(h_rank, rank, j, first[gid + 1])
                     if i > j:
-                        s_lo += pw[h_exp[i - 1]]   # pw[e] = base**(e - 1)
+                        s_lo += lower[i - 1]
                 nodes += 1
                 lo = stop
         if stats is not None:
@@ -510,7 +503,7 @@ class Sweep1DIndex:
     def space_stats(self) -> dict:
         arrays = (self.mx, self.my, self.mcolor, self.ucoords, self.rows, self.y_rank,
                   self.gid_slots, self.node_keys, self.h_rank, self.h_exp,
-                  self.ladder_first, self._powers, self.c_rank, self.run_lo,
+                  self.ladder_first, self._lower, self.c_rank, self.run_lo,
                   self.run_end, self._f)
         return {
             "points": self.n,

@@ -10,7 +10,6 @@ from entrange.approx_shannon import (
     EstimatorConfig,
     EstimatorIndex,
     detect_heavy_color,
-    entropy_of,
     estimate_additive,
     estimate_multiplicative,
     exact_statistic,
@@ -21,6 +20,7 @@ from entrange.core import (
     EntropySummary,
     QueryRect,
     SHANNON,
+    entropy_from_statistic,
     insert_color_shannon,
     renyi_kind,
 )
@@ -484,7 +484,7 @@ def test_exact_from_pieces_matches_brute_force(seed, d):
             single += len(want) == 1
             for kind in EXACT_KINDS:
                 truth = brute_entropy(sub, rect, kind).value
-                got = entropy_of(kind, exact_statistic(kind, oracle))
+                got = entropy_from_statistic(exact_statistic(kind, oracle), kind)
                 assert abs(got - truth) <= 1e-9, (rect, excluded, kind)
     assert single
 

@@ -55,6 +55,23 @@ def test_query_empty_rect(rng):
     assert s.count == 0.0 and s.value == 0.0
 
 
+@pytest.mark.parametrize("k", [-300, -170, -120, 0, 120, 160, 300])
+def test_answers_hold_at_any_weight_scale(k):
+    # a power sum of masses near 10^-170 or 10^160 under- or overflows: the
+    # Renyi-2 answer was off by 1.1e3 bits at 10^-170 and read inf at 10^160
+    rng = np.random.default_rng(64)
+    base = random_pointset(rng, 64, d=2, m=7)
+    pts = ColoredPointSet(base.coords, base.colors, rng.uniform(0.5, 1.5, 64) * 10.0**k)
+    idx = ExactNDIndex(pts, t=0.5, orders=(1.5, 2.0, 3.0))
+    rects = [QueryRect.full(2), QueryRect((10.0, 10.0), (70.0, 90.0))]
+    for rect in rects:
+        for kind in KINDS:
+            want = brute_entropy(pts, rect, kind)
+            got = idx.query(rect, kind)
+            assert abs(got.value - want.value) < 1e-9, (k, kind)
+            assert got.count == pytest.approx(want.count, rel=1e-12)
+
+
 def test_bucket_visits_and_snapped_point_sets(rng):
     """The stats, trace and space_stats contract that perfbench reads:
     ``bucket_visits`` counts the canonical pieces, the trace holds one

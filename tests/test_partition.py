@@ -1,5 +1,7 @@
 """Partitioners: DP vs exhaustive, approximation factors, greedy traces."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,31 @@ def test_smallest_nonzero_expected_entropy(rng):
     assert smallest_nonzero_expected_entropy(pts) == pytest.approx(2 / 4)
     single = seq_points([0, 0, 0])
     assert smallest_nonzero_expected_entropy(single) == 0.0
+
+
+def loop_smallest_nonzero_expected_entropy(pts):
+    """The per-point loop reference: each color's least positive weight,
+    then the two smallest of those."""
+    per_color_min = {}
+    for c, w in zip(pts.colors.tolist(), pts.weights.tolist()):
+        if w > 0 and w < per_color_min.get(c, float("inf")):
+            per_color_min[c] = w
+    if len(per_color_min) < 2:
+        return 0.0
+    w1, w2 = sorted(per_color_min.values())[:2]
+    pair = w1 * math.log2((w1 + w2) / w1) + w2 * math.log2((w1 + w2) / w2)
+    return pair / float(pts.weights.sum())
+
+
+def test_smallest_nonzero_expected_entropy_matches_loop(rng):
+    # bit for bit, with zero weights, ties, absent colors and one color left
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        weights = np.round(rng.uniform(0.0, 3.0, n), 1) * (rng.random(n) < 0.8)
+        pts = ColoredPointSet(rng.uniform(0.0, 1.0, n), rng.integers(0, 6, n), weights,
+                              num_colors=8)
+        want = loop_smallest_nonzero_expected_entropy(pts)
+        assert smallest_nonzero_expected_entropy(pts) == want, trial
 
 
 def test_sumpart_trivial_cases(rng):

@@ -486,7 +486,6 @@ def format_15_ladders(idx):
     stride = idx.n + 1
     runs = {int(key): (idx.h_rank[lo:hi], idx.h_exp[lo:hi]) for key, lo, hi in zip(
         idx.node_keys, idx.ladder_first[:-1], idx.ladder_first[1:])}
-    powers = sweep1d._power_table(idx._base, idx._top)
     coords = idx.pts.coords[:, 0]
     prim = [(0, idx.n, 0)]
     while prim:
@@ -503,7 +502,7 @@ def format_15_ladders(idx):
                 last = np.append(mine[1:] != mine[:-1], True)
                 values = idx._f[np.flatnonzero(last) + 1]   # f of the count at each coordinate
                 ranks = idx.ucoords.searchsorted(mine[last], side="right")[values > 0]
-                exps = sweep1d._exponents(values[values > 0], powers, idx._log_base)
+                exps = sweep1d._exponents(values[values > 0], idx._base, idx._log_base)
                 rise = np.append(True, exps[1:] > exps[:-1])[:len(exps)]
                 runs[(depth * stride + lo) * stride + hi] = (ranks[rise], exps[rise])
         if e - p >= 2:
@@ -615,6 +614,19 @@ def test_cli_nan_bound_exit_code(tmp_path, capsys):
     assert run_cli("query", "--index", str(idx_path), "--rect", "nan:1",
                    "--mode", "deterministic") == 3
     assert "NaN" in capsys.readouterr().err
+
+
+def test_cli_builds_sweep_at_small_eps(tmp_path, capsys):
+    # a build at eps 1e-15 sized a powers table of 190 PiB and died with a
+    # bare MemoryError; it now exits 0 and its index answers
+    rows = [f"{i % 37}.5,{'abcde'[i % 5]}" for i in range(64)]
+    csv_path = write_csv(tmp_path / "s.csv", rows, header="x1,color")
+    idx_path = tmp_path / "s.rqe"
+    assert run_cli("build", "--input", str(csv_path), "--kind", "sweep-shannon",
+                   "--out", str(idx_path), "--epsilon", "1e-15") == 0
+    assert run_cli("query", "--index", str(idx_path), "--rect", "0:40",
+                   "--mode", "deterministic") == 0
+    assert "entropy" in capsys.readouterr().out
 
 
 def test_cli_missing_input_exit_code(tmp_path, capsys):

@@ -25,7 +25,6 @@ from entrange.storage import load_index, save_index
 from entrange.sweep1d import (
     Sweep1DIndex,
     _exponents,
-    _power_table,
     build_renyi,
     build_shannon,
     renyi_bound_holds,
@@ -83,12 +82,18 @@ def canonical_debug(idx, a, b):
     return out
 
 
+def lower_power(idx, e):
+    """The lower power (1+e')^(e-1) of exponent e, as ``np.power`` gives it."""
+    return float(np.power(idx._base, e - 1.0))
+
+
 def reference_answer(idx, pts, a, b):
     """The answer to [a, b] folded over the brute descent's nodes left to
     right, as the query adds them: a larger node's lower power at its
-    rightmost jump at or below b (its run read with numpy), or nothing if
-    it has none; a one-point node's f(k) at a brute count k of its color's
-    points in [x_v, b]. Also returns the descent's nodes."""
+    rightmost jump at or below b (its run read with numpy, the power taken
+    from the jump's exponent), or nothing if it has none; a one-point
+    node's f(k) at a brute count k of its color's points in [x_v, b]. Also
+    returns the descent's nodes."""
     coords = pts.coords[:, 0]
     count = int(((coords >= a) & (coords <= b)).sum())
     nodes = canonical_debug(idx, a, b)
@@ -100,7 +105,7 @@ def reference_answer(idx, pts, a, b):
             assert k >= 1
             s_lo += float(idx._f[k])
         elif info["exp"] is not None:
-            s_lo += float(idx._powers[info["exp"]])
+            s_lo += lower_power(idx, info["exp"])
     want = EntropySummary(idx.kind, float(count), entropy_from_sums(count, s_lo, idx.kind))
     return want, nodes
 
@@ -254,26 +259,26 @@ LADDER_CASES = {
 def test_stored_jumps_meet_query_powers_exactly(case):
     # no slack: at every stored jump, the power one step above the lower
     # power the query reads is at least the jump's S_v, and the lower power
-    # is below it
+    # is below it; ``_lower`` holds that lower power for every jump
     spec = LADDER_CASES[case]
     rng = np.random.default_rng(len(case))
     pts = random_pointset(rng, spec["n"], d=1, m=8, duplicate_frac=spec["dup"])
     for alpha in (None, 2.5):
         idx = (build_shannon(pts, spec["eps"]) if alpha is None
                else build_renyi(pts, spec["eps"], alpha))
-        pw = idx._powers  # pw[e + 1] = base**e
         checked = 0
         for gid in range(len(idx.node_keys)):
             colors, x_v = node_colors(idx, gid)
             ranks, values = walk_values(pts, colors, x_v, alpha)
             run, exps = (a.astype(np.int64) for a in node_run(idx, gid))
             assert (np.diff(run) > 0).all() and (np.diff(exps) > 0).all()
-            for r in run:
+            lowers = idx._lower[idx.ladder_first[gid]:idx.ladder_first[gid + 1]]
+            for r, lower in zip(run, lowers):
                 at = ranks.searchsorted(r)
                 assert ranks[at] == r  # every jump sits on a walk coordinate
                 e, v = node_exponent(idx, gid, float(idx.ucoords[r - 1])), values[at]
-                assert pw[e + 1] >= v, (gid, r, e, v)
-                assert pw[e] < v, (gid, r, e, v)
+                assert np.power(idx._base, float(e)) >= v, (gid, r, e, v)
+                assert lower == lower_power(idx, e) < v, (gid, r, e, v)
                 checked += 1
         assert checked > 0
 
@@ -352,7 +357,6 @@ def test_lookup_matches_key_pool_oracle(case):
         idx = (build_shannon(pts, spec["eps"]) if alpha is None
                else build_renyi(pts, spec["eps"], alpha))
         stride, pool = key_pool_reference(idx, pts, alpha)
-        pw = idx._powers.tolist()
         nodes = 0
         for _ in range(1500):
             a, b = sorted(rng.uniform(-5.0, 105.0, size=2))
@@ -367,7 +371,7 @@ def test_lookup_matches_key_pool_oracle(case):
             for _, start, stop in canonical:
                 if stop - start >= 2:
                     e = next(larger)
-                    s_lo += 0.0 if e is None else pw[e]
+                    s_lo += 0.0 if e is None else lower_power(idx, e)
                 else:
                     s_lo += next(one_point)
             want = EntropySummary(idx.kind, float(count), entropy_from_sums(count, s_lo, idx.kind))
@@ -380,7 +384,7 @@ def test_layout_and_round_trip(tmp_path):
     # below 65,536 distinct coordinates a jump is one 2-byte rank beside
     # its exponent, with one run start per node; a file holds the points
     # and those three arrays; bytes count every held array, the derived
-    # layout, powers and y-ranks included
+    # layout, lower powers and y-ranks included
     rng = np.random.default_rng(512)
     pts = random_pointset(rng, 512, d=1, m=32)
     coords = pts.coords[:, 0]
@@ -400,12 +404,10 @@ def test_layout_and_round_trip(tmp_path):
         path = tmp_path / f"{kind}.rqe"
         save_index(path, kind, idx)
         loaded = load_index(path, expect_kind=kind)[2]
-        assert np.array_equal(loaded._powers, idx._powers)
+        assert loaded._lower.dtype == np.float64 and len(loaded._lower) == len(idx.h_exp)
+        assert np.array_equal(loaded._lower, idx._lower)
         assert loaded.y_rank.dtype == idx.y_rank.dtype == np.uint16
         assert np.array_equal(loaded.y_rank, idx.y_rank)
-        # the build chose exponents against a longer table with this prefix
-        longer = _power_table(idx._base, len(idx._powers) + 100)
-        assert np.array_equal(longer[:len(idx._powers)], idx._powers)
         assert loaded.space_stats() == idx.space_stats()
         for _ in range(200):
             rect = rand_interval(rng, -5.0, 105.0)
@@ -431,6 +433,16 @@ def test_ladders_independent_of_batch_size(monkeypatch, batch):
             assert a.dtype == ref[name].dtype and np.array_equal(a, ref[name]), name
 
 
+def traced_peak(fn):
+    """``fn()`` and its traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_build_memory_bounded():
     """512 points, 32 colors at eps = 0.5: each build's traced peak is one
     batch of temporaries plus the index, far below the 37-41 MB the build
@@ -438,13 +450,64 @@ def test_build_memory_bounded():
     rng = np.random.default_rng(512)
     pts = random_pointset(rng, 512, d=1, m=32)
     for build in (lambda: build_shannon(pts, 0.5), lambda: build_renyi(pts, 0.5, 2.0)):
-        tracemalloc.start()
-        try:
-            build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 1024 * 1024
+        assert traced_peak(build)[1] < 16 * 1024 * 1024
+
+
+def test_small_eps_index_memory():
+    """300 points on [0, 100] rounded to 0.1, 12 colors: nothing a build
+    holds grows with 1/eps. A powers table over every exponent up to the
+    largest made the Shannon index 4.76 MB at eps 1e-4 and 462 MB at 1e-6,
+    with a traced build peak of 1,028 MB."""
+    rng = np.random.default_rng(300)
+    pts = ColoredPointSet(np.round(rng.uniform(0.0, 100.0, 300), 1), rng.integers(0, 12, 300))
+    for eps in (1e-4, 1e-6):
+        sh, peak = traced_peak(lambda: build_shannon(pts, eps))
+        re2 = build_renyi(pts, eps, 2.0)
+        sizes = [idx.space_stats()["bytes"] for idx in (sh, re2)]
+        print(f"eps {eps:g}: Shannon {sizes[0]:,} B, Renyi-2 {sizes[1]:,} B, "
+              f"Shannon build peak {peak:,} B")
+        assert max(sizes) < 500_000
+        assert peak < 5 * 1024 * 1024
+        assert len(sh._lower) == len(sh.h_exp)
+
+
+def test_small_eps_builds_and_meets_bounds():
+    # at eps 1e-15 over 64 points 1 + e' is one float step above 1 and the
+    # exponents reach about 2.7e16; a powers table over them asked for
+    # 190 PiB
+    rng = np.random.default_rng(64)
+    pts = random_pointset(rng, 64, d=1, m=6, duplicate_frac=0.1)
+    sh = build_shannon(pts, 1e-15)
+    re2 = build_renyi(pts, 1e-15, 2.0)
+    assert sh._base > 1.0 and int(sh.h_exp.max()) > 2**53
+    assert sh.space_stats()["bytes"] < 100_000
+    for _ in range(200):
+        rect = rand_interval(rng, -5.0, 105.0)
+        truth = brute_entropy(pts, rect, SHANNON).value
+        assert shannon_bound_holds(truth, sh.query(rect).value, 1e-15)
+        truth = brute_entropy(pts, rect, renyi_kind(2.0)).value
+        assert renyi_bound_holds(truth, re2.query(rect).value, 1e-15, 2.0)
+
+
+def test_small_eps_crafted_file_loads_small(tmp_path):
+    """A 512-point Shannon file whose eps reads 1e-7 and whose last exponent
+    is the largest a load accepts but one (about 7.6e8): a powers table up
+    to it was about 6 GB, while the load now derives one float per jump."""
+    rng = np.random.default_rng(201)
+    idx = build_shannon(random_pointset(rng, 512, d=1, m=32), 0.5)
+    path = tmp_path / "crafted.rqe"
+    idx.eps = 1e-7
+    save_index(path, "sweep-shannon", idx)
+    top = load_index(path)[2]._top
+    assert top > 7e8
+    idx.h_exp = idx.h_exp.astype(np.uint32)
+    idx.h_exp[-1] = top - 1
+    save_index(path, "sweep-shannon", idx)
+    loaded, peak = traced_peak(lambda: load_index(path, expect_kind="sweep-shannon")[2])
+    print(f"crafted eps-1e-7 file: load peak {peak:,} B")
+    assert int(loaded.h_exp[-1]) == top - 1
+    assert peak < 5 * 1024 * 1024
+    assert loaded._lower[-1] == np.power(loaded._base, top - 2.0)
 
 
 def test_per_node_sandwich(rng):
@@ -472,7 +535,7 @@ def test_per_node_sandwich(rng):
                 if info["exp"] is None:
                     assert alpha is None and s_v == 0.0
                     continue
-                lower = idx._powers[info["exp"]]
+                lower = lower_power(idx, info["exp"])
                 assert lower < s_v <= idx._base * lower * (1 + 1e-12)
 
 
@@ -557,20 +620,19 @@ def log_fixup_exponents(values, base):
 def test_exponent_lookup_matches_log_fixup_rule(base):
     log_base = math.log(base)
     k = np.arange(1.0, 3001.0)
-    pw = _power_table(base, math.ceil(math.log(1e7) / log_base) + 6)
     # the S values of single colors, k log2 k (Shannon) and k^2 (Renyi-2)
     for values in ((k * np.log2(k))[1:], k**2):
-        got = _exponents(values, pw, log_base)
+        got = _exponents(values, base, log_base)
         assert got.dtype == np.int64
         assert np.array_equal(got, log_fixup_exponents(values, base))
-    assert _exponents(np.ones(1), pw, log_base)[0] == 0
+    assert _exponents(np.ones(1), base, log_base)[0] == 0
     # values exactly at base**k and one ulp either side, and 1.0
     powers = base ** np.arange(0.0, math.log(1e7) / log_base)
     values = np.concatenate(([1.0], powers, np.nextafter(powers, 0.0),
                              np.nextafter(powers, np.inf)))
     values = values[values > 0.0]
     want = log_fixup_exponents(values, base)
-    assert np.array_equal(_exponents(values, pw, log_base), want)
+    assert np.array_equal(_exponents(values, base, log_base), want)
     assert (base ** want.astype(float) >= values).all()
     assert (base ** (want[want > 0] - 1.0) < values[want > 0]).all()
 
