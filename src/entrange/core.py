@@ -86,6 +86,12 @@ class EntropySummary:
 # points and histograms
 
 
+def color_type(num_colors: int) -> np.dtype:
+    """The narrowest unsigned type that holds every id of ``num_colors``
+    colors: uint8 up to 256 colors, uint16 up to 65,536, and so on."""
+    return np.min_scalar_type(max(num_colors - 1, 0))
+
+
 class ColoredPointSet:
     """Immutable set of colored, weighted points in R^d.
 
@@ -153,16 +159,29 @@ class ColoredPointSet:
 
     def to_arrays(self) -> tuple[dict, dict]:
         """The arrays and the scalars (color count, labels) that
-        :meth:`from_arrays` rebuilds the set from."""
-        arrays = {"coords": self.coords, "colors": self.colors, "weights": self.weights}
+        :meth:`from_arrays` rebuilds the set from; the colors on the
+        narrowest type that holds every id, :func:`color_type`."""
+        colors = self.colors.astype(color_type(self._num_colors))
+        arrays = {"coords": self.coords, "colors": colors, "weights": self.weights}
         labels = None if self.labels is None else list(self.labels)
         return arrays, {"num_colors": self._num_colors, "labels": labels}
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray], scalars: Mapping) -> "ColoredPointSet":
-        labels = scalars["labels"]
-        return cls(arrays["coords"], arrays["colors"], arrays["weights"],
-                   None if labels is None else tuple(labels), scalars["num_colors"])
+        """The set :meth:`to_arrays` gave these arrays for; ``weights`` may
+        be absent (unit weights). Refuses (ValueError) any array on another
+        dtype than :meth:`to_arrays` writes, in either byte order, since a
+        cast would truncate float colors or read booleans as ids."""
+        labels, m = scalars["labels"], scalars["num_colors"]
+        weights = arrays.get("weights")
+        for name, array, dtype in (("coords", arrays["coords"], np.float64),
+                                   ("colors", arrays["colors"], color_type(m)),
+                                   ("weights", weights, np.float64)):
+            if array is not None and array.dtype.newbyteorder("=") != dtype:
+                raise ValueError(f"{name} are stored as {array.dtype.str}, "
+                                 f"not {np.dtype(dtype).str}")
+        return cls(arrays["coords"], arrays["colors"], weights,
+                   None if labels is None else tuple(labels), m)
 
     @classmethod
     def from_labeled(

@@ -1,6 +1,6 @@
 """Index persistence: magic-tagged, versioned, checked files, plus CSV ingestion.
 
-File layout (format 16): 7 magic bytes ``RQEIDX1``, one version byte, a
+File layout (format 17): 7 magic bytes ``RQEIDX1``, one version byte, a
 4-byte big-endian header length, a JSON header, then the payload of raw
 array buffers. The header holds:
 
@@ -14,13 +14,18 @@ array buffers. The header holds:
 
 An index stores only the arrays it cannot derive from others (each class's
 ``STORED``, written by its ``to_arrays`` and read by its ``from_arrays``,
-which derives the rest with the same code its build runs):
+which derives the rest with the same code its build runs). The points are
+their coordinates and weights on float64, and their colors on the
+narrowest unsigned type that holds the color count's ids
+(``core.color_type``: uint8 up to 256 colors, uint16 up to 65,536), which
+a load widens to int64 again:
 
   * exact1d: the points, and each table's entries above the diagonal,
     row-major;
   * exactnd and estimator: the points and the range tree's pool of ids;
-  * sweep-shannon and sweep-renyi: the points and the ladders of the
-    nodes of two or more points (jump ranks, their exponents and each
+  * sweep-shannon and sweep-renyi: the points' coordinates and colors (a
+    sweep's weights are all 1, so its file holds none), and the ladders of
+    the nodes of two or more points (jump ranks, their exponents and each
     node's run start).
 
 Loading never runs code: no pickle is involved. It checks the magic, then
@@ -29,12 +34,15 @@ kind (against an expected kind too, when given). It checks the payload's
 digest before it builds any array, and then that the manifest names
 exactly the kind's arrays, each of a fixed-width numeric dtype and with a
 shape, offset and length that fit the payload. The arrays come back as
-read-only views of the payload, with no copy. A sweep file's ladders are
-checked against the layout derived from its points before the index is
-used. Every refusal raises an :class:`~.errors.IndexFileError` (CLI exit
-code 4): ``UnsupportedVersion`` for another format version,
-``IndexKindMismatch`` for an unexpected kind, and ``NotAnIndex`` for
-anything else.
+read-only views of the payload, with no copy; the colors are then widened
+to an int64 copy. The points' arrays must be on exactly the dtypes a save
+writes: coordinates and weights on float64 and colors on the color count's
+type, so float, boolean or wider colors are refused, not cast. A sweep
+file's ladders are checked against the layout derived from its points
+before the index is used. Every refusal raises an
+:class:`~.errors.IndexFileError` (CLI exit code 4): ``UnsupportedVersion``
+for another format version, ``IndexKindMismatch`` for an unexpected kind,
+and ``NotAnIndex`` for anything else.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ from .exactnd import ExactNDIndex
 from .sweep1d import Sweep1DIndex
 
 MAGIC = b"RQEIDX1"
-FORMAT_VERSION = 16
+FORMAT_VERSION = 17
 ALIGN = 64   # every array's offset into the payload is a multiple of this
 
 INDEX_CLASSES = {

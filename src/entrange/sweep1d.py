@@ -80,7 +80,8 @@ The build chooses each exponent against ``np.power(1+e', e)`` and
 over the stored exponents, so the build and the queries see the same
 powers. Nothing an index holds has a length that depends on eps.
 
-An index file holds the points and the three ladder arrays. The mapped
+An index file holds the points' coordinates and colors (not their
+weights, which are all 1) and the three ladder arrays. The mapped
 points, the sorted distinct coordinates, the rows, ``node_keys``,
 ``gid_slots``, ``y_rank``, the one-point runs, f and ``_lower`` are
 derived from the points by the same code on build and on load, and a
@@ -198,7 +199,7 @@ class _Walk(NamedTuple):
 class Sweep1DIndex:
     """Shared engine for the Shannon and Renyi variants (see build_*)."""
 
-    STORED = ("coords", "colors", "weights", "h_rank", "h_exp",
+    STORED = ("coords", "colors", "h_rank", "h_exp",
               "ladder_first")   # a file holds the points' arrays, then these; see to_arrays
 
     def __init__(self, pts: ColoredPointSet, eps: float, alpha: Optional[float] = None):
@@ -305,11 +306,12 @@ class Sweep1DIndex:
             raise ValueError("ladder ranks and exponents must rise within each run")
 
     def to_arrays(self) -> tuple[dict, dict]:
-        """The arrays and scalars an index file holds: the points and the
-        ladders (``STORED``), eps and alpha; :meth:`from_arrays` derives the
-        rest."""
+        """The arrays and scalars an index file holds: the points'
+        coordinates and colors, not their weights (all 1), and the ladders
+        (``STORED``), eps and alpha; :meth:`from_arrays` derives the rest."""
         arrays, scalars = self.pts.to_arrays()
-        arrays.update((name, getattr(self, name)) for name in self.STORED[3:])
+        del arrays["weights"]
+        arrays.update((name, getattr(self, name)) for name in self.STORED[2:])
         return arrays, {**scalars, "eps": self.eps, "alpha": self.alpha}
 
     @classmethod
@@ -317,7 +319,7 @@ class Sweep1DIndex:
         index = cls.__new__(cls)
         index._derive(ColoredPointSet.from_arrays(arrays, scalars),
                       scalars["eps"], scalars["alpha"])
-        for name in cls.STORED[3:]:
+        for name in cls.STORED[2:]:
             setattr(index, name, arrays[name])
         index._check_ladders()
         index._lower = np.power(index._base, index.h_exp - 1.0)

@@ -17,6 +17,7 @@ from entrange.approx_shannon import EstimatorConfig, EstimatorIndex, estimate_ad
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import (
     DataFormatError,
+    EmptyRange,
     IndexKindMismatch,
     InvalidWeight,
     NotAnIndex,
@@ -24,7 +25,7 @@ from entrange.errors import (
 )
 from entrange.oracle import brute_entropy
 
-from conftest import random_pointset
+from conftest import random_pointset, random_rect
 
 
 def write_csv(path, rows, header="x1,x2,color,weight"):
@@ -398,6 +399,91 @@ def test_digest_is_checked_before_any_array_is_built(tmp_path, rng, monkeypatch)
         storage.load_index(path)
 
 
+def to_arrays_with(index, **change):
+    """A ``to_arrays`` for ``index`` that gives its arrays with ``change``
+    applied, so that save_index writes them with a valid digest."""
+    arrays, scalars = index.to_arrays()
+    return lambda: ({**arrays, **change}, scalars)
+
+
+def answers(kind, index, rects):
+    """What ``index`` answers on each of ``rects``: Shannon and Renyi-2
+    (value, count) pairs from the exact kinds, the sweep's summary, or a
+    seeded additive estimate; an empty range answers EmptyRange."""
+    out = []
+    for rect in rects:
+        try:
+            if kind.startswith("sweep"):
+                out.append(index.query(rect))
+            elif kind == "estimator":
+                out.append(estimate_additive(index, rect, 0.3, EstimatorConfig(c_add=0.05),
+                                             np.random.default_rng(5)).value)
+            else:
+                out.append([(s.value, s.count) for s in (
+                    index.query(rect, SHANNON), index.query(rect, renyi_kind(2.0)))])
+        except EmptyRange:
+            out.append(EmptyRange)
+    return out
+
+
+@pytest.mark.parametrize("m, stored", [(0, "|u1"), (1, "|u1"), (256, "|u1"),
+                                       (257, "<u2"), (70_000, "<u4")])
+def test_colors_stored_on_narrowest_type(tmp_path, rng, m, stored):
+    # every kind's file holds the colors on the narrowest unsigned type of
+    # the color count, whichever ids a few points use; a load widens them to
+    # int64 again, and the loaded index answers as the built one does
+    n = 12 if m else 0
+    colors = rng.integers(0, max(m, 1), size=n)
+    colors[:1] = m - 1
+    pts1 = ColoredPointSet(rng.uniform(0, 100, (n, 1)), colors, num_colors=m)
+    pts2 = ColoredPointSet(rng.uniform(0, 100, (n, 2)), colors, rng.uniform(0.5, 3.0, n),
+                           num_colors=m)
+    rects1 = [random_rect(rng) for _ in range(10)] + [QueryRect.full(1)]
+    rects2 = [random_rect(rng, d=2) for _ in range(10)] + [QueryRect.full(2)]
+    for kind, index in _indexes_for_roundtrip(pts1, pts2):
+        path = tmp_path / f"{kind}.rqe"
+        storage.save_index(path, kind, index)
+        _, header, loaded = storage.load_index(path, expect_kind=kind)
+        dtypes = {e["name"]: e["dtype"] for e in header["arrays"]}
+        assert dtypes["colors"] == stored and dtypes["coords"] == "<f8", kind
+        pts = loaded.pts if hasattr(loaded, "pts") else loaded.tree.pts
+        assert pts.colors.dtype == np.int64 and np.array_equal(pts.colors, colors), kind
+        assert pts.num_colors == m, kind
+        rects = rects2 if kind in ("exactnd", "estimator") else rects1
+        assert answers(kind, loaded, rects) == answers(kind, index, rects), kind
+
+
+def test_load_refuses_points_on_other_dtypes(tmp_path, rng, capsys):
+    # a file whose digest is right but whose points' arrays are not on the
+    # dtypes a save writes is refused, not cast: float colors would be
+    # truncated (0.7 read as color 0), booleans read as ids
+    pts = random_pointset(rng, 40, d=1, m=5, weighted=True)
+    colors = pts.colors
+    index = exact1d.Exact1DIndex(pts, 0.5)
+    path = tmp_path / "bad.rqe"
+    storage.save_index(path, "exact1d", index)
+    storage.load_index(path)   # as saved, it loads
+    cases = {
+        "float colors": ("colors are stored as <f8", dict(colors=colors + 0.7)),
+        "boolean colors": ("colors are stored as |b1", dict(colors=colors % 2 == 1)),
+        "int64 colors, the format-16 layout": ("colors are stored as <i8", dict(colors=colors)),
+        "uint16 colors where uint8 fits": ("colors are stored as <u2",
+                                           dict(colors=colors.astype(np.uint16))),
+        "float32 coordinates": ("coords are stored as <f4",
+                                dict(coords=pts.coords.astype(np.float32))),
+        "float32 weights": ("weights are stored as <f4",
+                            dict(weights=pts.weights.astype(np.float32))),
+    }
+    for name, (reason, change) in cases.items():
+        tampered = copy.copy(index)
+        tampered.to_arrays = to_arrays_with(index, **change)
+        storage.save_index(path, "exact1d", tampered)
+        with pytest.raises(NotAnIndex, match=reason):
+            storage.load_index(path)
+        assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4, name
+    capsys.readouterr()
+
+
 def changed(a, at, value):
     """A copy of ``a`` with ``a[at] = value``."""
     a = a.copy()
@@ -406,9 +492,9 @@ def changed(a, at, value):
 
 
 def test_load_refuses_sweep_ladders_no_build_writes(tmp_path, rng, capsys):
-    # every file is written by save_index, so its digest and manifest are
-    # right: only the ladders (or the points) are not what a build of its
-    # points, eps and alpha writes
+    # every file is written by save_index, so its digest is right: only the
+    # ladders (or the points, or the arrays named) are not what a build of
+    # its points, eps and alpha writes
     pts = random_pointset(rng, 60, d=1, m=6)
     path = tmp_path / "bad.rqe"
     for kind, idx in (("sweep-shannon", sweep1d.build_shannon(pts, 0.3)),
@@ -437,8 +523,10 @@ def test_load_refuses_sweep_ladders_no_build_writes(tmp_path, rng, capsys):
             "exponents flat in a run": (rise, dict(h_exp=changed(exp, j + 1, exp[j]))),
             "float ranks": ("integer arrays", dict(h_rank=rank.astype(np.float64))),
             "2-D run starts": ("integer arrays", dict(ladder_first=first[:, None])),
-            "non-unit weights": ("weights must be 1", dict(
-                pts=ColoredPointSet(pts.coords, pts.colors, np.full(len(pts), 2.0)))),
+            # a sweep file holds no weights, since a build takes only 1: one
+            # that carries weights, here of 2, does not name the kind's arrays
+            "stored weights": ("manifest names", dict(
+                to_arrays=to_arrays_with(idx, weights=np.full(len(pts), 2.0)))),
             "2-D points": ("1-D points", dict(
                 pts=ColoredPointSet(np.repeat(pts.coords, 2, axis=1), pts.colors))),
             "eps below a float step": ("too small", dict(eps=1e-300)),

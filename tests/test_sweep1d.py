@@ -400,7 +400,7 @@ def test_layout_and_round_trip(tmp_path):
         assert idx.rows.dtype == np.uint16
         assert not any(hasattr(idx, name) for name in ("left_counts", "y_root"))
         assert tuple(idx.to_arrays()[0]) == idx.STORED
-        assert idx.STORED == ("coords", "colors", "weights", "h_rank", "h_exp", "ladder_first")
+        assert idx.STORED == ("coords", "colors", "h_rank", "h_exp", "ladder_first")
         path = tmp_path / f"{kind}.rqe"
         save_index(path, kind, idx)
         loaded = load_index(path, expect_kind=kind)[2]
