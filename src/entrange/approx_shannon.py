@@ -67,7 +67,6 @@ class EstimatorConfig:
     c_mom: float = 1.0
     moment_c1: float = 8.0
     moment_c2: float = 8.0
-    seed: Optional[int] = None
 
 
 DEFAULT_CONFIG = EstimatorConfig()
@@ -288,7 +287,7 @@ def prepare_query(index: EstimatorIndex, rect: QueryRect, cfg: EstimatorConfig,
         stats["distinct_colors"] = 0
     if oracle.is_empty:
         raise EmptyRange("query range holds no mass")
-    return oracle, rng if rng is not None else np.random.default_rng(cfg.seed)
+    return oracle, rng if rng is not None else np.random.default_rng()
 
 
 def additive(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, delta: float,

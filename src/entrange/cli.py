@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from . import exact1d, exactnd, partition, storage, sweep1d
-from .approx_shannon import EstimatorConfig, EstimatorIndex, additive, multiplicative
+from .approx_shannon import EstimatorIndex, additive, multiplicative
 from .core import QueryRect, SHANNON, renyi_kind, stable_order
 from .errors import DataFormatError, EntrangeError, IndexFileError, IndexKindMismatch
 
@@ -95,7 +95,7 @@ def _query_once(kind_name: str, index, args) -> dict:
             estimate, accuracy, bounds = additive, args.delta, {"additive": args.delta}
         else:
             estimate, accuracy, bounds = multiplicative, args.epsilon, {"factor": 1 + args.epsilon}
-        summary = estimate(index, rect, want_kind, accuracy, EstimatorConfig(seed=args.seed), rng)
+        summary = estimate(index, rect, want_kind, accuracy, rng=rng)
         bounds["confidence"] = "whp"
     elapsed_us = (time.perf_counter() - t0) * 1e6
     return {

@@ -92,7 +92,7 @@ class EstimateBackend:
         self.estimate = approx_shannon.additive if additive else approx_shannon.multiplicative
         self.accuracy = delta if additive else eps
         self.cfg = cfg if cfg is not None else approx_shannon.DEFAULT_CONFIG
-        self.rng = rng if rng is not None else np.random.default_rng(self.cfg.seed)
+        self.rng = rng if rng is not None else np.random.default_rng()
         self.kind = SHANNON if alpha is None else core.renyi_kind(alpha)
         pts = index.pts
         self.pts = pts

@@ -39,10 +39,11 @@ to an int64 copy. The points' arrays must be on exactly the dtypes a save
 writes: coordinates and weights on float64 and colors on the color count's
 type, so float, boolean or wider colors are refused, not cast. A sweep
 file's ladders are checked against the layout derived from its points
-before the index is used. Every refusal raises an
-:class:`~.errors.IndexFileError` (CLI exit code 4): ``UnsupportedVersion``
-for another format version, ``IndexKindMismatch`` for an unexpected kind,
-and ``NotAnIndex`` for anything else.
+before the index is used, and its kind against its alpha (none for
+sweep-shannon, one for sweep-renyi), on save as on load. Every refusal
+raises an :class:`~.errors.IndexFileError` (CLI exit code 4):
+``UnsupportedVersion`` for another format version, ``IndexKindMismatch``
+for an unexpected kind, and ``NotAnIndex`` for anything else.
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ def save_index(path: Union[str, Path], kind: str, index) -> None:
         raise ValueError(f"unknown index kind {kind!r}")
     if not isinstance(index, cls):
         raise ValueError(f"a {type(index).__name__} is not a {kind!r} index")
+    if kind.startswith("sweep-") and (kind == "sweep-shannon") != (index.alpha is None):
+        raise ValueError(f"a sweep index with alpha={index.alpha} is not a {kind!r} index")
     arrays, scalars = index.to_arrays()
     manifest, chunks, offset = [], [], 0
     for name, array in arrays.items():
@@ -159,6 +162,8 @@ def load_index(path: Union[str, Path], expect_kind: Optional[str] = None):
     scalars = header.get("scalars")
     if not isinstance(scalars, dict):
         raise NotAnIndex(f"{path}: header holds no scalars")
+    if kind.startswith("sweep-") and (kind == "sweep-shannon") != (scalars.get("alpha") is None):
+        raise NotAnIndex(f"{path}: a {kind!r} file with alpha={scalars.get('alpha')!r}")
     try:
         index = cls.from_arrays(arrays, scalars)
     except (KeyError, TypeError, ValueError, IndexError) as exc:

@@ -90,13 +90,18 @@ node, ranks in 1..U, ranks and exponents strictly rising within a run, and
 no exponent above what a build of the same n and eps can reach.
 
 A node's walk is its colors' points at or after x_v, in coordinate order.
-The counts along a walk are integers in 1..n, so the steps f(k) - f(k-1)
-are gathers from a table over 0..n built once per index; a walk's value is
-the running sum of its steps. Ladders are built for batches of nodes whose
-walks total at most 2^15 points, so a build holds about 4 MB of
-temporaries besides the index it writes. A batch puts its walks in order
-by one stable sort of the int64 keys ``node * (U + 1) + rank``, and its
-exponents take the log guess and its fix-ups against ``np.power``.
+Each entry's y lies below x_v (the node ends within its span's reach), so
+its color has no point in [x_v, x): the walk is the union of the entries'
+one-point runs, and its length a difference of one prefix sum of run
+lengths over the rows. Along a run the counts are 1, 2, ..., so the steps
+f(k) - f(k-1) are gathers from a table over 0..n, and S_v is their running
+sum, restarted at 0 for each walk so that its rounding is relative to that
+walk's own mass and not to the walks before it in a batch.
+Ladders are built for batches of nodes whose walks total at most 2^15
+points, so a build holds about 4 MB of temporaries besides the index it
+writes. A batch puts its walks in order by one stable sort of the int64
+keys ``node * (U + 1) + rank``, and its exponents take the log guess and
+its fix-ups against ``np.power``.
 Every batch keeps ranks and exponents on their narrow types (exponents on
 one that holds the top exponent a build can reach), and the batches' runs,
 in gid order, are laid end to end.
@@ -116,7 +121,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -188,14 +193,6 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return a.astype(np.min_scalar_type(int(a.max()) if len(a) else 0))
 
 
-class _Walk(NamedTuple):
-    """What every walk of one build reads."""
-
-    key: np.ndarray        # per point, in (color, coordinate) order: color * (U + 1) + rank
-    f_step: np.ndarray     # f(k) - f(k-1) for the counts k in 0..n
-    exp_type: np.dtype     # holds every exponent up to the build's top
-
-
 class Sweep1DIndex:
     """Shared engine for the Shannon and Renyi variants (see build_*)."""
 
@@ -203,15 +200,15 @@ class Sweep1DIndex:
               "ladder_first")   # a file holds the points' arrays, then these; see to_arrays
 
     def __init__(self, pts: ColoredPointSet, eps: float, alpha: Optional[float] = None):
-        self._build_ladders(self._derive(pts, eps, alpha))
+        self._derive(pts, eps, alpha)
+        self._build_ladders()
         self._lower = np.power(self._base, self.h_exp - 1.0)
 
-    def _derive(self, pts: ColoredPointSet, eps: float, alpha: Optional[float]) -> np.ndarray:
+    def _derive(self, pts: ColoredPointSet, eps: float, alpha: Optional[float]) -> None:
         """Everything but the ladders, from the points, eps and alpha, on
         build and on load: the mapped points, the tree's rows, the
         qualifying nodes and their slots, each row entry's y-rank, the
-        one-point runs and f. Returns the (color, coordinate rank) keys of
-        the points in (color, coordinate) order."""
+        one-point runs and f."""
         if pts.dim != 1:
             raise ValueError("sweep index requires 1-D points")
         if len(pts) and not np.all(pts.weights == 1.0):
@@ -271,7 +268,6 @@ class Sweep1DIndex:
         self.gid_slots[(lo + hi) // 2] = gids
         y_rank = np.where(np.isneginf(self.my), 0, self.ucoords.searchsorted(self.my) + 1)
         self.y_rank = y_rank.astype(rank_type)[self.rows.ravel()]
-        return key
 
     def _terms(self) -> tuple[np.ndarray, int]:
         """f over the counts 0..n, k log2 k (Shannon) or k^alpha (Renyi), and
@@ -383,59 +379,47 @@ class Sweep1DIndex:
         keep = hi <= reach[prim.searchsorted(lo, side="right") - 1]
         return lo[keep], hi[keep]
 
-    def _build_ladders(self, key: np.ndarray) -> None:
+    def _build_ladders(self) -> None:
         """The ladder of every qualifying node, in gid order, built for
-        batches of nodes whose walks total at most ``_BATCH`` points, from
-        the points' (color, coordinate rank) keys in (color, coordinate)
-        order."""
-        walk = _Walk(key, np.diff(self._f, prepend=0.0), np.min_scalar_type(self._top))
-        _, start, stop = self._spans(slice(None))
-        walk_len = [np.zeros(0, dtype=np.int64)]
-        for g0, g1 in _batches(stop - start):
-            seg, lo, hi = self._walk_runs(np.arange(g0, g1), walk.key)
-            walk_len.append(np.bincount(seg, hi - lo, minlength=g1 - g0).astype(np.int64))
-        walk_len = np.concatenate(walk_len)
+        batches of nodes whose walks total at most ``_BATCH`` points."""
+        # a node's walk is its entries' runs, laid out as the rows are
+        ids = self.rows.ravel()
+        walked = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(self.run_end[ids] - self.run_lo[ids].astype(np.int64), out=walked[1:])
+        depth, start, stop = self._spans(slice(None))
+        walk_len = walked[depth * self.n + stop] - walked[depth * self.n + start]
+        f_step, exp_type = np.diff(self._f, prepend=0.0), np.min_scalar_type(self._top)
         parts = [(np.zeros(0, dtype=self.c_rank.dtype), np.zeros(0, dtype=np.int64),
-                  np.zeros(0, dtype=walk.exp_type))]
-        parts += [self._ladders(np.arange(g0, g1), walk, walk_len[g0:g1])
+                  np.zeros(0, dtype=exp_type))]
+        parts += [self._ladders(np.arange(g0, g1), walk_len[g0:g1], f_step, exp_type)
                   for g0, g1 in _batches(walk_len)]
         ranks, lens, exps = (np.concatenate(part) for part in zip(*parts))
         self.h_rank, self.h_exp = ranks, _narrow(exps)
         self.ladder_first = _narrow(np.concatenate(([0], np.cumsum(lens))))
 
-    def _walk_runs(self, gids: np.ndarray, ckey: np.ndarray):
-        """Walk runs of the nodes ``gids``. For each (node, color), in that
-        order and then row order: the node's place in ``gids``, and the run
-        [lo, hi) of that color's points at or after x_v in the color-sorted
-        order."""
-        stride = self._stride
-        depth, start, stop = self._spans(gids)
-        sizes = stop - start
-        seg = np.repeat(np.arange(len(gids)), sizes)
-        ids = self.rows[depth[seg], _ranges(start, sizes)]
-        colors = self.mcolor[ids]
-        x_v = np.minimum.reduceat(self.mx[ids], np.cumsum(sizes) - sizes)
-        lo = ckey.searchsorted(colors * stride + self.ucoords.searchsorted(x_v, "right")[seg])
-        hi = ckey.searchsorted((colors + 1) * stride)
-        return seg, lo, hi
-
-    def _ladders(self, gids: np.ndarray, walk: _Walk, walk_len: np.ndarray):
+    def _ladders(self, gids: np.ndarray, walk_len: np.ndarray, f_step: np.ndarray,
+                 exp_type: np.dtype):
         """Ladders of the nodes ``gids``, whose walks have ``walk_len``
         points: their jumps' ranks, run lengths and exponents.
 
-        A node's walk is its colors' points at or after x_v, in coordinate
-        order (ties in row order). The ladder steps at the last point of
-        each coordinate where S_v is positive and its exponent rises."""
-        seg, lo, hi = self._walk_runs(gids, walk.key)
-        lens = hi - lo
+        A node's walk is its entries' runs [run_lo, run_end), merged in
+        coordinate order (ties in row order), and S_v along it is the
+        walk's own running sum of the steps ``f_step``. The ladder steps at
+        the last point of each coordinate where S_v is positive and its
+        exponent rises."""
+        depth, start, stop = self._spans(gids)
+        sizes = stop - start
+        ids = self.rows.ravel()[_ranges(depth * self.n + start, sizes)]
+        lo = self.run_lo[ids].astype(np.int64)
+        lens = self.run_end[ids] - lo
         idx = _ranges(lo, lens)
-        wseg = np.repeat(seg, lens)
+        wseg = np.repeat(np.repeat(np.arange(len(gids)), sizes), lens)
         order = np.argsort(wseg * self._stride + self.c_rank[idx], kind="stable")
         # a point's occurrence rank within its color is its place in its run
         nc = _ranges(np.ones_like(lens), lens)[order]
         idx, wseg = idx[order], wseg[order]
         walk_x = self.c_rank[idx]
-        t_pref = _segment_cumsum(walk.f_step[nc], np.cumsum(walk_len) - walk_len, walk_len)
+        t_pref = _segment_cumsum(f_step[nc], np.cumsum(walk_len) - walk_len, walk_len)
         group_end = np.ones(len(idx), dtype=bool)
         group_end[:-1] = (walk_x[1:] != walk_x[:-1]) | (wseg[1:] != wseg[:-1])
         g_val = t_pref[group_end]
@@ -445,7 +429,7 @@ class Sweep1DIndex:
         keep = np.ones(len(e), dtype=bool)
         keep[1:] = (e[1:] > e[:-1]) | (segs[1:] != segs[:-1])
         return (xs[keep], np.bincount(segs[keep], minlength=len(gids)),
-                e[keep].astype(walk.exp_type))
+                e[keep].astype(exp_type))
 
     # -- queries -------------------------------------------------------------------
 

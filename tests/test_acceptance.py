@@ -549,10 +549,12 @@ def test_criterion_09_scaling_trends():
 
         # sweep query latency grows polylogarithmically
         sweep_sizes = (2_500, 10_000, 40_000)
-        sweeps = []
+        sweeps, build_s = [], []
         for n in sweep_sizes:
             pts = ColoredPointSet(rng.uniform(0, 1000, n), np.arange(n))
+            t0 = time.perf_counter()
             idx = sweep1d.build_shannon(pts, 0.5)
+            build_s.append(time.perf_counter() - t0)
             rects = [QueryRect.interval(*sorted(rng.uniform(0, 1000, 2)))
                      for _ in range(300)]
             for rect in rects[:20]:
@@ -569,7 +571,9 @@ def test_criterion_09_scaling_trends():
         medians = [float(np.median(spent)) for spent in times]
         lat_slope = _fit_slope(sweep_sizes, medians)
         assert lat_slope < 0.2, (lat_slope, medians)
-        print(f"  [fringe slope {slope:.3f} ~ t=0.5; sweep latency slope {lat_slope:.3f}]")
+        builds = ", ".join(f"n={n:,} {t:.2f} s" for n, t in zip(sweep_sizes, build_s))
+        print(f"  [fringe slope {slope:.3f} ~ t=0.5; sweep latency slope {lat_slope:.3f}; "
+              f"sweep builds {builds}]")
 
 
 # ---------------------------------------------------------------------------

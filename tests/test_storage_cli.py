@@ -544,6 +544,29 @@ def test_load_refuses_sweep_ladders_no_build_writes(tmp_path, rng, capsys):
     capsys.readouterr()
 
 
+def test_sweep_kind_must_match_its_alpha(tmp_path, rng, capsys):
+    # sweep-shannon names a sweep without alpha and sweep-renyi one with:
+    # a save refuses the other kind, and a load refuses a file relabelled
+    # so (its digest covers the payload only), which the CLI once served
+    # with the wrong bounds or a TypeError
+    pts = random_pointset(rng, 40, d=1, m=5)
+    path = tmp_path / "sweep.rqe"
+    for kind, idx, other, query in (
+            ("sweep-renyi", sweep1d.build_renyi(pts, 0.3, 3.0), "sweep-shannon",
+             ("--kind", "shannon")),
+            ("sweep-shannon", sweep1d.build_shannon(pts, 0.3), "sweep-renyi",
+             ("--kind", "renyi", "--alpha", "2"))):
+        with pytest.raises(ValueError, match="alpha"):
+            storage.save_index(path, other, idx)
+        storage.save_index(path, kind, idx)
+        path.write_bytes(edit_header(path.read_bytes(), lambda header: header.update(kind=other)))
+        with pytest.raises(NotAnIndex, match="alpha"):
+            storage.load_index(path)
+        assert run_cli("query", "--index", str(path), "--rect", "0:100",
+                       "--mode", "deterministic", *query) == 4, kind
+    capsys.readouterr()
+
+
 def test_format_13_sweep_files_are_refused(tmp_path, rng):
     # format 13 stored the sweep's mapped points, rows, node keys, slots and
     # count ladder: its version byte is refused, and so is its layout
@@ -680,7 +703,7 @@ def test_nan_bound_refused_by_every_index_kind(rng):
     # a NaN bound used to answer "empty range" everywhere; now no rect carries one
     pts1 = random_pointset(rng, 40, d=1, m=5)
     pts2 = random_pointset(rng, 40, d=2, m=5)
-    cfg = EstimatorConfig(seed=1)
+    cfg = EstimatorConfig()
     queries = {
         "exact1d": lambda r: exact1d.Exact1DIndex(pts1, 0.5).query(r, SHANNON),
         "exactnd": lambda r: exactnd.ExactNDIndex(pts2, 0.5).query(r, SHANNON),

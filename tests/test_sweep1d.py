@@ -300,6 +300,25 @@ def test_ladders_match_bruteforce_prefixes(rng):
             assert len(node_colors(idx, gid)[0]) >= 2
 
 
+def test_ladders_after_a_heavy_walk_at_high_alpha():
+    # at alpha 10 one color of 800 points puts S_v near 1e29 on the walks
+    # that hold it, and lighter walks share their batches: each walk's sum
+    # starts from 0, so a light node's ladder carries no rounding of the
+    # heavy walks before it (a running sum over the whole batch lost 1,338
+    # nodes' jumps here)
+    n = 2000
+    rng = np.random.default_rng(n)
+    colors = rng.integers(1, 200, n)
+    colors[rng.random(n) < 0.4] = 0
+    pts = ColoredPointSet(np.round(rng.uniform(0, n / 3, n)), colors)
+    idx = build_renyi(pts, 0.5, 10.0)
+    assert len(idx.node_keys) > 5000
+    for gid in range(len(idx.node_keys)):
+        ranks, exps = reference_ladder(idx, pts, gid, 10.0)
+        got_ranks, got_exps = node_run(idx, gid)
+        assert np.array_equal(got_ranks, ranks) and np.array_equal(got_exps, exps), gid
+
+
 def key_pool_reference(idx, pts, alpha):
     """A former ladder layout, rebuilt by brute force: sorted int64 keys
     ``gid * (U + 1) + rank`` beside the jumps' exponents."""
@@ -917,6 +936,35 @@ def test_stacked_derive_matches_per_depth_rule(n, dup):
     for name, w in zip(("node_keys", "gid_slots", "rows", "y_rank"), want):
         got = getattr(idx, name)
         assert got.dtype == w.dtype and np.array_equal(got, w), name
+
+
+@pytest.mark.parametrize("alpha", [None, 2.0])
+@pytest.mark.parametrize("eps", [1e-4, 0.2, 0.9])
+def test_node_walk_is_its_entries_runs(eps, alpha):
+    # the ladder build walks a qualifying node's entries' one-point runs:
+    # each entry's y lies below x_v, so its color has no point in [x_v, x),
+    # and the runs are exactly the node's colors' points from x_v on, in
+    # (color, coordinate) order, as the x_v rule finds them
+    rng = np.random.default_rng(int(1e4 * eps) + (0 if alpha is None else 1))
+    nodes = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 401))
+        pts = ColoredPointSet(np.round(rng.uniform(0, 40, n)) / 4,
+                              rng.integers(0, int(rng.integers(1, 13)), n))
+        idx = ladderless(pts, eps, alpha)
+        coords = pts.coords[:, 0]
+        order = np.lexsort((np.arange(n), coords, pts.colors))
+        cx, ccol = coords[order], pts.colors[order]
+        for gid in range(len(idx.node_keys)):
+            depth, start, stop = idx._spans(gid)
+            ids = idx.rows[depth, start:stop]
+            x_v = idx.mx[ids].min()
+            assert (idx.my[ids] < x_v).all(), gid
+            walk = np.flatnonzero(np.isin(ccol, idx.mcolor[ids]) & (cx >= x_v))
+            runs = np.concatenate([np.arange(idx.run_lo[i], idx.run_end[i]) for i in ids])
+            assert np.array_equal(np.sort(runs), walk), gid
+            nodes += 1
+    assert nodes > 1000
 
 
 def test_query_makes_no_numpy_call(rng):
