@@ -42,7 +42,7 @@ from .errors import (
 from .exact1d import Exact1DIndex
 from .exactnd import ExactNDIndex
 from .oracle import brute_entropy
-from .rangetree import ColorAwareRangeTree, ColorTrees, RangeTree
+from .rangetree import ColorTrees, RangeTree
 from .storage import ingest, load_index, save_index
 from .sweep1d import Sweep1DIndex, build_renyi as build_sweep_renyi
 from .sweep1d import build_shannon as build_sweep_shannon
@@ -64,7 +64,6 @@ __all__ = [
     "delete_color_shannon",
     "delete_color_renyi",
     "RangeTree",
-    "ColorAwareRangeTree",
     "ColorTrees",
     "Exact1DIndex",
     "ExactNDIndex",

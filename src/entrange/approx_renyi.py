@@ -54,7 +54,7 @@ def estimate_moment(index: EstimatorIndex, rect: QueryRect, alpha: float, eps: f
                     rng: Optional[np.random.Generator] = None) -> MomentEstimate:
     """Relative-error estimate of the alpha-th frequency moment in the range."""
     renyi_kind(alpha)   # raises InvalidOrder unless alpha > 1
-    oracle, rng = prepare_query(index, rect, cfg, rng, eps=eps)
+    oracle, rng = prepare_query(index, rect, rng, eps=eps)
     return _moment(index, oracle, alpha, eps, cfg, rng)
 
 
@@ -65,7 +65,7 @@ def estimate_moment_excluding(index: EstimatorIndex, rect: QueryRect, alpha: flo
     """Moment of the range's distribution with one color removed, normalized
     by the reduced total mass."""
     renyi_kind(alpha)   # raises InvalidOrder unless alpha > 1
-    oracle, rng = prepare_query(index, rect, cfg, rng, eps=eps)
+    oracle, rng = prepare_query(index, rect, rng, eps=eps)
     return _moment(index, oracle.excluding(excluded), alpha, eps, cfg, rng)
 
 

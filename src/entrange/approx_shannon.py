@@ -48,7 +48,7 @@ import numpy as np
 from .core import (SHANNON, ColoredPointSet, EntropyKind, EntropySummary, QueryRect,
                    entropy_from_statistic, g, insert_color_shannon, mass_statistic)
 from .errors import EmptyRange
-from .rangetree import ColorAwareRangeTree, ColorTrees, Pieces
+from .rangetree import ColorTrees, Pieces, RangeTree
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ class DualAccessOracle:
         ``stats["distinct_colors"]``. Costs O(size + largest color drawn)."""
         if self.is_empty:
             raise EmptyRange("no mass to sample in query range")
-        tree = self.index.tree
-        counts = np.bincount(tree.pool_colors[tree.draw(self.pieces, rng, size, self.exclusion)])
+        pos = self.index.tree.draw(self.pieces, rng, size, self.exclusion)
+        counts = np.bincount(self.index.tree.sampling.colors[pos])
         colors = np.flatnonzero(counts)
         if stats is not None:
             stats["distinct_colors"] += len(colors)
@@ -160,15 +160,16 @@ class DualAccessOracle:
 
 
 class EstimatorIndex:
-    """The pooled color-aware range tree shared by every estimator: SAMP,
-    and EVAL through ``color_trees`` (a view of the same pool)."""
+    """The pooled range tree shared by every estimator: SAMP, and EVAL
+    through ``color_trees`` (a view of the same pool). Until a first draw or
+    EVAL derives the tree's sampling arrays, it holds what an exact index holds."""
 
-    STORED = ColorAwareRangeTree.STORED
+    STORED = RangeTree.STORED
 
     def __init__(self, pts: ColoredPointSet):
         self.pts = pts
-        self.tree = ColorAwareRangeTree.build(pts)
-        self.color_trees = ColorTrees(pts, self.tree)
+        self.tree = RangeTree(pts)
+        self.color_trees = ColorTrees(self.tree)
 
     def to_arrays(self) -> tuple[dict, dict]:
         """The tree's arrays and scalars: the points and the pool."""
@@ -177,9 +178,9 @@ class EstimatorIndex:
     @classmethod
     def from_arrays(cls, arrays: dict, scalars: dict) -> "EstimatorIndex":
         index = cls.__new__(cls)
-        index.tree = ColorAwareRangeTree.from_arrays(arrays, scalars)
+        index.tree = RangeTree.from_arrays(arrays, scalars)
         index.pts = index.tree.pts
-        index.color_trees = ColorTrees(index.pts, index.tree)
+        index.color_trees = ColorTrees(index.tree)
         return index
 
     def __len__(self) -> int:
@@ -271,9 +272,8 @@ def heavy_combine(kind: EntropyKind, heavy: HeavyColor, rest: float,
     return heavy_combine_renyi(1.0 - rho**alpha, light, full, alpha)
 
 
-def prepare_query(index: EstimatorIndex, rect: QueryRect, cfg: EstimatorConfig,
-                  rng: Optional[np.random.Generator], stats: Optional[dict] = None,
-                  **accuracy: float):
+def prepare_query(index: EstimatorIndex, rect: QueryRect, rng: Optional[np.random.Generator],
+                  stats: Optional[dict] = None, **accuracy: float):
     """Checks each accuracy parameter lies in (0, 1), then returns the
     rectangle's oracle, which must hold mass, and the generator to use.
     Starts ``stats`` with the query's canonical ``pieces`` and a zero
@@ -295,7 +295,7 @@ def additive(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, delta: f
              stats: Optional[dict] = None) -> EntropySummary:
     """Entropy of the kind within +-delta, with high probability: one
     statistic, with the family's draw count."""
-    oracle, rng = prepare_query(index, rect, cfg, rng, stats, delta=delta)
+    oracle, rng = prepare_query(index, rect, rng, stats, delta=delta)
     if kind.alpha is None:
         samples = additive_sample_count(index, delta, cfg)
     else:   # both Renyi routes draw through the one dual oracle: take the cheaper
@@ -319,7 +319,7 @@ def multiplicative(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, ep
     is heavy; ``rest_draws`` over the range without the heavy color when
     one is, and beside them ``full_draws`` over the whole range (Renyi's
     full moment; 0, none, for Shannon)."""
-    oracle, rng = prepare_query(index, rect, cfg, rng, stats, eps=eps)
+    oracle, rng = prepare_query(index, rect, rng, stats, eps=eps)
     alpha = kind.alpha
     if alpha is None:
         light_draws = math.ceil(cfg.c_mult * math.log2(max(2, len(index))) / (eps**2 * 0.9))
@@ -375,13 +375,12 @@ def estimate_multiplicative(index: EstimatorIndex, rect: QueryRect, eps: float,
 
 
 def detect_heavy_color(index: EstimatorIndex, rect: QueryRect,
-                       rng: Optional[np.random.Generator] = None,
-                       cfg: EstimatorConfig = DEFAULT_CONFIG) -> Optional[HeavyColor]:
+                       rng: Optional[np.random.Generator] = None) -> Optional[HeavyColor]:
     """Find a color holding more than 2/3 of the range's mass, if one exists.
 
     Draws ~log_3(2n) samples; a heavy color escapes all of them with
     probability at most 1/(2n). Any candidate is verified by exact
     counting, so a returned ratio is never a sampling artifact.
     """
-    oracle, rng = prepare_query(index, rect, cfg, rng)
+    oracle, rng = prepare_query(index, rect, rng)
     return oracle.heavy_color(rng)

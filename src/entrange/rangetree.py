@@ -18,28 +18,31 @@ against the query's bounds ranked once. The pieces' color masses are one
 gather of their ids and one ``bincount`` (:meth:`RangeTree.color_masses`),
 which answers a range exactly.
 
-:class:`ColorAwareRangeTree` adds what sampling and EVAL need: the pool's
-weight prefix and one :class:`~.core.ColorPrefix`. Sampling is batched and
-costs a fixed number of numpy calls plus the draws: one ``searchsorted``
-over the pieces' masses picks a piece per draw (none for a single piece),
-and uniforms generated in sorted order walk the pool's weight prefix
-forward. The color-excluding sampler inverts the prefix of everything but
-one color c without bisection: each pool entry of c knows the mass of the
-other colors before it (``others_before``, nondecreasing along c's run),
-so one ``searchsorted`` in c's run counts the c points before a draw, and
-one in the pool prefix finds it. Zero-weight points carry no mass and are
-left out, so counts are of positive-weight points.
+What sampling and EVAL need, the pool's weight prefix and one
+:class:`~.core.ColorPrefix`, is :attr:`RangeTree.sampling`, derived on a
+tree's first draw or EVAL and never by an exact answer. Sampling is batched
+and costs a fixed number of numpy calls plus the draws: one
+``searchsorted`` over the pieces' masses picks a piece per draw (none for a
+single piece), and uniforms generated in sorted order walk the pool's
+weight prefix forward. The color-excluding sampler inverts the prefix of
+everything but one color c without bisection: each pool entry of c knows
+the mass of the other colors before it (``others_before``, nondecreasing
+along c's run), so one ``searchsorted`` in c's run counts the c points
+before a draw, and one in the pool prefix finds it. Zero-weight points
+carry no mass and are left out, so counts are of positive-weight points.
 
 An index file holds the points and the pool ids alone
-(:meth:`RangeTree.to_arrays`). One ``_derive``, run on build and on load,
-rebuilds the rest: the upper levels' coordinate keys, the sorted last
-coordinates and ``last_rank``, and for the color-aware tree the pool's
-weight prefix pair, its colors, its ``ColorPrefix`` and ``others_before``.
+(:meth:`RangeTree.to_arrays`). ``_derive``, run on build and on load,
+rebuilds what the exact answer reads: the upper levels' coordinate keys,
+the sorted last coordinates and ``last_rank``. The sampling arrays are one
+immutable :class:`Sampling`, assigned once: threads racing on a first draw
+at worst derive it twice from read-only arrays, never mixing the two.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -145,8 +148,21 @@ class Exclusion(NamedTuple):
     before: np.ndarray
 
 
+class Sampling(NamedTuple):
+    """What draws and EVAL read, per pool entry: the weight prefix pair, the
+    color, the pool's ``ColorPrefix``, and for every key of it, the pool's
+    mass before the key's position less its own color's (the prefix the
+    excluding sampler inverts)."""
+
+    wpre: np.ndarray
+    wlo: np.ndarray
+    colors: np.ndarray
+    color_prefix: ColorPrefix
+    others_before: np.ndarray
+
+
 class RangeTree:
-    """Static d-level range tree; immutable after build, queries are pure."""
+    """Static d-level range tree; immutable after build but for :attr:`sampling`."""
 
     STORED = ("coords", "colors", "weights", "pool_ids")   # what a file holds; see to_arrays
 
@@ -213,13 +229,28 @@ class RangeTree:
         tree._derive()
         return tree
 
-    @classmethod
-    def build(cls, pts: ColoredPointSet) -> "RangeTree":
-        return cls(pts)
+    @functools.cached_property
+    def sampling(self) -> Sampling:
+        """Derived from the points and the pool on the first draw or EVAL."""
+        weights = self.pts.weights[self.pool_ids]
+        wpre, wlo = running_sum(weights)
+        colors = self.pts.colors[self.pool_ids]
+        cp = ColorPrefix(colors, weights)
+        m = int(cp.keys[-1]) // cp.n + 1 if cp.n else 0
+        firsts = cp.keys.searchsorted(np.arange(m + 1) * cp.n)   # each color's run
+        runs = np.diff(firsts)
+        first = np.repeat(firsts[:-1], runs)
+        own = (cp.wpre[:-1] - cp.wpre[first]) + (cp.wlo[:-1] - cp.wlo[first])
+        pos = cp.keys - np.repeat(np.arange(m) * cp.n, runs)
+        return Sampling(wpre, wlo, colors, cp, wpre[pos] - own)
 
     def nbytes(self) -> int:
-        """Bytes of the tree's arrays, the derived ones included."""
-        return sum(a.nbytes for a in (*self.keys, self.pool_ids, self.last_sorted, self.last_rank))
+        """Bytes of the tree's arrays, derived ones included, sampling ones once held."""
+        arrays = [*self.keys, self.pool_ids, self.last_sorted, self.last_rank]
+        if "sampling" in vars(self):
+            s, cp = self.sampling, self.sampling.color_prefix
+            arrays += [s.wpre, s.wlo, s.colors, s.others_before, cp.keys, cp.wpre, cp.wlo]
+        return sum(a.nbytes for a in arrays)
 
     # -- canonical decomposition ------------------------------------------
 
@@ -277,42 +308,10 @@ class RangeTree:
         return masses[masses > 0.0]
 
 
-class ColorAwareRangeTree(RangeTree):
-    """Range tree whose pool also carries a weight prefix and a
-    :class:`~.core.ColorPrefix`.
-
-    A piece's mass is two reads of the prefix, which gives weighted
-    sampling; any color's mass or count over a piece is two ``searchsorted``
-    calls, which gives EVAL and sampling that excludes one color.
-    """
-
-    def _derive(self) -> None:
-        """Also the pool's weight prefix, the color of every pool entry, the
-        pool's ``ColorPrefix``, and for every key of it, the pool's mass
-        before the key's position less its own color's (the prefix the
-        excluding sampler inverts)."""
-        super()._derive()
-        weights = self.pts.weights[self.pool_ids]
-        self.wpre, self.wlo = running_sum(weights)
-        self.pool_colors = self.pts.colors[self.pool_ids]
-        self.color_prefix = cp = ColorPrefix(self.pool_colors, weights)
-        colors = int(cp.keys[-1]) // cp.n + 1 if cp.n else 0
-        firsts = cp.keys.searchsorted(np.arange(colors + 1) * cp.n)   # each color's run
-        runs = np.diff(firsts)
-        first = np.repeat(firsts[:-1], runs)
-        own = (cp.wpre[:-1] - cp.wpre[first]) + (cp.wlo[:-1] - cp.wlo[first])
-        pos = cp.keys - np.repeat(np.arange(colors) * cp.n, runs)
-        self.others_before = self.wpre[pos] - own
-
-    def nbytes(self) -> int:
-        cp = self.color_prefix
-        arrays = (self.wpre, self.wlo, cp.keys, cp.wpre, cp.wlo, self.pool_colors,
-                  self.others_before)
-        return super().nbytes() + sum(a.nbytes for a in arrays)
-
     def pieces_weight(self, pieces: Pieces) -> np.ndarray:
         a, b = pieces.arrays()
-        return (self.wpre[b] - self.wpre[a]) + (self.wlo[b] - self.wlo[a])
+        s = self.sampling
+        return (s.wpre[b] - s.wpre[a]) + (s.wlo[b] - s.wlo[a])
 
     # -- sampling -----------------------------------------------------------
 
@@ -322,9 +321,10 @@ class ColorAwareRangeTree(RangeTree):
         without the points of the excluded color when given. The draws come
         grouped by piece, each group ascending: a multiset, not a sequence
         (a tally counts them by color, so their order does not matter)."""
+        s = self.sampling
         a, b = pieces.arrays()
-        lo = self.wpre[a]
-        mass = self.wpre[b] - lo
+        lo = s.wpre[a]
+        mass = s.wpre[b] - lo
         if excluded is not None:
             lo = lo - excluded.before
             mass = np.maximum(mass - excluded.mass, 0.0)
@@ -346,8 +346,8 @@ class ColorAwareRangeTree(RangeTree):
                 u += shift[0]
                 first, last = a[0], b[0] - 1
             if excluded is not None:
-                u = self._unexclude(u, excluded)
-            pos = self.wpre.searchsorted(u, "right") - 1
+                u = _unexclude(s, u, excluded)
+            pos = s.wpre.searchsorted(u, "right") - 1
             # rounding can put a target just outside its piece
             return np.minimum(np.maximum(pos, first, out=pos), last, out=pos)
 
@@ -357,7 +357,7 @@ class ColorAwareRangeTree(RangeTree):
         for _ in range(64):
             # rounding in the differenced prefix can leave a sliver of mass
             # on an excluded point; redraw those
-            bad = np.flatnonzero(self.pool_colors[pos] == excluded.color)
+            bad = np.flatnonzero(s.colors[pos] == excluded.color)
             if not len(bad):
                 return pos
             pos[bad] = positions(len(bad))
@@ -366,7 +366,7 @@ class ColorAwareRangeTree(RangeTree):
     def exclude(self, pieces: Pieces, color: int) -> Exclusion:
         """The pieces' points of one color, as the excluding sampler and the
         reduced totals need them: one ``searchsorted`` call."""
-        cp = self.color_prefix
+        cp = self.sampling.color_prefix
         k = len(pieces)
         bounds = np.array(pieces.start + pieces.stop + [0, cp.n], dtype=np.int64)
         at = cp.keys.searchsorted(color * cp.n + bounds)
@@ -376,33 +376,31 @@ class ColorAwareRangeTree(RangeTree):
         return Exclusion(color, first, stop, j - i, (hi[j] - hi[i]) + (lo[j] - lo[i]),
                          (hi[i] - hi[first]) + (lo[i] - lo[first]))
 
-    def _unexclude(self, t: np.ndarray, ex: Exclusion) -> np.ndarray:
-        """Targets in the prefix without color ``ex.color`` mapped to the
-        pool's weight prefix: adds the mass of the color's points before
-        each target, found by one search in the color's run."""
-        j = ex.first + self.others_before[ex.first:ex.stop].searchsorted(t, "right")
-        hi, lo = self.color_prefix.wpre, self.color_prefix.wlo
-        return t + ((hi[j] - hi[ex.first]) + (lo[j] - lo[ex.first]))
+
+def _unexclude(s: Sampling, t: np.ndarray, ex: Exclusion) -> np.ndarray:
+    """Targets in the prefix without color ``ex.color`` mapped to the pool's
+    weight prefix: adds the mass of the color's points before each target,
+    found by one search in the color's run."""
+    j = ex.first + s.others_before[ex.first:ex.stop].searchsorted(t, "right")
+    hi, lo = s.color_prefix.wpre, s.color_prefix.wlo
+    return t + ((hi[j] - hi[ex.first]) + (lo[j] - lo[ex.first]))
 
 
 class ColorTrees:
-    """Per-color counting (EVAL) over the pool of a color-aware tree.
+    """Per-color counting (EVAL) over a tree's pool, through the
+    ``ColorPrefix`` of its sampling arrays. Shares the tree it is given
+    (the estimators pass their own), so it adds no storage."""
 
-    Shares the tree it is given (the estimators pass their own), so it adds
-    no storage.
-    """
-
-    def __init__(self, pts: ColoredPointSet, tree: Optional[ColorAwareRangeTree] = None):
-        self.pts = pts
-        self.tree = ColorAwareRangeTree(pts) if tree is None else tree
+    def __init__(self, tree: RangeTree):
+        self.tree = tree
 
     def weight(self, rect: QueryRect, color, pieces: Optional[Pieces] = None):
         """Mass inside the range of one color, or of each color of an array."""
-        return self._per_color(self.tree.color_prefix.mass, rect, color, pieces)
+        return self._per_color(self.tree.sampling.color_prefix.mass, rect, color, pieces)
 
     def count(self, rect: QueryRect, color, pieces: Optional[Pieces] = None):
         """Points inside the range of one color, or of each color of an array."""
-        return self._per_color(self.tree.color_prefix.count, rect, color, pieces)
+        return self._per_color(self.tree.sampling.color_prefix.count, rect, color, pieces)
 
     def _per_color(self, over_span, rect: QueryRect, color, pieces: Optional[Pieces]):
         pieces = self.tree.canonical_nodes(rect) if pieces is None else pieces

@@ -25,7 +25,9 @@ from entrange.core import (
     renyi_kind,
 )
 from entrange.errors import EmptyRange
+from entrange.exactnd import ExactNDIndex
 from entrange.oracle import brute_entropy, brute_histogram
+from entrange.storage import load_index, save_index
 
 from conftest import random_pointset, random_rect
 
@@ -332,7 +334,7 @@ def drawn_colors(oracle, samples, seed):
     """The color of each of the draws a tally with the same seed makes."""
     tree = oracle.index.tree
     pos = tree.draw(oracle.pieces, np.random.default_rng(seed), samples, oracle.exclusion)
-    return tree.pool_colors[pos]
+    return tree.sampling.colors[pos]
 
 
 def per_sample_reference(oracle, samples, seed):
@@ -506,3 +508,26 @@ def test_no_estimator_path_scans_every_point(monkeypatch, request, sampled):
     index = EstimatorIndex(make_mix(rng, [90, 4, 3, 3]))
     assert detect_heavy_color(index, FULL, rng).color == 0
     assert ("exact-fallback" in modes) != sampled
+
+
+def test_exact_answers_hold_no_sampling_arrays(tmp_path, request):
+    # a loaded estimator index holds what an exact index over the same points
+    # holds until a call samples: exact answers derive no sampling arrays
+    rng = np.random.default_rng(5)
+    pts = random_pointset(rng, 300, d=2, m=6, weighted=True)
+    save_index(tmp_path / "e.rqe", "estimator", EstimatorIndex(pts))
+    index = load_index(tmp_path / "e.rqe")[2]
+    exact_bytes = ExactNDIndex(pts, t=0.5).space_stats()["bytes"]
+    answered = 0
+    for rect in [random_rect(rng, d=2) for _ in range(20)]:
+        if index.oracle(rect).is_empty:
+            continue
+        for estimate in ESTIMATORS:
+            stats: dict = {}
+            estimate(index, rect, rng, stats)
+            assert stats["mode"] == "exact-fallback"
+        answered += 1
+    assert answered and index.space_stats()["bytes"] == exact_bytes
+    request.getfixturevalue("always_sample")
+    estimate_additive(index, QueryRect.full(2), 0.25, EXTREME_CFG, rng)
+    assert index.space_stats()["bytes"] > exact_bytes

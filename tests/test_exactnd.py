@@ -1,6 +1,7 @@
 """Exact d-D index on a range tree's canonical pieces: oracle equality,
 heavy weights, the stats and trace contract."""
 
+import sys
 import threading
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrange import core
+from entrange.approx_renyi import estimate_multiplicative_renyi
+from entrange.approx_shannon import EstimatorConfig, EstimatorIndex, estimate_additive
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import OrderNotIndexed
 from entrange.exactnd import ExactNDIndex
@@ -231,30 +234,69 @@ def test_weighted_heavy_points_match_oracle(heavy_lo, heavy_hi, reload, tmp_path
         check_weighted(seed, heavy_lo, heavy_hi, tmp_path / "nd.rqe" if reload else None)
 
 
-def test_concurrent_queries_match_serial(rng):
-    """Two threads share one index; each gets the serial answers."""
+def exact_queries(rng, tmp_path):
+    """A built ExactNDIndex, and thread i's answers: every rectangle and
+    kind, thread 1 in reverse order."""
     pts = random_pointset(rng, 400, d=2, m=10, weighted=True)
     rects = [random_rect(rng, d=2) for _ in range(150)]
     kinds = (SHANNON, renyi_kind(2.0))
-    shared = ExactNDIndex(pts, t=0.8, orders=(2.0,))
-    want = [shared.query(rect, kind).value for rect in rects for kind in kinds]
-    start = threading.Barrier(2)
-    got: list = [None, None]
+    index = ExactNDIndex(pts, t=0.8, orders=(2.0,))
 
-    def run(i):
-        start.wait()
+    def answers(idx, i):
         order = rects if i == 0 else rects[::-1]
-        answers = {(id(rect), kind): shared.query(rect, kind).value
-                   for rect in order for kind in kinds}
-        got[i] = [answers[id(rect), kind] for rect in rects for kind in kinds]
+        got = {(id(rect), kind): idx.query(rect, kind).value for rect in order for kind in kinds}
+        return [got[id(rect), kind] for rect in rects for kind in kinds]
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-    assert got[0] == want and got[1] == want
+    return lambda: index, answers
+
+
+def first_sampled_calls(rng, tmp_path):
+    """A freshly loaded EstimatorIndex, and thread i's answers: sampled
+    estimates (additive Shannon, multiplicative Renyi-2, which also excludes
+    a heavy color) drawn with its own generator, seeded i."""
+    pts = random_pointset(rng, 400, d=2, m=10, weighted=True)
+    rects = [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(20)]
+    save_index(tmp_path / "e.rqe", "estimator", EstimatorIndex(pts))
+    cfg = EstimatorConfig(c_add=0.2, c_mult=2.0, c_mom=0.05, moment_c1=1.0, moment_c2=1.0)
+
+    def answers(idx, i):
+        g = np.random.default_rng(i)
+        return [(estimate_additive(idx, rect, 0.25, cfg, g).value,
+                 estimate_multiplicative_renyi(idx, rect, 2.0, 0.3, cfg, g).value)
+                for rect in rects if not idx.oracle(rect).is_empty]
+
+    return lambda: load_index(tmp_path / "e.rqe")[2], answers
+
+
+def test_concurrent_queries_match_serial(rng, tmp_path, always_sample):
+    """Two threads share one index; each gets a serial run's answers. On the
+    loaded estimator index their first calls race to derive the tree's
+    sampling arrays; a short switch interval interleaves them finely."""
+    interval = sys.getswitchinterval()
+    for case in (exact_queries, first_sampled_calls):
+        fresh, answers = case(rng, tmp_path)
+        serial = fresh()
+        want = [answers(serial, 0), answers(serial, 1)]
+        shared = fresh()
+        assert "sampling" not in vars(shared.tree)
+        start = threading.Barrier(2)
+        got: list = [None, None]
+
+        def run(i):
+            start.wait()
+            got[i] = answers(shared, i)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want, case.__name__
 
 
 _exponent = st.floats(min_value=0.0, max_value=12.0)

@@ -11,7 +11,6 @@ from entrange.core import ColoredPointSet, QueryRect
 from entrange.errors import EmptyRange
 from entrange.oracle import brute_histogram
 from entrange.rangetree import (
-    ColorAwareRangeTree,
     ColorTrees,
     Pieces,
     RangeTree,
@@ -40,7 +39,7 @@ def draw_ids(tree, rect, rng, size, excluded=None):
 
 def test_empty_tree():
     pts = ColoredPointSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     rect = QueryRect((0.0, 0.0), (1.0, 1.0))
     pieces = tree.canonical_nodes(rect)
     assert len(pieces) == 0
@@ -51,7 +50,7 @@ def test_empty_tree():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_canonical_partition_property(rng, d):
     pts = random_pointset(rng, 300, d=d, m=12, weighted=True, duplicate_frac=0.1)
-    tree = RangeTree.build(pts)
+    tree = RangeTree(pts)
     for _ in range(60):
         rect = random_rect(rng, d=d)
         pieces = tree.canonical_nodes(rect)
@@ -143,7 +142,7 @@ def test_keys_derived_from_the_pool(rng, d, n):
     pts = random_pointset(rng, n, d=d, m=5, weighted=True, duplicate_frac=0.3)
     weights = np.where(rng.random(n) < 0.2, 0.0, pts.weights)
     pts = ColoredPointSet(pts.coords, pts.colors, weights, num_colors=5)
-    tree = RangeTree.build(pts)
+    tree = RangeTree(pts)
     levels = reference_levels(pts, tree.rows)
     assert np.array_equal(np.concatenate(levels[-1][0]), tree.pool_ids)
     assert len(tree.keys) == (d - 1 if tree.n else 0)
@@ -227,24 +226,24 @@ def grid_case(rng, n, d):
 def test_walk_matches_cut_key_search(d, n):
     # 120 and 320 positive-weight points: ranks on uint8 and on uint16
     pts, rects = grid_case(np.random.default_rng(10 * n + d), n, d)
-    for tree in (RangeTree.build(pts), ColorAwareRangeTree.build(pts)):
-        assert tree.last_rank.dtype == np.min_scalar_type(n - n // 5)
-        keys = cut_keys(tree)
-        empty = 0
-        for rect in rects:
-            got = tree.canonical_nodes(rect)
-            assert (got.start, got.stop) == cut_key_pieces(tree, keys, rect), rect
-            assert all(type(x) is int for x in got.start + got.stop)
-            assert range_count(tree, rect) == int((rect.mask(pts) & (pts.weights > 0)).sum())
-            empty += not len(got)
-        assert 0 < empty < len(rects)
+    tree = RangeTree(pts)
+    assert tree.last_rank.dtype == np.min_scalar_type(n - n // 5)
+    keys = cut_keys(tree)
+    empty = 0
+    for rect in rects:
+        got = tree.canonical_nodes(rect)
+        assert (got.start, got.stop) == cut_key_pieces(tree, keys, rect), rect
+        assert all(type(x) is int for x in got.start + got.stop)
+        assert range_count(tree, rect) == int((rect.mask(pts) & (pts.weights > 0)).sum())
+        empty += not len(got)
+    assert 0 < empty < len(rects)
     zero = ColoredPointSet(pts.coords, pts.colors, np.zeros(n))
-    assert len(RangeTree.build(zero).canonical_nodes(QueryRect.full(d))) == 0
+    assert len(RangeTree(zero).canonical_nodes(QueryRect.full(d))) == 0
 
 
 def test_canonical_nodes_makes_no_numpy_call(rng):
     pts = random_pointset(rng, 300, d=3, m=9, weighted=True, duplicate_frac=0.1)
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     rects = [random_rect(rng, d=3) for _ in range(40)] + [QueryRect.full(3)]
     pieces, calls, numpy_calls = profiled_calls(
         lambda: [tree.canonical_nodes(rect) for rect in rects])
@@ -253,49 +252,55 @@ def test_canonical_nodes_makes_no_numpy_call(rng):
     assert not numpy_calls
 
 
+def sampling_arrays(tree):
+    s = tree.sampling
+    cp = s.color_prefix
+    return {"wpre": s.wpre, "wlo": s.wlo, "colors": s.colors, "cp.keys": cp.keys,
+            "cp.wpre": cp.wpre, "cp.wlo": cp.wlo, "others_before": s.others_before}
+
+
 def test_derived_arrays_are_counted_and_rebuilt_on_load(rng, tmp_path):
-    # an estimator file holds the points and the pool alone; every other
-    # tree array is derived on build and on load, and counted by nbytes and
-    # space_stats
+    # an estimator file holds the points and the pool alone. What the exact
+    # answer reads is derived on build and on load; the sampling arrays on
+    # the first draw or EVAL, never by an exact answer, a save or a load.
+    # nbytes and space_stats count what the tree holds
     pts = random_pointset(rng, 300, d=2, m=7, weighted=True)
     index = EstimatorIndex(pts)
     tree = index.tree
     assert tuple(index.to_arrays()[0]) == tree.STORED == ("coords", "colors", "weights",
                                                          "pool_ids")
-    cp = tree.color_prefix
     assert tree.last_rank.dtype == np.min_scalar_type(tree.n)
     assert tree.pool_ids.dtype == np.min_scalar_type(len(pts) - 1) == np.uint16
-    derived = {"keys": tree.keys[0], "last_sorted": tree.last_sorted,
-               "last_rank": tree.last_rank, "wpre": tree.wpre, "wlo": tree.wlo,
-               "cp.keys": cp.keys, "cp.wpre": cp.wpre, "cp.wlo": cp.wlo,
-               "pool_colors": tree.pool_colors, "others_before": tree.others_before}
+    exact = {"keys": tree.keys[0], "last_sorted": tree.last_sorted,
+             "last_rank": tree.last_rank}
     assert len(tree.keys) == 1
-    assert tree.nbytes() == tree.pool_ids.nbytes + sum(a.nbytes for a in derived.values())
-    assert index.space_stats()["bytes"] == tree.nbytes()
+    held = tree.pool_ids.nbytes + sum(a.nbytes for a in exact.values())
+    full = QueryRect.full(2)
+    assert len(tree.color_masses(tree.canonical_nodes(full))) == 7
     save_index(tmp_path / "e.rqe", "estimator", index)
-    loaded = load_index(tmp_path / "e.rqe")[2].tree
-    lcp = loaded.color_prefix
+    loaded_index = load_index(tmp_path / "e.rqe")[2]
+    loaded = loaded_index.tree
     got = {"keys": loaded.keys[0], "last_sorted": loaded.last_sorted,
-           "last_rank": loaded.last_rank, "wpre": loaded.wpre, "wlo": loaded.wlo,
-           "cp.keys": lcp.keys, "cp.wpre": lcp.wpre, "cp.wlo": lcp.wlo,
-           "pool_colors": loaded.pool_colors, "others_before": loaded.others_before}
-    for name, want in derived.items():
+           "last_rank": loaded.last_rank}
+    for name, want in exact.items():
         assert got[name].dtype == want.dtype and np.array_equal(got[name], want), name
-    assert loaded.nbytes() == tree.nbytes()
-    # a plain tree derives only what the exact path reads: no weight prefix
-    plain = RangeTree.build(pts)
-    arrays, scalars = plain.to_arrays()
-    assert tuple(arrays) == plain.STORED
-    assert plain.nbytes() == sum(a.nbytes for a in (tree.keys[0], tree.pool_ids,
-                                                    tree.last_sorted, tree.last_rank))
-    loaded = RangeTree.from_arrays(arrays, scalars)
-    assert not hasattr(loaded, "wpre")
-    assert np.array_equal(loaded.last_rank, tree.last_rank)
+    for t in (tree, loaded):
+        assert "sampling" not in vars(t) and t.nbytes() == held
+    assert index.space_stats()["bytes"] == loaded_index.space_stats()["bytes"] == held
+    # a first draw on the built tree, a first EVAL on the loaded one
+    tree.draw(tree.canonical_nodes(full), rng, 10)
+    assert loaded_index.color_trees.weight(full, 0) > 0.0
+    want, got = sampling_arrays(tree), sampling_arrays(loaded)
+    for name, a in want.items():
+        assert got[name].dtype == a.dtype and np.array_equal(got[name], a), name
+    assert tree.sampling is tree.sampling   # derived once, then held
+    held += sum(a.nbytes for a in want.values())
+    assert tree.nbytes() == loaded.nbytes() == index.space_stats()["bytes"] == held
 
 
 def test_full_space_and_empty_rect(rng):
     pts = random_pointset(rng, 128, d=2, m=6)
-    tree = RangeTree.build(pts)
+    tree = RangeTree(pts)
     full = QueryRect.full(2)
     assert range_count(tree, full) == 128
     nowhere = QueryRect((200.0, 200.0), (300.0, 300.0))
@@ -305,7 +310,7 @@ def test_full_space_and_empty_rect(rng):
 @pytest.mark.parametrize("d", [1, 2])
 def test_counts_match_brute_force(rng, d):
     pts = random_pointset(rng, 500, d=d, m=20, weighted=True)
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     for _ in range(200):
         rect = random_rect(rng, d=d)
         mask = rect.mask(pts)
@@ -317,7 +322,7 @@ def test_counts_match_brute_force(rng, d):
 def test_canonical_node_count_polylog(rng):
     n = 1000
     pts = random_pointset(rng, n, d=2, m=30)
-    tree = RangeTree.build(pts)
+    tree = RangeTree(pts)
     # calibrated once: 2-D canonical counts stay below C * log2(n)^2 with C=4
     cap = 4 * np.log2(n) ** 2
     worst = 0
@@ -329,7 +334,7 @@ def test_canonical_node_count_polylog(rng):
 
 def test_color_range_count(rng):
     pts = random_pointset(rng, 400, d=2, m=10, weighted=True)
-    trees = ColorTrees(pts)
+    trees = ColorTrees(RangeTree(pts))
     for _ in range(50):
         rect = random_rect(rng, d=2)
         hist = brute_histogram(pts, rect)
@@ -345,21 +350,21 @@ def test_color_range_count(rng):
 
 def test_sample_single_point(rng):
     pts = ColoredPointSet(np.array([[5.0, 5.0]]), np.array([3]), num_colors=4)
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     rect = QueryRect((0.0, 0.0), (10.0, 10.0))
     assert draw_ids(tree, rect, rng, 20).tolist() == [0] * 20
 
 
 def test_sample_empty_raises(rng):
     pts = random_pointset(rng, 50, d=1)
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     with pytest.raises(EmptyRange):
         draw_ids(tree, QueryRect.interval(200.0, 300.0), rng, 1)
 
 
 def test_samplers_raise_empty_range_on_empty_pieces(rng):
     pts = random_pointset(rng, 50, d=2, m=4)
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     nowhere = QueryRect((200.0, 200.0), (300.0, 300.0))
     none = Pieces([], [])
     with pytest.raises(EmptyRange):
@@ -377,7 +382,7 @@ def test_samplers_raise_empty_range_on_empty_pieces(rng):
 
 def test_sample_uniform_frequencies(rng):
     pts = ColoredPointSet(np.array([[1.0], [2.0], [3.0], [4.0]]), np.arange(4))
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     rect = QueryRect.interval(0.0, 10.0)
     draws = 40_000
     counts = np.bincount(draw_ids(tree, rect, rng, draws), minlength=4)
@@ -389,7 +394,7 @@ def test_sample_uniform_frequencies(rng):
 def test_sample_weighted_ratio(rng):
     pts = ColoredPointSet(np.array([[1.0], [2.0]]), np.array([0, 1]),
                           np.array([1.0, 3.0]))
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     rect = QueryRect.interval(0.0, 10.0)
     draws = 40_000
     hits = int((draw_ids(tree, rect, rng, draws) == 1).sum())
@@ -400,7 +405,7 @@ def test_sample_weighted_ratio(rng):
 def test_sample_law_matches_restriction(rng):
     # restricted to a strict sub-rectangle, empirical law ~ weights in range
     pts = random_pointset(rng, 60, d=2, m=5, weighted=True)
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     rect = QueryRect((20.0, 10.0), (80.0, 90.0))
     mask = rect.mask(pts)
     if not mask.any():
@@ -416,26 +421,26 @@ def test_sample_law_matches_restriction(rng):
 
 
 # ---------------------------------------------------------------------------
-# color-aware tree and exclusion sampling
+# the sampling arrays: per-color masses and exclusion sampling
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_piece_color_masses_sum_to_weight(rng, d):
     pts = random_pointset(rng, 200, d=d, m=8, weighted=True, duplicate_frac=0.1)
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     colors = np.arange(8)
     for _ in range(40):
         pieces = tree.canonical_nodes(random_rect(rng, d=d))
         weights = tree.pieces_weight(pieces)
         for a, b, w in zip(pieces.start, pieces.stop, weights):
-            masses = tree.color_prefix.mass(colors, a, b)
+            masses = tree.sampling.color_prefix.mass(colors, a, b)
             assert abs(masses.sum() - w) < 1e-9
             assert w == pytest.approx(pts.weights[tree.pool_ids[a:b]].sum(), abs=1e-9)
 
 
 def test_sample_excluding_two_colors(rng):
     pts = ColoredPointSet(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 1]))
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     rect = QueryRect.interval(0.0, 10.0)
     assert set(draw_ids(tree, rect, rng, 50, excluded=1).tolist()) == {0}
     assert set(draw_ids(tree, rect, rng, 50, excluded=0).tolist()) <= {1, 2}
@@ -443,7 +448,7 @@ def test_sample_excluding_two_colors(rng):
 
 def test_sample_excluding_absent_color_matches_plain_law(rng):
     pts = random_pointset(rng, 40, d=1, m=4, weighted=True)
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     rect = QueryRect.interval(10.0, 90.0)
     mask = rect.mask(pts)
     if not mask.any():
@@ -459,7 +464,7 @@ def test_sample_excluding_absent_color_matches_plain_law(rng):
 
 def test_sample_excluding_law(rng):
     pts = random_pointset(rng, 80, d=2, m=5, weighted=True)
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     rect = QueryRect((10.0, 10.0), (90.0, 90.0))
     excluded = 2
     mask = rect.mask(pts) & (np.asarray(pts.colors) != excluded)
@@ -477,6 +482,6 @@ def test_sample_excluding_law(rng):
 
 def test_sample_excluding_everything_raises(rng):
     pts = ColoredPointSet(np.array([[1.0], [2.0]]), np.array([0, 0]))
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     with pytest.raises(EmptyRange):
         draw_ids(tree, QueryRect.interval(0.0, 10.0), rng, 1, excluded=0)

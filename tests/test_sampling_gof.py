@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from entrange.core import ColoredPointSet, QueryRect
-from entrange.rangetree import ColorAwareRangeTree
+from entrange.rangetree import RangeTree
 
 DRAWS = 100_000
 SIGNIFICANCE = 1e-3
@@ -55,7 +55,7 @@ SCENARIOS = [
 def test_sampling_law_chi_square(spec):
     seed, n, d, m, weighted, excluded = spec
     pts, rect, excluded = _scenario(seed, n, d, m, weighted, excluded)
-    tree = ColorAwareRangeTree.build(pts)
+    tree = RangeTree(pts)
     mask = rect.mask(pts)
     if excluded is not None:
         mask &= pts.colors != excluded
