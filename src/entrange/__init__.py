@@ -17,18 +17,16 @@ from .core import (
     renyi_kind,
     shannon_entropy,
 )
-from .approx_renyi import (
-    estimate_additive_renyi,
-    estimate_moment,
-    estimate_moment_excluding,
-    estimate_multiplicative_renyi,
-)
-from .approx_shannon import (
+from .approx import (
     EstimatorConfig,
     EstimatorIndex,
     detect_heavy_color,
     estimate_additive,
+    estimate_additive_renyi,
+    estimate_moment,
+    estimate_moment_excluding,
     estimate_multiplicative,
+    estimate_multiplicative_renyi,
 )
 from .errors import (
     EmptyRange,

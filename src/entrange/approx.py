@@ -23,8 +23,9 @@ more than 2/3 of the mass. Without one the entropy is bounded below and one
 statistic over the range gives the factor; with one, that color's exact
 share is peeled off and the light remainder is estimated through the
 color-excluding sampler (Shannon: :func:`.core.insert_color_shannon`;
-Renyi: :func:`heavy_combine_renyi` with the full moment). The Renyi entry
-points are in :mod:`.approx_renyi`.
+Renyi: :func:`heavy_combine_renyi` with the full moment). The moment
+estimators return the Renyi statistic itself, over the range or over the
+range without one color.
 
 ``stats["mode"]`` names the path that answered: ``"sampled"`` or
 ``"exact-fallback"`` for an additive estimator; ``"exact-fallback"``,
@@ -46,9 +47,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (SHANNON, ColoredPointSet, EntropyKind, EntropySummary, QueryRect,
-                   entropy_from_statistic, g, insert_color_shannon, mass_statistic)
+                   entropy_from_statistic, g, insert_color_shannon, mass_statistic,
+                   renyi_kind)
 from .errors import EmptyRange
-from .rangetree import ColorTrees, Pieces, RangeTree
+from .rangetree import ColorTrees, Exclusion, Pieces, RangeTree
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,9 @@ class DualAccessOracle:
     The rectangle is decomposed once into canonical pieces; SAMP draws
     batches from them and EVAL is exact (color masses over the pieces).
     With ``excluded`` set, both operate on the sub-population without that
-    color.
+    color. Only ``pieces`` and their point count ``points`` are built
+    here: the rest is derived on its first read, so an exact answer
+    derives no sampling arrays.
     """
 
     def __init__(self, index: "EstimatorIndex", rect: QueryRect,
@@ -93,16 +97,22 @@ class DualAccessOracle:
         self.rect = rect
         self.excluded = excluded
         self.pieces = index.tree.canonical_nodes(rect) if pieces is None else pieces
-        self.total_count = sum(self.pieces.stop) - sum(self.pieces.start)
-        self.exclusion = None
-        if excluded is not None:
-            self.exclusion = index.tree.exclude(self.pieces, excluded)
-            self.total_count -= int(self.exclusion.count.sum())
+        self.points = sum(self.pieces.stop) - sum(self.pieces.start)
+
+    @functools.cached_property
+    def exclusion(self) -> Optional[Exclusion]:
+        """The excluded color's points in the pieces, or None."""
+        return None if self.excluded is None else self.index.tree.exclude(self.pieces, self.excluded)
+
+    @functools.cached_property
+    def total_count(self) -> int:
+        """Points of the (reduced) range."""
+        return self.points - (0 if self.exclusion is None else int(self.exclusion.count.sum()))
 
     @functools.cached_property
     def total_weight(self) -> float:
         """Mass of the (reduced) range, from the pieces' weight prefixes
-        unless :meth:`color_masses` has set it first."""
+        unless :func:`exact_statistic` has set it first."""
         weight = float(self.index.tree.pieces_weight(self.pieces).sum())
         return weight if self.exclusion is None else weight - float(self.exclusion.mass.sum())
 
@@ -114,20 +124,27 @@ class DualAccessOracle:
     def is_empty(self) -> bool:
         """True when no point of positive weight remains (the pool holds only
         positive weights, so only a reduced range needs its mass checked)."""
-        return self.total_count == 0 or (self.exclusion is not None and self.total_weight <= 0.0)
+        if self.excluded is None:
+            return self.points == 0
+        return self.total_count == 0 or self.total_weight <= 0.0
 
     def color_weight(self, color):
         """Mass inside the range of one color, or of each color of an array:
         EVAL, through the index's ``color_trees``."""
         return self.index.color_trees.weight(self.rect, color, pieces=self.pieces)
 
-    def tally(self, rng: np.random.Generator, size: int, stats: Optional[dict] = None):
-        """Draws ``size`` samples and counts them by color: returns the colors
-        drawn (ascending), how often each was drawn and each one's mass in
-        the range, EVAL'd once per color. Adds the number of colors to
-        ``stats["distinct_colors"]``. Costs O(size + largest color drawn)."""
+    def tally(self, rng: Optional[np.random.Generator], size: int,
+              stats: Optional[dict] = None):
+        """Draws ``size`` samples (from a fresh generator when ``rng`` is
+        None) and counts them by color: returns the colors drawn
+        (ascending), how often each was drawn and each one's mass in the
+        range, EVAL'd once per color. Adds the number of colors to
+        ``stats["distinct_colors"]``. Costs O(size + largest color drawn).
+        Refuses an empty range before drawing: a reduced range with no points
+        can keep a sliver of prefix-differenced mass, which would be drawn."""
         if self.is_empty:
             raise EmptyRange("no mass to sample in query range")
+        rng = np.random.default_rng() if rng is None else rng
         pos = self.index.tree.draw(self.pieces, rng, size, self.exclusion)
         counts = np.bincount(self.index.tree.sampling.colors[pos])
         colors = np.flatnonzero(counts)
@@ -135,7 +152,7 @@ class DualAccessOracle:
             stats["distinct_colors"] += len(colors)
         return colors, counts[colors], self.color_weight(colors)
 
-    def heavy_color(self, rng: np.random.Generator,
+    def heavy_color(self, rng: Optional[np.random.Generator],
                     stats: Optional[dict] = None) -> Optional[HeavyColor]:
         """See :func:`detect_heavy_color`."""
         colors, _, weights = self.tally(rng, heavy_draws(self.index), stats)
@@ -147,16 +164,10 @@ class DualAccessOracle:
     def use_sampling(self, samples: int) -> bool:
         """The one choice between sampling and the exact answer: ``samples``
         draws cost less than the exact answer, which reads each of the
-        (reduced) range's points once, when the range holds more points."""
-        return samples < self.total_count
-
-    def color_masses(self) -> np.ndarray:
-        """Positive color masses of the (reduced) range, from
-        :meth:`.RangeTree.color_masses`. Sets ``total_weight`` to their sum,
-        so an exact answer reads no weight prefix."""
-        masses = self.index.tree.color_masses(self.pieces, self.excluded)
-        self.total_weight = float(masses.sum())
-        return masses
+        (reduced) range's points once, when the range holds more points.
+        The pieces' count comes first: the reduced count, which needs the
+        sampling arrays, never exceeds it."""
+        return samples < self.points and (self.excluded is None or samples < self.total_count)
 
 
 class EstimatorIndex:
@@ -195,20 +206,25 @@ class EstimatorIndex:
 
 
 def tally_mean(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
-               rng: np.random.Generator, stats: Optional[dict] = None) -> float:
+               rng: Optional[np.random.Generator], stats: Optional[dict] = None) -> float:
     """Mean of g(EVAL(SAMP())) over ``samples`` draws, from their tally."""
     _, counts, weights = oracle.tally(rng, samples, stats)
     return float((counts * g(kind, weights / oracle.total_weight)).sum() / samples)
 
 
 def exact_statistic(kind: EntropyKind, oracle: DualAccessOracle) -> float:
-    """sum_c p_c g(p_c) over the (reduced) range's color probabilities."""
-    masses = oracle.color_masses()   # first: it sets total_weight
-    return mass_statistic(masses, oracle.total_weight, kind)
+    """sum_c p_c g(p_c) over the (reduced) range's color probabilities, from
+    :meth:`.RangeTree.color_masses`. Sets the oracle's ``total_weight`` to
+    the masses' sum, so an exact answer reads no weight prefix."""
+    masses = oracle.index.tree.color_masses(oracle.pieces, oracle.excluded)
+    oracle.total_weight = total = float(masses.sum())
+    if not total > 0.0:
+        raise EmptyRange("no mass in (reduced) query range")
+    return mass_statistic(masses, total, kind)
 
 
 def statistic(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
-              rng: np.random.Generator, stats: Optional[dict] = None) -> tuple[float, int]:
+              rng: Optional[np.random.Generator], stats: Optional[dict] = None) -> tuple[float, int]:
     """The kind's statistic over the oracle's law and the draws it took: a
     tally mean of ``samples`` draws where :meth:`DualAccessOracle.use_sampling`
     allows, otherwise exact, with 0 draws."""
@@ -272,11 +288,10 @@ def heavy_combine(kind: EntropyKind, heavy: HeavyColor, rest: float,
     return heavy_combine_renyi(1.0 - rho**alpha, light, full, alpha)
 
 
-def prepare_query(index: EstimatorIndex, rect: QueryRect, rng: Optional[np.random.Generator],
-                  stats: Optional[dict] = None, **accuracy: float):
+def prepare_query(index: EstimatorIndex, rect: QueryRect, stats: Optional[dict] = None,
+                  **accuracy: float) -> DualAccessOracle:
     """Checks each accuracy parameter lies in (0, 1), then returns the
-    rectangle's oracle, which must hold mass, and the generator to use.
-    Starts ``stats`` with the query's canonical ``pieces`` and a zero
+    rectangle's oracle, which must hold mass. Starts ``stats`` with the query's canonical ``pieces`` and a zero
     ``distinct_colors`` (colors EVAL'd over the call's tallies)."""
     for name, value in accuracy.items():
         if not 0.0 < value < 1.0:
@@ -287,7 +302,7 @@ def prepare_query(index: EstimatorIndex, rect: QueryRect, rng: Optional[np.rando
         stats["distinct_colors"] = 0
     if oracle.is_empty:
         raise EmptyRange("query range holds no mass")
-    return oracle, rng if rng is not None else np.random.default_rng()
+    return oracle
 
 
 def additive(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, delta: float,
@@ -295,7 +310,7 @@ def additive(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, delta: f
              stats: Optional[dict] = None) -> EntropySummary:
     """Entropy of the kind within +-delta, with high probability: one
     statistic, with the family's draw count."""
-    oracle, rng = prepare_query(index, rect, rng, stats, delta=delta)
+    oracle = prepare_query(index, rect, stats, delta=delta)
     if kind.alpha is None:
         samples = additive_sample_count(index, delta, cfg)
     else:   # both Renyi routes draw through the one dual oracle: take the cheaper
@@ -319,7 +334,7 @@ def multiplicative(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, ep
     is heavy; ``rest_draws`` over the range without the heavy color when
     one is, and beside them ``full_draws`` over the whole range (Renyi's
     full moment; 0, none, for Shannon)."""
-    oracle, rng = prepare_query(index, rect, rng, stats, eps=eps)
+    oracle = prepare_query(index, rect, stats, eps=eps)
     alpha = kind.alpha
     if alpha is None:
         light_draws = math.ceil(cfg.c_mult * math.log2(max(2, len(index))) / (eps**2 * 0.9))
@@ -333,7 +348,10 @@ def multiplicative(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, ep
         rest_draws = moment_sample_count(index, alpha, min(eps2, 0.999), cfg)
         full_draws = moment_sample_count(index, alpha, min(eps1, 0.999), cfg)
     mode, drawn = "exact-fallback", 0
-    if not oracle.use_sampling(heavy_draws(index) + min(light_draws, rest_draws + full_draws)):
+    sample = oracle.use_sampling(heavy_draws(index) + min(light_draws, rest_draws + full_draws))
+    if sample and rng is None:
+        rng = np.random.default_rng()   # one generator for all of the call's tallies
+    if not sample:
         value = entropy_from_statistic(exact_statistic(kind, oracle), kind)
     elif (heavy := oracle.heavy_color(rng, stats)) is None:
         # no dominant color: the entropy is bounded below, so one statistic
@@ -382,5 +400,56 @@ def detect_heavy_color(index: EstimatorIndex, rect: QueryRect,
     probability at most 1/(2n). Any candidate is verified by exact
     counting, so a returned ratio is never a sampling artifact.
     """
-    oracle, rng = prepare_query(index, rect, rng)
-    return oracle.heavy_color(rng)
+    return prepare_query(index, rect).heavy_color(rng)
+
+
+@dataclass(frozen=True)
+class MomentEstimate:
+    """Estimate of sum_i p_i^alpha over the range's color distribution."""
+
+    alpha: float
+    value: float
+    rel_error: float          # requested relative error target
+    samples: int              # 0 means the moment was computed exactly
+
+
+def _moment(index: EstimatorIndex, oracle: DualAccessOracle, alpha: float, eps: float,
+            cfg: EstimatorConfig, rng: Optional[np.random.Generator]) -> MomentEstimate:
+    value, drawn = statistic(renyi_kind(alpha), oracle,
+                             moment_sample_count(index, alpha, eps, cfg), rng)
+    return MomentEstimate(alpha, value, eps, drawn)
+
+
+def estimate_moment(index: EstimatorIndex, rect: QueryRect, alpha: float, eps: float,
+                    cfg: EstimatorConfig = DEFAULT_CONFIG,
+                    rng: Optional[np.random.Generator] = None) -> MomentEstimate:
+    """Relative-error estimate of the alpha-th frequency moment in the range."""
+    renyi_kind(alpha)   # raises InvalidOrder unless alpha > 1
+    return _moment(index, prepare_query(index, rect, eps=eps), alpha, eps, cfg, rng)
+
+
+def estimate_moment_excluding(index: EstimatorIndex, rect: QueryRect, alpha: float,
+                              eps: float, excluded: int,
+                              cfg: EstimatorConfig = DEFAULT_CONFIG,
+                              rng: Optional[np.random.Generator] = None) -> MomentEstimate:
+    """Moment of the range's distribution with one color removed, normalized
+    by the reduced total mass."""
+    renyi_kind(alpha)   # raises InvalidOrder unless alpha > 1
+    oracle = prepare_query(index, rect, eps=eps)
+    return _moment(index, oracle.excluding(excluded), alpha, eps, cfg, rng)
+
+
+def estimate_additive_renyi(index: EstimatorIndex, rect: QueryRect, alpha: float,
+                            delta: float, cfg: EstimatorConfig = DEFAULT_CONFIG,
+                            rng: Optional[np.random.Generator] = None,
+                            stats: Optional[dict] = None) -> EntropySummary:
+    """Renyi entropy within +-delta, with high probability."""
+    return additive(index, rect, renyi_kind(alpha), delta, cfg, rng, stats)
+
+
+def estimate_multiplicative_renyi(index: EstimatorIndex, rect: QueryRect, alpha: float,
+                                  eps: float, cfg: EstimatorConfig = DEFAULT_CONFIG,
+                                  rng: Optional[np.random.Generator] = None,
+                                  stats: Optional[dict] = None) -> EntropySummary:
+    """Renyi entropy within a (1+eps) factor, with high probability."""
+    return multiplicative(index, rect, renyi_kind(alpha), eps, cfg, rng, stats)

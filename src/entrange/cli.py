@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from . import exact1d, exactnd, partition, storage, sweep1d
-from .approx_shannon import EstimatorIndex, additive, multiplicative
+from .approx import EstimatorIndex, additive, multiplicative
 from .core import QueryRect, SHANNON, renyi_kind, stable_order
 from .errors import DataFormatError, EntrangeError, IndexFileError, IndexKindMismatch
 

@@ -92,12 +92,25 @@ def color_type(num_colors: int) -> np.dtype:
     return np.min_scalar_type(max(num_colors - 1, 0))
 
 
+def frozen(array, dtype) -> np.ndarray:
+    """``array`` on ``dtype`` and read-only. A view of immutable ``bytes``
+    (an index file's payload, as :func:`.storage.load_index` hands it over)
+    already is, and is kept; anything else is copied and the copy frozen, so
+    a caller's array stays writeable and its later writes change no set."""
+    if isinstance(array, np.ndarray) and array.dtype == dtype and isinstance(array.base, bytes):
+        return array
+    array = np.array(array, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
 class ColoredPointSet:
     """Immutable set of colored, weighted points in R^d.
 
     Color ids are dense integers 0..m-1. Use :meth:`from_labeled` to intern
     arbitrary labels in first-appearance order. The backing numpy arrays are
-    marked read-only after construction.
+    read-only: views of a loaded file's payload, or frozen copies of what
+    the caller passed (:func:`frozen`).
     """
 
     __slots__ = ("coords", "colors", "weights", "labels", "_num_colors")
@@ -110,19 +123,16 @@ class ColoredPointSet:
         labels: Optional[tuple] = None,
         num_colors: Optional[int] = None,
     ):
-        coords = np.array(coords, dtype=np.float64, copy=True)
+        coords = frozen(coords, np.float64)
         if coords.ndim == 1:
             coords = coords.reshape(-1, 1)  # flat input means 1-D points
-        colors = np.asarray(colors, dtype=np.int64)
+        colors = frozen(colors, np.int64)
         n = coords.shape[0]
         if colors.shape != (n,):
             raise ValueError("colors must be one id per point")
-        if weights is None:
-            weights = np.ones(n, dtype=np.float64)
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (n,):
-                raise ValueError("weights must be one value per point")
+        weights = frozen(np.ones(n) if weights is None else weights, np.float64)
+        if weights.shape != (n,):
+            raise ValueError("weights must be one value per point")
         if n and not np.all(np.isfinite(coords)):
             raise InvalidWeight("coordinates must be finite")
         if n and not np.all(np.isfinite(weights)):
@@ -138,8 +148,6 @@ class ColoredPointSet:
             m = num_colors
         if labels is not None and len(labels) != m:
             raise ValueError("labels must cover all color ids")
-        for arr in (coords, colors, weights):
-            arr.setflags(write=False)
         self.coords = coords
         self.colors = colors
         self.weights = weights

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import approx_shannon, core
+from . import approx, core
 from .core import ColoredPointSet, EntropyKind, EntropySummary, QueryRect, SHANNON
 from .errors import TooManyBuckets
 from .oracle import OracleBackend, expected_entropy  # noqa: F401  (OracleBackend: re-exported)
@@ -80,18 +80,18 @@ class EstimateBackend:
     last point, so 1-D ranges require distinct coordinates.
     """
 
-    def __init__(self, index: approx_shannon.EstimatorIndex, mode: str = "additive",
+    def __init__(self, index: approx.EstimatorIndex, mode: str = "additive",
                  delta: float = 0.1, eps: float = 0.2, alpha: Optional[float] = None,
-                 cfg: Optional[approx_shannon.EstimatorConfig] = None,
+                 cfg: Optional[approx.EstimatorConfig] = None,
                  rng: Optional[np.random.Generator] = None):
         if mode not in ("additive", "multiplicative"):
             raise ValueError(f"unknown estimator mode {mode!r}")
         self.index = index
         self.mode = mode
         additive = mode == "additive"
-        self.estimate = approx_shannon.additive if additive else approx_shannon.multiplicative
+        self.estimate = approx.additive if additive else approx.multiplicative
         self.accuracy = delta if additive else eps
-        self.cfg = cfg if cfg is not None else approx_shannon.DEFAULT_CONFIG
+        self.cfg = cfg if cfg is not None else approx.DEFAULT_CONFIG
         self.rng = rng if rng is not None else np.random.default_rng()
         self.kind = SHANNON if alpha is None else core.renyi_kind(alpha)
         pts = index.pts

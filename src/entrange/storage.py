@@ -35,7 +35,8 @@ digest before it builds any array, and then that the manifest names
 exactly the kind's arrays, each of a fixed-width numeric dtype and with a
 shape, offset and length that fit the payload. The arrays come back as
 read-only views of the payload, with no copy; the colors are then widened
-to an int64 copy. The points' arrays must be on exactly the dtypes a save
+to an int64 copy, and the coordinates and weights stay views
+(:func:`.core.frozen`). The points' arrays must be on exactly the dtypes a save
 writes: coordinates and weights on float64 and colors on the color count's
 type, so float, boolean or wider colors are refused, not cast. A sweep
 file's ladders are checked against the layout derived from its points
@@ -59,7 +60,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .approx_shannon import EstimatorIndex
+from .approx import EstimatorIndex
 from .core import ColoredPointSet
 from .errors import (
     DataFormatError,
@@ -143,6 +144,11 @@ def load_index(path: Union[str, Path], expect_kind: Optional[str] = None):
         header_bytes = fh.read(header_len)
         if len(header_bytes) != header_len:
             raise NotAnIndex(f"{path}: truncated header")
+        # the payload is read as its own bytes object, not sliced out of the
+        # whole file's: its buffer start is aligned and the header's length
+        # is arbitrary, so only here do the 64-byte offsets give aligned
+        # arrays (memoryviews of unaligned ones, as a sweep query takes,
+        # raise NotImplementedError)
         payload = fh.read()
     try:
         header = json.loads(header_bytes.decode("utf-8"))
@@ -196,7 +202,7 @@ def _views(path, manifest, payload: bytes, names: tuple) -> dict:
         if (offset % ALIGN or nbytes != count * dtype.itemsize
                 or offset + nbytes > len(payload)):
             raise NotAnIndex(f"{path}: array {name!r} does not fit the payload")
-        arrays[name] = np.frombuffer(payload, dtype, count, offset).reshape(shape)
+        arrays[name] = np.ndarray(shape, dtype, buffer=payload, offset=offset)
     if set(arrays) != set(names):
         raise NotAnIndex(f"{path}: manifest names {sorted(arrays)}, expected {sorted(names)}")
     return arrays

@@ -132,6 +132,7 @@ from .core import (
     QueryRect,
     SHANNON,
     entropy_from_sums,
+    power_term,
     renyi_kind,
 )
 from .errors import WeightsNotSupported
@@ -273,14 +274,8 @@ class Sweep1DIndex:
         """f over the counts 0..n, k log2 k (Shannon) or k^alpha (Renyi), and
         a bound on the exponents a build writes: no S_v exceeds f(n), so no
         log guess exceeds top - 6."""
-        n = self.n
-        k = np.arange(n + 1, dtype=np.float64)
-        if self.alpha is None:
-            f = np.zeros(n + 1)
-            f[1:] = k[1:] * np.log2(k[1:])
-        else:
-            f = k**self.alpha
-        return f, math.ceil(math.log(max(n, f[-1], 1.0)) / self._log_base) + 6
+        f = power_term(np.arange(self.n + 1.0), self.kind)
+        return f, math.ceil(math.log(max(self.n, f[-1], 1.0)) / self._log_base) + 6
 
     def _check_ladders(self) -> None:
         """Refuses (ValueError) stored ladders that no build of these points,
@@ -508,8 +503,6 @@ def build_shannon(pts: ColoredPointSet, eps: float) -> Sweep1DIndex:
 
 def build_renyi(pts: ColoredPointSet, eps: float, alpha: float) -> Sweep1DIndex:
     """Deterministic eps*(alpha+1)/(alpha-1)-additive Renyi index."""
-    kind = renyi_kind(alpha)  # validates alpha > 1
-    assert kind.alpha is not None
     return Sweep1DIndex(pts, eps, alpha=alpha)
 
 

@@ -69,6 +69,6 @@ def always_sample(monkeypatch):
     """Makes the estimators' one choice between sampling and the exact answer
     (``DualAccessOracle.use_sampling``) always sample, however few points a
     range holds, so that small test ranges still run the sampled branches."""
-    from entrange.approx_shannon import DualAccessOracle
+    from entrange.approx import DualAccessOracle
 
     monkeypatch.setattr(DualAccessOracle, "use_sampling", lambda self, samples: True)

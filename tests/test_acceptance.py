@@ -11,16 +11,14 @@ import numpy as np
 import pytest
 
 from entrange import exact1d, exactnd, storage, sweep1d
-from entrange.approx_renyi import (
-    estimate_additive_renyi,
-    estimate_multiplicative_renyi,
-)
-from entrange.approx_shannon import (
+from entrange.approx import (
     EstimatorConfig,
     EstimatorIndex,
     detect_heavy_color,
     estimate_additive,
+    estimate_additive_renyi,
     estimate_multiplicative,
+    estimate_multiplicative_renyi,
 )
 from entrange.core import (
     ColorHistogram,

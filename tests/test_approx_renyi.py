@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from entrange.approx_renyi import (
+from entrange.approx import (
+    EstimatorConfig,
+    EstimatorIndex,
+    additive_branch_sample_counts,
     estimate_additive_renyi,
     estimate_moment,
     estimate_moment_excluding,
     estimate_multiplicative_renyi,
-)
-from entrange.approx_shannon import (
-    EstimatorConfig,
-    EstimatorIndex,
-    additive_branch_sample_counts,
     heavy_combine_renyi,
     moment_sample_count,
     tally_mean,

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from entrange.approx_renyi import estimate_additive_renyi, estimate_multiplicative_renyi
-from entrange.approx_shannon import (
+from entrange.approx import (
     EstimatorConfig,
     EstimatorIndex,
     detect_heavy_color,
     estimate_additive,
+    estimate_additive_renyi,
+    estimate_moment,
+    estimate_moment_excluding,
     estimate_multiplicative,
+    estimate_multiplicative_renyi,
     exact_statistic,
     tally_mean,
 )
@@ -480,7 +483,7 @@ def test_exact_from_pieces_matches_brute_force(seed, d):
             assert oracle.is_empty == (not want)
             if oracle.is_empty:
                 continue
-            masses = oracle.color_masses()
+            masses = index.tree.color_masses(oracle.pieces, excluded)
             assert len(masses) == len(want)
             assert np.allclose(masses, [want[c] for c in sorted(want)], rtol=1e-12, atol=0.0)
             single += len(want) == 1
@@ -531,3 +534,62 @@ def test_exact_answers_hold_no_sampling_arrays(tmp_path, request):
     request.getfixturevalue("always_sample")
     estimate_additive(index, QueryRect.full(2), 0.25, EXTREME_CFG, rng)
     assert index.space_stats()["bytes"] > exact_bytes
+
+
+def exactly_routed_calls(rng):
+    """An estimator index over 1,024 uniform 2-D points of 8 colors (color 7
+    unused), and the calls of every entry point on a 10x10 rectangle it
+    answers exactly: the four estimators, the moment, and the moment without
+    each color in the range and without the unused one. Each call takes a generator (or
+    None) and returns the draws it made."""
+    pts = ColoredPointSet(rng.uniform(0, 100, (1024, 2)), rng.integers(0, 7, 1024), num_colors=8)
+    index = EstimatorIndex(pts)
+    rect = QueryRect((40.0, 40.0), (50.0, 50.0))
+
+    def estimator(estimate):
+        def call(g):
+            stats: dict = {}
+            estimate(index, rect, g, stats)
+            return stats["samples"]
+        return call
+
+    calls = [estimator(estimate) for estimate in ESTIMATORS]
+    calls.append(lambda g: estimate_moment(index, rect, 2.0, 0.3, rng=g).samples)
+    calls += [lambda g, c=c: estimate_moment_excluding(index, rect, 3.0, 0.3, c, rng=g).samples
+              for c in [*brute_histogram(pts, rect).entries, 7]]
+    return index, calls
+
+
+def test_exact_answers_derive_no_sampling_state():
+    # an exactly answered call reads the pieces' point ids alone, also when
+    # it excludes a color: the tree holds what its build left
+    rng = np.random.default_rng(6)
+    index, calls = exactly_routed_calls(rng)
+    assert index.space_stats()["bytes"] == 61_440
+    for i, call in enumerate(calls):
+        assert call(rng) == 0, i
+        assert "sampling" not in vars(index.tree), i
+        assert index.space_stats()["bytes"] == 61_440, i
+
+
+def test_rngless_exact_answers_make_no_generator(monkeypatch):
+    # a generator is made only to draw: an exact answer without one makes none
+    _, calls = exactly_routed_calls(np.random.default_rng(6))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact answer made a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for call in calls:
+        assert call(None) == 0
+
+
+def test_rngless_sampled_call_makes_one_generator(monkeypatch, always_sample):
+    # the heavy branch's three tallies draw from one generator
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
+    index = EstimatorIndex(make_mix(default_rng(8), [90, 4, 3, 3]))
+    stats: dict = {}
+    estimate_multiplicative_renyi(index, FULL, 2.0, 0.3, EXTREME_CFG, None, stats)
+    assert stats["mode"] == "sampled+heavy" and len(made) == 1

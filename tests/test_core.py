@@ -36,6 +36,17 @@ def test_query_rect_stores_python_floats():
     assert all(type(x) is float for x in rect.lo + rect.hi)
 
 
+def test_point_set_freezes_copies_not_the_callers_arrays():
+    # the set's arrays are read-only copies; the caller's stay writeable, and
+    # writes to them do not reach the set
+    x, c, w = np.zeros((3, 2)), np.array([0, 1, 1]), np.ones(3)
+    pts = core.ColoredPointSet(x, c, w)
+    assert x.flags.writeable and c.flags.writeable and w.flags.writeable
+    x[:], c[:], w[:] = 5.0, 0, 2.0
+    assert not pts.coords.any() and pts.colors.tolist() == [0, 1, 1] and (pts.weights == 1.0).all()
+    assert not any(a.flags.writeable for a in (pts.coords, pts.colors, pts.weights))
+
+
 def direct_shannon(masses):
     """Independent reference: plain evaluation of the defining sum."""
     masses = [m for m in masses if m > 0]

@@ -10,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrange import core
-from entrange.approx_renyi import estimate_multiplicative_renyi
-from entrange.approx_shannon import EstimatorConfig, EstimatorIndex, estimate_additive
+from entrange.approx import (
+    EstimatorConfig,
+    EstimatorIndex,
+    estimate_additive,
+    estimate_multiplicative_renyi,
+)
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import OrderNotIndexed
 from entrange.exactnd import ExactNDIndex

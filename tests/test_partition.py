@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entrange.approx_shannon import EstimatorIndex
+from entrange.approx import EstimatorIndex
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import TooManyBuckets
 from entrange.exact1d import Exact1DIndex

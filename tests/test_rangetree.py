@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from entrange.approx_shannon import EstimatorIndex
+from entrange.approx import EstimatorIndex
 from entrange.core import ColoredPointSet, QueryRect
 from entrange.errors import EmptyRange
 from entrange.oracle import brute_histogram

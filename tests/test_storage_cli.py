@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from entrange import exact1d, exactnd, storage, sweep1d
-from entrange.approx_shannon import EstimatorConfig, EstimatorIndex, estimate_additive
+from entrange.approx import EstimatorConfig, EstimatorIndex, estimate_additive
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import (
     DataFormatError,
@@ -385,6 +385,25 @@ def test_loaded_exact1d_tables_are_views_of_the_file(tmp_path, rng):
     for kind, table in loaded.tables.items():
         assert not table.flags.owndata and not table.flags.writeable, kind
         assert table.tobytes() == index.tables[kind].tobytes(), kind
+
+
+@pytest.mark.parametrize("kind", ["exact1d", "exactnd", "estimator"])
+def test_loaded_points_are_views_of_the_file(tmp_path, rng, kind):
+    # a load keeps the coordinates and weights as the file stores them: views
+    # of the payload, not copies beside it; only the colors are widened
+    pts = random_pointset(rng, 200, d=1, m=7, weighted=True)
+    index = {"exact1d": lambda: exact1d.Exact1DIndex(pts, 0.5, (2.0,)),
+             "exactnd": lambda: exactnd.ExactNDIndex(pts, 0.5),
+             "estimator": lambda: EstimatorIndex(pts)}[kind]()
+    path = tmp_path / "x.rqe"
+    storage.save_index(path, kind, index)
+    loaded = storage.load_index(path)[2].pts
+    for name in ("coords", "weights"):
+        array = getattr(loaded, name)
+        assert not array.flags.owndata and not array.flags.writeable, name
+        assert array.tobytes() == getattr(index.pts, name).tobytes(), name
+    assert loaded.colors.dtype == np.int64 and not loaded.colors.flags.writeable
+    assert np.array_equal(loaded.colors, index.pts.colors)
 
 
 def test_digest_is_checked_before_any_array_is_built(tmp_path, rng, monkeypatch):
