@@ -8,13 +8,14 @@ statistic E[g(p)] of the range's color law (:func:`~.core.g`): for
 g(p) = -log2 p it is the Shannon entropy, for g(p) = p^(alpha-1) the
 moment m = sum p^alpha, whose Renyi entropy is -log2(m)/(alpha-1). A
 statistic is a tally mean (the draws made as one batch, counted by color,
-each distinct color EVAL'd once) or exact: :func:`~.core.mass_statistic`,
-sum_c p_c g(p_c) over the range's color masses (one gather of the pieces'
-point ids, one ``bincount``) divided by their total. Both work on
-probabilities, so they hold at any weight scale. One function chooses
-between them (:meth:`DualAccessOracle.use_sampling`): a statistic samples
-only when its draws are fewer than the range's points, since the exact
-value reads each point once and meets every bound.
+each distinct color EVAL'd once) or exact: one fold of the pieces' color
+masses (:meth:`.RangeTree.statistic`). Both work on probabilities, so
+they hold at any weight scale. One function chooses between them
+(:meth:`DualAccessOracle.use_sampling`): a statistic samples only when its
+draws are fewer than the range's points, since the exact value reads each
+point once and meets every bound. The draw counts depend only on the
+index size, the kind, the accuracy and the config: :func:`draw_counts`
+computes them once per such key.
 
 An additive estimator takes one statistic. A multiplicative one answers
 exactly when the range holds no more points than the fewest draws any of
@@ -47,8 +48,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (SHANNON, ColoredPointSet, EntropyKind, EntropySummary, QueryRect,
-                   entropy_from_statistic, g, insert_color_shannon, mass_statistic,
-                   renyi_kind)
+                   entropy_from_statistic, g, insert_color_shannon, renyi_kind)
 from .errors import EmptyRange
 from .rangetree import ColorTrees, Exclusion, Pieces, RangeTree
 
@@ -155,7 +155,7 @@ class DualAccessOracle:
     def heavy_color(self, rng: Optional[np.random.Generator],
                     stats: Optional[dict] = None) -> Optional[HeavyColor]:
         """See :func:`detect_heavy_color`."""
-        colors, _, weights = self.tally(rng, heavy_draws(self.index), stats)
+        colors, _, weights = self.tally(rng, heavy_draws(len(self.index)), stats)
         top = int(np.argmax(weights))
         if weights[top] > (2.0 / 3.0) * self.total_weight:
             return HeavyColor(int(colors[top]), float(weights[top]), self.total_weight)
@@ -214,13 +214,13 @@ def tally_mean(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
 
 def exact_statistic(kind: EntropyKind, oracle: DualAccessOracle) -> float:
     """sum_c p_c g(p_c) over the (reduced) range's color probabilities, from
-    :meth:`.RangeTree.color_masses`. Sets the oracle's ``total_weight`` to
+    :meth:`.RangeTree.statistic`. Sets the oracle's ``total_weight`` to
     the masses' sum, so an exact answer reads no weight prefix."""
-    masses = oracle.index.tree.color_masses(oracle.pieces, oracle.excluded)
-    oracle.total_weight = total = float(masses.sum())
-    if not total > 0.0:
+    value, oracle.total_weight = oracle.index.tree.statistic(
+        oracle.pieces, kind, oracle.excluded, oracle.points)
+    if not oracle.total_weight > 0.0:
         raise EmptyRange("no mass in (reduced) query range")
-    return mass_statistic(masses, total, kind)
+    return value
 
 
 def statistic(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
@@ -233,14 +233,8 @@ def statistic(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
     return exact_statistic(kind, oracle), 0
 
 
-def additive_sample_count(index: EstimatorIndex, delta: float, cfg: EstimatorConfig) -> int:
-    n = max(2, len(index))
-    return math.ceil(cfg.c_add * math.log2(n / delta) ** 2 * math.log2(n) / delta**2)
-
-
-def moment_sample_count(index: EstimatorIndex, alpha: float, eps: float,
-                        cfg: EstimatorConfig) -> int:
-    n = max(2, len(index))
+def moment_sample_count(n: int, alpha: float, eps: float, cfg: EstimatorConfig) -> int:
+    n = max(2, n)
     return math.ceil(cfg.c_mom * alpha * n ** (1.0 - 1.0 / alpha) * math.log2(n) / eps**2)
 
 
@@ -261,9 +255,31 @@ def additive_branch_sample_counts(alpha: float, delta: float, n: int,
     return samples_only, dual, chosen
 
 
-def heavy_draws(index: EstimatorIndex) -> int:
+def heavy_draws(n: int) -> int:
     """Draws of heavy-color detection: ~log_3(2n)."""
-    return math.ceil(math.log(2 * max(2, len(index))) / math.log(3))
+    return math.ceil(math.log(2 * max(2, n)) / math.log(3))
+
+
+@functools.lru_cache(maxsize=256)
+def draw_counts(n: int, kind: EntropyKind, accuracy: float, cfg: EstimatorConfig) -> tuple:
+    """The estimators' draws on ``n`` points at one accuracy (delta or eps),
+    for at most 256 keys: the additive one and its Renyi branch (None for
+    Shannon); the multiplicative ``light_draws``, ``rest_draws`` and
+    ``full_draws``; heavy detection's."""
+    heavy, alpha, n = heavy_draws(n), kind.alpha, max(2, n)
+    if alpha is None:
+        additive = math.ceil(cfg.c_add * math.log2(n / accuracy) ** 2 * math.log2(n) / accuracy**2)
+        light = math.ceil(cfg.c_mult * math.log2(n) / (accuracy**2 * 0.9))
+        return additive, None, light, additive, 0, heavy
+    # both additive Renyi routes draw through the one dual oracle: take the cheaper
+    *counts, branch = additive_branch_sample_counts(alpha, accuracy, n, cfg)
+    # the additive route at delta gives the factor when the entropy is at least log2(3/2)
+    delta = min(0.999, math.log2(1.5) * accuracy)
+    eps1 = accuracy / cfg.moment_c1 / 3.0
+    eps2 = (alpha - 1.0) * eps1 / cfg.moment_c2 if alpha <= 2.0 else eps1 / cfg.moment_c2
+    return (min(counts), branch, min(additive_branch_sample_counts(alpha, delta, n, cfg)[:2]),
+            moment_sample_count(n, alpha, min(eps2, 0.999), cfg),
+            moment_sample_count(n, alpha, min(eps1, 0.999), cfg), heavy)
 
 
 def heavy_combine_renyi(h1: float, h2: float, h_hat: float, alpha: float) -> float:
@@ -311,13 +327,9 @@ def additive(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, delta: f
     """Entropy of the kind within +-delta, with high probability: one
     statistic, with the family's draw count."""
     oracle = prepare_query(index, rect, stats, delta=delta)
-    if kind.alpha is None:
-        samples = additive_sample_count(index, delta, cfg)
-    else:   # both Renyi routes draw through the one dual oracle: take the cheaper
-        *counts, branch = additive_branch_sample_counts(kind.alpha, delta, len(index), cfg)
-        samples = min(counts)
-        if stats is not None:
-            stats["branch"] = branch
+    samples, branch, *_ = draw_counts(len(index), kind, delta, cfg)
+    if stats is not None and branch is not None:
+        stats["branch"] = branch
     value, drawn = statistic(kind, oracle, samples, rng, stats)
     if stats is not None:
         stats["mode"], stats["samples"] = "sampled" if drawn else "exact-fallback", drawn
@@ -335,20 +347,9 @@ def multiplicative(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, ep
     one is, and beside them ``full_draws`` over the whole range (Renyi's
     full moment; 0, none, for Shannon)."""
     oracle = prepare_query(index, rect, stats, eps=eps)
-    alpha = kind.alpha
-    if alpha is None:
-        light_draws = math.ceil(cfg.c_mult * math.log2(max(2, len(index))) / (eps**2 * 0.9))
-        rest_draws, full_draws = additive_sample_count(index, eps, cfg), 0
-    else:
-        # the additive route at delta gives the factor when the entropy is at least log2(3/2)
-        delta = min(0.999, math.log2(1.5) * eps)
-        eps1 = eps / cfg.moment_c1 / 3.0
-        eps2 = (alpha - 1.0) * eps1 / cfg.moment_c2 if alpha <= 2.0 else eps1 / cfg.moment_c2
-        light_draws = min(additive_branch_sample_counts(alpha, delta, len(index), cfg)[:2])
-        rest_draws = moment_sample_count(index, alpha, min(eps2, 0.999), cfg)
-        full_draws = moment_sample_count(index, alpha, min(eps1, 0.999), cfg)
+    *_, light_draws, rest_draws, full_draws, heavy = draw_counts(len(index), kind, eps, cfg)
     mode, drawn = "exact-fallback", 0
-    sample = oracle.use_sampling(heavy_draws(index) + min(light_draws, rest_draws + full_draws))
+    sample = oracle.use_sampling(heavy + min(light_draws, rest_draws + full_draws))
     if sample and rng is None:
         rng = np.random.default_rng()   # one generator for all of the call's tallies
     if not sample:
@@ -416,7 +417,7 @@ class MomentEstimate:
 def _moment(index: EstimatorIndex, oracle: DualAccessOracle, alpha: float, eps: float,
             cfg: EstimatorConfig, rng: Optional[np.random.Generator]) -> MomentEstimate:
     value, drawn = statistic(renyi_kind(alpha), oracle,
-                             moment_sample_count(index, alpha, eps, cfg), rng)
+                             moment_sample_count(len(index), alpha, eps, cfg), rng)
     return MomentEstimate(alpha, value, eps, drawn)
 
 

@@ -259,35 +259,36 @@ class ColorHistogram:
 TINY = float(np.finfo(np.float64).tiny)
 
 
-def shannon_entropy(h: ColorHistogram) -> EntropySummary:
-    """Shannon entropy of a histogram, the sum of p * -log2 p over its color
-    probabilities p = w / total (clamped at ``TINY`` in the log, so a p that
-    underflows adds 0); empty and single-color are exactly 0."""
-    if h.total == 0.0:
-        return EntropySummary.empty(SHANNON)
-    total = h.total
-    value = 0.0
-    for w in h.entries.values():
-        p = w / total
-        value -= p * math.log2(p if p > TINY else TINY)
-    return EntropySummary(SHANNON, total, value)
-
-
-def renyi_entropy(h: ColorHistogram, alpha: float) -> EntropySummary:
-    """Renyi entropy of order alpha > 1; empty and single-color are exactly 0."""
-    kind = renyi_kind(alpha)
-    if h.total == 0.0:
-        return EntropySummary.empty(kind)
-    total = h.total
-    power_sum = sum((w / total) ** alpha for w in h.entries.values())
-    value = -math.log2(power_sum) / (alpha - 1.0)
-    return EntropySummary(kind, total, value)
+def fold_statistic(masses: Iterable[float], total: float, kind: EntropyKind) -> float:
+    """The kind's statistic sum_c p_c g(p_c) over positive masses w_c of sum
+    ``total``, p_c = w_c / total, on Python floats: the Shannon entropy (p
+    clamped at ``TINY`` in the log) or the Renyi moment. It reads
+    probabilities, so it holds at any weight scale whose total is finite."""
+    if kind.alpha is None:
+        value = 0.0
+        for w in masses:
+            p = w / total
+            value -= p * math.log2(p if p > TINY else TINY)
+        return value
+    return sum([(w / total) ** kind.alpha for w in masses])
 
 
 def entropy_of(h: ColorHistogram, kind: EntropyKind) -> EntropySummary:
-    if kind.is_shannon:
-        return shannon_entropy(h)
-    return renyi_entropy(h, kind.alpha)
+    """Entropy of a histogram, from :func:`fold_statistic` over its color
+    probabilities; empty and single-color are exactly 0."""
+    if h.total == 0.0:
+        return EntropySummary.empty(kind)
+    value = fold_statistic(h.entries.values(), h.total, kind)
+    return EntropySummary(kind, h.total, entropy_from_statistic(value, kind))
+
+
+def shannon_entropy(h: ColorHistogram) -> EntropySummary:
+    return entropy_of(h, SHANNON)
+
+
+def renyi_entropy(h: ColorHistogram, alpha: float) -> EntropySummary:
+    """Renyi entropy of order alpha > 1."""
+    return entropy_of(h, renyi_kind(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +480,6 @@ def g(kind: EntropyKind, p: np.ndarray) -> np.ndarray:
     if kind.alpha is None:
         return -np.log2(np.maximum(p, TINY))
     return p ** (kind.alpha - 1.0)
-
-
-def mass_statistic(masses: np.ndarray, total: float, kind: EntropyKind) -> float:
-    """The kind's statistic sum_c p_c g(p_c) of a range's positive color
-    masses, with p_c = w_c / W for their ``total`` W: the Shannon entropy,
-    or the Renyi moment sum_c p_c^alpha. It works on probabilities, so it
-    holds at any weight scale whose total is finite."""
-    p = masses / total
-    return float((p * g(kind, p)).sum())
 
 
 def entropy_from_statistic(value: float, kind: EntropyKind) -> float:

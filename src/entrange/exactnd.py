@@ -2,19 +2,15 @@
 
 A :class:`~.rangetree.RangeTree` over the points decomposes a rectangle
 into O(log^(d-1) n) canonical pieces: disjoint slices of the tree's pool
-whose points partition the range. The answer gathers the pieces' point
-ids and sums their weights by color with one ``bincount``
-(:meth:`~.rangetree.RangeTree.color_masses`), then folds the statistic
-sum_c p_c g(p_c) over the color probabilities p_c = w_c / W
-(``core.mass_statistic``, the fold that answers the estimators exactly)
-and converts it with ``core.entropy_from_statistic``. Every color's mass
-is summed from its own points, and no step subtracts one color's term
-from a total, so heavy weights cannot cancel; the fold reads
-probabilities, not masses, so the answer holds at any weight scale whose
-total is finite (10^-300 to 10^300 per point), where a power sum of the
-masses under- or overflows. A query costs O(log^d n + m) for the m points
-in range; the index holds nothing beyond the tree and does not grow with
-queries.
+whose points partition the range. One fold of the pieces' color masses
+(:meth:`~.rangetree.RangeTree.statistic`, as in the estimators' exact
+answer) gives sum_c p_c g(p_c) over the color probabilities p_c = w_c / W,
+and ``core.entropy_from_statistic`` the entropy. Every color's mass is
+summed from its own points, and no step subtracts one color's term from a
+total, so heavy weights cannot cancel; the fold reads probabilities, so
+the answer holds at any weight scale whose total is finite (10^-300 to
+10^300 per point). A query costs O(log^d n + m) for the m points in range;
+the index holds nothing beyond the tree and does not grow with queries.
 """
 
 from __future__ import annotations
@@ -68,12 +64,12 @@ class ExactNDIndex:
         if not kind.is_shannon and kind.alpha not in self.orders:
             raise OrderNotIndexed(f"alpha={kind.alpha} not precomputed (have {self.orders})")
         pieces = self.tree.canonical_nodes(rect)
-        masses = self.tree.color_masses(pieces)
-        W = float(masses.sum())
-        value = core.entropy_from_statistic(core.mass_statistic(masses, W, kind), kind) if W else 0.0
+        points = sum(pieces.stop) - sum(pieces.start)
+        value, W = self.tree.statistic(pieces, kind, points=points)
+        value = core.entropy_from_statistic(value, kind) if W else 0.0
         if stats is not None:
             stats["bucket_visits"] = len(pieces)
-            stats["points_in_range"] = sum(pieces.stop) - sum(pieces.start)
+            stats["points_in_range"] = points
         if trace is not None:
             trace.extend((i, [a, b], None)
                          for i, (a, b) in enumerate(zip(pieces.start, pieces.stop)))

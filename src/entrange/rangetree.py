@@ -14,9 +14,12 @@ pieces: disjoint pool slices whose points partition the range. The walk
 makes no numpy call: C ``bisect`` calls on the upper trees' coordinate
 rows, then two per last-level node on ``last_rank``, each pool entry's
 last-coordinate rank (on the narrowest unsigned type that holds n),
-against the query's bounds ranked once. The pieces' color masses are one
-gather of their ids and one ``bincount`` (:meth:`RangeTree.color_masses`),
-which answers a range exactly.
+against the query's bounds ranked once. One fold of the pieces' color
+masses answers a range exactly (:meth:`RangeTree.statistic`): up to
+``FOLD_POINTS`` points, a loop over memoryviews sums them in a dict and
+folds on Python floats; above, one gather and one ``bincount``, then
+numpy. On a 2-vCPU host and the benchmark's 2-D ranges the loop won by
+7-10 us at 1-4 points, tied at 49-64 and lost by 8-23 us at 129-192.
 
 What sampling and EVAL need, the pool's weight prefix and one
 :class:`~.core.ColorPrefix`, is :attr:`RangeTree.sampling`, derived on a
@@ -48,8 +51,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import ColoredPointSet, ColorPrefix, QueryRect, running_sum
+from .core import (ColoredPointSet, ColorPrefix, EntropyKind, QueryRect, fold_statistic, g,
+                   running_sum)
 from .errors import EmptyRange
+
+FOLD_POINTS = 64   # RangeTree.statistic's size rule; see the module docstring
 
 
 def refine_spans(starts: np.ndarray, n: int) -> np.ndarray:
@@ -225,7 +231,8 @@ class RangeTree:
     def from_arrays(cls, arrays: dict, scalars: dict) -> "RangeTree":
         tree = cls.__new__(cls)
         tree.pts = ColoredPointSet.from_arrays(arrays, scalars)
-        tree.pool_ids = arrays["pool_ids"]
+        ids = arrays["pool_ids"]   # in native byte order, which a memoryview needs
+        tree.pool_ids = ids.astype(ids.dtype.newbyteorder("="), copy=False)
         tree._derive()
         return tree
 
@@ -295,10 +302,8 @@ class RangeTree:
             self._nodes(k + 1, row + depth, u, v, rect, out)
 
     def color_masses(self, pieces: Pieces, excluded: Optional[int] = None) -> np.ndarray:
-        """Positive color masses of the pieces' points, less the excluded
-        color's when given: their ids gathered and their weights summed by
-        color with one ``bincount``. Costs O(m + largest color in the range)
-        for the pieces' m points."""
+        """Positive color masses of the pieces' m points, less the excluded
+        color's: one gather and one ``bincount``, O(m + largest color)."""
         slices = [self.pool_ids[a:b] for a, b in zip(pieces.start, pieces.stop)]
         ids = slices[0] if len(slices) == 1 else np.concatenate(slices or [self.pool_ids[:0]])
         ids = ids.astype(np.intp)   # once, not inside each of the two gathers
@@ -307,6 +312,25 @@ class RangeTree:
             masses[excluded] = 0.0
         return masses[masses > 0.0]
 
+    def statistic(self, pieces: Pieces, kind: EntropyKind, excluded: Optional[int] = None,
+                  points: Optional[int] = None) -> tuple[float, float]:
+        """The kind's statistic (:func:`~.core.fold_statistic`) over the color
+        masses of the pieces' ``points`` points, less the excluded color's,
+        and their total mass (0.0, with a statistic of 0, if none is left)."""
+        if (sum(pieces.stop) - sum(pieces.start) if points is None else points) > FOLD_POINTS:
+            masses = self.color_masses(pieces, excluded)
+            total = float(masses.sum())
+            p = masses / total
+            return float((p * g(kind, p)).sum()), total
+        ids, colors, weights = self.pool_ids.data, self.pts.colors.data, self.pts.weights.data
+        masses: dict = {}
+        for a, b in zip(pieces.start, pieces.stop):
+            for i in ids[a:b]:
+                c = colors[i]
+                masses[c] = masses.get(c, 0.0) + weights[i]
+        masses.pop(excluded, None)
+        total = sum(masses.values(), 0.0)
+        return fold_statistic(masses.values(), total, kind), total
 
     def pieces_weight(self, pieces: Pieces) -> np.ndarray:
         a, b = pieces.arrays()

@@ -377,41 +377,43 @@ class Sweep1DIndex:
     def _build_ladders(self) -> None:
         """The ladder of every qualifying node, in gid order, built for
         batches of nodes whose walks total at most ``_BATCH`` points."""
-        # a node's walk is its entries' runs, laid out as the rows are
+        # a node's walk is its entries' runs, laid out as the rows are, less each
+        # run's first point under Shannon, where f(1) - f(0) = 0 steps nothing
         ids = self.rows.ravel()
+        skip = int(self.kind.is_shannon)
         walked = np.zeros(ids.size + 1, dtype=np.int64)
-        np.cumsum(self.run_end[ids] - self.run_lo[ids].astype(np.int64), out=walked[1:])
+        np.cumsum(self.run_end[ids] - self.run_lo[ids].astype(np.int64) - skip, out=walked[1:])
         depth, start, stop = self._spans(slice(None))
         walk_len = walked[depth * self.n + stop] - walked[depth * self.n + start]
         f_step, exp_type = np.diff(self._f, prepend=0.0), np.min_scalar_type(self._top)
         parts = [(np.zeros(0, dtype=self.c_rank.dtype), np.zeros(0, dtype=np.int64),
                   np.zeros(0, dtype=exp_type))]
-        parts += [self._ladders(np.arange(g0, g1), walk_len[g0:g1], f_step, exp_type)
+        parts += [self._ladders(np.arange(g0, g1), walk_len[g0:g1], f_step, exp_type, skip)
                   for g0, g1 in _batches(walk_len)]
         ranks, lens, exps = (np.concatenate(part) for part in zip(*parts))
         self.h_rank, self.h_exp = ranks, _narrow(exps)
         self.ladder_first = _narrow(np.concatenate(([0], np.cumsum(lens))))
 
     def _ladders(self, gids: np.ndarray, walk_len: np.ndarray, f_step: np.ndarray,
-                 exp_type: np.dtype):
+                 exp_type: np.dtype, skip: int):
         """Ladders of the nodes ``gids``, whose walks have ``walk_len``
         points: their jumps' ranks, run lengths and exponents.
 
-        A node's walk is its entries' runs [run_lo, run_end), merged in
-        coordinate order (ties in row order), and S_v along it is the
+        A node's walk is its entries' runs [run_lo + skip, run_end), merged
+        in coordinate order (ties in row order), and S_v along it is the
         walk's own running sum of the steps ``f_step``. The ladder steps at
         the last point of each coordinate where S_v is positive and its
         exponent rises."""
         depth, start, stop = self._spans(gids)
         sizes = stop - start
         ids = self.rows.ravel()[_ranges(depth * self.n + start, sizes)]
-        lo = self.run_lo[ids].astype(np.int64)
+        lo = self.run_lo[ids].astype(np.int64) + skip
         lens = self.run_end[ids] - lo
         idx = _ranges(lo, lens)
         wseg = np.repeat(np.repeat(np.arange(len(gids)), sizes), lens)
         order = np.argsort(wseg * self._stride + self.c_rank[idx], kind="stable")
         # a point's occurrence rank within its color is its place in its run
-        nc = _ranges(np.ones_like(lens), lens)[order]
+        nc = _ranges(np.full_like(lens, 1 + skip), lens)[order]
         idx, wseg = idx[order], wseg[order]
         walk_x = self.c_rank[idx]
         t_pref = _segment_cumsum(f_step[nc], np.cumsum(walk_len) - walk_len, walk_len)

@@ -204,7 +204,7 @@ def test_multiplicative_renyi_heavy_branch_counts_both_moments(rng, always_sampl
     stats: dict = {}
     estimate_multiplicative_renyi(index, FULL, 2.0, 0.25, FAST, rng, stats)
     assert stats["mode"] == "sampled+heavy" and stats["heavy_color"] == 0
-    assert stats["samples"] == 2 * moment_sample_count(index, 2.0, 0.25 / 3.0, FAST)
+    assert stats["samples"] == 2 * moment_sample_count(len(index), 2.0, 0.25 / 3.0, FAST)
 
 
 def test_multiplicative_renyi_light_bound(rng, always_sample):

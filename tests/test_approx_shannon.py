@@ -9,6 +9,7 @@ from entrange.approx import (
     EstimatorConfig,
     EstimatorIndex,
     detect_heavy_color,
+    draw_counts,
     estimate_additive,
     estimate_additive_renyi,
     estimate_moment,
@@ -593,3 +594,16 @@ def test_rngless_sampled_call_makes_one_generator(monkeypatch, always_sample):
     stats: dict = {}
     estimate_multiplicative_renyi(index, FULL, 2.0, 0.3, EXTREME_CFG, None, stats)
     assert stats["mode"] == "sampled+heavy" and len(made) == 1
+
+
+def test_draw_count_cache_stays_bounded():
+    # the draw counts are kept per (index size, kind, accuracy, config):
+    # however many fresh accuracies arrive, at most maxsize of them are held
+    index = EstimatorIndex(make_mix(np.random.default_rng(9), [5, 4, 3]))
+    draw_counts.cache_clear()
+    for eps in np.linspace(0.01, 0.99, 1000):
+        estimate_additive(index, FULL, float(eps))
+        estimate_multiplicative_renyi(index, FULL, 2.0, float(eps))
+    info = draw_counts.cache_info()
+    assert info.misses == 2000
+    assert info.maxsize is not None and info.currsize <= info.maxsize

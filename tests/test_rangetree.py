@@ -2,15 +2,29 @@
 
 import math
 import sys
+import timeit
 
 import numpy as np
 import pytest
 
-from entrange.approx import EstimatorIndex
-from entrange.core import ColoredPointSet, QueryRect
+from entrange import rangetree
+from entrange.approx import (
+    EstimatorIndex,
+    estimate_additive,
+    estimate_additive_renyi,
+    estimate_moment,
+    estimate_moment_excluding,
+    estimate_multiplicative,
+    estimate_multiplicative_renyi,
+    exact_statistic,
+)
+from entrange.core import (SHANNON, ColoredPointSet, EntropySummary, QueryRect,
+                           entropy_from_statistic, renyi_kind)
 from entrange.errors import EmptyRange
-from entrange.oracle import brute_histogram
+from entrange.exactnd import ExactNDIndex
+from entrange.oracle import brute_entropy, brute_histogram
 from entrange.rangetree import (
+    FOLD_POINTS,
     ColorTrees,
     Pieces,
     RangeTree,
@@ -485,3 +499,113 @@ def test_sample_excluding_everything_raises(rng):
     tree = RangeTree(pts)
     with pytest.raises(EmptyRange):
         draw_ids(tree, QueryRect.interval(0.0, 10.0), rng, 1, excluded=0)
+
+
+# ---------------------------------------------------------------------------
+# the statistic's two folds, either side of FOLD_POINTS
+
+
+FOLD_ORDERS = (1.5, 2.0, 3.0, 10.0)
+FOLD_KINDS = (SHANNON,) + tuple(map(renyi_kind, FOLD_ORDERS))
+
+
+def fold_points(scale):
+    """600 weighted 2-D points of 9 colors, at x = 0..599 (shuffled), with
+    weights of one uniform ``scale``."""
+    rng = np.random.default_rng(20)
+    coords = np.column_stack((rng.permutation(600).astype(float), rng.uniform(0.0, 1.0, 600)))
+    return ColoredPointSet(coords, rng.integers(0, 9, 600), rng.uniform(0.5, 2.0, 600) * scale)
+
+
+def first_points(m):
+    """The rectangle that holds the m points of least x."""
+    return QueryRect((-0.5, 0.0), (m - 0.5, 1.0))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("loaded", [False, True])
+def test_exact_answers_match_brute_on_both_sides_of_the_fold(scale, loaded, tmp_path):
+    pts = fold_points(scale)
+    exact = ExactNDIndex(pts, t=0.5, orders=FOLD_ORDERS)
+    index = EstimatorIndex(pts)
+    if loaded:   # the pool and the weights are views of the file's payload
+        save_index(tmp_path / "x", "exactnd", exact)
+        save_index(tmp_path / "e", "estimator", index)
+        exact, index = load_index(tmp_path / "x")[2], load_index(tmp_path / "e")[2]
+        for tree in (exact.tree, index.tree):
+            assert not tree.pool_ids.flags.owndata and not tree.pts.weights.flags.owndata
+    for m in (1, FOLD_POINTS, FOLD_POINTS + 1, 400):
+        rect = first_points(m)
+        assert range_count(exact.tree, rect) == m
+        excluded = int(pts.colors[pts.coords[:, 0] == 0.0][0])
+        keep = pts.colors != excluded
+        rest = ColoredPointSet(pts.coords[keep], pts.colors[keep], pts.weights[keep])
+        for kind in FOLD_KINDS:
+            want = brute_entropy(pts, rect, kind).value
+            assert abs(exact.query(rect, kind).value - want) < 1e-9, (m, kind)
+            stats = [{}, {}]
+            if kind.is_shannon:
+                got = [estimate_additive(index, rect, 0.1, stats=stats[0]),
+                       estimate_multiplicative(index, rect, 0.1, stats=stats[1])]
+            else:
+                got = [estimate_additive_renyi(index, rect, kind.alpha, 0.1, stats=stats[0]),
+                       estimate_multiplicative_renyi(index, rect, kind.alpha, 0.1,
+                                                     stats=stats[1])]
+                moment = estimate_moment(index, rect, kind.alpha, 0.1)
+                assert moment.samples == 0
+                got.append(EntropySummary(kind, 0.0, entropy_from_statistic(moment.value, kind)))
+            assert all(st["mode"] == "exact-fallback" for st in stats)
+            assert all(abs(s.value - want) < 1e-9 for s in got), (m, kind)
+            # the estimators' exact answer without one color
+            oracle = index.oracle(rect, excluded)
+            if m == 1:
+                with pytest.raises(EmptyRange):
+                    exact_statistic(kind, oracle)
+                continue
+            want = brute_entropy(rest, rect, kind).value
+            got = entropy_from_statistic(exact_statistic(kind, oracle), kind)
+            assert abs(got - want) < 1e-9, (m, kind)
+            if not kind.is_shannon:
+                moment = estimate_moment_excluding(index, rect, kind.alpha, 0.1, excluded)
+                assert moment.samples == 0
+                assert abs(entropy_from_statistic(moment.value, kind) - want) < 1e-9
+
+
+def test_fold_crossover(monkeypatch):
+    """Both sides of the statistic's size rule match brute force at each
+    size, and the Python side makes no numpy call; with -s, prints each
+    side's microseconds per call (a Shannon statistic on one range)."""
+    pts = fold_points(1.0)
+    tree = RangeTree(pts)
+    print(f"\nRangeTree.statistic per call (us), FOLD_POINTS = {FOLD_POINTS}")
+    for m in (4, 32, FOLD_POINTS, 2 * FOLD_POINTS, 512):
+        rect = first_points(m)
+        pieces = tree.canonical_nodes(rect)
+        us = {}
+        for side, bound in (("python", m), ("numpy", m - 1)):
+            monkeypatch.setattr(rangetree, "FOLD_POINTS", bound)
+            for kind in (SHANNON, renyi_kind(2.0)):
+                (value, total), _, numpy_calls = profiled_calls(
+                    lambda: tree.statistic(pieces, kind))
+                want = brute_entropy(pts, rect, kind)
+                assert abs(entropy_from_statistic(value, kind) - want.value) < 1e-9
+                assert total == pytest.approx(want.count, rel=1e-12)
+                assert (side == "numpy") == bool(numpy_calls)
+            runs = timeit.repeat(lambda: tree.statistic(pieces, SHANNON, None, m),
+                                 number=20, repeat=5)
+            us[side] = min(runs) / 20 * 1e6
+        print(f"{m:5d} points: python {us['python']:7.1f}, numpy {us['numpy']:7.1f}")
+
+
+def test_statistic_reads_arrays_in_either_byte_order():
+    # from_arrays takes the points in either byte order; the pool ids, which
+    # the small-range fold reads through a memoryview, must come out native
+    pts = fold_points(1.0)
+    tree = RangeTree(pts)
+    arrays, scalars = tree.to_arrays()
+    swapped = {name: a.astype(a.dtype.newbyteorder(">")) for name, a in arrays.items()}
+    loaded = RangeTree.from_arrays(swapped, scalars)
+    for m in (1, FOLD_POINTS, FOLD_POINTS + 1):
+        pieces = tree.canonical_nodes(first_points(m))
+        for kind in (SHANNON, renyi_kind(2.0)):
+            assert loaded.statistic(pieces, kind) == tree.statistic(pieces, kind)
