@@ -561,6 +561,13 @@ class ColorPrefix:
         return np.searchsorted(self.keys, base + hi) - np.searchsorted(self.keys, base + lo)
 
 
+class HeldViews:
+    """Base of an index whose query memoryviews (``_views``) no pickle or copy holds."""
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "_views"}
+
+
 # ---------------------------------------------------------------------------
 # axis-aligned query rectangles (shared by every index structure)
 

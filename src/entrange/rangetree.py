@@ -12,10 +12,10 @@ n*(D+1)**(d-1) entries for D = ceil(log2 n), on the narrowest unsigned
 type that holds a point id. A rectangle becomes O(log^(d-1) n) canonical
 pieces: disjoint pool slices whose points partition the range. The walk
 makes no numpy call: C ``bisect`` calls on the upper trees' coordinate
-rows, then two per last-level node on ``last_rank``, each pool entry's
-last-coordinate rank (on the narrowest unsigned type that holds n),
-against the query's bounds ranked once. One fold of the pieces' color
-masses answers a range exactly (:meth:`RangeTree.statistic`): up to
+rows, then two per last-level node, as ``tile`` yields it, on ``last_rank``,
+each pool entry's last-coordinate rank (on the narrowest unsigned type that
+holds n), against the query's bounds ranked once. One fold of the pieces'
+color masses answers a range exactly (:meth:`RangeTree.statistic`): up to
 ``FOLD_POINTS`` points, a loop over memoryviews sums them in a dict and
 folds on Python floats; above, one gather and one ``bincount``, then
 numpy. On a 2-vCPU host and the benchmark's 2-D ranges the loop won by
@@ -37,9 +37,10 @@ carry no mass and are left out, so counts are of positive-weight points.
 An index file holds the points and the pool ids alone
 (:meth:`RangeTree.to_arrays`). ``_derive``, run on build and on load,
 rebuilds what the exact answer reads: the upper levels' coordinate keys,
-the sorted last coordinates and ``last_rank``. The sampling arrays are one
-immutable :class:`Sampling`, assigned once: threads racing on a first draw
-at worst derive it twice from read-only arrays, never mixing the two.
+the sorted last coordinates and ``last_rank``. The sampling arrays
+(:class:`Sampling`) and the query memoryviews (``_views``, which no pickle or
+copy holds; no array may be reassigned after them) are each made on first use
+and assigned once: racing threads at worst derive one twice, never mixing two.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (ColoredPointSet, ColorPrefix, EntropyKind, QueryRect, fold_statistic, g,
-                   running_sum)
+from .core import (ColoredPointSet, ColorPrefix, EntropyKind, HeldViews, QueryRect,
+                   fold_statistic, g, running_sum)
 from .errors import EmptyRange
 
 FOLD_POINTS = 64   # RangeTree.statistic's size rule; see the module docstring
@@ -167,7 +168,7 @@ class Sampling(NamedTuple):
     others_before: np.ndarray
 
 
-class RangeTree:
+class RangeTree(HeldViews):
     """Static d-level range tree; immutable after build but for :attr:`sampling`."""
 
     STORED = ("coords", "colors", "weights", "pool_ids")   # what a file holds; see to_arrays
@@ -251,6 +252,12 @@ class RangeTree:
         pos = cp.keys - np.repeat(np.arange(m) * cp.n, runs)
         return Sampling(wpre, wlo, colors, cp, wpre[pos] - own)
 
+    @functools.cached_property
+    def _views(self) -> tuple:
+        """Memoryviews of what an exact answer reads, made on the first query."""
+        return (self.last_sorted.data, self.last_rank.data, [k.data for k in self.keys],
+                self.pool_ids.data, self.pts.colors.data, self.pts.weights.data)
+
     def nbytes(self) -> int:
         """Bytes of the tree's arrays, derived ones included, sampling ones once held."""
         arrays = [*self.keys, self.pool_ids, self.last_sorted, self.last_rank]
@@ -262,44 +269,45 @@ class RangeTree:
     # -- canonical decomposition ------------------------------------------
 
     def canonical_nodes(self, rect: QueryRect) -> Pieces:
-        """The range's pieces, found by C ``bisect`` calls on memoryviews."""
+        """The range's pieces, found by C ``bisect`` calls on :attr:`_views`."""
         if rect.dim != self.dim:
             raise ValueError(f"rect dim {rect.dim} != tree dim {self.dim}")
         pieces = Pieces([], [])
+        last_sorted = self._views[0]
         # the range's points have last-coordinate ranks in [r_lo, r_hi)
-        r_lo = bisect.bisect_left(self.last_sorted.data, rect.lo[-1])
-        r_hi = bisect.bisect_right(self.last_sorted.data, rect.hi[-1])
+        r_lo = bisect.bisect_left(last_sorted, rect.lo[-1])
+        r_hi = bisect.bisect_right(last_sorted, rect.hi[-1])
         if r_lo >= r_hi:
             return pieces
-        nodes: list[tuple[int, int]] = []
-        self._nodes(0, 0, 0, self.n, rect, nodes)
-        ranks = self.last_rank.data
-        for s, e in nodes:
-            a = bisect.bisect_left(ranks, r_lo, s, e)
-            b = bisect.bisect_left(ranks, r_hi, a, e)
-            if a < b:
-                pieces.start.append(a)
-                pieces.stop.append(b)
+        if self.dim == 1:   # one node, pool row 0: the points in last_sorted's order
+            return Pieces([r_lo], [r_hi])
+        self._walk(0, 0, 0, self.n, rect, r_lo, r_hi, pieces)
         return pieces
 
-    def _nodes(self, k: int, row: int, lo: int, hi: int, rect: QueryRect,
-               out: list) -> None:
-        """Appends to ``out`` the pool slices (start, stop) of the last-level
-        nodes, below the level-k node spanning [lo, hi) of the given row,
-        whose points meet the range in coordinates k..d-2."""
+    def _walk(self, k: int, row: int, lo: int, hi: int, rect: QueryRect,
+              r_lo: int, r_hi: int, pieces: Pieces) -> None:
+        """Adds to ``pieces`` the range's slices of the last-level nodes below
+        the level-k node (k < d-1) spanning [lo, hi) of the given row, each
+        cut by two bisections of ``last_rank`` as ``tile`` yields it."""
         n = self.n
         off = row * n
-        if k == self.dim - 1:
-            out.append((off + lo, off + hi))
-            return
-        keys = self.keys[k].data
-        a = bisect.bisect_left(keys, rect.lo[k], off + lo, off + hi) - off
-        b = bisect.bisect_right(keys, rect.hi[k], off + lo, off + hi) - off
+        _, ranks, keys = self._views[:3]
+        a = bisect.bisect_left(keys[k], rect.lo[k], off + lo, off + hi) - off
+        b = bisect.bisect_right(keys[k], rect.hi[k], off + lo, off + hi) - off
         if a >= b:
             return
         row *= self.rows   # child rows are row * rows + depth
+        upper = k < self.dim - 2
         for u, v, depth in tile(lo, hi, a, b):
-            self._nodes(k + 1, row + depth, u, v, rect, out)
+            if upper:
+                self._walk(k + 1, row + depth, u, v, rect, r_lo, r_hi, pieces)
+                continue
+            off = (row + depth) * n
+            s = bisect.bisect_left(ranks, r_lo, off + u, off + v)
+            e = bisect.bisect_left(ranks, r_hi, s, off + v)
+            if s < e:
+                pieces.start.append(s)
+                pieces.stop.append(e)
 
     def color_masses(self, pieces: Pieces, excluded: Optional[int] = None) -> np.ndarray:
         """Positive color masses of the pieces' m points, less the excluded
@@ -322,7 +330,7 @@ class RangeTree:
             total = float(masses.sum())
             p = masses / total
             return float((p * g(kind, p)).sum()), total
-        ids, colors, weights = self.pool_ids.data, self.pts.colors.data, self.pts.weights.data
+        ids, colors, weights = self._views[3:]
         masses: dict = {}
         for a, b in zip(pieces.start, pieces.stop):
             for i in ids[a:b]:

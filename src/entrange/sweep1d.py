@@ -107,8 +107,9 @@ one that holds the top exponent a build can reach), and the batches' runs,
 in gid order, are laid end to end.
 
 A query makes no numpy call at all: it is integer and float arithmetic
-plus C bisections on the arrays' memoryviews, which cost no dispatch and,
-past the first bisections of [a, b] among the coordinates, touch only a
+plus C bisections on memoryviews made on the first query (``_views``, in no
+pickle or copy; no array may be reassigned after it), which cost no dispatch
+and, past the first bisections of [a, b] among the coordinates, touch only a
 few cache lines per node.
 
 Guarantees are deterministic, not statistical: the Shannon answer h obeys
@@ -120,6 +121,7 @@ exact. Only unit weights are supported: W is a count of points.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from typing import Optional
 
@@ -129,6 +131,7 @@ from .core import (
     ColoredPointSet,
     EntropyKind,
     EntropySummary,
+    HeldViews,
     QueryRect,
     SHANNON,
     entropy_from_sums,
@@ -194,7 +197,7 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return a.astype(np.min_scalar_type(int(a.max()) if len(a) else 0))
 
 
-class Sweep1DIndex:
+class Sweep1DIndex(HeldViews):
     """Shared engine for the Shannon and Renyi variants (see build_*)."""
 
     STORED = ("coords", "colors", "h_rank", "h_exp",
@@ -273,8 +276,11 @@ class Sweep1DIndex:
     def _terms(self) -> tuple[np.ndarray, int]:
         """f over the counts 0..n, k log2 k (Shannon) or k^alpha (Renyi), and
         a bound on the exponents a build writes: no S_v exceeds f(n), so no
-        log guess exceeds top - 6."""
-        f = power_term(np.arange(self.n + 1.0), self.kind)
+        log guess exceeds top - 6. Refuses an alpha whose f(n) overflows."""
+        with np.errstate(over="ignore"):
+            f = power_term(np.arange(self.n + 1.0), self.kind)
+        if not math.isfinite(f[-1]):
+            raise ValueError(f"alpha {self.alpha} is too high for {self.n} points: f(n) overflows")
         return f, math.ceil(math.log(max(self.n, f[-1], 1.0)) / self._log_base) + 6
 
     def _check_ladders(self) -> None:
@@ -430,22 +436,26 @@ class Sweep1DIndex:
 
     # -- queries -------------------------------------------------------------------
 
+    @functools.cached_property
+    def _views(self) -> tuple:
+        """Memoryviews of the arrays a query reads, made on the first query."""
+        return tuple(a.data for a in (
+            self.mx, self.ucoords, self.y_rank, self.gid_slots, self.rows, self.h_rank,
+            self.ladder_first, self._lower, self.c_rank, self.run_lo, self.run_end, self._f))
+
     def query(self, rect: QueryRect, stats: Optional[dict] = None) -> EntropySummary:
         """Estimate of the entropy of the points in ``rect``, with their
         exact count. ``stats`` receives ``primary_nodes`` and
         ``canonical_nodes``."""
         if rect.dim != 1:
             raise ValueError("query rect must be 1-D")
-        a, b = rect.lo[0], rect.hi[0]
-        n, mx, ucoords = self.n, self.mx.data, self.ucoords.data
+        a, b, n = rect.lo[0], rect.hi[0], self.n
+        (mx, ucoords, y_rank, slots, rows, h_rank, first, lower,
+         c_rank, run_lo, run_end, f) = self._views
         ilo, ihi = bisect.bisect_left(mx, a), bisect.bisect_right(mx, b)
         r_a = bisect.bisect_left(ucoords, a) + 1  # y < a iff y-rank < r_a
         rank = bisect.bisect_right(ucoords, b)
         prim = tile(0, n, ilo, ihi) if ilo < ihi else []
-        y_rank, slots, rows = self.y_rank.data, self.gid_slots.data, self.rows.data
-        h_rank, first, lower = self.h_rank.data, self.ladder_first.data, self._lower.data
-        c_rank, run_lo, run_end, f = (
-            self.c_rank.data, self.run_lo.data, self.run_end.data, self._f.data)
         s_lo, nodes = 0.0, 0
         for p, e, depth in prim:
             # the secondary nodes covering the node's points with y < a

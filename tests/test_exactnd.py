@@ -21,6 +21,7 @@ from entrange.errors import OrderNotIndexed
 from entrange.exactnd import ExactNDIndex
 from entrange.oracle import brute_entropy
 from entrange.storage import load_index, save_index
+from entrange.sweep1d import build_renyi
 
 from conftest import random_pointset, random_rect
 
@@ -272,35 +273,71 @@ def first_sampled_calls(rng, tmp_path):
     return lambda: load_index(tmp_path / "e.rqe")[2], answers
 
 
+def race(shared, answers) -> list:
+    """Thread i's answers on the shared index, two threads started together,
+    with a short switch interval to interleave them finely."""
+    interval = sys.getswitchinterval()
+    start = threading.Barrier(2)
+    got: list = [None, None]
+
+    def run(i):
+        start.wait()
+        got[i] = answers(shared, i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    return got
+
+
 def test_concurrent_queries_match_serial(rng, tmp_path, always_sample):
     """Two threads share one index; each gets a serial run's answers. On the
     loaded estimator index their first calls race to derive the tree's
-    sampling arrays; a short switch interval interleaves them finely."""
-    interval = sys.getswitchinterval()
+    sampling arrays."""
     for case in (exact_queries, first_sampled_calls):
         fresh, answers = case(rng, tmp_path)
         serial = fresh()
         want = [answers(serial, 0), answers(serial, 1)]
         shared = fresh()
         assert "sampling" not in vars(shared.tree)
-        start = threading.Barrier(2)
-        got: list = [None, None]
+        assert race(shared, answers) == want, case.__name__
 
-        def run(i):
-            start.wait()
-            got[i] = answers(shared, i)
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == want, case.__name__
+def test_concurrent_first_queries_match_serial(rng, tmp_path):
+    """The first queries of a freshly loaded sweep index and of a freshly
+    loaded estimator index (exact answers) race to make its memoryviews;
+    each thread gets a serial run's answers."""
+    pts1, pts2 = random_pointset(rng, 400, m=20), random_pointset(rng, 400, d=2, m=10,
+                                                                   weighted=True)
+    save_index(tmp_path / "s.rqe", "sweep-renyi", build_renyi(pts1, 0.3, 2.0))
+    save_index(tmp_path / "e.rqe", "estimator", EstimatorIndex(pts2))
+    intervals = [random_rect(rng) for _ in range(150)]
+    rects = [random_rect(rng, d=2) for _ in range(150)]
+    cfg = EstimatorConfig(c_add=0.2, c_mult=2.0, c_mom=0.05, moment_c1=1.0, moment_c2=1.0)
+
+    def sweep_answers(idx, i):
+        return [idx.query(r).value for r in (intervals if i == 0 else intervals[::-1])]
+
+    def exact_estimates(idx, i):
+        g = np.random.default_rng(i)
+        return [estimate_additive(idx, r, 0.25, cfg, g).value
+                for r in (rects if i == 0 else rects[::-1]) if not idx.oracle(r).is_empty]
+
+    for name, answers, holder in (("s.rqe", sweep_answers, lambda idx: idx),
+                                  ("e.rqe", exact_estimates, lambda idx: idx.tree)):
+        serial = load_index(tmp_path / name)[2]
+        want = [answers(serial, 0), answers(serial, 1)]
+        shared = load_index(tmp_path / name)[2]
+        assert "_views" not in vars(holder(shared))
+        assert race(shared, answers) == want, name
+        assert "_views" in vars(holder(shared))
 
 
 _exponent = st.floats(min_value=0.0, max_value=12.0)

@@ -586,6 +586,61 @@ def test_sweep_kind_must_match_its_alpha(tmp_path, rng, capsys):
     capsys.readouterr()
 
 
+def test_sweep_file_with_an_alpha_whose_terms_overflow_is_refused(tmp_path, rng, capsys):
+    # a file that claims a Renyi order whose f(n) = n^alpha overflows a float
+    # is not a sweep index a build writes: it loads as NotAnIndex naming alpha
+    # and n, not as a bare OverflowError, and the CLI exits with code 4
+    pts = random_pointset(rng, 60, d=1, m=6)
+    tampered = copy.copy(sweep1d.build_renyi(pts, 0.3, 2.0))
+    tampered.alpha = 1000.0
+    path = tmp_path / "alpha.rqe"
+    storage.save_index(path, "sweep-renyi", tampered)
+    with pytest.raises(NotAnIndex, match="alpha 1000.0 is too high for 60 points"):
+        storage.load_index(path)
+    assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4
+    capsys.readouterr()
+
+
+def queried_indexes(rng):
+    """An estimator index, an exact 2-D index and both sweep kinds, each with
+    a function of an index giving its answers (the estimator's sampled with
+    a generator seeded 0), queried once so that each holds its views."""
+    pts2, pts1 = random_pointset(rng, 300, d=2, m=8, weighted=True), random_pointset(rng, 300)
+    rects = [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(30)]
+    intervals = [QueryRect.full(1)] + [random_rect(rng, d=1) for _ in range(30)]
+    cfg = EstimatorConfig(c_add=0.2, c_mult=2.0, c_mom=0.05, moment_c1=1.0, moment_c2=1.0)
+
+    def estimates(idx):
+        g = np.random.default_rng(0)
+        return [estimate_additive(idx, r, 0.25, cfg, g).value for r in rects
+                if not idx.oracle(r).is_empty]
+
+    cases = [
+        (EstimatorIndex(pts2), estimates),
+        (exactnd.ExactNDIndex(pts2, t=0.5, orders=(2.0,)),
+         lambda idx: [idx.query(r, k) for r in rects for k in (SHANNON, renyi_kind(2.0))]),
+        (sweep1d.build_shannon(pts1, 0.3), lambda idx: [idx.query(r) for r in intervals]),
+        (sweep1d.build_renyi(pts1, 0.3, 2.0), lambda idx: [idx.query(r) for r in intervals]),
+    ]
+    for idx, answers in cases:
+        answers(idx)
+    return cases
+
+
+def test_copies_of_a_queried_index_answer_alike(rng, always_sample):
+    # a queried index holds memoryviews of its arrays, which no pickle holds:
+    # a pickle round trip, a copy and a deep copy each make their own views
+    # and answer bit for bit as the index does
+    for idx, answers in queried_indexes(rng):
+        tree = getattr(idx, "tree", idx)
+        assert "_views" in vars(tree)
+        want = answers(idx)
+        copies = (pickle.loads(pickle.dumps(idx)), copy.copy(idx), copy.deepcopy(idx))
+        for other in copies:
+            assert answers(other) == want, type(idx).__name__
+        assert "_views" not in pickle.loads(pickle.dumps(tree)).__dict__
+
+
 def test_format_13_sweep_files_are_refused(tmp_path, rng):
     # format 13 stored the sweep's mapped points, rows, node keys, slots and
     # count ladder: its version byte is refused, and so is its layout

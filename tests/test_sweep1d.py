@@ -1,8 +1,10 @@
 """Deterministic sweep structures: mapping, ladders, and hard bounds."""
 
 import bisect
+import copy
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +319,20 @@ def test_ladders_after_a_heavy_walk_at_high_alpha():
         ranks, exps = reference_ladder(idx, pts, gid, 10.0)
         got_ranks, got_exps = node_run(idx, gid)
         assert np.array_equal(got_ranks, ranks) and np.array_equal(got_exps, exps), gid
+
+
+def test_build_refuses_an_alpha_whose_terms_overflow():
+    # f(512) = 512^120 overflows a float: the build names alpha and n, with
+    # no numpy warning (it once raised a bare OverflowError after one); an
+    # alpha whose f(n) fits still builds
+    pts = ColoredPointSet(np.arange(512.0), np.arange(512) % 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha 120.0 is too high for 512 points"):
+            build_renyi(pts, 0.5, 120.0)
+        idx = build_renyi(pts, 0.5, 100.0)
+    assert renyi_bound_holds(brute_entropy(pts, QueryRect.full(1), renyi_kind(100.0)).value,
+                             idx.query(QueryRect.full(1)).value, 0.5, 100.0)
 
 
 def key_pool_reference(idx, pts, alpha):
@@ -998,10 +1014,12 @@ def test_query_refuses_a_slot_without_a_ladder(rng):
     depth, start, stop = next(node for node in descent(idx, rect.lo[0], rect.hi[0])
                               if node[2] - node[1] >= 2)
     idx.query(rect)
-    idx.gid_slots = idx.gid_slots.copy()
-    idx.gid_slots[idx.n * depth + (start + stop) // 2] = -1
+    # a queried index holds its views; a copy makes its own on its first query
+    tampered = copy.copy(idx)
+    tampered.gid_slots = idx.gid_slots.copy()
+    tampered.gid_slots[idx.n * depth + (start + stop) // 2] = -1
     with pytest.raises(AssertionError, match="without a ladder"):
-        idx.query(rect)
+        tampered.query(rect)
 
 
 def test_query_stats_count_nodes(rng):
