@@ -27,9 +27,20 @@ ever subtracted from a total, so no update chain cancels.
     [lo, hi) of sorted positions for :meth:`Exact1DIndex.query_span`.
     Cuts are multiples of the bucket size, so integer division finds the
     maximal precomputed slice inside the span, whose S comes back from its
-    stored entropy. The at most 2*ceil(n^t) fringe points fold in one batch:
-    one sort of their colors, a ``reduceat`` of their weights per color,
-    and each color's mass inside the slice from the color-prefix array.
+    stored entropy. The at most 2*ceil(n^t) fringe points fold in one batch
+    into color masses, and each fringe color's mass inside the slice comes
+    from the color-prefix array. Each sorted position holds its color's id
+    among the D colors that occur (``ids_sorted``, narrowest unsigned type).
+    While D <= ``BINCOUNT_BUCKETS`` bucket sizes, at most twice the largest
+    fringe, the fold is one ``bincount`` of the ids per side of the slice,
+    so a span with no slice costs one ``bincount`` and one power-term sum.
+    Past that bound it sorts the fringe's colors and ``reduceat``s their
+    weights, at a cost that follows the fringe alone; both keep the query
+    O(n^t). On a 2-vCPU host over 32,768 points (bucket size 182, bound
+    728), spans of log-uniform width took a median 12.0 us by ``bincount``
+    against 20.3 by sort at 256 colors, 14.7 against 21.2 at 728, 19.6
+    against 20.3 at 2,048, 26.3 against 20.8 at 4,096 and 128 against 22
+    at 32,768.
 
 Duplicate coordinates need no care: queries resolve ties through the
 sorted order. Precision: every mass is a difference of two compensated
@@ -45,9 +56,10 @@ A table holds only its entries above the diagonal: the entry of cut pair
 (a, b), a < b, with k buckets, is at a*(2k - a - 1)//2 + b - 1 of its
 row-major upper triangle (``_slot``). An index file holds the points and
 the tables in that layout (:meth:`Exact1DIndex.to_arrays`), and a load
-keeps them as views of the file's payload. One ``_derive``, run on build
-and on load, rebuilds the sorted coordinates, colors and weights, their
-prefix pair, the ``ColorPrefix`` and the cuts. The coordinate order comes
+keeps them as views of the file's payload, after checking that every
+entry lies in [0, log2 D]. One ``_derive``, run on build and on load,
+rebuilds the sorted coordinates, colors and weights, their prefix pair,
+the ``ColorPrefix``, the color ids and the cuts. The coordinate order comes
 from an unstable sort with ties repaired (``core.stable_order``), which
 equals the stable (coordinate, input index) order.
 """
@@ -72,6 +84,9 @@ from .core import (
 )
 from .errors import OrderNotIndexed
 
+BINCOUNT_BUCKETS = 4   # the bincount fold's bound on D, in bucket sizes; see the module docstring
+TABLE_SLACK = 1e-9     # bits a loaded table entry may lie outside [0, log2 D]
+
 
 class Exact1DIndex:
     STORED = ("coords", "colors", "weights", "tables")   # what a file holds; see to_arrays
@@ -86,7 +101,8 @@ class Exact1DIndex:
     def _derive(self) -> None:
         """Everything but the points and the tables, on build and on load:
         the points sorted by (coordinate, input index), their weight prefix
-        pair and ``ColorPrefix``, and the cuts."""
+        pair and ``ColorPrefix``, each one's id among the colors that occur
+        (read off the prefix's color-sorted keys), the cuts and the fold."""
         pts = self.pts
         if pts.dim != 1:
             raise ValueError("Exact1DIndex requires 1-D points")
@@ -104,6 +120,14 @@ class Exact1DIndex:
         self.cuts = np.arange(0, n + 1, self.bucket_size, dtype=np.int64)
         if n and self.cuts[-1] != n:
             self.cuts = np.append(self.cuts, n)
+        keys, width = self.color_prefix.keys, max(n, 1)
+        color = keys // width
+        first = np.concatenate(([True], color[1:] != color[:-1]))[:n]
+        self.present = color[first]   # the colors that occur, ascending
+        self.ids_sorted = np.empty(n, core.color_type(len(self.present)))
+        self.ids_sorted[keys - color * width] = np.cumsum(first) - 1
+        self.fold = ("bincount" if len(self.present) <= BINCOUNT_BUCKETS * self.bucket_size
+                     else "sort")
 
     def to_arrays(self) -> tuple[dict, dict]:
         """The arrays and scalars an index file holds (``STORED``): the
@@ -125,6 +149,12 @@ class Exact1DIndex:
         if tables.dtype != np.float64 or tables.shape != (len(index.kinds), k * (k + 1) // 2):
             raise ValueError(f"tables of {tables.dtype} {tables.shape} do not fit "
                              f"{len(index.kinds)} kinds over {k} buckets")
+        # no entropy of D colors lies outside [0, log2 D]; NaN fails both tests
+        low, high = (tables.min(), tables.max()) if tables.size else (0.0, 0.0)
+        top = math.log2(max(len(index.present), 1))
+        if not (-TABLE_SLACK <= low and high <= top + TABLE_SLACK):
+            raise ValueError(f"tables span [{low}, {high}] bits, outside [0, log2 "
+                             f"{len(index.present)} = {top}] for the colors that occur")
         index.tables = dict(zip(index.kinds, tables))
         return index
 
@@ -181,8 +211,9 @@ class Exact1DIndex:
         """Entropy of the points at sorted positions [i, j) (0 <= i, j <= n),
         the order of :meth:`row`. A partition backend scores one span here
         and every span from one start with :meth:`row`. ``stats`` receives
-        ``points_in_range``, ``fringe_points`` and ``core_cuts`` (the
-        precomputed slice's cut pair, or None)."""
+        ``points_in_range``, ``fringe_points``, ``core_cuts`` (the
+        precomputed slice's cut pair, or None) and ``fold`` (``"bincount"``
+        or ``"sort"``, or None when no fringe point was folded)."""
         self._require(kind)
         n, size, last = len(self.colors_sorted), self.bucket_size, len(self.cuts) - 1
         a, b = min(-(-i // size), last), (last if j >= n else j // size)
@@ -195,19 +226,31 @@ class Exact1DIndex:
         fringe_points = max(0, j - i) - (core_hi - core_lo)
         if stats is not None:
             stats.update(points_in_range=max(0, j - i), fringe_points=fringe_points,
-                         core_cuts=(a, b) if a < b else None)
+                         core_cuts=(a, b) if a < b else None,
+                         fold=self.fold if fringe_points else None)
         if not fringe_points:
             return EntropySummary(kind, W, value)
-        colors = np.concatenate((self.colors_sorted[i:core_lo], self.colors_sorted[core_hi:j]))
-        weights = np.concatenate((self.weights_sorted[i:core_lo], self.weights_sorted[core_hi:j]))
-        order = colors.argsort()
-        colors = colors[order]
-        starts = np.concatenate(([True], colors[1:] != colors[:-1])).nonzero()[0]
-        added = np.add.reduceat(weights[order], starts)
+        ids, weights = self.ids_sorted, self.weights_sorted
+        if self.fold == "sort":
+            colors = np.concatenate((self.colors_sorted[i:core_lo], self.colors_sorted[core_hi:j]))
+            weights = np.concatenate((weights[i:core_lo], weights[core_hi:j]))
+            order = colors.argsort()
+            colors = colors[order]
+            starts = np.concatenate(([True], colors[1:] != colors[:-1])).nonzero()[0]
+            colors, added = colors[starts], np.add.reduceat(weights[order], starts)
+        elif a < b:
+            D = len(self.present)
+            # (an empty side counts on int64, so the sum is not made in place)
+            added = (np.bincount(ids[i:core_lo], weights[i:core_lo], D)
+                     + np.bincount(ids[core_hi:j], weights[core_hi:j], D))
+            folded = added.nonzero()[0]
+            colors, added = self.present[folded], added[folded]
+        else:
+            added = np.bincount(ids[i:j], weights[i:j])   # f(0) = 0 for every absent id
         S = core.power_sum(EntropySummary(kind, W, value))
-        W += float(weights.sum())
+        W += float(added.sum())
         if a < b:
-            inside = self.color_prefix.mass(colors[starts], core_lo, core_hi)
+            inside = self.color_prefix.mass(colors, core_lo, core_hi)
             S += float((core.power_term(inside + added, kind) - core.power_term(inside, kind)).sum())
         else:
             S += float(core.power_term(added, kind).sum())
@@ -223,7 +266,7 @@ class Exact1DIndex:
         k = len(self.cuts) - 1
         arrays = (self.coords_sorted, self.colors_sorted, self.weights_sorted, self.wpre, self.wlo,
                   self.color_prefix.keys, self.color_prefix.wpre, self.color_prefix.wlo,
-                  self.cuts, *self.tables.values())
+                  self.cuts, self.ids_sorted, self.present, *self.tables.values())
         return {
             "buckets": k,
             "bucket_size": self.bucket_size,

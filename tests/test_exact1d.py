@@ -1,6 +1,8 @@
 """Exact 1-D index: table correctness, query equality with brute force."""
 
 import bisect
+import copy
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from entrange import core
 from entrange.core import ColoredPointSet, ColorHistogram, QueryRect, SHANNON, renyi_kind
 from entrange.errors import OrderNotIndexed
-from entrange.exact1d import Exact1DIndex
+from entrange.exact1d import BINCOUNT_BUCKETS, Exact1DIndex
 from entrange.exactnd import ExactNDIndex
 from entrange.oracle import brute_entropy
 from entrange.partition import OracleBackend
@@ -351,10 +353,13 @@ def test_space_stats_bytes(rng):
     idx = Exact1DIndex(pts, t=0.5, orders=(2.0,))
     space = idx.space_stats()
     tables = sum(table.nbytes for table in idx.tables.values())
-    # two tables of k(k+1)/2 entries plus seven arrays of about one float per point
+    # two tables of k(k+1)/2 entries, seven arrays of about one float per
+    # point, and each point's color id on one byte with the colors that occur
     k = space["buckets"]
     assert tables == 2 * k * (k + 1) // 2 * 8
-    assert tables + 7 * 8 * 500 <= space["bytes"] <= tables + 8 * 8 * 510
+    assert idx.ids_sorted.dtype == np.uint8
+    ids = 500 + 8 * len(idx.present)
+    assert tables + ids + 7 * 8 * 500 <= space["bytes"] <= tables + ids + 8 * 8 * 510
 
 
 def test_empty_pointset():
@@ -457,22 +462,35 @@ def test_log_uniform_weights_match_oracle(data):
 # query_span over every span: the cut pair, the fold and the early return
 
 
-def span_case(seed, n):
-    """n points, 5 colors: integer coordinates (so many duplicates), weights
-    in [0.5, 2] with every seventh zero, and a one-color block of 6 points
-    at the end of the sorted order, so some spans hold a single color."""
+def span_case(seed, n, colors=5):
+    """n points: integer coordinates (so many duplicates), weights in
+    [0.5, 2] with every seventh zero, and a one-color block of 6 points at
+    the end of the sorted order, so some spans hold a single color. Every
+    one of ``colors`` colors occurs (given n - 6 >= colors)."""
     rng = np.random.default_rng(seed)
     coords = rng.integers(0, n // 2 + 1, size=n).astype(float)
-    colors = rng.integers(0, 5, size=n)
+    ids = np.empty(n, dtype=np.int64)
+    ids[6:] = rng.permutation(np.arange(n - 6) % colors)
     weights = rng.uniform(0.5, 2.0, size=n)
     weights[::7] = 0.0
-    coords[:6], colors[:6] = 1000.0 + np.arange(6), 3
-    return ColoredPointSet(coords, colors, weights, num_colors=5)
+    coords[:6], ids[:6] = 1000.0 + np.arange(6), colors - 1
+    return ColoredPointSet(coords, ids, weights, num_colors=colors)
 
 
-def check_every_span(pts, t):
+def check_every_span(pts, t, colors):
+    """Every span [i, j) of sorted positions (empty ones included) and every
+    interval between the points' coordinates, under Shannon and Renyi 2 and
+    3, against a linear scan at 1e-9. ``colors`` colors occur, which pick
+    the fold: ``stats`` must name it, and the other fold, forced on a copy,
+    must answer each span within 1e-12."""
     idx = Exact1DIndex(pts, t=t, orders=(2.0, 3.0))
     n, cuts = len(pts), idx.cuts
+    fold = "bincount" if colors <= BINCOUNT_BUCKETS * idx.bucket_size else "sort"
+    assert len(idx.present) == colors and idx.fold == fold
+    other = copy.copy(idx)
+    other.fold = "sort" if fold == "bincount" else "bincount"
+    ends = [-1.0, *np.unique(pts.coords).tolist(), 2000.0]
+    rects = [QueryRect.interval(lo, hi) for k, lo in enumerate(ends) for hi in ends[k:]]
     for kind in WEIGHTED_KINDS:
         oracle, table = OracleBackend(pts, kind), full_table(idx, kind)
         for i in range(n + 1):
@@ -482,50 +500,99 @@ def check_every_span(pts, t):
                 want = oracle.summary_range(i, j)
                 assert abs(got.value - want.value) < 1e-9, (t, kind, i, j)
                 assert abs(got.count - want.count) < 1e-9, (t, kind, i, j)
+                forced = other.query_span(i, j, kind)
+                assert abs(forced.value - got.value) < 1e-12, (t, kind, i, j)
+                assert abs(forced.count - got.count) < 1e-12, (t, kind, i, j)
                 # the arithmetic cut pair against a search of the cut array
                 a = int(np.searchsorted(cuts, i, side="left"))
                 b = int(np.searchsorted(cuts, j, side="right")) - 1
                 core = cuts[b] - cuts[a] if a < b else 0
                 assert stats == {"points_in_range": j - i, "fringe_points": j - i - core,
-                                 "core_cuts": (a, b) if a < b else None}, (t, i, j)
+                                 "core_cuts": (a, b) if a < b else None,
+                                 "fold": fold if j - i - core else None}, (t, i, j)
                 if a < b and core == j - i:
                     assert got.value == table[a, b]
+        for rect in rects:
+            want, got = brute_entropy(pts, rect, kind), idx.query(rect, kind)
+            assert abs(got.value - want.value) < 1e-9, (t, kind, rect)
+            assert got.count == pytest.approx(want.count, rel=1e-12, abs=1e-12), (t, kind, rect)
     return idx
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 1.0])
 @pytest.mark.parametrize("n", [37, 50])
 def test_every_span_matches_oracle(t, n):
-    idx = check_every_span(span_case(n, n), t)
-    if 0.0 < t < 1.0:
-        assert n % idx.bucket_size  # the last bucket is short
+    """Both sides of the fold rule: one color always folds by ``bincount``,
+    5 colors sort at t = 0 (bound 4), and 31 colors sort at t = 0 and 0.3,
+    and at t = 0.5 over 37 points (bound 28, against 32 over 50)."""
+    for colors in (1, 5, 31):
+        idx = check_every_span(span_case(n, n, colors), t, colors)
+        if 0.0 < t < 1.0:
+            assert n % idx.bucket_size  # the last bucket is short
 
 
 def test_every_span_of_empty_pointset():
     pts = ColoredPointSet(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
     for t in (0.0, 0.5, 1.0):
-        check_every_span(pts, t)
+        check_every_span(pts, t, 0)
 
 
 def test_fold_memory_independent_of_declared_colors():
-    """2**18 declared colors over 300 points: the fold stays O(fringe), so
-    100 spans allocate far less than one dense per-color array (2 MB)."""
+    """The fold stays O(fringe): 100 spans allocate far less than one dense
+    array over the declared colors (2 MB at 2**18 over 300 points), and
+    4,096 colors over 8,192 points (bucket size 91) are past the bincount
+    fold's bound, so they sort under the same bound."""
     rng = np.random.default_rng(7)
-    n = 300
-    colors = rng.choice(2**18, size=40, replace=False)[rng.integers(0, 40, size=n)]
-    pts = ColoredPointSet(rng.uniform(0, 100, size=n), colors, rng.uniform(0.5, 2.0, size=n),
-                          num_colors=2**18)
-    idx = Exact1DIndex(pts, t=0.5, orders=(2.0,))
-    spans = [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(100)]
-    for kind in (SHANNON, renyi_kind(2.0)):
-        oracle = OracleBackend(pts, kind)
-        for i, j in spans:
-            assert abs(idx.query_span(i, j, kind).value - oracle.summary_range(i, j).value) < 1e-9
-    tracemalloc.start()
-    try:
-        for i, j in spans:
-            idx.query_span(i, j, renyi_kind(2.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 1024
+    for n, present, declared, fold in ((300, 40, 2**18, "bincount"), (8192, 4096, 8192, "sort")):
+        colors = rng.choice(declared, size=present, replace=False)[
+            rng.permutation(np.arange(n) % present)]
+        pts = ColoredPointSet(rng.uniform(0, 100, size=n), colors, rng.uniform(0.5, 2.0, size=n),
+                              num_colors=declared)
+        idx = Exact1DIndex(pts, t=0.5, orders=(2.0,))
+        assert len(idx.present) == present and idx.fold == fold
+        spans = [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(100)]
+        for kind in (SHANNON, renyi_kind(2.0)):
+            oracle = OracleBackend(pts, kind)
+            for i, j in spans:
+                want = oracle.summary_range(i, j).value
+                assert abs(idx.query_span(i, j, kind).value - want) < 1e-9, (n, i, j)
+        tracemalloc.start()
+        try:
+            for i, j in spans:
+                idx.query_span(i, j, renyi_kind(2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, (n, peak)
+
+
+def test_fringe_fold_crossover():
+    """Both folds match a linear scan on 32,768 points at 256, 1,024 and
+    4,096 colors (bucket size 182, bound 728); with -s, prints each fold's
+    median microseconds per ``query_span`` (best of three passes) over 200
+    spans of log-uniform width, as the benchmark's intervals are."""
+    rng = np.random.default_rng(201)
+    n = 32768
+    print(f"\nExact1DIndex.query_span per call (us), BINCOUNT_BUCKETS = {BINCOUNT_BUCKETS}")
+    for present in (256, 1024, 4096):
+        pts = ColoredPointSet(rng.uniform(0.0, 1e6, n), rng.permutation(np.arange(n) % present),
+                              rng.uniform(0.5, 2.0, n), num_colors=present)
+        idx = Exact1DIndex(pts, t=0.5)
+        chosen = idx.fold
+        assert chosen == ("bincount" if present <= BINCOUNT_BUCKETS * idx.bucket_size else "sort")
+        widths = np.exp(rng.uniform(0.0, np.log(n), size=200)).astype(np.int64)
+        starts = rng.integers(0, n - widths + 1)
+        spans = list(zip(starts.tolist(), (starts + widths).tolist()))
+        oracle = OracleBackend(pts, SHANNON)
+        us = {}
+        for fold in ("bincount", "sort"):
+            idx.fold = fold
+            for i, j in spans[:20]:
+                stats = {}
+                got = idx.query_span(i, j, stats=stats)
+                assert abs(got.value - oracle.summary_range(i, j).value) < 1e-9, (present, fold)
+                assert stats["fold"] in (fold, None)
+            us[fold] = min(np.median([timeit.timeit(lambda: idx.query_span(i, j), number=1)
+                                      for i, j in spans]) for _ in range(3)) * 1e6
+        print(f"{present:5d} colors ({chosen:>8}): bincount {us['bincount']:6.1f}, "
+              f"sort {us['sort']:6.1f}")

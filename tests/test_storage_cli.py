@@ -503,6 +503,41 @@ def test_load_refuses_points_on_other_dtypes(tmp_path, rng, capsys):
     capsys.readouterr()
 
 
+def test_load_refuses_exact1d_tables_outside_their_bounds(tmp_path, rng, capsys):
+    # a file whose digest is right but whose tables no build of its points
+    # writes: every entropy of the D colors that occur (6 of 64 declared)
+    # lies in [0, log2 D], so NaN, 1e6 bits, one entry of -1 or log2 D + 0.5
+    # is refused; entries at the bounds (and within the slack of a few
+    # rounding errors past them) load
+    pts = ColoredPointSet(rng.uniform(0, 100, size=60), rng.permutation(np.arange(60) % 6),
+                          rng.uniform(0.5, 2.0, size=60), num_colors=64)
+    index = exact1d.Exact1DIndex(pts, 0.5, orders=(2.0,))
+    tables = index.to_arrays()[0]["tables"]
+    path = tmp_path / "tables.rqe"
+    top = math.log2(6)
+    cases = {
+        "all NaN": (r"\[nan, nan\]", np.full_like(tables, np.nan)),
+        "tables of 1e6": (r"\[1000000.0, 1000000.0\]", np.full_like(tables, 1e6)),
+        "one entry of -1": (r"\[-1.0, ", changed(tables, (1, 3), -1.0)),
+        "one entry of +inf": (r", inf\]", changed(tables, (0, 0), np.inf)),
+        "log2 D + 0.5": (r"\[3.08", np.full_like(tables, math.log2(6) + 0.5)),
+    }
+    for name, (reason, bad) in cases.items():
+        tampered = copy.copy(index)
+        tampered.to_arrays = to_arrays_with(index, tables=bad)
+        storage.save_index(path, "exact1d", tampered)
+        with pytest.raises(NotAnIndex, match=reason + r".*outside \[0, log2 6 = "):
+            storage.load_index(path)
+        assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4, name
+    for edge in (np.zeros_like(tables), np.full_like(tables, top),
+                 np.full_like(tables, top + 1e-12), np.full_like(tables, -1e-12)):
+        tampered = copy.copy(index)
+        tampered.to_arrays = to_arrays_with(index, tables=edge)
+        storage.save_index(path, "exact1d", tampered)
+        storage.load_index(path)
+    capsys.readouterr()
+
+
 def changed(a, at, value):
     """A copy of ``a`` with ``a[at] = value``."""
     a = a.copy()
