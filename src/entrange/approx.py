@@ -86,9 +86,9 @@ class DualAccessOracle:
     The rectangle is decomposed once into canonical pieces; SAMP draws
     batches from them and EVAL is exact (color masses over the pieces).
     With ``excluded`` set, both operate on the sub-population without that
-    color. Only ``pieces`` and their point count ``points`` are built
-    here: the rest is derived on its first read, so an exact answer
-    derives no sampling arrays.
+    color. Only ``pieces``, which carry their point count, are built here:
+    the rest is derived on its first read, so an exact answer derives no
+    sampling arrays.
     """
 
     def __init__(self, index: "EstimatorIndex", rect: QueryRect,
@@ -97,7 +97,6 @@ class DualAccessOracle:
         self.rect = rect
         self.excluded = excluded
         self.pieces = index.tree.canonical_nodes(rect) if pieces is None else pieces
-        self.points = sum(self.pieces.stop) - sum(self.pieces.start)
 
     @functools.cached_property
     def exclusion(self) -> Optional[Exclusion]:
@@ -107,7 +106,7 @@ class DualAccessOracle:
     @functools.cached_property
     def total_count(self) -> int:
         """Points of the (reduced) range."""
-        return self.points - (0 if self.exclusion is None else int(self.exclusion.count.sum()))
+        return self.pieces.points - (0 if self.exclusion is None else int(self.exclusion.count.sum()))
 
     @functools.cached_property
     def total_weight(self) -> float:
@@ -125,7 +124,7 @@ class DualAccessOracle:
         """True when no point of positive weight remains (the pool holds only
         positive weights, so only a reduced range needs its mass checked)."""
         if self.excluded is None:
-            return self.points == 0
+            return self.pieces.points == 0
         return self.total_count == 0 or self.total_weight <= 0.0
 
     def color_weight(self, color):
@@ -167,7 +166,7 @@ class DualAccessOracle:
         (reduced) range's points once, when the range holds more points.
         The pieces' count comes first: the reduced count, which needs the
         sampling arrays, never exceeds it."""
-        return samples < self.points and (self.excluded is None or samples < self.total_count)
+        return samples < self.pieces.points and (self.excluded is None or samples < self.total_count)
 
 
 class EstimatorIndex:
@@ -216,8 +215,7 @@ def exact_statistic(kind: EntropyKind, oracle: DualAccessOracle) -> float:
     """sum_c p_c g(p_c) over the (reduced) range's color probabilities, from
     :meth:`.RangeTree.statistic`. Sets the oracle's ``total_weight`` to
     the masses' sum, so an exact answer reads no weight prefix."""
-    value, oracle.total_weight = oracle.index.tree.statistic(
-        oracle.pieces, kind, oracle.excluded, oracle.points)
+    value, oracle.total_weight = oracle.index.tree.statistic(oracle.pieces, kind, oracle.excluded)
     if not oracle.total_weight > 0.0:
         raise EmptyRange("no mass in (reduced) query range")
     return value

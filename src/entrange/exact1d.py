@@ -30,11 +30,12 @@ ever subtracted from a total, so no update chain cancels.
     stored entropy. The at most 2*ceil(n^t) fringe points fold in one batch
     into color masses, and each fringe color's mass inside the slice comes
     from the color-prefix array. Each sorted position holds its color's id
-    among the D colors that occur (``ids_sorted``, narrowest unsigned type).
+    among the D colors that occur (``ids_sorted``, narrowest unsigned type),
+    the index's one color array; ``present`` maps an id back to its color.
     While D <= ``BINCOUNT_BUCKETS`` bucket sizes, at most twice the largest
     fringe, the fold is one ``bincount`` of the ids per side of the slice,
     so a span with no slice costs one ``bincount`` and one power-term sum.
-    Past that bound it sorts the fringe's colors and ``reduceat``s their
+    Past that bound it sorts the fringe's ids and ``reduceat``s their
     weights, at a cost that follows the fringe alone; both keep the query
     O(n^t). On a 2-vCPU host over 32,768 points (bucket size 182, bound
     728), spans of log-uniform width took a median 12.0 us by ``bincount``
@@ -50,7 +51,11 @@ cut, and each fringe color's mass inside the slice. Such a difference is
 accurate relative to the span's own mass, so heavy points outside a range
 do not swamp the light ones in it: with 1-5 heavy points up to 1e15 over
 light weights near 1, and with weights log-uniform in [1, 1e12], answers
-stay within 1e-6 of brute force.
+stay within 1e-6 of brute force. A Renyi power sum over a set of positive
+mass lies in [w_min^alpha * D^(1 - alpha), W^alpha] (w_min the least
+positive weight, W the total), so an order for which either end leaves
+the normal floats is refused: ``InvalidWeight`` on build, and the same
+rule refuses such a file on load.
 
 A table holds only its entries above the diagonal: the entry of cut pair
 (a, b), a < b, with k buckets, is at a*(2k - a - 1)//2 + b - 1 of its
@@ -58,8 +63,9 @@ row-major upper triangle (``_slot``). An index file holds the points and
 the tables in that layout (:meth:`Exact1DIndex.to_arrays`), and a load
 keeps them as views of the file's payload, after checking that every
 entry lies in [0, log2 D]. One ``_derive``, run on build and on load,
-rebuilds the sorted coordinates, colors and weights, their prefix pair,
-the ``ColorPrefix``, the color ids and the cuts. The coordinate order comes
+rebuilds the sorted coordinates and weights, their prefix pair, the
+``ColorPrefix``, the colors that occur and the ids (from the prefix's
+keys) and the cuts, and applies the Renyi rule. The coordinate order comes
 from an unstable sort with ties repaired (``core.stable_order``), which
 equals the stable (coordinate, input index) order.
 """
@@ -82,7 +88,7 @@ from .core import (
     SHANNON,
     renyi_kind,
 )
-from .errors import OrderNotIndexed
+from .errors import InvalidWeight, OrderNotIndexed
 
 BINCOUNT_BUCKETS = 4   # the bincount fold's bound on D, in bucket sizes; see the module docstring
 TABLE_SLACK = 1e-9     # bits a loaded table entry may lie outside [0, log2 D]
@@ -112,22 +118,29 @@ class Exact1DIndex:
         n = len(pts)
         order = core.stable_order(pts.coords[:, 0])
         self.coords_sorted = pts.coords[order, 0]
-        self.colors_sorted = pts.colors[order]
         self.weights_sorted = pts.weights[order]
         self.wpre, self.wlo = core.running_sum(self.weights_sorted)
-        self.color_prefix = ColorPrefix(self.colors_sorted, self.weights_sorted)
+        self.color_prefix = ColorPrefix(pts.colors[order], self.weights_sorted)
         self.bucket_size = max(1, math.ceil(n**self.t)) if n else 1
         self.cuts = np.arange(0, n + 1, self.bucket_size, dtype=np.int64)
         if n and self.cuts[-1] != n:
             self.cuts = np.append(self.cuts, n)
-        keys, width = self.color_prefix.keys, max(n, 1)
-        color = keys // width
+        color, position = np.divmod(self.color_prefix.keys, max(n, 1))
         first = np.concatenate(([True], color[1:] != color[:-1]))[:n]
         self.present = color[first]   # the colors that occur, ascending
-        self.ids_sorted = np.empty(n, core.color_type(len(self.present)))
-        self.ids_sorted[keys - color * width] = np.cumsum(first) - 1
-        self.fold = ("bincount" if len(self.present) <= BINCOUNT_BUCKETS * self.bucket_size
-                     else "sort")
+        D = len(self.present)
+        self.ids_sorted = np.empty(n, core.color_type(D))
+        self.ids_sorted[position] = np.cumsum(first) - 1
+        self.fold = "bincount" if D <= BINCOUNT_BUCKETS * self.bucket_size else "sort"
+        # the Renyi rule of the module docstring: both ends of the power sums'
+        # range must be normal floats (2^-1022 to 2^1023)
+        w_min = self.weights_sorted.min(where=self.weights_sorted > 0.0, initial=math.inf)
+        for alpha in self.orders if w_min < math.inf else ():
+            top = alpha * math.log2(self.wpre[-1] + self.wlo[-1])
+            low = alpha * math.log2(w_min) + (1.0 - alpha) * math.log2(D)
+            if top > 1023 or low < -1022:
+                raise InvalidWeight(f"Renyi order {alpha} takes power sums out of float range: "
+                                    f"2^{low:.0f} to 2^{top:.0f} over {D} colors")
 
     def to_arrays(self) -> tuple[dict, dict]:
         """The arrays and scalars an index file holds (``STORED``): the
@@ -168,7 +181,7 @@ class Exact1DIndex:
     def _build_tables(self) -> dict[EntropyKind, np.ndarray]:
         k = len(self.cuts) - 1
         tables = np.empty((len(self.kinds), k * (k + 1) // 2))
-        groups = _ColorGroups(self.color_prefix, self.bucket_size)
+        groups = _ColorGroups(self, self.bucket_size)
         bucket_first = groups.bucket.searchsorted(np.arange(k + 1))  # each bucket's first group
         for i in range(k):
             first = int(bucket_first[i])
@@ -184,7 +197,7 @@ class Exact1DIndex:
 
     @functools.cached_property
     def _points(self) -> "_ColorGroups":
-        return _ColorGroups(self.color_prefix, 1)   # group p is sorted position p
+        return _ColorGroups(self, 1)   # group p is sorted position p
 
     # -- queries --------------------------------------------------------------
 
@@ -215,7 +228,7 @@ class Exact1DIndex:
         precomputed slice's cut pair, or None) and ``fold`` (``"bincount"``
         or ``"sort"``, or None when no fringe point was folded)."""
         self._require(kind)
-        n, size, last = len(self.colors_sorted), self.bucket_size, len(self.cuts) - 1
+        n, size, last = len(self.ids_sorted), self.bucket_size, len(self.cuts) - 1
         a, b = min(-(-i // size), last), (last if j >= n else j // size)
         W, value, core_lo, core_hi = 0.0, 0.0, i, i
         if a < b:
@@ -232,25 +245,24 @@ class Exact1DIndex:
             return EntropySummary(kind, W, value)
         ids, weights = self.ids_sorted, self.weights_sorted
         if self.fold == "sort":
-            colors = np.concatenate((self.colors_sorted[i:core_lo], self.colors_sorted[core_hi:j]))
+            ids = np.concatenate((ids[i:core_lo], ids[core_hi:j]))
             weights = np.concatenate((weights[i:core_lo], weights[core_hi:j]))
-            order = colors.argsort()
-            colors = colors[order]
-            starts = np.concatenate(([True], colors[1:] != colors[:-1])).nonzero()[0]
-            colors, added = colors[starts], np.add.reduceat(weights[order], starts)
+            order = ids.argsort(kind="stable")   # a radix sort on uint8 and uint16
+            ids = ids[order]
+            starts = np.concatenate(([True], ids[1:] != ids[:-1])).nonzero()[0]
+            folded, added = ids[starts], np.add.reduceat(weights[order], starts)
         elif a < b:
-            D = len(self.present)
             # (an empty side counts on int64, so the sum is not made in place)
-            added = (np.bincount(ids[i:core_lo], weights[i:core_lo], D)
-                     + np.bincount(ids[core_hi:j], weights[core_hi:j], D))
+            added = (np.bincount(ids[i:core_lo], weights[i:core_lo], len(self.present))
+                     + np.bincount(ids[core_hi:j], weights[core_hi:j], len(self.present)))
             folded = added.nonzero()[0]
-            colors, added = self.present[folded], added[folded]
+            added = added[folded]
         else:
             added = np.bincount(ids[i:j], weights[i:j])   # f(0) = 0 for every absent id
         S = core.power_sum(EntropySummary(kind, W, value))
         W += float(added.sum())
         if a < b:
-            inside = self.color_prefix.mass(colors, core_lo, core_hi)
+            inside = self.color_prefix.mass(self.present[folded], core_lo, core_hi)
             S += float((core.power_term(inside + added, kind) - core.power_term(inside, kind)).sum())
         else:
             S += float(core.power_term(added, kind).sum())
@@ -264,7 +276,7 @@ class Exact1DIndex:
 
     def space_stats(self) -> dict:
         k = len(self.cuts) - 1
-        arrays = (self.coords_sorted, self.colors_sorted, self.weights_sorted, self.wpre, self.wlo,
+        arrays = (self.coords_sorted, self.weights_sorted, self.wpre, self.wlo,
                   self.color_prefix.keys, self.color_prefix.wpre, self.color_prefix.wlo,
                   self.cuts, self.ids_sorted, self.present, *self.tables.values())
         return {
@@ -277,27 +289,27 @@ class Exact1DIndex:
 
 
 class _ColorGroups:
-    """The (bucket, color) groups of a ``ColorPrefix``: the runs of its keys
-    with equal (color, position // size), in bucket-major order and by color
-    within a bucket. A group keeps its bucket, its color's place among the
-    colors that occur (so memory is independent of the declared colors),
-    the prefix pair past its last key and the place of its color's previous
-    group (-1 for none). With size 1 every group is one point."""
+    """The (bucket, color) groups of an index's ``ColorPrefix``: the runs of
+    its keys with equal (color, position // size), in bucket-major order and
+    by color within a bucket. A group keeps its bucket, its color's id (the
+    index's ``ids_sorted``), the prefix pair past its last key and the place
+    of its color's previous group (-1 for none). With size 1 every group is
+    one point."""
 
     __slots__ = ("cp", "present", "bucket", "dense", "end_hi", "end_lo", "prev")
 
-    def __init__(self, cp: ColorPrefix, size: int):
-        self.cp = cp
-        color = cp.keys // max(cp.n, 1)
-        bucket = (cp.keys - color * cp.n) // size
-        change = (color[1:] != color[:-1]) | (bucket[1:] != bucket[:-1])
+    def __init__(self, index: Exact1DIndex, size: int):
+        cp = self.cp = index.color_prefix
+        self.present = index.present
+        position = cp.keys % max(cp.n, 1)
+        dense, bucket = index.ids_sorted[position], position // size
+        change = (dense[1:] != dense[:-1]) | (bucket[1:] != bucket[:-1])
         starts = np.concatenate(([True], change))[:cp.n].nonzero()[0]
-        color, bucket = color[starts], bucket[starts]
-        new_color = np.concatenate(([True], color[1:] != color[:-1]))[:len(starts)]
-        self.present = color[new_color]
+        dense, bucket = dense[starts], bucket[starts]
+        new_color = np.concatenate(([True], dense[1:] != dense[:-1]))[:len(starts)]
         order = np.argsort(bucket, kind="stable")
         self.bucket = bucket[order]
-        self.dense = (np.cumsum(new_color) - 1)[order]
+        self.dense = dense[order].astype(np.intp)   # each row gathers by it
         ends = np.append(starts[1:], cp.n)[order]
         self.end_hi, self.end_lo = cp.wpre[ends], cp.wlo[ends]
         place = np.empty_like(order)

@@ -64,12 +64,11 @@ class ExactNDIndex:
         if not kind.is_shannon and kind.alpha not in self.orders:
             raise OrderNotIndexed(f"alpha={kind.alpha} not precomputed (have {self.orders})")
         pieces = self.tree.canonical_nodes(rect)
-        points = sum(pieces.stop) - sum(pieces.start)
-        value, W = self.tree.statistic(pieces, kind, points=points)
+        value, W = self.tree.statistic(pieces, kind)
         value = core.entropy_from_statistic(value, kind) if W else 0.0
         if stats is not None:
             stats["bucket_visits"] = len(pieces)
-            stats["points_in_range"] = points
+            stats["points_in_range"] = pieces.points
         if trace is not None:
             trace.extend((i, [a, b], None)
                          for i, (a, b) in enumerate(zip(pieces.start, pieces.stop)))

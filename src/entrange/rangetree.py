@@ -126,13 +126,14 @@ def tile(lo: int, hi: int, a: int, b: int) -> list[tuple[int, int, int]]:
 
 
 class Pieces:
-    """Canonical pieces of one query: pool slices [start, stop), as Python lists."""
+    """A query's canonical pieces: pool slices [start, stop) as lists, and their point count."""
 
-    __slots__ = ("start", "stop")
+    __slots__ = ("start", "stop", "points")
 
-    def __init__(self, start: list, stop: list):
+    def __init__(self, start: list, stop: list, points: int = 0):
         self.start = start
         self.stop = stop
+        self.points = points
 
     def __len__(self) -> int:
         return len(self.start)
@@ -280,7 +281,7 @@ class RangeTree(HeldViews):
         if r_lo >= r_hi:
             return pieces
         if self.dim == 1:   # one node, pool row 0: the points in last_sorted's order
-            return Pieces([r_lo], [r_hi])
+            return Pieces([r_lo], [r_hi], r_hi - r_lo)
         self._walk(0, 0, 0, self.n, rect, r_lo, r_hi, pieces)
         return pieces
 
@@ -308,6 +309,7 @@ class RangeTree(HeldViews):
             if s < e:
                 pieces.start.append(s)
                 pieces.stop.append(e)
+                pieces.points += e - s
 
     def color_masses(self, pieces: Pieces, excluded: Optional[int] = None) -> np.ndarray:
         """Positive color masses of the pieces' m points, less the excluded
@@ -320,12 +322,12 @@ class RangeTree(HeldViews):
             masses[excluded] = 0.0
         return masses[masses > 0.0]
 
-    def statistic(self, pieces: Pieces, kind: EntropyKind, excluded: Optional[int] = None,
-                  points: Optional[int] = None) -> tuple[float, float]:
+    def statistic(self, pieces: Pieces, kind: EntropyKind,
+                  excluded: Optional[int] = None) -> tuple[float, float]:
         """The kind's statistic (:func:`~.core.fold_statistic`) over the color
-        masses of the pieces' ``points`` points, less the excluded color's,
-        and their total mass (0.0, with a statistic of 0, if none is left)."""
-        if (sum(pieces.stop) - sum(pieces.start) if points is None else points) > FOLD_POINTS:
+        masses of the pieces' points, less the excluded color's, and their
+        total mass (0.0, with a statistic of 0, if none is left)."""
+        if pieces.points > FOLD_POINTS:
             masses = self.color_masses(pieces, excluded)
             total = float(masses.sum())
             p = masses / total

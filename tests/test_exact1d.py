@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from entrange import core
 from entrange.core import ColoredPointSet, ColorHistogram, QueryRect, SHANNON, renyi_kind
-from entrange.errors import OrderNotIndexed
+from entrange.errors import InvalidWeight, OrderNotIndexed
 from entrange.exact1d import BINCOUNT_BUCKETS, Exact1DIndex
 from entrange.exactnd import ExactNDIndex
 from entrange.oracle import brute_entropy
@@ -38,11 +38,17 @@ def full_table(idx, kind):
     return table
 
 
+def sorted_colors(idx):
+    """Each sorted position's color, read from the points in (coordinate,
+    input index) order."""
+    return idx.pts.colors[np.argsort(idx.pts.coords[:, 0], kind="stable")]
+
+
 def table_value_naive(idx, i, j, kind):
     """Direct recomputation of one table entry; build-correctness oracle."""
     a, b = int(idx.cuts[i]), int(idx.cuts[j])
     entries: dict[int, float] = {}
-    for c, w in zip(idx.colors_sorted[a:b], idx.weights_sorted[a:b]):
+    for c, w in zip(sorted_colors(idx)[a:b], idx.weights_sorted[a:b]):
         entries[int(c)] = entries.get(int(c), 0.0) + float(w)
     return core.entropy_of(ColorHistogram(entries), kind).value
 
@@ -65,14 +71,14 @@ def palette_tables(idx):
     of every declared color."""
     k = len(idx.cuts) - 1
     tables = {kind: np.zeros((k + 1, k + 1)) for kind in idx.kinds}
-    cp, n = idx.color_prefix, len(idx.pts)
+    cp, n, colors = idx.color_prefix, len(idx.pts), sorted_colors(idx)
     # each position's own key
-    key = cp.keys.searchsorted(idx.colors_sorted * n + np.arange(n))
+    key = cp.keys.searchsorted(colors * n + np.arange(n))
     palette = np.arange(idx.pts.num_colors)
     for i in range(k):
         start = int(idx.cuts[i])
         weights = idx.weights_sorted[start:]
-        at = cp.keys.searchsorted(palette * n + start)[idx.colors_sorted[start:]]
+        at = cp.keys.searchsorted(palette * n + start)[colors[start:]]
         before = ((cp.wpre[key[start:]] - cp.wpre[at])
                   + (cp.wlo[key[start:]] - cp.wlo[at]))
         after = before + weights
@@ -269,15 +275,19 @@ def test_brute_shannon_finite_past_overflowing_mass_ratios():
 
 def test_build_memory_independent_of_declared_colors():
     """2**18 declared colors over 300 points: a build allocates far less than
-    one dense per-color array (2 MB)."""
+    one dense per-color array (2 MB), and each sorted position's id is its
+    color's rank among the colors that occur."""
     pts = sparse_colors_case(7, 300, 2**18)
     tracemalloc.start()
     try:
-        Exact1DIndex(pts, t=0.5, orders=(2.0,))
+        idx = Exact1DIndex(pts, t=0.5, orders=(2.0,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1024 * 1024
+    present, rank = np.unique(sorted_colors(idx), return_inverse=True)
+    assert len(present) == 40 and idx.ids_sorted.dtype == np.uint8
+    assert np.array_equal(idx.present, present) and np.array_equal(idx.ids_sorted, rank)
 
 
 def test_t_one_single_bucket(rng):
@@ -354,12 +364,13 @@ def test_space_stats_bytes(rng):
     space = idx.space_stats()
     tables = sum(table.nbytes for table in idx.tables.values())
     # two tables of k(k+1)/2 entries, seven arrays of about one float per
-    # point, and each point's color id on one byte with the colors that occur
+    # point, and each point's color id on one byte (its one color array)
+    # with the colors that occur
     k = space["buckets"]
     assert tables == 2 * k * (k + 1) // 2 * 8
     assert idx.ids_sorted.dtype == np.uint8
     ids = 500 + 8 * len(idx.present)
-    assert tables + ids + 7 * 8 * 500 <= space["bytes"] <= tables + ids + 8 * 8 * 510
+    assert tables + ids + 7 * 8 * 500 <= space["bytes"] <= tables + ids + 7 * 8 * 510
 
 
 def test_empty_pointset():
@@ -434,6 +445,52 @@ def test_weighted_extreme_heavy_points_match_oracle():
         check_weighted(seed, 1e9, 1e15)
 
 
+def check_or_refused(pts, alpha, rects):
+    """A build under Renyi ``alpha`` answers every rect within 1e-6 of brute
+    force, or refuses the order (InvalidWeight); True when it refused."""
+    kind = renyi_kind(alpha)
+    try:
+        idx = Exact1DIndex(pts, t=0.5, orders=(alpha,))
+    except InvalidWeight as exc:
+        assert f"Renyi order {alpha} " in str(exc)
+        return True
+    for rect in rects:
+        want, got = brute_entropy(pts, rect, kind), idx.query(rect, kind)
+        assert abs(got.value - want.value) < 1e-6, (alpha, rect)
+        assert got.count == pytest.approx(want.count, rel=1e-9), (alpha, rect)
+    return False
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-120, 1e120, 1e170, 1e300])
+def test_renyi_weight_scale_answers_or_refuses(alpha, scale):
+    """64 points in 5 colors, weights uniform in [0.5, 1.5] times ``scale``:
+    every interval between the points' coordinates is answered right or the
+    build refuses the order. Renyi-2 answers at 1e-120 and 1e120; its power
+    sums leave float range (2^-1022 to 2^1023) from 1e-170 and 1e170 on,
+    Renyi-3's from 1e-120 and 1e120 on."""
+    rng = np.random.default_rng(0)
+    pts = ColoredPointSet(rng.uniform(0, 100, 64), rng.integers(0, 5, 64),
+                          rng.uniform(0.5, 1.5, 64) * scale)
+    ends = np.unique(pts.coords).tolist()
+    rects = [QueryRect.interval(lo, hi) for k, lo in enumerate(ends) for hi in ends[k:]]
+    refused = alpha == 3.0 or abs(np.log10(scale)) > 150
+    assert check_or_refused(pts, alpha, rects) == refused
+
+
+def test_high_renyi_orders_answer_or_refuse():
+    """200 unit-weight points in 6 colors: alpha 100 and 130 answer 280
+    intervals right, and alpha 140 and 200, where W^alpha = 200^alpha
+    passes 2^1023, are refused at build (a query at 140 once raised a bare
+    OverflowError, and the full range answered 7.68 bits at 200 against a
+    truth of 2.41)."""
+    rng = np.random.default_rng(1)
+    pts = ColoredPointSet(rng.uniform(0, 100, 200), rng.integers(0, 6, 200))
+    rects = [QueryRect.full(1)] + [rand_interval(rng) for _ in range(279)]
+    for alpha, refused in ((100.0, False), (130.0, False), (140.0, True), (200.0, True)):
+        assert check_or_refused(pts, alpha, rects) == refused, alpha
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_log_uniform_weights_match_oracle(data):
@@ -487,6 +544,7 @@ def check_every_span(pts, t, colors):
     n, cuts = len(pts), idx.cuts
     fold = "bincount" if colors <= BINCOUNT_BUCKETS * idx.bucket_size else "sort"
     assert len(idx.present) == colors and idx.fold == fold
+    assert np.array_equal(idx.present[idx.ids_sorted], sorted_colors(idx))
     other = copy.copy(idx)
     other.fold = "sort" if fold == "bincount" else "bincount"
     ends = [-1.0, *np.unique(pts.coords).tolist(), 2000.0]

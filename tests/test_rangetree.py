@@ -249,6 +249,7 @@ def test_walk_matches_cut_key_search(d, n):
         assert (got.start, got.stop) == cut_key_pieces(tree, keys, rect), rect
         assert all(type(x) is int for x in got.start + got.stop)
         assert range_count(tree, rect) == int((rect.mask(pts) & (pts.weights > 0)).sum())
+        assert got.points == range_count(tree, rect)
         empty += not len(got)
     assert 0 < empty < len(rects)
     zero = ColoredPointSet(pts.coords, pts.colors, np.zeros(n))
@@ -591,7 +592,7 @@ def test_fold_crossover(monkeypatch):
                 assert abs(entropy_from_statistic(value, kind) - want.value) < 1e-9
                 assert total == pytest.approx(want.count, rel=1e-12)
                 assert (side == "numpy") == bool(numpy_calls)
-            runs = timeit.repeat(lambda: tree.statistic(pieces, SHANNON, None, m),
+            runs = timeit.repeat(lambda: tree.statistic(pieces, SHANNON),
                                  number=20, repeat=5)
             us[side] = min(runs) / 20 * 1e6
         print(f"{m:5d} points: python {us['python']:7.1f}, numpy {us['numpy']:7.1f}")

@@ -538,6 +538,32 @@ def test_load_refuses_exact1d_tables_outside_their_bounds(tmp_path, rng, capsys)
     capsys.readouterr()
 
 
+def test_exact1d_renyi_power_sums_out_of_float_range_are_refused(tmp_path, rng, capsys):
+    # a build refuses a Renyi order whose power sums leave float range
+    # (InvalidWeight, exit 3); a file re-saved with its weights scaled by
+    # 1e-300 or 1e300, with a valid digest and tables in [0, log2 D], is
+    # refused on load by the same rule (NotAnIndex, exit 4)
+    rows = [f"{x},c{x % 5},1e200" for x in range(64)]
+    csv_path = write_csv(tmp_path / "heavy.csv", rows, header="x1,color,weight")
+    idx_path = tmp_path / "heavy.rqe"
+    assert run_cli("build", "--input", str(csv_path), "--kind", "exact1d",
+                   "--out", str(idx_path), "--alphas", "2") == 3
+    assert not idx_path.exists()
+    assert run_cli("build", "--input", str(csv_path), "--kind", "exact1d",
+                   "--out", str(idx_path)) == 0   # Shannon alone is kept in range
+    pts = ColoredPointSet(rng.uniform(0, 100, 64), rng.integers(0, 5, 64),
+                          rng.uniform(0.5, 1.5, 64))
+    index = exact1d.Exact1DIndex(pts, 0.5, orders=(2.0,))
+    for scale in (1e-300, 1e300):
+        tampered = copy.copy(index)
+        tampered.to_arrays = to_arrays_with(index, weights=pts.weights * scale)
+        storage.save_index(idx_path, "exact1d", tampered)
+        with pytest.raises(NotAnIndex, match="Renyi order 2.0 takes power sums out of float"):
+            storage.load_index(idx_path)
+        assert run_cli("query", "--index", str(idx_path), "--rect", "0:100") == 4, scale
+    capsys.readouterr()
+
+
 def changed(a, at, value):
     """A copy of ``a`` with ``a[at] = value``."""
     a = a.copy()
