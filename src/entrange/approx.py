@@ -2,8 +2,9 @@
 
 Estimation runs in the dual access model: SAMP draws a color c with
 probability p_c, its share of the rectangle's mass, and EVAL returns p_c
-exactly; both run on one pooled range tree (:mod:`.rangetree`), with the
-rectangle decomposed once per query. Every estimator estimates one
+exactly; both run on the pooled range tree of the one d-D index
+(:class:`.exactnd.ExactNDIndex`, also built under the name ``EstimatorIndex``),
+with the rectangle decomposed once per query. Every estimator estimates one
 statistic E[g(p)] of the range's color law (:func:`~.core.g`): for
 g(p) = -log2 p it is the Shannon entropy, for g(p) = p^(alpha-1) the
 moment m = sum p^alpha, whose Renyi entropy is -log2(m)/(alpha-1). A
@@ -47,10 +48,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (SHANNON, ColoredPointSet, EntropyKind, EntropySummary, QueryRect,
+from .core import (SHANNON, EntropyKind, EntropySummary, QueryRect,
                    entropy_from_statistic, g, insert_color_shannon, renyi_kind)
-from .errors import EmptyRange
-from .rangetree import ColorTrees, Exclusion, Pieces, RangeTree
+from .errors import EmptyRange, Underflow
+from .exactnd import ExactNDIndex
+from .rangetree import Exclusion, Pieces
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ class DualAccessOracle:
     sampling arrays.
     """
 
-    def __init__(self, index: "EstimatorIndex", rect: QueryRect,
+    def __init__(self, index: ExactNDIndex, rect: QueryRect,
                  excluded: Optional[int] = None, pieces: Optional[Pieces] = None):
         self.index = index
         self.rect = rect
@@ -169,39 +171,8 @@ class DualAccessOracle:
         return samples < self.pieces.points and (self.excluded is None or samples < self.total_count)
 
 
-class EstimatorIndex:
-    """The pooled range tree shared by every estimator: SAMP, and EVAL
-    through ``color_trees`` (a view of the same pool). Until a first draw or
-    EVAL derives the tree's sampling arrays, it holds what an exact index holds."""
-
-    STORED = RangeTree.STORED
-
-    def __init__(self, pts: ColoredPointSet):
-        self.pts = pts
-        self.tree = RangeTree(pts)
-        self.color_trees = ColorTrees(self.tree)
-
-    def to_arrays(self) -> tuple[dict, dict]:
-        """The tree's arrays and scalars: the points and the pool."""
-        return self.tree.to_arrays()
-
-    @classmethod
-    def from_arrays(cls, arrays: dict, scalars: dict) -> "EstimatorIndex":
-        index = cls.__new__(cls)
-        index.tree = RangeTree.from_arrays(arrays, scalars)
-        index.pts = index.tree.pts
-        index.color_trees = ColorTrees(index.tree)
-        return index
-
-    def __len__(self) -> int:
-        return len(self.pts)
-
-    def oracle(self, rect: QueryRect, excluded: Optional[int] = None) -> DualAccessOracle:
-        return DualAccessOracle(self, rect, excluded)
-
-    def space_stats(self) -> dict:
-        return {"points": len(self.pts), "colors": self.pts.num_colors,
-                "pool_entries": len(self.tree.pool_ids), "bytes": self.tree.nbytes()}
+# The estimators' name for the one d-D index, kept for callers that build it by that name.
+EstimatorIndex = ExactNDIndex
 
 
 def tally_mean(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
@@ -283,8 +254,10 @@ def draw_counts(n: int, kind: EntropyKind, accuracy: float, cfg: EstimatorConfig
 def heavy_combine_renyi(h1: float, h2: float, h_hat: float, alpha: float) -> float:
     """Entropy from the split t-1 = (1 - sum p^alpha)/sum p^alpha: h1 is the
     exact 1 - rho^alpha of the heavy color, h2 the rescaled light moment,
-    h_hat the full-moment estimate. The log argument is clamped to the
-    feasible t >= 1 (power sums never exceed one)."""
+    h_hat the full-moment estimate (:class:`~.errors.Underflow` if it is 0).
+    The log argument is clamped to the feasible t >= 1 (power sums never exceed one)."""
+    if h_hat == 0.0:
+        raise Underflow(f"the order-{alpha} full moment underflowed to 0")
     arg = (h1 - h2) / h_hat + 1.0
     return math.log2(max(arg, 1.0)) / (alpha - 1.0)
 
@@ -302,7 +275,7 @@ def heavy_combine(kind: EntropyKind, heavy: HeavyColor, rest: float,
     return heavy_combine_renyi(1.0 - rho**alpha, light, full, alpha)
 
 
-def prepare_query(index: EstimatorIndex, rect: QueryRect, stats: Optional[dict] = None,
+def prepare_query(index: ExactNDIndex, rect: QueryRect, stats: Optional[dict] = None,
                   **accuracy: float) -> DualAccessOracle:
     """Checks each accuracy parameter lies in (0, 1), then returns the
     rectangle's oracle, which must hold mass. Starts ``stats`` with the query's canonical ``pieces`` and a zero
@@ -310,7 +283,7 @@ def prepare_query(index: EstimatorIndex, rect: QueryRect, stats: Optional[dict] 
     for name, value in accuracy.items():
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {value}")
-    oracle = index.oracle(rect)
+    oracle = DualAccessOracle(index, rect)
     if stats is not None:
         stats["pieces"] = len(oracle.pieces)
         stats["distinct_colors"] = 0
@@ -319,7 +292,7 @@ def prepare_query(index: EstimatorIndex, rect: QueryRect, stats: Optional[dict] 
     return oracle
 
 
-def additive(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, delta: float,
+def additive(index: ExactNDIndex, rect: QueryRect, kind: EntropyKind, delta: float,
              cfg: EstimatorConfig = DEFAULT_CONFIG, rng: Optional[np.random.Generator] = None,
              stats: Optional[dict] = None) -> EntropySummary:
     """Entropy of the kind within +-delta, with high probability: one
@@ -334,7 +307,7 @@ def additive(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, delta: f
     return EntropySummary(kind, oracle.total_weight, entropy_from_statistic(value, kind))
 
 
-def multiplicative(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, eps: float,
+def multiplicative(index: ExactNDIndex, rect: QueryRect, kind: EntropyKind, eps: float,
                    cfg: EstimatorConfig = DEFAULT_CONFIG,
                    rng: Optional[np.random.Generator] = None,
                    stats: Optional[dict] = None) -> EntropySummary:
@@ -375,7 +348,7 @@ def multiplicative(index: EstimatorIndex, rect: QueryRect, kind: EntropyKind, ep
     return EntropySummary(kind, oracle.total_weight, value)
 
 
-def estimate_additive(index: EstimatorIndex, rect: QueryRect, delta: float,
+def estimate_additive(index: ExactNDIndex, rect: QueryRect, delta: float,
                       cfg: EstimatorConfig = DEFAULT_CONFIG,
                       rng: Optional[np.random.Generator] = None,
                       stats: Optional[dict] = None) -> EntropySummary:
@@ -383,7 +356,7 @@ def estimate_additive(index: EstimatorIndex, rect: QueryRect, delta: float,
     return additive(index, rect, SHANNON, delta, cfg, rng, stats)
 
 
-def estimate_multiplicative(index: EstimatorIndex, rect: QueryRect, eps: float,
+def estimate_multiplicative(index: ExactNDIndex, rect: QueryRect, eps: float,
                             cfg: EstimatorConfig = DEFAULT_CONFIG,
                             rng: Optional[np.random.Generator] = None,
                             stats: Optional[dict] = None) -> EntropySummary:
@@ -391,7 +364,7 @@ def estimate_multiplicative(index: EstimatorIndex, rect: QueryRect, eps: float,
     return multiplicative(index, rect, SHANNON, eps, cfg, rng, stats)
 
 
-def detect_heavy_color(index: EstimatorIndex, rect: QueryRect,
+def detect_heavy_color(index: ExactNDIndex, rect: QueryRect,
                        rng: Optional[np.random.Generator] = None) -> Optional[HeavyColor]:
     """Find a color holding more than 2/3 of the range's mass, if one exists.
 
@@ -412,14 +385,14 @@ class MomentEstimate:
     samples: int              # 0 means the moment was computed exactly
 
 
-def _moment(index: EstimatorIndex, oracle: DualAccessOracle, alpha: float, eps: float,
+def _moment(index: ExactNDIndex, oracle: DualAccessOracle, alpha: float, eps: float,
             cfg: EstimatorConfig, rng: Optional[np.random.Generator]) -> MomentEstimate:
     value, drawn = statistic(renyi_kind(alpha), oracle,
                              moment_sample_count(len(index), alpha, eps, cfg), rng)
     return MomentEstimate(alpha, value, eps, drawn)
 
 
-def estimate_moment(index: EstimatorIndex, rect: QueryRect, alpha: float, eps: float,
+def estimate_moment(index: ExactNDIndex, rect: QueryRect, alpha: float, eps: float,
                     cfg: EstimatorConfig = DEFAULT_CONFIG,
                     rng: Optional[np.random.Generator] = None) -> MomentEstimate:
     """Relative-error estimate of the alpha-th frequency moment in the range."""
@@ -427,7 +400,7 @@ def estimate_moment(index: EstimatorIndex, rect: QueryRect, alpha: float, eps: f
     return _moment(index, prepare_query(index, rect, eps=eps), alpha, eps, cfg, rng)
 
 
-def estimate_moment_excluding(index: EstimatorIndex, rect: QueryRect, alpha: float,
+def estimate_moment_excluding(index: ExactNDIndex, rect: QueryRect, alpha: float,
                               eps: float, excluded: int,
                               cfg: EstimatorConfig = DEFAULT_CONFIG,
                               rng: Optional[np.random.Generator] = None) -> MomentEstimate:
@@ -438,7 +411,7 @@ def estimate_moment_excluding(index: EstimatorIndex, rect: QueryRect, alpha: flo
     return _moment(index, oracle.excluding(excluded), alpha, eps, cfg, rng)
 
 
-def estimate_additive_renyi(index: EstimatorIndex, rect: QueryRect, alpha: float,
+def estimate_additive_renyi(index: ExactNDIndex, rect: QueryRect, alpha: float,
                             delta: float, cfg: EstimatorConfig = DEFAULT_CONFIG,
                             rng: Optional[np.random.Generator] = None,
                             stats: Optional[dict] = None) -> EntropySummary:
@@ -446,7 +419,7 @@ def estimate_additive_renyi(index: EstimatorIndex, rect: QueryRect, alpha: float
     return additive(index, rect, renyi_kind(alpha), delta, cfg, rng, stats)
 
 
-def estimate_multiplicative_renyi(index: EstimatorIndex, rect: QueryRect, alpha: float,
+def estimate_multiplicative_renyi(index: ExactNDIndex, rect: QueryRect, alpha: float,
                                   eps: float, cfg: EstimatorConfig = DEFAULT_CONFIG,
                                   rng: Optional[np.random.Generator] = None,
                                   stats: Optional[dict] = None) -> EntropySummary:

@@ -484,7 +484,9 @@ def g(kind: EntropyKind, p: np.ndarray) -> np.ndarray:
 
 def entropy_from_statistic(value: float, kind: EntropyKind) -> float:
     """Entropy (bits) from the statistic: itself for Shannon,
-    -log2(m)/(alpha-1) of the moment m for Renyi."""
+    -log2(m)/(alpha-1) of the moment m for Renyi (:class:`Underflow` if m is 0)."""
+    if kind.alpha is not None and value == 0.0:
+        raise Underflow(f"the order-{kind.alpha} moment underflowed to 0")
     return value if kind.alpha is None else -math.log2(value) / (kind.alpha - 1.0)
 
 

@@ -14,7 +14,8 @@ class InvalidWeight(EntrangeError, ValueError):
 
 
 class Underflow(EntrangeError, ValueError):
-    """A delete update would remove at least the entire remaining mass."""
+    """A delete update would remove at least the entire remaining mass, or a
+    Renyi moment, exact or sampled, underflowed to 0. CLI exit code 3."""
 
 
 class EmptyRange(EntrangeError, ValueError):

@@ -1,4 +1,4 @@
-"""Exact d-dimensional range entropy index on a range tree's canonical pieces.
+"""The one d-dimensional index: exact range entropy, and the estimators' tree.
 
 A :class:`~.rangetree.RangeTree` over the points decomposes a rectangle
 into O(log^(d-1) n) canonical pieces: disjoint slices of the tree's pool
@@ -11,6 +11,7 @@ total, so heavy weights cannot cancel; the fold reads probabilities, so
 the answer holds at any weight scale whose total is finite (10^-300 to
 10^300 per point). A query costs O(log^d n + m) for the m points in range;
 the index holds nothing beyond the tree and does not grow with queries.
+The sampling estimators (:mod:`.approx`) take this one index too.
 """
 
 from __future__ import annotations
@@ -20,40 +21,44 @@ from typing import Optional, Sequence
 from . import core
 from .core import ColoredPointSet, EntropyKind, EntropySummary, QueryRect, SHANNON
 from .errors import OrderNotIndexed
-from .rangetree import RangeTree
+from .rangetree import ColorTrees, RangeTree
 
 
 class ExactNDIndex:
-    """Exact Shannon and Renyi entropy of the points in any rectangle.
+    """Exact Shannon and Renyi entropy of the points in any rectangle, on the
+    range tree the estimators sample (SAMP, and EVAL through ``color_trees``).
 
     ``t`` must lie in [0, 1] and has no effect on this index: it is the
     bucket exponent of :class:`~.exact1d.Exact1DIndex`, accepted here so
     that both exact indexes are built the same way. ``orders`` lists the
-    Renyi orders that :meth:`query` answers; any other order raises
-    :class:`~.errors.OrderNotIndexed`.
+    Renyi orders that :meth:`query` answers (the estimators take any);
+    another order raises :class:`~.errors.OrderNotIndexed`.
     """
 
     STORED = RangeTree.STORED
 
-    def __init__(self, pts: ColoredPointSet, t: float, orders: Sequence[float] = ()):
+    def __init__(self, pts: ColoredPointSet, t: float = 0.5, orders: Sequence[float] = ()):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t must lie in [0, 1], got {t}")
-        self.pts = pts
-        self.orders = tuple(sorted(set(float(a) for a in orders)))
-        self.tree = RangeTree(pts)
+        self._hold(RangeTree(pts), orders)
+
+    def _hold(self, tree: RangeTree, orders: Sequence[float]) -> None:
+        self.tree, self.pts, self.color_trees = tree, tree.pts, ColorTrees(tree)
+        self.orders = tuple(sorted(set(map(float, orders))))
 
     def to_arrays(self) -> tuple[dict, dict]:
-        """The tree's arrays (the points and the pool) and scalars, and the orders."""
+        """The tree's arrays and scalars (the points and the pool), and any orders."""
         arrays, scalars = self.tree.to_arrays()
-        return arrays, {**scalars, "orders": list(self.orders)}
+        return arrays, {**scalars, "orders": list(self.orders)} if self.orders else scalars
 
     @classmethod
     def from_arrays(cls, arrays: dict, scalars: dict) -> "ExactNDIndex":
         index = cls.__new__(cls)
-        index.tree = RangeTree.from_arrays(arrays, scalars)
-        index.pts = index.tree.pts
-        index.orders = tuple(map(float, scalars["orders"]))
+        index._hold(RangeTree.from_arrays(arrays, scalars), scalars.get("orders", ()))
         return index
+
+    def __len__(self) -> int:
+        return len(self.pts)
 
     def query(self, rect: QueryRect, kind: EntropyKind = SHANNON,
               stats: Optional[dict] = None, trace: Optional[list] = None) -> EntropySummary:
@@ -77,5 +82,6 @@ class ExactNDIndex:
     def space_stats(self) -> dict:
         """Sizes: ``bytes`` of the tree's arrays and its ``pool_entries``;
         ``table_entries`` is 0, since nothing is precomputed per cell."""
-        return {"pool_entries": len(self.tree.pool_ids), "table_entries": 0,
+        return {"points": len(self.pts), "colors": self.pts.num_colors,
+                "pool_entries": len(self.tree.pool_ids), "table_entries": 0,
                 "orders": self.orders, "bytes": self.tree.nbytes()}

@@ -422,8 +422,8 @@ def _unexclude(s: Sampling, t: np.ndarray, ex: Exclusion) -> np.ndarray:
 
 class ColorTrees:
     """Per-color counting (EVAL) over a tree's pool, through the
-    ``ColorPrefix`` of its sampling arrays. Shares the tree it is given
-    (the estimators pass their own), so it adds no storage."""
+    ``ColorPrefix`` of its sampling arrays. Shares the tree it is given (each
+    :class:`~.exactnd.ExactNDIndex` holds one over its own), so it adds no storage."""
 
     def __init__(self, tree: RangeTree):
         self.tree = tree

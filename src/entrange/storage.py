@@ -22,7 +22,9 @@ a load widens to int64 again:
 
   * exact1d: the points, and each table's entries above the diagonal,
     row-major;
-  * exactnd and estimator: the points and the range tree's pool of ids;
+  * exactnd and estimator: the points and the range tree's pool of ids,
+    and the Renyi orders when there are any. Both kinds load as the one
+    :class:`~.exactnd.ExactNDIndex`;
   * sweep-shannon and sweep-renyi: the points' coordinates and colors (a
     sweep's weights are all 1, so its file holds none), and the ladders of
     the nodes of two or more points (jump ranks, their exponents and each
@@ -60,7 +62,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .approx import EstimatorIndex
 from .core import ColoredPointSet
 from .errors import (
     DataFormatError,
@@ -81,7 +82,7 @@ INDEX_CLASSES = {
     "exactnd": ExactNDIndex,
     "sweep-shannon": Sweep1DIndex,
     "sweep-renyi": Sweep1DIndex,
-    "estimator": EstimatorIndex,
+    "estimator": ExactNDIndex,
 }
 INDEX_KINDS = tuple(INDEX_CLASSES)
 

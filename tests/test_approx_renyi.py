@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 
 from entrange.approx import (
+    DualAccessOracle,
     EstimatorConfig,
     EstimatorIndex,
     additive_branch_sample_counts,
+    estimate_additive,
     estimate_additive_renyi,
     estimate_moment,
     estimate_moment_excluding,
+    estimate_multiplicative,
     estimate_multiplicative_renyi,
     heavy_combine_renyi,
     moment_sample_count,
     tally_mean,
 )
-from entrange.core import QueryRect, renyi_kind
-from entrange.errors import EmptyRange, InvalidOrder
+from entrange.core import SHANNON, ColoredPointSet, QueryRect, renyi_kind
+from entrange.errors import EmptyRange, InvalidOrder, Underflow
+from entrange.exactnd import ExactNDIndex
 from entrange.oracle import brute_entropy
 
 from test_approx_shannon import FULL, make_mix
@@ -62,7 +66,7 @@ def test_moment_mean_of_1e5_draws_within_3_sigma(rng):
     truth = float((p**alpha).sum())
     var = float((p * (p ** (alpha - 1)) ** 2).sum() - truth**2)
     draws = 100_000
-    got = tally_mean(renyi_kind(alpha), index.oracle(FULL), draws, np.random.default_rng(99))
+    got = tally_mean(renyi_kind(alpha), DualAccessOracle(index, FULL), draws, np.random.default_rng(99))
     assert abs(got - truth) <= 3 * math.sqrt(var / draws)
 
 
@@ -220,3 +224,63 @@ def test_multiplicative_renyi_light_bound(rng, always_sample):
         assert stats["mode"] == "sampled-light"
         ok += 4.0 / (1 + eps) <= h <= (1 + eps) * 4.0
     assert ok >= 0.9 * runs
+
+
+# ---------------------------------------------------------------------------
+# a Renyi moment that underflows to 0 is refused, not answered
+
+FULL2 = QueryRect.full(2)
+
+
+def six_colors(n):
+    """``n`` unit-weight 2-D points in 6 colors taking turns: their Renyi
+    moment, about 6^(1-alpha), underflows to 0 at alpha 1000 but not at 200."""
+    return ColoredPointSet(np.random.default_rng(n).uniform(0, 100, (n, 2)), np.arange(n) % 6)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("n", [60, 200])   # both sides of RangeTree.statistic's FOLD_POINTS
+def test_underflowed_moment_is_refused(request, n, sampled):
+    if sampled:
+        request.getfixturevalue("always_sample")
+    pts = six_colors(n)
+    index = ExactNDIndex(pts, orders=(200.0, 1000.0))
+    for alpha, refused in ((200.0, False), (1000.0, True)):
+        kind, stats = renyi_kind(alpha), ({}, {})
+        calls = [lambda: brute_entropy(pts, FULL2, kind).value,
+                 lambda: index.query(FULL2, kind).value]
+        calls += [lambda estimate=estimate, st=st: estimate(
+            index, FULL2, alpha, 0.2, rng=np.random.default_rng(1), stats=st).value
+            for estimate, st in zip((estimate_additive_renyi, estimate_multiplicative_renyi), stats)]
+        for call in calls:
+            if refused:
+                with pytest.raises(Underflow, match="moment underflowed to 0"):
+                    call()
+            else:
+                assert 2.5 < call() <= math.log2(6)
+        # an estimate draws only when sampling is forced
+        assert [st["distinct_colors"] > 0 for st in stats] == [sampled, sampled]
+    # the Shannon estimators still answer the same range
+    truth = brute_entropy(pts, FULL2, SHANNON).value
+    for estimate in (estimate_additive, estimate_multiplicative):
+        h = estimate(index, FULL2, 0.2, rng=np.random.default_rng(1)).value
+        assert abs(h - truth) < (0.2 if sampled else 1e-12)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_underflowed_full_moment_is_refused(request, sampled):
+    # 90% of 300 points in one color: at alpha 10^4 the heavy branch's full
+    # moment, about 0.9^10^4, is 0 in floating point, whether the moment is
+    # exact or tallied
+    if sampled:
+        request.getfixturevalue("always_sample")
+    colors = np.where(np.arange(300) < 270, 0, 1 + np.arange(300) % 5)
+    index = ExactNDIndex(ColoredPointSet(np.random.default_rng(3).uniform(0, 100, (300, 2)), colors))
+    cfg = EstimatorConfig(c_mom=1e-6, moment_c1=1.0, moment_c2=1.0)   # a few thousand draws
+    stats: dict = {}
+    with pytest.raises(Underflow, match="full moment underflowed to 0"):
+        estimate_multiplicative_renyi(index, FULL2, 1e4, 0.2, cfg, np.random.default_rng(2), stats)
+    # heavy detection's few draws see at most 2 colors; the tallied moments see more
+    assert (stats["distinct_colors"] > 2) == sampled
+    with pytest.raises(Underflow):
+        heavy_combine_renyi(1.0, 0.0, 0.0, 1e4)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entrange.approx import (
+    DualAccessOracle,
     EstimatorConfig,
     EstimatorIndex,
     detect_heavy_color,
@@ -55,7 +56,7 @@ def test_eval_is_exact(rng):
     pts = random_pointset(rng, 300, d=2, m=9, weighted=True)
     index = EstimatorIndex(pts)
     rect = QueryRect((10.0, 10.0), (80.0, 90.0))
-    oracle = index.oracle(rect)
+    oracle = DualAccessOracle(index, rect)
     if oracle.is_empty:
         pytest.skip("degenerate draw")
     mask = rect.mask(pts)
@@ -68,7 +69,7 @@ def test_eval_is_exact(rng):
 def test_sample_color_law(rng):
     pts = make_mix(rng, [10, 30, 60])
     index = EstimatorIndex(pts)
-    oracle = index.oracle(FULL)
+    oracle = DualAccessOracle(index, FULL)
     draws = 30_000
     colors, counts, weights = oracle.tally(rng, draws)
     assert colors.tolist() == [0, 1, 2] and counts.sum() == draws
@@ -173,7 +174,7 @@ def test_heavy_branch_exact_identity(rng):
     pts = make_mix(rng, [80, 7, 6, 4, 3])
     index = EstimatorIndex(pts)
     truth = brute_entropy(pts, FULL, SHANNON).value
-    reduced = index.oracle(FULL, excluded=0)
+    reduced = DualAccessOracle(index, FULL, 0)
     h_rest = exact_statistic(SHANNON, reduced)
     h = insert_color_shannon(EntropySummary(SHANNON, 20.0, h_rest), 80.0).value
     assert abs(h - truth) < 1e-9
@@ -292,7 +293,7 @@ def every_call_stats(rng):
     pts = random_pointset(rng, 300, d=2, m=6, weighted=True)
     index = EstimatorIndex(pts)
     for rect in [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(20)]:
-        if index.oracle(rect).is_empty:
+        if DualAccessOracle(index, rect).is_empty:
             continue
         pieces = len(index.tree.canonical_nodes(rect))
         for i, estimate in enumerate(ESTIMATORS):
@@ -366,7 +367,7 @@ def test_tally_estimates_match_per_sample_eval(seed):
     index = EstimatorIndex(pts)
     checked = 0
     for rect in [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(8)]:
-        plain = index.oracle(rect)
+        plain = DualAccessOracle(index, rect)
         if plain.is_empty:
             continue
         for oracle in (plain, plain.excluding(int(pts.colors[0])), plain.excluding(99)):
@@ -418,7 +419,7 @@ def test_extreme_weight_ratios(heavy_lo, heavy_hi, always_sample):
             for excluded in (None, 0):
                 keep = mask if excluded is None else mask & (pts.colors != excluded)
                 masses = np.bincount(pts.colors[keep], pts.weights[keep], minlength=6)
-                oracle = index.oracle(rect, excluded)
+                oracle = DualAccessOracle(index, rect, excluded)
                 assert oracle.is_empty == (masses.sum() == 0.0)
                 if oracle.is_empty:
                     continue
@@ -480,7 +481,7 @@ def test_exact_from_pieces_matches_brute_force(seed, d):
             sub = ColoredPointSet(pts.coords[keep], pts.colors[keep], pts.weights[keep],
                                   num_colors=100)
             want = {c: w for c, w in hist.items() if c != excluded}
-            oracle = index.oracle(rect, excluded)
+            oracle = DualAccessOracle(index, rect, excluded)
             assert oracle.is_empty == (not want)
             if oracle.is_empty:
                 continue
@@ -524,7 +525,7 @@ def test_exact_answers_hold_no_sampling_arrays(tmp_path, request):
     exact_bytes = ExactNDIndex(pts, t=0.5).space_stats()["bytes"]
     answered = 0
     for rect in [random_rect(rng, d=2) for _ in range(20)]:
-        if index.oracle(rect).is_empty:
+        if DualAccessOracle(index, rect).is_empty:
             continue
         for estimate in ESTIMATORS:
             stats: dict = {}

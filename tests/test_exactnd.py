@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from entrange import core
 from entrange.approx import (
+    DualAccessOracle,
     EstimatorConfig,
     EstimatorIndex,
     estimate_additive,
@@ -87,8 +88,9 @@ def test_bucket_visits_and_snapped_point_sets(rng):
     the range, and nothing is tabled per cell."""
     pts = random_pointset(rng, 120, d=2, m=9, weighted=True, duplicate_frac=0.1)
     idx = ExactNDIndex(pts, t=0.5)
-    assert idx.space_stats()["table_entries"] == 0
     pool_ids = idx.tree.pool_ids
+    assert idx.space_stats() == {"points": 120, "colors": 9, "pool_entries": len(pool_ids),
+                                 "table_entries": 0, "orders": (), "bytes": idx.tree.nbytes()}
     for rect in [random_rect(rng, d=2) for _ in range(40)] + [QueryRect.full(2)]:
         trace: list = []
         stats: dict = {}
@@ -268,7 +270,7 @@ def first_sampled_calls(rng, tmp_path):
         g = np.random.default_rng(i)
         return [(estimate_additive(idx, rect, 0.25, cfg, g).value,
                  estimate_multiplicative_renyi(idx, rect, 2.0, 0.3, cfg, g).value)
-                for rect in rects if not idx.oracle(rect).is_empty]
+                for rect in rects if not DualAccessOracle(idx, rect).is_empty]
 
     return lambda: load_index(tmp_path / "e.rqe")[2], answers
 
@@ -328,7 +330,7 @@ def test_concurrent_first_queries_match_serial(rng, tmp_path):
     def exact_estimates(idx, i):
         g = np.random.default_rng(i)
         return [estimate_additive(idx, r, 0.25, cfg, g).value
-                for r in (rects if i == 0 else rects[::-1]) if not idx.oracle(r).is_empty]
+                for r in (rects if i == 0 else rects[::-1]) if not DualAccessOracle(idx, r).is_empty]
 
     for name, answers, holder in (("s.rqe", sweep_answers, lambda idx: idx),
                                   ("e.rqe", exact_estimates, lambda idx: idx.tree)):

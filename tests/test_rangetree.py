@@ -9,6 +9,7 @@ import pytest
 
 from entrange import rangetree
 from entrange.approx import (
+    DualAccessOracle,
     EstimatorIndex,
     estimate_additive,
     estimate_additive_renyi,
@@ -392,7 +393,7 @@ def test_samplers_raise_empty_range_on_empty_pieces(rng):
         with pytest.raises(EmptyRange):
             draw_ids(tree, nowhere, rng, size, excluded=0)
         with pytest.raises(EmptyRange):
-            EstimatorIndex(pts).oracle(nowhere).tally(rng, size)
+            DualAccessOracle(EstimatorIndex(pts), nowhere).tally(rng, size)
 
 
 def test_sample_uniform_frequencies(rng):
@@ -558,7 +559,7 @@ def test_exact_answers_match_brute_on_both_sides_of_the_fold(scale, loaded, tmp_
             assert all(st["mode"] == "exact-fallback" for st in stats)
             assert all(abs(s.value - want) < 1e-9 for s in got), (m, kind)
             # the estimators' exact answer without one color
-            oracle = index.oracle(rect, excluded)
+            oracle = DualAccessOracle(index, rect, excluded)
             if m == 1:
                 with pytest.raises(EmptyRange):
                     exact_statistic(kind, oracle)

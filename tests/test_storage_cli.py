@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 from entrange import exact1d, exactnd, storage, sweep1d
-from entrange.approx import EstimatorConfig, EstimatorIndex, estimate_additive
+from entrange.approx import (
+    DualAccessOracle,
+    EstimatorConfig,
+    EstimatorIndex,
+    estimate_additive,
+    estimate_additive_renyi,
+    estimate_multiplicative,
+    estimate_multiplicative_renyi,
+)
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import (
     DataFormatError,
@@ -154,10 +162,11 @@ def test_save_load_roundtrip_identical_answers(tmp_path, rng, always_sample):
         a = rng.uniform(0, 100, 2)
         b = rng.uniform(0, 100, 2)
         rects2.append(QueryRect(tuple(np.minimum(a, b)), tuple(np.maximum(a, b))))
+    by_kind = {}
     for kind, index in _indexes_for_roundtrip(pts1, pts2):
         path = tmp_path / f"{kind}.rqe"
         storage.save_index(path, kind, index)
-        got_kind, header, loaded = storage.load_index(path)
+        got_kind, header, loaded = by_kind[kind] = storage.load_index(path)
         assert got_kind == kind
         if kind in ("exact1d", "exactnd"):
             rects = rects1 if kind == "exact1d" else rects2
@@ -177,6 +186,45 @@ def test_save_load_roundtrip_identical_answers(tmp_path, rng, always_sample):
                 except Exception:
                     continue
                 assert a.value == b.value
+    # both d-D kinds load as the one index, which answers alike from either file
+    nd, est = by_kind["exactnd"][2], by_kind["estimator"][2]
+    assert type(nd) is type(est) is exactnd.ExactNDIndex
+    assert (nd.orders, est.orders) == ((2.0,), ())
+    assert "orders" not in by_kind["estimator"][1]["scalars"]
+    cfg = EstimatorConfig(c_add=0.05, c_mult=0.05, c_mom=0.05)
+    estimators = [
+        lambda index, rect, rng: estimate_additive(index, rect, 0.3, cfg, rng),
+        lambda index, rect, rng: estimate_multiplicative(index, rect, 0.3, cfg, rng),
+        lambda index, rect, rng: estimate_additive_renyi(index, rect, 2.0, 0.3, cfg, rng),
+        lambda index, rect, rng: estimate_multiplicative_renyi(index, rect, 2.0, 0.3, cfg, rng),
+    ]
+    for rect in rects2:
+        assert nd.query(rect, SHANNON) == est.query(rect, SHANNON)
+        for estimate in estimators:
+            got = []
+            for index in (nd, est):
+                try:
+                    got.append(estimate(index, rect, np.random.default_rng(7)))
+                except EmptyRange:
+                    got.append(EmptyRange)
+            assert got[0] == got[1]
+
+
+def test_exactnd_file_without_orders(tmp_path, rng):
+    # an exactnd file of no orders holds no "orders" scalar, so it is an
+    # estimator file with the other kind name; one that holds an empty list,
+    # as earlier builds wrote, loads with no orders
+    pts = random_pointset(rng, 40, d=2, m=5)
+    files = {}
+    for kind in ("exactnd", "estimator"):
+        storage.save_index(tmp_path / kind, kind, exactnd.ExactNDIndex(pts))
+        files[kind] = (tmp_path / kind).read_bytes()
+    assert edit_header(files["estimator"], lambda h: h.update(kind="exactnd")) == files["exactnd"]
+    path = tmp_path / "empty-orders"
+    path.write_bytes(edit_header(files["exactnd"], lambda h: h["scalars"].update(orders=[])))
+    kind, header, loaded = storage.load_index(path, expect_kind="exactnd")
+    assert header["scalars"]["orders"] == [] and loaded.orders == ()
+    assert loaded.query(QueryRect.full(2)) == exactnd.ExactNDIndex(pts).query(QueryRect.full(2))
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -674,7 +722,7 @@ def queried_indexes(rng):
     def estimates(idx):
         g = np.random.default_rng(0)
         return [estimate_additive(idx, r, 0.25, cfg, g).value for r in rects
-                if not idx.oracle(r).is_empty]
+                if not DualAccessOracle(idx, r).is_empty]
 
     cases = [
         (EstimatorIndex(pts2), estimates),
@@ -813,6 +861,21 @@ def test_cli_build_query_roundtrip(tmp_path, capsys):
                    "--kind", "renyi", "--alpha", "2", "--mode", "exact", "--json") == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["value"] - 1.4818690077570527) < 1e-6
+
+
+def test_cli_underflowed_moment_exit_code(tmp_path, capsys):
+    # six equal colors: at alpha 1000 the Renyi moment, (1/6)^999, underflows
+    # to 0, and the query is refused as Underflow (exit code 3)
+    rows = [f"{i},{i % 7},c{i % 6}" for i in range(60)]
+    csv_path = write_csv(tmp_path / "six.csv", rows, header="x1,x2,color")
+    idx_path = tmp_path / "six.rqe"
+    assert run_cli("build", "--input", str(csv_path), "--kind", "exactnd",
+                   "--out", str(idx_path), "--alphas", "1000") == 0
+    capsys.readouterr()
+    assert run_cli("query", "--index", str(idx_path), "--rect", "*:*,*:*",
+                   "--kind", "renyi", "--alpha", "1000") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "underflowed to 0" in err and "Traceback" not in err
 
 
 def test_cli_rect_wildcards(tmp_path, capsys):
