@@ -9,12 +9,15 @@ statistic E[g(p)] of the range's color law (:func:`~.core.g`): for
 g(p) = -log2 p it is the Shannon entropy, for g(p) = p^(alpha-1) the
 moment m = sum p^alpha, whose Renyi entropy is -log2(m)/(alpha-1). A
 statistic is a tally mean (the draws made as one batch, counted by color,
-each distinct color EVAL'd once) or exact: one fold of the pieces' color
-masses (:meth:`.RangeTree.statistic`). Both work on probabilities, so
-they hold at any weight scale. One function chooses between them
-(:meth:`DualAccessOracle.use_sampling`): a statistic samples only when its
-draws are fewer than the range's points, since the exact value reads each
-point once and meets every bound. The draw counts depend only on the
+each distinct color EVAL'd once) or exact: one fold of the range's color
+masses, off its narrower slab (:meth:`.RangeTree.scan`) or its pieces
+(:meth:`.RangeTree.statistic`), as :class:`.ExactNDIndex` answers. Both
+work on probabilities, so they hold at any weight scale. One function
+chooses between them (:meth:`DualAccessOracle.use_sampling`): a statistic
+samples only when its draws are fewer than the range's points, since the
+exact value reads each point once and meets every bound; the slab's count
+bounds the range's, so the pieces are built only when sampling might win
+or the slab is too wide to scan. The draw counts depend only on the
 index size, the kind, the accuracy and the config: :func:`draw_counts`
 computes them once per such key.
 
@@ -34,7 +37,8 @@ range without one color.
 ``"sampled-light"``, ``"sampled+heavy"``, ``"exact-fallback+heavy"`` or
 ``"single-color"`` for a multiplicative one. ``stats["samples"]`` counts
 the statistics' draws (not heavy detection's), 0 on every exact answer;
-additive Renyi also reports its ``branch``. Sample counts follow the
+``stats["pieces"]`` the canonical pieces built, 0 if none; additive Renyi
+also reports its ``branch``. Sample counts follow the
 published complexities with configurable leading constants, so acceptance
 is statistical (bounds hold for >= 95% of seeds).
 """
@@ -52,7 +56,7 @@ from .core import (SHANNON, EntropyKind, EntropySummary, QueryRect,
                    entropy_from_statistic, g, insert_color_shannon, renyi_kind)
 from .errors import EmptyRange, Underflow
 from .exactnd import ExactNDIndex
-from .rangetree import Exclusion, Pieces
+from .rangetree import Exclusion, Pieces, Slabs
 
 
 @dataclass(frozen=True)
@@ -85,20 +89,29 @@ class HeavyColor(NamedTuple):
 class DualAccessOracle:
     """SAMP/EVAL oracle pair bound to one query rectangle.
 
-    The rectangle is decomposed once into canonical pieces; SAMP draws
-    batches from them and EVAL is exact (color masses over the pieces).
-    With ``excluded`` set, both operate on the sub-population without that
-    color. Only ``pieces``, which carry their point count, are built here:
-    the rest is derived on its first read, so an exact answer derives no
-    sampling arrays.
+    The rectangle is located once (its ``slabs``) and decomposed at most
+    once into canonical pieces; SAMP draws batches from them and EVAL is
+    exact (color masses over the pieces). With ``excluded`` set, both
+    operate on the sub-population without that color. The pieces and the
+    rest are derived on their first read, so a range answered off its slab
+    is never decomposed and an exact answer derives no sampling arrays.
     """
 
     def __init__(self, index: ExactNDIndex, rect: QueryRect,
-                 excluded: Optional[int] = None, pieces: Optional[Pieces] = None):
+                 excluded: Optional[int] = None, slabs: Optional[Slabs] = None,
+                 pieces: Optional[Pieces] = None):
         self.index = index
         self.rect = rect
         self.excluded = excluded
-        self.pieces = index.tree.canonical_nodes(rect) if pieces is None else pieces
+        self.slabs = index.tree.slabs(rect) if slabs is None else slabs
+        self._pieces = pieces
+
+    @property
+    def pieces(self) -> Pieces:
+        """The range's canonical pieces, which carry their point count."""
+        if self._pieces is None:
+            self._pieces = self.index.tree.canonical_nodes(self.rect, self.slabs)
+        return self._pieces
 
     @functools.cached_property
     def exclusion(self) -> Optional[Exclusion]:
@@ -118,15 +131,16 @@ class DualAccessOracle:
         return weight if self.exclusion is None else weight - float(self.exclusion.mass.sum())
 
     def excluding(self, color: int) -> "DualAccessOracle":
-        """The same range without one color, on the same decomposition."""
-        return DualAccessOracle(self.index, self.rect, color, self.pieces)
+        """The same range without one color, on the same slabs and
+        decomposition, if one was made."""
+        return DualAccessOracle(self.index, self.rect, color, self.slabs, self._pieces)
 
     @property
     def is_empty(self) -> bool:
         """True when no point of positive weight remains (the pool holds only
         positive weights, so only a reduced range needs its mass checked)."""
         if self.excluded is None:
-            return self.pieces.points == 0
+            return self.slabs.points == 0 or self.pieces.points == 0
         return self.total_count == 0 or self.total_weight <= 0.0
 
     def color_weight(self, color):
@@ -166,9 +180,10 @@ class DualAccessOracle:
         """The one choice between sampling and the exact answer: ``samples``
         draws cost less than the exact answer, which reads each of the
         (reduced) range's points once, when the range holds more points.
-        The pieces' count comes first: the reduced count, which needs the
-        sampling arrays, never exceeds it."""
-        return samples < self.pieces.points and (self.excluded is None or samples < self.total_count)
+        Each count bounds the next: the narrower slab's (no decomposition),
+        the pieces' (no sampling arrays), then the reduced one."""
+        return (samples < self.slabs.points and samples < self.pieces.points
+                and (self.excluded is None or samples < self.total_count))
 
 
 # The estimators' name for the one d-D index, kept for callers that build it by that name.
@@ -183,10 +198,16 @@ def tally_mean(kind: EntropyKind, oracle: DualAccessOracle, samples: int,
 
 
 def exact_statistic(kind: EntropyKind, oracle: DualAccessOracle) -> float:
-    """sum_c p_c g(p_c) over the (reduced) range's color probabilities, from
-    :meth:`.RangeTree.statistic`. Sets the oracle's ``total_weight`` to
-    the masses' sum, so an exact answer reads no weight prefix."""
-    value, oracle.total_weight = oracle.index.tree.statistic(oracle.pieces, kind, oracle.excluded)
+    """sum_c p_c g(p_c) over the (reduced) range's color probabilities: the
+    direct fold of the points :meth:`.RangeTree.scan` reads off the narrower
+    slab, or :meth:`.RangeTree.statistic` over the pieces. Sets the oracle's
+    ``total_weight`` to the masses' sum, so an exact answer reads no weight
+    prefix."""
+    tree = oracle.index.tree
+    if oracle.slabs.direct:
+        value, oracle.total_weight = tree.fold((tree.scan(oracle.slabs),), kind, oracle.excluded)
+    else:
+        value, oracle.total_weight = tree.statistic(oracle.pieces, kind, oracle.excluded)
     if not oracle.total_weight > 0.0:
         raise EmptyRange("no mass in (reduced) query range")
     return value
@@ -278,18 +299,19 @@ def heavy_combine(kind: EntropyKind, heavy: HeavyColor, rest: float,
 def prepare_query(index: ExactNDIndex, rect: QueryRect, stats: Optional[dict] = None,
                   **accuracy: float) -> DualAccessOracle:
     """Checks each accuracy parameter lies in (0, 1), then returns the
-    rectangle's oracle, which must hold mass. Starts ``stats`` with the query's canonical ``pieces`` and a zero
-    ``distinct_colors`` (colors EVAL'd over the call's tallies)."""
+    rectangle's oracle, whose slabs must hold points (the exact answer or
+    the first tally refuses an empty range inside them). Starts ``stats``
+    with a zero ``distinct_colors`` (colors EVAL'd over the call's tallies)."""
     for name, value in accuracy.items():
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {value}")
     oracle = DualAccessOracle(index, rect)
     if stats is not None:
-        stats["pieces"] = len(oracle.pieces)
         stats["distinct_colors"] = 0
-    if oracle.is_empty:
+    if not oracle.slabs.points:
         raise EmptyRange("query range holds no mass")
     return oracle
+
 
 
 def additive(index: ExactNDIndex, rect: QueryRect, kind: EntropyKind, delta: float,
@@ -302,8 +324,9 @@ def additive(index: ExactNDIndex, rect: QueryRect, kind: EntropyKind, delta: flo
     if stats is not None and branch is not None:
         stats["branch"] = branch
     value, drawn = statistic(kind, oracle, samples, rng, stats)
-    if stats is not None:
-        stats["mode"], stats["samples"] = "sampled" if drawn else "exact-fallback", drawn
+    if stats is not None:   # pieces: those built, 0 if none
+        stats.update(mode="sampled" if drawn else "exact-fallback", samples=drawn,
+                     pieces=len(oracle._pieces or ()))
     return EntropySummary(kind, oracle.total_weight, entropy_from_statistic(value, kind))
 
 
@@ -344,7 +367,7 @@ def multiplicative(index: ExactNDIndex, rect: QueryRect, kind: EntropyKind, eps:
         if stats is not None:
             stats["heavy_color"] = heavy.color
     if stats is not None:
-        stats["mode"], stats["samples"] = mode, drawn
+        stats.update(mode=mode, samples=drawn, pieces=len(oracle._pieces or ()))
     return EntropySummary(kind, oracle.total_weight, value)
 
 
@@ -377,7 +400,12 @@ def detect_heavy_color(index: ExactNDIndex, rect: QueryRect,
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Estimate of sum_i p_i^alpha over the range's color distribution."""
+    """Estimate of sum_i p_i^alpha over the range's color distribution.
+
+    ``value`` is never 0: the moment of a nonempty range is positive, so a
+    moment that underflows to 0 (exact or tallied; 6 even colors at alpha
+    1000 do) raises :class:`~.errors.Underflow`, as the Renyi estimators do.
+    """
 
     alpha: float
     value: float
@@ -389,6 +417,8 @@ def _moment(index: ExactNDIndex, oracle: DualAccessOracle, alpha: float, eps: fl
             cfg: EstimatorConfig, rng: Optional[np.random.Generator]) -> MomentEstimate:
     value, drawn = statistic(renyi_kind(alpha), oracle,
                              moment_sample_count(len(index), alpha, eps, cfg), rng)
+    if value == 0.0:
+        raise Underflow(f"the order-{alpha} moment underflowed to 0")
     return MomentEstimate(alpha, value, eps, drawn)
 
 

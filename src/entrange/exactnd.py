@@ -11,6 +11,9 @@ total, so heavy weights cannot cancel; the fold reads probabilities, so
 the answer holds at any weight scale whose total is finite (10^-300 to
 10^300 per point). A query costs O(log^d n + m) for the m points in range;
 the index holds nothing beyond the tree and does not grow with queries.
+A 1-D or 2-D range whose narrower slab holds at most
+:data:`~.rangetree.FOLD_POINTS` points is not decomposed: the same fold
+reads the slab's points in range (:meth:`~.rangetree.RangeTree.scan`).
 The sampling estimators (:mod:`.approx`) take this one index too.
 """
 
@@ -21,7 +24,7 @@ from typing import Optional, Sequence
 from . import core
 from .core import ColoredPointSet, EntropyKind, EntropySummary, QueryRect, SHANNON
 from .errors import OrderNotIndexed
-from .rangetree import ColorTrees, RangeTree
+from .rangetree import ColorTrees, Pieces, RangeTree
 
 
 class ExactNDIndex:
@@ -62,16 +65,24 @@ class ExactNDIndex:
 
     def query(self, rect: QueryRect, kind: EntropyKind = SHANNON,
               stats: Optional[dict] = None, trace: Optional[list] = None) -> EntropySummary:
-        """Entropy of the points in ``rect``. ``stats`` receives
-        ``bucket_visits`` (the number of canonical pieces) and
-        ``points_in_range``. ``trace`` gets one entry per piece: (piece
-        number, its pool slice [start, stop], None)."""
+        """Entropy of the points in ``rect``. ``stats`` receives ``fold``
+        (``"direct"`` for a range scanned off its narrower slab, else
+        ``"canonical"``), ``bucket_visits`` (the number of canonical pieces,
+        0 for a scanned range) and ``points_in_range``. ``trace`` gets one
+        entry per piece: (piece number, its pool slice [start, stop], None)."""
         if not kind.is_shannon and kind.alpha not in self.orders:
             raise OrderNotIndexed(f"alpha={kind.alpha} not precomputed (have {self.orders})")
-        pieces = self.tree.canonical_nodes(rect)
-        value, W = self.tree.statistic(pieces, kind)
+        tree = self.tree
+        slabs = tree.slabs(rect)
+        if slabs.direct:   # no piece, only the scanned points' count
+            ids = tree.scan(slabs)
+            pieces, (value, W) = Pieces([], [], len(ids)), tree.fold((ids,), kind)
+        else:
+            pieces = tree.canonical_nodes(rect, slabs)
+            value, W = tree.statistic(pieces, kind)
         value = core.entropy_from_statistic(value, kind) if W else 0.0
         if stats is not None:
+            stats["fold"] = "direct" if slabs.direct else "canonical"
             stats["bucket_visits"] = len(pieces)
             stats["points_in_range"] = pieces.points
         if trace is not None:

@@ -16,10 +16,23 @@ rows, then two per last-level node, as ``tile`` yields it, on ``last_rank``,
 each pool entry's last-coordinate rank (on the narrowest unsigned type that
 holds n), against the query's bounds ranked once. One fold of the pieces'
 color masses answers a range exactly (:meth:`RangeTree.statistic`): up to
-``FOLD_POINTS`` points, a loop over memoryviews sums them in a dict and
-folds on Python floats; above, one gather and one ``bincount``, then
-numpy. On a 2-vCPU host and the benchmark's 2-D ranges the loop won by
-7-10 us at 1-4 points, tied at 49-64 and lost by 8-23 us at 129-192.
+``FOLD_POINTS`` points, the one direct-fold loop (:func:`mass_by_color`)
+sums them in a dict, reading each point's color and weight from lists made
+with the memoryviews (40 B a point), and folds on Python floats; above, one
+gather and one ``bincount``, then numpy. On a 2-vCPU host and the
+benchmark's 2-D ranges the loop won by 7-10 us at 1-4 points, tied at 49-64
+and lost by 8-23 us at 129-192.
+
+Before any walk, :meth:`RangeTree.slabs` locates a rectangle by four
+bisections: its y-slab, pool row 0's positions [r_lo, r_hi) (the ranks of
+its last-coordinate bounds), and its x-slab, positions [x_lo, x_hi) of
+``keys[0]`` (the pool's last row lists the points by first coordinate).
+Each slab holds the range, so the narrower one's count bounds the range's.
+In 1-D and 2-D a range whose narrower slab holds at most ``FOLD_POINTS``
+points is not decomposed: :meth:`RangeTree.scan` keeps that slab's points
+in range and the direct-fold loop folds them. A walk reuses the four
+bisections. In 3-D and up every range is walked (a scan would test each
+middle coordinate), and the slab count serves only as the bound.
 
 What sampling and EVAL need, the pool's weight prefix and one
 :class:`~.core.ColorPrefix`, is :attr:`RangeTree.sampling`, derived on a
@@ -56,7 +69,22 @@ from .core import (ColoredPointSet, ColorPrefix, EntropyKind, HeldViews, QueryRe
                    fold_statistic, g, running_sum)
 from .errors import EmptyRange
 
-FOLD_POINTS = 64   # RangeTree.statistic's size rule; see the module docstring
+# the size rule of every direct fold: RangeTree.statistic's small side, a 2-D
+# range's narrower slab (RangeTree.slabs) and a sweep interval (sweep1d)
+FOLD_POINTS = 64
+
+
+def mass_by_color(parts, colors, weights, zero=0.0) -> dict:
+    """The mass of each color over the points of ``parts``, sequences of
+    indexes into ``colors`` and ``weights``, summed from ``zero`` in order:
+    the one loop of every direct fold. A sweep counts with integer weights
+    from 0, so that its counts stay ints."""
+    masses: dict = {}
+    for part in parts:
+        for i in part:
+            c = colors[i]
+            masses[c] = masses.get(c, zero) + weights[i]
+    return masses
 
 
 def refine_spans(starts: np.ndarray, n: int) -> np.ndarray:
@@ -141,6 +169,20 @@ class Pieces:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The bounds as two int64 arrays."""
         return np.array(self.start, dtype=np.int64), np.array(self.stop, dtype=np.int64)
+
+
+class Slabs(NamedTuple):
+    """A rectangle's slabs (:meth:`RangeTree.slabs`; the x-slab is the
+    y-slab again in 1-D), the narrower one's count ``points`` and whether
+    :meth:`RangeTree.scan` answers it (``direct``)."""
+
+    rect: QueryRect
+    r_lo: int
+    r_hi: int
+    x_lo: int
+    x_hi: int
+    points: int
+    direct: bool
 
 
 class Exclusion(NamedTuple):
@@ -255,9 +297,11 @@ class RangeTree(HeldViews):
 
     @functools.cached_property
     def _views(self) -> tuple:
-        """Memoryviews of what an exact answer reads, made on the first query."""
+        """Memoryviews of what an exact answer reads, made on the first
+        query, and lists of each point's color and weight."""
         return (self.last_sorted.data, self.last_rank.data, [k.data for k in self.keys],
-                self.pool_ids.data, self.pts.colors.data, self.pts.weights.data)
+                self.pool_ids.data, list(self.pts.colors.data), list(self.pts.weights.data),
+                self.pts.coords[:, 0].data)
 
     def nbytes(self) -> int:
         """Bytes of the tree's arrays, derived ones included, sampling ones once held."""
@@ -269,47 +313,74 @@ class RangeTree(HeldViews):
 
     # -- canonical decomposition ------------------------------------------
 
-    def canonical_nodes(self, rect: QueryRect) -> Pieces:
-        """The range's pieces, found by C ``bisect`` calls on :attr:`_views`."""
+    def slabs(self, rect: QueryRect) -> Slabs:
+        """The rectangle's two slabs, by two C bisections of the sorted last
+        coordinates and, past 1-D (``keys`` is empty in 1-D and on no
+        points), two of ``keys[0]``."""
         if rect.dim != self.dim:
             raise ValueError(f"rect dim {rect.dim} != tree dim {self.dim}")
-        pieces = Pieces([], [])
-        last_sorted = self._views[0]
+        last_sorted, _, keys = self._views[:3]
         # the range's points have last-coordinate ranks in [r_lo, r_hi)
         r_lo = bisect.bisect_left(last_sorted, rect.lo[-1])
         r_hi = bisect.bisect_right(last_sorted, rect.hi[-1])
-        if r_lo >= r_hi:
-            return pieces
+        x_lo, x_hi = r_lo, r_hi
+        if keys:
+            x_lo = bisect.bisect_left(keys[0], rect.lo[0])
+            x_hi = bisect.bisect_right(keys[0], rect.hi[0])
+        points = r_hi - r_lo if r_hi - r_lo < x_hi - x_lo else x_hi - x_lo
+        return Slabs(rect, r_lo, r_hi, x_lo, x_hi, points,
+                     points <= FOLD_POINTS and self.dim <= 2)
+
+    def scan(self, slabs: Slabs) -> list:
+        """The point ids of a 1-D or 2-D range, read off its narrower slab."""
+        _, ranks, _, ids, _, _, xs = self._views
+        r_lo, r_hi = slabs.r_lo, slabs.r_hi
+        if r_hi - r_lo <= slabs.x_hi - slabs.x_lo:
+            lo, hi = slabs.rect.lo[0], slabs.rect.hi[0]
+            return [i for i in ids[r_lo:r_hi] if lo <= xs[i] <= hi]
+        a = len(self.pool_ids) - self.n + slabs.x_lo   # the pool's last row: the points by x
+        b = a + slabs.x_hi - slabs.x_lo
+        return [i for i, r in zip(ids[a:b], ranks[a:b]) if r_lo <= r < r_hi]
+
+    def canonical_nodes(self, rect: QueryRect, slabs: Optional[Slabs] = None) -> Pieces:
+        """The range's pieces, found by C ``bisect`` calls on :attr:`_views`
+        from its slabs (located here unless given)."""
+        s = self.slabs(rect) if slabs is None else slabs
+        if not s.points:
+            return Pieces([], [])
         if self.dim == 1:   # one node, pool row 0: the points in last_sorted's order
-            return Pieces([r_lo], [r_hi], r_hi - r_lo)
-        self._walk(0, 0, 0, self.n, rect, r_lo, r_hi, pieces)
+            return Pieces([s.r_lo], [s.r_hi], s.r_hi - s.r_lo)
+        pieces = Pieces([], [])
+        self._walk(0, 0, 0, self.n, s.x_lo, s.x_hi, s, pieces)
         return pieces
 
-    def _walk(self, k: int, row: int, lo: int, hi: int, rect: QueryRect,
-              r_lo: int, r_hi: int, pieces: Pieces) -> None:
+    def _walk(self, k: int, row: int, lo: int, hi: int, a: int, b: int, s: Slabs,
+              pieces: Pieces) -> None:
         """Adds to ``pieces`` the range's slices of the last-level nodes below
-        the level-k node (k < d-1) spanning [lo, hi) of the given row, each
+        the level-k node (k < d-1) spanning [lo, hi) of the given row, whose
+        positions [a, b) (a < b) hold the range's coordinate-k slab: each
         cut by two bisections of ``last_rank`` as ``tile`` yields it."""
         n = self.n
-        off = row * n
         _, ranks, keys = self._views[:3]
-        a = bisect.bisect_left(keys[k], rect.lo[k], off + lo, off + hi) - off
-        b = bisect.bisect_right(keys[k], rect.hi[k], off + lo, off + hi) - off
-        if a >= b:
-            return
         row *= self.rows   # child rows are row * rows + depth
-        upper = k < self.dim - 2
+        if k < self.dim - 2:
+            key, key_lo, key_hi = keys[k + 1], s.rect.lo[k + 1], s.rect.hi[k + 1]
+            for u, v, depth in tile(lo, hi, a, b):
+                off = (row + depth) * n
+                c = bisect.bisect_left(key, key_lo, off + u, off + v) - off
+                e = bisect.bisect_right(key, key_hi, off + u, off + v) - off
+                if c < e:
+                    self._walk(k + 1, row + depth, u, v, c, e, s, pieces)
+            return
+        r_lo, r_hi = s.r_lo, s.r_hi
         for u, v, depth in tile(lo, hi, a, b):
-            if upper:
-                self._walk(k + 1, row + depth, u, v, rect, r_lo, r_hi, pieces)
-                continue
             off = (row + depth) * n
-            s = bisect.bisect_left(ranks, r_lo, off + u, off + v)
-            e = bisect.bisect_left(ranks, r_hi, s, off + v)
-            if s < e:
-                pieces.start.append(s)
+            c = bisect.bisect_left(ranks, r_lo, off + u, off + v)
+            e = bisect.bisect_left(ranks, r_hi, c, off + v)
+            if c < e:
+                pieces.start.append(c)
                 pieces.stop.append(e)
-                pieces.points += e - s
+                pieces.points += e - c
 
     def color_masses(self, pieces: Pieces, excluded: Optional[int] = None) -> np.ndarray:
         """Positive color masses of the pieces' m points, less the excluded
@@ -332,12 +403,15 @@ class RangeTree(HeldViews):
             total = float(masses.sum())
             p = masses / total
             return float((p * g(kind, p)).sum()), total
-        ids, colors, weights = self._views[3:]
-        masses: dict = {}
-        for a, b in zip(pieces.start, pieces.stop):
-            for i in ids[a:b]:
-                c = colors[i]
-                masses[c] = masses.get(c, 0.0) + weights[i]
+        ids = self._views[3]
+        return self.fold([ids[a:b] for a, b in zip(pieces.start, pieces.stop)], kind, excluded)
+
+    def fold(self, parts, kind: EntropyKind,
+             excluded: Optional[int] = None) -> tuple[float, float]:
+        """:meth:`statistic` of the points of ``parts`` (sequences of point
+        ids), by the direct-fold loop on Python floats."""
+        views = self._views
+        masses = mass_by_color(parts, views[4], views[5])
         masses.pop(excluded, None)
         total = sum(masses.values(), 0.0)
         return fold_statistic(masses.values(), total, kind), total

@@ -106,16 +106,27 @@ Every batch keeps ranks and exponents on their narrow types (exponents on
 one that holds the top exponent a build can reach), and the batches' runs,
 in gid order, are laid end to end.
 
+An interval of at most :data:`~.rangetree.FOLD_POINTS` points takes no
+node: the direct-fold loop (:func:`~.rangetree.mass_by_color`) counts its
+colors among its mapped points, a slice of ``mcolor``, and the exact answer
+is :func:`~.core.entropy_from_sums` of W and the sum of f over the counts.
+Up to that size, reading the points costs less than the descent when the
+colors are skewed; with many equally likely colors the fold has more
+colors to insert and sum, and the crossover falls nearer 48 points.
+
 A query makes no numpy call at all: it is integer and float arithmetic
 plus C bisections on memoryviews made on the first query (``_views``, in no
 pickle or copy; no array may be reassigned after it), which cost no dispatch
 and, past the first bisections of [a, b] among the coordinates, touch only a
-few cache lines per node.
+few cache lines per node. The mapped points' x, colors and unit weights
+are read from lists instead (48 B a point), whose reads cost least.
 
 Guarantees are deterministic, not statistical: the Shannon answer h obeys
 H <= h <= (1+eps)H + eps and the Renyi answer H_a <= h <= H_a +
 eps*(alpha+1)/(alpha-1) for every query, up to rounding, and the count is
-exact. Only unit weights are supported: W is a count of points.
+exact. An interval of at most ``FOLD_POINTS`` points is answered exactly,
+so it meets both bounds with no excess. Only unit weights are supported: W
+is a count of points.
 """
 
 from __future__ import annotations
@@ -139,7 +150,8 @@ from .core import (
     renyi_kind,
 )
 from .errors import WeightsNotSupported
-from .rangetree import depth_rows, refine_spans, tile
+from . import rangetree
+from .rangetree import depth_rows, mass_by_color, refine_spans, tile
 
 _BATCH = 1 << 15  # walk points per ladder-building batch: about 4 MB of temporaries
 
@@ -438,24 +450,37 @@ class Sweep1DIndex(HeldViews):
 
     @functools.cached_property
     def _views(self) -> tuple:
-        """Memoryviews of the arrays a query reads, made on the first query."""
-        return tuple(a.data for a in (
-            self.mx, self.ucoords, self.y_rank, self.gid_slots, self.rows, self.h_rank,
-            self.ladder_first, self._lower, self.c_rank, self.run_lo, self.run_end, self._f))
+        """Memoryviews of the arrays a query reads, made on the first query,
+        and the lists of the mapped points' x, colors and unit weights (ints,
+        so that a direct fold's counts index ``_f``)."""
+        return (list(self.mx.data),) + tuple(a.data for a in (
+            self.ucoords, self.y_rank, self.gid_slots, self.rows, self.h_rank,
+            self.ladder_first, self._lower, self.c_rank, self.run_lo, self.run_end, self._f)) + (
+            list(self.mcolor.data), [1] * self.n)
 
     def query(self, rect: QueryRect, stats: Optional[dict] = None) -> EntropySummary:
         """Estimate of the entropy of the points in ``rect``, with their
-        exact count. ``stats`` receives ``primary_nodes`` and
-        ``canonical_nodes``."""
+        exact count. ``stats`` receives ``fold`` (``"direct"`` for an
+        interval of at most ``FOLD_POINTS`` points, answered exactly, else
+        ``"ladders"``), ``primary_nodes`` and ``canonical_nodes`` (both 0
+        for a direct fold)."""
         if rect.dim != 1:
             raise ValueError("query rect must be 1-D")
         a, b, n = rect.lo[0], rect.hi[0], self.n
         (mx, ucoords, y_rank, slots, rows, h_rank, first, lower,
-         c_rank, run_lo, run_end, f) = self._views
+         c_rank, run_lo, run_end, f, mcolor, ones) = self._views
         ilo, ihi = bisect.bisect_left(mx, a), bisect.bisect_right(mx, b)
+        count = ihi - ilo   # mx holds every point once, so a <= b gives count >= 0
+        if count <= rangetree.FOLD_POINTS:
+            # exact: f over each color's count among the interval's mapped points
+            counts = mass_by_color((range(ilo, ihi),), mcolor, ones, 0).values()
+            if stats is not None:
+                stats.update(fold="direct", primary_nodes=0, canonical_nodes=0)
+            s = sum([f[k] for k in counts])
+            return EntropySummary(self.kind, float(count), entropy_from_sums(count, s, self.kind))
         r_a = bisect.bisect_left(ucoords, a) + 1  # y < a iff y-rank < r_a
         rank = bisect.bisect_right(ucoords, b)
-        prim = tile(0, n, ilo, ihi) if ilo < ihi else []
+        prim = tile(0, n, ilo, ihi)
         s_lo, nodes = 0.0, 0
         for p, e, depth in prim:
             # the secondary nodes covering the node's points with y < a
@@ -488,9 +513,7 @@ class Sweep1DIndex(HeldViews):
                 nodes += 1
                 lo = stop
         if stats is not None:
-            stats["primary_nodes"] = len(prim)
-            stats["canonical_nodes"] = nodes
-        count = max(ihi - ilo, 0)
+            stats.update(fold="ladders", primary_nodes=len(prim), canonical_nodes=nodes)
         return EntropySummary(self.kind, float(count), entropy_from_sums(count, s_lo, self.kind))
 
     def space_stats(self) -> dict:

@@ -72,3 +72,13 @@ def always_sample(monkeypatch):
     from entrange.approx import DualAccessOracle
 
     monkeypatch.setattr(DualAccessOracle, "use_sampling", lambda self, samples: True)
+
+
+@pytest.fixture
+def no_direct_fold(monkeypatch):
+    """Sets the direct folds' size rule (``rangetree.FOLD_POINTS``) to 0, so
+    that every nonempty range takes its structure's own path: a sweep's
+    ladders, a range tree's walk and its numpy fold."""
+    from entrange import rangetree
+
+    monkeypatch.setattr(rangetree, "FOLD_POINTS", 0)

@@ -268,6 +268,31 @@ def test_underflowed_moment_is_refused(request, n, sampled):
 
 
 @pytest.mark.parametrize("sampled", [False, True])
+def test_underflowed_moment_estimate_is_refused(request, sampled):
+    # about 6^-999 over the range, and 5^-999 without one color, the moment
+    # estimates refuse alpha 1000 instead of a relative-error estimate of 0;
+    # at alpha 200 they answer (exactly, or up to the draws)
+    if sampled:
+        request.getfixturevalue("always_sample")
+    index = ExactNDIndex(six_colors(200))
+    counts = np.bincount(np.arange(200) % 6)
+    for alpha, refused in ((200.0, False), (1000.0, True)):
+        calls = ((lambda: estimate_moment(index, FULL2, alpha, 0.2, rng=np.random.default_rng(1)),
+                  counts), (lambda: estimate_moment_excluding(index, FULL2, alpha, 0.2, 0,
+                                                              rng=np.random.default_rng(1)),
+                            counts[1:]))
+        for call, kept in calls:
+            if refused:
+                with pytest.raises(Underflow, match="order-1000.0 moment underflowed to 0"):
+                    call()
+                continue
+            moment = call()
+            want = float(((kept / kept.sum()) ** alpha).sum())
+            assert (moment.samples > 0) == sampled
+            assert abs(math.log(moment.value / want)) < (10.0 if sampled else 1e-9)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
 def test_underflowed_full_moment_is_refused(request, sampled):
     # 90% of 300 points in one color: at alpha 10^4 the heavy branch's full
     # moment, about 0.9^10^4, is 0 in floating point, whether the moment is

@@ -288,8 +288,9 @@ MODES = (ADDITIVE_MODES, MULTIPLICATIVE_MODES) * 2
 
 
 def every_call_stats(rng):
-    """(estimator number, stats, canonical pieces) of each of ESTIMATORS on
-    the full range and 20 random rectangles over 300 weighted 2-D points."""
+    """(estimator number, stats, canonical pieces, whether the range's slab
+    can answer it directly) of each of ESTIMATORS on the full range and 20
+    random rectangles over 300 weighted 2-D points."""
     pts = random_pointset(rng, 300, d=2, m=6, weighted=True)
     index = EstimatorIndex(pts)
     for rect in [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(20)]:
@@ -299,31 +300,38 @@ def every_call_stats(rng):
         for i, estimate in enumerate(ESTIMATORS):
             stats: dict = {}
             estimate(index, rect, rng, stats)
-            yield i, stats, pieces
+            yield i, stats, pieces, index.tree.slabs(rect).direct
 
 
 def test_every_call_reports_mode_and_samples(rng):
-    for i, stats, _ in every_call_stats(rng):
+    for i, stats, *_ in every_call_stats(rng):
         assert stats["mode"] in MODES[i] and stats["samples"] >= 0
         assert (stats["samples"] == 0) == stats["mode"].startswith(("exact", "single"))
 
 
 def test_every_call_reports_pieces_and_distinct_colors(rng):
-    # pieces: the query's canonical pieces; distinct_colors: the colors EVAL'd
-    # over the call's tallies (heavy detection included; at most three)
-    for i, stats, pieces in every_call_stats(rng):
-        assert stats["pieces"] == pieces
+    # pieces: the query's canonical pieces, 0 if none were built (a range
+    # whose slab answers it, with no sampling in view); distinct_colors: the
+    # colors EVAL'd over the call's tallies (heavy detection included; at
+    # most three)
+    scanned = 0
+    for i, stats, pieces, direct in every_call_stats(rng):
+        assert stats["pieces"] in (0, pieces)
+        if stats["samples"] or not direct:
+            assert stats["pieces"] == pieces
+        scanned += stats["pieces"] == 0
         assert 0 <= stats["distinct_colors"] <= 6 * 3
         # multiplicative calls tally unless the pieces answered before heavy detection
         if stats["samples"] or (i % 2 and stats["mode"] != "exact-fallback"):
             assert stats["distinct_colors"] >= 1
         if stats["mode"] == "exact-fallback" and i % 2 == 0:
             assert stats["distinct_colors"] == 0
+    assert scanned
 
 
 def test_every_sampled_call_reports_pieces_and_distinct_colors(rng, always_sample):
     modes = set()
-    for i, stats, pieces in every_call_stats(rng):
+    for i, stats, pieces, _ in every_call_stats(rng):
         assert stats["pieces"] == pieces
         assert 0 <= stats["distinct_colors"] <= 6 * 3
         if stats["samples"] or i % 2:   # multiplicative calls always tally
@@ -508,7 +516,7 @@ def test_no_estimator_path_scans_every_point(monkeypatch, request, sampled):
     monkeypatch.setattr(QueryRect, "mask", refuse)
     rng = np.random.default_rng(4)
     modes = set()
-    for i, stats, _ in every_call_stats(rng):
+    for i, stats, *_ in every_call_stats(rng):
         modes.add(stats["mode"])
     index = EstimatorIndex(make_mix(rng, [90, 4, 3, 3]))
     assert detect_heavy_color(index, FULL, rng).color == 0

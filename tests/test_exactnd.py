@@ -9,18 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrange import core
+from entrange import core, rangetree
 from entrange.approx import (
     DualAccessOracle,
     EstimatorConfig,
     EstimatorIndex,
     estimate_additive,
+    estimate_additive_renyi,
+    estimate_multiplicative,
     estimate_multiplicative_renyi,
 )
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
-from entrange.errors import OrderNotIndexed
+from entrange.errors import EmptyRange, OrderNotIndexed
 from entrange.exactnd import ExactNDIndex
 from entrange.oracle import brute_entropy
+from entrange.rangetree import FOLD_POINTS
 from entrange.storage import load_index, save_index
 from entrange.sweep1d import build_renyi
 
@@ -83,26 +86,36 @@ def test_answers_hold_at_any_weight_scale(k):
 
 def test_bucket_visits_and_snapped_point_sets(rng):
     """The stats, trace and space_stats contract that perfbench reads:
-    ``bucket_visits`` counts the canonical pieces, the trace holds one
-    (piece, [start, stop], None) per piece, the pieces' point sets partition
-    the range, and nothing is tabled per cell."""
+    ``fold`` names the path; on the walk ``bucket_visits`` counts the
+    canonical pieces, the trace holds one (piece, [start, stop], None) per
+    piece and the pieces' point sets partition the range; a range scanned
+    off its slab reports 0 pieces and traces none; nothing is tabled per
+    cell."""
     pts = random_pointset(rng, 120, d=2, m=9, weighted=True, duplicate_frac=0.1)
     idx = ExactNDIndex(pts, t=0.5)
     pool_ids = idx.tree.pool_ids
     assert idx.space_stats() == {"points": 120, "colors": 9, "pool_entries": len(pool_ids),
                                  "table_entries": 0, "orders": (), "bytes": idx.tree.nbytes()}
+    folds = set()
     for rect in [random_rect(rng, d=2) for _ in range(40)] + [QueryRect.full(2)]:
         trace: list = []
         stats: dict = {}
         got = idx.query(rect, SHANNON, stats=stats, trace=trace)
+        want = np.flatnonzero(rect.mask(pts) & (pts.weights > 0))
+        assert stats["points_in_range"] == len(want)
+        assert got.count == pytest.approx(pts.weights[want].sum(), rel=1e-12)
+        folds.add(stats["fold"])
+        if stats["fold"] == "direct":
+            assert idx.tree.slabs(rect).points <= FOLD_POINTS
+            assert stats["bucket_visits"] == len(trace) == 0
+            continue
+        assert stats["fold"] == "canonical" and idx.tree.slabs(rect).points > FOLD_POINTS
         assert stats["bucket_visits"] == len(trace) == len(idx.tree.canonical_nodes(rect))
         assert [piece for piece, _, _ in trace] == list(range(len(trace)))
         assert all(row is None and a < b for _, (a, b), row in trace)
         ids = np.concatenate([pool_ids[a:b] for _, (a, b), _ in trace] + [pool_ids[:0]])
-        want = np.flatnonzero(rect.mask(pts) & (pts.weights > 0))
         assert len(ids) == len(set(ids.tolist())) and set(ids.tolist()) == set(want.tolist())
-        assert stats["points_in_range"] == len(want)
-        assert got.count == pytest.approx(pts.weights[want].sum(), rel=1e-12)
+    assert folds == {"direct", "canonical"}
     assert idx.space_stats()["table_entries"] == 0
 
 
@@ -376,3 +389,111 @@ def test_matches_brute_force_property(data):
             got = idx.query(rect, kind)
             assert abs(got.value - want.value) < 1e-6, (rect, kind)
             assert got.count == pytest.approx(want.count, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the direct fold, either side of FOLD_POINTS
+
+
+def rule_case():
+    """600 points on a 200 x 200 integer grid (ties on both axes; every
+    seventh of weight 0), and rectangles with bounds on the grid whose
+    narrower slab holds exactly FOLD_POINTS or FOLD_POINTS + 1 points of
+    positive weight, each slab being the narrower one, after four others:
+    the full grid, an empty one whose slabs hold points, a one-point one and
+    one whose x-slab is empty. Returns the points, the rectangles and each
+    one's brute slab count."""
+    rng = np.random.default_rng(65)
+    n = 600
+    coords = rng.integers(0, 200, (n, 2)).astype(float)
+    weights = rng.uniform(0.5, 2.0, n)
+    weights[::7] = 0.0
+    pts = ColoredPointSet(coords, rng.integers(0, 9, n), weights)
+    live = weights > 0
+    rects, slabs, kept = [], [], {}
+    single = coords[live][0]
+    x, y = coords[live][1, 0], coords[live][2, 1]   # a column and a row that miss each other
+    while (live & (coords[:, 0] == x) & (coords[:, 1] == y)).any():
+        y += 1.0
+    specials = [QueryRect((-5.0, -5.0), (-1.0, 300.0)), QueryRect(tuple(single), tuple(single)),
+                QueryRect((x, y), (x, y)), QueryRect((0.0, 0.0), (199.0, 199.0))]
+    while specials or len(kept) < 4 or min(kept.values()) < 12:
+        lo = rng.integers(0, 200, 2).astype(float)
+        rect = specials.pop() if specials else QueryRect(tuple(lo), tuple(lo + rng.integers(0, 200, 2)))
+        counts = [int((live & (coords[:, k] >= rect.lo[k]) & (coords[:, k] <= rect.hi[k])).sum())
+                  for k in (0, 1)]
+        key = (min(counts), counts[0] <= counts[1])
+        if len(rects) < 4 or key[0] in (FOLD_POINTS, FOLD_POINTS + 1) and kept.get(key, 0) < 12:
+            if len(rects) >= 4:
+                kept[key] = kept.get(key, 0) + 1
+            rects.append(rect)
+            slabs.append(key[0])
+    return pts, rects, slabs
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_direct_fold_on_both_sides_of_the_rule(swapped, monkeypatch):
+    # a 2-D range whose narrower slab, either one, holds at most FOLD_POINTS
+    # points is scanned off that slab and folded directly; one point more
+    # takes the walk. Either way ExactNDIndex and the four estimators' exact
+    # answers match brute force and the walk's answer, on an index built
+    # from arrays in the other byte order too; estimators decompose nothing
+    # when the slab answers
+    pts, rects, slabs = rule_case()
+    built = ExactNDIndex(pts, orders=(2.0,))
+    idx = built
+    if swapped:
+        arrays, scalars = built.to_arrays()
+        idx = ExactNDIndex.from_arrays(
+            {name: a.astype(a.dtype.newbyteorder(">")) for name, a in arrays.items()}, scalars)
+    kinds = (SHANNON, renyi_kind(2.0))
+    answers = []
+    for rect, slab in zip(rects, slabs):
+        located = idx.tree.slabs(rect)
+        assert located.points == slab and located.direct == (slab <= FOLD_POINTS)
+        for kind in kinds:
+            want = brute_entropy(pts, rect, kind)
+            stats: dict = {}
+            got = idx.query(rect, kind, stats=stats)
+            assert abs(got.value - want.value) <= 1e-9 and got.count == pytest.approx(want.count)
+            assert stats["fold"] == ("direct" if located.direct else "canonical")
+            assert (stats["bucket_visits"] == 0) == (located.direct or want.count == 0)
+            assert stats["points_in_range"] == int((rect.mask(pts) & (pts.weights > 0)).sum())
+            answers.append(got.value)
+            if not want.count:
+                with pytest.raises(EmptyRange):
+                    estimate_additive(idx, rect, 0.2)
+            if not want.count or slab > FOLD_POINTS + 1:   # draws would beat the exact answer
+                continue
+            for estimate, st in ((estimate_additive, {}), (estimate_multiplicative_renyi, {})):
+                if kind.is_shannon:
+                    h = (estimate_additive(idx, rect, 0.2, stats=st) if estimate is estimate_additive
+                         else estimate_multiplicative(idx, rect, 0.2, stats=st))
+                else:
+                    h = (estimate_additive_renyi(idx, rect, 2.0, 0.2, stats=st)
+                         if estimate is estimate_additive else
+                         estimate_multiplicative_renyi(idx, rect, 2.0, 0.2, stats=st))
+                assert abs(h.value - want.value) <= 1e-9 and st["mode"] == "exact-fallback"
+                assert (st["pieces"] == 0) == located.direct
+    assert {0, FOLD_POINTS, FOLD_POINTS + 1} <= set(slabs)
+    # the full rectangle, an empty one whose slabs hold points, the one-point
+    # one and one whose x-slab is empty
+    assert [int((rect.mask(pts) & (pts.weights > 0)).sum()) for rect in rects[1:4]] == [0, 1, 0]
+    assert 0 < slabs[1] <= FOLD_POINTS and slabs[3] == 0
+    # the walk gives the same answers
+    monkeypatch.setattr(rangetree, "FOLD_POINTS", 0)
+    walked = [built.query(rect, kind).value for rect in rects for kind in kinds]
+    assert np.allclose(walked, answers, rtol=1e-12, atol=1e-12)
+
+
+def test_three_d_ranges_are_always_walked(rng):
+    # past 2-D the slab count only bounds the range's points: a range of a
+    # few points is still decomposed
+    pts = random_pointset(rng, 200, d=3, m=5, weighted=True)
+    idx = ExactNDIndex(pts)
+    small = QueryRect(tuple(pts.coords[0] - 0.5), tuple(pts.coords[0] + 0.5))
+    stats: dict = {}
+    got = idx.query(small, SHANNON, stats=stats)
+    assert idx.tree.slabs(small).points <= FOLD_POINTS and not idx.tree.slabs(small).direct
+    assert stats["fold"] == "canonical" and stats["bucket_visits"] >= 1
+    assert abs(got.value - brute_entropy(pts, small, SHANNON).value) <= 1e-9

@@ -34,6 +34,7 @@ from entrange.rangetree import (
     tile,
 )
 from entrange.storage import load_index, save_index
+from entrange.sweep1d import build_shannon, shannon_bound_holds
 
 from conftest import profiled_calls, random_pointset, random_rect
 
@@ -542,9 +543,14 @@ def test_exact_answers_match_brute_on_both_sides_of_the_fold(scale, loaded, tmp_
         excluded = int(pts.colors[pts.coords[:, 0] == 0.0][0])
         keep = pts.colors != excluded
         rest = ColoredPointSet(pts.coords[keep], pts.colors[keep], pts.weights[keep])
+        # the first m points are the x-slab: up to FOLD_POINTS the range is
+        # scanned off it and the estimators decompose nothing
+        pieces = 0 if m <= FOLD_POINTS else len(index.tree.canonical_nodes(rect))
         for kind in FOLD_KINDS:
             want = brute_entropy(pts, rect, kind).value
-            assert abs(exact.query(rect, kind).value - want) < 1e-9, (m, kind)
+            stats = {}
+            assert abs(exact.query(rect, kind, stats=stats).value - want) < 1e-9, (m, kind)
+            assert stats["fold"] == ("direct" if m <= FOLD_POINTS else "canonical")
             stats = [{}, {}]
             if kind.is_shannon:
                 got = [estimate_additive(index, rect, 0.1, stats=stats[0]),
@@ -556,7 +562,7 @@ def test_exact_answers_match_brute_on_both_sides_of_the_fold(scale, loaded, tmp_
                 moment = estimate_moment(index, rect, kind.alpha, 0.1)
                 assert moment.samples == 0
                 got.append(EntropySummary(kind, 0.0, entropy_from_statistic(moment.value, kind)))
-            assert all(st["mode"] == "exact-fallback" for st in stats)
+            assert all(st["mode"] == "exact-fallback" and st["pieces"] == pieces for st in stats)
             assert all(abs(s.value - want) < 1e-9 for s in got), (m, kind)
             # the estimators' exact answer without one color
             oracle = DualAccessOracle(index, rect, excluded)
@@ -597,6 +603,32 @@ def test_fold_crossover(monkeypatch):
                                  number=20, repeat=5)
             us[side] = min(runs) / 20 * 1e6
         print(f"{m:5d} points: python {us['python']:7.1f}, numpy {us['numpy']:7.1f}")
+
+
+def test_direct_fold_crossover(monkeypatch):
+    """Both sides of the direct folds' size rule answer alike at each size:
+    a sweep interval of m unit-weight points (512 points, 32 colors, as
+    series-1d) and a 2-D range whose x-slab holds m points; with -s, prints
+    each side's microseconds per query, the direct fold against the
+    structure's own path (the ladders, the walk and its fold)."""
+    rng = np.random.default_rng(512)
+    line = ColoredPointSet(rng.permutation(512).astype(float), rng.integers(0, 32, 512))
+    sweep = build_shannon(line, 0.5)
+    plane = ExactNDIndex(fold_points(1.0))
+    print(f"\nper query (us), direct fold / own path, FOLD_POINTS = {FOLD_POINTS}")
+    for m in (16, 32, 64, 128):
+        interval, rect = QueryRect.interval(100.0, 99.0 + m), first_points(m)
+        us = {}
+        for side, bound in (("direct", m), ("own", m - 1)):
+            monkeypatch.setattr(rangetree, "FOLD_POINTS", bound)
+            got, want = sweep.query(interval), brute_entropy(line, interval, SHANNON)
+            assert got.count == m and shannon_bound_holds(want.value, got.value, 0.5)
+            want = brute_entropy(plane.pts, rect, SHANNON).value
+            assert abs(plane.query(rect).value - want) < 1e-9
+            us[side] = [min(timeit.repeat(call, number=200, repeat=5)) / 200 * 1e6
+                        for call in (lambda: sweep.query(interval), lambda: plane.query(rect))]
+        print(f"{m:4d} points: sweep {us['direct'][0]:6.1f} / {us['own'][0]:6.1f}, "
+              f"2-D slab {us['direct'][1]:6.1f} / {us['own'][1]:6.1f}")
 
 
 def test_statistic_reads_arrays_in_either_byte_order():

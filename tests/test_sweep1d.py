@@ -2,9 +2,11 @@
 
 import bisect
 import copy
+import itertools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from entrange.core import (
 )
 from entrange.errors import WeightsNotSupported
 from entrange.oracle import brute_entropy
-from entrange import sweep1d
+from entrange import rangetree, sweep1d
 from entrange.rangetree import depth_rows, refine_spans
 from entrange.storage import load_index, save_index
 from entrange.sweep1d import (
@@ -90,15 +92,24 @@ def lower_power(idx, e):
 
 
 def reference_answer(idx, pts, a, b):
-    """The answer to [a, b] folded over the brute descent's nodes left to
-    right, as the query adds them: a larger node's lower power at its
-    rightmost jump at or below b (its run read with numpy, the power taken
-    from the jump's exponent), or nothing if it has none; a one-point
-    node's f(k) at a brute count k of its color's points in [x_v, b]. Also
-    returns the descent's nodes."""
+    """The answer to [a, b] as the query gives it, and the brute descent's
+    nodes. An interval of at most ``rangetree.FOLD_POINTS`` points is folded
+    directly: f of each color's brute count, summed in the order the colors
+    first occur among the mapped points. Any other is folded over the
+    descent's nodes left to right, as the query adds them: a larger node's
+    lower power at its rightmost jump at or below b (its run read with
+    numpy, the power taken from the jump's exponent), or nothing if it has
+    none; a one-point node's f(k) at a brute count k of its color's points
+    in [x_v, b]."""
     coords = pts.coords[:, 0]
-    count = int(((coords >= a) & (coords <= b)).sum())
+    inside = (coords >= a) & (coords <= b)
+    count = int(inside.sum())
     nodes = canonical_debug(idx, a, b)
+    if count <= rangetree.FOLD_POINTS:
+        mapped = idx.mcolor[idx.mx.searchsorted(a):idx.mx.searchsorted(b, "right")]
+        s = sum([float(idx._f[int((inside & (pts.colors == c)).sum())])
+                 for c in dict.fromkeys(mapped.tolist())])
+        return EntropySummary(idx.kind, float(count), entropy_from_sums(count, s, idx.kind)), nodes
     s_lo = 0.0
     for info in nodes:
         if info["gid"] is None:
@@ -198,7 +209,7 @@ def test_nine_point_projection_bounds():
     assert renyi_bound_holds(truth_r, got, 0.2, 2.0)
 
 
-def test_single_repeated_color(rng):
+def test_single_repeated_color(rng, no_direct_fold):
     # no node of two or more points has distinct colors, so nothing holds a
     # ladder; a range's one canonical node is a one-point node, which adds
     # the exact f(W): the answer log2 W - f(W)/W is 0 up to rounding
@@ -378,7 +389,7 @@ ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_lookup_matches_key_pool_oracle(case):
+def test_lookup_matches_key_pool_oracle(case, no_direct_fold):
     # the query's bisection of each larger canonical node's run reads the
     # same exponents as the former int64 key pool: its answer is the one
     # folded left to right over the brute descent's nodes from those
@@ -545,7 +556,7 @@ def test_small_eps_crafted_file_loads_small(tmp_path):
     assert loaded._lower[-1] == np.power(loaded._base, top - 2.0)
 
 
-def test_per_node_sandwich(rng):
+def test_per_node_sandwich(rng, no_direct_fold):
     # each larger canonical node's lower power lies in [S_v / (1+eps'), S_v),
     # a node without a jump at or below b has S_v = 0, and a one-point
     # node's S_v is f of its one color's count; the query adds these terms
@@ -681,12 +692,14 @@ DEGENERATE = {
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
-def test_degenerate_inputs(name):
+def test_degenerate_inputs(name, monkeypatch):
+    # on the direct fold and, with its rule set to 0, on the ladders
     coords, colors = DEGENERATE[name]
     pts = ColoredPointSet(np.array(coords, dtype=float), np.array(colors, dtype=np.int64))
     rects = [QueryRect.interval(a, b) for a, b in
              ((0.0, 10.0), (5.0, 5.0), (2.0, 2.0), (4.9, 5.1), (6.0, 7.0), (-1.0, 100.0))]
-    for alpha in (None, 2.0, 3.0):
+    for alpha, bound in itertools.product((None, 2.0, 3.0), (rangetree.FOLD_POINTS, 0)):
+        monkeypatch.setattr(rangetree, "FOLD_POINTS", bound)
         idx = build_shannon(pts, 0.2) if alpha is None else build_renyi(pts, 0.2, alpha)
         for rect in rects:
             if alpha is None:
@@ -769,7 +782,7 @@ def interval_ends(idx):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 32, 37])
-def test_canonical_gids_match_stack_walk(n):
+def test_canonical_gids_match_stack_walk(n, no_direct_fold):
     # every interval with ends on the distinct coordinates or in the gaps
     # between and around them, under Shannon and Renyi-2 (where a one-point
     # node's f(1) is not 0): the query's answer is bit for bit the fold, left
@@ -819,7 +832,7 @@ def reachable_nodes(idx):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 37, 120])
-def test_ladders_only_for_reachable_nodes(n):
+def test_ladders_only_for_reachable_nodes(n, no_direct_fold):
     # the stored nodes are exactly the brute walk's reachable ones of two or
     # more points, and every interval with ends on the distinct coordinates
     # or in the gaps between and around them takes only stored nodes as
@@ -848,7 +861,7 @@ def test_ladders_only_for_reachable_nodes(n):
 
 @pytest.mark.parametrize("dup", [0.3, 0.6])
 @pytest.mark.parametrize("n", list(range(1, 41)) + [64])
-def test_exhaustive_interval_sweep(n, dup):
+def test_exhaustive_interval_sweep(n, dup, no_direct_fold):
     # every interval with ends on or between the distinct coordinates,
     # under Shannon and Renyi 1.5, 2 and 3: the bound holds against brute
     # force, each one-point canonical node adds f(k) at a brute count k, and
@@ -1022,7 +1035,7 @@ def test_query_refuses_a_slot_without_a_ladder(rng):
         tampered.query(rect)
 
 
-def test_query_stats_count_nodes(rng):
+def test_query_stats_count_nodes(rng, no_direct_fold):
     pts = random_pointset(rng, 300, d=1, m=20, duplicate_frac=0.1)
     for idx in (build_shannon(pts, 0.3), build_renyi(pts, 0.3, 2.0)):
         seen = 0
@@ -1069,26 +1082,96 @@ def sweep_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=sweep_cases())
 def test_adversarial_sweep_against_brute(alpha, case):
+    # on the direct fold and, with its rule set to 0, on the ladders
     pts, rects = case
     eps = 0.3
     idx = build_shannon(pts, eps) if alpha is None else build_renyi(pts, eps, alpha)
     coords = pts.coords[:, 0]
+    for rect, bound in itertools.product(rects, (rangetree.FOLD_POINTS, 0)):
+        with mock.patch.object(rangetree, "FOLD_POINTS", bound):
+            check_adversarial_answer(idx, pts, rect, alpha, eps, coords)
+
+
+def check_adversarial_answer(idx, pts, rect, alpha, eps, coords):
+    """The sweep's answer to ``rect`` meets its bound and the excess of its
+    e', counts exactly, is ``reference_answer``'s bit for bit, and the
+    descent's nodes hold the range's colors once each."""
+    got = idx.query(rect)
+    if alpha is None:
+        truth = brute_entropy(pts, rect, SHANNON)
+        assert shannon_bound_holds(truth.value, got.value, eps), (rect, truth, got)
+        excess = idx.eps_prime * math.log2(max(truth.count, 1.0))
+    else:
+        truth = brute_entropy(pts, rect, renyi_kind(alpha))
+        assert renyi_bound_holds(truth.value, got.value, eps, alpha), (rect, truth, got)
+        excess = math.log2(1.0 + idx.eps_prime) / (alpha - 1.0)
+    assert got.value - truth.value <= excess + 1e-9, (rect, truth, got)
+    assert got.count == truth.count
+    want, nodes = reference_answer(idx, pts, rect.lo[0], rect.hi[0])
+    assert got == want, rect
+    color_sets = [set(info["colors"]) for info in nodes]
+    union = set().union(*color_sets)
+    assert len(union) == sum(len(cs) for cs in color_sets)  # pairwise disjoint
+    inside = (coords >= rect.lo[0]) & (coords <= rect.hi[0])
+    assert union == set(pts.colors[inside].tolist())
+
+
+# ---------------------------------------------------------------------------
+# the direct fold, either side of FOLD_POINTS
+
+
+def rule_intervals(xs, sizes):
+    """Intervals [a, b] with both ends on the sorted coordinates ``xs``
+    (ties included) that hold exactly one of ``sizes`` points, one per left
+    end and size where one exists."""
+    out = []
+    for a in np.unique(xs):
+        lo = int(xs.searchsorted(a))
+        for size in sizes:
+            if lo + size <= len(xs) and (size == 0 or xs.searchsorted(xs[lo + size - 1], "right")
+                                         == lo + size):
+                b = xs[lo + size - 1] if size else a - 0.5
+                out.append(QueryRect.interval(min(a, b), b))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [None, 2.0])
+def test_direct_fold_on_both_sides_of_the_rule(alpha):
+    # an interval of at most FOLD_POINTS points is answered exactly by the
+    # direct fold, with no node visited; one of a point more takes the
+    # ladders; both meet the bound and count exactly, with ties on the
+    # interval's ends, and empty and one-point intervals. An index over
+    # points loaded in the other byte order answers alike
+    fold = rangetree.FOLD_POINTS
+    rng = np.random.default_rng(fold)
+    n = 4 * fold
+    pts = ColoredPointSet(rng.integers(0, 3 * fold, n).astype(float), rng.integers(0, 9, n))
+    eps = 0.3
+    idx = build_shannon(pts, eps) if alpha is None else build_renyi(pts, eps, alpha)
+    kind = SHANNON if alpha is None else renyi_kind(alpha)
+    arrays, scalars = idx.to_arrays()
+    for name in ("coords", "colors"):
+        arrays[name] = arrays[name].astype(arrays[name].dtype.newbyteorder(">"))
+    swapped = Sweep1DIndex.from_arrays(arrays, scalars)
+    xs = np.sort(pts.coords[:, 0])
+    rects = rule_intervals(xs, (0, 1, fold, fold + 1))
+    seen = set()
     for rect in rects:
-        got = idx.query(rect)
-        if alpha is None:
-            truth = brute_entropy(pts, rect, SHANNON)
-            assert shannon_bound_holds(truth.value, got.value, eps), (rect, truth, got)
-            excess = idx.eps_prime * math.log2(max(truth.count, 1.0))
+        stats = {}
+        got = idx.query(rect, stats)
+        truth = brute_entropy(pts, rect, kind)
+        assert got.count == truth.count and swapped.query(rect) == got
+        direct = truth.count <= fold
+        assert stats["fold"] == ("direct" if direct else "ladders")
+        if direct:
+            assert stats["canonical_nodes"] == stats["primary_nodes"] == 0
+            assert abs(got.value - truth.value) <= 1e-12, (rect, truth, got)
         else:
-            truth = brute_entropy(pts, rect, renyi_kind(alpha))
+            assert stats["canonical_nodes"] > 0
+        if alpha is None:
+            assert shannon_bound_holds(truth.value, got.value, eps), (rect, truth, got)
+        else:
             assert renyi_bound_holds(truth.value, got.value, eps, alpha), (rect, truth, got)
-            excess = math.log2(1.0 + idx.eps_prime) / (alpha - 1.0)
-        assert got.value - truth.value <= excess + 1e-9, (rect, truth, got)
-        assert got.count == truth.count
-        want, nodes = reference_answer(idx, pts, rect.lo[0], rect.hi[0])
-        assert got == want, rect
-        color_sets = [set(info["colors"]) for info in nodes]
-        union = set().union(*color_sets)
-        assert len(union) == sum(len(cs) for cs in color_sets)  # pairwise disjoint
-        inside = (coords >= rect.lo[0]) & (coords <= rect.hi[0])
-        assert union == set(pts.colors[inside].tolist())
+        assert got == reference_answer(idx, pts, rect.lo[0], rect.hi[0])[0]
+        seen.add(int(truth.count))
+    assert seen == {0, 1, fold, fold + 1}
