@@ -61,7 +61,7 @@ def renyi_kind(alpha: float) -> EntropyKind:
     return EntropyKind(float(alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EntropySummary:
     """An entropy value (bits) together with the total mass it describes.
 
@@ -72,6 +72,13 @@ class EntropySummary:
     kind: EntropyKind
     count: float  # total weight of the summarized set
     value: float  # entropy in bits
+
+    def __init__(self, kind: EntropyKind, count: float, value: float) -> None:
+        # every answer of every index is built here: writing the instance
+        # dict directly takes about half the time of the generated frozen
+        # __init__, which sets each field through object.__setattr__
+        fields = self.__dict__
+        fields["kind"], fields["count"], fields["value"] = kind, count, value
 
     @classmethod
     def empty(cls, kind: EntropyKind = SHANNON) -> "EntropySummary":

@@ -23,30 +23,39 @@ ever subtracted from a total, so no update chain cancels.
     the weight prefix pair turns into the stored entropy. Temporaries are
     O(groups) per row. :meth:`Exact1DIndex.row`, the entropy of every span
     from one start, runs the same pass over groups of one point.
-  * Query: two ``searchsorted`` calls turn the interval into a span
-    [lo, hi) of sorted positions for :meth:`Exact1DIndex.query_span`.
-    Cuts are multiples of the bucket size, so integer division finds the
-    maximal precomputed slice inside the span, whose S comes back from its
-    stored entropy. The at most 2*ceil(n^t) fringe points fold in one batch
-    into color masses, and each fringe color's mass inside the slice comes
-    from the color-prefix array. Each sorted position holds its color's id
-    among the D colors that occur (``ids_sorted``, narrowest unsigned type),
-    the index's one color array; ``present`` maps an id back to its color.
-    While D <= ``BINCOUNT_BUCKETS`` bucket sizes, at most twice the largest
-    fringe, the fold is one ``bincount`` of the ids per side of the slice,
-    so a span with no slice costs one ``bincount`` and one power-term sum.
-    Past that bound it sorts the fringe's ids and ``reduceat``s their
-    weights, at a cost that follows the fringe alone; both keep the query
-    O(n^t). On a 2-vCPU host over 32,768 points (bucket size 182, bound
-    728), spans of log-uniform width took a median 12.0 us by ``bincount``
-    against 20.3 by sort at 256 colors, 14.7 against 21.2 at 728, 19.6
-    against 20.3 at 2,048, 26.3 against 20.8 at 4,096 and 128 against 22
-    at 32,768.
+  * Query: two C ``bisect`` calls on the sorted coordinates turn the
+    interval into a span [lo, hi) of sorted positions for
+    :meth:`Exact1DIndex.query_span`, which reads its scalars as Python
+    floats through memoryviews made on the first query (``_views``, in no
+    pickle or copy): the span's W is one difference of the weight prefix
+    pair, and the slice's entry one table read. Cuts are multiples of the
+    bucket size, so integer division finds the maximal precomputed slice
+    inside the span, whose S comes back from its stored entropy. The at
+    most 2*ceil(n^t) fringe points fold in one batch into color masses.
+    Each sorted position holds its color's id among the D colors that occur
+    (``ids_sorted``, narrowest unsigned type), the index's one color array;
+    ``present`` maps an id back to its color. While D <= ``BINCOUNT_BUCKETS``
+    bucket sizes, at most twice the largest fringe, the fold is one
+    ``bincount`` of the ids per side of the slice, dense over the D colors,
+    and each color's mass inside the slice is one difference of two rows of
+    ``cut_prefix``: the ``ColorPrefix`` pair at every cut for every color,
+    derived on the first such fold and never stored, in
+    (k+1) * 2 * D * 8 <= 64n + 128*ceil(n^t) bytes. A color with no fringe
+    mass then moves S by f(inside) - f(inside) = 0, so the fold needs no
+    key search. A span with no slice costs one ``bincount`` and one
+    power-term sum. Past that bound it sorts the fringe's ids,
+    ``reduceat``s their weights and searches ``ColorPrefix.mass`` for the
+    fringe colors' masses inside, at a cost that follows the fringe alone;
+    both keep the query O(n^t). On a 2-vCPU host over 32,768 points (bucket
+    size 182, bound 728), spans of log-uniform width took a median 12.0 us
+    by ``bincount`` against 20.3 by sort at 256 colors, 14.7 against 21.2
+    at 728, 19.6 against 20.3 at 2,048, 26.3 against 20.8 at 4,096 and 128
+    against 22 at 32,768.
 
 Duplicate coordinates need no care: queries resolve ties through the
 sorted order. Precision: every mass is a difference of two compensated
 prefixes (a ``core.running_sum`` pair, for the sorted weights and inside
-the ``ColorPrefix``): a slice's W, each group's color mass since a row's
+the ``ColorPrefix``): a span's W, each group's color mass since a row's
 cut, and each fringe color's mass inside the slice. Such a difference is
 accurate relative to the span's own mass, so heavy points outside a range
 do not swamp the light ones in it: with 1-5 heavy points up to 1e15 over
@@ -72,6 +81,7 @@ equals the stable (coordinate, input index) order.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from typing import Optional, Sequence
@@ -84,6 +94,7 @@ from .core import (
     ColoredPointSet,
     EntropyKind,
     EntropySummary,
+    HeldViews,
     QueryRect,
     SHANNON,
     renyi_kind,
@@ -94,7 +105,7 @@ BINCOUNT_BUCKETS = 4   # the bincount fold's bound on D, in bucket sizes; see th
 TABLE_SLACK = 1e-9     # bits a loaded table entry may lie outside [0, log2 D]
 
 
-class Exact1DIndex:
+class Exact1DIndex(HeldViews):
     STORED = ("coords", "colors", "weights", "tables")   # what a file holds; see to_arrays
 
     def __init__(self, pts: ColoredPointSet, t: float, orders: Sequence[float] = ()):
@@ -159,9 +170,11 @@ class Exact1DIndex:
         index._derive()
         k = len(index.cuts) - 1
         tables = arrays["tables"]
-        if tables.dtype != np.float64 or tables.shape != (len(index.kinds), k * (k + 1) // 2):
+        if (tables.dtype.newbyteorder("=") != np.float64
+                or tables.shape != (len(index.kinds), k * (k + 1) // 2)):
             raise ValueError(f"tables of {tables.dtype} {tables.shape} do not fit "
                              f"{len(index.kinds)} kinds over {k} buckets")
+        tables = tables.astype(np.float64, copy=False)   # native, as a memoryview needs
         # no entropy of D colors lies outside [0, log2 D]; NaN fails both tests
         low, high = (tables.min(), tables.max()) if tables.size else (0.0, 0.0)
         top = math.log2(max(len(index.present), 1))
@@ -199,6 +212,25 @@ class Exact1DIndex:
     def _points(self) -> "_ColorGroups":
         return _ColorGroups(self, 1)   # group p is sorted position p
 
+    @functools.cached_property
+    def cut_prefix(self) -> np.ndarray:
+        """The ``ColorPrefix`` pair at every cut for every color that occurs,
+        as one (k+1) x 2 x D array: entry [a, :, d] is the pair at the first
+        key of color ``present[d]`` at or after cut a, where
+        ``ColorPrefix.mass`` searches. Derived on the first ``bincount`` fold
+        of a span with a precomputed slice."""
+        cp = self.color_prefix
+        at = cp.keys.searchsorted(self.present * cp.n + self.cuts[:, None])
+        return np.stack((cp.wpre[at], cp.wlo[at]), axis=1)
+
+    @functools.cached_property
+    def _views(self) -> tuple:
+        """Memoryviews of what a query reads as Python scalars, made on the
+        first query: the sorted coordinates, the weight prefix pair and each
+        kind's table."""
+        return (self.coords_sorted.data, self.wpre.data, self.wlo.data,
+                {kind: table.data for kind, table in self.tables.items()})
+
     # -- queries --------------------------------------------------------------
 
     def row(self, i: int, kind: EntropyKind = SHANNON) -> tuple[np.ndarray, np.ndarray]:
@@ -215,9 +247,9 @@ class Exact1DIndex:
               stats: Optional[dict] = None) -> EntropySummary:
         if rect.dim != 1:
             raise ValueError("query rect must be 1-D")
-        lo = int(self.coords_sorted.searchsorted(rect.lo[0], side="left"))
-        hi = int(self.coords_sorted.searchsorted(rect.hi[0], side="right"))
-        return self.query_span(lo, hi, kind, stats)
+        coords = self._views[0]
+        return self.query_span(bisect.bisect_left(coords, rect.lo[0]),
+                               bisect.bisect_right(coords, rect.hi[0]), kind, stats)
 
     def query_span(self, i: int, j: int, kind: EntropyKind = SHANNON,
                    stats: Optional[dict] = None) -> EntropySummary:
@@ -228,45 +260,59 @@ class Exact1DIndex:
         precomputed slice's cut pair, or None) and ``fold`` (``"bincount"``
         or ``"sort"``, or None when no fringe point was folded)."""
         self._require(kind)
+        _, wpre, wlo, tables = self._views
         n, size, last = len(self.ids_sorted), self.bucket_size, len(self.cuts) - 1
         a, b = min(-(-i // size), last), (last if j >= n else j // size)
-        W, value, core_lo, core_hi = 0.0, 0.0, i, i
+        W = (wpre[j] - wpre[i]) + (wlo[j] - wlo[i]) if i < j else 0.0
+        core_lo = core_hi = i
         if a < b:
             core_lo, core_hi = a * size, (n if b == last else b * size)
-            W = float((self.wpre[core_hi] - self.wpre[core_lo])
-                      + (self.wlo[core_hi] - self.wlo[core_lo]))
-            value = float(self.tables[kind][self._slot(a, b)])
         fringe_points = max(0, j - i) - (core_hi - core_lo)
         if stats is not None:
             stats.update(points_in_range=max(0, j - i), fringe_points=fringe_points,
                          core_cuts=(a, b) if a < b else None,
                          fold=self.fold if fringe_points else None)
         if not fringe_points:
-            return EntropySummary(kind, W, value)
+            return EntropySummary(kind, W, tables[kind][self._slot(a, b)] if a < b else 0.0)
         ids, weights = self.ids_sorted, self.weights_sorted
-        if self.fold == "sort":
-            ids = np.concatenate((ids[i:core_lo], ids[core_hi:j]))
-            weights = np.concatenate((weights[i:core_lo], weights[core_hi:j]))
-            order = ids.argsort(kind="stable")   # a radix sort on uint8 and uint16
-            ids = ids[order]
-            starts = np.concatenate(([True], ids[1:] != ids[:-1])).nonzero()[0]
-            folded, added = ids[starts], np.add.reduceat(weights[order], starts)
-        elif a < b:
-            # (an empty side counts on int64, so the sum is not made in place)
-            added = (np.bincount(ids[i:core_lo], weights[i:core_lo], len(self.present))
-                     + np.bincount(ids[core_hi:j], weights[core_hi:j], len(self.present)))
-            folded = added.nonzero()[0]
-            added = added[folded]
+        if a >= b:
+            if self.fold == "sort":
+                added = self._sorted_fringe(i, core_lo, core_hi, j)[1]
+            else:
+                added = np.bincount(ids[i:j], weights[i:j])   # f(0) = 0 for every absent id
+            S = float(core.power_term(added, kind).sum())
         else:
-            added = np.bincount(ids[i:j], weights[i:j])   # f(0) = 0 for every absent id
-        S = core.power_sum(EntropySummary(kind, W, value))
-        W += float(added.sum())
-        if a < b:
-            inside = self.color_prefix.mass(self.present[folded], core_lo, core_hi)
-            S += float((core.power_term(inside + added, kind) - core.power_term(inside, kind)).sum())
-        else:
-            S += float(core.power_term(added, kind).sum())
+            # rows (inside + added, inside) of the colors' masses: S moves by
+            # the sum of f(row 0) - f(row 1)
+            if self.fold == "sort":
+                folded, added = self._sorted_fringe(i, core_lo, core_hi, j)
+                inside = self.color_prefix.mass(self.present[folded], core_lo, core_hi)
+                both = np.concatenate((inside + added, inside)).reshape(2, -1)
+            else:
+                # dense over the D colors: one with no fringe mass adds exactly
+                # 0. Ids lie below D, so counts to 2D leave row 1 of ``added``
+                # 0 (an empty side counts on int64, so the sum is not in place)
+                D = len(self.present)
+                added = (np.bincount(ids[i:core_lo], weights[i:core_lo], 2 * D)
+                         + np.bincount(ids[core_hi:j], weights[core_hi:j], 2 * D))
+                pair = self.cut_prefix[b] - self.cut_prefix[a]
+                both = (pair[0] + pair[1]) + added.reshape(2, D)
+            terms = core.power_term(both, kind)
+            core_W = (wpre[core_hi] - wpre[core_lo]) + (wlo[core_hi] - wlo[core_lo])
+            S = core.power_sum(EntropySummary(kind, core_W, tables[kind][self._slot(a, b)]))
+            S += float(np.subtract(terms[0], terms[1]).sum())
         return EntropySummary(kind, W, core.entropy_from_sums(W, S, kind))
+
+    def _sorted_fringe(self, i: int, core_lo: int, core_hi: int, j: int) -> tuple:
+        """The ids of the colors at positions [i, core_lo) and [core_hi, j),
+        ascending, and each one's mass there: the ``sort`` fold."""
+        ids = np.concatenate((self.ids_sorted[i:core_lo], self.ids_sorted[core_hi:j]))
+        weights = np.concatenate((self.weights_sorted[i:core_lo],
+                                  self.weights_sorted[core_hi:j]))
+        order = ids.argsort(kind="stable")   # a radix sort on uint8 and uint16
+        ids = ids[order]
+        starts = np.concatenate(([True], ids[1:] != ids[:-1])).nonzero()[0]
+        return ids[starts], np.add.reduceat(weights[order], starts)
 
     def _require(self, kind: EntropyKind) -> None:
         if not kind.is_shannon and kind.alpha not in self.orders:
@@ -278,7 +324,8 @@ class Exact1DIndex:
         k = len(self.cuts) - 1
         arrays = (self.coords_sorted, self.weights_sorted, self.wpre, self.wlo,
                   self.color_prefix.keys, self.color_prefix.wpre, self.color_prefix.wlo,
-                  self.cuts, self.ids_sorted, self.present, *self.tables.values())
+                  self.cuts, self.ids_sorted, self.present, *self.tables.values(),
+                  *([self.cut_prefix] if "cut_prefix" in vars(self) else []))
         return {
             "buckets": k,
             "bucket_size": self.bucket_size,

@@ -328,8 +328,9 @@ class Sweep1DIndex(HeldViews):
         index = cls.__new__(cls)
         index._derive(ColoredPointSet.from_arrays(arrays, scalars),
                       scalars["eps"], scalars["alpha"])
-        for name in cls.STORED[2:]:
-            setattr(index, name, arrays[name])
+        for name in cls.STORED[2:]:   # in native byte order, which a memoryview needs
+            setattr(index, name, arrays[name].astype(arrays[name].dtype.newbyteorder("="),
+                                                     copy=False))
         index._check_ladders()
         index._lower = np.power(index._base, index.h_exp - 1.0)
         return index

@@ -1,6 +1,9 @@
 """Entropy algebra: direct formulas, update rules, and their invariants."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +19,27 @@ from entrange.core import (
     renyi_kind,
 )
 from entrange.errors import InvalidOrder, InvalidWeight, Underflow
+
+
+def test_entropy_summary_stays_a_frozen_value():
+    # the explicit __init__ writes the instance dict; the dataclass still
+    # refuses assignment and compares, hashes, prints, pickles and copies
+    # by its three fields
+    s = EntropySummary(renyi_kind(2.0), 3.0, 1.5)
+    for name, value in (("kind", SHANNON), ("count", 1.0), ("value", 0.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del s.count
+    assert vars(s) == {"kind": renyi_kind(2.0), "count": 3.0, "value": 1.5}
+    assert s == EntropySummary(renyi_kind(2.0), 3.0, 1.5) == EntropySummary(
+        kind=renyi_kind(2.0), count=3.0, value=1.5)
+    assert s != EntropySummary(SHANNON, 3.0, 1.5) and s != (renyi_kind(2.0), 3.0, 1.5)
+    assert hash(s) == hash((renyi_kind(2.0), 3.0, 1.5))
+    assert repr(s) == "EntropySummary(kind=EntropyKind(alpha=2.0), count=3.0, value=1.5)"
+    assert [f.name for f in dataclasses.fields(s)] == ["kind", "count", "value"]
+    assert dataclasses.replace(s, value=0.5) == EntropySummary(renyi_kind(2.0), 3.0, 0.5)
+    assert pickle.loads(pickle.dumps(s)) == s == copy.copy(s)
 
 
 @pytest.mark.parametrize("lo, hi", [

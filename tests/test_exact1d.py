@@ -2,6 +2,7 @@
 
 import bisect
 import copy
+import pickle
 import timeit
 import tracemalloc
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrange import core
+from entrange import core, storage
 from entrange.core import ColoredPointSet, ColorHistogram, QueryRect, SHANNON, renyi_kind
 from entrange.errors import InvalidWeight, OrderNotIndexed
 from entrange.exact1d import BINCOUNT_BUCKETS, Exact1DIndex
@@ -371,6 +372,94 @@ def test_space_stats_bytes(rng):
     assert idx.ids_sorted.dtype == np.uint8
     ids = 500 + 8 * len(idx.present)
     assert tables + ids + 7 * 8 * 500 <= space["bytes"] <= tables + ids + 7 * 8 * 510
+    # the per-cut color prefixes, once a query derives them: a pair of
+    # floats per cut and color
+    idx.query_span(1, 499, renyi_kind(2.0))
+    prefix = (k + 1) * 2 * len(idx.present) * 8
+    assert idx.space_stats()["bytes"] == space["bytes"] + prefix
+
+
+def query_state(idx):
+    """Which of the query's lazily derived attributes the index holds."""
+    return {name for name in ("_views", "cut_prefix") if name in vars(idx)}
+
+
+def test_query_state_is_derived_on_first_use(tmp_path, rng):
+    """Neither a build nor a load derives the query's memoryviews or the
+    per-cut color prefixes. The first query makes the views, the first
+    ``bincount`` fold of a span with a slice the prefixes, which
+    ``space_stats`` then counts; copies and pickles hold no views and
+    answer bit for bit alike."""
+    pts = random_pointset(rng, 400, d=1, m=17, weighted=True)
+    built = Exact1DIndex(pts, t=0.5, orders=(2.0,))
+    path = tmp_path / "x.rqe"
+    storage.save_index(path, "exact1d", built)
+    loaded = storage.load_index(path, expect_kind="exact1d")[2]
+    spans = [(0, 400), (3, 10), (3, 390), (20, 40), (21, 399), (400, 400)]
+    for idx in (built, loaded):
+        assert idx.fold == "bincount" and query_state(idx) == set()
+        before = idx.space_stats()["bytes"]
+        idx.query_span(3, 10)   # no slice
+        assert query_state(idx) == {"_views"}
+        stats = {}
+        idx.query_span(3, 390, stats=stats)
+        assert stats["core_cuts"] == (1, 19) and stats["fold"] == "bincount"
+        assert query_state(idx) == {"_views", "cut_prefix"}
+        k, D = len(idx.cuts) - 1, len(idx.present)
+        assert idx.cut_prefix.shape == (k + 1, 2, D)
+        assert idx.space_stats()["bytes"] == before + (k + 1) * 2 * D * 8
+        want = [idx.query_span(i, j, kind) for i, j in spans for kind in (SHANNON, renyi_kind(2.0))]
+        for other in (pickle.loads(pickle.dumps(idx)), copy.copy(idx), copy.deepcopy(idx)):
+            assert "_views" not in vars(other)
+            got = [other.query_span(i, j, kind) for i, j in spans
+                   for kind in (SHANNON, renyi_kind(2.0))]
+            assert got == want
+
+
+def test_cut_prefix_gives_each_core_color_mass():
+    """Every color's mass inside every cut pair, read off the per-cut
+    prefixes, is the float ``ColorPrefix.mass`` gives; at the bincount
+    fold's bound on D (4 bucket sizes) the prefixes take about 64 bytes a
+    point."""
+    rng = np.random.default_rng(3)
+    n = 1024
+    pts = ColoredPointSet(rng.uniform(0, 100, n), rng.permutation(np.arange(n) % 128),
+                          rng.uniform(0.5, 2.0, n))
+    idx = Exact1DIndex(pts, t=0.5)
+    assert len(idx.present) == BINCOUNT_BUCKETS * idx.bucket_size and idx.fold == "bincount"
+    prefix, cuts = idx.cut_prefix, idx.cuts.tolist()
+    for a in range(len(cuts)):
+        for b in range(a + 1, len(cuts)):
+            pair = prefix[b] - prefix[a]
+            want = idx.color_prefix.mass(idx.present, cuts[a], cuts[b])
+            assert np.array_equal(pair[0] + pair[1], want), (a, b)
+    assert prefix.nbytes <= 64 * n + 128 * idx.bucket_size
+
+
+def test_arrays_in_either_byte_order():
+    """``from_arrays`` takes every stored array in either byte order and
+    holds the tables in native order, which the query's memoryviews need;
+    it answers bit for bit as the build does. Tables on another type than
+    float64 are refused in either order."""
+    rng = np.random.default_rng(11)
+    pts = random_pointset(rng, 300, d=1, m=9, weighted=True, duplicate_frac=0.1)
+    idx = Exact1DIndex(pts, t=0.5, orders=(2.0,))
+    arrays, scalars = idx.to_arrays()
+    assert set(arrays) == set(Exact1DIndex.STORED)
+    swapped = {name: a.astype(a.dtype.newbyteorder(">")) for name, a in arrays.items()}
+    loaded = Exact1DIndex.from_arrays(swapped, scalars)
+    assert all(table.dtype.isnative for table in loaded.tables.values())
+    spans = [tuple(sorted(rng.integers(0, 301, size=2))) for _ in range(100)]
+    rects = [rand_interval(rng) for _ in range(100)]
+    for kind in (SHANNON, renyi_kind(2.0)):
+        for i, j in spans:
+            assert loaded.query_span(i, j, kind) == idx.query_span(i, j, kind), (i, j)
+        for rect in rects:
+            assert loaded.query(rect, kind) == idx.query(rect, kind), rect
+    for order in "<>":
+        narrow = {**arrays, "tables": arrays["tables"].astype(np.dtype("f4").newbyteorder(order))}
+        with pytest.raises(ValueError, match="do not fit"):
+            Exact1DIndex.from_arrays(narrow, scalars)
 
 
 def test_empty_pointset():
@@ -424,14 +513,19 @@ def weighted_case(seed, heavy_lo, heavy_hi):
 
 
 def check_weighted(seed, heavy_lo, heavy_hi):
+    """The case's intervals against brute force at 1e-6; returns how many
+    folded a fringe by ``bincount`` onto a precomputed slice."""
     pts, rects = weighted_case(seed, heavy_lo, heavy_hi)
     idx = Exact1DIndex(pts, t=0.5, orders=(2.0, 3.0))
+    folded = 0
     for rect in rects:
         for kind in WEIGHTED_KINDS:
-            want = brute_entropy(pts, rect, kind)
-            got = idx.query(rect, kind)
+            want, stats = brute_entropy(pts, rect, kind), {}
+            got = idx.query(rect, kind, stats)
             assert abs(got.value - want.value) < 1e-6, (seed, rect, kind)
             assert got.count == pytest.approx(want.count, rel=1e-6), (seed, rect, kind)
+            folded += stats["core_cuts"] is not None and stats["fold"] == "bincount"
+    return folded
 
 
 @pytest.mark.parametrize("heavy_lo, heavy_hi", [(1e2, 1e4), (1e4, 1e6), (1e6, 1e9)])
@@ -441,8 +535,9 @@ def test_weighted_heavy_points_match_oracle(heavy_lo, heavy_hi):
 
 
 def test_weighted_extreme_heavy_points_match_oracle():
+    # every seed folds fringes onto slices through the per-cut prefixes
     for seed in range(30):
-        check_weighted(seed, 1e9, 1e15)
+        assert check_weighted(seed, 1e9, 1e15) > 0, seed
 
 
 def check_or_refused(pts, alpha, rects):

@@ -711,9 +711,9 @@ def test_sweep_file_with_an_alpha_whose_terms_overflow_is_refused(tmp_path, rng,
 
 
 def queried_indexes(rng):
-    """An estimator index, an exact 2-D index and both sweep kinds, each with
-    a function of an index giving its answers (the estimator's sampled with
-    a generator seeded 0), queried once so that each holds its views."""
+    """An estimator index, both exact indexes and both sweep kinds, each
+    with a function of an index giving its answers (the estimator's sampled
+    with a generator seeded 0), queried once so that each holds its views."""
     pts2, pts1 = random_pointset(rng, 300, d=2, m=8, weighted=True), random_pointset(rng, 300)
     rects = [QueryRect.full(2)] + [random_rect(rng, d=2) for _ in range(30)]
     intervals = [QueryRect.full(1)] + [random_rect(rng, d=1) for _ in range(30)]
@@ -728,6 +728,8 @@ def queried_indexes(rng):
         (EstimatorIndex(pts2), estimates),
         (exactnd.ExactNDIndex(pts2, t=0.5, orders=(2.0,)),
          lambda idx: [idx.query(r, k) for r in rects for k in (SHANNON, renyi_kind(2.0))]),
+        (exact1d.Exact1DIndex(pts1, t=0.5, orders=(2.0,)),
+         lambda idx: [idx.query(r, k) for r in intervals for k in (SHANNON, renyi_kind(2.0))]),
         (sweep1d.build_shannon(pts1, 0.3), lambda idx: [idx.query(r) for r in intervals]),
         (sweep1d.build_renyi(pts1, 0.3, 2.0), lambda idx: [idx.query(r) for r in intervals]),
     ]

@@ -1140,8 +1140,8 @@ def test_direct_fold_on_both_sides_of_the_rule(alpha):
     # an interval of at most FOLD_POINTS points is answered exactly by the
     # direct fold, with no node visited; one of a point more takes the
     # ladders; both meet the bound and count exactly, with ties on the
-    # interval's ends, and empty and one-point intervals. An index over
-    # points loaded in the other byte order answers alike
+    # interval's ends, and empty and one-point intervals. An index loaded
+    # from every stored array in the other byte order answers alike
     fold = rangetree.FOLD_POINTS
     rng = np.random.default_rng(fold)
     n = 4 * fold
@@ -1150,9 +1150,9 @@ def test_direct_fold_on_both_sides_of_the_rule(alpha):
     idx = build_shannon(pts, eps) if alpha is None else build_renyi(pts, eps, alpha)
     kind = SHANNON if alpha is None else renyi_kind(alpha)
     arrays, scalars = idx.to_arrays()
-    for name in ("coords", "colors"):
-        arrays[name] = arrays[name].astype(arrays[name].dtype.newbyteorder(">"))
-    swapped = Sweep1DIndex.from_arrays(arrays, scalars)
+    assert set(arrays) == set(Sweep1DIndex.STORED)
+    swapped = Sweep1DIndex.from_arrays(
+        {name: a.astype(a.dtype.newbyteorder(">")) for name, a in arrays.items()}, scalars)
     xs = np.sort(pts.coords[:, 0])
     rects = rule_intervals(xs, (0, 1, fold, fold + 1))
     seen = set()
