@@ -461,6 +461,14 @@ def power_term(w, kind: EntropyKind) -> np.ndarray:
     return w**kind.alpha
 
 
+def power_total(w: np.ndarray, kind: EntropyKind) -> float:
+    """sum_c f(w_c) over a float64 array as a Python float, with f(0) = 0: no
+    positive float lies below ``math.ulp(0.0)``, so the clamp moves no other term."""
+    if kind.is_shannon:
+        return float(w @ np.log2(np.maximum(w, math.ulp(0.0))))
+    return float(np.add.reduce(w**kind.alpha))
+
+
 def entropy_from_power_sum(W, S, kind: EntropyKind) -> np.ndarray:
     """Entropy (bits) of the sets described by (W, S), elementwise.
 

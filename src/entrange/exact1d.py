@@ -27,36 +27,34 @@ ever subtracted from a total, so no update chain cancels.
     interval into a span [lo, hi) of sorted positions for
     :meth:`Exact1DIndex.query_span`, which reads its scalars as Python
     floats through memoryviews made on the first query (``_views``, in no
-    pickle or copy): the span's W is one difference of the weight prefix
-    pair, and the slice's entry one table read. Cuts are multiples of the
-    bucket size, so integer division finds the maximal precomputed slice
-    inside the span, whose S comes back from its stored entropy. The at
-    most 2*ceil(n^t) fringe points fold in one batch into color masses.
-    Each sorted position holds its color's id among the D colors that occur
-    (``ids_sorted``, narrowest unsigned type), the index's one color array;
-    ``present`` maps an id back to its color. While D <= ``BINCOUNT_BUCKETS``
-    bucket sizes, at most twice the largest fringe, the fold is one
-    ``bincount`` of the ids per side of the slice, dense over the D colors,
-    and each color's mass inside the slice is one difference of two rows of
-    ``cut_prefix``: the ``ColorPrefix`` pair at every cut for every color,
-    derived on the first such fold and never stored, in
-    (k+1) * 2 * D * 8 <= 64n + 128*ceil(n^t) bytes. A color with no fringe
-    mass then moves S by f(inside) - f(inside) = 0, so the fold needs no
-    key search. A span with no slice costs one ``bincount`` and one
-    power-term sum. Past that bound it sorts the fringe's ids,
-    ``reduceat``s their weights and searches ``ColorPrefix.mass`` for the
-    fringe colors' masses inside, at a cost that follows the fringe alone;
-    both keep the query O(n^t). On a 2-vCPU host over 32,768 points (bucket
-    size 182, bound 728), spans of log-uniform width took a median 12.0 us
-    by ``bincount`` against 20.3 by sort at 256 colors, 14.7 against 21.2
-    at 728, 19.6 against 20.3 at 2,048, 26.3 against 20.8 at 4,096 and 128
-    against 22 at 32,768.
+    pickle or copy): W is one difference of the weight prefix pair. Cuts
+    are multiples of the bucket size, so integer division finds the
+    maximal precomputed slice inside the span; a span that is exactly one
+    is one table read. Each sorted position holds its color's id among the
+    D colors that occur (``ids_sorted``, narrowest unsigned type), the
+    index's one color array; ``present`` maps an id back to its color.
+    While D <= ``BINCOUNT_BUCKETS`` bucket sizes, at most twice the largest
+    fringe, S is ``core.power_total`` over the span's D color masses, with
+    no table read and nothing subtracted: one ``bincount`` of the ids per
+    side of the slice plus, inside it, one difference of two rows of
+    ``cut_prefix`` (the ``ColorPrefix`` pair at every cut for every color,
+    derived on the first such span and never stored, in
+    (k+1) * 2 * D * 8 <= 64n + 128*ceil(n^t) bytes). Past that bound the
+    at most 2*ceil(n^t) fringe points are sorted by id and summed by
+    ``reduceat``, ``ColorPrefix.mass`` finds their colors' masses inside
+    the slice, and the slice's S, rebuilt from its entry, moves by each
+    one's f(after) - f(before), at a cost that follows the fringe alone.
+    Both keep the query O(n^t). On a 2-vCPU host over 32,768 points
+    (bucket size 182, bound 728), spans of log-uniform width took a median
+    10.5-13.6 us by ``bincount`` against 21.2-28.5 by sort at 256 colors,
+    11.1-11.6 against 20.2-27.0 at 1,024, 16.6-17.4 against 19.3-20.6 at
+    4,096 and 86-129 against 18-41 at 32,768 (three runs each).
 
 Duplicate coordinates need no care: queries resolve ties through the
 sorted order. Precision: every mass is a difference of two compensated
 prefixes (a ``core.running_sum`` pair, for the sorted weights and inside
 the ``ColorPrefix``): a span's W, each group's color mass since a row's
-cut, and each fringe color's mass inside the slice. Such a difference is
+cut, and each color's mass inside the slice. Such a difference is
 accurate relative to the span's own mass, so heavy points outside a range
 do not swamp the light ones in it: with 1-5 heavy points up to 1e15 over
 light weights near 1, and with weights log-uniform in [1, 1e12], answers
@@ -275,29 +273,23 @@ class Exact1DIndex(HeldViews):
         if not fringe_points:
             return EntropySummary(kind, W, tables[kind][self._slot(a, b)] if a < b else 0.0)
         ids, weights = self.ids_sorted, self.weights_sorted
-        if a >= b:
-            if self.fold == "sort":
-                added = self._sorted_fringe(i, core_lo, core_hi, j)[1]
-            else:
-                added = np.bincount(ids[i:j], weights[i:j])   # f(0) = 0 for every absent id
-            S = float(core.power_term(added, kind).sum())
+        if self.fold == "bincount":
+            # every color's mass in [i, j): one bincount per fringe side, plus
+            # two cut_prefix rows in a slice (an empty side counts on int64)
+            D = len(self.present)
+            masses = np.bincount(ids[core_hi:j], weights[core_hi:j], D)
+            if a < b:
+                hi, lo = self.cut_prefix[b] - self.cut_prefix[a]
+                masses = (hi + lo) + (np.bincount(ids[i:core_lo], weights[i:core_lo], D) + masses)
+            S = core.power_total(masses, kind)
+        elif a >= b:
+            S = core.power_total(self._sorted_fringe(i, core_lo, core_hi, j)[1], kind)
         else:
-            # rows (inside + added, inside) of the colors' masses: S moves by
-            # the sum of f(row 0) - f(row 1)
-            if self.fold == "sort":
-                folded, added = self._sorted_fringe(i, core_lo, core_hi, j)
-                inside = self.color_prefix.mass(self.present[folded], core_lo, core_hi)
-                both = np.concatenate((inside + added, inside)).reshape(2, -1)
-            else:
-                # dense over the D colors: one with no fringe mass adds exactly
-                # 0. Ids lie below D, so counts to 2D leave row 1 of ``added``
-                # 0 (an empty side counts on int64, so the sum is not in place)
-                D = len(self.present)
-                added = (np.bincount(ids[i:core_lo], weights[i:core_lo], 2 * D)
-                         + np.bincount(ids[core_hi:j], weights[core_hi:j], 2 * D))
-                pair = self.cut_prefix[b] - self.cut_prefix[a]
-                both = (pair[0] + pair[1]) + added.reshape(2, D)
-            terms = core.power_term(both, kind)
+            # the slice's S from its entry, moved by f(inside + added) -
+            # f(inside) for each fringe color
+            folded, added = self._sorted_fringe(i, core_lo, core_hi, j)
+            inside = self.color_prefix.mass(self.present[folded], core_lo, core_hi)
+            terms = core.power_term(np.concatenate((inside + added, inside)).reshape(2, -1), kind)
             core_W = (wpre[core_hi] - wpre[core_lo]) + (wlo[core_hi] - wlo[core_lo])
             S = core.power_sum(EntropySummary(kind, core_W, tables[kind][self._slot(a, b)]))
             S += float(np.subtract(terms[0], terms[1]).sum())

@@ -371,6 +371,33 @@ def test_entropy_from_sums_matches_array_form(rng, kind):
     assert core.entropy_from_sums(0.0, 0.0, kind) == 0.0
 
 
+def power_total_cases():
+    """Masses of 0 up to many colors: zeros, one color, exact zeros among
+    positive masses, and log-uniform masses from 1e-300 to 1e300."""
+    rng = np.random.default_rng(5)
+    spread = 10.0 ** rng.uniform(-300.0, 300.0, 256)
+    spread[::9] = 0.0
+    return [np.zeros(0), np.zeros(7), np.array([3.5]), np.array([0.0, 2.0, 0.0]),
+            rng.uniform(0.5, 2.0, 256), spread, np.array([1e-300, 1.0, 1e300])]
+
+
+@pytest.mark.parametrize("alpha", [None, 1.5, 2.0, 3.0, 60.0])
+def test_power_total_matches_fsum(alpha):
+    """``power_total`` against ``math.fsum`` of f over the masses, within
+    1e-13 of the sum of |f|, with f(0) = 0, over every case's masses at which
+    f stays finite."""
+    kind = SHANNON if alpha is None else renyi_kind(alpha)
+    for masses in power_total_cases():
+        if alpha is not None:   # keep w**alpha inside the float range
+            masses = masses[np.log10(np.maximum(masses, 1e-300)) * alpha <= 300.0]
+        f = [w * math.log2(w) if alpha is None else w**alpha for w in masses.tolist() if w > 0]
+        got = core.power_total(masses, kind)
+        assert type(got) is float
+        assert abs(got - math.fsum(f)) <= 1e-13 * math.fsum(map(abs, f)), (alpha, masses)
+        if not f:
+            assert got == 0.0
+
+
 def test_kind_mismatch_rejected():
     a = EntropySummary(SHANNON, 2.0, 1.0)
     b = EntropySummary(renyi_kind(2.0), 2.0, 1.0)

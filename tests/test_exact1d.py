@@ -684,6 +684,38 @@ def test_every_span_matches_oracle(t, n):
             assert n % idx.bucket_size  # the last bucket is short
 
 
+def test_bincount_fold_reads_no_table_entry():
+    """Under the bincount fold a span with a fringe reads no table entry:
+    with every entry overwritten by one constant inside [0, log2 D], each
+    such span still matches a linear scan, and a span that is exactly a
+    slice returns the constant. A wrong entry in bounds reaches those
+    spans alone."""
+    rng = np.random.default_rng(17)
+    n = 60
+    pts = ColoredPointSet(rng.uniform(0.0, 100.0, n), rng.permutation(np.arange(n) % 5),
+                          rng.uniform(0.5, 2.0, n))
+    idx = Exact1DIndex(pts, t=0.5, orders=(2.0, 3.0))
+    assert idx.fold == "bincount" and len(idx.present) == 5
+    wrong = 0.5 * np.log2(5)
+    for table in idx.tables.values():
+        table[:] = wrong
+    xs, slices = idx.coords_sorted, 0
+    for kind in WEIGHTED_KINDS:
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                stats = {}
+                rect = QueryRect.interval(xs[i], xs[j - 1])
+                got = idx.query(rect, kind, stats=stats)
+                assert stats["points_in_range"] == j - i
+                if stats["fringe_points"]:
+                    assert abs(got.value - brute_entropy(pts, rect, kind).value) < 1e-9, (kind, i, j)
+                else:
+                    assert got.value == wrong, (kind, i, j)
+                    slices += 1
+    k = len(idx.cuts) - 1
+    assert slices == len(WEIGHTED_KINDS) * k * (k + 1) // 2
+
+
 def test_every_span_of_empty_pointset():
     pts = ColoredPointSet(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
     for t in (0.0, 0.5, 1.0):
