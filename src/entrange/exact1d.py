@@ -1,80 +1,63 @@
 """Exact 1-D range entropy index with an n^t / n^(1-t) tradeoff.
 
 The points are sorted by (coordinate, input index) and cut into buckets of
-at most ceil(n^t) points. For every pair of cuts the entropy of the
-enclosed slice is precomputed (Shannon always, plus any requested Renyi
-orders), giving a table of O(n^(2-2t)) entries.
+at most ceil(n^t) points. Each sorted position holds its color's id among
+the D colors that occur (``ids_sorted``, narrowest unsigned type), the
+index's one color array; ``present`` maps an id back to its color. A set
+of points is the pair (W, S) of its mass and S = sum_c f(w_c) over its
+color masses (``core.power_term``); no color's term is ever subtracted
+from a total, so no update chain cancels.
 
-Both build and query work on power sums: a slice is the pair (W, S) of its
-mass and S = sum_c f(w_c) over its color masses (``core.power_term``), and
-adding mass to color c moves S by f(after) - f(before). No color's term is
-ever subtracted from a total, so no update chain cancels.
+A query's two C ``bisect`` calls on the sorted coordinates give a span
+[lo, hi) of sorted positions for :meth:`Exact1DIndex.query_span`, which
+reads its scalars as Python floats through memoryviews made on the first
+query (``_views``, in no pickle or copy): W is one difference of the weight
+prefix pair. Cuts are multiples of the bucket size, so integer division
+finds the maximal slice between cuts inside the span, around which lie at
+most 2*ceil(n^t) fringe points. Two regimes (``fold``) keep it O(n^t):
 
-  * Build: an entry depends on the points only through each bucket's
-    color masses, so row i of the table is one vectorized pass over the
-    (bucket, color) groups from bucket i on: the runs of equal color and
-    bucket in the ``core.ColorPrefix`` keys. A group's color mass since
-    cut i after it is a difference of compensated prefix pairs, and each
-    row evaluates one power term f(after) per group and kind: f(before) is
-    the f(after) of the color's previous group in the row (the same float,
-    as that group ends where this one starts), or 0 for the color's first
-    group since cut i. The cumulative sum of f(after) - f(before) read at
-    each bucket's last group gives S at every later cut, and S with W from
-    the weight prefix pair turns into the stored entropy. Temporaries are
-    O(groups) per row. :meth:`Exact1DIndex.row`, the entropy of every span
-    from one start, runs the same pass over groups of one point.
-  * Query: two C ``bisect`` calls on the sorted coordinates turn the
-    interval into a span [lo, hi) of sorted positions for
-    :meth:`Exact1DIndex.query_span`, which reads its scalars as Python
-    floats through memoryviews made on the first query (``_views``, in no
-    pickle or copy): W is one difference of the weight prefix pair. Cuts
-    are multiples of the bucket size, so integer division finds the
-    maximal precomputed slice inside the span; a span that is exactly one
-    is one table read. Each sorted position holds its color's id among the
-    D colors that occur (``ids_sorted``, narrowest unsigned type), the
-    index's one color array; ``present`` maps an id back to its color.
-    While D <= ``BINCOUNT_BUCKETS`` bucket sizes, at most twice the largest
-    fringe, S is ``core.power_total`` over the span's D color masses, with
-    no table read and nothing subtracted: one ``bincount`` of the ids per
-    side of the slice plus, inside it, one difference of two rows of
-    ``cut_prefix`` (the ``ColorPrefix`` pair at every cut for every color,
-    derived on the first such span and never stored, in
-    (k+1) * 2 * D * 8 <= 64n + 128*ceil(n^t) bytes). Past that bound the
-    at most 2*ceil(n^t) fringe points are sorted by id and summed by
+  * bincount, while D <= ``BINCOUNT_BUCKETS`` bucket sizes: S is
+    ``core.power_total`` over the span's D color masses, one ``bincount`` of
+    the ids per side of the slice plus, inside it, one difference of two
+    rows of ``cut_prefix`` (the ``ColorPrefix`` pair at every cut for every
+    color, derived on the first span with a slice and never stored, in
+    (k+1) * 2 * D * 8 <= 64n + 128*ceil(n^t) bytes). A span that is exactly
+    a slice takes the same fold, so such an index holds no tables.
+  * sort, past that bound: the entropy of every pair of cuts is
+    precomputed for Shannon and each requested Renyi order, O(n^(2-2t))
+    entries per kind, and a span that is exactly a slice is one table
+    read. Otherwise the fringe's ids are sorted and its weights summed by
     ``reduceat``, ``ColorPrefix.mass`` finds their colors' masses inside
     the slice, and the slice's S, rebuilt from its entry, moves by each
-    one's f(after) - f(before), at a cost that follows the fringe alone.
-    Both keep the query O(n^t). On a 2-vCPU host over 32,768 points
-    (bucket size 182, bound 728), spans of log-uniform width took a median
-    10.5-13.6 us by ``bincount`` against 21.2-28.5 by sort at 256 colors,
-    11.1-11.6 against 20.2-27.0 at 1,024, 16.6-17.4 against 19.3-20.6 at
-    4,096 and 86-129 against 18-41 at 32,768 (three runs each).
+    one's f(after) - f(before), at a cost that follows the fringe.
+
+A table's row i is one vectorized pass over the (bucket, color) groups from
+bucket i on (the runs of equal color and bucket in the ``ColorPrefix``
+keys): a group's color mass since cut i is a difference of compensated
+prefix pairs, its f(before) is the f(after) of its color's previous group
+in the row (the same float) or 0, and the cumulative sum of f(after) -
+f(before) at each bucket's last group is S at every later cut.
+:meth:`Exact1DIndex.row`, every span from one start, runs the same pass
+over groups of one point. A table holds only its entries above the
+diagonal, row-major: cut pair (a, b), a < b, of k buckets is at
+a*(2k - a - 1)//2 + b - 1 (``_slot``). An index file holds the points and
+the tables (:meth:`Exact1DIndex.to_arrays`; of no entries in the bincount
+regime), and a load keeps the tables as views of its payload, after
+checking that every entry lies in [0, log2 D]. One ``_derive``, on build
+and load, rebuilds the rest: the sorted coordinates (by an unstable sort
+with ties repaired, ``core.stable_order``) and weights, their prefix pair,
+the ``ColorPrefix``, the colors that occur and the ids, the cuts and the
+regime.
 
 Duplicate coordinates need no care: queries resolve ties through the
-sorted order. Precision: every mass is a difference of two compensated
-prefixes (a ``core.running_sum`` pair, for the sorted weights and inside
-the ``ColorPrefix``): a span's W, each group's color mass since a row's
-cut, and each color's mass inside the slice. Such a difference is
-accurate relative to the span's own mass, so heavy points outside a range
-do not swamp the light ones in it: with 1-5 heavy points up to 1e15 over
-light weights near 1, and with weights log-uniform in [1, 1e12], answers
-stay within 1e-6 of brute force. A Renyi power sum over a set of positive
-mass lies in [w_min^alpha * D^(1 - alpha), W^alpha] (w_min the least
-positive weight, W the total), so an order for which either end leaves
-the normal floats is refused: ``InvalidWeight`` on build, and the same
-rule refuses such a file on load.
-
-A table holds only its entries above the diagonal: the entry of cut pair
-(a, b), a < b, with k buckets, is at a*(2k - a - 1)//2 + b - 1 of its
-row-major upper triangle (``_slot``). An index file holds the points and
-the tables in that layout (:meth:`Exact1DIndex.to_arrays`), and a load
-keeps them as views of the file's payload, after checking that every
-entry lies in [0, log2 D]. One ``_derive``, run on build and on load,
-rebuilds the sorted coordinates and weights, their prefix pair, the
-``ColorPrefix``, the colors that occur and the ids (from the prefix's
-keys) and the cuts, and applies the Renyi rule. The coordinate order comes
-from an unstable sort with ties repaired (``core.stable_order``), which
-equals the stable (coordinate, input index) order.
+sorted order. Every mass is a difference of two compensated prefixes (a
+``core.running_sum`` pair), accurate relative to the span's own mass: with
+1-5 heavy points up to 1e15 over light weights near 1, and with weights
+log-uniform in [1, 1e12], answers stay within 1e-6 of brute force. A Renyi
+power sum over a set of positive mass lies in [w_min^alpha * D^(1 - alpha),
+W^alpha] (w_min the least positive weight, W the total), so an order for
+which either end leaves the normal floats is refused: ``InvalidWeight`` on
+build, and the same rule refuses such a file on load.
 """
 
 from __future__ import annotations
@@ -111,7 +94,9 @@ class Exact1DIndex(HeldViews):
         self.t = float(t)
         self.orders = tuple(sorted(set(float(a) for a in orders)))
         self._derive()
-        self.tables = self._build_tables()
+        # the bincount fold reads no table entry, so it holds tables of none
+        self.tables = (self._build_tables() if self.fold == "sort"
+                       else dict.fromkeys(self.kinds, np.empty(0)))
 
     def _derive(self) -> None:
         """Everything but the points and the tables, on build and on load:
@@ -153,8 +138,8 @@ class Exact1DIndex(HeldViews):
 
     def to_arrays(self) -> tuple[dict, dict]:
         """The arrays and scalars an index file holds (``STORED``): the
-        points, and the tables, one row per kind; :meth:`from_arrays`
-        derives the rest."""
+        points, and the tables, one row per kind (of no entries in the
+        bincount regime); :meth:`from_arrays` derives the rest."""
         arrays, scalars = self.pts.to_arrays()
         arrays["tables"] = np.stack(list(self.tables.values()))
         return arrays, {**scalars, "t": self.t, "orders": list(self.orders)}
@@ -168,17 +153,19 @@ class Exact1DIndex(HeldViews):
         index._derive()
         k = len(index.cuts) - 1
         tables = arrays["tables"]
+        entries = k * (k + 1) // 2 if index.fold == "sort" else 0
         if (tables.dtype.newbyteorder("=") != np.float64
-                or tables.shape != (len(index.kinds), k * (k + 1) // 2)):
+                or tables.shape != (len(index.kinds), entries)):
             raise ValueError(f"tables of {tables.dtype} {tables.shape} do not fit "
-                             f"{len(index.kinds)} kinds over {k} buckets")
+                             f"{len(index.kinds)} kinds over {k} buckets in the "
+                             f"{index.fold} regime")
         tables = tables.astype(np.float64, copy=False)   # native, as a memoryview needs
-        # no entropy of D colors lies outside [0, log2 D]; NaN fails both tests
-        low, high = (tables.min(), tables.max()) if tables.size else (0.0, 0.0)
-        top = math.log2(max(len(index.present), 1))
-        if not (-TABLE_SLACK <= low and high <= top + TABLE_SLACK):
-            raise ValueError(f"tables span [{low}, {high}] bits, outside [0, log2 "
-                             f"{len(index.present)} = {top}] for the colors that occur")
+        if index.fold == "sort":
+            # no entropy of D colors lies outside [0, log2 D]; NaN fails both tests
+            low, high, top = tables.min(), tables.max(), math.log2(len(index.present))
+            if not (-TABLE_SLACK <= low and high <= top + TABLE_SLACK):
+                raise ValueError(f"tables span [{low}, {high}] bits, outside [0, log2 "
+                                 f"{len(index.present)} = {top}] for the colors that occur")
         index.tables = dict(zip(index.kinds, tables))
         return index
 
@@ -216,7 +203,7 @@ class Exact1DIndex(HeldViews):
         as one (k+1) x 2 x D array: entry [a, :, d] is the pair at the first
         key of color ``present[d]`` at or after cut a, where
         ``ColorPrefix.mass`` searches. Derived on the first ``bincount`` fold
-        of a span with a precomputed slice."""
+        of a span with a slice."""
         cp = self.color_prefix
         at = cp.keys.searchsorted(self.present * cp.n + self.cuts[:, None])
         return np.stack((cp.wpre[at], cp.wlo[at]), axis=1)
@@ -233,9 +220,9 @@ class Exact1DIndex(HeldViews):
 
     def row(self, i: int, kind: EntropyKind = SHANNON) -> tuple[np.ndarray, np.ndarray]:
         """Mass and entropy of the points at sorted positions [i, j) for
-        j = i..n, as two arrays indexed by j - i: the table build's pass from
-        position i, over groups of one point. The 1-D partitioners read span
-        scores this way."""
+        j = i..n, as two arrays indexed by j - i: a table row's grouped pass
+        from position i, over groups of one point. The 1-D partitioners read
+        span scores this way."""
         self._require(kind)
         W = (self.wpre[i:] - self.wpre[i]) + (self.wlo[i:] - self.wlo[i])
         S = np.concatenate(([0.0], self._points.power_sums(i, i, (kind,))[0]))
@@ -254,9 +241,10 @@ class Exact1DIndex(HeldViews):
         """Entropy of the points at sorted positions [i, j) (0 <= i, j <= n),
         the order of :meth:`row`. A partition backend scores one span here
         and every span from one start with :meth:`row`. ``stats`` receives
-        ``points_in_range``, ``fringe_points``, ``core_cuts`` (the
-        precomputed slice's cut pair, or None) and ``fold`` (``"bincount"``
-        or ``"sort"``, or None when no fringe point was folded)."""
+        ``points_in_range``, ``fringe_points``, ``core_cuts`` (the slice's
+        cut pair, or None) and ``fold``: ``"bincount"`` for every non-empty
+        span in that regime, exact slices included; in the sort regime
+        ``"sort"`` when a fringe point was folded, and None otherwise."""
         self._require(kind)
         _, wpre, wlo, tables = self._views
         n, size, last = len(self.ids_sorted), self.bucket_size, len(self.cuts) - 1
@@ -269,13 +257,15 @@ class Exact1DIndex(HeldViews):
         if stats is not None:
             stats.update(points_in_range=max(0, j - i), fringe_points=fringe_points,
                          core_cuts=(a, b) if a < b else None,
-                         fold=self.fold if fringe_points else None)
-        if not fringe_points:
+                         fold=self.fold if fringe_points or (i < j and self.fold == "bincount")
+                         else None)
+        if not fringe_points and (a >= b or self.fold == "sort"):
             return EntropySummary(kind, W, tables[kind][self._slot(a, b)] if a < b else 0.0)
         ids, weights = self.ids_sorted, self.weights_sorted
         if self.fold == "bincount":
             # every color's mass in [i, j): one bincount per fringe side, plus
-            # two cut_prefix rows in a slice (an empty side counts on int64)
+            # two cut_prefix rows in a slice (an empty side counts on int64);
+            # a span that is exactly a slice takes this fold too
             D = len(self.present)
             masses = np.bincount(ids[core_hi:j], weights[core_hi:j], D)
             if a < b:
@@ -321,7 +311,7 @@ class Exact1DIndex(HeldViews):
         return {
             "buckets": k,
             "bucket_size": self.bucket_size,
-            "table_entries": (k + 1) * k // 2 * len(self.kinds),
+            "table_entries": sum(table.size for table in self.tables.values()),
             "orders": self.orders,
             "bytes": int(sum(a.nbytes for a in arrays)),
         }

@@ -1,6 +1,6 @@
 """Index persistence: magic-tagged, versioned, checked files, plus CSV ingestion.
 
-File layout (format 17): 7 magic bytes ``RQEIDX1``, one version byte, a
+File layout (format 18): 7 magic bytes ``RQEIDX1``, one version byte, a
 4-byte big-endian header length, a JSON header, then the payload of raw
 array buffers. The header holds:
 
@@ -20,8 +20,8 @@ narrowest unsigned type that holds the color count's ids
 (``core.color_type``: uint8 up to 256 colors, uint16 up to 65,536), which
 a load widens to int64 again:
 
-  * exact1d: the points, and each table's entries above the diagonal,
-    row-major;
+  * exact1d: the points, and per kind a table's entries above the
+    diagonal, row-major, in the sort regime, or none (bincount regime);
   * exactnd and estimator: the points and the range tree's pool of ids,
     and the Renyi orders when there are any. Both kinds load as the one
     :class:`~.exactnd.ExactNDIndex`;
@@ -74,7 +74,7 @@ from .exactnd import ExactNDIndex
 from .sweep1d import Sweep1DIndex
 
 MAGIC = b"RQEIDX1"
-FORMAT_VERSION = 17
+FORMAT_VERSION = 18
 ALIGN = 64   # every array's offset into the payload is a multiple of this
 
 INDEX_CLASSES = {

@@ -32,11 +32,23 @@ KINDS = (SHANNON, renyi_kind(1.5), renyi_kind(2.0), renyi_kind(3.0))
 
 def full_table(idx, kind):
     """The table of ``kind`` as a (k+1) x (k+1) array indexed by cut pair:
-    the stored upper triangle, row-major, above the diagonal, zeros below."""
+    the upper triangle, row-major, above the diagonal, zeros below. A
+    sort-regime index holds it; for a bincount-regime one, which holds no
+    tables, it is the table ``_build_tables`` gives its points."""
     k = len(idx.cuts)
     table = np.zeros((k, k))
-    table[np.triu_indices(k, 1)] = idx.tables[kind]
+    table[np.triu_indices(k, 1)] = (idx.tables if idx.fold == "sort" else idx._build_tables())[kind]
     return table
+
+
+def many_colors_case(seed, n, colors):
+    """n weighted points on integer coordinates (so ties straddle the cuts)
+    in ``colors`` colors that all occur: past the bincount fold's bound,
+    into the sort regime, when colors > 4 ceil(n^t)."""
+    rng = np.random.default_rng(seed)
+    return ColoredPointSet(rng.integers(0, n // 2, size=n).astype(float),
+                           rng.permutation(np.arange(n) % colors), rng.uniform(0.5, 2.0, size=n),
+                           num_colors=colors)
 
 
 def sorted_colors(idx):
@@ -54,9 +66,11 @@ def table_value_naive(idx, i, j, kind):
     return core.entropy_of(ColorHistogram(entries), kind).value
 
 
-def test_table_matches_naive_recomputation(rng):
-    pts = random_pointset(rng, 200, d=1, m=11, weighted=True, duplicate_frac=0.15)
+def test_table_matches_naive_recomputation():
+    # 100 colors over 200 points: past the bound of 60 (bucket size 15)
+    pts = many_colors_case(5, 200, 100)
     idx = Exact1DIndex(pts, t=0.5, orders=(1.5, 2.0, 3.0))
+    assert idx.fold == "sort"
     k = len(idx.cuts) - 1
     for kind in KINDS:
         table = full_table(idx, kind)
@@ -140,19 +154,24 @@ def grouped_tables(idx):
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
-def test_tables_match_palette_build(rng, t):
+def test_tables_match_palette_build(t):
     """Bit for bit the plain-loop grouped build; within 1e-12 of the
-    per-point build, whose in-bucket sums round differently."""
-    cases = [random_pointset(rng, 200, d=1, m=11, weighted=True, duplicate_frac=0.15),
-             span_case(3, 50), sparse_colors_case(7, 300, 2**12),
+    per-point build, whose in-bucket sums round differently. Below t = 1 the
+    first case is in the sort regime (100 colors, bound 60 at t = 0.5), and
+    at t = 0 all but the empty one; at t = 1 no index is (D <= n < 4n)."""
+    cases = [many_colors_case(5, 200, 100), span_case(3, 50), sparse_colors_case(7, 300, 2**12),
              ColoredPointSet(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))]
+    folds = []
     for pts in cases:
         idx = Exact1DIndex(pts, t=t, orders=(1.5, 2.0, 3.0))
+        folds.append(idx.fold)
         grouped, per_point = grouped_tables(idx), palette_tables(idx)
         for kind in idx.kinds:
             table = full_table(idx, kind)
             assert np.array_equal(table, grouped[kind]), (t, kind)
             assert np.allclose(table, per_point[kind], rtol=0.0, atol=1e-12), (t, kind)
+    assert folds == {0.0: ["sort"] * 3 + ["bincount"], 0.5: ["sort"] + ["bincount"] * 3,
+                     1.0: ["bincount"] * 4}[t]
 
 
 def grouped_case(shape, seed, n):
@@ -227,19 +246,18 @@ def cut_case(shape, seed):
     cuts), except: "zero bucket" (distinct coordinates, and positions 12-23
     weighing 0, a whole bucket at 8 and at 12 points per bucket), "one
     color" (a single color throughout) and "one point per group" (more
-    colors than points per bucket)."""
+    colors than points per bucket). All but "one color" draw from 500
+    colors, so below t = 1 their indexes are in the sort regime."""
     rng = np.random.default_rng(seed)
     n = 60
     coords = rng.integers(0, 45, size=n).astype(float)
-    colors = rng.integers(0, 5, size=n)
+    colors = rng.integers(0, 500, size=n)
     weights = rng.uniform(0.5, 2.0, size=n)
     if shape == "zero bucket":
         coords = np.arange(n, dtype=float)
         weights[12:24] = 0.0
     elif shape == "one color":
         colors[:] = 0
-    elif shape == "one point per group":
-        colors = rng.integers(0, 500, size=n)
     return ColoredPointSet(coords, colors, weights, num_colors=500)
 
 
@@ -252,6 +270,7 @@ def test_grouped_build_at_every_cut_pair(shape, t):
     idx = Exact1DIndex(pts, t=t, orders=(1.5, 2.0, 3.0))
     if shape == "zero bucket" and 0.0 < t < 1.0:
         assert idx.bucket_size in (8, 12)
+    assert idx.fold == ("sort" if shape != "one color" and t < 1.0 else "bincount")
     cuts = idx.cuts.tolist()
     for kind in KINDS:
         oracle, tables = OracleBackend(pts, kind), full_table(idx, kind)
@@ -292,18 +311,22 @@ def test_build_memory_independent_of_declared_colors():
 
 
 def test_t_one_single_bucket(rng):
+    """One bucket holds every point, so D <= n < 4 bucket sizes: the index
+    folds by ``bincount`` and holds no table; the one entry its points'
+    table would hold and the full span's answer are the full range's."""
     pts = random_pointset(rng, 64, d=1, m=5)
     idx = Exact1DIndex(pts, t=1.0)
-    assert len(idx.cuts) == 2  # one bucket, one trivial table row
+    assert len(idx.cuts) == 2 and idx.fold == "bincount"  # one bucket
     full = brute_entropy(pts, QueryRect.interval(-1e9, 1e9))
-    assert idx.tables[SHANNON].shape == (1,)
+    assert idx.tables[SHANNON].shape == (0,) and idx._build_tables()[SHANNON].shape == (1,)
     assert abs(full_table(idx, SHANNON)[0, 1] - full.value) < 1e-9
+    assert abs(idx.query_span(0, 64).value - full.value) < 1e-9
 
 
 def test_t_zero_unit_buckets(rng):
     pts = random_pointset(rng, 60, d=1, m=6, weighted=True)
     idx = Exact1DIndex(pts, t=0.0, orders=(2.0,))
-    assert idx.bucket_size == 1
+    assert idx.bucket_size == 1 and idx.fold == "sort"   # 6 colors against a bound of 4
     k = len(idx.cuts) - 1
     assert k == 60
     for kind in (SHANNON, renyi_kind(2.0)):
@@ -359,24 +382,27 @@ def test_unknown_order_rejected(rng):
         idx.query(QueryRect.interval(0.0, 1.0), renyi_kind(2.5))
 
 
-def test_space_stats_bytes(rng):
-    pts = random_pointset(rng, 500, d=1, m=20, weighted=True)
-    idx = Exact1DIndex(pts, t=0.5, orders=(2.0,))
-    space = idx.space_stats()
-    tables = sum(table.nbytes for table in idx.tables.values())
-    # two tables of k(k+1)/2 entries, seven arrays of about one float per
-    # point, and each point's color id on one byte (its one color array)
-    # with the colors that occur
-    k = space["buckets"]
-    assert tables == 2 * k * (k + 1) // 2 * 8
-    assert idx.ids_sorted.dtype == np.uint8
-    ids = 500 + 8 * len(idx.present)
-    assert tables + ids + 7 * 8 * 500 <= space["bytes"] <= tables + ids + 7 * 8 * 510
-    # the per-cut color prefixes, once a query derives them: a pair of
-    # floats per cut and color
-    idx.query_span(1, 499, renyi_kind(2.0))
-    prefix = (k + 1) * 2 * len(idx.present) * 8
-    assert idx.space_stats()["bytes"] == space["bytes"] + prefix
+def test_space_stats_bytes():
+    """Seven arrays of about one float per point, and each point's color id
+    on one byte (its one color array) with the colors that occur; then, in
+    the sort regime (150 colors over 500 points, bound 92), two tables of
+    k(k+1)/2 entries, and in the bincount regime (20 colors) none, but the
+    per-cut color prefixes once a query derives them: a pair of floats per
+    cut and color. ``table_entries`` counts the entries held."""
+    n = 500
+    for colors, fold in ((150, "sort"), (20, "bincount")):
+        idx = Exact1DIndex(many_colors_case(1, n, colors), t=0.5, orders=(2.0,))
+        assert idx.fold == fold and idx.ids_sorted.dtype == np.uint8
+        space = idx.space_stats()
+        k = space["buckets"]
+        entries = 2 * k * (k + 1) // 2 if fold == "sort" else 0
+        tables = sum(table.nbytes for table in idx.tables.values())
+        assert space["table_entries"] == entries and tables == entries * 8
+        ids = n + 8 * len(idx.present)
+        assert tables + ids + 7 * 8 * n <= space["bytes"] <= tables + ids + 7 * 8 * 510
+        idx.query_span(1, 499, renyi_kind(2.0))
+        prefix = (k + 1) * 2 * len(idx.present) * 8 if fold == "bincount" else 0
+        assert idx.space_stats()["bytes"] == space["bytes"] + prefix
 
 
 def query_state(idx):
@@ -440,10 +466,11 @@ def test_arrays_in_either_byte_order():
     """``from_arrays`` takes every stored array in either byte order and
     holds the tables in native order, which the query's memoryviews need;
     it answers bit for bit as the build does. Tables on another type than
-    float64 are refused in either order."""
+    float64 are refused in either order. 120 colors over 300 points are
+    past the bound of 72: the tables hold entries."""
     rng = np.random.default_rng(11)
-    pts = random_pointset(rng, 300, d=1, m=9, weighted=True, duplicate_frac=0.1)
-    idx = Exact1DIndex(pts, t=0.5, orders=(2.0,))
+    idx = Exact1DIndex(many_colors_case(11, 300, 120), t=0.5, orders=(2.0,))
+    assert idx.fold == "sort"
     arrays, scalars = idx.to_arrays()
     assert set(arrays) == set(Exact1DIndex.STORED)
     swapped = {name: a.astype(a.dtype.newbyteorder(">")) for name, a in arrays.items()}
@@ -642,6 +669,8 @@ def check_every_span(pts, t, colors):
     assert np.array_equal(idx.present[idx.ids_sorted], sorted_colors(idx))
     other = copy.copy(idx)
     other.fold = "sort" if fold == "bincount" else "bincount"
+    if fold == "bincount":   # the forced sort fold reads a sort-regime index's tables
+        other.tables = idx._build_tables()
     ends = [-1.0, *np.unique(pts.coords).tolist(), 2000.0]
     rects = [QueryRect.interval(lo, hi) for k, lo in enumerate(ends) for hi in ends[k:]]
     for kind in WEIGHTED_KINDS:
@@ -660,11 +689,12 @@ def check_every_span(pts, t, colors):
                 a = int(np.searchsorted(cuts, i, side="left"))
                 b = int(np.searchsorted(cuts, j, side="right")) - 1
                 core = cuts[b] - cuts[a] if a < b else 0
+                folded = j - i - core or (j > i and fold == "bincount")
                 assert stats == {"points_in_range": j - i, "fringe_points": j - i - core,
                                  "core_cuts": (a, b) if a < b else None,
-                                 "fold": fold if j - i - core else None}, (t, i, j)
-                if a < b and core == j - i:
-                    assert got.value == table[a, b]
+                                 "fold": fold if folded else None}, (t, i, j)
+                if a < b and core == j - i:   # a slice, which the sort regime reads
+                    assert (got if fold == "sort" else forced).value == table[a, b]
         for rect in rects:
             want, got = brute_entropy(pts, rect, kind), idx.query(rect, kind)
             assert abs(got.value - want.value) < 1e-9, (t, kind, rect)
@@ -684,36 +714,63 @@ def test_every_span_matches_oracle(t, n):
             assert n % idx.bucket_size  # the last bucket is short
 
 
-def test_bincount_fold_reads_no_table_entry():
-    """Under the bincount fold a span with a fringe reads no table entry:
-    with every entry overwritten by one constant inside [0, log2 D], each
-    such span still matches a linear scan, and a span that is exactly a
-    slice returns the constant. A wrong entry in bounds reaches those
-    spans alone."""
-    rng = np.random.default_rng(17)
-    n = 60
-    pts = ColoredPointSet(rng.uniform(0.0, 100.0, n), rng.permutation(np.arange(n) % 5),
-                          rng.uniform(0.5, 2.0, n))
+def bincount_case(seed):
+    """60 weighted points at distinct coordinates in 5 colors that all occur."""
+    rng = np.random.default_rng(seed)
+    return ColoredPointSet(rng.uniform(0.0, 100.0, 60), rng.permutation(np.arange(60) % 5),
+                           rng.uniform(0.5, 2.0, 60))
+
+
+def test_bincount_regime_holds_no_tables(tmp_path):
+    """In the bincount regime an index builds no table, writes tables of
+    shape (kinds, 0) and loads none, and ``space_stats`` counts no entry.
+    ``stats["fold"]`` reads "bincount" for every non-empty span, a span
+    that is exactly a slice included, and None for an empty one; each
+    answer matches a linear scan."""
+    pts = bincount_case(17)
     idx = Exact1DIndex(pts, t=0.5, orders=(2.0, 3.0))
     assert idx.fold == "bincount" and len(idx.present) == 5
-    wrong = 0.5 * np.log2(5)
-    for table in idx.tables.values():
-        table[:] = wrong
-    xs, slices = idx.coords_sorted, 0
+    assert idx.to_arrays()[0]["tables"].shape == (3, 0)
+    path = tmp_path / "x.rqe"
+    storage.save_index(path, "exact1d", idx)
+    loaded = storage.load_index(path, expect_kind="exact1d")[2]
+    for index in (idx, loaded):
+        assert [table.size for table in index.tables.values()] == [0, 0, 0]
+        assert index.space_stats()["table_entries"] == 0
+    n, slices = len(pts), 0
     for kind in WEIGHTED_KINDS:
-        for i in range(n):
-            for j in range(i + 1, n + 1):
+        oracle = OracleBackend(pts, kind)
+        for i in range(n + 1):
+            for j in range(i, n + 1):
                 stats = {}
-                rect = QueryRect.interval(xs[i], xs[j - 1])
-                got = idx.query(rect, kind, stats=stats)
-                assert stats["points_in_range"] == j - i
-                if stats["fringe_points"]:
-                    assert abs(got.value - brute_entropy(pts, rect, kind).value) < 1e-9, (kind, i, j)
-                else:
-                    assert got.value == wrong, (kind, i, j)
-                    slices += 1
+                got = loaded.query_span(i, j, kind, stats=stats)
+                assert got == idx.query_span(i, j, kind), (kind, i, j)
+                assert abs(got.value - oracle.summary_range(i, j).value) < 1e-9, (kind, i, j)
+                assert stats["fold"] == ("bincount" if j > i else None), (kind, i, j)
+                slices += j > i and not stats["fringe_points"]
     k = len(idx.cuts) - 1
     assert slices == len(WEIGHTED_KINDS) * k * (k + 1) // 2
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5, 1.0])
+def test_bincount_slices_match_grouped_tables(t):
+    """In the bincount regime a span that is exactly a slice folds its D
+    color masses from the per-cut prefixes: Shannon and Renyi 2 and 3
+    answer it within 1e-9 of ``brute_entropy`` and within 1e-12 of the
+    entry the grouped build gives its cut pair."""
+    pts = bincount_case(23)
+    idx = Exact1DIndex(pts, t=t, orders=(2.0, 3.0))
+    assert idx.fold == "bincount"
+    cuts, xs, tables = idx.cuts.tolist(), idx.coords_sorted, grouped_tables(idx)
+    for kind in WEIGHTED_KINDS:
+        for a in range(len(cuts)):
+            for b in range(a + 1, len(cuts)):
+                rect = QueryRect.interval(xs[cuts[a]], xs[cuts[b] - 1])
+                stats = {}
+                got = idx.query(rect, kind, stats=stats)
+                assert stats["core_cuts"] == (a, b) and stats["fringe_points"] == 0
+                assert abs(got.value - brute_entropy(pts, rect, kind).value) < 1e-9, (kind, a, b)
+                assert abs(got.value - tables[kind][a, b]) < 1e-12, (kind, a, b)
 
 
 def test_every_span_of_empty_pointset():
@@ -764,6 +821,8 @@ def test_fringe_fold_crossover():
                               rng.uniform(0.5, 2.0, n), num_colors=present)
         idx = Exact1DIndex(pts, t=0.5)
         chosen = idx.fold
+        if chosen == "bincount":   # the forced sort fold reads a sort-regime index's tables
+            idx.tables = idx._build_tables()
         assert chosen == ("bincount" if present <= BINCOUNT_BUCKETS * idx.bucket_size else "sort")
         widths = np.exp(rng.uniform(0.0, np.log(n), size=200)).astype(np.int64)
         starts = rng.integers(0, n - widths + 1)

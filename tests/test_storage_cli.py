@@ -373,7 +373,10 @@ def entry(name, **change):
 def test_load_rejects_tampered_files(tmp_path, rng, capsys):
     pts = random_pointset(rng, 40, d=1, m=5)
     good = tmp_path / "good.rqe"
-    index = exact1d.Exact1DIndex(pts, 0.5, (2.0,))
+    # t = 0: 5 colors against the bincount fold's bound of 4, so the file
+    # holds a table of every cut pair for the crafted-tables cases
+    index = exact1d.Exact1DIndex(pts, 0.0, (2.0,))
+    assert index.fold == "sort"
     storage.save_index(good, "exact1d", index)
     data = good.read_bytes()
     kinds, entries = len(index.kinds), len(index.tables[SHANNON])
@@ -423,9 +426,11 @@ def test_load_rejects_tampered_files(tmp_path, rng, capsys):
 
 def test_loaded_exact1d_tables_are_views_of_the_file(tmp_path, rng):
     # a load keeps each kind's table as the file stores it: a view of the
-    # payload with the built table's entries, not a copy
+    # payload with the built table's entries, not a copy (t = 0 puts the 7
+    # colors past the bincount fold's bound of 4, where an index holds tables)
     pts = random_pointset(rng, 200, d=1, m=7, weighted=True)
-    index = exact1d.Exact1DIndex(pts, 0.5, (2.0, 3.0))
+    index = exact1d.Exact1DIndex(pts, 0.0, (2.0, 3.0))
+    assert index.fold == "sort"
     path = tmp_path / "x.rqe"
     storage.save_index(path, "exact1d", index)
     loaded = storage.load_index(path, expect_kind="exact1d")[2]
@@ -556,10 +561,12 @@ def test_load_refuses_exact1d_tables_outside_their_bounds(tmp_path, rng, capsys)
     # writes: every entropy of the D colors that occur (6 of 64 declared)
     # lies in [0, log2 D], so NaN, 1e6 bits, one entry of -1 or log2 D + 0.5
     # is refused; entries at the bounds (and within the slack of a few
-    # rounding errors past them) load
+    # rounding errors past them) load. t = 0 puts the 6 colors past the
+    # bincount fold's bound of 4, where an index holds tables
     pts = ColoredPointSet(rng.uniform(0, 100, size=60), rng.permutation(np.arange(60) % 6),
                           rng.uniform(0.5, 2.0, size=60), num_colors=64)
-    index = exact1d.Exact1DIndex(pts, 0.5, orders=(2.0,))
+    index = exact1d.Exact1DIndex(pts, 0.0, orders=(2.0,))
+    assert index.fold == "sort"
     tables = index.to_arrays()[0]["tables"]
     path = tmp_path / "tables.rqe"
     top = math.log2(6)
@@ -583,6 +590,24 @@ def test_load_refuses_exact1d_tables_outside_their_bounds(tmp_path, rng, capsys)
         tampered.to_arrays = to_arrays_with(index, tables=edge)
         storage.save_index(path, "exact1d", tampered)
         storage.load_index(path)
+    capsys.readouterr()
+
+
+def test_load_refuses_exact1d_tables_in_the_bincount_regime(tmp_path, rng, capsys):
+    # an index whose colors fold by bincount holds no tables, and its file
+    # tables of shape (kinds, 0): a file of its points that holds the upper
+    # triangle a sort-regime index would, right entries and all, is refused
+    pts = random_pointset(rng, 40, d=1, m=5)
+    index = exact1d.Exact1DIndex(pts, 0.5, (2.0,))
+    assert index.fold == "bincount" and index.to_arrays()[0]["tables"].shape == (2, 0)
+    tampered = copy.copy(index)
+    triangle = np.stack(list(index._build_tables().values()))
+    tampered.to_arrays = to_arrays_with(index, tables=triangle)
+    path = tmp_path / "triangle.rqe"
+    storage.save_index(path, "exact1d", tampered)
+    with pytest.raises(NotAnIndex, match=r"\(2, 21\) do not fit 2 kinds over 6 buckets in the bi"):
+        storage.load_index(path)
+    assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4
     capsys.readouterr()
 
 
