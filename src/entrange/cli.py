@@ -167,7 +167,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
             out = partition.maxpart_approx(pts, args.k, args.epsilon, backend)
         else:
             out = partition.sumpart_approx(pts, args.k, args.epsilon, backend)
-        sorted_x = pts.coords[stable_order(pts.coords[:, 0]), 0]
+        sorted_x = stable_order(pts.coords[:, 0])[1]
         boundaries = [float(sorted_x[c - 1]) for c in out.cuts[1:-1]]
         payload = {
             "algorithm": args.algorithm,

@@ -530,18 +530,22 @@ def running_sum(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def stable_order(x: np.ndarray) -> np.ndarray:
+def stable_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.argsort(x, kind="stable")``, element for element, from numpy's
-    default (unstable, faster) sort: only when equal values exist is the
-    order re-sorted by the integer key (rank of the value) * n + index."""
+    default (unstable, faster) sort, and ``x`` in that order: only when
+    equal values exist is the order re-sorted by the integer key (rank of
+    the value) * n + index, and ``x`` gathered again (equal values may
+    differ in their bits, as -0.0 and 0.0 do)."""
     order = np.argsort(x)
-    tied = x[order[1:]] == x[order[:-1]]
+    sorted_x = x[order]
+    tied = sorted_x[1:] == sorted_x[:-1]
     if tied.any():
         n = len(x)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.concatenate(([0], np.cumsum(~tied)))
         order = np.argsort(rank * n + np.arange(n))
-    return order
+        sorted_x = x[order]
+    return order, sorted_x
 
 
 class ColorPrefix:

@@ -46,8 +46,11 @@ regime), and a load keeps the tables as views of its payload, after
 checking that every entry lies in [0, log2 D]. One ``_derive``, on build
 and load, rebuilds the rest: the sorted coordinates (by an unstable sort
 with ties repaired, ``core.stable_order``) and weights, their prefix pair,
-the ``ColorPrefix``, the colors that occur and the ids, the cuts and the
-regime.
+the colors that occur (one ``bincount``) and the ids (one lookup-table
+gather), the cuts and the regime. The ``ColorPrefix`` of the sorted colors
+(``color_prefix``) is derived on first use, by ``row`` and the sort
+regime's build and fold: a bincount-regime build or load makes none, and
+its ``cut_prefix`` is read off a prefix made for it and dropped.
 
 Duplicate coordinates need no care: queries resolve ties through the
 sorted order. Every mass is a difference of two compensated prefixes (a
@@ -101,8 +104,8 @@ class Exact1DIndex(HeldViews):
     def _derive(self) -> None:
         """Everything but the points and the tables, on build and on load:
         the points sorted by (coordinate, input index), their weight prefix
-        pair and ``ColorPrefix``, each one's id among the colors that occur
-        (read off the prefix's color-sorted keys), the cuts and the fold."""
+        pair, the colors that occur and each one's id among them, the cuts
+        and the fold."""
         pts = self.pts
         if pts.dim != 1:
             raise ValueError("Exact1DIndex requires 1-D points")
@@ -110,21 +113,16 @@ class Exact1DIndex(HeldViews):
             raise ValueError(f"t must lie in [0, 1], got {self.t}")
         self.kinds = (SHANNON,) + tuple(renyi_kind(a) for a in self.orders)
         n = len(pts)
-        order = core.stable_order(pts.coords[:, 0])
-        self.coords_sorted = pts.coords[order, 0]
+        order, self.coords_sorted = core.stable_order(pts.coords[:, 0])
         self.weights_sorted = pts.weights[order]
         self.wpre, self.wlo = core.running_sum(self.weights_sorted)
-        self.color_prefix = ColorPrefix(pts.colors[order], self.weights_sorted)
         self.bucket_size = max(1, math.ceil(n**self.t)) if n else 1
         self.cuts = np.arange(0, n + 1, self.bucket_size, dtype=np.int64)
         if n and self.cuts[-1] != n:
             self.cuts = np.append(self.cuts, n)
-        color, position = np.divmod(self.color_prefix.keys, max(n, 1))
-        first = np.concatenate(([True], color[1:] != color[:-1]))[:n]
-        self.present = color[first]   # the colors that occur, ascending
+        self.present, ids = _color_ids(pts.colors, pts.num_colors)
+        self.ids_sorted = ids[order]
         D = len(self.present)
-        self.ids_sorted = np.empty(n, core.color_type(D))
-        self.ids_sorted[position] = np.cumsum(first) - 1
         self.fold = "bincount" if D <= BINCOUNT_BUCKETS * self.bucket_size else "sort"
         # the Renyi rule of the module docstring: both ends of the power sums'
         # range must be normal floats (2^-1022 to 2^1023)
@@ -194,6 +192,12 @@ class Exact1DIndex(HeldViews):
         return dict(zip(self.kinds, tables))
 
     @functools.cached_property
+    def color_prefix(self) -> ColorPrefix:
+        """The ``ColorPrefix`` of the sorted points' colors, derived on first
+        use: by :meth:`row` and by the sort regime's build and fold."""
+        return ColorPrefix(self.present[self.ids_sorted], self.weights_sorted)
+
+    @functools.cached_property
     def _points(self) -> "_ColorGroups":
         return _ColorGroups(self, 1)   # group p is sorted position p
 
@@ -203,8 +207,11 @@ class Exact1DIndex(HeldViews):
         as one (k+1) x 2 x D array: entry [a, :, d] is the pair at the first
         key of color ``present[d]`` at or after cut a, where
         ``ColorPrefix.mass`` searches. Derived on the first ``bincount`` fold
-        of a span with a slice."""
-        cp = self.color_prefix
+        of a span with a slice, off ``color_prefix`` if the index holds it
+        and otherwise off one made for it and dropped: the regime's queries
+        read these pairs alone, and need not hold the prefix's 24n bytes."""
+        # the property's function makes a prefix without storing it
+        cp = vars(self).get("color_prefix") or Exact1DIndex.color_prefix.func(self)
         at = cp.keys.searchsorted(self.present * cp.n + self.cuts[:, None])
         return np.stack((cp.wpre[at], cp.wlo[at]), axis=1)
 
@@ -304,10 +311,12 @@ class Exact1DIndex(HeldViews):
 
     def space_stats(self) -> dict:
         k = len(self.cuts) - 1
+        held = vars(self)
+        cp = held.get("color_prefix")   # derived on first use, like cut_prefix
         arrays = (self.coords_sorted, self.weights_sorted, self.wpre, self.wlo,
-                  self.color_prefix.keys, self.color_prefix.wpre, self.color_prefix.wlo,
                   self.cuts, self.ids_sorted, self.present, *self.tables.values(),
-                  *([self.cut_prefix] if "cut_prefix" in vars(self) else []))
+                  *([cp.keys, cp.wpre, cp.wlo] if cp is not None else []),
+                  *([held["cut_prefix"]] if "cut_prefix" in held else []))
         return {
             "buckets": k,
             "bucket_size": self.bucket_size,
@@ -315,6 +324,20 @@ class Exact1DIndex(HeldViews):
             "orders": self.orders,
             "bytes": int(sum(a.nbytes for a in arrays)),
         }
+
+
+def _color_ids(colors: np.ndarray, num_colors: int) -> tuple[np.ndarray, np.ndarray]:
+    """The colors that occur, ascending, and each point's id among them, on
+    ``core.color_type``: one ``bincount`` and one gather from a table indexed
+    by color while the declared colors number at most 8n + 256 (both are as
+    long as the largest color id), one ``np.unique`` sort past that."""
+    if num_colors > 8 * len(colors) + 256:
+        present, ids = np.unique(colors, return_inverse=True)
+        return present, ids.astype(core.color_type(len(present)))
+    present = np.flatnonzero(np.bincount(colors))
+    table = np.empty(len(present) and int(present[-1]) + 1, core.color_type(len(present)))
+    table[present] = np.arange(len(present))
+    return present, table[colors]
 
 
 class _ColorGroups:

@@ -88,7 +88,7 @@ class OracleBackend:
     def __init__(self, pts: ColoredPointSet, kind: EntropyKind = SHANNON):
         self.pts = pts
         self.kind = kind
-        self.order = stable_order(pts.coords[:, 0])
+        self.order = stable_order(pts.coords[:, 0])[0]
         self.total_weight = float(pts.weights.sum())
 
     def describe(self) -> dict:

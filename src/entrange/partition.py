@@ -96,7 +96,7 @@ class EstimateBackend:
         self.kind = SHANNON if alpha is None else core.renyi_kind(alpha)
         pts = index.pts
         self.pts = pts
-        self.sorted_coords = pts.coords[core.stable_order(pts.coords[:, 0]), 0]
+        self.sorted_coords = core.stable_order(pts.coords[:, 0])[1]
         if len(pts) > 1 and np.any(np.diff(self.sorted_coords) == 0.0):
             raise ValueError(
                 "index-range partitioning over this backend requires distinct coordinates"

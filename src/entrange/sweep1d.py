@@ -154,6 +154,7 @@ from . import rangetree
 from .rangetree import depth_rows, mass_by_color, refine_spans, tile
 
 _BATCH = 1 << 15  # walk points per ladder-building batch: about 4 MB of temporaries
+_EXPONENT_MARGIN = 2.0**-40  # float error bound of a log guess, per exponent unit; see _exponents
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -188,19 +189,35 @@ def _segment_cumsum(values: np.ndarray, first: np.ndarray, lens: np.ndarray) -> 
 
 def _exponents(values: np.ndarray, base: float, log_base: float) -> np.ndarray:
     """The least e >= 0 with ``np.power(base, e) >= v`` for each value v > 0
-    (int64): a log guess, fixed up by at most four steps either way."""
-    e = np.ceil(np.log(values) / log_base - 1e-12).astype(np.int64)
-    np.maximum(e, 0, out=e)
-    for _ in range(4):
-        over = np.power(base, e.astype(np.float64)) < values
-        if not over.any():
-            break
-        e[over] += 1
-    for _ in range(4):
-        under = (e > 0) & (np.power(base, e - 1.0) >= values)
-        if not under.any():
-            break
-        e[under] -= 1
+    (int64). That is ceil(g) for g = log(v) / log(base) unless g lies within
+    ``_EXPONENT_MARGIN * (max |g| + 1 / log(base))`` of an integer. The
+    computed g is off from the true one by at most a few ulps of g (the two
+    logs and the division), and ``np.power`` by a few ulps of the power,
+    which moves the boundary by that relative error over log(base)
+    exponents: at 4 ulps (2^-50) each, the margin leaves a factor of 2^10
+    over their sum. Only the values within it are checked against
+    ``np.power``, from that guess, by at most four steps either way."""
+    g = np.log(values)
+    g /= log_base
+    e = np.ceil(g)
+    margin = _EXPONENT_MARGIN * (max(g.max(initial=0.0), -g.min(initial=0.0)) + 1.0 / log_base)
+    g -= e
+    g += 0.5
+    near = np.flatnonzero(np.abs(g, out=g) >= 0.5 - margin)   # |g - ceil(g) + 1/2|
+    e = np.maximum(e, 0.0).astype(np.int64)
+    if len(near):
+        v, f = values[near], e[near]
+        for _ in range(4):
+            over = np.power(base, f.astype(np.float64)) < v
+            if not over.any():
+                break
+            f[over] += 1
+        for _ in range(4):
+            under = (f > 0) & (np.power(base, f - 1.0) >= v)
+            if not under.any():
+                break
+            f[under] -= 1
+        e[near] = f
     return e
 
 

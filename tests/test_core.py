@@ -427,7 +427,8 @@ def test_running_sum_matches_formula(rng):
 @pytest.mark.parametrize("case", ["no ties", "many ties", "all equal", "signed zeros", "empty",
                                   "one", "sorted", "reversed"])
 def test_stable_order_matches_stable_argsort(rng, case):
-    """The unstable sort with its tie repair gives numpy's stable order."""
+    """The unstable sort with its tie repair gives numpy's stable order, and
+    the values in that order bit for bit (signed zeros included)."""
     x = {
         "no ties": rng.uniform(-1e6, 1e6, 5000),
         "many ties": rng.integers(0, 40, 5000).astype(float),
@@ -438,6 +439,8 @@ def test_stable_order_matches_stable_argsort(rng, case):
         "sorted": np.sort(rng.integers(0, 300, 4000).astype(float)),
         "reversed": np.sort(rng.integers(0, 300, 4000).astype(float))[::-1],
     }[case]
-    got = core.stable_order(x)
-    assert got.dtype == np.intp
-    assert np.array_equal(got, np.argsort(x, kind="stable"))
+    got, sorted_x = core.stable_order(x)
+    want = np.argsort(x, kind="stable")
+    assert got.dtype == np.intp and sorted_x.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert np.array_equal(sorted_x.view(np.int64), x[want].view(np.int64))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from entrange import core, storage
 from entrange.core import ColoredPointSet, ColorHistogram, QueryRect, SHANNON, renyi_kind
 from entrange.errors import InvalidWeight, OrderNotIndexed
-from entrange.exact1d import BINCOUNT_BUCKETS, Exact1DIndex
+from entrange.exact1d import BINCOUNT_BUCKETS, Exact1DIndex, _color_ids
 from entrange.exactnd import ExactNDIndex
 from entrange.oracle import brute_entropy
 from entrange.partition import OracleBackend
@@ -383,10 +383,11 @@ def test_unknown_order_rejected(rng):
 
 
 def test_space_stats_bytes():
-    """Seven arrays of about one float per point, and each point's color id
+    """Four arrays of about one float per point, and each point's color id
     on one byte (its one color array) with the colors that occur; then, in
     the sort regime (150 colors over 500 points, bound 92), two tables of
-    k(k+1)/2 entries, and in the bincount regime (20 colors) none, but the
+    k(k+1)/2 entries and the ``ColorPrefix`` (three more such arrays) their
+    build reads, and in the bincount regime (20 colors) none, but the
     per-cut color prefixes once a query derives them: a pair of floats per
     cut and color. ``table_entries`` counts the entries held."""
     n = 500
@@ -399,7 +400,8 @@ def test_space_stats_bytes():
         tables = sum(table.nbytes for table in idx.tables.values())
         assert space["table_entries"] == entries and tables == entries * 8
         ids = n + 8 * len(idx.present)
-        assert tables + ids + 7 * 8 * n <= space["bytes"] <= tables + ids + 7 * 8 * 510
+        floats = 7 if fold == "sort" else 4
+        assert tables + ids + floats * 8 * n <= space["bytes"] <= tables + ids + floats * 8 * 510
         idx.query_span(1, 499, renyi_kind(2.0))
         prefix = (k + 1) * 2 * len(idx.present) * 8 if fold == "bincount" else 0
         assert idx.space_stats()["bytes"] == space["bytes"] + prefix
@@ -407,15 +409,18 @@ def test_space_stats_bytes():
 
 def query_state(idx):
     """Which of the query's lazily derived attributes the index holds."""
-    return {name for name in ("_views", "cut_prefix") if name in vars(idx)}
+    return {name for name in ("_views", "color_prefix", "cut_prefix") if name in vars(idx)}
 
 
 def test_query_state_is_derived_on_first_use(tmp_path, rng):
-    """Neither a build nor a load derives the query's memoryviews or the
-    per-cut color prefixes. The first query makes the views, the first
-    ``bincount`` fold of a span with a slice the prefixes, which
-    ``space_stats`` then counts; copies and pickles hold no views and
-    answer bit for bit alike."""
+    """Neither a build nor a load in the bincount regime derives the query's
+    memoryviews, the ``ColorPrefix`` or the per-cut color prefixes. The
+    first query makes the views, the first ``bincount`` fold of a span with
+    a slice the per-cut prefixes, which ``space_stats`` then counts, off a
+    ``ColorPrefix`` the index does not keep; copies and pickles hold no
+    views and answer bit for bit alike. A sort-regime build holds the
+    ``ColorPrefix``, since its tables read it, and its load does not, until
+    the first folded span with a slice."""
     pts = random_pointset(rng, 400, d=1, m=17, weighted=True)
     built = Exact1DIndex(pts, t=0.5, orders=(2.0,))
     path = tmp_path / "x.rqe"
@@ -440,6 +445,63 @@ def test_query_state_is_derived_on_first_use(tmp_path, rng):
             got = [other.query_span(i, j, kind) for i, j in spans
                    for kind in (SHANNON, renyi_kind(2.0))]
             assert got == want
+    built = Exact1DIndex(many_colors_case(2, 400, 150), t=0.5)
+    storage.save_index(path, "exact1d", built)
+    loaded = storage.load_index(path, expect_kind="exact1d")[2]
+    assert built.fold == loaded.fold == "sort"
+    assert query_state(built) == {"color_prefix"} and query_state(loaded) == set()
+    loaded.query_span(3, 10)   # no slice: the fringe's ids alone
+    assert query_state(loaded) == {"_views"}
+    assert loaded.query_span(3, 390) == built.query_span(3, 390)
+    assert query_state(loaded) == {"_views", "color_prefix"}
+
+
+def prefix_ids(pts):
+    """The colors that occur and each sorted position's id among them, read
+    off a ``ColorPrefix`` of the colors in stable coordinate order: each
+    color's keys are one run, and its id is the run's place."""
+    n = len(pts)
+    order = np.argsort(pts.coords[:, 0], kind="stable")
+    cp = core.ColorPrefix(pts.colors[order], pts.weights[order])
+    color, position = np.divmod(cp.keys, max(n, 1))
+    first = np.concatenate(([True], color[1:] != color[:-1]))[:n]
+    ids = np.empty(n, core.color_type(int(first.sum())))
+    ids[position] = np.cumsum(first) - 1
+    return color[first], ids
+
+
+@pytest.mark.parametrize("case", ["empty", "one color", "gaps", "sparse gaps", "uint16 ids",
+                                  "zero weights"])
+def test_ids_match_color_prefix(case):
+    """``present`` and ``ids_sorted``, from one ``bincount`` and a table
+    gather (or ``np.unique`` when the declared colors outnumber 8n + 256,
+    as an id of 10^12 over 40 points does), are what a ``ColorPrefix``'s
+    keys give, on the same type; both ways of finding them agree."""
+    rng = np.random.default_rng(11)
+    n = {"empty": 0, "one color": 50, "gaps": 10_000, "sparse gaps": 40,
+         "uint16 ids": 1000, "zero weights": 300}[case]
+    palette = {"one color": [3], "gaps": [0, 7, 300, 70_000], "sparse gaps": [0, 7, 300, 10**12],
+               "uint16 ids": np.arange(600)}.get(case, np.arange(12))
+    colors = rng.choice(palette, n) if n else np.zeros(0, np.int64)
+    weights = rng.uniform(0.5, 2.0, n)
+    if case == "zero weights":
+        weights[rng.random(n) < 0.3] = 0.0
+        weights[colors == 5] = 0.0   # a color of no mass still occurs
+    pts = ColoredPointSet(rng.integers(0, max(n // 3, 1), n).astype(float), colors, weights,
+                          num_colors=int(np.max(palette)) + 1)
+    idx = Exact1DIndex(pts, t=0.5)
+    present, ids = prefix_ids(pts)
+    assert idx.present.dtype == present.dtype and idx.ids_sorted.dtype == ids.dtype
+    assert np.array_equal(idx.present, present) and np.array_equal(idx.ids_sorted, ids)
+    if case == "uint16 ids":
+        assert len(present) > 256 and ids.dtype == np.uint16
+    # force the bincount way (not with an id of 10^12: its count would take
+    # 8 TB), then the sort
+    for declared in ((0,) if case != "sparse gaps" else ()) + (8 * n + 257,):
+        got_present, got_ids = _color_ids(pts.colors, declared)
+        assert got_present.dtype == present.dtype and got_ids.dtype == ids.dtype
+        assert np.array_equal(got_present, present)
+        assert np.array_equal(got_ids[np.argsort(pts.coords[:, 0], kind="stable")], ids)
 
 
 def test_cut_prefix_gives_each_core_color_mass():

@@ -21,6 +21,7 @@ from entrange.approx import (
 )
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import EmptyRange, OrderNotIndexed
+from entrange.exact1d import Exact1DIndex
 from entrange.exactnd import ExactNDIndex
 from entrange.oracle import brute_entropy
 from entrange.rangetree import FOLD_POINTS
@@ -326,13 +327,22 @@ def test_concurrent_queries_match_serial(rng, tmp_path, always_sample):
 
 
 def test_concurrent_first_queries_match_serial(rng, tmp_path):
-    """The first queries of a freshly loaded sweep index and of a freshly
-    loaded estimator index (exact answers) race to make its memoryviews;
-    each thread gets a serial run's answers."""
+    """The first queries of a freshly loaded sweep index, of a freshly
+    loaded estimator index (exact answers) and of freshly loaded exact 1-D
+    indexes, one in each fold regime, race to derive what a query reads
+    lazily (the memoryviews, and an exact 1-D index's per-cut prefixes in
+    the bincount regime or its ``ColorPrefix`` in the sort regime); each
+    thread gets a serial run's answers."""
     pts1, pts2 = random_pointset(rng, 400, m=20), random_pointset(rng, 400, d=2, m=10,
                                                                    weighted=True)
     save_index(tmp_path / "s.rqe", "sweep-renyi", build_renyi(pts1, 0.3, 2.0))
     save_index(tmp_path / "e.rqe", "estimator", EstimatorIndex(pts2))
+    for name, colors in (("b.rqe", 17), ("o.rqe", 150)):   # bound 80: bincount, then sort
+        pts = ColoredPointSet(rng.uniform(0, 100, 400), rng.permutation(np.arange(400) % colors),
+                              rng.uniform(0.5, 2.0, 400))
+        built = Exact1DIndex(pts, t=0.5, orders=(2.0,))
+        assert built.fold == ("bincount" if colors == 17 else "sort")
+        save_index(tmp_path / name, "exact1d", built)
     intervals = [random_rect(rng) for _ in range(150)]
     rects = [random_rect(rng, d=2) for _ in range(150)]
     cfg = EstimatorConfig(c_add=0.2, c_mult=2.0, c_mom=0.05, moment_c1=1.0, moment_c2=1.0)
@@ -345,14 +355,23 @@ def test_concurrent_first_queries_match_serial(rng, tmp_path):
         return [estimate_additive(idx, r, 0.25, cfg, g).value
                 for r in (rects if i == 0 else rects[::-1]) if not DualAccessOracle(idx, r).is_empty]
 
+    def exact1d_answers(idx, i):
+        return [idx.query(r, kind).value for r in (intervals if i == 0 else intervals[::-1])
+                for kind in (SHANNON, renyi_kind(2.0))]
+
+    lazy_1d = {"b.rqe": {"_views", "cut_prefix"},
+               "o.rqe": {"_views", "color_prefix"}}
     for name, answers, holder in (("s.rqe", sweep_answers, lambda idx: idx),
-                                  ("e.rqe", exact_estimates, lambda idx: idx.tree)):
+                                  ("e.rqe", exact_estimates, lambda idx: idx.tree),
+                                  ("b.rqe", exact1d_answers, lambda idx: idx),
+                                  ("o.rqe", exact1d_answers, lambda idx: idx)):
         serial = load_index(tmp_path / name)[2]
         want = [answers(serial, 0), answers(serial, 1)]
         shared = load_index(tmp_path / name)[2]
-        assert "_views" not in vars(holder(shared))
+        lazy = lazy_1d.get(name, {"_views"})
+        assert not lazy & set(vars(holder(shared)))
         assert race(shared, answers) == want, name
-        assert "_views" in vars(holder(shared))
+        assert lazy <= set(vars(holder(shared))), name
 
 
 _exponent = st.floats(min_value=0.0, max_value=12.0)

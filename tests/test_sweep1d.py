@@ -660,10 +660,16 @@ def log_fixup_exponents(values, base):
 @pytest.mark.parametrize("base", [
     2.0,                                  # powers of two are exact S values
     1.25,                                 # Renyi at eps = 0.5
+    1.0 + 0.5 / math.log2(512),           # Shannon at eps = 0.5, n = 512 (series-1d)
     1.0 + 0.002 / math.log2(512),         # Shannon at eps = 0.002, n = 512
     1.001,                                # Renyi at eps = 0.002
+    1.0001,                               # Renyi at eps = 2e-4
+    1.0 + 1e-6,                           # Renyi at eps = 2e-6
 ])
 def test_exponent_lookup_matches_log_fixup_rule(base):
+    """``_exponents`` checks only the log guesses within its margin of an
+    integer; it gives the fix-up loop's exponents on every value, exact
+    powers and their neighbours included."""
     log_base = math.log(base)
     k = np.arange(1.0, 3001.0)
     # the S values of single colors, k log2 k (Shannon) and k^2 (Renyi-2)
@@ -673,7 +679,8 @@ def test_exponent_lookup_matches_log_fixup_rule(base):
         assert np.array_equal(got, log_fixup_exponents(values, base))
     assert _exponents(np.ones(1), base, log_base)[0] == 0
     # values exactly at base**k and one ulp either side, and 1.0
-    powers = base ** np.arange(0.0, math.log(1e7) / log_base)
+    top = math.log(1e7) / log_base   # about 100,000 exponents at most
+    powers = np.power(base, np.arange(0.0, top, max(1.0, top // 100_000)))
     values = np.concatenate(([1.0], powers, np.nextafter(powers, 0.0),
                              np.nextafter(powers, np.inf)))
     values = values[values > 0.0]
