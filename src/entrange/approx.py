@@ -160,8 +160,9 @@ class DualAccessOracle:
         if self.is_empty:
             raise EmptyRange("no mass to sample in query range")
         rng = np.random.default_rng() if rng is None else rng
-        pos = self.index.tree.draw(self.pieces, rng, size, self.exclusion)
-        counts = np.bincount(self.index.tree.sampling.colors[pos])
+        tree = self.index.tree
+        pos = tree.draw(self.pieces, rng, size, self.exclusion)
+        counts = np.bincount(tree.pts.colors[tree.pool_ids[pos]])
         colors = np.flatnonzero(counts)
         if stats is not None:
             stats["distinct_colors"] += len(colors)

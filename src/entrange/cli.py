@@ -18,7 +18,7 @@ from .core import QueryRect, SHANNON, renyi_kind, stable_order
 from .errors import DataFormatError, EntrangeError, IndexFileError, IndexKindMismatch
 
 
-def parse_rect(text: str, dim: int | None = None) -> QueryRect:
+def parse_rect(text: str) -> QueryRect:
     big = sys.float_info.max
     lo, hi = [], []
     for part in text.split(","):
@@ -28,8 +28,6 @@ def parse_rect(text: str, dim: int | None = None) -> QueryRect:
         a, b = piece.split(":", 1)
         lo.append(-big if a.strip() == "*" else float(a))
         hi.append(big if b.strip() == "*" else float(b))
-    if dim is not None and len(lo) != dim:
-        raise DataFormatError(f"rect has {len(lo)} dimensions, data has {dim}")
     return QueryRect(tuple(lo), tuple(hi))
 
 
@@ -245,15 +243,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataFormatError as exc:
+    except (DataFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except IndexFileError as exc:
         print(f"index error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
     except EntrangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

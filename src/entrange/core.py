@@ -84,10 +84,6 @@ class EntropySummary:
     def empty(cls, kind: EntropyKind = SHANNON) -> "EntropySummary":
         return cls(kind, 0.0, 0.0)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.count == 0.0
-
 
 # ---------------------------------------------------------------------------
 # points and histograms
@@ -212,11 +208,8 @@ class ColoredPointSet:
             if lab not in table:
                 table[lab] = len(table)
             ids.append(table[lab])
-        coords_arr = np.asarray(list(coords), dtype=np.float64)
-        if coords_arr.ndim == 1:
-            coords_arr = coords_arr.reshape(-1, 1)
-        w = None if weights is None else np.asarray(list(weights), dtype=np.float64)
-        return cls(coords_arr, np.array(ids, dtype=np.int64), w, labels=tuple(table))
+        w = None if weights is None else list(weights)
+        return cls(list(coords), ids, w, labels=tuple(table))
 
 
 class ColorHistogram:

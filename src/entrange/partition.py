@@ -285,7 +285,9 @@ def maxpart_approx(pts: ColoredPointSet, k: int, eps: float, backend) -> Bucketi
     if lo_val <= 0.0:
         lo_val = hi_val / (1 + eps) ** 60  # no two distinct colors: tiny floor
     rungs = max(1, math.ceil(math.log(hi_val / lo_val) / math.log1p(eps)))
-    lo_r, hi_r = 0, rungs
+    # the least rung in [0, rungs] that covers; the top one always does, as
+    # its threshold is at least log2 n and no bucket scores above log2 n
+    lo_r, hi_r = 0, rungs + 1
     best: Optional[list[int]] = None
     while lo_r < hi_r:
         mid = (lo_r + hi_r) // 2
@@ -295,10 +297,6 @@ def maxpart_approx(pts: ColoredPointSet, k: int, eps: float, backend) -> Bucketi
             hi_r = mid
         else:
             lo_r = mid + 1
-    if best is None:
-        best = _greedy_cover(n, k, lo_val * (1 + eps) ** rungs, rows)
-    if best is None:  # the top rung always covers: value <= log2 n
-        best = list(range(0, n + 1))  # pragma: no cover
     return finish(best)
 
 

@@ -19,9 +19,7 @@ color masses answers a range exactly (:meth:`RangeTree.statistic`): up to
 ``FOLD_POINTS`` points, the one direct-fold loop (:func:`mass_by_color`)
 sums them in a dict, reading each point's color and weight from lists made
 with the memoryviews (40 B a point), and folds on Python floats; above, one
-gather and one ``bincount``, then numpy. On a 2-vCPU host and the
-benchmark's 2-D ranges the loop won by 7-10 us at 1-4 points, tied at 49-64
-and lost by 8-23 us at 129-192.
+gather and one ``bincount``, then numpy.
 
 Before any walk, :meth:`RangeTree.slabs` locates a rectangle by four
 bisections: its y-slab, pool row 0's positions [r_lo, r_hi) (the ranks of
@@ -199,14 +197,13 @@ class Exclusion(NamedTuple):
 
 
 class Sampling(NamedTuple):
-    """What draws and EVAL read, per pool entry: the weight prefix pair, the
-    color, the pool's ``ColorPrefix``, and for every key of it, the pool's
-    mass before the key's position less its own color's (the prefix the
-    excluding sampler inverts)."""
+    """What draws and EVAL read: per pool entry, the weight prefix pair; the
+    pool's ``ColorPrefix``; and for every key of it, the pool's mass before
+    the key's position less its own color's (the prefix the excluding
+    sampler inverts). A drawn entry's color is ``pts.colors[pool_ids[pos]]``."""
 
     wpre: np.ndarray
     wlo: np.ndarray
-    colors: np.ndarray
     color_prefix: ColorPrefix
     others_before: np.ndarray
 
@@ -285,15 +282,14 @@ class RangeTree(HeldViews):
         """Derived from the points and the pool on the first draw or EVAL."""
         weights = self.pts.weights[self.pool_ids]
         wpre, wlo = running_sum(weights)
-        colors = self.pts.colors[self.pool_ids]
-        cp = ColorPrefix(colors, weights)
+        cp = ColorPrefix(self.pts.colors[self.pool_ids], weights)
         m = int(cp.keys[-1]) // cp.n + 1 if cp.n else 0
         firsts = cp.keys.searchsorted(np.arange(m + 1) * cp.n)   # each color's run
         runs = np.diff(firsts)
         first = np.repeat(firsts[:-1], runs)
         own = (cp.wpre[:-1] - cp.wpre[first]) + (cp.wlo[:-1] - cp.wlo[first])
         pos = cp.keys - np.repeat(np.arange(m) * cp.n, runs)
-        return Sampling(wpre, wlo, colors, cp, wpre[pos] - own)
+        return Sampling(wpre, wlo, cp, wpre[pos] - own)
 
     @functools.cached_property
     def _views(self) -> tuple:
@@ -308,7 +304,7 @@ class RangeTree(HeldViews):
         arrays = [*self.keys, self.pool_ids, self.last_sorted, self.last_rank]
         if "sampling" in vars(self):
             s, cp = self.sampling, self.sampling.color_prefix
-            arrays += [s.wpre, s.wlo, s.colors, s.others_before, cp.keys, cp.wpre, cp.wlo]
+            arrays += [s.wpre, s.wlo, s.others_before, cp.keys, cp.wpre, cp.wlo]
         return sum(a.nbytes for a in arrays)
 
     # -- canonical decomposition ------------------------------------------
@@ -465,7 +461,7 @@ class RangeTree(HeldViews):
         for _ in range(64):
             # rounding in the differenced prefix can leave a sliver of mass
             # on an excluded point; redraw those
-            bad = np.flatnonzero(s.colors[pos] == excluded.color)
+            bad = np.flatnonzero(self.pts.colors[self.pool_ids[pos]] == excluded.color)
             if not len(bad):
                 return pos
             pos[bad] = positions(len(bad))

@@ -347,7 +347,7 @@ def drawn_colors(oracle, samples, seed):
     """The color of each of the draws a tally with the same seed makes."""
     tree = oracle.index.tree
     pos = tree.draw(oracle.pieces, np.random.default_rng(seed), samples, oracle.exclusion)
-    return tree.sampling.colors[pos]
+    return tree.pts.colors[tree.pool_ids[pos]]
 
 
 def per_sample_reference(oracle, samples, seed):
@@ -616,3 +616,17 @@ def test_draw_count_cache_stays_bounded():
     info = draw_counts.cache_info()
     assert info.misses == 2000
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("accuracy", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_estimators_refuse_accuracy_outside_the_unit_interval(rng, accuracy):
+    index = EstimatorIndex(random_pointset(rng, 30, d=2, m=3))
+    rect = QueryRect.full(2)
+    calls = (lambda a: estimate_additive(index, rect, a, FAST, rng),
+             lambda a: estimate_multiplicative(index, rect, a, FAST, rng),
+             lambda a: estimate_additive_renyi(index, rect, 2.0, a, FAST, rng),
+             lambda a: estimate_multiplicative_renyi(index, rect, 2.0, a, FAST, rng),
+             lambda a: estimate_moment(index, rect, 2.0, a, FAST, rng))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+            call(accuracy)

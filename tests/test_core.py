@@ -71,6 +71,42 @@ def test_point_set_freezes_copies_not_the_callers_arrays():
     assert not any(a.flags.writeable for a in (pts.coords, pts.colors, pts.weights))
 
 
+@pytest.mark.parametrize("args, kwargs, error, match", [
+    (([[0.0], [1.0]], [[0, 1]]), {}, ValueError, "one id per point"),
+    (([[0.0], [math.inf]], [0, 1]), {}, InvalidWeight, "coordinates must be finite"),
+    (([[0.0], [1.0]], [0, 1], [1.0, -0.5]), {}, InvalidWeight, "nonnegative"),
+    (([[0.0], [1.0]], [0, -1]), {}, ValueError, "color id out of range"),
+    (([[0.0], [1.0]], [0, 2]), {"num_colors": 2}, ValueError, "color id out of range"),
+    (([[0.0], [1.0]], [0, 1]), {"labels": ("a",)}, ValueError, "labels must cover"),
+])
+def test_point_set_refuses_malformed_input(args, kwargs, error, match):
+    with pytest.raises(error, match=match):
+        core.ColoredPointSet(*args, **kwargs)
+
+
+def test_point_set_from_labeled_flat_coordinates():
+    # flat coordinates are 1-D points, as for the constructor
+    pts = core.ColoredPointSet.from_labeled([2.0, 0.5, 1.0], ["b", "a", "b"], [1.0, 2.0, 3.0])
+    assert pts.coords.shape == (3, 1) and pts.labels == ("b", "a")
+    assert pts.colors.tolist() == [0, 1, 0] and pts.weights.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_color_histogram_refuses_negative_mass_and_compares_by_masses():
+    with pytest.raises(InvalidWeight, match="negative mass for color 1"):
+        ColorHistogram({0: 1.0, 1: -2.0})
+    assert ColorHistogram({0: 1.0, 2: 0.0, 1: 3.0}) == hist(1, 3) != hist(3, 1)
+    assert hist(1, 3) != {0: 1.0, 1: 3.0}
+
+
+@pytest.mark.parametrize("lo, hi, match", [
+    ((0.0,), (1.0, 2.0), "same dimension"),
+    ((0.0, 3.0), (1.0, 2.0), "empty rectangle"),
+])
+def test_query_rect_refuses_mismatched_or_inverted_bounds(lo, hi, match):
+    with pytest.raises(ValueError, match=match):
+        QueryRect(lo, hi)
+
+
 def direct_shannon(masses):
     """Independent reference: plain evaluation of the defining sum."""
     masses = [m for m in masses if m > 0]
@@ -219,6 +255,32 @@ def test_delete_color_renyi_inverts_insert():
     back = core.delete_color_renyi(grown, 3.5, 1.7)
     assert abs(back.value - base.value) < 1e-9
     assert abs(back.count - base.count) < 1e-12
+
+
+def test_updates_refuse_bad_weights_and_merge_renyi_keeps_a_side_with_an_empty_other():
+    k2 = renyi_kind(2.0)
+    shannon, renyi = EntropySummary(SHANNON, 3.0, 0.9), EntropySummary(k2, 3.0, 0.8)
+    updates = [(lambda w: core.insert_color_shannon(shannon, w), None),
+               (lambda w: core.delete_color_shannon(shannon, w), 3.0),
+               (lambda w: core.insert_color_renyi(renyi, w, 2.0), None),
+               (lambda w: core.delete_color_renyi(renyi, w, 2.0), 3.0)]
+    for update, whole in updates:
+        for w in (0.0, -1.0):
+            with pytest.raises(InvalidWeight, match="must be positive"):
+                update(w)
+        if whole is not None:   # removing the whole mass, or more
+            for w in (whole, whole + 1.0):
+                with pytest.raises(Underflow, match="cannot remove"):
+                    update(w)
+    # two bits over a mass of 2 put the whole power sum, 1, on the removed
+    # color of mass 1: nothing remains, as when cancellation eats the
+    # remainder at an extreme mass ratio, and the delete refuses
+    with pytest.raises(Underflow, match="remaining power sum vanished"):
+        core.delete_color_renyi(EntropySummary(k2, 2.0, 2.0), 1.0, 2.0)
+    empty = EntropySummary.empty(k2)
+    assert core.merge_renyi(renyi, empty, 2.0) is renyi
+    assert core.merge_renyi(empty, renyi, 2.0) is renyi
+    assert core.insert_color_renyi(empty, 2.5, 2.0) == EntropySummary(k2, 2.5, 0.0)
 
 
 # ---------------------------------------------------------------------------

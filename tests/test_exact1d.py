@@ -382,6 +382,17 @@ def test_unknown_order_rejected(rng):
         idx.query(QueryRect.interval(0.0, 1.0), renyi_kind(2.5))
 
 
+def test_refuses_points_t_and_rects_outside_1d(rng):
+    pts = random_pointset(rng, 20, d=1)
+    with pytest.raises(ValueError, match="requires 1-D points"):
+        Exact1DIndex(random_pointset(rng, 20, d=2), 0.5)
+    for t in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            Exact1DIndex(pts, t)
+    with pytest.raises(ValueError, match="query rect must be 1-D"):
+        Exact1DIndex(pts, 0.5).query(QueryRect.full(2), SHANNON)
+
+
 def test_space_stats_bytes():
     """Four arrays of about one float per point, and each point's color id
     on one byte (its one color array) with the colors that occur; then, in

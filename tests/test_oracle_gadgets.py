@@ -25,6 +25,16 @@ def test_brute_entropy_nine_points():
     assert empty.value == 0.0 and empty.count == 0.0
 
 
+def test_expected_entropy_of_a_massless_set_is_zero():
+    # a total mass of 0 scores every bucket 0, not 0/0
+    pts = ColoredPointSet(np.arange(4.0), [0, 1, 0, 1], np.zeros(4))
+    backend = oracle.OracleBackend(pts)
+    assert backend.total_weight == 0.0
+    assert backend.expected_range(0, 4) == 0.0
+    assert backend.expected_row(0).tolist() == [0.0] * 5
+    assert backend.expected_rect(QueryRect.full(1)) == 0.0
+
+
 def test_brute_entropy_matches_direct_histogram(rng):
     pts = random_pointset(rng, 120, d=2, m=9, weighted=True)
     for _ in range(30):
@@ -84,6 +94,13 @@ def test_matrix_gadget_zero_matrices():
     _check_gadget_pair(z, z)
     g = oracle.build_matrix_gadget(z, z)
     assert all(g.product_bit(i, j) == 0 for i in range(3) for j in range(3))
+
+
+def test_matrix_gadget_refuses_non_square_or_unequal_matrices():
+    square, wide = np.zeros((2, 2), dtype=int), np.zeros((2, 3), dtype=int)
+    for a, b in ((wide, wide), (square, wide), (wide, square), (square, np.zeros((3, 3)))):
+        with pytest.raises(ValueError, match="matrices must be square and same size"):
+            oracle.build_matrix_gadget(a, b)
 
 
 def test_matrix_gadget_random_pairs(rng):

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from entrange import partition
 from entrange.approx import EstimatorIndex
 from entrange.core import ColoredPointSet, QueryRect, SHANNON, renyi_kind
 from entrange.errors import TooManyBuckets
 from entrange.exact1d import Exact1DIndex
+from entrange.exactnd import ExactNDIndex
 from entrange.oracle import exhaustive_partition
 from entrange.partition import (
     Bucketing1D,
@@ -118,6 +120,60 @@ def test_maxpart_rejects_bad_k():
         maxpart_dp(pts, 3, OracleBackend(pts))
     with pytest.raises(ValueError):
         maxpart_dp(pts, 0, OracleBackend(pts))
+
+
+def test_partition_refusals():
+    # unknown modes and objectives, and approximations at eps <= 0
+    pts = seq_points([0, 1, 0, 1])
+    backend = OracleBackend(pts)
+    with pytest.raises(ValueError, match="unknown estimator mode 'median'"):
+        EstimateBackend(EstimatorIndex(pts), mode="median")
+    for split in (maxpart_dp, greedy_tree_split):
+        with pytest.raises(ValueError, match="unknown objective 'mean'"):
+            split(pts, 2, backend, objective="mean")
+    for approximate in (maxpart_approx, sumpart_approx):
+        for eps in (0.0, -0.5):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                approximate(pts, 2, eps, backend)
+
+
+def test_greedy_cover_refuses_an_item_above_the_threshold():
+    # three items, each scoring 1.0: rows(i)[j - i] = j - i
+    def rows(i):
+        return np.arange(4.0 - i)
+
+    assert partition._greedy_cover(3, 3, 1.0, rows) == [0, 1, 2, 3]
+    assert partition._greedy_cover(3, 2, 2.0, rows) == [0, 2, 3]
+    assert partition._greedy_cover(3, 3, 0.5, rows) is None   # a single item exceeds it
+    assert partition._greedy_cover(3, 1, 2.0, rows) is None   # more than k buckets
+
+
+def test_maxpart_approx_on_one_color_input_through_exact_backends(monkeypatch):
+    # one color has no nonzero expected entropy, so the ladder's floor is
+    # tiny; an exact backend's rounding can leave about 1e-16 on a bucket,
+    # where the zero cover then fails and the ladder is searched. The value
+    # is 0 up to rounding either way
+    thresholds = []
+    cover = partition._greedy_cover
+    monkeypatch.setattr(partition, "_greedy_cover",
+                        lambda n, k, threshold, rows: thresholds.append(threshold)
+                        or cover(n, k, threshold, rows))
+    searched = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        pts = ColoredPointSet(rng.uniform(0.0, 10.0, n), np.zeros(n, dtype=np.int64),
+                              rng.uniform(0.1, 3.0, n))
+        assert smallest_nonzero_expected_entropy(pts) == 0.0
+        for alpha in (None, 2.0):
+            kind = SHANNON if alpha is None else renyi_kind(alpha)
+            index = Exact1DIndex(pts, 1.0, () if alpha is None else (alpha,))
+            k = 1 + seed % min(n, 3)
+            thresholds.clear()
+            out = maxpart_approx(pts, k, 0.1, ExactIndexBackend(index, kind))
+            assert len(out.cuts) == k + 1 and abs(out.value) < 1e-13
+            searched += len(thresholds) > 1
+    assert searched > 0
 
 
 def test_maxpart_approx_zero_case():
@@ -275,6 +331,13 @@ def test_estimate_backend_matches_oracle(mode, alpha):
     assert est.describe()["mode"] == mode
 
 
+def test_estimate_backend_scores_an_empty_span_zero():
+    pts = seq_points([0, 1, 2, 1])
+    backend = EstimateBackend(EstimatorIndex(pts), rng=np.random.default_rng(1))
+    assert [backend.expected_range(i, i) for i in range(5)] == [0.0] * 5
+    assert backend.expected_range(3, 1) == 0.0
+
+
 def test_estimate_backend_rejects_duplicate_coordinates():
     pts = ColoredPointSet(np.array([0.0, 1.0, 1.0, 2.0]), np.array([0, 1, 0, 1]))
     with pytest.raises(ValueError, match="distinct coordinates"):
@@ -347,6 +410,19 @@ def test_greedy_tree_children_partition_parent(rng):
         walk(node.right)
 
     walk(part.root)
+
+
+def test_greedy_tree_over_an_exact_nd_index_matches_the_oracle(rng):
+    for d, alpha in ((2, None), (3, 2.0)):
+        pts = random_pointset(rng, 80, d=d, m=5, weighted=True)
+        kind = SHANNON if alpha is None else renyi_kind(alpha)
+        index = ExactNDIndex(pts, 0.5, () if alpha is None else (alpha,))
+        got = greedy_tree_split(pts, 6, ExactIndexBackend(index, kind))
+        want = greedy_tree_split(pts, 6, OracleBackend(pts, kind))
+        assert [leaf.node_id for leaf in got.leaves] == [leaf.node_id for leaf in want.leaves]
+        for a, b in zip(got.leaves, want.leaves):
+            assert a.rect == b.rect and a.point_ids.tolist() == b.point_ids.tolist()
+        np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-9)
 
 
 def test_greedy_tree_too_many_buckets():

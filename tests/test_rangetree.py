@@ -272,7 +272,7 @@ def test_canonical_nodes_makes_no_numpy_call(rng):
 def sampling_arrays(tree):
     s = tree.sampling
     cp = s.color_prefix
-    return {"wpre": s.wpre, "wlo": s.wlo, "colors": s.colors, "cp.keys": cp.keys,
+    return {"wpre": s.wpre, "wlo": s.wlo, "cp.keys": cp.keys,
             "cp.wpre": cp.wpre, "cp.wlo": cp.wlo, "others_before": s.others_before}
 
 
@@ -350,15 +350,21 @@ def test_canonical_node_count_polylog(rng):
 
 
 def test_color_range_count(rng):
+    # the mass and the count of positive-weight points, of one color or of
+    # each color of an array, against brute force
     pts = random_pointset(rng, 400, d=2, m=10, weighted=True)
+    pts = ColoredPointSet(pts.coords, pts.colors, np.where(np.arange(400) % 7, pts.weights, 0.0))
     trees = ColorTrees(RangeTree(pts))
     for _ in range(50):
         rect = random_rect(rng, d=2)
         hist = brute_histogram(pts, rect)
+        counts = np.bincount(pts.colors[rect.mask(pts) & (pts.weights > 0)], minlength=10)
         for color in range(10):
             want = hist.entries.get(color, 0.0)
             assert abs(trees.weight(rect, color) - want) < 1e-9
-    assert trees.weight(QueryRect.full(2), 99) == 0.0
+            assert trees.count(rect, color) == counts[color]
+        assert trees.count(rect, np.arange(10)).tolist() == counts.tolist()
+    assert trees.weight(QueryRect.full(2), 99) == 0.0 == trees.count(QueryRect.full(2), 99)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +376,15 @@ def test_sample_single_point(rng):
     tree = RangeTree(pts)
     rect = QueryRect((0.0, 0.0), (10.0, 10.0))
     assert draw_ids(tree, rect, rng, 20).tolist() == [0] * 20
+
+
+def test_refuses_rects_of_another_dimension_and_pools_that_do_not_fit(rng):
+    tree = RangeTree(random_pointset(rng, 50, d=2))
+    with pytest.raises(ValueError, match="rect dim 1 != tree dim 2"):
+        tree.canonical_nodes(QueryRect.interval(0.0, 1.0))
+    arrays, scalars = tree.to_arrays()
+    with pytest.raises(ValueError, match="a pool of 49 ids does not fit 50 points"):
+        RangeTree.from_arrays({**arrays, "pool_ids": tree.pool_ids[:49]}, scalars)
 
 
 def test_sample_empty_raises(rng):
@@ -395,6 +410,29 @@ def test_samplers_raise_empty_range_on_empty_pieces(rng):
             draw_ids(tree, nowhere, rng, size, excluded=0)
         with pytest.raises(EmptyRange):
             DualAccessOracle(EstimatorIndex(pts), nowhere).tally(rng, size)
+
+
+def test_excluding_draws_redraw_what_rounding_leaves_on_the_excluded_color():
+    # beside an excluded color 1e15 times heavier than the rest, the
+    # differenced prefix rounds and leaves slivers of mass on the excluded
+    # points; a draw that lands on one is drawn again, so none comes back
+    n = 16
+    pts = ColoredPointSet(np.arange(float(n)), np.arange(n) % 2,
+                          np.where(np.arange(n) % 2, 1.0, 1e15))
+    tree = RangeTree(pts)
+    pieces = tree.canonical_nodes(QueryRect.full(1))
+    pos = tree.draw(pieces, np.random.default_rng(0), 1000, tree.exclude(pieces, 0))
+    assert len(pos) == 1000 and not (pts.colors[tree.pool_ids[pos]] == 0).any()
+    # where the rest's mass, about 50, is a few units in the last place of
+    # the excluded color's, 1.3e17, every redraw lands there again: refused
+    g = np.random.default_rng(6)
+    colors = g.integers(0, 3, 64)
+    weights = np.where(colors == 0, 5e15 * g.uniform(0.5, 2.0, 64), g.uniform(0.1, 2.0, 64))
+    pts = ColoredPointSet(g.uniform(0.0, 100.0, 64), colors, weights)
+    tree = RangeTree(pts)
+    pieces = tree.canonical_nodes(QueryRect.full(1))
+    with pytest.raises(EmptyRange, match="below float resolution"):
+        tree.draw(pieces, np.random.default_rng(1), 100, tree.exclude(pieces, 0))
 
 
 def test_sample_uniform_frequencies(rng):

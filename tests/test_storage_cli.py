@@ -59,7 +59,9 @@ def test_ingest_nine_point_example(tmp_path):
 
 
 def test_ingest_weights_and_1d(tmp_path):
-    path = write_csv(tmp_path / "w.csv", ["0,a,2.5", "1,b,0.5"], header="x1,color,weight")
+    # blank rows, empty or of blank cells, are skipped
+    path = write_csv(tmp_path / "w.csv", ["0,a,2.5", "", " , ,", "1,b,0.5", ""],
+                     header="x1,color,weight")
     pts = storage.ingest(path)
     assert pts.dim == 1
     assert pts.weights.tolist() == [2.5, 0.5]
@@ -71,19 +73,27 @@ def test_ingest_header_only(tmp_path):
     assert len(pts) == 0
 
 
-def test_ingest_errors_carry_line_numbers(tmp_path):
-    path = write_csv(tmp_path / "bad.csv", ["0,a,1", "oops,b,1"], header="x1,color,weight")
-    with pytest.raises(DataFormatError, match=":3:"):
-        storage.ingest(path)
-    path = write_csv(tmp_path / "neg.csv", ["0,a,-2"], header="x1,color,weight")
-    with pytest.raises(DataFormatError, match="nonnegative"):
-        storage.ingest(path)
-    path = write_csv(tmp_path / "inf.csv", ["inf,a,1"], header="x1,color,weight")
-    with pytest.raises(DataFormatError, match="non-finite"):
-        storage.ingest(path)
-    path = write_csv(tmp_path / "nohdr.csv", ["1,2"], header="a,b")
-    with pytest.raises(DataFormatError, match="x1..xd"):
-        storage.ingest(path)
+def test_ingest_errors_carry_line_numbers(tmp_path, capsys):
+    # each malformed file is refused as a DataFormatError, naming the line
+    # where there is one, and a build from it exits 3
+    cases = {
+        "x1,color,weight\n0,a,1\noops,b,1\n": ":3: bad coordinate",
+        "x1,color,weight\n0,a,-2\n": "nonnegative",
+        "x1,color,weight\ninf,a,1\n": "non-finite",
+        "a,b\n1,2\n": "x1..xd",
+        "x1,label\n1,a\n": "'color' column",
+        "x1,color,weight\n0,a,1\n1,b\n": ":3: expected 3 columns, got 2",
+        "x1,color,weight\n0,a,heavy\n": ":2: bad weight",
+        "": "empty file",
+    }
+    path = tmp_path / "bad.csv"
+    for text, match in cases.items():
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=match):
+            storage.ingest(path)
+        assert run_cli("build", "--input", str(path), "--kind", "exact1d",
+                       "--out", str(tmp_path / "o.rqe")) == 3, text
+        assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_non_finite_weights_refused(tmp_path, rng, capsys):
@@ -234,15 +244,37 @@ def test_load_rejects_garbage(tmp_path):
         storage.load_index(path)
 
 
-def test_load_rejects_truncation(tmp_path, rng):
+def test_load_rejects_truncation(tmp_path, rng, capsys):
+    # cut inside the magic, before the version byte, inside the header's
+    # length, inside the header and inside the payload
     pts = random_pointset(rng, 30, d=1)
     path = tmp_path / "x.rqe"
     storage.save_index(path, "exact1d", exact1d.Exact1DIndex(pts, 0.5))
     data = path.read_bytes()
-    for cut in (3, 8, 10, len(data) // 2):
+    in_header = len(storage.MAGIC) + 1 + 4 + 10   # ten bytes into the header
+    for cut in (3, len(storage.MAGIC), 8, 10, in_header, len(data) // 2):
         path.write_bytes(data[:cut])
         with pytest.raises(NotAnIndex):
             storage.load_index(path)
+        assert run_cli("query", "--index", str(path), "--rect", "0:100") == 4, cut
+    capsys.readouterr()
+
+
+def test_save_refuses_what_no_file_can_hold(tmp_path, rng):
+    # an unknown kind, an index of another class, an array on a dtype
+    # outside storage.DTYPES
+    index = exact1d.Exact1DIndex(random_pointset(rng, 20, d=1), 0.5)
+    path = tmp_path / "s.rqe"
+    with pytest.raises(ValueError, match="unknown index kind"):
+        storage.save_index(path, "nope", index)
+    with pytest.raises(ValueError, match="is not a 'exactnd' index"):
+        storage.save_index(path, "exactnd", index)
+    complex_weights = copy.copy(index)
+    complex_weights.to_arrays = to_arrays_with(
+        index, weights=index.pts.weights.astype(np.complex128))
+    with pytest.raises(ValueError, match="a file cannot hold"):
+        storage.save_index(path, "exact1d", complex_weights)
+    assert not path.exists()
 
 
 def test_load_rejects_newer_version(tmp_path, rng):
@@ -357,7 +389,13 @@ def edit_header(data: bytes, edit) -> bytes:
     (size,) = struct.unpack(">I", data[at:at + 4])
     header = json.loads(data[at + 4:at + 4 + size])
     edit(header)
-    raw = json.dumps(header).encode()
+    return with_header(data, json.dumps(header).encode())
+
+
+def with_header(data: bytes, raw: bytes) -> bytes:
+    """``data``, an index file, with ``raw`` as its header bytes."""
+    at = len(storage.MAGIC) + 1
+    (size,) = struct.unpack(">I", data[at:at + 4])
     return data[:at] + struct.pack(">I", len(raw)) + raw + data[at + 4 + size:]
 
 
@@ -385,6 +423,10 @@ def test_load_rejects_tampered_files(tmp_path, rng, capsys):
     tampered = [
         bytes(flipped),
         data[:-1],
+        with_header(data, b"\xff{}"),   # not UTF-8
+        with_header(data, b"{not json"),
+        with_header(data, b"[]"),
+        edit_header(data, lambda h: h.update(kind="nope")),
         edit_header(data, lambda h: h.update(kind="exactnd")),
         edit_header(data, lambda h: h.update(kind="estimator")),
         edit_header(data, lambda h: h.pop("sha256")),
@@ -395,6 +437,8 @@ def test_load_rejects_tampered_files(tmp_path, rng, capsys):
         edit_header(data, lambda h: h["arrays"].append(dict(h["arrays"][0]))),
         edit_header(data, lambda h: h["arrays"].append(dict(h["arrays"][0], name="extra"))),
         edit_header(data, lambda h: h.update(arrays={})),
+        edit_header(data, lambda h: h.update(arrays=["coords", *h["arrays"][1:]])),
+        edit_header(data, lambda h: h["arrays"][0].pop("nbytes")),
         edit_header(data, entry("colors", dtype="|O")),
         edit_header(data, entry("colors", dtype=">i8")),
         edit_header(data, entry("colors", dtype="<c16")),
@@ -922,6 +966,70 @@ def test_cli_mode_kind_mismatch_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("query", "--index", str(idx_path), "--rect", "0:1",
                    "--mode", "additive") == 4
+    assert run_cli("query", "--index", str(idx_path), "--rect", "0:1",
+                   "--mode", "deterministic") == 4
+    assert "needs a sweep index" in capsys.readouterr().err
+
+
+def test_cli_sweep_renyi_build_and_deterministic_query(tmp_path, capsys):
+    rows = [f"{i},{'abc'[i % 3]}" for i in range(30)]
+    csv_path = write_csv(tmp_path / "r.csv", rows, header="x1,color")
+    idx_path = tmp_path / "r.rqe"
+    assert run_cli("build", "--input", str(csv_path), "--kind", "sweep-renyi",
+                   "--out", str(idx_path), "--epsilon", "0.3", "--alpha", "3") == 0
+    capsys.readouterr()
+    assert run_cli("query", "--index", str(idx_path), "--rect", "0:29", "--kind", "renyi",
+                   "--alpha", "3", "--mode", "deterministic", "--json") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["bounds_claimed"] == {"lower": "H_a", "upper": "H_a+0.6"}
+    assert out["count"] == 30.0 and out["kind"] == "renyi(3)"
+    # the range holds three equal colors: log2 3 <= h <= log2 3 + 0.6
+    assert math.log2(3) - 1e-9 <= out["value"] <= math.log2(3) + 0.6 + 1e-9
+    refusals = {  # every one is an index error, exit 4
+        "cannot answer shannon queries": ("--mode", "deterministic"),
+        "index built for alpha=3.0, asked 2.0": ("--mode", "deterministic", "--kind", "renyi",
+                                                 "--alpha", "2"),
+        "mode=exact needs an exact index": ("--mode", "exact"),
+    }
+    for message, flags in refusals.items():
+        assert run_cli("query", "--index", str(idx_path), "--rect", "0:29", *flags) == 4
+        assert message in capsys.readouterr().err
+
+
+def test_cli_query_refuses_bad_rects_and_accuracy(tmp_path, capsys):
+    # a rect component without ':', a rect of another dimension than the
+    # index's and an estimator accuracy outside (0, 1) are data errors, exit 3
+    rows = [f"{i},{i % 3},{'ab'[i % 2]}" for i in range(16)]
+    csv_path = write_csv(tmp_path / "e.csv", rows, header="x1,x2,color")
+    idx_path = tmp_path / "e.rqe"
+    run_cli("build", "--input", str(csv_path), "--kind", "estimator", "--out", str(idx_path))
+    capsys.readouterr()
+    cases = {
+        "bad rect component '0'": ("--rect", "0,0:2"),
+        "rect dim 1 != tree dim 2": ("--rect", "0:15", "--mode", "additive"),
+        "delta must lie in (0, 1), got 1.5": ("--rect", "0:15,0:2", "--mode", "additive",
+                                              "--delta", "1.5"),
+    }
+    for message, flags in cases.items():
+        assert run_cli("query", "--index", str(idx_path), *flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err, err
+
+
+def test_cli_multiplicative_query(tmp_path, capsys):
+    rows = [f"{i},{'aab'[i % 3]}" for i in range(64)]
+    csv_path = write_csv(tmp_path / "m.csv", rows, header="x1,color")
+    idx_path = tmp_path / "m.rqe"
+    run_cli("build", "--input", str(csv_path), "--kind", "estimator", "--out", str(idx_path))
+    capsys.readouterr()
+    assert run_cli("query", "--index", str(idx_path), "--rect", "0:63", "--mode",
+                   "multiplicative", "--epsilon", "0.25", "--seed", "3", "--json") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["bounds_claimed"] == {"factor": 1.25, "confidence": "whp"}
+    assert out["count"] == 64.0 and out["mode"] == "multiplicative"
+    # 43 of color a and 21 of b: the answer within its (1+eps) factor
+    truth = brute_entropy(storage.ingest(csv_path), QueryRect.interval(0, 63), SHANNON).value
+    assert truth / 1.25 <= out["value"] <= 1.25 * truth
 
 
 def test_nan_bound_refused_by_every_index_kind(rng):
@@ -1013,6 +1121,61 @@ def test_cli_partition_greedy_tree(tmp_path, capsys):
                    "--algorithm", "greedy-tree", "--json") == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["leaves"]) == 3
+
+
+def test_cli_partition_algorithms_and_backends(tmp_path, capsys):
+    rows = [f"{i},{'aabbc'[i % 5]}" for i in range(16)]
+    csv_path = write_csv(tmp_path / "p.csv", rows, header="x1,color")
+
+    def partition(*flags):
+        assert run_cli("partition", "--input", str(csv_path), "--k", "4", *flags, "--json") == 0
+        return json.loads(capsys.readouterr().out)
+
+    best = partition("--algorithm", "dp")["value"]
+    for backend in ("oracle", "exact"):
+        out = partition("--algorithm", "maxpart-approx", "--backend", backend, "--epsilon", "0.1")
+        assert len(out["cuts"]) == 5 and out["value"] == max(out["bucket_scores"])
+        assert best - 1e-9 <= out["value"] <= 1.1 * best + 1e-9
+        out = partition("--algorithm", "sumpart", "--backend", backend, "--epsilon", "0.1")
+        assert len(out["cuts"]) == 5
+        assert out["value"] == pytest.approx(sum(out["bucket_scores"]))
+    out = partition("--backend", "estimate", "--delta", "0.2", "--seed", "1")
+    assert out["backend"] == {"backend": "estimate", "mode": "additive", "kind": "shannon",
+                              "delta": 0.2}
+    assert len(out["cuts"]) == 5 and out["cuts"][0] == 0 and out["cuts"][-1] == 16
+
+
+def test_cli_partition_greedy_tree_over_an_exact_backend(tmp_path, capsys):
+    # 2-D points: the exact backend builds an ExactNDIndex, whose leaves and
+    # scores match the oracle's
+    rows = [f"{i % 4},{i // 4},{'abc'[i % 3]}" for i in range(16)]
+    csv_path = write_csv(tmp_path / "g.csv", rows, header="x1,x2,color")
+    outs = []
+    for backend in ("oracle", "exact"):
+        assert run_cli("partition", "--input", str(csv_path), "--k", "5", "--algorithm",
+                       "greedy-tree", "--backend", backend, "--json") == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    oracle, exact = outs
+    assert exact["backend"]["index"] == "ExactNDIndex"
+    assert [(leaf["rect"], leaf["points"]) for leaf in exact["leaves"]] == [
+        (leaf["rect"], leaf["points"]) for leaf in oracle["leaves"]]
+    assert [leaf["score"] for leaf in exact["leaves"]] == pytest.approx(
+        [leaf["score"] for leaf in oracle["leaves"]], abs=1e-9)
+
+
+def test_cli_partition_text_output(tmp_path, capsys):
+    rows = [f"{i % 4},{i // 4},{'ab'[i % 2]}" for i in range(8)]
+    csv_path = write_csv(tmp_path / "t.csv", rows, header="x1,x2,color")
+    assert run_cli("partition", "--input", str(csv_path), "--k", "2") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("dp: k=2 value=") and lines[1].startswith("cuts: [0, ")
+    assert lines[2].startswith("scores: [") and len(lines) == 3
+    assert run_cli("partition", "--input", str(csv_path), "--k", "3",
+                   "--algorithm", "greedy-tree") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("greedy-tree: k=3 value=") and len(lines) == 4
+    assert all(line.startswith("  rect=[[") and " points=" in line and " score=" in line
+               for line in lines[1:])
 
 
 def test_cli_partition_exact_backend_needs_1d_for_index_ranges(tmp_path, capsys):

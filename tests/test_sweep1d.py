@@ -129,6 +129,20 @@ def test_weights_rejected(rng):
         build_shannon(pts, 0.2)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.2, 2.0])
+def test_eps_outside_unit_interval_rejected(rng, eps):
+    pts = random_pointset(rng, 20, d=1)
+    for build in (build_shannon, lambda p, e: build_renyi(p, e, 2.0)):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            build(pts, eps)
+
+
+def test_rect_of_another_dimension_rejected(rng):
+    idx = build_shannon(random_pointset(rng, 20, d=1), 0.3)
+    with pytest.raises(ValueError, match="query rect must be 1-D"):
+        idx.query(QueryRect.full(2))
+
+
 def _assert_mapping_unique(pts, idx, a, b):
     in_box = (idx.mx >= a) & (idx.mx <= b) & (idx.my < a)
     counts = np.bincount(idx.mcolor[in_box], minlength=pts.num_colors)
