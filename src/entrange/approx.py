@@ -314,7 +314,6 @@ def prepare_query(index: ExactNDIndex, rect: QueryRect, stats: Optional[dict] = 
     return oracle
 
 
-
 def additive(index: ExactNDIndex, rect: QueryRect, kind: EntropyKind, delta: float,
              cfg: EstimatorConfig = DEFAULT_CONFIG, rng: Optional[np.random.Generator] = None,
              stats: Optional[dict] = None) -> EntropySummary:

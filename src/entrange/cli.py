@@ -99,7 +99,7 @@ def _query_once(kind_name: str, index, args) -> dict:
     return {
         "value": summary.value,
         "count": summary.count,
-        "kind": args.kind if args.kind == "shannon" else f"renyi({args.alpha:g})",
+        "kind": want_kind.label(),
         "mode": args.mode,
         "bounds_claimed": bounds,
         "seed": args.seed,
@@ -138,11 +138,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
             index = exactnd.ExactNDIndex(pts, 1.0, orders)
         backend = partition.ExactIndexBackend(index, kind)
     else:
-        backend = partition.EstimateBackend(
-            EstimatorIndex(pts), mode="additive", delta=args.delta,
-            alpha=None if kind.is_shannon else kind.alpha,
-            rng=np.random.default_rng(args.seed),
-        )
+        backend = partition.EstimateBackend(EstimatorIndex(pts), mode="additive", delta=args.delta,
+                                            alpha=kind.alpha, rng=np.random.default_rng(args.seed))
 
     if args.algorithm == "greedy-tree":
         part = partition.greedy_tree_split(pts, args.k, backend, objective=args.objective)

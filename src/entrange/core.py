@@ -9,10 +9,10 @@ rules for color-disjoint unions, single-color insertions and single-color
 deletions, for both entropy families. Every update recomputes from the
 stored (count, value) pair of its inputs, so chains of updates do not
 accumulate incremental-log drift beyond ordinary float rounding. Delete
-rules subtract a color's share from a total and cancel at extreme mass
-ratios. These named rules are public reference API; no index uses them.
-The indexes fold sets with the power-sum helpers and ``ColorPrefix`` below,
-which only ever add terms.
+rules subtract a color's share from a total, cancel at extreme mass ratios
+and refuse there (``DELETE_TOLERANCE``). These named rules are public
+reference API; no index uses them. The indexes fold sets with the power-sum
+helpers and ``ColorPrefix`` below, which only ever add terms.
 
 All values are weighted: "count" always means total weight. Unweighted
 data is the weight-1 special case.
@@ -21,6 +21,7 @@ data is the weight-1 special case.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -238,8 +239,6 @@ class ColorHistogram:
     def from_points(cls, pts: ColoredPointSet, mask: Optional[np.ndarray] = None) -> "ColorHistogram":
         colors = pts.colors if mask is None else pts.colors[mask]
         weights = pts.weights if mask is None else pts.weights[mask]
-        if len(colors) == 0:
-            return cls({})
         sums = np.bincount(colors, weights=weights, minlength=pts.num_colors)
         return cls({int(c): float(sums[c]) for c in np.nonzero(sums)[0]})
 
@@ -294,6 +293,10 @@ def renyi_entropy(h: ColorHistogram, alpha: float) -> EntropySummary:
 # ---------------------------------------------------------------------------
 # Shannon updates
 
+# u, the relative rounding taken for a summary's count and for the power sum
+# its value came from (8 units of 2^-53), and the bits a delete may be off by
+ROUNDING, DELETE_TOLERANCE = 2.0**-50, 1e-6
+
 def _require_kind(s: EntropySummary, kind: EntropyKind, what: str) -> None:
     if s.kind != kind:
         raise ValueError(f"{what}: expected {kind.label()} summary, got {s.kind.label()}")
@@ -343,6 +346,9 @@ def delete_color_shannon(h: EntropySummary, removed_weight: float) -> EntropySum
 
     Inverse of :func:`insert_color_shannon`:
     H' = N/(N-N3) * (H - (N3/N)*log2(N/N3) - ((N-N3)/N)*log2(N/(N-N3))).
+    With r = N/(N-N3), the bracket is held to u (1 + H + log2 r) (the
+    value's rounding, and the rest's mass, to relative u r, in its term) and
+    r to relative u r, so H' to u r (1 + H + H' + log2 r) bits (``ROUNDING``).
     """
     _require_kind(h, SHANNON, "delete_color_shannon")
     if removed_weight <= 0.0:
@@ -355,6 +361,7 @@ def delete_color_shannon(h: EntropySummary, removed_weight: float) -> EntropySum
     value = (n1 / rest) * (
         h.value - (n3 / n1) * math.log2(n1 / n3) - (rest / n1) * math.log2(n1 / rest)
     )
+    _check_delete(ROUNDING * n1 / rest * (1.0 + abs(h.value) + abs(value) + math.log2(n1 / rest)))
     return EntropySummary(SHANNON, rest, value)
 
 
@@ -398,7 +405,13 @@ def insert_color_renyi(h: EntropySummary, added_weight: float, alpha: float) -> 
 
 
 def delete_color_renyi(h: EntropySummary, removed_weight: float, alpha: float) -> EntropySummary:
-    """Remove ALL mass of one color (Renyi analogue); inverts the insert."""
+    """Remove ALL mass of one color (Renyi analogue); inverts the insert.
+
+    x = ln(S / w**alpha) = alpha ln(N/w) - c H, c = (alpha - 1) ln 2, is held
+    to eta = u (1 + alpha ln(N/w) + c H), the rest's power sum w**alpha (e**x -
+    1) to relative eta / (1 - e**-x) and its mass to relative u N/(N-w), so the
+    answer to (eta / (1 - e**-x) + alpha u N/(N-w)) / c bits (``ROUNDING``).
+    """
     kind = renyi_kind(alpha)
     _require_kind(h, kind, "delete_color_renyi")
     if removed_weight <= 0.0:
@@ -407,15 +420,22 @@ def delete_color_renyi(h: EntropySummary, removed_weight: float, alpha: float) -
     if removed_weight >= n1:
         raise Underflow(f"cannot remove {removed_weight} from total {n1}")
     w, c = removed_weight, _renyi_scale(alpha)
-    rest = n1 - w
-    # x = ln(S / w**alpha); the remaining power sum is w**alpha * (e**x - 1)
-    x = float(Fraction(_log_ratio(n1, w, alpha)) - Fraction(h.value) * Fraction(c))
+    rest, ratio = n1 - w, _log_ratio(n1, w, alpha)
+    x = float(Fraction(ratio) - Fraction(h.value) * Fraction(c))
     if x <= 0.0:
         # mathematically impossible under the precondition; float cancellation
         raise Underflow("remaining power sum vanished (extreme mass ratio)")
+    eta = ROUNDING * (1.0 + ratio + c * abs(h.value))
+    _check_delete((eta / -math.expm1(-x) + alpha * ROUNDING * n1 / rest) / c)
     log_expm1 = x + math.log1p(-math.exp(-x)) if x > 1.0 else math.log(math.expm1(x))
     value = (alpha * math.log(rest / w) - log_expm1) / c
     return EntropySummary(kind, rest, value)
+
+
+def _check_delete(error: float) -> None:
+    """Refuses a delete whose inputs hold its answer to ``error`` bits only."""
+    if error > DELETE_TOLERANCE:
+        raise Underflow(f"the rest's entropy is held to {error:.2g} bits only (extreme mass ratio)")
 
 
 def _renyi_scale(alpha: float) -> float:
@@ -576,10 +596,24 @@ class ColorPrefix:
 
 
 class HeldViews:
-    """Base of an index whose query memoryviews (``_views``) no pickle or copy holds."""
+    """Base of an index whose query memoryviews (``_views``) no pickle or copy
+    holds, and whose byte count (:meth:`nbytes`) is read off what it holds."""
 
     def __getstate__(self) -> dict:
         return {name: value for name, value in vars(self).items() if name != "_views"}
+
+    def nbytes(self) -> int:
+        """Bytes of each distinct array reachable from the attributes but ``pts``
+        and ``_views``, through lists, tuples, dicts and slotted objects."""
+        arrays, reached = {}, [v for k, v in vars(self).items() if k != "pts" and k != "_views"]
+        for value in reached:   # the list grows as the walk reaches more values
+            if isinstance(value, np.ndarray):
+                arrays[id(value)] = value.nbytes
+            elif isinstance(value, (list, tuple, dict)):
+                reached += value.values() if isinstance(value, dict) else value
+            elif hasattr(type(value), "__slots__"):
+                reached += [getattr(value, s, None) for s in type(value).__slots__]
+        return sum(arrays.values())
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +649,6 @@ class QueryRect:
 
     @classmethod
     def full(cls, dim: int) -> "QueryRect":
-        import sys
-
         big = sys.float_info.max
         return cls((-big,) * dim, (big,) * dim)
 

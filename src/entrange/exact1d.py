@@ -310,19 +310,12 @@ class Exact1DIndex(HeldViews):
     # -- reporting -------------------------------------------------------------
 
     def space_stats(self) -> dict:
-        k = len(self.cuts) - 1
-        held = vars(self)
-        cp = held.get("color_prefix")   # derived on first use, like cut_prefix
-        arrays = (self.coords_sorted, self.weights_sorted, self.wpre, self.wlo,
-                  self.cuts, self.ids_sorted, self.present, *self.tables.values(),
-                  *([cp.keys, cp.wpre, cp.wlo] if cp is not None else []),
-                  *([held["cut_prefix"]] if "cut_prefix" in held else []))
         return {
-            "buckets": k,
+            "buckets": len(self.cuts) - 1,
             "bucket_size": self.bucket_size,
             "table_entries": sum(table.size for table in self.tables.values()),
             "orders": self.orders,
-            "bytes": int(sum(a.nbytes for a in arrays)),
+            "bytes": self.nbytes(),
         }
 
 

@@ -82,7 +82,6 @@ class EstimateBackend:
 
     def __init__(self, index: approx.EstimatorIndex, mode: str = "additive",
                  delta: float = 0.1, eps: float = 0.2, alpha: Optional[float] = None,
-                 cfg: Optional[approx.EstimatorConfig] = None,
                  rng: Optional[np.random.Generator] = None):
         if mode not in ("additive", "multiplicative"):
             raise ValueError(f"unknown estimator mode {mode!r}")
@@ -91,17 +90,12 @@ class EstimateBackend:
         additive = mode == "additive"
         self.estimate = approx.additive if additive else approx.multiplicative
         self.accuracy = delta if additive else eps
-        self.cfg = cfg if cfg is not None else approx.DEFAULT_CONFIG
         self.rng = rng if rng is not None else np.random.default_rng()
         self.kind = SHANNON if alpha is None else core.renyi_kind(alpha)
-        pts = index.pts
-        self.pts = pts
-        self.sorted_coords = core.stable_order(pts.coords[:, 0])[1]
-        if len(pts) > 1 and np.any(np.diff(self.sorted_coords) == 0.0):
-            raise ValueError(
-                "index-range partitioning over this backend requires distinct coordinates"
-            )
-        self.total_weight = float(pts.weights.sum())
+        self.sorted_coords = core.stable_order(index.pts.coords[:, 0])[1]
+        if np.any(np.diff(self.sorted_coords) == 0.0):
+            raise ValueError("index-range partitioning over this backend requires distinct coordinates")
+        self.total_weight = float(index.pts.weights.sum())
 
     def describe(self) -> dict:
         out = {"backend": "estimate", "mode": self.mode, "kind": self.kind.label()}
@@ -109,7 +103,7 @@ class EstimateBackend:
         return out
 
     def summary_rect(self, rect: QueryRect) -> EntropySummary:
-        return self.estimate(self.index, rect, self.kind, self.accuracy, self.cfg, self.rng)
+        return self.estimate(self.index, rect, self.kind, self.accuracy, rng=self.rng)
 
     def expected_range(self, i: int, j: int) -> float:
         if i >= j:
@@ -269,11 +263,9 @@ def maxpart_approx(pts: ColoredPointSet, k: int, eps: float, backend) -> Bucketi
     rows = _rows(backend, n)
 
     def finish(cuts: list[int]) -> Bucketing1D:
-        while len(cuts) - 1 < k:  # pad with singleton splits of the last bucket
-            for pos in range(len(cuts) - 1):
-                if cuts[pos + 1] - cuts[pos] > 1:
-                    cuts.insert(pos + 1, cuts[pos] + 1)
-                    break
+        while len(cuts) - 1 < k:  # pad: split a point off the first bucket of two or more
+            pos = next(p for p in range(len(cuts) - 1) if cuts[p + 1] - cuts[p] > 1)
+            cuts.insert(pos + 1, cuts[pos] + 1)
         return _bucketing(k, cuts, rows, max, backend)
 
     zero = _greedy_cover(n, k, 0.0, rows)
@@ -352,11 +344,8 @@ def greedy_tree_split(pts: ColoredPointSet, k: int, backend,
     _check_k(k, n)
     if objective not in ("min", "max"):
         raise ValueError(f"unknown objective {objective!r}")
-    d = pts.dim
 
-    mins = pts.coords.min(axis=0) if n else np.zeros(d)
-    maxs = pts.coords.max(axis=0) if n else np.zeros(d)
-    root_rect = QueryRect(tuple(mins - 1.0), tuple(maxs + 1.0))
+    root_rect = QueryRect(tuple(pts.coords.min(axis=0) - 1.0), tuple(pts.coords.max(axis=0) + 1.0))
     root = TreeNode(0, root_rect, np.arange(n), 0, backend.expected_rect(root_rect))
     leaves = [root]
     trace: list[dict] = []
@@ -372,7 +361,7 @@ def greedy_tree_split(pts: ColoredPointSet, k: int, backend,
             "scores": {leaf.node_id: leaf.score for leaf in leaves},
             "splittable": [leaf.node_id for leaf in splittable],
         })
-        dim = pick.depth % d
+        dim = pick.depth % pts.dim
         ids = pick.point_ids
         order = np.lexsort((ids, pts.coords[ids, dim]))
         ids_sorted = ids[order]

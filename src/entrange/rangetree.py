@@ -36,14 +36,14 @@ What sampling and EVAL need, the pool's weight prefix and one
 :class:`~.core.ColorPrefix`, is :attr:`RangeTree.sampling`, derived on a
 tree's first draw or EVAL and never by an exact answer. Sampling is batched
 and costs a fixed number of numpy calls plus the draws: one
-``searchsorted`` over the pieces' masses picks a piece per draw (none for a
-single piece), and uniforms generated in sorted order walk the pool's
-weight prefix forward. The color-excluding sampler inverts the prefix of
-everything but one color c without bisection: each pool entry of c knows
-the mass of the other colors before it (``others_before``, nondecreasing
-along c's run), so one ``searchsorted`` in c's run counts the c points
-before a draw, and one in the pool prefix finds it. Zero-weight points
-carry no mass and are left out, so counts are of positive-weight points.
+``searchsorted`` over the pieces' masses picks a piece per draw, and
+uniforms generated in sorted order walk the pool's weight prefix forward.
+The color-excluding sampler inverts the prefix of everything but one color
+c without bisection: each pool entry of c knows the mass of the other
+colors before it (``others_before``, nondecreasing along c's run), so one
+``searchsorted`` in c's run counts the c points before a draw, and one in
+the pool prefix finds it. Zero-weight points carry no mass and are left
+out, so counts are of positive-weight points.
 
 An index file holds the points and the pool ids alone
 (:meth:`RangeTree.to_arrays`). ``_derive``, run on build and on load,
@@ -299,14 +299,6 @@ class RangeTree(HeldViews):
                 self.pool_ids.data, list(self.pts.colors.data), list(self.pts.weights.data),
                 self.pts.coords[:, 0].data)
 
-    def nbytes(self) -> int:
-        """Bytes of the tree's arrays, derived ones included, sampling ones once held."""
-        arrays = [*self.keys, self.pool_ids, self.last_sorted, self.last_rank]
-        if "sampling" in vars(self):
-            s, cp = self.sampling, self.sampling.color_prefix
-            arrays += [s.wpre, s.wlo, s.others_before, cp.keys, cp.wpre, cp.wlo]
-        return sum(a.nbytes for a in arrays)
-
     # -- canonical decomposition ------------------------------------------
 
     def slabs(self, rect: QueryRect) -> Slabs:
@@ -442,13 +434,9 @@ class RangeTree(HeldViews):
             u = rng.random(m)
             u.sort()   # sorted targets make the prefix searches walk forward
             u *= total
-            if len(cum) > 1:
-                k = cum[:-1].searchsorted(u, "right")
-                u += shift[k]
-                first, last = a[k], b[k] - 1
-            else:
-                u += shift[0]
-                first, last = a[0], b[0] - 1
+            k = cum[:-1].searchsorted(u, "right")
+            u += shift[k]
+            first, last = a[k], b[k] - 1
             if excluded is not None:
                 u = _unexclude(s, u, excluded)
             pos = s.wpre.searchsorted(u, "right") - 1

@@ -110,9 +110,6 @@ An interval of at most :data:`~.rangetree.FOLD_POINTS` points takes no
 node: the direct-fold loop (:func:`~.rangetree.mass_by_color`) counts its
 colors among its mapped points, a slice of ``mcolor``, and the exact answer
 is :func:`~.core.entropy_from_sums` of W and the sum of f over the counts.
-Up to that size, reading the points costs less than the descent when the
-colors are skewed; with many equally likely colors the fold has more
-colors to insert and sum, and the crossover falls nearer 48 points.
 
 A query makes no numpy call at all: it is integer and float arithmetic
 plus C bisections on memoryviews made on the first query (``_views``, in no
@@ -149,7 +146,7 @@ from .core import (
     power_term,
     renyi_kind,
 )
-from .errors import WeightsNotSupported
+from .errors import InvalidWeight, WeightsNotSupported
 from . import rangetree
 from .rangetree import depth_rows, mass_by_color, refine_spans, tile
 
@@ -205,19 +202,18 @@ def _exponents(values: np.ndarray, base: float, log_base: float) -> np.ndarray:
     g += 0.5
     near = np.flatnonzero(np.abs(g, out=g) >= 0.5 - margin)   # |g - ceil(g) + 1/2|
     e = np.maximum(e, 0.0).astype(np.int64)
-    if len(near):
-        v, f = values[near], e[near]
-        for _ in range(4):
-            over = np.power(base, f.astype(np.float64)) < v
-            if not over.any():
-                break
-            f[over] += 1
-        for _ in range(4):
-            under = (f > 0) & (np.power(base, f - 1.0) >= v)
-            if not under.any():
-                break
-            f[under] -= 1
-        e[near] = f
+    v, f = values[near], e[near]
+    for _ in range(4):
+        over = np.power(base, f.astype(np.float64)) < v
+        if not over.any():
+            break
+        f[over] += 1
+    for _ in range(4):
+        under = (f > 0) & (np.power(base, f - 1.0) >= v)
+        if not under.any():
+            break
+        f[under] -= 1
+    e[near] = f
     return e
 
 
@@ -305,11 +301,11 @@ class Sweep1DIndex(HeldViews):
     def _terms(self) -> tuple[np.ndarray, int]:
         """f over the counts 0..n, k log2 k (Shannon) or k^alpha (Renyi), and
         a bound on the exponents a build writes: no S_v exceeds f(n), so no
-        log guess exceeds top - 6. Refuses an alpha whose f(n) overflows."""
+        log guess exceeds top - 6. Refuses an alpha whose f(n) overflows (``InvalidWeight``)."""
         with np.errstate(over="ignore"):
             f = power_term(np.arange(self.n + 1.0), self.kind)
         if not math.isfinite(f[-1]):
-            raise ValueError(f"alpha {self.alpha} is too high for {self.n} points: f(n) overflows")
+            raise InvalidWeight(f"alpha {self.alpha} is too high for {self.n} points: f(n) overflows")
         return f, math.ceil(math.log(max(self.n, f[-1], 1.0)) / self._log_base) + 6
 
     def _check_ladders(self) -> None:
@@ -535,17 +531,13 @@ class Sweep1DIndex(HeldViews):
         return EntropySummary(self.kind, float(count), entropy_from_sums(count, s_lo, self.kind))
 
     def space_stats(self) -> dict:
-        arrays = (self.mx, self.my, self.mcolor, self.ucoords, self.rows, self.y_rank,
-                  self.gid_slots, self.node_keys, self.h_rank, self.h_exp,
-                  self.ladder_first, self._lower, self.c_rank, self.run_lo,
-                  self.run_end, self._f)
         return {
             "points": self.n,
             "eps": self.eps,
             "eps_prime": self.eps_prime,
             "ladder_entries": len(self.h_rank),
             "qualifying_nodes": len(self.node_keys),
-            "bytes": int(sum(a.nbytes for a in arrays)),
+            "bytes": self.nbytes(),
         }
 
 

@@ -134,6 +134,21 @@ def test_additive_exact_fallback(rng):
     s = estimate_additive(index, FULL, 0.05, EstimatorConfig(c_add=100.0), rng, stats)
     assert stats["mode"] == "exact-fallback"
     assert abs(s.value - 1.0) < 1e-12
+    # a cross of two 300-point bands: the square where they meet holds about
+    # 19 points, fewer than the 116 draws, while either slab holds about 309,
+    # more; the pieces, not the slab, choose the exact answer
+    cross = np.vstack((np.column_stack((rng.uniform(49, 51, 300), rng.uniform(0, 100, 300))),
+                       np.column_stack((rng.uniform(0, 100, 300), rng.uniform(49, 51, 300)))))
+    pts = ColoredPointSet(cross, rng.integers(0, 5, 600))
+    square = QueryRect((49.0, 49.0), (51.0, 51.0))
+    cfg = EstimatorConfig(c_add=0.03)
+    oracle = DualAccessOracle(EstimatorIndex(pts), square)
+    assert oracle.pieces.points < draw_counts(600, SHANNON, 0.5, cfg)[0] < oracle.slabs.points
+    stats = {}
+    s = estimate_additive(oracle.index, square, 0.5, cfg, rng, stats)
+    assert (stats["mode"], stats["samples"]) == ("exact-fallback", 0) and stats["pieces"] > 0
+    want = brute_entropy(pts, square, SHANNON)
+    assert s.count == want.count and abs(s.value - want.value) < 1e-12
 
 
 def test_additive_empty_range(rng):
@@ -203,14 +218,33 @@ def test_multiplicative_heavy_branch_bound(rng, always_sample):
 
 
 def test_multiplicative_heavy_branch_reduced_range_exact(rng):
-    # the 40 light points are fewer than the reduced range's 570 draws
-    pts = make_mix(rng, [160, 8, 8, 8, 8, 8])
-    index = EstimatorIndex(pts)
-    truth = brute_entropy(pts, FULL, SHANNON).value
+    # the 40 light points are fewer than the reduced range's draws: 570,
+    # more than the range holds, and 116 of a config with fewer additive
+    # draws, fewer than the 1,040 points of a range, and of its pieces, with
+    # the heavy color, so that the reduced count decides
+    for counts, cfg in (([160, 8, 8, 8, 8, 8], FAST),
+                        ([1000, 8, 8, 8, 8, 8], EstimatorConfig(c_add=0.005, c_mult=0.2))):
+        pts = make_mix(rng, counts)
+        index = EstimatorIndex(pts)
+        truth = brute_entropy(pts, FULL, SHANNON).value
+        stats: dict = {}
+        h = estimate_multiplicative(index, FULL, 0.25, cfg, rng, stats).value
+        assert (stats["mode"], stats["samples"]) == ("exact-fallback+heavy", 0)
+        assert abs(h - truth) < 1e-9
+
+
+def test_multiplicative_detects_by_sampling_then_answers_exactly(rng):
+    # five even colors of 40 points: detection and the additive draws (6 +
+    # 114) are fewer than the 200 points, so detection samples; no color is
+    # heavy, and the 272 light draws are more, so the light statistic is exact
+    pts = make_mix(rng, [40] * 5)
+    cfg = EstimatorConfig(c_add=0.01, c_mult=2.0)
+    *_, light, rest, _, heavy = draw_counts(200, SHANNON, 0.25, cfg)
+    assert heavy + rest < 200 <= light
     stats: dict = {}
-    h = estimate_multiplicative(index, FULL, 0.25, FAST, rng, stats).value
-    assert (stats["mode"], stats["samples"]) == ("exact-fallback+heavy", 0)
-    assert abs(h - truth) < 1e-9
+    h = estimate_multiplicative(EstimatorIndex(pts), FULL, 0.25, cfg, rng, stats).value
+    assert (stats["mode"], stats["samples"]) == ("exact-fallback", 0)
+    assert stats["distinct_colors"] > 0 and abs(h - math.log2(5)) < 1e-12
 
 
 def test_multiplicative_light_branch_bound(rng):
@@ -595,7 +629,8 @@ def test_rngless_exact_answers_make_no_generator(monkeypatch):
 
 
 def test_rngless_sampled_call_makes_one_generator(monkeypatch, always_sample):
-    # the heavy branch's three tallies draw from one generator
+    # the heavy branch's three tallies draw from one generator; an additive
+    # call's one tally makes its own
     made = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
@@ -603,6 +638,8 @@ def test_rngless_sampled_call_makes_one_generator(monkeypatch, always_sample):
     stats: dict = {}
     estimate_multiplicative_renyi(index, FULL, 2.0, 0.3, EXTREME_CFG, None, stats)
     assert stats["mode"] == "sampled+heavy" and len(made) == 1
+    estimate_additive(index, FULL, 0.3, EXTREME_CFG, None, stats)
+    assert stats["mode"] == "sampled" and len(made) == 2
 
 
 def test_draw_count_cache_stays_bounded():

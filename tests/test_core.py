@@ -19,6 +19,9 @@ from entrange.core import (
     renyi_kind,
 )
 from entrange.errors import InvalidOrder, InvalidWeight, Underflow
+from entrange.exact1d import Exact1DIndex
+from entrange.rangetree import RangeTree
+from entrange.sweep1d import build_renyi
 
 
 def test_entropy_summary_stays_a_frozen_value():
@@ -89,6 +92,9 @@ def test_point_set_from_labeled_flat_coordinates():
     pts = core.ColoredPointSet.from_labeled([2.0, 0.5, 1.0], ["b", "a", "b"], [1.0, 2.0, 3.0])
     assert pts.coords.shape == (3, 1) and pts.labels == ("b", "a")
     assert pts.colors.tolist() == [0, 1, 0] and pts.weights.tolist() == [1.0, 2.0, 3.0]
+    # without weights, every point weighs 1
+    pts = core.ColoredPointSet.from_labeled([[2.0], [0.5]], ["b", "a"])
+    assert pts.weights.tolist() == [1.0, 1.0] and pts.labels == ("b", "a")
 
 
 def test_color_histogram_refuses_negative_mass_and_compares_by_masses():
@@ -96,6 +102,10 @@ def test_color_histogram_refuses_negative_mass_and_compares_by_masses():
         ColorHistogram({0: 1.0, 1: -2.0})
     assert ColorHistogram({0: 1.0, 2: 0.0, 1: 3.0}) == hist(1, 3) != hist(3, 1)
     assert hist(1, 3) != {0: 1.0, 1: 3.0}
+    # a histogram of a whole point set, and of a masked part of it
+    pts = core.ColoredPointSet([0.0, 1.0, 2.0], [2, 0, 2], [1.5, 2.0, 0.5])
+    assert ColorHistogram.from_points(pts) == ColorHistogram({0: 2.0, 2: 2.0})
+    assert ColorHistogram.from_points(pts, np.array([True, False, True])) == hist(0, 0, 2.0)
 
 
 @pytest.mark.parametrize("lo, hi, match", [
@@ -281,6 +291,30 @@ def test_updates_refuse_bad_weights_and_merge_renyi_keeps_a_side_with_an_empty_o
     assert core.merge_renyi(renyi, empty, 2.0) is renyi
     assert core.merge_renyi(empty, renyi, 2.0) is renyi
     assert core.insert_color_renyi(empty, 2.5, 2.0) == EntropySummary(k2, 2.5, 0.0)
+
+
+def test_deletes_answer_within_their_tolerance_or_refuse():
+    # delete the color of mass 1 from {1, r, r}: the remainder {r, r} has
+    # entropy 1 bit of every kind, which the summary of all three fixes ever
+    # worse as r falls (the parent answered -1.9 bits at alpha 3, r = 1e-6,
+    # and -12 bits at alpha 10, r = 1e-5)
+    answered = set()
+    for alpha in (None, 1.5, 2.0, 3.0, 10.0):
+        for e in range(1, 13):
+            h = ColorHistogram({0: 1.0, 1: 10.0**-e, 2: 10.0**-e})
+            try:
+                if alpha is None:
+                    got = core.delete_color_shannon(core.shannon_entropy(h), 1.0)
+                else:
+                    got = core.delete_color_renyi(core.renyi_entropy(h, alpha), 1.0, alpha)
+            except Underflow as exc:
+                assert "extreme mass ratio" in str(exc)
+                continue
+            assert abs(got.value - 1.0) <= core.DELETE_TOLERANCE, (alpha, e)
+            assert got.value >= 0.0
+            answered.add((alpha, e))
+    assert {(alpha, 1) for alpha in (None, 1.5, 2.0, 3.0)} <= answered
+    assert (None, 7) in answered and (None, 8) not in answered   # Shannon cancels slowest
 
 
 # ---------------------------------------------------------------------------
@@ -506,3 +540,54 @@ def test_stable_order_matches_stable_argsort(rng, case):
     assert got.dtype == np.intp and sorted_x.dtype == np.float64
     assert np.array_equal(got, want)
     assert np.array_equal(sorted_x.view(np.int64), x[want].view(np.int64))
+
+
+def test_each_index_counts_the_arrays_it_holds(rng):
+    """``space_stats()["bytes"]`` (a range tree's ``nbytes()``) is the sum of
+    the arrays listed here, after each lazy derivation: exact-1d's first
+    query, first span with a slice and ``row``, in both regimes, built and
+    loaded; a tree's first draw; a sweep's first query."""
+    def total(arrays):
+        return sum(a.nbytes for a in arrays)
+
+    def prefix(cp):
+        return [cp.keys, cp.wpre, cp.wlo]
+
+    for m, fold in ((150, "sort"), (20, "bincount")):   # bound: 4 * 23 = 92 colors
+        pts = core.ColoredPointSet(rng.uniform(0, 100, 500), np.arange(500) % m,
+                                   rng.uniform(0.5, 2.0, 500))
+        built = Exact1DIndex(pts, 0.5, (2.0,))
+        for idx in (built, Exact1DIndex.from_arrays(*built.to_arrays())):
+            assert idx.fold == fold
+            held_prefix = fold == "sort" and idx is built   # the tables' build read it
+            held = [idx.coords_sorted, idx.weights_sorted, idx.wpre, idx.wlo, idx.cuts,
+                    idx.present, idx.ids_sorted, *idx.tables.values()]
+            held += prefix(idx.color_prefix) if held_prefix else []
+            assert idx.space_stats()["bytes"] == total(held)
+            idx.query_span(3, 10)   # no slice: the memoryviews alone
+            assert idx.space_stats()["bytes"] == total(held)
+            idx.query_span(3, 490)   # a slice and a fringe
+            if fold == "bincount":
+                held.append(idx.cut_prefix)
+            elif not held_prefix:
+                held += prefix(idx.color_prefix)
+            assert idx.space_stats()["bytes"] == total(held)
+            idx.row(5)
+            groups = idx._points
+            held += [groups.bucket, groups.dense, groups.end_hi, groups.end_lo, groups.prev]
+            held += prefix(idx.color_prefix) if fold == "bincount" else []
+            assert idx.space_stats()["bytes"] == total(held)
+    tree = RangeTree(core.ColoredPointSet(rng.uniform(0, 1, (300, 2)), rng.integers(0, 7, 300)))
+    held = [tree.pool_ids, *tree.keys, tree.last_sorted, tree.last_rank]
+    assert tree.nbytes() == total(held)
+    tree.draw(tree.canonical_nodes(QueryRect.full(2)), rng, 10)
+    s = tree.sampling
+    held += [s.wpre, s.wlo, s.others_before, *prefix(s.color_prefix)]
+    assert tree.nbytes() == total(held)
+    sweep = build_renyi(core.ColoredPointSet(rng.uniform(0, 100, 300), rng.integers(0, 9, 300)),
+                        0.5, 2.0)
+    sweep.query(QueryRect.interval(10.0, 90.0))
+    held = [getattr(sweep, name) for name in (
+        "mx", "my", "mcolor", "ucoords", "c_rank", "run_lo", "run_end", "rows", "node_keys",
+        "gid_slots", "y_rank", "h_rank", "h_exp", "ladder_first", "_lower", "_f")]
+    assert sweep.space_stats()["bytes"] == total(held)

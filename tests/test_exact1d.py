@@ -270,6 +270,15 @@ def test_grouped_build_at_every_cut_pair(shape, t):
     idx = Exact1DIndex(pts, t=t, orders=(1.5, 2.0, 3.0))
     if shape == "zero bucket" and 0.0 < t < 1.0:
         assert idx.bucket_size in (8, 12)
+        # [11, 25)'s slice is a zero-weight bucket between weighed fringe
+        # points: the sort fold rebuilds the slice's S from a summary of mass 0
+        stats = {}
+        idx.query_span(11, 25, stats=stats)
+        a, b = stats["core_cuts"]
+        assert not pts.weights[a * idx.bucket_size:b * idx.bucket_size].any()
+        for kind in KINDS:
+            want = brute_entropy(pts, QueryRect.interval(11.0, 24.0), kind).value
+            assert abs(idx.query_span(11, 25, kind).value - want) < 1e-9, kind
     assert idx.fold == ("sort" if shape != "one color" and t < 1.0 else "bincount")
     cuts = idx.cuts.tolist()
     for kind in KINDS:

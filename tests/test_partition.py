@@ -283,6 +283,7 @@ def row_inputs():
     heavy[rng.integers(0, n, size=4)] = 10.0 ** rng.uniform(12, 15, size=4)
     distinct = rng.permutation(np.arange(n, dtype=float))
     return {
+        "all-zero-weights": (distinct, rng.integers(0, 5, size=n), np.zeros(n)),
         "duplicates": (rng.integers(0, 12, size=n).astype(float), rng.integers(0, 5, size=n),
                        weights),
         "one-color": (distinct, np.zeros(n, dtype=np.int64), weights),
@@ -396,25 +397,35 @@ def test_greedy_tree_trace_extremeness(rng):
 
 
 def test_greedy_tree_children_partition_parent(rng):
-    pts = random_pointset(rng, 60, d=3, m=5)
-    part = greedy_tree_split(pts, 5, OracleBackend(pts))
-    ids = np.concatenate([leaf.point_ids for leaf in part.leaves])
-    assert sorted(ids.tolist()) == list(range(60))
+    # 3-D points; k = n, which leaves one-point leaves unsplittable; and a
+    # few integer coordinates, so that medians tie and a right child starts
+    # at the tied coordinate
+    tied = ColoredPointSet(rng.integers(0, 3, size=(40, 2)).astype(float),
+                           rng.integers(0, 4, size=40))
+    for pts, k in ((random_pointset(rng, 60, d=3, m=5), 5),
+                   (random_pointset(rng, 12, d=2, m=3), 12), (tied, 9)):
+        part = greedy_tree_split(pts, k, OracleBackend(pts))
+        ids = np.concatenate([leaf.point_ids for leaf in part.leaves])
+        assert sorted(ids.tolist()) == list(range(len(pts)))
 
-    def walk(node):
-        if node.is_leaf:
-            return
-        got = np.concatenate([node.left.point_ids, node.right.point_ids])
-        assert sorted(got.tolist()) == sorted(node.point_ids.tolist())
-        walk(node.left)
-        walk(node.right)
+        def walk(node):
+            if node.is_leaf:
+                return
+            got = np.concatenate([node.left.point_ids, node.right.point_ids])
+            assert sorted(got.tolist()) == sorted(node.point_ids.tolist())
+            walk(node.left)
+            walk(node.right)
 
-    walk(part.root)
+        walk(part.root)
+    assert all(len(leaf.point_ids) == 1 for leaf in greedy_tree_split(
+        pts, len(pts), OracleBackend(pts)).leaves)
 
 
 def test_greedy_tree_over_an_exact_nd_index_matches_the_oracle(rng):
-    for d, alpha in ((2, None), (3, 2.0)):
-        pts = random_pointset(rng, 80, d=d, m=5, weighted=True)
+    tied = ColoredPointSet(rng.integers(0, 3, size=(60, 2)).astype(float),
+                           rng.integers(0, 4, size=60), rng.uniform(0.5, 2.0, size=60))
+    for d, alpha in ((2, None), (3, 2.0), ("tied", None)):
+        pts = tied if d == "tied" else random_pointset(rng, 80, d=d, m=5, weighted=True)
         kind = SHANNON if alpha is None else renyi_kind(alpha)
         index = ExactNDIndex(pts, 0.5, () if alpha is None else (alpha,))
         got = greedy_tree_split(pts, 6, ExactIndexBackend(index, kind))

@@ -65,6 +65,14 @@ def test_ingest_weights_and_1d(tmp_path):
     pts = storage.ingest(path)
     assert pts.dim == 1
     assert pts.weights.tolist() == [2.5, 0.5]
+    # a .tsv or .tab file is tab-separated, and a column named like a
+    # coordinate that is not one (xa) is left out
+    for suffix in (".tsv", ".TAB"):
+        path = tmp_path / f"w{suffix}"
+        path.write_text("x1\txa\tcolor\tweight\n0\tq\ta\t2.5\n1\tr\tb\t0.5\n")
+        pts = storage.ingest(path)
+        assert pts.dim == 1 and pts.labels == ("a", "b")
+        assert pts.coords[:, 0].tolist() == [0.0, 1.0] and pts.weights.tolist() == [2.5, 0.5]
 
 
 def test_ingest_header_only(tmp_path):
@@ -81,6 +89,7 @@ def test_ingest_errors_carry_line_numbers(tmp_path, capsys):
         "x1,color,weight\n0,a,-2\n": "nonnegative",
         "x1,color,weight\ninf,a,1\n": "non-finite",
         "a,b\n1,2\n": "x1..xd",
+        "x2,color\n1,a\n": "x1..xd",
         "x1,label\n1,a\n": "'color' column",
         "x1,color,weight\n0,a,1\n1,b\n": ":3: expected 3 columns, got 2",
         "x1,color,weight\n0,a,heavy\n": ":2: bad weight",
@@ -439,6 +448,7 @@ def test_load_rejects_tampered_files(tmp_path, rng, capsys):
         edit_header(data, lambda h: h.update(arrays={})),
         edit_header(data, lambda h: h.update(arrays=["coords", *h["arrays"][1:]])),
         edit_header(data, lambda h: h["arrays"][0].pop("nbytes")),
+        edit_header(data, lambda h: h["arrays"][0].update(name=7)),   # a name not a string
         edit_header(data, entry("colors", dtype="|O")),
         edit_header(data, entry("colors", dtype=">i8")),
         edit_header(data, entry("colors", dtype="<c16")),
@@ -1143,24 +1153,35 @@ def test_cli_partition_algorithms_and_backends(tmp_path, capsys):
     assert out["backend"] == {"backend": "estimate", "mode": "additive", "kind": "shannon",
                               "delta": 0.2}
     assert len(out["cuts"]) == 5 and out["cuts"][0] == 0 and out["cuts"][-1] == 16
+    # Renyi 2 over each backend: 16 points are fewer than an estimate draws,
+    # so the estimate backend answers exactly too, and the three agree
+    outs = [partition("--kind", "renyi", "--alpha", "2", "--backend", backend, "--seed", "1")
+            for backend in ("oracle", "exact", "estimate")]
+    for out in outs:
+        assert out["backend"]["kind"] == "renyi(2)" and len(out["cuts"]) == 5
+        assert out["value"] == pytest.approx(outs[0]["value"], abs=1e-9)
 
 
 def test_cli_partition_greedy_tree_over_an_exact_backend(tmp_path, capsys):
     # 2-D points: the exact backend builds an ExactNDIndex, whose leaves and
-    # scores match the oracle's
+    # scores match the oracle's; under both objectives, whose value is the
+    # largest or the least leaf score
     rows = [f"{i % 4},{i // 4},{'abc'[i % 3]}" for i in range(16)]
     csv_path = write_csv(tmp_path / "g.csv", rows, header="x1,x2,color")
-    outs = []
-    for backend in ("oracle", "exact"):
-        assert run_cli("partition", "--input", str(csv_path), "--k", "5", "--algorithm",
-                       "greedy-tree", "--backend", backend, "--json") == 0
-        outs.append(json.loads(capsys.readouterr().out))
-    oracle, exact = outs
-    assert exact["backend"]["index"] == "ExactNDIndex"
-    assert [(leaf["rect"], leaf["points"]) for leaf in exact["leaves"]] == [
-        (leaf["rect"], leaf["points"]) for leaf in oracle["leaves"]]
-    assert [leaf["score"] for leaf in exact["leaves"]] == pytest.approx(
-        [leaf["score"] for leaf in oracle["leaves"]], abs=1e-9)
+    for objective, agg in (("min", max), ("max", min)):
+        outs = []
+        for backend in ("oracle", "exact"):
+            assert run_cli("partition", "--input", str(csv_path), "--k", "5", "--algorithm",
+                           "greedy-tree", "--backend", backend, "--objective", objective,
+                           "--json") == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        oracle, exact = outs
+        assert exact["backend"]["index"] == "ExactNDIndex"
+        assert [(leaf["rect"], leaf["points"]) for leaf in exact["leaves"]] == [
+            (leaf["rect"], leaf["points"]) for leaf in oracle["leaves"]]
+        assert [leaf["score"] for leaf in exact["leaves"]] == pytest.approx(
+            [leaf["score"] for leaf in oracle["leaves"]], abs=1e-9)
+        assert exact["value"] == agg(leaf["score"] for leaf in exact["leaves"])
 
 
 def test_cli_partition_text_output(tmp_path, capsys):

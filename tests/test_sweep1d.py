@@ -21,7 +21,7 @@ from entrange.core import (
     entropy_from_sums,
     renyi_kind,
 )
-from entrange.errors import WeightsNotSupported
+from entrange.errors import InvalidWeight, WeightsNotSupported
 from entrange.oracle import brute_entropy
 from entrange import rangetree, sweep1d
 from entrange.rangetree import depth_rows, refine_spans
@@ -349,11 +349,12 @@ def test_ladders_after_a_heavy_walk_at_high_alpha():
 def test_build_refuses_an_alpha_whose_terms_overflow():
     # f(512) = 512^120 overflows a float: the build names alpha and n, with
     # no numpy warning (it once raised a bare OverflowError after one); an
-    # alpha whose f(n) fits still builds
+    # alpha whose f(n) fits still builds. The refusal is an InvalidWeight, as
+    # Exact1DIndex raises for the same hazard, and so a ValueError
     pts = ColoredPointSet(np.arange(512.0), np.arange(512) % 7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="alpha 120.0 is too high for 512 points"):
+        with pytest.raises(InvalidWeight, match="alpha 120.0 is too high for 512 points"):
             build_renyi(pts, 0.5, 120.0)
         idx = build_renyi(pts, 0.5, 100.0)
     assert renyi_bound_holds(brute_entropy(pts, QueryRect.full(1), renyi_kind(100.0)).value,
